@@ -96,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workersN   = fs.Int("workers", 0, "scan bench: engine worker bound (0 = GOMAXPROCS)")
 		measures   = fs.String("measures", "all", "scan bench: comma-separated measures (euclidean,uma,uema,dtw,dust,proud,munich or 'all')")
 		scanMaxNs  = fs.Int64("scan-max-ns", 0, "fail if any scan-bench measure exceeds this ns/op (0 = no check; the CI regression gate)")
-		idxMaxNs   = fs.Int64("indexed-max-ns", 0, "fail if any indexed scan-bench measure exceeds this ns/op or skips no series through the sketch index (0 = no check)")
 		obsMax     = fs.Float64("obs-max", 0, "fail if the telemetry-instrumented scan-bench arm exceeds obs-max times the uninstrumented arm, e.g. 1.03 for a 3% budget (0 = no check)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the -bench run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile at the end of the -bench run to this file")
@@ -129,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*bench {
 		for name, set := range map[string]bool{
 			"-series": *seriesN != 0, "-length": *lengthN != 0, "-shards": *shardsN != 0,
-			"-scan-max-ns": *scanMaxNs != 0, "-indexed-max-ns": *idxMaxNs != 0, "-obs-max": *obsMax != 0,
+			"-scan-max-ns": *scanMaxNs != 0, "-obs-max": *obsMax != 0,
 			"-cpuprofile": *cpuprofile != "", "-memprofile": *memprofile != "",
 		} {
 			if set {
@@ -145,9 +144,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *scanMaxNs < 0 {
 		return fmt.Errorf("-scan-max-ns = %d must be non-negative", *scanMaxNs)
-	}
-	if *idxMaxNs < 0 {
-		return fmt.Errorf("-indexed-max-ns = %d must be non-negative", *idxMaxNs)
 	}
 	if *obsMax != 0 && *obsMax < 1 {
 		return fmt.Errorf("-obs-max = %v must be at least 1 (a ratio over the uninstrumented arm; 0 = no check)", *obsMax)
@@ -171,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			p := scanParams{
 				series: *seriesN, length: *lengthN, queries: *queriesN,
 				samples: *samplesN, workers: *workersN, shards: *shardsN,
-				seed: *seed, tau: *benchTau, maxNs: *scanMaxNs, indexedMaxNs: *idxMaxNs,
+				seed: *seed, tau: *benchTau, maxNs: *scanMaxNs,
 				obsMax: *obsMax,
 			}
 			if p.series == 0 {
@@ -189,8 +185,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			p.measures = ms
 			if p.shards >= 2 {
-				if p.maxNs != 0 || p.indexedMaxNs != 0 || p.obsMax != 0 {
-					return fmt.Errorf("-scan-max-ns/-indexed-max-ns/-obs-max gate the scan bench, not the cluster bench")
+				if p.maxNs != 0 || p.obsMax != 0 {
+					return fmt.Errorf("-scan-max-ns/-obs-max gate the scan bench, not the cluster bench")
 				}
 				return withProfiles(*cpuprofile, *memprofile, func() error {
 					return runClusterBench(stdout, stderr, p, *jsonOut)

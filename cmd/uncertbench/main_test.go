@@ -161,3 +161,26 @@ func TestScanBenchGate(t *testing.T) {
 		t.Fatalf("expected a scan regression error, got %v", err)
 	}
 }
+
+// TestCheckPrefilters pins the prefilter gate: an engaged arm fails when it
+// skips nothing or loses to its own scan arm by more than the noise floor;
+// measures without an engaged prefilter and differences inside the floor
+// pass.
+func TestCheckPrefilters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    ScanMeasureResult
+		want string
+	}{
+		{"faster", ScanMeasureResult{NsPerOp: 1_000_000, IndexedNsPerOp: 300_000, SeriesSkippedByIndex: 7000}, ""},
+		{"not engaged", ScanMeasureResult{NsPerOp: 1_000_000}, ""},
+		{"inside the noise floor", ScanMeasureResult{NsPerOp: 30_000, IndexedNsPerOp: 45_000, SeriesSkippedByIndex: 10}, ""},
+		{"slower", ScanMeasureResult{NsPerOp: 1_000_000, IndexedNsPerOp: 2_000_000, SeriesSkippedByIndex: 7000}, "2.00x its own scan arm"},
+		{"dead", ScanMeasureResult{NsPerOp: 1_000_000, IndexedNsPerOp: 900_000}, "skipped no series"},
+	} {
+		err := checkPrefilters([]ScanMeasureResult{tc.r})
+		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -29,11 +29,12 @@ import (
 // arena buys: same instructions, same answers, different memory layout.
 
 // ScanMeasureResult records one measure's batched scan at scale. The
-// ns_per_op and pruning counters describe the forced linear scan
+// ns_per_op and pruning counters describe the forced plain scan
 // (NoIndex), so they stay comparable with pre-index baselines; the
-// indexed_* fields describe the same workload routed through the sketch
-// index — bit-identical answers, fewer candidates. IndexedNsPerOp is 0
-// when the measure has no sound sketch bound (DUST).
+// indexed_* fields describe the same workload with the measure's prefilter
+// engaged (tier 0 of the scan for the lock-step measures and PROUD, the
+// sketch bucket tree for DTW) — bit-identical answers, fewer candidates.
+// IndexedNsPerOp is 0 when the measure has no prefilter (DUST, MUNICH).
 type ScanMeasureResult struct {
 	Measure          string  `json:"measure"`
 	Kind             string  `json:"kind"` // "topk" or "prob_range"
@@ -102,8 +103,40 @@ type scanParams struct {
 	tau                                       float64
 	measures                                  []engine.Measure
 	maxNs                                     int64
-	indexedMaxNs                              int64
 	obsMax                                    float64
+}
+
+// scanNoiseFloorNs is the absolute per-query slack of the scan bench's two
+// relative gates (prefilter against scan, instrumented against bare): a
+// difference under 20 microseconds per query is timer and scheduler noise.
+const scanNoiseFloorNs = 20_000
+
+// prefilterSlack is the relative slack of the prefilter gate. Back-to-back
+// timings of identical code differ by 5-10% on a shared runner, and on a
+// corpus whose bounds are loose (the CI smoke's: 16% of the series skipped
+// for DTW) the two arms do tie; the arms this gate exists for lost by
+// 1.3-2.3x.
+const prefilterSlack = 1.10
+
+// checkPrefilters is the gate on every engaged prefilter arm: it must skip
+// series (a dead prefilter silently degrades to the scan plus overhead) and,
+// beyond the slack and the noise floor, must not be slower than the scan arm
+// of the same run — a prefilter that loses to the scan it fronts is removed,
+// not kept.
+func checkPrefilters(measures []ScanMeasureResult) error {
+	for _, r := range measures {
+		if r.IndexedNsPerOp == 0 {
+			continue // no prefilter for this measure (DUST, MUNICH), or none engaged at this size
+		}
+		if r.SeriesSkippedByIndex == 0 {
+			return fmt.Errorf("index regression: %s skipped no series through its prefilter", r.Measure)
+		}
+		if float64(r.IndexedNsPerOp) > prefilterSlack*float64(r.NsPerOp)+scanNoiseFloorNs {
+			return fmt.Errorf("index regression: %s prefiltered arm %d ns/op is %.2fx its own scan arm's %d ns/op",
+				r.Measure, r.IndexedNsPerOp, float64(r.IndexedNsPerOp)/float64(r.NsPerOp), r.NsPerOp)
+		}
+	}
+	return nil
 }
 
 // genScanBatch produces count deterministic synthetic series starting at
@@ -308,9 +341,10 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 	fmt.Fprintf(stderr, "scan bench: eps calibrated to %.4f in %v\n", eps, time.Since(start).Round(time.Millisecond))
 
 	for _, m := range p.measures {
-		// The scan arm forces the linear path so ns_per_op stays comparable
+		// The scan arm forces the plain scan so ns_per_op stays comparable
 		// with pre-index baselines; the indexed arm runs the same workload
-		// through the sketch index and must return the same answers.
+		// with the measure's prefilter engaged and must return the same
+		// answers.
 		linOpts := engine.Options{
 			Measure: m, Workers: p.workers, NoIndex: true,
 			MUNICH: munich.Options{Bins: 1024},
@@ -376,8 +410,7 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 		// Tiny absolute deltas are timer noise, not telemetry cost: the
 		// ratio gate only fires when the envelope also costs a measurable
 		// amount per query.
-		const obsNoiseNs = 20_000
-		if obs.ObsOverPlain > p.obsMax && obs.ObsNsPerOp-obs.PlainNsPerOp > obsNoiseNs {
+		if obs.ObsOverPlain > p.obsMax && obs.ObsNsPerOp-obs.PlainNsPerOp > scanNoiseFloorNs {
 			return fmt.Errorf("telemetry regression: %s obs arm %d ns/op is %.3fx the plain arm's %d ns/op, exceeding -obs-max %g",
 				obs.Measure, obs.ObsNsPerOp, obs.ObsOverPlain, obs.PlainNsPerOp, p.obsMax)
 		}
@@ -390,22 +423,15 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 			}
 		}
 	}
-	if p.indexedMaxNs > 0 {
-		for _, r := range report.Measures {
-			if r.IndexedNsPerOp == 0 {
-				continue // no sound sketch bound for this measure (DUST)
-			}
-			if r.SeriesSkippedByIndex == 0 {
-				return fmt.Errorf("index regression: %s skipped no series through the sketch index", r.Measure)
-			}
-			if r.IndexedNsPerOp > p.indexedMaxNs {
-				return fmt.Errorf("index regression: %s %d ns/op exceeds -indexed-max-ns %d", r.Measure, r.IndexedNsPerOp, p.indexedMaxNs)
-			}
-		}
-	}
+	// The prefilter gate takes no flag, so it reports after the numbers are
+	// out: a run made to record such a finding still records it.
+	gate := checkPrefilters(report.Measures)
 
 	if asJSON {
-		return writeJSON(stdout, report)
+		if err := writeJSON(stdout, report); err != nil {
+			return err
+		}
+		return gate
 	}
 	fmt.Fprintf(stdout, "scan bench %d series x %d length, %d queries, workers=%d, eps=%.4f\n",
 		p.series, p.length, p.queries, p.workers, eps)
@@ -422,7 +448,7 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 	}
 	fmt.Fprintf(stdout, "obs    %-10s plain %d ns/op, instrumented %d ns/op (%.3fx)\n",
 		report.Obs.Measure, report.Obs.PlainNsPerOp, report.Obs.ObsNsPerOp, report.Obs.ObsOverPlain)
-	return nil
+	return gate
 }
 
 // runObsBench times the per-query Run path with the observability

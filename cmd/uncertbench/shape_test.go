@@ -89,6 +89,89 @@ func TestReportWireShapes(t *testing.T) {
 	}
 }
 
+// PairedBenchReport is the shape of a BENCH_PR<N>.json that records a claim
+// judged with the repository benchmark (bench/, a module of its own that no
+// tool here drives): parent commit against change, as interleaved pairs of
+// `go run -C bench . --workload W`. It lives test-side because nothing in
+// uncertbench emits it; the file is assembled from the harness's outputs.
+type PairedBenchReport struct {
+	Issue     string           `json:"issue"`
+	Parent    string           `json:"parent"`
+	Change    string           `json:"change"`
+	Command   string           `json:"command"`
+	Method    string           `json:"method"`
+	Claim     PairedClaim      `json:"claim"`
+	Workloads []PairedWorkload `json:"workloads"`
+	Compare   []string         `json:"compare"`
+	Trace     []PairedTraceRow `json:"trace"`
+	Notes     []string         `json:"notes"`
+}
+
+// PairedClaim is the one gain the change claims, judged by the rule of the
+// choosing-metrics guide: the change wins at least nine tenths of the pairs
+// and the medians differ by more than the parent's interquartile range.
+type PairedClaim struct {
+	Workload     string  `json:"workload"`
+	Metric       string  `json:"metric"`
+	Better       string  `json:"better"`
+	Pairs        int     `json:"pairs"`
+	ChangeWins   int     `json:"change_wins"`
+	ParentMedian float64 `json:"parent_median"`
+	ChangeMedian float64 `json:"change_median"`
+	ParentIQR    float64 `json:"parent_iqr"`
+	Ratio        float64 `json:"ratio"`
+	HoldOutSeed  int64   `json:"hold_out_seed"`
+	HoldOutRatio float64 `json:"hold_out_ratio"`
+	Met          bool    `json:"met"`
+}
+
+// PairedWorkload holds every run of one workload and the per-metric summary.
+type PairedWorkload struct {
+	Name    string         `json:"name"`
+	Pairs   []PairedRun    `json:"pairs"`
+	Metrics []PairedMetric `json:"metrics"`
+}
+
+// PairedRun is one parent/change pair; First names the side that ran first.
+type PairedRun struct {
+	Seed    int64      `json:"seed"`
+	First   string     `json:"first"`
+	HoldOut bool       `json:"hold_out"`
+	Parent  PairedSide `json:"parent"`
+	Change  PairedSide `json:"change"`
+}
+
+// PairedSide is the driver object one run printed (its last stdout line).
+type PairedSide struct {
+	Correct   bool               `json:"correct"`
+	Attempted int                `json:"attempted"`
+	Failed    int                `json:"failed"`
+	Metrics   map[string]float64 `json:"metrics"`
+}
+
+// PairedMetric summarises one end-to-end metric over a workload's pairs.
+type PairedMetric struct {
+	Name       string     `json:"name"`
+	Unit       string     `json:"unit"`
+	Better     string     `json:"better"`
+	Bound      float64    `json:"bound"`
+	Parent     [3]float64 `json:"parent_q1_median_q3"`
+	Change     [3]float64 `json:"change_q1_median_q3"`
+	Ratio      float64    `json:"ratio"`
+	ChangeWins int        `json:"change_wins"`
+	ParentWins int        `json:"parent_wins"`
+	Verdict    string     `json:"verdict"`
+}
+
+// PairedTraceRow is one per-layer metric of the `--trace 1` pair.
+type PairedTraceRow struct {
+	Workload string  `json:"workload"`
+	Metric   string  `json:"metric"`
+	Unit     string  `json:"unit"`
+	Parent   float64 `json:"parent"`
+	Change   float64 `json:"change"`
+}
+
 // strictDecode decodes data into v rejecting unknown fields, and requires
 // the document to contain exactly one JSON value.
 func strictDecode(data []byte, v any) error {
@@ -161,6 +244,25 @@ func TestBaselineArtifactsMatchShape(t *testing.T) {
 				if r.CompletedWithProp >= r.CompletedWithoutProp {
 					t.Errorf("%s: %s records no propagation gain (%d with vs %d without)",
 						name, r.Measure, r.CompletedWithProp, r.CompletedWithoutProp)
+				}
+			}
+		}
+
+		var paired PairedBenchReport
+		if strictDecode(data, &paired) == nil {
+			matched = append(matched, "PairedBenchReport")
+			c := paired.Claim
+			if len(paired.Workloads) == 0 || c.Pairs < 10 {
+				t.Errorf("%s: implausible paired report (%d workloads, %d claim pairs)", name, len(paired.Workloads), c.Pairs)
+			}
+			if c.Met && 10*c.ChangeWins < 9*c.Pairs {
+				t.Errorf("%s: claim recorded as met with %d wins of %d pairs", name, c.ChangeWins, c.Pairs)
+			}
+			for _, w := range paired.Workloads {
+				for _, r := range w.Pairs {
+					if !r.Parent.Correct || !r.Change.Correct || r.Change.Failed > r.Parent.Failed {
+						t.Errorf("%s: %s seed %d: a run failed verification or the change failed more requests", name, w.Name, r.Seed)
+					}
 				}
 			}
 		}

@@ -28,9 +28,17 @@ type arenas struct {
 	envHi  *arena.Builder // MUNICH envelope maxima, stride cfg.Segments
 	sketch *arena.Builder // PAA sketch rows for the bucket index, stride lay.Stride()
 
+	// The dense filter columns: the coarse segment means of the raw, UMA
+	// and UEMA vectors (stride coarse.W() each) and the total squared
+	// observation energy (stride 1) — tier 0 of the engine's lock-step
+	// scans. Derived like every other artifact, and like the sketch rows
+	// never persisted: recovery recomputes them through buildEntry.
+	coarseV, coarseU, coarseE, energy *arena.Builder
+
 	// lay is the sketch-row geometry all sketch rows share (and the bucket
-	// tree indexes).
-	lay sketch.Layout
+	// tree indexes); coarse is the filter-column geometry.
+	lay    sketch.Layout
+	coarse sketch.Coarse
 
 	// envScratch is the deque storage LB_Keogh envelope builds reuse
 	// across inserts; buildEntry runs under the corpus writer lock, so
@@ -42,7 +50,8 @@ type arenas struct {
 // and cfg.Segments known), with capacity reserved for capRows series.
 func newArenas(cfg Config, capRows int) *arenas {
 	n := cfg.Length
-	lay := sketch.NewLayout(n, cfg.SketchSegments, cfg.Segments)
+	lay := sketch.NewLayout(n, cfg.SketchSegments)
+	coarse := sketch.NewCoarse(n)
 	return &arenas{
 		values: arena.NewBuilder(n, capRows),
 		sigmas: arena.NewBuilder(n, capRows),
@@ -54,7 +63,14 @@ func newArenas(cfg Config, capRows int) *arenas {
 		envLo:  arena.NewBuilder(cfg.Segments, capRows),
 		envHi:  arena.NewBuilder(cfg.Segments, capRows),
 		sketch: arena.NewBuilder(lay.Stride(), capRows),
+
+		coarseV: arena.NewBuilder(coarse.W(), capRows),
+		coarseU: arena.NewBuilder(coarse.W(), capRows),
+		coarseE: arena.NewBuilder(coarse.W(), capRows),
+		energy:  arena.NewBuilder(1, capRows),
+
 		lay:    lay,
+		coarse: coarse,
 	}
 }
 
@@ -77,7 +93,10 @@ func (a *arenas) truncate(rows int) {
 }
 
 func (a *arenas) all() []*arena.Builder {
-	return []*arena.Builder{a.values, a.sigmas, a.uma, a.uema, a.upper, a.lower, a.suffix, a.envLo, a.envHi, a.sketch}
+	return []*arena.Builder{
+		a.values, a.sigmas, a.uma, a.uema, a.upper, a.lower, a.suffix, a.envLo, a.envHi, a.sketch,
+		a.coarseV, a.coarseU, a.coarseE, a.energy,
+	}
 }
 
 // compact rebuilds every arena with only the rows of the surviving entries,
@@ -96,7 +115,14 @@ func (a *arenas) compact(keep []int) *arenas {
 		envLo:  a.envLo.Compact(keep),
 		envHi:  a.envHi.Compact(keep),
 		sketch: a.sketch.Compact(keep),
+
+		coarseV: a.coarseV.Compact(keep),
+		coarseU: a.coarseU.Compact(keep),
+		coarseE: a.coarseE.Compact(keep),
+		energy:  a.energy.Compact(keep),
+
 		lay:    a.lay,
+		coarse: a.coarse,
 	}
 }
 
@@ -122,6 +148,12 @@ type Columns struct {
 	// Sketch holds the PAA sketch rows the bucket index summarises
 	// (stride = the sketch layout's stride).
 	Sketch arena.Matrix
+	// CoarseV, CoarseU and CoarseE hold the coarse segment means of the
+	// raw, UMA and UEMA vectors (stride = sketch.NewCoarse(length).W()),
+	// and Energy the total squared observation energy (stride 1, so
+	// Energy.Data()[i] is series i's): the dense filter columns the
+	// lock-step scans read before any full-length row.
+	CoarseV, CoarseU, CoarseE, Energy arena.Matrix
 }
 
 // capture freezes the current builder state as a columnar view.
@@ -137,5 +169,10 @@ func (a *arenas) capture() *Columns {
 		EnvLo:  a.envLo.Matrix(),
 		EnvHi:  a.envHi.Matrix(),
 		Sketch: a.sketch.Matrix(),
+
+		CoarseV: a.coarseV.Matrix(),
+		CoarseU: a.coarseU.Matrix(),
+		CoarseE: a.coarseE.Matrix(),
+		Energy:  a.energy.Matrix(),
 	}
 }

@@ -196,6 +196,11 @@ type Entry struct {
 	// Sketch is the series' PAA sketch row (see internal/sketch for the
 	// layout), the summary the bucket index is built over.
 	Sketch []float64
+	// CoarseV, CoarseU and CoarseE are the coarse segment means of the
+	// observations and the UMA/UEMA vectors (see sketch.Coarse) — the
+	// per-entry views of the dense filter columns, for snapshots without a
+	// columnar view. The matching energy term is Suffix[0].
+	CoarseV, CoarseU, CoarseE []float64
 	// OwnErrors records whether the series was inserted with its own error
 	// distributions (as opposed to adopting the corpus defaults) — the
 	// fidelity bit a checkpoint needs to re-ingest the entry through the
@@ -490,6 +495,7 @@ func (c *Corpus) compactLocked(entries []*Entry) []*Entry {
 			ne.Env = munich.Envelope{Lo: cols.EnvLo.Row(i), Hi: cols.EnvHi.Row(i)}
 		}
 		ne.Sketch = cols.Sketch.Row(i)
+		ne.CoarseV, ne.CoarseU, ne.CoarseE = cols.CoarseV.Row(i), cols.CoarseU.Row(i), cols.CoarseE.Row(i)
 		out[i] = &ne
 	}
 	c.ar = na
@@ -707,12 +713,11 @@ func buildEntry(id int, s Series, cfg Config, ar *arenas) (*Entry, error) {
 		munich.BuildEnvelopeInto(e.Env, ss)
 	}
 	e.Sketch = ar.sketch.AppendZero()
-	var sigmaMax float64
-	for _, v := range e.Sigmas {
-		if v > sigmaMax {
-			sigmaMax = v
-		}
-	}
-	ar.lay.FillRow(e.Sketch, obs, e.UMA, e.UEMA, e.Upper, e.Lower, envLo, envHi, e.Suffix[0], sigmaMax)
+	ar.lay.FillRow(e.Sketch, obs, e.Upper, e.Lower)
+	e.CoarseV, e.CoarseU, e.CoarseE = ar.coarseV.AppendZero(), ar.coarseU.AppendZero(), ar.coarseE.AppendZero()
+	sketch.PAAInto(e.CoarseV, obs, ar.coarse.Spans)
+	sketch.PAAInto(e.CoarseU, e.UMA, ar.coarse.Spans)
+	sketch.PAAInto(e.CoarseE, e.UEMA, ar.coarse.Spans)
+	ar.energy.AppendZero()[0] = e.Suffix[0]
 	return e, nil
 }

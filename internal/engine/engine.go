@@ -5,11 +5,14 @@
 // Pruning devices, one family per measure:
 //
 //   - lock-step measures (Euclidean, UMA, UEMA over the filtered series)
-//     early-abandon the squared-distance accumulation once the running sum
-//     exceeds the current k-th best;
-//   - banded DTW first checks the LB_Keogh envelope lower bound and only
-//     runs the DP — itself early-abandoning per row — when the bound cannot
-//     exclude the candidate;
+//     first test a 16-segment Jensen lower bound from the corpus' dense
+//     filter columns (tier 0, tier0.go), then early-abandon the
+//     squared-distance accumulation once the running sum exceeds the
+//     current k-th best;
+//   - banded DTW walks the sketch bucket tree (index.go), then checks the
+//     LB_Keogh envelope lower bound and only runs the DP — itself
+//     early-abandoning per row — when the bound cannot exclude the
+//     candidate;
 //   - DUST early-abandons the Equation 13 accumulation and shares a single
 //     evaluator, and therefore a single set of phi lookup tables, across
 //     every query of a batch;
@@ -18,10 +21,11 @@
 //     per-timestamp sample-pair probability bound; surviving candidates
 //     pay for a refine step that abandons early in the estimator's own
 //     arithmetic;
-//   - PROUD (probabilistic queries) accumulates the distance moments over a
-//     prefix of timestamps and stops as soon as the sound prefix bounds
-//     (Stream.earlyDecision's machinery plus suffix-energy gap bounds)
-//     force the predicate outcome.
+//   - PROUD (probabilistic queries) pushes tier 0's bracket of the squared
+//     gap through its moment bounds, then accumulates the distance moments
+//     over a prefix of timestamps and stops as soon as the sound prefix
+//     bounds (Stream.earlyDecision's machinery plus suffix-energy gap
+//     bounds) force the predicate outcome.
 //
 // Since the corpus refactor the engine is built over an immutable
 // corpus.Snapshot (NewFromSnapshot); building over a core.Workload (New)
@@ -46,11 +50,12 @@
 // Execution is batched and sharded: the candidate space of every query is
 // cut into shards and the (query, shard) pairs are drained by the chunked
 // work-stealing executor of internal/core (RunSharded). Workers cooperate
-// through a per-query atomic bound — the best k-th distance any shard has
-// proven so far — which tightens pruning across shard boundaries while
-// staying exact: a published bound is always the k-th best of a subset of
-// candidates, hence an upper bound on the true k-th distance, so a
-// candidate abandoned against it can never belong to the answer. Results
+// through a per-query atomic bound — the k-th best distance among the
+// candidates completed so far, query-wide (topKCollector) — which tightens
+// pruning across shard boundaries while staying exact: a published bound is
+// always the k-th best of a subset of candidates, hence an upper bound on
+// the true k-th distance, so a candidate abandoned against it can never
+// belong to the answer. Results
 // are therefore bit-identical to the naive full scan for every worker
 // count, which the tests assert.
 package engine
@@ -60,8 +65,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"uncertts/internal/arena"
@@ -193,13 +200,15 @@ type Options struct {
 	// It exists as the reference arm of the engine benchmarks and tests.
 	// It implies NoIndex.
 	NoPrune bool
-	// NoIndex disables the sketch bucket index, forcing the linear sharded
-	// scan (the per-candidate pruning devices still run). The index is a
-	// sound prefilter, so results are bit-identical either way.
+	// NoIndex disables both prefilters — tier 0 of the lock-step scans and
+	// the sketch bucket index DTW walks — forcing the plain sharded scan
+	// (the per-candidate pruning devices still run). Both are sound
+	// prefilters, so results are bit-identical either way; this is the
+	// parity oracle and the benchmarks' scan arm.
 	NoIndex bool
-	// IndexThreshold is the minimum snapshot size at which the sketch
-	// bucket index engages (0 = 1024; negative = always, which the parity
-	// tests use). Below it the linear scan beats the bucket bookkeeping.
+	// IndexThreshold is the minimum snapshot size at which a prefilter
+	// engages (0 = 1024; negative = always, which the parity tests use).
+	// Below it the plain scan wins.
 	IndexThreshold int
 	// DUST configures the shared evaluator for MeasureDUST.
 	DUST dust.Options
@@ -238,13 +247,15 @@ type Stats struct {
 	ResolvedEarly int64 `json:"resolved_early"`
 	// BucketsVisited and BucketsPruned count sketch-index bucket decisions:
 	// a pruned bucket's members were never candidates at all. Zero on
-	// engines running the linear scan.
+	// engines running the linear scan, tier 0 included (DTW alone walks
+	// the bucket tree).
 	BucketsVisited int64 `json:"buckets_visited"`
 	BucketsPruned  int64 `json:"buckets_pruned"`
-	// SeriesSkippedByIndex counts candidates never examined because their
-	// whole bucket was excluded by its index bound (excluding the query
-	// series itself). For index queries, Candidates + SeriesSkippedByIndex
-	// = queries * (N - 1).
+	// SeriesSkippedByIndex counts series a prefilter excluded before they
+	// became candidates (the query series itself is never counted): by
+	// tier 0's coarse bound for the lock-step measures and PROUD, by a
+	// bucket or sketch-row bound for DTW. For index queries, Candidates +
+	// SeriesSkippedByIndex = queries * (N - 1).
 	SeriesSkippedByIndex int64 `json:"series_skipped_by_index"`
 }
 
@@ -302,8 +313,11 @@ type Engine struct {
 	spans        [][2]int          // MUNICH segment geometry
 	segments     int               // resolved MUNICH segment count
 
-	// idx is the engine's view of the snapshot's sketch index; nil when
-	// queries run the linear sharded scan (see resolveIndex).
+	// At most one prefilter is engaged (see resolveIndex): t0, the dense
+	// filter columns the lock-step and PROUD scans test first, or idx, the
+	// engine's view of the snapshot's sketch index, which DTW walks instead
+	// of scanning. Both nil when queries run the plain sharded scan.
+	t0  *tier0
 	idx *engineIndex
 
 	candidates     atomic.Int64
@@ -457,7 +471,7 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, opts.Measure)
 	}
-	e.resolveIndex(cfg, dense, filterReuse)
+	e.resolveIndex(cfg, filterReuse)
 	return e, nil
 }
 
@@ -759,6 +773,33 @@ func (e *Engine) TopKPrepared(pqs []*PreparedQuery, k int) ([][]query.Neighbor, 
 	return e.topKPrepared(context.Background(), pqs, k)
 }
 
+// topKCollector is the query-wide top-k accumulator every work item of one
+// query shares, on the scan and on the indexed path alike: each completed
+// candidate is offered under a mutex, and once k are known the k-th best
+// distance tightens the query's shared bound. A heap per work item would
+// only ever prove the k-th best of its own few dozen candidates, a far
+// looser cut than the query's; completions are rare once the cut is tight,
+// so the mutex is uncontended.
+type topKCollector struct {
+	mu   sync.Mutex
+	h    *kHeap
+	kept []query.Neighbor
+}
+
+func (c *topKCollector) offer(n query.Neighbor, b *sharedBound) {
+	c.mu.Lock()
+	c.h.push(n.Distance)
+	if c.h.full() {
+		b.lower(ulpUp(c.h.top() * c.h.top()))
+	}
+	// Strictly beyond the k-th best of the candidates seen so far is
+	// provably outside the answer; ties stay, for the ID tie-break.
+	if !c.h.full() || n.Distance <= c.h.top() {
+		c.kept = append(c.kept, n)
+	}
+	c.mu.Unlock()
+}
+
 // topKPrepared is the top-k execution core: sharded scan under a context,
 // polled at every (query, shard) work item and inside the DTW kernel.
 func (e *Engine) topKPrepared(ctx context.Context, pqs []*PreparedQuery, k int) ([][]query.Neighbor, error) {
@@ -768,82 +809,112 @@ func (e *Engine) topKPrepared(ctx context.Context, pqs []*PreparedQuery, k int) 
 	if err := e.checkPrepared(pqs); err != nil {
 		return nil, err
 	}
-	if e.idx != nil {
-		return e.topKIndexed(ctx, pqs, k)
+	bounds := make([]*sharedBound, len(pqs))
+	found := make([]*topKCollector, len(pqs))
+	for q := range pqs {
+		bounds[q] = pqs[q].boundRef()
+		found[q] = &topKCollector{h: newKHeap(k)}
 	}
+	var err error
+	if e.idx != nil {
+		err = e.topKIndexed(ctx, pqs, k, bounds, found)
+	} else {
+		err = e.topKScan(ctx, pqs, k, bounds, found)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]query.Neighbor, len(pqs))
+	for q := range pqs {
+		out[q] = nearestK(found[q].kept, k)
+	}
+	return out, nil
+}
+
+// topKScan offers every candidate the cascade completes, shard by shard in
+// position order: tier 0 where the measure has one, then the measure's own
+// pruned kernel, both against the query's live cut. Tier 0 first seeds that
+// cut and holds one bound per resident series for every query in flight
+// (seedCut), so its batches run in groups of one query per worker.
+func (e *Engine) topKScan(ctx context.Context, pqs []*PreparedQuery, k int, bounds []*sharedBound, found []*topKCollector) error {
 	n := e.snap.Len()
 	shardSize := e.opts.ShardSize
 	numShards := (n + shardSize - 1) / shardSize
 	done := ctx.Done()
-
-	bounds := make([]*sharedBound, len(pqs))
-	for i := range bounds {
-		bounds[i] = pqs[i].boundRef()
+	workers := e.workersFor(pqs)
+	group := len(pqs)
+	if e.t0 != nil {
+		if group = workers; group <= 0 {
+			group = runtime.GOMAXPROCS(0)
+		}
 	}
-	// One retained-candidate bucket per (query, shard) pair; written by
-	// exactly one worker each, merged after the barrier.
-	buckets := make([][]query.Neighbor, len(pqs)*numShards)
-
-	err := core.RunShardedCtx(ctx, len(pqs)*numShards, 1, e.workersFor(pqs), func(lo, hi int) error {
-		var scratch distance.DTWScratch // one DP-row pair per work batch, not per candidate
-		for item := lo; item < hi; item++ {
-			q, shard := item/numShards, item%numShards
-			pq := pqs[q]
-			cLo, cHi := shard*shardSize, (shard+1)*shardSize
-			if cHi > n {
-				cHi = n
-			}
-			local := newKHeap(k)
-			var kept []query.Neighbor
-			for ci := cLo; ci < cHi; ci++ {
-				if ci == pq.self {
-					continue
+	for g0 := 0; g0 < len(pqs); g0 += group {
+		gn := min(group, len(pqs)-g0)
+		var lbs [][]float64 // tier 0's raw bounds: lbs[q-g0][ci]
+		if e.t0 != nil {
+			lbs = make([][]float64, gn)
+			err := core.RunShardedCtx(ctx, gn, 1, workers, func(lo, hi int) (err error) {
+				for q := g0 + lo; q < g0+hi && err == nil; q++ {
+					lbs[q-g0], err = e.seedCut(pqs[q], k, bounds[q])
 				}
-				cut := bounds[q].get()
-				if local.full() {
-					if t := ulpUp(local.top() * local.top()); t < cut {
-						cut = t
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+		err := core.RunShardedCtx(ctx, gn*numShards, 1, workers, func(lo, hi int) error {
+			var scratch distance.DTWScratch // one DP-row pair per work batch, not per candidate
+			for item := lo; item < hi; item++ {
+				q, shard := g0+item/numShards, item%numShards
+				pq := pqs[q]
+				cLo, cHi := shard*shardSize, (shard+1)*shardSize
+				if cHi > n {
+					cHi = n
+				}
+				var skipped int64
+				for ci := cLo; ci < cHi; ci++ {
+					if ci == pq.self {
+						continue
+					}
+					cut := bounds[q].get()
+					if lbs != nil && lbs[q-g0][ci] > skipLimit(cut+pq.slack) {
+						skipped++
+						continue
+					}
+					d, ok, err := e.distPruned(pq, ci, cut, done, &scratch)
+					if err != nil {
+						return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
+					}
+					if ok {
+						found[q].offer(query.Neighbor{ID: ci, Distance: d}, bounds[q])
 					}
 				}
-				d, ok, err := e.distPruned(pq, ci, cut, done, &scratch)
-				if err != nil {
-					return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
-				}
-				if !ok {
-					continue
-				}
-				kept = append(kept, query.Neighbor{ID: ci, Distance: d})
-				local.push(d)
-				if local.full() {
-					bounds[q].lower(ulpUp(local.top() * local.top()))
-				}
+				e.seriesSkipped.Add(skipped)
 			}
-			buckets[item] = kept
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([][]query.Neighbor, len(pqs))
-	for q := range pqs {
-		var all []query.Neighbor
-		for shard := 0; shard < numShards; shard++ {
-			all = append(all, buckets[q*numShards+shard]...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Distance != all[j].Distance {
-				return all[i].Distance < all[j].Distance
-			}
-			return all[i].ID < all[j].ID
+			return nil
 		})
-		if k < len(all) {
-			all = all[:k]
+		if err != nil {
+			return err
 		}
-		out[q] = all
 	}
-	return out, nil
+	return nil
+}
+
+// nearestK orders the retained candidates of one query by (distance, ID) —
+// the deterministic order every execution path merges by — and keeps the
+// first k.
+func nearestK(all []query.Neighbor, k int) []query.Neighbor {
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Distance != all[j].Distance {
+			return all[i].Distance < all[j].Distance
+		}
+		return all[i].ID < all[j].ID
+	})
+	if k < len(all) {
+		all = all[:k]
+	}
+	return all
 }
 
 // Range returns the IDs of every series within eps of query qi under the
@@ -890,8 +961,13 @@ func (e *Engine) rangePrepared(ctx context.Context, pq *PreparedQuery, eps float
 				cHi = n
 			}
 			var ids []int
+			var skipped int64
 			for ci := cLo; ci < cHi; ci++ {
 				if ci == pq.self {
+					continue
+				}
+				if e.coarseSkip(pq, ci, cutoff2) {
+					skipped++
 					continue
 				}
 				d, ok, err := e.distPruned(pq, ci, cutoff2, done, &scratch)
@@ -907,6 +983,7 @@ func (e *Engine) rangePrepared(ctx context.Context, pq *PreparedQuery, eps float
 					}
 				}
 			}
+			e.seriesSkipped.Add(skipped)
 			buckets[shard] = ids
 		}
 		return nil

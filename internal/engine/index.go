@@ -7,91 +7,72 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
-	"uncertts/internal/munich"
-	"uncertts/internal/proud"
 	"uncertts/internal/query"
 	"uncertts/internal/sketch"
 	"uncertts/internal/telemetry"
 )
 
-// Indexed execution: instead of sharding the candidate space positionally,
-// the engine walks the snapshot's sketch index (internal/sketch) bucket by
-// bucket. Each bucket carries the elementwise [min, max] region of its
-// members' sketch rows, from which every measure derives a sound lower
-// bound (or, for the probabilistic measures, a sound probability upper
-// bound) on all members at once:
+// Indexed execution, which banded DTW alone uses: instead of sharding the
+// candidate space positionally, the engine walks the snapshot's sketch index
+// (internal/sketch) bucket by bucket. Each bucket carries the elementwise
+// [min, max] region of its members' sketch rows, which bounds every member
+// at once: the exact endpoint gaps (every warping path aligns (0,0) and
+// (N-1,N-1) — LB_Kim's first/last terms, read from the row's v0/vLast
+// columns) plus the larger of two envelope bounds over the interior
+// segments: query PAA against the bucket's envelope block (LB_Keogh's
+// LB_PAA form) and the bucket's raw-PAA block against the query's own
+// envelope means (the reverse bound); both chain under DTW^2.
 //
-//   - Euclidean/UMA/UEMA: PAA MinDist over the measure's segment-mean block;
-//   - DTW: the exact endpoint gaps (every warping path aligns (0,0) and
-//     (N-1,N-1) — LB_Kim's first/last terms, read from the row's v0/vLast
-//     columns) plus the larger of two envelope bounds over the interior
-//     segments: query PAA against the bucket's envelope block (LB_Keogh's
-//     LB_PAA form) and the bucket's raw-PAA block against the query's own
-//     envelope means (the reverse bound); both chain under DTW^2;
-//   - PROUD: the bucket's squared-gap interval [MinDist, 2(E_q + maxE)]
-//     pushed through the same moment bounds the per-candidate prefix
-//     pruning uses;
-//   - MUNICH: the segment-envelope lower bound against the bucket's
-//     envelope region — above eps every member's probability is exactly 0.
+// Buckets are ranked best-first per query, so the shared per-query bound
+// tightens on the nearest candidates first and far buckets are skipped
+// wholesale at their work item — workers cooperate across buckets exactly as
+// the linear path cooperates across shards. Inside a surviving bucket, each
+// member is prefiltered by the same bound evaluated on its own sketch row
+// (the classic iSAX leaf check: an O(W) read of the summary before the
+// O(N * band) DP is touched) — a bucket's box is the union of dozens of rows
+// and admits far more than any single row does. Every skip, bucket- or
+// member-level, is backed by a bound that is sound under indexBoundMargin,
+// so indexed answers are bit-identical to the linear scan, which the parity
+// tests assert for every worker count.
 //
-// Buckets are ranked best-first per query (ascending distance bound,
-// descending probability bound), so the shared per-query bound tightens on
-// the nearest candidates first and far buckets are skipped wholesale at
-// their work item — workers cooperate across buckets exactly as the linear
-// path cooperates across shards. Inside a surviving bucket, each member is
-// prefiltered by the same bound evaluated on its own sketch row (the
-// classic iSAX leaf check: an O(W) read of the summary before the O(N)
-// series is touched) — a bucket's box is the union of dozens of rows and
-// admits far more than any single row does. Every skip, bucket- or
-// member-level, is backed by a bound that is sound under the same
-// floating-point margins the per-candidate pruning uses (indexBoundMargin
-// in distance space, probBoundMargin in probability space), so indexed
-// answers are bit-identical to the linear scan, which the parity tests
-// assert for every measure and worker count.
-//
-// Survivors feed the existing per-candidate prune cascade unchanged: the
-// index only decides which candidates are examined at all. The Stats
-// identity extends to Candidates + SeriesSkippedByIndex = queries * (N-1)
-// for index queries.
+// Survivors feed the per-candidate prune cascade unchanged: the index only
+// decides which candidates are examined at all. The DTW kernel is dear
+// enough for this to pay (about 4 against 7 ms per query on the bench's
+// sampled corpus). The lock-step measures and PROUD are not — see tier0.go —
+// and MUNICH's bucket bound skipped 0.28% of the series, so all of those run
+// the scan. Either way the Stats identity Candidates + SeriesSkippedByIndex =
+// queries * (N-1) holds for index queries.
 
-// defaultIndexThreshold is the snapshot size below which the index is not
-// engaged (Options.IndexThreshold zero value): under ~a thousand resident
-// series the linear scan beats the bucket bookkeeping.
+// defaultIndexThreshold is the snapshot size below which neither prefilter
+// (tier 0 or the bucket tree) is engaged (Options.IndexThreshold zero
+// value): under ~a thousand resident series the plain scan wins.
 const defaultIndexThreshold = 1024
 
-// indexBoundMargin deflates distance-space bucket bounds before a skip
-// comparison. MinDistSquared is sound in exact arithmetic; the relative
-// margin (enormous next to float64 rounding, tiny next to any real distance
-// gap) keeps it sound under floating point — the same philosophy as
-// probBoundMargin on the probability side.
-const indexBoundMargin = 1e-9
-
-func deflate(v float64) float64 { return v - v*indexBoundMargin }
-
 // engineIndex is the engine's resolved view of the snapshot's sketch index:
-// the bucket list collected once at construction, the row layout, and
-// whether member rows coincide with snapshot positions (dense snapshots).
+// the bucket list collected once at construction, the row layout, and — on
+// dense snapshots, where member rows coincide with snapshot positions — the
+// sketch arena itself.
 type engineIndex struct {
 	lay     sketch.Layout
 	tree    *sketch.Tree
 	buckets []sketch.Bucket
 	dense   bool
+	rows    rows // the sketch rows by position (dense snapshots only)
 }
 
-// resolveIndex decides whether the engine can serve queries through the
-// sketch index and captures the bucket list if so. The index engages only
-// when the per-measure bound is sound for this engine's configuration:
-// UMA/UEMA need the corpus filter config (the sketch summarises the arena
-// vectors), DTW the corpus band (the sketch summarises the arena
-// envelopes), MUNICH the corpus segment count; DUST has no sketch bound at
-// all. Euclidean and PROUD scan the raw observations, which the sketch
-// always summarises.
-func (e *Engine) resolveIndex(cfg corpus.Config, dense, filterReuse bool) {
+// resolveIndex decides which prefilter, if any, serves the engine's queries:
+// tier 0 (the dense filter columns, inside the scan) for the lock-step
+// measures and PROUD, the sketch bucket tree for DTW, neither for DUST and
+// MUNICH. A prefilter engages only when its bound is sound for this engine's
+// configuration: UMA/UEMA need the corpus filter config (the columns
+// summarise the arena vectors), DTW the corpus band (the sketch summarises
+// the arena envelopes). Euclidean and PROUD scan the raw observations, which
+// the columns always summarise.
+func (e *Engine) resolveIndex(cfg corpus.Config, filterReuse bool) {
 	if e.opts.NoPrune || e.opts.NoIndex {
 		return
 	}
@@ -102,34 +83,29 @@ func (e *Engine) resolveIndex(cfg corpus.Config, dense, filterReuse bool) {
 	if threshold > 0 && e.snap.Len() < threshold {
 		return
 	}
-	tree := e.snap.Index()
-	if tree == nil || tree.Len() != e.snap.Len() {
-		return
-	}
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasurePROUD:
+		e.t0 = e.newTier0()
 	case MeasureUMA, MeasureUEMA:
-		if !filterReuse {
-			return
+		if filterReuse {
+			e.t0 = e.newTier0()
 		}
 	case MeasureDTW:
-		if e.band != cfg.Band {
+		tree := e.snap.Index()
+		if e.band != cfg.Band || tree == nil || tree.Len() != e.snap.Len() {
 			return
 		}
-	case MeasureMUNICH:
-		if e.segments != cfg.Segments {
-			return
+		e.idx = &engineIndex{lay: tree.Layout(), tree: tree, buckets: tree.Buckets()}
+		if cols, dense := e.snap.Columns(); dense {
+			e.idx.dense, e.idx.rows = true, matRows(cols.Sketch)
 		}
-	default:
-		return
 	}
-	e.idx = &engineIndex{lay: tree.Layout(), tree: tree, buckets: tree.Buckets(), dense: dense}
 }
 
-// Indexed reports whether queries run through the sketch index (false when
-// the engine fell back to the linear scan — small snapshot, mismatched
-// geometry, NoIndex/NoPrune, or a measure without a sketch bound).
-func (e *Engine) Indexed() bool { return e.idx != nil }
+// Indexed reports whether a prefilter — tier 0 or the sketch index — serves
+// the engine's queries (false when it runs the plain scan: small snapshot,
+// mismatched geometry, NoIndex/NoPrune, or a measure without either).
+func (e *Engine) Indexed() bool { return e.idx != nil || e.t0 != nil }
 
 // memberPos resolves a bucket member to its snapshot position: the arena
 // row on dense snapshots, the ID lookup otherwise. A negative return means
@@ -174,24 +150,6 @@ func (e *Engine) selfFix(pq *PreparedQuery, sawSelf bool) {
 	}
 }
 
-// bucketLB2 returns the measure's sound lower bound on the squared distance
-// between the prepared query and every member of the bucket.
-func (e *Engine) bucketLB2(pq *PreparedQuery, bk sketch.Bucket) float64 {
-	lay := e.idx.lay
-	w := lay.W
-	switch e.opts.Measure {
-	case MeasureEuclidean:
-		return sketch.MinDistSquared(pq.qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
-	case MeasureUMA:
-		return sketch.MinDistSquared(pq.qpaa, bk.Lo[w:2*w], bk.Hi[w:2*w], lay.Spans)
-	case MeasureUEMA:
-		return sketch.MinDistSquared(pq.qpaa, bk.Lo[2*w:3*w], bk.Hi[2*w:3*w], lay.Spans)
-	case MeasureDTW:
-		return e.dtwLB2(pq, bk.Lo, bk.Hi)
-	}
-	return 0
-}
-
 // gap2 is the squared distance from v to the interval [lo, hi].
 func gap2(v, lo, hi float64) float64 {
 	switch {
@@ -223,57 +181,45 @@ func (e *Engine) dtwLB2(pq *PreparedQuery, lo, hi []float64) float64 {
 	if interior == nil {
 		return kim
 	}
-	fwd := sketch.MinDistSquared(pq.qpaa[1:w-1], lo[3*w+1:4*w-1], hi[4*w+1:5*w-1], interior)
+	fwd := sketch.MinDistSquared(pq.qpaa[1:w-1], lo[lay.OffKLo()+1:lay.OffKLo()+w-1], hi[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
 	rev := sketch.IntervalMinDistSquared(lo[1:w-1], hi[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior)
 	return kim + math.Max(fwd, rev)
 }
 
 // bucketBound evaluates the bucket's deflated lower bound under an
 // abandonment limit derived from cut. The skip return is exactly the
-// decision deflate(bucketLB2(pq, bk)) > cut makes, but the accumulation
-// abandons at the first segment that settles it — once a query's shared
-// bound is finite, almost every bucket crosses the limit within a few
-// segments, so the sweep never pays the full O(W) sum the eager form costs.
-// When the bucket survives (skip false), the returned bound is the exact
-// deflated bound, usable as a best-first sort key and for re-checks against
-// a later, tighter cut. For DTW the three sound components (endpoint gaps,
-// forward and reverse interior envelope bounds) are tried cheapest-first;
-// any one of them clearing limit-kim settles the max the eager bound takes.
+// decision deflate(dtwLB2(pq, bk.Lo, bk.Hi)) > cut makes, but the
+// accumulation abandons at the first segment that settles it — once a
+// query's shared bound is finite, almost every bucket crosses the limit
+// within a few segments, so the sweep never pays the full O(W) sum the eager
+// form costs. When the bucket survives (skip false), the returned bound is
+// the exact deflated bound, usable as a best-first sort key and for
+// re-checks against a later, tighter cut. The three sound components
+// (endpoint gaps, forward and reverse interior envelope bounds) are tried
+// cheapest-first; any one of them clearing limit-kim settles the max the
+// eager bound takes.
 func (e *Engine) bucketBound(pq *PreparedQuery, bk sketch.Bucket, cut float64) (float64, bool) {
 	lay := e.idx.lay
 	w := lay.W
-	limit := cut / (1 - indexBoundMargin) // deflate(v) > cut  <=>  v > limit
-	switch e.opts.Measure {
-	case MeasureEuclidean:
-		v, over := sketch.MinDistSquaredBounded(pq.qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans, limit)
-		return deflate(v), over
-	case MeasureUMA:
-		v, over := sketch.MinDistSquaredBounded(pq.qpaa, bk.Lo[w:2*w], bk.Hi[w:2*w], lay.Spans, limit)
-		return deflate(v), over
-	case MeasureUEMA:
-		v, over := sketch.MinDistSquaredBounded(pq.qpaa, bk.Lo[2*w:3*w], bk.Hi[2*w:3*w], lay.Spans, limit)
-		return deflate(v), over
-	case MeasureDTW:
-		kim := gap2(pq.vec[0], bk.Lo[lay.OffV0()], bk.Hi[lay.OffV0()]) +
-			gap2(pq.vec[len(pq.vec)-1], bk.Lo[lay.OffVLast()], bk.Hi[lay.OffVLast()])
-		if kim > limit {
-			return deflate(kim), true
-		}
-		interior := lay.Interior()
-		if interior == nil {
-			return deflate(kim), false
-		}
-		fwd, over := sketch.MinDistSquaredBounded(pq.qpaa[1:w-1], bk.Lo[3*w+1:4*w-1], bk.Hi[4*w+1:5*w-1], interior, limit-kim)
-		if over {
-			return deflate(kim + fwd), true
-		}
-		rev, over := sketch.IntervalMinDistSquaredBounded(bk.Lo[1:w-1], bk.Hi[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
-		if over {
-			return deflate(kim + rev), true
-		}
-		return deflate(kim + math.Max(fwd, rev)), false
+	limit := skipLimit(cut)
+	kim := gap2(pq.vec[0], bk.Lo[lay.OffV0()], bk.Hi[lay.OffV0()]) +
+		gap2(pq.vec[len(pq.vec)-1], bk.Lo[lay.OffVLast()], bk.Hi[lay.OffVLast()])
+	if kim > limit {
+		return deflate(kim), true
 	}
-	return 0, false
+	interior := lay.Interior()
+	if interior == nil {
+		return deflate(kim), false
+	}
+	fwd, over := sketch.MinDistSquaredBounded(pq.qpaa[1:w-1], bk.Lo[lay.OffKLo()+1:lay.OffKLo()+w-1], bk.Hi[lay.OffKHi()+1:lay.OffKHi()+w-1], interior, limit-kim)
+	if over {
+		return deflate(kim + fwd), true
+	}
+	rev, over := sketch.IntervalMinDistSquaredBounded(bk.Lo[1:w-1], bk.Hi[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
+	if over {
+		return deflate(kim + rev), true
+	}
+	return deflate(kim + math.Max(fwd, rev)), false
 }
 
 // bucketSkip is bucketBound's decision without the value (static-cutoff
@@ -283,217 +229,56 @@ func (e *Engine) bucketSkip(pq *PreparedQuery, bk sketch.Bucket, cut float64) bo
 	return over
 }
 
-// memberSkip is bucketLB2 evaluated on one member's own sketch row — the
-// iSAX leaf check, dramatically tighter than the bucket's union box —
-// phrased as a skip decision so the accumulation abandons as soon as the
-// margin-deflated bound provably exceeds cut. The lock-step measures
-// collapse the interval to a point (the member's exact PAA); DTW chains its
-// exact endpoint terms with the forward and reverse interior envelope
-// bounds, trying the forward form first.
+// memberSkip is dtwLB2 evaluated on one member's own sketch row — the iSAX
+// leaf check, dramatically tighter than the bucket's union box — phrased as
+// a skip decision so the accumulation abandons as soon as the
+// margin-deflated bound provably exceeds cut: the exact endpoint terms, then
+// the forward interior envelope bound, then the reverse one.
 func (e *Engine) memberSkip(pq *PreparedQuery, row []float64, cut float64) bool {
 	lay := e.idx.lay
 	w := lay.W
-	limit := cut / (1 - indexBoundMargin) // deflate(v) > cut  <=>  v > limit
-	switch e.opts.Measure {
-	case MeasureEuclidean:
-		return sketch.MinDistSquaredOver(pq.qpaa, row[:w], row[:w], lay.Spans, limit)
-	case MeasureUMA:
-		return sketch.MinDistSquaredOver(pq.qpaa, row[w:2*w], row[w:2*w], lay.Spans, limit)
-	case MeasureUEMA:
-		return sketch.MinDistSquaredOver(pq.qpaa, row[2*w:3*w], row[2*w:3*w], lay.Spans, limit)
-	case MeasureDTW:
-		d0 := pq.vec[0] - row[lay.OffV0()]
-		dn := pq.vec[len(pq.vec)-1] - row[lay.OffVLast()]
-		kim := d0*d0 + dn*dn
-		if kim > limit {
-			return true
-		}
-		interior := lay.Interior()
-		if interior == nil {
-			return false
-		}
-		if sketch.MinDistSquaredOver(pq.qpaa[1:w-1], row[3*w+1:4*w-1], row[4*w+1:5*w-1], interior, limit-kim) {
-			return true
-		}
-		return sketch.MinDistSquaredOver(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
+	limit := skipLimit(cut)
+	d0 := pq.vec[0] - row[lay.OffV0()]
+	dn := pq.vec[len(pq.vec)-1] - row[lay.OffVLast()]
+	kim := d0*d0 + dn*dn
+	if kim > limit {
+		return true
 	}
-	return false
+	interior := lay.Interior()
+	if interior == nil {
+		return false
+	}
+	if sketch.MinDistSquaredOver(pq.qpaa[1:w-1], row[lay.OffKLo()+1:lay.OffKLo()+w-1], row[lay.OffKHi()+1:lay.OffKHi()+w-1], interior, limit-kim) {
+		return true
+	}
+	return sketch.MinDistSquaredOver(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
 }
 
 // sketchRow returns the sketch row of the series at snapshot position ci
-// (aliasing the arena; read-only).
-func (e *Engine) sketchRow(ci int) []float64 { return e.snap.Entry(ci).Sketch }
-
-// globalKHeap is the query-wide top-k accumulator all bucket work items of
-// one query share: every completed distance feeds it under a mutex, and
-// once full its k-th best tightens the query's shared bound. Bucket work
-// items are far smaller than the linear path's shards, so a per-item heap
-// would almost never fill and the bound would stop tightening after the
-// first bucket.
-type globalKHeap struct {
-	mu sync.Mutex
-	h  *kHeap
-}
-
-func (g *globalKHeap) offer(d float64, b *sharedBound) {
-	g.mu.Lock()
-	g.h.push(d)
-	if g.h.full() {
-		b.lower(ulpUp(g.h.top() * g.h.top()))
+// (aliasing the arena; read-only): arithmetic into the sketch arena on dense
+// snapshots, the entry's view otherwise.
+func (e *Engine) sketchRow(ci int) []float64 {
+	if e.idx.dense {
+		return e.idx.rows.at(ci)
 	}
-	g.mu.Unlock()
+	return e.snap.Entry(ci).Sketch
 }
 
-// globalProbHeap is the probability-side counterpart of globalKHeap.
-type globalProbHeap struct {
-	mu sync.Mutex
-	h  *probHeap
-}
-
-func (g *globalProbHeap) offer(p float64, b *sharedMaxBound) {
-	g.mu.Lock()
-	g.h.push(p)
-	if g.h.full() {
-		b.raise(g.h.top())
-	}
-	g.mu.Unlock()
-}
-
-// proudBucketGap brackets the squared observation gap between the query and
-// every bucket member: [MinDist^2, 2(E_q + max member energy)] (the upper
-// end is Cauchy-Schwarz: sum (q-c)^2 <= 2 sum q^2 + 2 sum c^2).
-func (e *Engine) proudBucketGap(pq *PreparedQuery, bk sketch.Bucket) (lb2, ub2 float64) {
-	lay := e.idx.lay
-	w := lay.W
-	lb2 = sketch.MinDistSquared(pq.qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
-	ub2 = 2 * (pq.suffix[0] + bk.Hi[lay.OffEnergy()])
-	if ub2 < lb2 {
-		ub2 = lb2
-	}
-	return lb2, ub2
-}
-
-// munichBucketPruned reports whether the segment-envelope lower bound
-// excludes the whole bucket: the bucket's envelope region contains every
-// member's envelope, so a bound above eps proves every member's match
-// probability is exactly 0.
-func (e *Engine) munichBucketPruned(pq *PreparedQuery, bk sketch.Bucket, eps float64) bool {
-	lay := e.idx.lay
-	env := munich.Envelope{
-		Lo: bk.Lo[lay.OffMLo() : lay.OffMLo()+lay.S],
-		Hi: bk.Hi[lay.OffMHi() : lay.OffMHi()+lay.S],
-	}
-	return munich.EnvelopeLowerBound(pq.env, env, e.spans) > eps
-}
-
-// proudMemberGap is proudBucketGap evaluated on one member's own sketch
-// row: the exact-PAA lower bound and the member's own energy.
-func (e *Engine) proudMemberGap(pq *PreparedQuery, row []float64) (lb2, ub2 float64) {
-	lay := e.idx.lay
-	w := lay.W
-	lb2 = sketch.MinDistSquared(pq.qpaa, row[:w], row[:w], lay.Spans)
-	ub2 = 2 * (pq.suffix[0] + row[lay.OffEnergy()])
-	if ub2 < lb2 {
-		ub2 = lb2
-	}
-	return lb2, ub2
-}
-
-// bucketProbUB returns a sound upper bound on the match probability of
-// every bucket member (probability-ranked queries). PROUD pushes the
-// bucket's gap interval through the same moment bounds its per-candidate
-// prefix pruning uses; MUNICH's envelope bound fixes the probability at
-// exactly 0 or proves nothing (+Inf keeps the bucket unskippable).
-func (e *Engine) bucketProbUB(pq *PreparedQuery, bk sketch.Bucket, eps float64) float64 {
-	if e.opts.Measure == MeasurePROUD {
-		lb2, ub2 := e.proudBucketGap(pq, bk)
-		return proud.ProbWithinUpper(lb2, 4*pq.varD*lb2, len(pq.vec), pq.varD, ub2-lb2, eps)
-	}
-	if e.munichBucketPruned(pq, bk, eps) {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-// bucketPlan is one bucket scheduled for a query, carrying the bound it was
-// ranked by (deflated lb2 for distance queries, probability upper bound for
-// probability queries) so the work item can re-check it against the live
-// shared bound and skip mid-flight.
+// bucketPlan is one bucket scheduled for a query, carrying the deflated
+// lower bound it was ranked by so the work item can re-check it against the
+// live shared bound and skip mid-flight.
 type bucketPlan struct {
 	idx   int
 	bound float64
 }
 
-// planBuckets evaluates every query's bucket bound and sorts each query's
-// plan by the given order (best bucket first). Both steps run sharded: for
-// the cheap measures the O(queries x buckets x W) bound evaluation rivals
-// the whole indexed scan, so leaving it serial would squander the index.
-func (e *Engine) planBuckets(ctx context.Context, pqs []*PreparedQuery, bound func(pq *PreparedQuery, bk sketch.Bucket) float64, better func(a, b float64) bool) (plans [][]bucketPlan, err error) {
-	sp := telemetry.TraceFrom(ctx).Start("index_descent")
-	defer func() { sp.EndErr(err) }()
-	nb := len(e.idx.buckets)
-	flat := make([]bucketPlan, len(pqs)*nb)
-	err = core.RunShardedCtx(ctx, len(pqs)*nb, 0, e.workersFor(pqs), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			flat[i] = bucketPlan{idx: i % nb, bound: bound(pqs[i/nb], e.idx.buckets[i%nb])}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	plans = make([][]bucketPlan, len(pqs))
-	err = core.RunShardedCtx(ctx, len(pqs), 1, e.workersFor(pqs), func(lo, hi int) error {
-		for q := lo; q < hi; q++ {
-			pl := flat[q*nb : (q+1)*nb]
-			slices.SortFunc(pl, func(a, b bucketPlan) int {
-				switch {
-				case better(a.bound, b.bound):
-					return -1
-				case better(b.bound, a.bound):
-					return 1
-				}
-				return 0
-			})
-			plans[q] = pl
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return plans, nil
-}
-
-// seedCounts sizes each query's serial seed prefix: enough leading plan
-// entries that the member loops must surface more than k candidates (one
-// extra covers the query itself among them), so the query's shared bound is
-// finite before the sharded sweep fans out mid-plan — a worker landing on a
-// far bucket while the bound is still infinite would run unpruned kernels.
-func seedCounts(plans [][]bucketPlan, buckets []sketch.Bucket, k int) []int {
-	seeds := make([]int, len(plans))
-	for q, plan := range plans {
-		m := 0
-		seeds[q] = len(plan)
-		for i, pl := range plan {
-			m += len(buckets[pl.idx].Members)
-			if m > k {
-				seeds[q] = i + 1
-				break
-			}
-		}
-	}
-	return seeds
-}
-
-// seedBuckets picks each query's seed set for the distance top-k path: the
-// query's home leaf first (the tree descent by its PAA symbols — its SAX
-// neighbours, whose exact distances make the shared bound near-final), then
-// the best-bounded buckets of a deterministic stride sample until more than
-// k candidates have surfaced. A near-final cut is what lets the plan pass
-// test every remaining bucket with the early-abandoning bound instead of
-// ranking them all eagerly, which on one core rivaled the cheap measures'
-// entire linear scan.
+// seedBuckets picks each query's seed set for the top-k path: the query's
+// home leaf first (the tree descent by its PAA symbols — its SAX neighbours,
+// whose exact distances make the shared bound near-final), then the
+// best-bounded buckets of a deterministic stride sample until more than k
+// candidates have surfaced. A near-final cut is what lets the plan pass test
+// every remaining bucket with the early-abandoning bound instead of ranking
+// them all eagerly.
 func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
 	nb := len(e.idx.buckets)
 	stride := nb / 256
@@ -505,11 +290,9 @@ func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
 	for q, pq := range pqs {
 		m := 0
 		home := -1
-		if pq.qpaa != nil {
-			if home = e.idx.tree.Locate(pq.qpaa); home >= 0 {
-				out[q] = append(out[q], home)
-				m += len(e.idx.buckets[home].Members)
-			}
+		if home = e.idx.tree.Locate(pq.qpaa); home >= 0 {
+			out[q] = append(out[q], home)
+			m += len(e.idx.buckets[home].Members)
 		}
 		if m > k {
 			continue
@@ -519,7 +302,7 @@ func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
 			if bi == home {
 				continue
 			}
-			sample = append(sample, bucketPlan{idx: bi, bound: e.bucketLB2(pq, e.idx.buckets[bi])})
+			sample = append(sample, bucketPlan{idx: bi, bound: e.dtwLB2(pq, e.idx.buckets[bi].Lo, e.idx.buckets[bi].Hi)})
 		}
 		slices.SortFunc(sample, func(a, b bucketPlan) int { return cmp.Compare(a.bound, b.bound) })
 		for _, pl := range sample {
@@ -545,27 +328,15 @@ func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
 //  4. work: survivors run sharded in that order, each re-checked against
 //     the live cut first — the nearest buckets tighten it to final almost
 //     immediately, so later survivors usually skip at an O(1) compare.
-//
-// The previous eager design ranked every bucket with a full O(W) bound,
-// which on one core rivaled the cheap measures' entire linear scan.
-func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) ([][]query.Neighbor, error) {
+func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int, bounds []*sharedBound, found []*topKCollector) error {
 	nb := len(e.idx.buckets)
 	done := ctx.Done()
-	bounds := make([]*sharedBound, len(pqs))
-	heaps := make([]*globalKHeap, len(pqs))
-	for q := range pqs {
-		bounds[q] = pqs[q].boundRef()
-		heaps[q] = &globalKHeap{h: newKHeap(k)}
-	}
-	buckets := make([][]query.Neighbor, len(pqs)*nb)
 	sawSelf := make([]bool, len(pqs))
-	seeded := make([]bool, len(pqs)*nb)
 
 	visit := func(q, bi int, scratch *distance.DTWScratch, t *idxTally) error {
 		pq := pqs[q]
 		bk := e.idx.buckets[bi]
 		t.visited++
-		var kept []query.Neighbor
 		for _, m := range bk.Members {
 			ci := e.memberPos(m)
 			if ci < 0 {
@@ -587,10 +358,8 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 			if !ok {
 				continue
 			}
-			kept = append(kept, query.Neighbor{ID: ci, Distance: d})
-			heaps[q].offer(d, bounds[q])
+			found[q].offer(query.Neighbor{ID: ci, Distance: d}, bounds[q])
 		}
-		buckets[q*nb+bi] = kept
 		return nil
 	}
 
@@ -602,7 +371,6 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 		var t idxTally
 		for q := lo; q < hi; q++ {
 			for _, bi := range seeds[q] {
-				seeded[q*nb+bi] = true
 				bk := e.idx.buckets[bi]
 				if e.bucketSkip(pqs[q], bk, bounds[q].get()) {
 					t.pruned++
@@ -618,7 +386,7 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	plans := make([][]bucketPlan, len(pqs))
@@ -627,7 +395,7 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 		for q := lo; q < hi; q++ {
 			pq := pqs[q]
 			for bi := 0; bi < nb; bi++ {
-				if seeded[q*nb+bi] {
+				if slices.Contains(seeds[q], bi) { // a handful of entries
 					continue
 				}
 				bk := e.idx.buckets[bi]
@@ -645,7 +413,7 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	type workItem struct {
@@ -658,7 +426,10 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 			items = append(items, workItem{q: q, pl: pl})
 		}
 	}
-	err = core.RunShardedCtx(ctx, len(items), 0, e.workersFor(pqs), func(lo, hi int) error {
+	// One bucket per claim: best-first order puts the dear buckets (near
+	// members, whose DP runs long before it abandons) at the front, so
+	// coarser chunks leave one worker finishing them while the others idle.
+	err = core.RunShardedCtx(ctx, len(items), 1, e.workersFor(pqs), func(lo, hi int) error {
 		var scratch distance.DTWScratch
 		var t idxTally
 		for i := lo; i < hi; i++ {
@@ -676,30 +447,12 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int) (
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for q, pq := range pqs {
 		e.selfFix(pq, sawSelf[q])
 	}
-
-	out := make([][]query.Neighbor, len(pqs))
-	for q := range pqs {
-		var all []query.Neighbor
-		for bi := 0; bi < nb; bi++ {
-			all = append(all, buckets[q*nb+bi]...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Distance != all[j].Distance {
-				return all[i].Distance < all[j].Distance
-			}
-			return all[i].ID < all[j].ID
-		})
-		if k < len(all) {
-			all = all[:k]
-		}
-		out[q] = all
-	}
-	return out, nil
+	return nil
 }
 
 // rangeIndexed is the indexed counterpart of rangePrepared. The cutoff is
@@ -779,248 +532,6 @@ func (e *Engine) rangeIndexed(ctx context.Context, pq *PreparedQuery, eps float6
 	var out []int
 	for _, ids := range buckets {
 		out = append(out, ids...)
-	}
-	return out, nil
-}
-
-// probCand is one (query, candidate position) pair surviving the bucket
-// prefilter.
-type probCand struct{ q, ci int }
-
-// probRangeIndexed is the indexed counterpart of probRangePrepared. The
-// threshold is static, so bucket order buys nothing; surviving members are
-// sorted back into snapshot position order per query and scanned
-// contiguously, preserving the arenas' locality. PROUD skips a bucket only
-// when the moment bounds Reject the whole gap interval (an Accept still
-// visits: the answer needs the member list either way, examined exactly as
-// the linear scan examines it) and prefilters each survivor by its own row;
-// MUNICH skips a bucket when the envelope bound fixes every member's
-// probability at 0 < tau, and has no member-level prefilter — the
-// per-candidate cascade already opens with the same envelope bound, so
-// re-evaluating it on the sketch row would be pure duplicated work.
-func (e *Engine) probRangeIndexed(ctx context.Context, pqs []*PreparedQuery, eps, tau, epsLimit float64, emit func(q, id int) error) ([][]int, error) {
-	done := ctx.Done()
-	var flat []probCand
-	for q, pq := range pqs {
-		start := len(flat)
-		var tally idxTally
-		sawSelf := false
-		for _, bk := range e.idx.buckets {
-			var skip bool
-			if e.opts.Measure == MeasurePROUD {
-				lb2, ub2 := e.proudBucketGap(pq, bk)
-				skip = proud.PrefixDecide(lb2, 4*pq.varD*lb2, len(pq.vec), pq.varD, ub2-lb2, eps, epsLimit) == proud.Reject
-			} else {
-				skip = e.munichBucketPruned(pq, bk, eps)
-			}
-			if skip {
-				tally.pruned++
-				tally.skipped += int64(len(bk.Members))
-				continue
-			}
-			tally.visited++
-			for _, m := range bk.Members {
-				ci := e.memberPos(m)
-				if ci < 0 {
-					continue
-				}
-				if ci == pq.self {
-					sawSelf = true
-					continue
-				}
-				flat = append(flat, probCand{q: q, ci: ci})
-			}
-		}
-		tally.flush(e)
-		e.selfFix(pq, sawSelf)
-		part := flat[start:]
-		slices.SortFunc(part, func(a, b probCand) int { return cmp.Compare(a.ci, b.ci) })
-	}
-
-	shardSize := e.opts.ShardSize
-	numShards := (len(flat) + shardSize - 1) / shardSize
-	accepted := make([]bool, len(flat))
-	err := core.RunShardedCtx(ctx, numShards, 1, e.workersFor(pqs), func(lo, hi int) error {
-		for shard := lo; shard < hi; shard++ {
-			cLo, cHi := shard*shardSize, (shard+1)*shardSize
-			if cHi > len(flat) {
-				cHi = len(flat)
-			}
-			var skipped int64
-			for i := cLo; i < cHi; i++ {
-				it := flat[i]
-				pq := pqs[it.q]
-				var ok bool
-				var err error
-				if e.opts.Measure == MeasurePROUD {
-					lb2, ub2 := e.proudMemberGap(pq, e.sketchRow(it.ci))
-					if proud.PrefixDecide(lb2, 4*pq.varD*lb2, len(pq.vec), pq.varD, ub2-lb2, eps, epsLimit) == proud.Reject {
-						skipped++
-						continue
-					}
-					ok, err = e.proudAccept(pq, it.ci, eps, epsLimit, done)
-				} else {
-					ok, err = e.munichAccept(pq, it.ci, eps, tau, done)
-				}
-				if err != nil {
-					return fmt.Errorf("engine: query %d candidate %d: %w", it.q, it.ci, err)
-				}
-				if ok {
-					accepted[i] = true
-					if emit != nil {
-						if err := emit(it.q, it.ci); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			e.seriesSkipped.Add(skipped)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int, len(pqs))
-	for i, it := range flat {
-		if accepted[i] {
-			out[it.q] = append(out[it.q], it.ci)
-		}
-	}
-	return out, nil
-}
-
-// probTopKIndexed is the indexed counterpart of probTopKPrepared: buckets
-// ranked by descending probability upper bound, skipped once the shared
-// k-th best probability provably exceeds everything a bucket can hold. It
-// runs the same seed-then-sweep schedule as topKIndexed: until k
-// probabilities are on the heap the shared floor is trivial and nothing can
-// be skipped, so the seed processes exactly the best few buckets serially
-// per query before the coarse sharded sweep starts.
-func (e *Engine) probTopKIndexed(ctx context.Context, pqs []*PreparedQuery, eps float64, k int) ([][]ProbMatch, error) {
-	nb := len(e.idx.buckets)
-	done := ctx.Done()
-	plans, err := e.planBuckets(ctx, pqs,
-		func(pq *PreparedQuery, bk sketch.Bucket) float64 { return e.bucketProbUB(pq, bk, eps) },
-		func(a, b float64) bool { return a > b })
-	if err != nil {
-		return nil, err
-	}
-	bounds := make([]*sharedMaxBound, len(pqs))
-	heaps := make([]*globalProbHeap, len(pqs))
-	for q := range pqs {
-		bounds[q] = pqs[q].probBoundRef()
-		heaps[q] = &globalProbHeap{h: newProbHeap(k)}
-	}
-	buckets := make([][]ProbMatch, len(pqs)*nb)
-	sawSelf := make([]bool, len(pqs))
-
-	work := func(q, bi int, t *idxTally) error {
-		pq := pqs[q]
-		pl := plans[q][bi]
-		bk := e.idx.buckets[pl.idx]
-		if pl.bound < bounds[q].get()-probBoundMargin {
-			t.pruned++
-			t.skipped += int64(len(bk.Members))
-			return nil
-		}
-		t.visited++
-		var kept []ProbMatch
-		for _, m := range bk.Members {
-			ci := e.memberPos(m)
-			if ci < 0 {
-				continue
-			}
-			if ci == pq.self {
-				sawSelf[q] = true
-				continue
-			}
-			cut := bounds[q].get()
-			if e.opts.Measure == MeasurePROUD {
-				lb2, ub2 := e.proudMemberGap(pq, e.sketchRow(ci))
-				pub := proud.ProbWithinUpper(lb2, 4*pq.varD*lb2, len(pq.vec), pq.varD, ub2-lb2, eps)
-				if pub < cut-probBoundMargin {
-					t.skipped++
-					continue
-				}
-			}
-			var p float64
-			var ok bool
-			var err error
-			if e.opts.Measure == MeasurePROUD {
-				p, ok, err = e.proudProb(pq, ci, eps, cut, done)
-			} else {
-				p, ok, err = e.munichProb(pq, ci, eps, cut, done)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
-			}
-			if !ok {
-				continue
-			}
-			heaps[q].offer(p, bounds[q])
-			if p < bounds[q].get()-probBoundMargin {
-				continue
-			}
-			kept = append(kept, ProbMatch{ID: ci, Prob: p})
-		}
-		buckets[q*nb+bi] = kept
-		return nil
-	}
-
-	seeds := seedCounts(plans, e.idx.buckets, k)
-	err = core.RunShardedCtx(ctx, len(pqs), 1, e.workersFor(pqs), func(lo, hi int) error {
-		var t idxTally
-		for q := lo; q < hi; q++ {
-			for bi := 0; bi < seeds[q]; bi++ {
-				if err := work(q, bi, &t); err != nil {
-					return err
-				}
-			}
-		}
-		t.flush(e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = core.RunShardedCtx(ctx, len(pqs)*nb, 0, e.workersFor(pqs), func(lo, hi int) error {
-		var t idxTally
-		for item := lo; item < hi; item++ {
-			q, bi := item/nb, item%nb
-			if bi < seeds[q] {
-				continue
-			}
-			if err := work(q, bi, &t); err != nil {
-				return err
-			}
-		}
-		t.flush(e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for q, pq := range pqs {
-		e.selfFix(pq, sawSelf[q])
-	}
-
-	out := make([][]ProbMatch, len(pqs))
-	for q := range pqs {
-		var all []ProbMatch
-		for bi := 0; bi < nb; bi++ {
-			all = append(all, buckets[q*nb+bi]...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Prob != all[j].Prob {
-				return all[i].Prob > all[j].Prob
-			}
-			return all[i].ID < all[j].ID
-		})
-		if k < len(all) {
-			all = all[:k]
-		}
-		out[q] = all
 	}
 	return out, nil
 }

@@ -17,8 +17,9 @@ func indexCorpusConfig() corpus.Config {
 }
 
 // indexMeasureOptions mirrors allMeasureOptions with every measure
-// configured to match the corpus geometry, so the index engages for all of
-// them (except DUST, which has no sketch bound).
+// configured to match the corpus geometry, so a prefilter engages wherever
+// one exists: tier 0 for the lock-step measures and PROUD, the bucket tree
+// for DTW (DUST and MUNICH have neither).
 func indexMeasureOptions() []Options {
 	return []Options{
 		{Measure: MeasureEuclidean, ShardSize: 5},
@@ -57,9 +58,12 @@ func runIndexQuery(t testing.TB, e *Engine, qi int, eps float64) interface{} {
 	return []interface{}{nn, rng}
 }
 
-// TestIndexedParityAllMeasures is the tentpole's bit-identity property: an
-// engine routed through the sketch index and an engine forced onto the
-// linear scan must return exactly the same answers — same positions, same
+// prefiltered reports whether the measure has a prefilter at all.
+func prefiltered(m Measure) bool { return m != MeasureDUST && m != MeasureMUNICH }
+
+// TestIndexedParityAllMeasures is the prefilters' bit-identity property: an
+// engine with tier 0 or the sketch index engaged and an engine forced onto
+// the plain scan must return exactly the same answers — same positions, same
 // float64 bits — for every measure, every worker count, index and ad-hoc
 // queries, over dense, sparse and freshly compacted snapshots.
 func TestIndexedParityAllMeasures(t *testing.T) {
@@ -129,7 +133,7 @@ func TestIndexedParityAllMeasures(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/w=%d: linear engine: %v", snapCase.name, base.Measure, workers, err)
 				}
-				if want := base.Measure != MeasureDUST; ei.Indexed() != want {
+				if want := prefiltered(base.Measure); ei.Indexed() != want {
 					t.Fatalf("%s/%s: Indexed() = %v, want %v", snapCase.name, base.Measure, ei.Indexed(), want)
 				}
 				if el.Indexed() {
@@ -161,9 +165,10 @@ func TestIndexedParityAllMeasures(t *testing.T) {
 }
 
 // TestIndexedStatsIdentity checks the extended accounting of index queries:
-// Candidates still equals the sum of the resolution counters, and every
+// Candidates still equals the sum of the resolution counters, every
 // candidate the linear scan would have examined is either examined or
-// accounted to SeriesSkippedByIndex.
+// accounted to SeriesSkippedByIndex, and only DTW — the one measure left on
+// the bucket tree — reports bucket decisions.
 func TestIndexedStatsIdentity(t *testing.T) {
 	const n, length, queries = 64, 32, 10
 	c := corpus.New(indexCorpusConfig())
@@ -180,9 +185,6 @@ func TestIndexedStatsIdentity(t *testing.T) {
 		qis[i] = i
 	}
 	for _, base := range indexMeasureOptions() {
-		if base.Measure == MeasureDUST {
-			continue
-		}
 		opts := base
 		opts.IndexThreshold = -1
 		e, err := NewFromSnapshot(snap, opts)
@@ -206,11 +208,11 @@ func TestIndexedStatsIdentity(t *testing.T) {
 			t.Errorf("%s: Candidates %d + SeriesSkippedByIndex %d = %d, want %d",
 				base.Measure, s.Candidates, s.SeriesSkippedByIndex, total, queries*(n-1))
 		}
-		if s.BucketsVisited == 0 {
-			t.Errorf("%s: no buckets visited on an indexed engine", base.Measure)
+		if onTree := base.Measure == MeasureDTW; (s.BucketsVisited > 0) != onTree || (!onTree && s.BucketsPruned != 0) {
+			t.Errorf("%s: %d buckets visited, %d pruned; only DTW walks the tree", base.Measure, s.BucketsVisited, s.BucketsPruned)
 		}
-		if base.Measure == MeasureEuclidean && s.SeriesSkippedByIndex == 0 {
-			t.Errorf("Euclidean top-k skipped no series through the index")
+		if (s.SeriesSkippedByIndex > 0) != prefiltered(base.Measure) {
+			t.Errorf("%s: SeriesSkippedByIndex = %d, prefiltered = %v", base.Measure, s.SeriesSkippedByIndex, prefiltered(base.Measure))
 		}
 	}
 }
@@ -321,10 +323,11 @@ func TestIndexFallbacks(t *testing.T) {
 		{"below default threshold", Options{Measure: MeasureEuclidean}},
 		{"NoIndex", Options{Measure: MeasureEuclidean, NoIndex: true, IndexThreshold: -1}},
 		{"NoPrune", Options{Measure: MeasureEuclidean, NoPrune: true, IndexThreshold: -1}},
-		{"DUST has no sketch bound", Options{Measure: MeasureDUST, IndexThreshold: -1}},
+		{"DUST has no prefilter", Options{Measure: MeasureDUST, IndexThreshold: -1}},
+		{"MUNICH has no prefilter", Options{Measure: MeasureMUNICH, Segments: 4, IndexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
 		{"DTW band mismatch", Options{Measure: MeasureDTW, Band: 7, IndexThreshold: -1}},
 		{"UEMA lambda mismatch", Options{Measure: MeasureUEMA, Lambda: 0.5, IndexThreshold: -1}},
-		{"MUNICH segment mismatch", Options{Measure: MeasureMUNICH, Segments: 8, IndexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
+		{"UMA window mismatch", Options{Measure: MeasureUMA, W: 3, IndexThreshold: -1}},
 	}
 	for _, tc := range cases {
 		e, err := NewFromSnapshot(snap, tc.opts)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"uncertts/internal/core"
@@ -34,10 +35,12 @@ import (
 //     exactly 0 or 1, or is proven in the estimator's arithmetic, so
 //     answers are bit-identical to the naive scan for every estimator
 //     configuration.
-//   - PROUD accumulates the distance moments timestamp by timestamp (in
-//     exactly proud.Distance's order) and stops as soon as the sound
-//     prefix bounds force the predicate outcome or push the candidate's
-//     best possible probability below the shared k-th best.
+//   - PROUD first pushes tier 0's bracket of the squared gap (tier0.go)
+//     through the prefix bounds as a prefix of zero timestamps, then
+//     accumulates the distance moments timestamp by timestamp (in exactly
+//     proud.Distance's order) and stops as soon as the same bounds force
+//     the predicate outcome or push the candidate's best possible
+//     probability below the shared k-th best.
 //
 // All decisions either mirror the naive matcher's arithmetic exactly or
 // are backed by a conservative bound, so results match the naive scans
@@ -140,6 +143,29 @@ func (h *probHeap) push(p float64) {
 	}
 }
 
+// probTopKCollector is topKCollector's mirror image for probability-ranked
+// queries: the query-wide accumulator whose k-th best probability raises the
+// query's shared floor.
+type probTopKCollector struct {
+	mu   sync.Mutex
+	h    *probHeap
+	kept []ProbMatch
+}
+
+func (c *probTopKCollector) offer(m ProbMatch, b *sharedMaxBound) {
+	c.mu.Lock()
+	c.h.push(m.Prob)
+	if c.h.full() {
+		b.raise(c.h.top())
+	}
+	// Strictly below the k-th best of the candidates seen so far is provably
+	// outside the answer; ties stay, for the ID tie-break.
+	if !c.h.full() || m.Prob >= c.h.top() {
+		c.kept = append(c.kept, m)
+	}
+	c.mu.Unlock()
+}
+
 // checkProbQuery validates the common parameters of the probabilistic
 // queries.
 func (e *Engine) checkProbQuery(pqs []*PreparedQuery, eps float64) error {
@@ -221,9 +247,6 @@ func (e *Engine) probRangePrepared(ctx context.Context, pqs []*PreparedQuery, ep
 	if err != nil {
 		return nil, err
 	}
-	if e.idx != nil {
-		return e.probRangeIndexed(ctx, pqs, eps, tau, epsLimit, emit)
-	}
 	n := e.snap.Len()
 	shardSize := e.opts.ShardSize
 	numShards := (n + shardSize - 1) / shardSize
@@ -239,6 +262,7 @@ func (e *Engine) probRangePrepared(ctx context.Context, pqs []*PreparedQuery, ep
 				cHi = n
 			}
 			var ids []int
+			var skipped int64
 			for ci := cLo; ci < cHi; ci++ {
 				if ci == pq.self {
 					continue
@@ -246,6 +270,10 @@ func (e *Engine) probRangePrepared(ctx context.Context, pqs []*PreparedQuery, ep
 				var ok bool
 				var err error
 				if e.opts.Measure == MeasurePROUD {
+					if e.proudRejects(pq, ci, eps, epsLimit) {
+						skipped++
+						continue
+					}
 					ok, err = e.proudAccept(pq, ci, eps, epsLimit, done)
 				} else {
 					ok, err = e.munichAccept(pq, ci, eps, tau, done)
@@ -262,6 +290,7 @@ func (e *Engine) probRangePrepared(ctx context.Context, pqs []*PreparedQuery, ep
 					}
 				}
 			}
+			e.seriesSkipped.Add(skipped)
 			buckets[item] = ids
 		}
 		return nil
@@ -325,19 +354,17 @@ func (e *Engine) probTopKPrepared(ctx context.Context, pqs []*PreparedQuery, eps
 	if err := e.checkProbQuery(pqs, eps); err != nil {
 		return nil, err
 	}
-	if e.idx != nil {
-		return e.probTopKIndexed(ctx, pqs, eps, k)
-	}
 	n := e.snap.Len()
 	shardSize := e.opts.ShardSize
 	numShards := (n + shardSize - 1) / shardSize
 	done := ctx.Done()
 
 	bounds := make([]*sharedMaxBound, len(pqs))
-	for i := range bounds {
-		bounds[i] = pqs[i].probBoundRef()
+	found := make([]*probTopKCollector, len(pqs))
+	for q := range pqs {
+		bounds[q] = pqs[q].probBoundRef()
+		found[q] = &probTopKCollector{h: newProbHeap(k)}
 	}
-	buckets := make([][]ProbMatch, len(pqs)*numShards)
 
 	err := core.RunShardedCtx(ctx, len(pqs)*numShards, 1, e.workersFor(pqs), func(lo, hi int) error {
 		for item := lo; item < hi; item++ {
@@ -347,20 +374,20 @@ func (e *Engine) probTopKPrepared(ctx context.Context, pqs []*PreparedQuery, eps
 			if cHi > n {
 				cHi = n
 			}
-			local := newProbHeap(k)
-			var kept []ProbMatch
+			var skipped int64
 			for ci := cLo; ci < cHi; ci++ {
 				if ci == pq.self {
 					continue
 				}
 				cut := bounds[q].get()
-				if local.full() && local.top() > cut {
-					cut = local.top()
-				}
 				var p float64
 				var ok bool
 				var err error
 				if e.opts.Measure == MeasurePROUD {
+					if e.proudBelow(pq, ci, eps, cut) {
+						skipped++
+						continue
+					}
 					p, ok, err = e.proudProb(pq, ci, eps, cut, done)
 				} else {
 					p, ok, err = e.munichProb(pq, ci, eps, cut, done)
@@ -368,22 +395,11 @@ func (e *Engine) probTopKPrepared(ctx context.Context, pqs []*PreparedQuery, eps
 				if err != nil {
 					return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
 				}
-				if !ok {
-					continue
+				if ok {
+					found[q].offer(ProbMatch{ID: ci, Prob: p}, bounds[q])
 				}
-				local.push(p)
-				if local.full() {
-					bounds[q].raise(local.top())
-					if p < local.top() {
-						// Strictly below this shard's k-th best, which lower-
-						// bounds the final k-th best: provably outside the
-						// answer (ties stay, for the ID tie-break).
-						continue
-					}
-				}
-				kept = append(kept, ProbMatch{ID: ci, Prob: p})
 			}
-			buckets[item] = kept
+			e.seriesSkipped.Add(skipped)
 		}
 		return nil
 	})
@@ -393,10 +409,7 @@ func (e *Engine) probTopKPrepared(ctx context.Context, pqs []*PreparedQuery, eps
 
 	out := make([][]ProbMatch, len(pqs))
 	for q := range pqs {
-		var all []ProbMatch
-		for shard := 0; shard < numShards; shard++ {
-			all = append(all, buckets[q*numShards+shard]...)
-		}
+		all := found[q].kept
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Prob != all[j].Prob {
 				return all[i].Prob > all[j].Prob

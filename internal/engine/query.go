@@ -64,7 +64,9 @@ type PreparedQuery struct {
 	self int // snapshot position to exclude (-1 for ad-hoc queries)
 
 	vec    []float64              // scan vector (lock-step measures, DTW, PROUD)
-	qpaa   []float64              // PAA of vec over the sketch layout (indexed engines)
+	qc     []float64              // coarse segment means of vec (tier 0 engines)
+	slack  float64                // tier 0's absolute rounding allowance for this query
+	qpaa   []float64              // PAA of vec over the sketch layout (indexed DTW)
 	qenvLo []float64              // PAA of the query's lower DTW envelope (indexed DTW)
 	qenvHi []float64              // PAA of the query's upper DTW envelope (indexed DTW)
 	pdf    uncertain.PDFSeries    // query-side error model (DUST)
@@ -97,15 +99,33 @@ func (e *Engine) PrepareIndex(qi int) (*PreparedQuery, error) {
 		pq.sample = *ent.Samples
 		pq.env = e.envs[qi]
 	}
-	if e.idx != nil && pq.vec != nil {
-		pq.qpaa = sketch.PAA(pq.vec, e.idx.lay.Spans)
-		if e.opts.Measure == MeasureDTW {
-			up, lo := distance.Envelope(pq.vec, e.band)
-			pq.qenvHi = sketch.PAA(up, e.idx.lay.Spans)
-			pq.qenvLo = sketch.PAA(lo, e.idx.lay.Spans)
-		}
-	}
+	e.summarise(pq)
 	return pq, nil
+}
+
+// summarise attaches the query-side summaries the engaged prefilter reads:
+// the coarse segment means for tier 0 (a resident query aliases its own
+// filter-column row), the PAA of the query and of its warping envelope for
+// the DTW bucket bounds.
+func (e *Engine) summarise(pq *PreparedQuery) {
+	switch {
+	case e.t0 != nil:
+		if pq.self >= 0 {
+			pq.qc = e.t0.row(pq.self)
+		} else {
+			pq.qc = sketch.PAA(pq.vec, e.t0.geo.Spans)
+		}
+		var energy float64
+		for _, v := range pq.vec {
+			energy += v * v
+		}
+		pq.slack = e.t0.slack(energy)
+	case e.idx != nil:
+		pq.qpaa = sketch.PAA(pq.vec, e.idx.lay.Spans)
+		up, lo := distance.Envelope(pq.vec, e.band)
+		pq.qenvHi = sketch.PAA(up, e.idx.lay.Spans)
+		pq.qenvLo = sketch.PAA(lo, e.idx.lay.Spans)
+	}
 }
 
 func (e *Engine) prepareIndexBatch(queries []int) ([]*PreparedQuery, error) {
@@ -199,14 +219,7 @@ func (e *Engine) Prepare(q Query) (*PreparedQuery, error) {
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)
 	}
-	if e.idx != nil && pq.vec != nil {
-		pq.qpaa = sketch.PAA(pq.vec, e.idx.lay.Spans)
-		if e.opts.Measure == MeasureDTW {
-			up, lo := distance.Envelope(pq.vec, e.band)
-			pq.qenvHi = sketch.PAA(up, e.idx.lay.Spans)
-			pq.qenvLo = sketch.PAA(lo, e.idx.lay.Spans)
-		}
-	}
+	e.summarise(pq)
 	return pq, nil
 }
 

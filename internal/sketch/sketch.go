@@ -4,25 +4,20 @@
 // columnar artifacts, and an iSAX-style split-on-overflow bucket tree over
 // those rows. The engine walks the tree's buckets best-first by a sound
 // lower bound before any exact kernel runs, so a query inspects a handful
-// of buckets instead of every resident series.
+// of buckets instead of every resident series. The engine walks the tree for
+// banded DTW only: the lock-step measures and PROUD read the dense coarse
+// filter columns (coarse.go) inside the plain scan, which MUNICH and DUST
+// run unaided — so the row carries what the DTW bound reads and nothing
+// else.
 //
-// One sketch row serves every measure the engine indexes. Its layout, for
-// series length N summarised into W segments with S MUNICH envelope
-// segments, is
+// The row layout, for series length N summarised into W segments, is
 //
-//		| paaV(W) | paaU(W) | paaE(W) | kLo(W) | kHi(W) | mLo(S) | mHi(S) | energy | sigmaMax | v0 | vLast |
+//		| paaV(W) | kLo(W) | kHi(W) | v0 | vLast |
 //
-//	  - paaV/paaU/paaE are the segment means of the raw observations and of
-//	    the UMA/UEMA-filtered vectors (Euclidean, UMA, UEMA, PROUD bounds);
+//	  - paaV holds the segment means of the raw observations (the tree
+//	    splits on them, and the reverse DTW bound reads them);
 //	  - kLo/kHi are the segment means of the LB_Keogh lower and upper
 //	    envelopes (banded DTW bounds, Keogh's LB_PAA form);
-//	  - mLo/mHi copy the MUNICH segment envelope (bucket-level envelope
-//	    bounds for the sample model; zero for series without samples, which
-//	    only widens the bucket region and stays sound);
-//	  - energy is the series' total squared-observation energy (PROUD upper
-//	    bounds) and sigmaMax the largest per-timestamp reported error stddev
-//	    (tracked for the bucket region; the PROUD bound itself uses the
-//	    corpus' constant reported sigma, matching the exact arithmetic);
 //	  - v0/vLast are the exact first and last observations. Every banded DTW
 //	    warping path contains the aligned pairs (0, 0) and (N-1, N-1), so the
 //	    endpoint gaps (q_0-c_0)^2 + (q_{N-1}-c_{N-1})^2 (LB_Kim's first/last
@@ -30,28 +25,20 @@
 //	    timestamps only.
 //
 // A bucket's region is the elementwise [min, max] of its members' rows, so
-// every per-measure bound reads the same two vectors:
-//
-//   - lock-step measures take MinDistSquared over the paa block — per
-//     segment j, sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2
-//     by Jensen, and cbar_j lies inside [lo_j, hi_j], so the distance from
-//     qbar_j to the interval lower-bounds the true squared distance;
-//   - DTW sums the exact endpoint gaps against the [v0, vLast] intervals
-//     with MinDistSquared over the INTERIOR segments of [kLo block of lo,
-//     kHi block of hi] (the first and last segments are excluded so the
-//     endpoint terms are never double-counted): for one member, sum_{t in j}
-//     dist(q_t, [L_t, U_t])^2 >= len_j * dist(qbar_j, [Lbar_j, Ubar_j])^2 by
-//     Cauchy-Schwarz, the bucket interval contains every member's
-//     [Lbar_j, Ubar_j], and the whole chains under LB_Kim + LB_Keogh^2 <=
-//     DTW^2. The engine additionally takes the max with the reverse bound
-//     (candidate PAA means against the query's envelope means, via
-//     IntervalMinDistSquared), sound by the symmetric argument;
-//   - PROUD brackets every member's squared gap in [MinDistSquared,
-//     2(E_q + max energy)] and pushes the interval through the same moment
-//     bounds the per-candidate prefix pruning uses;
-//   - MUNICH feeds [mLo block of lo, mHi block of hi] to the segment
-//     envelope lower bound; above eps, every member's match probability is
-//     exactly zero.
+// the bound on a whole bucket and on one member read the same two vectors:
+// DTW sums the exact endpoint gaps against the [v0, vLast] intervals with
+// MinDistSquared over the INTERIOR segments of [kLo block of lo, kHi block
+// of hi] (the first and last segments are excluded so the endpoint terms are
+// never double-counted): for one member, sum_{t in j} dist(q_t, [L_t,
+// U_t])^2 >= len_j * dist(qbar_j, [Lbar_j, Ubar_j])^2 by Cauchy-Schwarz, the
+// bucket interval contains every member's [Lbar_j, Ubar_j], and the whole
+// chains under LB_Kim + LB_Keogh^2 <= DTW^2. The engine additionally takes
+// the max with the reverse bound (candidate PAA means against the query's
+// envelope means, via IntervalMinDistSquared), sound by the symmetric
+// argument. MinDistSquared over the paaV block is the classic lock-step PAA
+// bound — per segment j, sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j -
+// cbar_j)^2 by Jensen, and cbar_j lies inside [lo_j, hi_j] — which the
+// filter columns apply row by row.
 package sketch
 
 import (
@@ -59,34 +46,31 @@ import (
 )
 
 // Layout fixes the sketch-row geometry for one corpus: series length N
-// summarised into W PAA segments, with S MUNICH envelope segments copied
-// through. All rows of one arena share a Layout.
+// summarised into W PAA segments. All rows of one arena share a Layout.
 type Layout struct {
 	// N is the series length.
 	N int
 	// W is the PAA segment count (1 <= W <= N).
 	W int
-	// S is the MUNICH envelope segment count carried in the row.
-	S int
 	// Spans holds the W half-open timestamp ranges [lo, hi) the PAA
 	// segments cover — the same segment geometry MUNICH envelopes use.
 	Spans [][2]int
 }
 
 // NewLayout resolves the layout for series length n with w PAA segments
-// (clamped to n; <= 0 adopts the default 16) and s MUNICH segments.
-func NewLayout(n, w, s int) Layout {
+// (clamped to n; <= 0 adopts DefaultSegments). The coarse filter columns have
+// their own, fixed geometry: see NewCoarse.
+func NewLayout(n, w int) Layout {
 	if w <= 0 {
 		w = DefaultSegments
 	}
 	w = munich.ClampSegments(n, w)
-	return Layout{N: n, W: w, S: s, Spans: munich.SegmentSpans(n, w)}
+	return Layout{N: n, W: w, Spans: munich.SegmentSpans(n, w)}
 }
 
 // DefaultSegments is the PAA segment count a zero configuration adopts
 // (clamped to the series length). The envelope blocks need this resolution
-// for the DTW bound to bite at bench scale; the lock-step bounds would be
-// happy with far fewer segments.
+// for the DTW bound to bite at bench scale.
 const DefaultSegments = 64
 
 // DefaultLeafCap is the bucket-tree leaf capacity a zero configuration
@@ -94,22 +78,16 @@ const DefaultSegments = 64
 // skipped wholesale without reading any member row.
 const DefaultLeafCap = 16
 
-// Stride is the sketch-row length: five W-wide blocks, two S-wide blocks,
-// energy, sigmaMax and the two endpoint observations.
-func (l Layout) Stride() int { return 5*l.W + 2*l.S + 4 }
+// Stride is the sketch-row length: three W-wide blocks and the two endpoint
+// observations.
+func (l Layout) Stride() int { return 3*l.W + 2 }
 
-// Column offsets into a sketch row (or a bucket region vector).
-func (l Layout) OffPAAV() int     { return 0 }
-func (l Layout) OffPAAU() int     { return l.W }
-func (l Layout) OffPAAE() int     { return 2 * l.W }
-func (l Layout) OffKLo() int      { return 3 * l.W }
-func (l Layout) OffKHi() int      { return 4 * l.W }
-func (l Layout) OffMLo() int      { return 5 * l.W }
-func (l Layout) OffMHi() int      { return 5*l.W + l.S }
-func (l Layout) OffEnergy() int   { return 5*l.W + 2*l.S }
-func (l Layout) OffSigmaMax() int { return 5*l.W + 2*l.S + 1 }
-func (l Layout) OffV0() int       { return 5*l.W + 2*l.S + 2 }
-func (l Layout) OffVLast() int    { return 5*l.W + 2*l.S + 3 }
+// Column offsets into a sketch row (or a bucket region vector); the raw PAA
+// block starts the row.
+func (l Layout) OffKLo() int   { return l.W }
+func (l Layout) OffKHi() int   { return 2 * l.W }
+func (l Layout) OffV0() int    { return 3 * l.W }
+func (l Layout) OffVLast() int { return 3*l.W + 1 }
 
 // Interior returns the PAA spans with the first and last segments removed —
 // the segment set DTW bounds sum over so the exact endpoint terms can be
@@ -141,23 +119,15 @@ func PAA(xs []float64, spans [][2]int) []float64 {
 	return out
 }
 
-// FillRow computes one series' full sketch row into dst (length Stride),
-// from the artifacts the corpus already maintains: the observation vector,
-// the UMA/UEMA-filtered vectors, the LB_Keogh envelopes (summarised as
-// segment means — LB_PAA), the MUNICH segment envelope (zero slices for
-// series without samples), the total squared energy and the largest
-// per-timestamp error stddev. It never allocates.
-func (l Layout) FillRow(dst, values, uma, uema, upper, lower, envLo, envHi []float64, energy, sigmaMax float64) {
+// FillRow computes one series' sketch row into dst (length Stride) from the
+// artifacts the corpus already maintains: the observation vector and its
+// LB_Keogh envelopes (summarised as segment means — LB_PAA). It never
+// allocates.
+func (l Layout) FillRow(dst, values, upper, lower []float64) {
 	w := l.W
 	PAAInto(dst[:w], values, l.Spans)
-	PAAInto(dst[w:2*w], uma, l.Spans)
-	PAAInto(dst[2*w:3*w], uema, l.Spans)
-	PAAInto(dst[3*w:4*w], lower, l.Spans)
-	PAAInto(dst[4*w:5*w], upper, l.Spans)
-	copy(dst[l.OffMLo():l.OffMLo()+l.S], envLo)
-	copy(dst[l.OffMHi():l.OffMHi()+l.S], envHi)
-	dst[l.OffEnergy()] = energy
-	dst[l.OffSigmaMax()] = sigmaMax
+	PAAInto(dst[w:2*w], lower, l.Spans)
+	PAAInto(dst[2*w:3*w], upper, l.Spans)
 	dst[l.OffV0()] = values[0]
 	dst[l.OffVLast()] = values[l.N-1]
 }

@@ -19,8 +19,6 @@ type genSeries struct {
 func genRows(t *testing.T, lay Layout, b *arena.Builder, count int, seed int64) []genSeries {
 	t.Helper()
 	out := make([]genSeries, count)
-	envLo := make([]float64, lay.S)
-	envHi := make([]float64, lay.S)
 	for i := range out {
 		rng := stats.SplitRand(seed, int64(i))
 		vals := make([]float64, lay.N)
@@ -28,29 +26,18 @@ func genRows(t *testing.T, lay Layout, b *arena.Builder, count int, seed int64) 
 			vals[t] = math.Sin(float64(t)*(0.05+0.3*rng.Float64())) + 0.5*rng.NormFloat64()
 		}
 		upper, lower := distance.Envelope(vals, 3)
-		uma := make([]float64, lay.N)
-		uema := make([]float64, lay.N)
-		for t := range vals {
-			uma[t] = vals[t] * 0.9
-			uema[t] = vals[t] * 1.1
-		}
-		var energy float64
-		for _, v := range vals {
-			energy += v * v
-		}
-		row := b.AppendZero()
-		lay.FillRow(row, vals, uma, uema, upper, lower, envLo, envHi, energy, 0.4)
+		lay.FillRow(b.AppendZero(), vals, upper, lower)
 		out[i] = genSeries{values: vals, upper: upper, lower: lower}
 	}
 	return out
 }
 
 func TestLayoutGeometry(t *testing.T) {
-	lay := NewLayout(100, 16, 8)
-	if lay.W != 16 || lay.S != 8 {
-		t.Fatalf("layout resolved W=%d S=%d, want 16, 8", lay.W, lay.S)
+	lay := NewLayout(100, 16)
+	if lay.W != 16 {
+		t.Fatalf("layout resolved W=%d, want 16", lay.W)
 	}
-	if got, want := lay.Stride(), 5*16+2*8+4; got != want {
+	if got, want := lay.Stride(), 3*16+2; got != want {
 		t.Fatalf("stride = %d, want %d", got, want)
 	}
 	if lay.OffVLast() != lay.Stride()-1 {
@@ -59,14 +46,14 @@ func TestLayoutGeometry(t *testing.T) {
 	if got := len(lay.Interior()); got != 14 {
 		t.Fatalf("interior spans = %d, want 14 (W minus the two edge segments)", got)
 	}
-	if tiny := NewLayout(4, 2, 1); tiny.Interior() != nil {
+	if tiny := NewLayout(4, 2); tiny.Interior() != nil {
 		t.Fatalf("interior for W=2 should be nil, got %v", tiny.Interior())
 	}
 	// W clamps to short series; zero adopts the default.
-	if short := NewLayout(5, 16, 2); short.W != 5 {
+	if short := NewLayout(5, 16); short.W != 5 {
 		t.Fatalf("W = %d for length 5, want clamp to 5", short.W)
 	}
-	if def := NewLayout(100, 0, 2); def.W != DefaultSegments {
+	if def := NewLayout(100, 0); def.W != DefaultSegments {
 		t.Fatalf("W = %d for zero config, want %d", def.W, DefaultSegments)
 	}
 	// Spans tile [0, N) exactly.
@@ -88,11 +75,47 @@ func TestPAAInto(t *testing.T) {
 	}
 }
 
+// TestCoarseGeometry pins the filter-column layout for the lengths the
+// segment count does not divide or exceed, and GapSquared against its
+// definition: the span-weighted squared gap of the segment means, which
+// equals the squared distance when every segment is one timestamp wide.
+func TestCoarseGeometry(t *testing.T) {
+	for _, tc := range []struct{ n, w, maxSpan int }{{1, 1, 1}, {5, 5, 1}, {16, 16, 1}, {127, 16, 8}, {128, 16, 8}, {130, 16, 9}} {
+		c := NewCoarse(tc.n)
+		if c.W() != tc.w || c.MaxSpan != float64(tc.maxSpan) {
+			t.Fatalf("NewCoarse(%d): W = %d, MaxSpan = %g, want %d, %d", tc.n, c.W(), c.MaxSpan, tc.w, tc.maxSpan)
+		}
+		if c.Spans[0][0] != 0 || c.Spans[c.W()-1][1] != tc.n {
+			t.Fatalf("NewCoarse(%d): spans %v do not cover the series", tc.n, c.Spans)
+		}
+		rng := stats.SplitRand(3, int64(tc.n))
+		q, x := make([]float64, tc.n), make([]float64, tc.n)
+		for i := range q {
+			q[i], x[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		qc, xc := PAA(q, c.Spans), PAA(x, c.Spans)
+		var want, exact float64
+		for j := range qc {
+			want += c.Weights[j] * (qc[j] - xc[j]) * (qc[j] - xc[j])
+		}
+		for i := range q {
+			exact += (q[i] - x[i]) * (q[i] - x[i])
+		}
+		got := c.GapSquared(qc, xc)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("n=%d: GapSquared = %g, want %g", tc.n, got, want)
+		}
+		if got > exact*(1+1e-12) || (tc.w == tc.n && math.Abs(got-exact) > 1e-12*exact) {
+			t.Fatalf("n=%d: GapSquared = %g against the squared distance %g", tc.n, got, exact)
+		}
+	}
+}
+
 // TestMinDistSoundness checks the per-measure bound chain on random data:
 // the Euclidean bound under the true squared distance, and the DTW bound
 // under LB_Keogh^2 (itself a lower bound on DTW^2).
 func TestMinDistSoundness(t *testing.T) {
-	lay := NewLayout(64, 8, 4)
+	lay := NewLayout(64, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	series := genRows(t, lay, b, 40, 11)
 	mat := b.Matrix()
@@ -126,7 +149,7 @@ func TestMinDistSoundness(t *testing.T) {
 			eucl := MinDistSquared(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
 			kim := gap2(q[0], bk.Lo[lay.OffV0()], bk.Hi[lay.OffV0()]) +
 				gap2(q[lay.N-1], bk.Lo[lay.OffVLast()], bk.Hi[lay.OffVLast()])
-			fwd := MinDistSquared(qpaa[1:w-1], bk.Lo[3*w+1:4*w-1], bk.Hi[4*w+1:5*w-1], interior)
+			fwd := MinDistSquared(qpaa[1:w-1], bk.Lo[lay.OffKLo()+1:lay.OffKLo()+w-1], bk.Hi[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
 			rev := IntervalMinDistSquared(bk.Lo[1:w-1], bk.Hi[1:w-1], qlSeg[1:w-1], quSeg[1:w-1], interior)
 			dtwLB := kim + math.Max(fwd, rev)
 			for _, m := range bk.Members {
@@ -161,7 +184,7 @@ func TestMinDistSoundness(t *testing.T) {
 // forms against the eager sums: the decision must be identical to comparing
 // the full value, and a surviving evaluation must return the exact sum.
 func TestBoundedVariants(t *testing.T) {
-	lay := NewLayout(64, 8, 4)
+	lay := NewLayout(64, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	series := genRows(t, lay, b, 30, 5)
 	mat := b.Matrix()
@@ -208,7 +231,7 @@ func TestBoundedVariants(t *testing.T) {
 // lands on the bucket that holds it — inserts descend the same way — and
 // that the returned index is in Buckets() order.
 func TestLocate(t *testing.T) {
-	lay := NewLayout(32, 8, 4)
+	lay := NewLayout(32, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	genRows(t, lay, b, 100, 7)
 	mat := b.Matrix()
@@ -259,7 +282,7 @@ func collectIDs(t *testing.T, tree *Tree) []int {
 }
 
 func TestTreeBuildInvariants(t *testing.T) {
-	lay := NewLayout(32, 8, 4)
+	lay := NewLayout(32, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	genRows(t, lay, b, 100, 7)
 	mat := b.Matrix()
@@ -295,7 +318,7 @@ func TestTreeBuildInvariants(t *testing.T) {
 // and that incremental maintenance converges to the same member set as a
 // bulk build.
 func TestTreePersistentUpdate(t *testing.T) {
-	lay := NewLayout(32, 8, 4)
+	lay := NewLayout(32, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	genRows(t, lay, b, 60, 3)
 	mat := b.Matrix()
@@ -350,7 +373,7 @@ func TestTreePersistentUpdate(t *testing.T) {
 // TestTreeDegenerateSplit: identical rows cannot split and are left in one
 // overflowing leaf rather than looping.
 func TestTreeDegenerateSplit(t *testing.T) {
-	lay := NewLayout(16, 4, 2)
+	lay := NewLayout(16, 4)
 	b := arena.NewBuilder(lay.Stride(), 0)
 	row := make([]float64, lay.Stride())
 	for i := range row {
