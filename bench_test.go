@@ -7,6 +7,7 @@ package uncertts
 // EXPERIMENTS.md (regenerated at medium/full scale via cmd/uncertbench).
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -344,30 +345,36 @@ func topkWorkload(b *testing.B) *core.Workload {
 	return w
 }
 
-// benchEngineTopK answers a top-10 batch over every series per iteration
+// runEvery answers req once per resident series — the query position is
+// filled in per call — through Engine.Run, the one way the benchmarks reach
+// the engine.
+func runEvery(b *testing.B, e *engine.Engine, req engine.Request) {
+	b.Helper()
+	req.Measure = e.Measure()
+	for qi := 0; qi < e.Snapshot().Len(); qi++ {
+		req.Index = &qi
+		if _, err := e.Run(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchEngineTopK answers a top-10 query for every series per iteration
 // and reports the share of the scan that ran a full distance computation
 // (full-dist/op: 1.0 means no pruning).
 func benchEngineTopK(b *testing.B, opts engine.Options) {
 	b.Helper()
-	w := topkWorkload(b)
-	e, err := engine.New(w, opts)
+	e, err := engine.NewFromSnapshot(topkWorkload(b).Snapshot(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([]int, w.Len())
-	for i := range queries {
-		queries[i] = i
-	}
-	if _, err := e.TopKBatch(queries, 10); err != nil { // warm caches/tables outside timing
-		b.Fatal(err)
-	}
+	req := engine.Request{Kind: engine.KindTopK, K: 10}
+	runEvery(b, e, req) // warm caches/tables outside timing
 	e.ResetStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.TopKBatch(queries, 10); err != nil {
-			b.Fatal(err)
-		}
+		runEvery(b, e, req)
 	}
 	b.StopTimer()
 	stats := e.Stats()
@@ -451,21 +458,15 @@ func probBenchWorkload(b *testing.B, series, length int) *core.Workload {
 // refine step (full-refine/op: 1.0 means no pruning).
 func benchProbRange(b *testing.B, w *core.Workload, opts engine.Options, tau float64) {
 	b.Helper()
-	e, err := engine.New(w, opts)
+	e, err := engine.NewFromSnapshot(w.Snapshot(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([]int, w.Len())
-	for i := range queries {
-		queries[i] = i
-	}
-	eps := w.EpsEucl(0)
+	req := engine.Request{Kind: engine.KindProbRange, Eps: w.EpsEucl(0), Tau: tau}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ProbRangeBatch(queries, eps, tau); err != nil {
-			b.Fatal(err)
-		}
+		runEvery(b, e, req)
 	}
 	b.StopTimer()
 	stats := e.Stats()
@@ -495,40 +496,25 @@ func BenchmarkProbRangeMUNICHPruned(b *testing.B) {
 // BenchmarkProbTopK ranks every candidate by match probability through the
 // shared-bound pruned path.
 func BenchmarkProbTopK(b *testing.B) {
-	b.Run("proud", func(b *testing.B) {
-		w := probBenchWorkload(b, 120, 128)
-		e, err := engine.New(w, engine.Options{Measure: engine.MeasurePROUD})
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries := make([]int, w.Len())
-		for i := range queries {
-			queries[i] = i
-		}
-		eps := w.EpsEucl(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ProbTopKBatch(queries, eps, 10); err != nil {
+	for _, arm := range []struct {
+		name           string
+		series, length int
+		opts           engine.Options
+	}{
+		{"proud", 120, 128, engine.Options{Measure: engine.MeasurePROUD}},
+		{"munich", 30, 32, engine.Options{Measure: engine.MeasureMUNICH, MUNICH: munich.Options{Bins: 512}}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			w := probBenchWorkload(b, arm.series, arm.length)
+			e, err := engine.NewFromSnapshot(w.Snapshot(), arm.opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("munich", func(b *testing.B) {
-		w := probBenchWorkload(b, 30, 32)
-		e, err := engine.New(w, engine.Options{Measure: engine.MeasureMUNICH, MUNICH: munich.Options{Bins: 512}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries := make([]int, w.Len())
-		for i := range queries {
-			queries[i] = i
-		}
-		eps := w.EpsEucl(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ProbTopKBatch(queries, eps, 10); err != nil {
-				b.Fatal(err)
+			req := engine.Request{Kind: engine.KindProbTopK, Eps: w.EpsEucl(0), K: 10}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runEvery(b, e, req)
 			}
-		}
-	})
+		})
+	}
 }

@@ -10,8 +10,8 @@
 // Each experiment prints one or more tables whose rows mirror the series
 // plotted in the corresponding figure of the paper.
 //
-// The -bench mode times one batched query per measure through the pruned
-// engine and reports ns/op next to the pruning counters, plus the
+// The -bench mode times one Engine.Run call per query per measure through
+// the pruned engine and reports ns/op next to the pruning counters, plus the
 // durability subsystem's throughput (WAL ingest, WAL replay on recovery,
 // checkpoint load); -json switches the report to machine-readable JSON so
 // the perf trajectory can be tracked across changes (the repository keeps
@@ -19,16 +19,15 @@
 //
 //	uncertbench -bench -scale small -json > BENCH.json
 //
-// Two regression gates ride the bench for CI: -wrapper-max bounds the
-// declarative Engine.Run wrapper against the direct prepared path, and
-// -replay-max bounds WAL replay against fresh ingest (replay rebuilds the
-// same artifacts and must stay in the same ballpark).
+// One regression gate rides the bench for CI: -replay-max bounds WAL replay
+// against fresh ingest (replay rebuilds the same artifacts and must stay in
+// the same ballpark).
 //
 // Passing an explicit shape (-series/-length) or the bench-only preset
 // -scale large (100k series x 128 points) switches -bench to the
 // production-scale scan bench: the corpus is populated directly (no O(N^2)
 // ground truth), eps is calibrated from the query set's Euclidean 5-NN
-// distances, every selected measure's batched scan is timed through the
+// distances, every selected measure's query set is timed through the
 // engine, and a layout A/B runs the identical Euclidean and DTW kernels
 // over the contiguous columnar arena versus scattered per-series heap
 // copies. -scan-max-ns turns the per-measure ns/op into a CI gate, and
@@ -82,10 +81,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed      = fs.Int64("seed", 42, "random seed; equal seeds reproduce identical tables")
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		outDir    = fs.String("out", "", "also write each table as a TSV file into this directory")
-		bench     = fs.Bool("bench", false, "benchmark the query engine (one batched query per measure) instead of running experiments")
+		bench     = fs.Bool("bench", false, "benchmark the query engine (every query of a set through Engine.Run, per measure) instead of running experiments")
 		jsonOut   = fs.Bool("json", false, "emit -bench results as JSON (machine-readable; requires -bench)")
 		benchTau  = fs.Float64("tau", 0.1, "probability threshold of the -bench probabilistic queries")
-		wrapMax   = fs.Float64("wrapper-max", 0, "fail if any measure's Run-path ns/op exceeds wrapper-max times the direct path (0 = no check; requires -bench)")
 		replayMax = fs.Float64("replay-max", 0, "fail if WAL replay ns/series exceeds replay-max times ingest ns/series (0 = no check; requires -bench)")
 
 		seriesN    = fs.Int("series", 0, "production-scale scan bench: corpus size (requires -bench; 0 = follow -scale)")
@@ -112,12 +110,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *jsonOut && !*bench {
 		return fmt.Errorf("-json requires -bench (experiment tables are TSV; use -out)")
-	}
-	if *wrapMax != 0 && !*bench {
-		return fmt.Errorf("-wrapper-max requires -bench")
-	}
-	if *wrapMax < 0 {
-		return fmt.Errorf("-wrapper-max = %v must be non-negative", *wrapMax)
 	}
 	if *replayMax != 0 && !*bench {
 		return fmt.Errorf("-replay-max requires -bench")
@@ -161,8 +153,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// the latter computes an O(N^2) ground truth and tops out at a few
 		// hundred series.
 		if *seriesN > 0 || *lengthN > 0 || *scale == "large" {
-			if *wrapMax != 0 || *replayMax != 0 {
-				return fmt.Errorf("-wrapper-max/-replay-max apply to the workload bench, not the scan bench")
+			if *replayMax != 0 {
+				return fmt.Errorf("-replay-max applies to the workload bench, not the scan bench")
 			}
 			p := scanParams{
 				series: *seriesN, length: *lengthN, queries: *queriesN,
@@ -204,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return withProfiles(*cpuprofile, *memprofile, func() error {
-			return runBench(stdout, stderr, sc, *seed, *benchTau, *jsonOut, *wrapMax, *replayMax)
+			return runBench(stdout, stderr, sc, *seed, *benchTau, *jsonOut, *replayMax)
 		})
 	}
 
@@ -329,21 +321,16 @@ func writeJSON(w io.Writer, v any) error {
 }
 
 // BenchResult is the machine-readable record of one measure's benchmark:
-// wall time per query plus the engine's pruning counters, so the perf
-// trajectory (and the pruning behaviour behind it) can be tracked across
-// changes. ns_per_op times the batched direct path (the historical
-// figure); direct_ns_per_op and run_ns_per_op time the same workload one
-// query at a time through the prepared direct core and through the
-// declarative Engine.Run entry point — their ratio is the cost of the
-// request/validation/planning wrapper, which must stay ~free.
+// wall time per query — the query set run one Engine.Run call at a time,
+// best of a few rounds — plus the engine's pruning counters over one such
+// pass, so the perf trajectory (and the pruning behaviour behind it) can be
+// tracked across changes.
 type BenchResult struct {
 	Measure          string  `json:"measure"`
 	Queries          int     `json:"queries"`
 	Series           int     `json:"series"`
 	Length           int     `json:"length"`
 	NsPerOp          int64   `json:"ns_per_op"`
-	DirectNsPerOp    int64   `json:"direct_ns_per_op"`
-	RunNsPerOp       int64   `json:"run_ns_per_op"`
 	Candidates       int64   `json:"candidates"`
 	Completed        int64   `json:"completed"`
 	AbandonedEarly   int64   `json:"abandoned_early"`
@@ -388,11 +375,11 @@ func benchShape(sc experiments.Scale) (series, length int) {
 	}
 }
 
-// runBench times one batched query per measure over a shared workload
-// (top-10 for the distance measures, a probabilistic range query at the
-// calibrated eps for PROUD and MUNICH), then the durable store's
+// runBench times every query of a shared workload through Engine.Run, per
+// measure (top-10 for the distance measures, a probabilistic range query at
+// the calibrated eps for PROUD and MUNICH), then the durable store's
 // ingest/replay/checkpoint throughput on the same shape.
-func runBench(stdout, stderr io.Writer, sc experiments.Scale, seed int64, tau float64, asJSON bool, wrapperMax, replayMax float64) error {
+func runBench(stdout, stderr io.Writer, sc experiments.Scale, seed int64, tau float64, asJSON bool, replayMax float64) error {
 	series, length := benchShape(sc)
 	ds, err := ucr.Generate("CBF", ucr.Options{MaxSeries: series, Length: length, Seed: seed})
 	if err != nil {
@@ -416,74 +403,27 @@ func runBench(stdout, stderr io.Writer, sc experiments.Scale, seed int64, tau fl
 
 	var results []BenchResult
 	for _, m := range engine.Measures() {
-		e, err := engine.New(w, engine.Options{Measure: m, MUNICH: munich.Options{Bins: 1024}})
+		e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: m, MUNICH: munich.Options{Bins: 1024}})
 		if err != nil {
 			return fmt.Errorf("%s: %w", m, err)
 		}
-		start := time.Now()
-		if m.Probabilistic() {
-			if _, err := e.ProbRangeBatch(queries, eps, tau); err != nil {
-				return fmt.Errorf("%s: %w", m, err)
-			}
-		} else {
-			if _, err := e.TopKBatch(queries, 10); err != nil {
-				return fmt.Errorf("%s: %w", m, err)
-			}
+		// Best of a few rounds, to keep scheduler noise out of the figure;
+		// the counters are reset per round, so they describe one pass.
+		elapsed, err := bestOfRounds(func() error {
+			e.ResetStats()
+			_, err := runQueries(e, queries, eps, tau)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", m, err)
 		}
-		elapsed := time.Since(start)
 		st := e.Stats()
-
-		// Time the same workload one query at a time through the prepared
-		// direct core and through Engine.Run. Both passes are sequential
-		// per query, so their difference isolates the declarative
-		// wrapper's cost (validation, planning, result assembly). Best of
-		// a few rounds, to keep scheduler noise out of the ratio.
-		direct, err := bestOfRounds(func() error {
-			for _, qi := range queries {
-				pq, err := e.PrepareIndex(qi)
-				if err != nil {
-					return err
-				}
-				if m.Probabilistic() {
-					_, err = e.ProbRangePrepared([]*engine.PreparedQuery{pq}, eps, tau)
-				} else {
-					_, err = e.TopKPrepared([]*engine.PreparedQuery{pq}, 10)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%s direct: %w", m, err)
-		}
-		runPath, err := bestOfRounds(func() error {
-			for i := range queries {
-				req := engine.Request{Measure: m, Index: &queries[i]}
-				if m.Probabilistic() {
-					req.Kind, req.Eps, req.Tau = engine.KindProbRange, eps, tau
-				} else {
-					req.Kind, req.K = engine.KindTopK, 10
-				}
-				if _, err := e.Run(context.Background(), req); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%s run: %w", m, err)
-		}
-
 		r := BenchResult{
 			Measure:          m.String(),
 			Queries:          len(queries),
 			Series:           series,
 			Length:           length,
 			NsPerOp:          elapsed.Nanoseconds() / int64(len(queries)),
-			DirectNsPerOp:    direct.Nanoseconds() / int64(len(queries)),
-			RunNsPerOp:       runPath.Nanoseconds() / int64(len(queries)),
 			Candidates:       st.Candidates,
 			Completed:        st.Completed,
 			AbandonedEarly:   st.AbandonedEarly,
@@ -495,14 +435,7 @@ func runBench(stdout, stderr io.Writer, sc experiments.Scale, seed int64, tau fl
 			r.PrunedFraction = float64(st.Pruned()) / float64(st.Candidates)
 		}
 		results = append(results, r)
-		fmt.Fprintf(stderr, "%s done in %v (direct %v, run %v per op)\n",
-			m, elapsed.Round(time.Millisecond), direct/time.Duration(len(queries)), runPath/time.Duration(len(queries)))
-	}
-
-	if wrapperMax > 0 {
-		if err := checkWrapper(results, wrapperMax, stderr); err != nil {
-			return err
-		}
+		fmt.Fprintf(stderr, "%s: %v per op\n", m, elapsed/time.Duration(len(queries)))
 	}
 
 	batch := make([]corpus.Series, w.Len())
@@ -527,10 +460,10 @@ func runBench(stdout, stderr io.Writer, sc experiments.Scale, seed int64, tau fl
 	if asJSON {
 		return writeJSON(stdout, BenchReport{Measures: results, Store: storeRes})
 	}
-	fmt.Fprintf(stdout, "%-10s %14s %14s %14s %12s %12s %10s %10s\n", "measure", "ns/op", "direct-ns/op", "run-ns/op", "candidates", "completed", "abandoned", "pruned%")
+	fmt.Fprintf(stdout, "%-10s %14s %12s %12s %10s %10s\n", "measure", "ns/op", "candidates", "completed", "abandoned", "pruned%")
 	for _, r := range results {
-		fmt.Fprintf(stdout, "%-10s %14d %14d %14d %12d %12d %10d %9.1f%%\n",
-			r.Measure, r.NsPerOp, r.DirectNsPerOp, r.RunNsPerOp, r.Candidates, r.Completed, r.AbandonedEarly, 100*r.PrunedFraction)
+		fmt.Fprintf(stdout, "%-10s %14d %12d %12d %10d %9.1f%%\n",
+			r.Measure, r.NsPerOp, r.Candidates, r.Completed, r.AbandonedEarly, 100*r.PrunedFraction)
 	}
 	fmt.Fprintf(stdout, "store      ingest %d ns/series, replay %d ns/series, checkpoint load %d ns/series, wal %d B/series\n",
 		storeRes.IngestNsPerSeries, storeRes.ReplayNsPerSeries, storeRes.CheckpointLoadNsPerSeries, storeRes.WALBytesPerSeries)
@@ -658,11 +591,6 @@ func checkReplay(r StoreBenchResult, maxRatio float64, stderr io.Writer) error {
 // scheduler noise from a microbenchmark.
 const benchRounds = 5
 
-// wrapperNoiseFloorNs is the absolute slack of the wrapper check: on the
-// small bench workloads a per-op difference under a microsecond is timer
-// and scheduler noise, not wrapper cost.
-const wrapperNoiseFloorNs = 1000
-
 func bestOfRounds(pass func() error) (time.Duration, error) {
 	best := time.Duration(0)
 	for round := 0; round < benchRounds; round++ {
@@ -677,22 +605,24 @@ func bestOfRounds(pass func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// checkWrapper fails when any measure's Run-path ns/op exceeds the direct
-// path by more than the allowed ratio (plus the absolute noise floor) —
-// the CI guard that keeps the declarative wrapper ~free.
-func checkWrapper(results []BenchResult, maxRatio float64, stderr io.Writer) error {
-	var bad []string
-	for _, r := range results {
-		ratio := float64(r.RunNsPerOp) / float64(r.DirectNsPerOp)
-		fmt.Fprintf(stderr, "wrapper check %s: run/direct = %.3f\n", r.Measure, ratio)
-		if ratio > maxRatio && r.RunNsPerOp-r.DirectNsPerOp > wrapperNoiseFloorNs {
-			bad = append(bad, fmt.Sprintf("%s %.3f (direct %dns, run %dns)", r.Measure, ratio, r.DirectNsPerOp, r.RunNsPerOp))
+// runQueries is the bench workload of one measure: every query position in
+// turn through Engine.Run — top-10 for the distance measures, the
+// probabilistic range query at (eps, tau) for PROUD and MUNICH. It returns
+// the per-query results in input order.
+func runQueries(e *engine.Engine, queries []int, eps, tau float64) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(queries))
+	for i := range queries {
+		req := engine.Request{Measure: e.Measure(), Kind: engine.KindTopK, Index: &queries[i], K: 10}
+		if e.Measure().Probabilistic() {
+			req.Kind, req.K, req.Eps, req.Tau = engine.KindProbRange, 0, eps, tau
 		}
+		res, err := e.Run(context.Background(), req)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
 	}
-	if bad != nil {
-		return fmt.Errorf("Run-path regression beyond %.2fx over the direct path: %s", maxRatio, strings.Join(bad, "; "))
-	}
-	return nil
+	return out, nil
 }
 
 // writeTSV saves a table as <dir>/<name>.tsv, one header line plus one line

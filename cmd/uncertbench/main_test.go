@@ -15,8 +15,6 @@ func TestFlagValidation(t *testing.T) {
 		"json without bench":        {"-json"},
 		"bad tau":                   {"-bench", "-tau", "1.5"},
 		"unknown flag":              {"-nope"},
-		"wrapper-max without bench": {"-wrapper-max", "1.15"},
-		"negative wrapper-max":      {"-bench", "-wrapper-max", "-1"},
 		"replay-max without bench":  {"-replay-max", "2"},
 		"negative replay-max":       {"-bench", "-replay-max", "-1"},
 		"series without bench":      {"-series", "100"},
@@ -24,7 +22,6 @@ func TestFlagValidation(t *testing.T) {
 		"scan-max-ns without bench": {"-scan-max-ns", "100"},
 		"cpuprofile without bench":  {"-cpuprofile", "cpu.out"},
 		"large without bench":       {"-scale", "large"},
-		"wrapper-max on scan bench": {"-bench", "-series", "100", "-wrapper-max", "1.1"},
 		"replay-max on scan bench":  {"-bench", "-series", "100", "-replay-max", "2"},
 		"unknown measure":           {"-bench", "-series", "100", "-measures", "nope"},
 		"munich without samples":    {"-bench", "-series", "100", "-measures", "munich", "-samples", "0"},

@@ -251,41 +251,25 @@ func timeAdaptive(rounds int, floor time.Duration, pass func() error) (time.Dura
 	return best, nil
 }
 
-// scanArm builds an engine over snap with opts, times the measure's
-// batched query workload, and returns the per-query timing, the engine
-// statistics of the final round, and that round's (deterministic) answers
-// so the caller can assert scan/index parity.
-func scanArm(snap *corpus.Snapshot, opts engine.Options, m engine.Measure, qis []int, eps, tau float64) (nsPerOp int64, matches int, st engine.Stats, res interface{}, indexed bool, err error) {
+// scanArm builds an engine over snap with opts, times the query set through
+// Engine.Run, and returns the per-query timing, the engine statistics of the
+// final round, and that round's (deterministic) answers so the caller can
+// assert scan/index parity.
+func scanArm(snap *corpus.Snapshot, opts engine.Options, qis []int, eps, tau float64) (nsPerOp int64, matches int, st engine.Stats, res []*engine.Result, indexed bool, err error) {
 	e, err := engine.NewFromSnapshot(snap, opts)
 	if err != nil {
 		return 0, 0, engine.Stats{}, nil, false, err
 	}
 	elapsed, err := timeAdaptive(3, 2*time.Second, func() error {
 		e.ResetStats()
-		matches = 0
-		if m.Probabilistic() {
-			r, err := e.ProbRangeBatch(qis, eps, tau)
-			if err != nil {
-				return err
-			}
-			for _, ids := range r {
-				matches += len(ids)
-			}
-			res = r
-			return nil
-		}
-		r, err := e.TopKBatch(qis, 10)
-		if err != nil {
-			return err
-		}
-		for _, nn := range r {
-			matches += len(nn)
-		}
-		res = r
-		return nil
+		res, err = runQueries(e, qis, eps, tau)
+		return err
 	})
 	if err != nil {
 		return 0, 0, engine.Stats{}, nil, false, err
+	}
+	for _, r := range res {
+		matches += r.Total
 	}
 	return elapsed.Nanoseconds() / int64(len(qis)), matches, e.Stats(), res, e.Indexed(), nil
 }
@@ -349,7 +333,7 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 			Measure: m, Workers: p.workers, NoIndex: true,
 			MUNICH: munich.Options{Bins: 1024},
 		}
-		nsPerOp, matches, st, linRes, _, err := scanArm(snap, linOpts, m, qis, eps, p.tau)
+		nsPerOp, matches, st, linRes, _, err := scanArm(snap, linOpts, qis, eps, p.tau)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m, err)
 		}
@@ -374,7 +358,7 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 
 		idxOpts := linOpts
 		idxOpts.NoIndex = false
-		idxNs, _, ist, idxRes, indexed, err := scanArm(snap, idxOpts, m, qis, eps, p.tau)
+		idxNs, _, ist, idxRes, indexed, err := scanArm(snap, idxOpts, qis, eps, p.tau)
 		if err != nil {
 			return fmt.Errorf("%s indexed: %w", m, err)
 		}

@@ -42,10 +42,9 @@ func TestReportWireShapes(t *testing.T) {
 		keys  []string
 	}{
 		"BenchResult": {BenchResult{}, []string{
-			"abandoned_early", "candidates", "completed", "direct_ns_per_op",
-			"length", "measure", "ns_per_op", "pruned_by_envelope",
-			"pruned_fraction", "queries", "resolved_by_bounds",
-			"resolved_early", "run_ns_per_op", "series",
+			"abandoned_early", "candidates", "completed", "length", "measure",
+			"ns_per_op", "pruned_by_envelope", "pruned_fraction", "queries",
+			"resolved_by_bounds", "resolved_early", "series",
 		}},
 		"StoreBenchResult": {StoreBenchResult{}, []string{
 			"checkpoint_load_ns_per_series", "ingest_ns_per_series", "length",
@@ -89,18 +88,36 @@ func TestReportWireShapes(t *testing.T) {
 	}
 }
 
+// legacyBenchResult is BenchResult as BENCH_PR4 and BENCH_PR5 recorded it:
+// with the direct-versus-Run timing pair of the wrapper gate PR 14 retired.
+// Nothing emits the two keys any more; they stay decodable here so the old
+// baselines need no edit.
+type legacyBenchResult struct {
+	BenchResult
+	DirectNsPerOp int64 `json:"direct_ns_per_op"`
+	RunNsPerOp    int64 `json:"run_ns_per_op"`
+}
+
+// legacyBenchReport is BenchReport over legacyBenchResult records.
+type legacyBenchReport struct {
+	Measures []legacyBenchResult `json:"measures"`
+	Store    StoreBenchResult    `json:"store"`
+}
+
 // PairedBenchReport is the shape of a BENCH_PR<N>.json that records a claim
 // judged with the repository benchmark (bench/, a module of its own that no
 // tool here drives): parent commit against change, as interleaved pairs of
 // `go run -C bench . --workload W`. It lives test-side because nothing in
-// uncertbench emits it; the file is assembled from the harness's outputs.
+// uncertbench emits it; the file is assembled from the harness's outputs. A
+// change that claims no gain records "claim": null and is held to the
+// within-bound verdicts of its workloads alone.
 type PairedBenchReport struct {
 	Issue     string           `json:"issue"`
 	Parent    string           `json:"parent"`
 	Change    string           `json:"change"`
 	Command   string           `json:"command"`
 	Method    string           `json:"method"`
-	Claim     PairedClaim      `json:"claim"`
+	Claim     *PairedClaim     `json:"claim"`
 	Workloads []PairedWorkload `json:"workloads"`
 	Compare   []string         `json:"compare"`
 	Trace     []PairedTraceRow `json:"trace"`
@@ -208,7 +225,7 @@ func TestBaselineArtifactsMatchShape(t *testing.T) {
 		name := filepath.Base(f)
 		var matched []string
 
-		var legacy []BenchResult
+		var legacy []legacyBenchResult
 		if strictDecode(data, &legacy) == nil {
 			matched = append(matched, "[]BenchResult")
 			if len(legacy) == 0 {
@@ -220,7 +237,7 @@ func TestBaselineArtifactsMatchShape(t *testing.T) {
 				}
 			}
 		}
-		var engine BenchReport
+		var engine legacyBenchReport
 		if strictDecode(data, &engine) == nil {
 			matched = append(matched, "BenchReport")
 			if len(engine.Measures) == 0 || engine.Store.IngestNsPerSeries <= 0 {
@@ -251,14 +268,23 @@ func TestBaselineArtifactsMatchShape(t *testing.T) {
 		var paired PairedBenchReport
 		if strictDecode(data, &paired) == nil {
 			matched = append(matched, "PairedBenchReport")
-			c := paired.Claim
-			if len(paired.Workloads) == 0 || c.Pairs < 10 {
-				t.Errorf("%s: implausible paired report (%d workloads, %d claim pairs)", name, len(paired.Workloads), c.Pairs)
+			if len(paired.Workloads) == 0 {
+				t.Errorf("%s: paired report without workloads", name)
 			}
-			if c.Met && 10*c.ChangeWins < 9*c.Pairs {
-				t.Errorf("%s: claim recorded as met with %d wins of %d pairs", name, c.ChangeWins, c.Pairs)
+			if c := paired.Claim; c != nil {
+				if c.Pairs < 10 {
+					t.Errorf("%s: a claim judged on %d pairs, want at least 10", name, c.Pairs)
+				}
+				if c.Met && 10*c.ChangeWins < 9*c.Pairs {
+					t.Errorf("%s: claim recorded as met with %d wins of %d pairs", name, c.ChangeWins, c.Pairs)
+				}
 			}
 			for _, w := range paired.Workloads {
+				// Without a claim the must-not-move verdicts are all the
+				// report says, so each one needs the full ten pairs.
+				if n := len(w.Pairs); paired.Claim == nil && n < 10 {
+					t.Errorf("%s: %s has %d pairs, want at least 10", name, w.Name, n)
+				}
 				for _, r := range w.Pairs {
 					if !r.Parent.Correct || !r.Change.Correct || r.Change.Failed > r.Parent.Failed {
 						t.Errorf("%s: %s seed %d: a run failed verification or the change failed more requests", name, w.Name, r.Seed)

@@ -364,9 +364,7 @@ func runFromStore(cfg config) {
 		}
 		fmt.Printf("matches    : %v\n", ids)
 	}
-	fmt.Printf("scan       : %d candidates, %d full computations, %d abandoned early, %d pruned by envelope (%.1f%% of the scan skipped)\n",
-		stats.Candidates, stats.Completed, stats.AbandonedEarly, stats.PrunedByEnvelope,
-		100*float64(stats.Candidates-stats.Completed)/float64(max(1, stats.Candidates)))
+	fmt.Printf("scan       : %s\n", stats)
 }
 
 // runFromServer sends the query to a running uncertserve (or cluster
@@ -440,7 +438,7 @@ func runFromServer(cfg config) {
 // scan statistics next to a naive full-scan baseline.
 func runTopK(w *core.Workload, dsName string, cfg config) {
 	measure := measureFor(cfg.technique)
-	e, err := engine.New(w, engine.Options{Measure: measure, Band: cfg.band, Workers: cfg.workers})
+	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Band: cfg.band, Workers: cfg.workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -466,9 +464,7 @@ func runTopK(w *core.Workload, dsName string, cfg config) {
 		fmt.Printf("  #%-2d series %-4d label %-3d distance %.4f\n",
 			rank+1, n.ID, w.Exact[n.ID].Label, n.Distance)
 	}
-	fmt.Printf("scan       : %d candidates, %d full computations, %d abandoned early, %d pruned by envelope (%.1f%% of the scan skipped)\n",
-		stats.Candidates, stats.Completed, stats.AbandonedEarly, stats.PrunedByEnvelope,
-		100*float64(stats.Candidates-stats.Completed)/float64(stats.Candidates))
+	fmt.Printf("scan       : %s\n", stats)
 }
 
 // runProbRange answers the probabilistic range query through the pruned
@@ -490,7 +486,7 @@ func runProbRange(w *core.Workload, dsName string, cfg config) {
 	if eps == 0 {
 		eps = w.EpsEucl(cfg.queryIdx)
 	}
-	e, err := engine.New(w, engine.Options{Measure: measure, Workers: cfg.workers})
+	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Workers: cfg.workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -515,9 +511,7 @@ func runProbRange(w *core.Workload, dsName string, cfg config) {
 	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
 	fmt.Printf("matches    : %v\n", got)
 	fmt.Printf("ground truth: %v\n", w.Truth(cfg.queryIdx))
-	fmt.Printf("scan       : %d candidates, %d full refines, %d envelope-pruned, %d resolved by bounds, %d resolved on a prefix, %d refines abandoned early (%.1f%% of the refine work skipped)\n",
-		stats.Candidates, stats.Completed, stats.PrunedByEnvelope, stats.ResolvedByBounds, stats.ResolvedEarly, stats.AbandonedEarly,
-		100*float64(stats.Candidates-stats.Completed)/float64(stats.Candidates))
+	fmt.Printf("scan       : %s\n", stats)
 }
 
 func loadDataset(csvPath, name string, series, length int, seed int64) (timeseries.Dataset, error) {

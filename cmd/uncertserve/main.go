@@ -405,6 +405,16 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers. Without it a client that opens a connection and never
+// finishes its headers holds a goroutine and a descriptor for ever; no
+// honest client needs more than a round trip.
+const readHeaderTimeout = 10 * time.Second
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
@@ -423,7 +433,7 @@ func main() {
 	}
 	log.Printf("uncertserve: listening on %s", cfg.addr)
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
+	httpSrv := newHTTPServer(cfg.addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"uncertts/internal/server"
 	"uncertts/internal/store"
@@ -240,5 +242,50 @@ func TestDurableServerSurvivesRestart(t *testing.T) {
 	defer st3.Close()
 	if got := srv3.Corpus().Len(); got != 0 {
 		t.Fatalf("restart after delete-all resurrected %d series, want 0", got)
+	}
+}
+
+// TestStalledHeadersAreCutOff: a client that connects and never finishes its
+// request headers must not hold the connection open for ever (ROADMAP 4(e)).
+// The production server carries the ten-second bound; the test shortens it on
+// the same server value and watches a stalled connection get closed while a
+// complete request on another connection is still answered.
+func TestStalledHeadersAreCutOff(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Fatalf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET / HTTP/1.1\r\nHost: x\r\n"); err != nil { // no blank line: headers never end
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a complete request got status %d", resp.StatusCode)
+	}
+	// The server gives up on the stalled connection: the read ends (with an
+	// error response or a bare close) long before the test's own deadline.
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Fatalf("the stalled connection was still open after %v: %v", time.Since(start), err)
 	}
 }

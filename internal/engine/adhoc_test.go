@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 
 	"uncertts/internal/corpus"
 	"uncertts/internal/munich"
+	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
 )
 
@@ -64,69 +67,23 @@ func adhocQueryFor(length int) Query {
 	return Query{Values: s.Values, Samples: s.Samples}
 }
 
-// runPrepared executes the measure-appropriate query through a prepared
-// query and returns a comparable result value.
-func runPrepared(t testing.TB, e *Engine, pq *PreparedQuery, eps float64) interface{} {
+// answers runs both kinds the engine's measure serves against one target (a
+// Request with only Index or AdHoc set) and returns a comparable value.
+func answers(t testing.TB, e *Engine, target Request, eps float64) interface{} {
 	t.Helper()
+	ask := func(req Request) *Result {
+		req.Index, req.AdHoc = target.Index, target.AdHoc
+		return mustRun(t, e, req)
+	}
 	if e.Measure().Probabilistic() {
-		rng, err := pq.ProbRange(eps, 0.1)
-		if err != nil {
-			t.Fatal(err)
+		return []interface{}{
+			ask(Request{Kind: KindProbRange, Eps: eps, Tau: 0.1}).IDs,
+			ask(Request{Kind: KindProbTopK, Eps: eps, K: 4}).Matches,
 		}
-		top, err := pq.ProbTopK(eps, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []interface{}{rng, top}
 	}
-	nn, err := pq.TopK(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng, err := pq.Range(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []interface{}{nn, rng}
-}
-
-// TestAdHocQueriesMatchUnprunedScanEveryMeasure poses the same ad-hoc
-// query (a series not resident in the corpus) to the pruned engine and to
-// the NoPrune reference arm, across worker counts: answers must be
-// bit-identical for all seven measures.
-func TestAdHocQueriesMatchUnprunedScanEveryMeasure(t *testing.T) {
-	c := testCorpus(t, 24, 32)
-	snap := c.Snapshot()
-	q := adhocQueryFor(32)
-	const eps = 2.5
-	for _, opts := range allMeasureOptions() {
-		naiveOpts := opts
-		naiveOpts.NoPrune = true
-		naive, err := NewFromSnapshot(snap, naiveOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		npq, err := naive.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runPrepared(t, naive, npq, eps)
-		for _, workers := range []int{1, 2, 8} {
-			wopts := opts
-			wopts.Workers = workers
-			e, err := NewFromSnapshot(snap, wopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pq, err := e.Prepare(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runPrepared(t, e, pq, eps)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s workers=%d: ad-hoc answer differs from the unpruned scan", opts.Measure, workers)
-			}
-		}
+	return []interface{}{
+		ask(Request{Kind: KindTopK, K: 5}).Neighbors,
+		ask(Request{Kind: KindRange, Eps: eps}).IDs,
 	}
 }
 
@@ -137,33 +94,15 @@ func TestAdHocQueriesMatchUnprunedScanEveryMeasure(t *testing.T) {
 func TestAdHocQueryOfResidentSeriesSeesItself(t *testing.T) {
 	c := testCorpus(t, 12, 24)
 	snap := c.Snapshot()
-	e, err := NewFromSnapshot(snap, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ent := snap.Entry(3)
-	pq, err := e.Prepare(Query{Values: ent.PDF.Observations})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn, err := pq.TopK(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nn) == 0 || nn[0].ID != 3 || nn[0].Distance != 0 {
+	e := newEngine(t, snap, Options{Measure: MeasureEuclidean})
+	qi := 3
+	nn := mustRun(t, e, Request{Kind: KindTopK, AdHoc: &Query{Values: snap.Entry(qi).PDF.Observations}, K: 3}).Neighbors
+	if len(nn) == 0 || nn[0].ID != qi || nn[0].Distance != 0 {
 		t.Fatalf("ad-hoc self query: nn[0] = %+v, want position 3 at distance 0", nn[0])
 	}
-	ipq, err := e.PrepareIndex(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inn, err := ipq.TopK(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range inn {
-		if n.ID == 3 {
-			t.Error("index query did not exclude itself")
+	for _, n := range mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: 3}).Neighbors {
+		if n.ID == qi {
+			t.Error("resident query did not exclude itself")
 		}
 	}
 }
@@ -172,37 +111,22 @@ func TestAdHocQueryOfResidentSeriesSeesItself(t *testing.T) {
 func TestAdHocValidation(t *testing.T) {
 	c := testCorpus(t, 8, 16)
 	snap := c.Snapshot()
-	e, err := NewFromSnapshot(snap, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Prepare(Query{Values: make([]float64, 9)}); err == nil {
-		t.Error("wrong-length query should error")
-	}
-	if _, err := e.Prepare(Query{Values: make([]float64, 16), Sigma: -1}); err == nil {
-		t.Error("negative sigma should error")
-	}
-	if _, err := e.Prepare(Query{Values: make([]float64, 16), Errors: make([]stats.Dist, 3)}); err == nil {
-		t.Error("wrong-length error model should error")
-	}
-	me, err := NewFromSnapshot(snap, Options{Measure: MeasureMUNICH, MUNICH: munich.Options{Bins: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := me.Prepare(Query{Values: make([]float64, 16)}); err == nil {
-		t.Error("MUNICH ad-hoc query without samples should error")
-	}
-	// Prepared queries are engine-bound.
-	pq, err := e.Prepare(Query{Values: make([]float64, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewFromSnapshot(snap, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.TopKPrepared([]*PreparedQuery{pq}, 3); err == nil {
-		t.Error("prepared query from another engine should be rejected")
+	e := newEngine(t, snap, Options{Measure: MeasureEuclidean})
+	me := newEngine(t, snap, Options{Measure: MeasureMUNICH, MUNICH: munich.Options{Bins: 128}})
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		req  Request
+		want error
+	}{
+		{"wrong-length query", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 9)}}, qerr.ErrLengthMismatch},
+		{"negative sigma", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 16), Sigma: -1}}, qerr.ErrBadRequest},
+		{"wrong-length error model", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 16), Errors: make([]stats.Dist, 3)}}, qerr.ErrLengthMismatch},
+		{"MUNICH without samples", me, Request{Measure: MeasureMUNICH, Kind: KindProbTopK, K: 3, Eps: 1, AdHoc: &Query{Values: make([]float64, 16)}}, qerr.ErrBadRequest},
+	} {
+		if _, err := tc.e.Run(context.Background(), tc.req); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -214,6 +138,7 @@ func TestSnapshotIsolationUnderConcurrentMutation(t *testing.T) {
 	c := testCorpus(t, 20, 24)
 	snap := c.Snapshot()
 	q := adhocQueryFor(24)
+	target := Request{AdHoc: &q}
 	const eps = 2.0
 
 	// Reference answers, computed on the frozen snapshot before any
@@ -226,15 +151,7 @@ func TestSnapshotIsolationUnderConcurrentMutation(t *testing.T) {
 	for _, opts := range allMeasureOptions() {
 		naiveOpts := opts
 		naiveOpts.NoPrune = true
-		naive, err := NewFromSnapshot(snap, naiveOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pq, err := naive.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref{opts: opts, want: runPrepared(t, naive, pq, eps)})
+		refs = append(refs, ref{opts: opts, want: answers(t, newEngine(t, snap, naiveOpts), target, eps)})
 	}
 
 	// Writers mutate the corpus while readers query the old snapshot.
@@ -276,13 +193,8 @@ func TestSnapshotIsolationUnderConcurrentMutation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				pq, err := e.Prepare(q)
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				for rep := 0; rep < 3; rep++ {
-					got := runPrepared(t, e, pq, eps)
+					got := answers(t, e, target, eps)
 					if !reflect.DeepEqual(got, r.want) {
 						t.Errorf("%s workers=%d: snapshot query changed under concurrent mutation", r.opts.Measure, workers)
 						return
@@ -297,44 +209,6 @@ func TestSnapshotIsolationUnderConcurrentMutation(t *testing.T) {
 
 	if c.Snapshot().Epoch() == snap.Epoch() {
 		t.Fatal("writer never published a mutation; the test proved nothing")
-	}
-}
-
-// TestStatsInvariantEveryMeasure asserts the accounting identity
-// Candidates = Completed + AbandonedEarly + PrunedByEnvelope +
-// ResolvedByBounds + ResolvedEarly across all seven measures and both
-// query families.
-func TestStatsInvariantEveryMeasure(t *testing.T) {
-	c := testCorpus(t, 20, 24)
-	snap := c.Snapshot()
-	queries := []int{0, 5, 11, 19}
-	for _, opts := range allMeasureOptions() {
-		e, err := NewFromSnapshot(snap, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Measure().Probabilistic() {
-			if _, err := e.ProbRangeBatch(queries, 2.0, 0.1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.ProbTopKBatch(queries, 2.0, 4); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if _, err := e.TopKBatch(queries, 5); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Range(0, 2.0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := e.Stats()
-		if s.Candidates == 0 {
-			t.Errorf("%s: no candidates examined", opts.Measure)
-		}
-		if sum := s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly; sum != s.Candidates {
-			t.Errorf("%s: stats identity broken: sum %d != candidates %d (%+v)", opts.Measure, sum, s.Candidates, s)
-		}
 	}
 }
 
@@ -405,7 +279,6 @@ func TestEngineReusesCorpusArtifacts(t *testing.T) {
 	if &dtw2.upper.at(0)[0] == &snap.Entry(0).Upper[0] {
 		t.Error("band-mismatched DTW engine aliased the wrong envelopes")
 	}
-	if _, err := dtw2.TopK(0, 3); err != nil {
-		t.Fatal(err)
-	}
+	qi := 0
+	mustRun(t, dtw2, Request{Kind: KindTopK, Index: &qi, K: 3})
 }

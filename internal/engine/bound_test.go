@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -214,5 +215,60 @@ func TestSharedBoundTightensPruning(t *testing.T) {
 	private, propagated := run(false), run(true)
 	if propagated >= private {
 		t.Fatalf("bound propagation did not tighten pruning: %d completed with a shared bound, %d without", propagated, private)
+	}
+}
+
+// TestBoundWireValues pins the exported faces of the one cut: what Bound and
+// ProbBound report is what cluster nodes put on the wire, so it must not
+// depend on how the cut stores it (squared distances; negated
+// probabilities). After a scan the injected bound holds exactly the figure
+// the answer's k-th entry implies.
+func TestBoundWireValues(t *testing.T) {
+	b := NewBound()
+	if !math.IsInf(b.Squared(), 1) {
+		t.Errorf("fresh Bound = %v, want +Inf", b.Squared())
+	}
+	b.LowerSquared(9)
+	b.LowerSquared(16) // looser: ignored
+	if b.Squared() != 9 {
+		t.Errorf("LowerSquared is not monotone: %v", b.Squared())
+	}
+	b.ObserveKth(2)
+	if b.Squared() != ulpUp(4) {
+		t.Errorf("ObserveKth(2) published %v, want the ulpUp-inflated square %v", b.Squared(), ulpUp(4))
+	}
+
+	pb := NewProbBound()
+	if !math.IsInf(pb.Value(), -1) {
+		t.Errorf("fresh ProbBound = %v, want -Inf", pb.Value())
+	}
+	pb.Raise(0)
+	if v := pb.Value(); v != 0 || math.Signbit(v) {
+		t.Errorf("Raise(0) reads back as %v (signbit %v), want +0", v, math.Signbit(v))
+	}
+	pb.Raise(0.3)
+	pb.Raise(0.2) // looser: ignored
+	if pb.Value() != 0.3 {
+		t.Errorf("Raise is not monotone: %v", pb.Value())
+	}
+	pb.Raise(0.5)
+	if pb.Value() != 0.5 {
+		t.Errorf("Raise(0.5) after 0.3 reads %v", pb.Value())
+	}
+
+	const k = 4
+	snap := testCorpus(t, 30, 32).Snapshot()
+	adhoc := adhocQueryFor(32)
+	bnd := NewBound()
+	nn := mustRun(t, newEngine(t, snap, Options{Measure: MeasureEuclidean, ShardSize: 5}),
+		Request{Kind: KindTopK, AdHoc: &adhoc, K: k, Bound: bnd}).Neighbors
+	if want := ulpUp(nn[k-1].Distance * nn[k-1].Distance); math.Float64bits(bnd.Squared()) != math.Float64bits(want) {
+		t.Errorf("after the scan Bound.Squared() = %v, want %v from the k-th distance %v", bnd.Squared(), want, nn[k-1].Distance)
+	}
+	pbnd := NewProbBound()
+	ms := mustRun(t, newEngine(t, snap, Options{Measure: MeasurePROUD, ShardSize: 5}),
+		Request{Kind: KindProbTopK, AdHoc: &adhoc, K: k, Eps: 2.5, ProbBound: pbnd}).Matches
+	if want := ms[k-1].Prob; math.Float64bits(pbnd.Value()) != math.Float64bits(want) {
+		t.Errorf("after the scan ProbBound.Value() = %v, want the k-th probability %v", pbnd.Value(), want)
 	}
 }

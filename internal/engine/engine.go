@@ -2,83 +2,66 @@
 // range similarity engine that sits above a corpus snapshot and prunes
 // aggressively before any work reaches the hot distance kernels.
 //
-// Pruning devices, one family per measure:
+// There is one way in — Run (RunStream with incremental delivery) takes a
+// declarative Request — and one path behind it, the same four stages for
+// every measure and every kind:
 //
-//   - lock-step measures (Euclidean, UMA, UEMA over the filtered series)
-//     first test a 16-segment Jensen lower bound from the corpus' dense
-//     filter columns (tier 0, tier0.go), then early-abandon the
-//     squared-distance accumulation once the running sum exceeds the
-//     current k-th best;
-//   - banded DTW walks the sketch bucket tree (index.go), then checks the
-//     LB_Keogh envelope lower bound and only runs the DP — itself
-//     early-abandoning per row — when the bound cannot exclude the
-//     candidate;
-//   - DUST early-abandons the Equation 13 accumulation and shares a single
-//     evaluator, and therefore a single set of phi lookup tables, across
-//     every query of a batch;
-//   - MUNICH (probabilistic queries) walks a segment-envelope lower bound,
-//     the exact bounding-interval prune and (when the refine is exact) a
-//     per-timestamp sample-pair probability bound; surviving candidates
-//     pay for a refine step that abandons early in the estimator's own
-//     arithmetic;
-//   - PROUD (probabilistic queries) pushes tier 0's bracket of the squared
-//     gap through its moment bounds, then accumulates the distance moments
-//     over a prefix of timestamps and stops as soon as the sound prefix
-//     bounds (Stream.earlyDecision's machinery plus suffix-energy gap
-//     bounds) force the predicate outcome.
+//	source → tier 0 / bounds → refine → collect
 //
-// Since the corpus refactor the engine is built over an immutable
-// corpus.Snapshot (NewFromSnapshot); building over a core.Workload (New)
-// is a thin wrapper over the workload's snapshot. The per-candidate
-// artifacts every device needs — LB_Keogh envelopes, filtered vectors,
-// suffix energies, MUNICH segment envelopes, DUST phi tables — are
-// maintained incrementally by the corpus and reused here whenever the
-// engine options match the corpus geometry, so constructing an engine for
-// a fresh snapshot is nearly free and writers never invalidate a running
-// query (snapshot isolation).
+// Source. The candidates of a request are every snapshot position but the
+// query's own, cut into ShardSize shards that the work-stealing executor of
+// internal/core drains (scan.go). Banded DTW alone has a second source: it
+// walks the snapshot's sketch bucket tree best-first (index.go), because
+// its kernel is dear enough for the walk to pay.
 //
-// Queries come in two shapes. Index queries (TopK, Range, ProbRange,
-// ProbTopK and their batch forms) take a position in the snapshot and
-// exclude the query series itself, exactly as the original batch harness
-// did. Ad-hoc queries (Prepare + PreparedQuery methods) take an arbitrary
-// series — observation vector, error model, sample model — that need not
-// be resident in any corpus; the prepared-query object owns all per-query
-// derived state (filtered vector, suffix energies, sample envelope) so
-// repeated queries amortise their setup, and carries an optional
-// per-request worker budget.
+// Tier 0 / bounds. Before a candidate's series row is touched, the measure's
+// cheap bound is tested against the request's cut: the 16-segment Jensen
+// bound over the corpus' dense filter columns for the lock-step measures
+// (Euclidean, UMA, UEMA) and PROUD (tier0.go), the candidate's own sketch
+// row for DTW. A candidate dropped here is counted in
+// Stats.SeriesSkippedByIndex and never reaches a kernel.
 //
-// Execution is batched and sharded: the candidate space of every query is
-// cut into shards and the (query, shard) pairs are drained by the chunked
-// work-stealing executor of internal/core (RunSharded). Workers cooperate
-// through a per-query atomic bound — the k-th best distance among the
-// candidates completed so far, query-wide (topKCollector) — which tightens
-// pruning across shard boundaries while staying exact: a published bound is
-// always the k-th best of a subset of candidates, hence an upper bound on
-// the true k-th distance, so a candidate abandoned against it can never
-// belong to the answer. Results
-// are therefore bit-identical to the naive full scan for every worker
-// count, which the tests assert.
+// Refine. Survivors run the measure's own pruned kernel against the same
+// cut: the lock-step measures early-abandon the squared-distance
+// accumulation; DTW checks LB_Kim and LB_Keogh, then runs a DP that
+// abandons per row; DUST early-abandons the Equation 13 accumulation over
+// one shared set of phi tables; MUNICH walks a segment-envelope bound, the
+// exact bounding-interval prune and a sample-pair probability bound before
+// a refine that abandons in the estimator's own arithmetic; PROUD
+// accumulates its distance moments over a prefix of timestamps and stops as
+// soon as sound prefix bounds force the predicate (prob.go).
+//
+// Collect. The range kinds gather their matches by position; the two top-k
+// kinds offer every resolved candidate to one query-wide collector whose
+// k-th best key tightens the cut all workers — and, through Bound and
+// ProbBound, all shards of a cluster query — prune against (bound.go). A
+// published cut is always the k-th best of a subset of candidates, hence a
+// bound on the true k-th best, so a candidate dropped against it can never
+// belong to the answer: results are bit-identical to the unpruned scan
+// (Options.NoPrune) for every worker count, which the tests assert.
+//
+// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot).
+// The per-candidate artifacts every device needs — LB_Keogh envelopes,
+// filtered vectors, suffix energies, MUNICH segment envelopes, DUST phi
+// tables — are maintained incrementally by the corpus and reused here
+// whenever the engine options match the corpus geometry, so constructing an
+// engine for a fresh snapshot is nearly free and writers never invalidate a
+// running query (snapshot isolation).
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"uncertts/internal/arena"
-	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
 	"uncertts/internal/dust"
 	"uncertts/internal/munich"
 	"uncertts/internal/qerr"
-	"uncertts/internal/query"
 	"uncertts/internal/timeseries"
 )
 
@@ -119,10 +102,10 @@ const (
 	// DTW, pruned by LB_Keogh.
 	MeasureDTW
 	// MeasureDUST scans with the DUST dissimilarity (Equation 13), sharing
-	// one set of phi tables across the batch.
+	// one set of phi tables across every query.
 	MeasureDUST
-	// MeasurePROUD serves probabilistic threshold queries (ProbRange,
-	// ProbTopK) with PROUD's normal approximation of the squared distance
+	// MeasurePROUD serves probabilistic threshold queries (KindProbRange,
+	// KindProbTopK) with PROUD's normal approximation of the squared distance
 	// over the perturbed observations, pruned by sound prefix bounds.
 	MeasurePROUD
 	// MeasureMUNICH serves probabilistic threshold queries over the
@@ -160,7 +143,8 @@ func (m Measure) String() string {
 }
 
 // Probabilistic reports whether the measure answers probabilistic threshold
-// queries (ProbRange/ProbTopK) rather than distance queries (TopK/Range).
+// queries (KindProbRange/KindProbTopK) rather than distance queries
+// (KindTopK/KindRange).
 func (m Measure) Probabilistic() bool {
 	return m == MeasurePROUD || m == MeasureMUNICH
 }
@@ -191,8 +175,8 @@ type Options struct {
 	Lambda float64
 	// Mode selects the Eq. 17/18 weight normalisation for UMA/UEMA.
 	Mode timeseries.WeightMode
-	// Workers bounds the executor's parallelism (0 = GOMAXPROCS). A
-	// PreparedQuery can override it per request.
+	// Workers bounds the executor's parallelism (0 = GOMAXPROCS).
+	// Request.Workers overrides it per request.
 	Workers int
 	// ShardSize is the number of candidates per work shard (0 = 64).
 	ShardSize int
@@ -224,7 +208,8 @@ type Options struct {
 // Stats counts the engine's work since construction (or the last
 // ResetStats). The accounting identity Candidates = Completed +
 // AbandonedEarly + PrunedByEnvelope + ResolvedByBounds + ResolvedEarly
-// always holds; Candidates - Completed is the work pruning saved.
+// always holds; Candidates - Completed is the work pruning saved. Only
+// queries move the counters: Distance, the reference lookup, does not.
 type Stats struct {
 	// Candidates is the number of query-candidate pairs examined.
 	Candidates int64 `json:"candidates"`
@@ -254,8 +239,8 @@ type Stats struct {
 	// SeriesSkippedByIndex counts series a prefilter excluded before they
 	// became candidates (the query series itself is never counted): by
 	// tier 0's coarse bound for the lock-step measures and PROUD, by a
-	// bucket or sketch-row bound for DTW. For index queries, Candidates +
-	// SeriesSkippedByIndex = queries * (N - 1).
+	// bucket or sketch-row bound for DTW. For resident queries, Candidates +
+	// SeriesSkippedByIndex = queries * (N - 1); for ad-hoc ones, queries * N.
 	SeriesSkippedByIndex int64 `json:"series_skipped_by_index"`
 }
 
@@ -281,7 +266,8 @@ func (s Stats) Merge(o Stats) Stats {
 func (s Stats) Pruned() int64 { return s.Candidates - s.Completed }
 
 // String renders the counters in the one-line form the CLI and the /stats
-// endpoint report.
+// endpoint report. The prefilter clause appears whenever a prefilter skipped
+// anything; bucket counts only for the measure that walks the bucket tree.
 func (s Stats) String() string {
 	pct := 0.0
 	if s.Candidates > 0 {
@@ -289,9 +275,13 @@ func (s Stats) String() string {
 	}
 	line := fmt.Sprintf("%d candidates, %d completed, %d abandoned early, %d envelope-pruned, %d resolved by bounds, %d resolved on a prefix (%.1f%% of the scan skipped)",
 		s.Candidates, s.Completed, s.AbandonedEarly, s.PrunedByEnvelope, s.ResolvedByBounds, s.ResolvedEarly, pct)
-	if s.BucketsVisited > 0 || s.BucketsPruned > 0 {
-		line += fmt.Sprintf("; index: %d buckets visited, %d pruned, %d series skipped",
-			s.BucketsVisited, s.BucketsPruned, s.SeriesSkippedByIndex)
+	buckets := s.BucketsVisited > 0 || s.BucketsPruned > 0
+	if buckets || s.SeriesSkippedByIndex > 0 {
+		line += "; index: "
+		if buckets {
+			line += fmt.Sprintf("%d buckets visited, %d pruned, ", s.BucketsVisited, s.BucketsPruned)
+		}
+		line += fmt.Sprintf("%d series skipped", s.SeriesSkippedByIndex)
 	}
 	return line
 }
@@ -320,25 +310,31 @@ type Engine struct {
 	t0  *tier0
 	idx *engineIndex
 
-	candidates     atomic.Int64
-	completed      atomic.Int64
-	abandoned      atomic.Int64
-	pruned         atomic.Int64
-	resolvedBounds atomic.Int64
-	resolvedEarly  atomic.Int64
+	// Work counters. Every examined candidate lands in exactly one outcome
+	// slot, so Stats.Candidates is their sum and the accounting identity
+	// holds by construction.
+	outcomes       [numOutcomes]atomic.Int64
 	bucketsVisited atomic.Int64
 	bucketsPruned  atomic.Int64
 	seriesSkipped  atomic.Int64
 }
 
-// New builds an engine over a prepared workload — a thin wrapper around
-// NewFromSnapshot on the workload's corpus snapshot.
-func New(w *core.Workload, opts Options) (*Engine, error) {
-	if w == nil || w.Len() == 0 {
-		return nil, errors.New("engine: nil or empty workload")
-	}
-	return NewFromSnapshot(w.Snapshot(), opts)
-}
+// outcome is how one examined candidate was resolved; each maps to one
+// Stats counter.
+type outcome int
+
+const (
+	completed      outcome = iota // the full distance or refine ran (Stats.Completed)
+	abandoned                     // stopped mid-accumulation (AbandonedEarly)
+	envelopePruned                // an envelope bound alone excluded it (PrunedByEnvelope)
+	boundResolved                 // MUNICH interval / sample-pair bounds decided it (ResolvedByBounds)
+	prefixResolved                // PROUD prefix bounds decided it (ResolvedEarly)
+	numOutcomes
+)
+
+// count records one examined candidate. A candidate whose computation was
+// cancelled or failed is never counted.
+func (e *Engine) count(o outcome) { e.outcomes[o].Add(1) }
 
 // NewFromSnapshot builds an engine over a corpus snapshot, reusing the
 // snapshot's precomputed per-series artifacts whenever the engine options
@@ -494,67 +490,54 @@ func (e *Engine) Snapshot() *corpus.Snapshot { return e.snap }
 
 // Stats returns a snapshot of the work counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Candidates:       e.candidates.Load(),
-		Completed:        e.completed.Load(),
-		AbandonedEarly:   e.abandoned.Load(),
-		PrunedByEnvelope: e.pruned.Load(),
-		ResolvedByBounds: e.resolvedBounds.Load(),
-		ResolvedEarly:    e.resolvedEarly.Load(),
+	s := Stats{
+		Completed:        e.outcomes[completed].Load(),
+		AbandonedEarly:   e.outcomes[abandoned].Load(),
+		PrunedByEnvelope: e.outcomes[envelopePruned].Load(),
+		ResolvedByBounds: e.outcomes[boundResolved].Load(),
+		ResolvedEarly:    e.outcomes[prefixResolved].Load(),
 
 		BucketsVisited:       e.bucketsVisited.Load(),
 		BucketsPruned:        e.bucketsPruned.Load(),
 		SeriesSkippedByIndex: e.seriesSkipped.Load(),
 	}
+	s.Candidates = s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly
+	return s
 }
 
 // ResetStats zeroes the work counters.
 func (e *Engine) ResetStats() {
-	e.candidates.Store(0)
-	e.completed.Store(0)
-	e.abandoned.Store(0)
-	e.pruned.Store(0)
-	e.resolvedBounds.Store(0)
-	e.resolvedEarly.Store(0)
+	for o := range e.outcomes {
+		e.outcomes[o].Store(0)
+	}
 	e.bucketsVisited.Store(0)
 	e.bucketsPruned.Store(0)
 	e.seriesSkipped.Store(0)
 }
 
-// uncount retracts a candidate that will never resolve — a cancelled or
-// failed computation — so the Stats accounting identity (Candidates equals
-// the sum of the resolution counters) holds even for queries stopped by
-// their context.
-func (e *Engine) uncount() { e.candidates.Add(-1) }
-
-// distPruned evaluates the measure's distance between a prepared query and
-// candidate ci under a cutoff in squared-distance space. It returns the
-// exact distance and true when the computation completed (which implies
-// dist^2 <= cutoff2); a false return means the candidate was excluded by a
-// lower bound or abandoned mid-scan and cannot have distance <= the
-// distance whose square the cutoff came from. done (nil = never) threads
-// cooperative cancellation into the one kernel long enough to need
-// mid-candidate polling, the DTW row loop. scratch (nil = allocate) lends
-// the DTW kernel its DP rows; workers keep one per work loop so the hot
-// path allocates nothing per candidate.
-func (e *Engine) distPruned(pq *PreparedQuery, ci int, cutoff2 float64, done <-chan struct{}, scratch *distance.DTWScratch) (float64, bool, error) {
-	e.candidates.Add(1)
+// dist evaluates the measure's distance between a prepared query and
+// candidate ci under a cutoff in squared-distance space, touching no
+// counter. It returns the exact distance and completed when the computation
+// ran to the end (which implies dist^2 <= cutoff); any other outcome means
+// the candidate was excluded by a lower bound or abandoned mid-scan and
+// cannot have distance <= the distance whose square the cutoff came from.
+// done (nil = never) threads cooperative cancellation into the one kernel
+// long enough to need mid-candidate polling, the DTW row loop. scratch
+// (nil = allocate) lends the DTW kernel its DP rows.
+func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{}, scratch *distance.DTWScratch) (float64, outcome, error) {
 	if e.opts.NoPrune {
 		cutoff2 = math.Inf(1)
 	}
+	var d float64
+	var complete bool
+	var err error
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasureUMA, MeasureUEMA:
 		d2, complete, err := distance.SquaredEuclideanEarlyAbandon(pq.vec, e.vecs.at(ci), cutoff2)
-		if err != nil {
-			e.uncount()
-			return 0, false, err
+		if err != nil || !complete {
+			return 0, abandoned, err
 		}
-		if !complete {
-			e.abandoned.Add(1)
-			return 0, false, nil
-		}
-		e.completed.Add(1)
-		return math.Sqrt(d2), true, nil
+		return math.Sqrt(d2), completed, nil
 	case MeasureDTW:
 		// Tiered prune cascade, cheapest first: the O(1) LB_Kim endpoint
 		// bound, then the O(n) LB_Keogh envelope bound, then the
@@ -562,61 +545,50 @@ func (e *Engine) distPruned(pq *PreparedQuery, ci int, cutoff2 float64, done <-c
 		// DTW^2, so a candidate any tier excludes could never have completed
 		// under the cutoff — results are identical, only cheaper.
 		if distance.LBKimSquared(pq.vec, e.vecs.at(ci)) > cutoff2 {
-			e.pruned.Add(1)
-			return 0, false, nil
+			return 0, envelopePruned, nil
 		}
-		lb, err := distance.LBKeoghSquared(pq.vec, e.upper.at(ci), e.lower.at(ci), cutoff2)
-		if err != nil {
-			e.uncount()
-			return 0, false, err
+		lb, lbErr := distance.LBKeoghSquared(pq.vec, e.upper.at(ci), e.lower.at(ci), cutoff2)
+		if lbErr != nil {
+			return 0, 0, lbErr
 		}
 		if lb > cutoff2 {
-			e.pruned.Add(1)
-			return 0, false, nil
+			return 0, envelopePruned, nil
 		}
-		d, complete, err := distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.band, cutoff2, done, scratch)
-		if err != nil {
-			e.uncount()
-			return 0, false, err
-		}
-		if !complete {
-			e.abandoned.Add(1)
-			return 0, false, nil
-		}
-		e.completed.Add(1)
-		return d, true, nil
+		d, complete, err = distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.band, cutoff2, done, scratch)
 	case MeasureDUST:
-		d, complete, err := e.dust.DistanceEarlyAbandon(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
-		if err != nil {
-			e.uncount()
-			return 0, false, err
-		}
-		if !complete {
-			e.abandoned.Add(1)
-			return 0, false, nil
-		}
-		e.completed.Add(1)
-		return d, true, nil
-	case MeasurePROUD, MeasureMUNICH:
-		e.uncount()
-		return 0, false, qerr.BadRequestf("engine: measure %v defines match probabilities, not distances (use ProbRange/ProbTopK)", e.opts.Measure)
+		d, complete, err = e.dust.DistanceEarlyAbandon(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
 	default:
-		e.uncount()
-		return 0, false, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)
+		return 0, 0, qerr.BadRequestf("engine: measure %v defines match probabilities, not distances (use KindProbRange/KindProbTopK)", e.opts.Measure)
 	}
+	if err != nil || !complete {
+		return 0, abandoned, err
+	}
+	return d, completed, nil
+}
+
+// distPruned is dist for a candidate of a running query: it counts the
+// outcome and reports whether the distance completed.
+func (e *Engine) distPruned(pq *prepared, ci int, cutoff2 float64, done <-chan struct{}, scratch *distance.DTWScratch) (float64, bool, error) {
+	d, o, err := e.dist(pq, ci, cutoff2, done, scratch)
+	if err != nil {
+		return 0, false, err
+	}
+	e.count(o)
+	return d, o == completed, nil
 }
 
 // Distance returns the measure's exact distance between two series of the
-// snapshot (no pruning) — the reference the pruned paths must agree with.
+// snapshot (no pruning, no effect on Stats) — the reference the pruned paths
+// must agree with.
 func (e *Engine) Distance(qi, ci int) (float64, error) {
 	if err := e.checkIndex(ci); err != nil {
 		return 0, err
 	}
-	pq, err := e.PrepareIndex(qi)
+	pq, err := e.prepareIndex(qi)
 	if err != nil {
 		return 0, err
 	}
-	d, _, err := e.distPruned(pq, ci, math.Inf(1), nil, nil)
+	d, _, err := e.dist(pq, ci, math.Inf(1), nil, nil)
 	return d, err
 }
 
@@ -625,375 +597,4 @@ func (e *Engine) checkIndex(i int) error {
 		return fmt.Errorf("engine: %w", qerr.BadRequestf("series index %d outside [0, %d)", i, e.snap.Len()))
 	}
 	return nil
-}
-
-// workersFor resolves the worker budget for a batch of prepared queries:
-// the largest per-query override, falling back to the engine default.
-func (e *Engine) workersFor(pqs []*PreparedQuery) int {
-	workers := 0
-	for _, pq := range pqs {
-		if pq.Workers > workers {
-			workers = pq.Workers
-		}
-	}
-	if workers == 0 {
-		workers = e.opts.Workers
-	}
-	return workers
-}
-
-// sharedBound is a monotonically decreasing float64 shared across the
-// workers of one query: the tightest proven upper bound on the k-th best
-// squared distance.
-type sharedBound struct{ bits atomic.Uint64 }
-
-func newSharedBound() *sharedBound {
-	b := &sharedBound{}
-	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
-}
-
-func (b *sharedBound) get() float64 { return math.Float64frombits(b.bits.Load()) }
-
-// lower publishes v if it improves (decreases) the bound.
-func (b *sharedBound) lower(v float64) {
-	for {
-		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// kHeap is a bounded max-heap over distances: it retains the k smallest
-// values seen and exposes the current k-th best as the pruning bound.
-type kHeap struct {
-	k  int
-	ds []float64
-}
-
-func newKHeap(k int) *kHeap { return &kHeap{k: k, ds: make([]float64, 0, k)} }
-
-func (h *kHeap) full() bool { return len(h.ds) >= h.k }
-
-// top returns the largest retained distance (only meaningful when full).
-func (h *kHeap) top() float64 { return h.ds[0] }
-
-func (h *kHeap) push(d float64) {
-	if len(h.ds) < h.k {
-		h.ds = append(h.ds, d)
-		// sift up
-		i := len(h.ds) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h.ds[p] >= h.ds[i] {
-				break
-			}
-			h.ds[p], h.ds[i] = h.ds[i], h.ds[p]
-			i = p
-		}
-		return
-	}
-	if d >= h.ds[0] {
-		return
-	}
-	h.ds[0] = d
-	// sift down
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.ds) && h.ds[l] > h.ds[big] {
-			big = l
-		}
-		if r < len(h.ds) && h.ds[r] > h.ds[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.ds[i], h.ds[big] = h.ds[big], h.ds[i]
-		i = big
-	}
-}
-
-// ulpUp inflates a squared bound by a few ulps so the sqrt-then-square
-// round-trip (distances are stored as sqrt, bounds as squares) can never
-// exclude a candidate that ties the k-th best exactly. The relative 1e-15
-// margin is ~4 ulps — far above the round-trip error, far below any real
-// distance gap — and costs no measurable pruning. A relative margin
-// vanishes at v = 0 (exact-duplicate series), where ties would survive only
-// because every kernel happens to compare with strict >; the absolute floor
-// keeps a zero cutoff strictly above every distance that ties it.
-func ulpUp(v float64) float64 {
-	if v := v + v*1e-15; v > 0 {
-		return v
-	}
-	return math.SmallestNonzeroFloat64
-}
-
-// TopK returns the k nearest neighbours of query qi under the engine's
-// measure, excluding qi itself, sorted by ascending distance with ties
-// broken by ID — exactly what a naive full scan (query.TopK over the exact
-// distance) returns.
-//
-// Legacy surface: TopK is a thin wrapper over Run with a background
-// context. New callers should build a Request and call Run directly, which
-// additionally offers cancellation, deadlines and pagination.
-func (e *Engine) TopK(qi, k int) ([]query.Neighbor, error) {
-	res, err := e.Run(context.Background(), Request{Measure: e.opts.Measure, Kind: KindTopK, Index: &qi, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Neighbors, nil
-}
-
-// TopKBatch answers the top-k query for every query index in one batched,
-// sharded, work-stealing pass. Results are per-query, in input order, and
-// identical to running TopK on each query alone — or to the naive scan —
-// for every worker count.
-//
-// Legacy surface: the batch methods remain the direct execution path (one
-// executor pass shared by the whole batch); Run serves the same answers
-// one request at a time with cancellation.
-func (e *Engine) TopKBatch(queries []int, k int) ([][]query.Neighbor, error) {
-	pqs, err := e.prepareIndexBatch(queries)
-	if err != nil {
-		return nil, err
-	}
-	return e.TopKPrepared(pqs, k)
-}
-
-// TopKPrepared answers the top-k query for every prepared query in one
-// batched, sharded, work-stealing pass.
-func (e *Engine) TopKPrepared(pqs []*PreparedQuery, k int) ([][]query.Neighbor, error) {
-	return e.topKPrepared(context.Background(), pqs, k)
-}
-
-// topKCollector is the query-wide top-k accumulator every work item of one
-// query shares, on the scan and on the indexed path alike: each completed
-// candidate is offered under a mutex, and once k are known the k-th best
-// distance tightens the query's shared bound. A heap per work item would
-// only ever prove the k-th best of its own few dozen candidates, a far
-// looser cut than the query's; completions are rare once the cut is tight,
-// so the mutex is uncontended.
-type topKCollector struct {
-	mu   sync.Mutex
-	h    *kHeap
-	kept []query.Neighbor
-}
-
-func (c *topKCollector) offer(n query.Neighbor, b *sharedBound) {
-	c.mu.Lock()
-	c.h.push(n.Distance)
-	if c.h.full() {
-		b.lower(ulpUp(c.h.top() * c.h.top()))
-	}
-	// Strictly beyond the k-th best of the candidates seen so far is
-	// provably outside the answer; ties stay, for the ID tie-break.
-	if !c.h.full() || n.Distance <= c.h.top() {
-		c.kept = append(c.kept, n)
-	}
-	c.mu.Unlock()
-}
-
-// topKPrepared is the top-k execution core: sharded scan under a context,
-// polled at every (query, shard) work item and inside the DTW kernel.
-func (e *Engine) topKPrepared(ctx context.Context, pqs []*PreparedQuery, k int) ([][]query.Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("k = %d must be at least 1", k))
-	}
-	if err := e.checkPrepared(pqs); err != nil {
-		return nil, err
-	}
-	bounds := make([]*sharedBound, len(pqs))
-	found := make([]*topKCollector, len(pqs))
-	for q := range pqs {
-		bounds[q] = pqs[q].boundRef()
-		found[q] = &topKCollector{h: newKHeap(k)}
-	}
-	var err error
-	if e.idx != nil {
-		err = e.topKIndexed(ctx, pqs, k, bounds, found)
-	} else {
-		err = e.topKScan(ctx, pqs, k, bounds, found)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]query.Neighbor, len(pqs))
-	for q := range pqs {
-		out[q] = nearestK(found[q].kept, k)
-	}
-	return out, nil
-}
-
-// topKScan offers every candidate the cascade completes, shard by shard in
-// position order: tier 0 where the measure has one, then the measure's own
-// pruned kernel, both against the query's live cut. Tier 0 first seeds that
-// cut and holds one bound per resident series for every query in flight
-// (seedCut), so its batches run in groups of one query per worker.
-func (e *Engine) topKScan(ctx context.Context, pqs []*PreparedQuery, k int, bounds []*sharedBound, found []*topKCollector) error {
-	n := e.snap.Len()
-	shardSize := e.opts.ShardSize
-	numShards := (n + shardSize - 1) / shardSize
-	done := ctx.Done()
-	workers := e.workersFor(pqs)
-	group := len(pqs)
-	if e.t0 != nil {
-		if group = workers; group <= 0 {
-			group = runtime.GOMAXPROCS(0)
-		}
-	}
-	for g0 := 0; g0 < len(pqs); g0 += group {
-		gn := min(group, len(pqs)-g0)
-		var lbs [][]float64 // tier 0's raw bounds: lbs[q-g0][ci]
-		if e.t0 != nil {
-			lbs = make([][]float64, gn)
-			err := core.RunShardedCtx(ctx, gn, 1, workers, func(lo, hi int) (err error) {
-				for q := g0 + lo; q < g0+hi && err == nil; q++ {
-					lbs[q-g0], err = e.seedCut(pqs[q], k, bounds[q])
-				}
-				return err
-			})
-			if err != nil {
-				return err
-			}
-		}
-		err := core.RunShardedCtx(ctx, gn*numShards, 1, workers, func(lo, hi int) error {
-			var scratch distance.DTWScratch // one DP-row pair per work batch, not per candidate
-			for item := lo; item < hi; item++ {
-				q, shard := g0+item/numShards, item%numShards
-				pq := pqs[q]
-				cLo, cHi := shard*shardSize, (shard+1)*shardSize
-				if cHi > n {
-					cHi = n
-				}
-				var skipped int64
-				for ci := cLo; ci < cHi; ci++ {
-					if ci == pq.self {
-						continue
-					}
-					cut := bounds[q].get()
-					if lbs != nil && lbs[q-g0][ci] > skipLimit(cut+pq.slack) {
-						skipped++
-						continue
-					}
-					d, ok, err := e.distPruned(pq, ci, cut, done, &scratch)
-					if err != nil {
-						return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
-					}
-					if ok {
-						found[q].offer(query.Neighbor{ID: ci, Distance: d}, bounds[q])
-					}
-				}
-				e.seriesSkipped.Add(skipped)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nearestK orders the retained candidates of one query by (distance, ID) —
-// the deterministic order every execution path merges by — and keeps the
-// first k.
-func nearestK(all []query.Neighbor, k int) []query.Neighbor {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Distance != all[j].Distance {
-			return all[i].Distance < all[j].Distance
-		}
-		return all[i].ID < all[j].ID
-	})
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
-}
-
-// Range returns the IDs of every series within eps of query qi under the
-// engine's measure, excluding qi, in ascending ID order — identical to
-// query.RangeQueryFunc over the exact distance.
-//
-// Legacy surface: Range is a thin wrapper over Run with a background
-// context.
-func (e *Engine) Range(qi int, eps float64) ([]int, error) {
-	res, err := e.Run(context.Background(), Request{Measure: e.opts.Measure, Kind: KindRange, Index: &qi, Eps: eps})
-	if err != nil {
-		return nil, err
-	}
-	return res.IDs, nil
-}
-
-// rangePrepared is the execution core of Range for one prepared query.
-// emit (nil = none) is invoked for every confirmed match as its shard
-// completes — shard order, hence emission order, is nondeterministic under
-// parallelism; the returned slice is always in ascending position order. A
-// non-nil emit error aborts the scan.
-func (e *Engine) rangePrepared(ctx context.Context, pq *PreparedQuery, eps float64, emit func(id int, dist float64) error) ([]int, error) {
-	if err := e.checkPrepared([]*PreparedQuery{pq}); err != nil {
-		return nil, err
-	}
-	if math.IsNaN(eps) || eps < 0 {
-		return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("eps = %v must be non-negative", eps))
-	}
-	if e.idx != nil {
-		return e.rangeIndexed(ctx, pq, eps, emit)
-	}
-	n := e.snap.Len()
-	shardSize := e.opts.ShardSize
-	numShards := (n + shardSize - 1) / shardSize
-	cutoff2 := ulpUp(eps * eps)
-	done := ctx.Done()
-
-	buckets := make([][]int, numShards)
-	err := core.RunShardedCtx(ctx, numShards, 1, e.workersFor([]*PreparedQuery{pq}), func(lo, hi int) error {
-		var scratch distance.DTWScratch // one DP-row pair per work batch, not per candidate
-		for shard := lo; shard < hi; shard++ {
-			cLo, cHi := shard*shardSize, (shard+1)*shardSize
-			if cHi > n {
-				cHi = n
-			}
-			var ids []int
-			var skipped int64
-			for ci := cLo; ci < cHi; ci++ {
-				if ci == pq.self {
-					continue
-				}
-				if e.coarseSkip(pq, ci, cutoff2) {
-					skipped++
-					continue
-				}
-				d, ok, err := e.distPruned(pq, ci, cutoff2, done, &scratch)
-				if err != nil {
-					return fmt.Errorf("engine: candidate %d: %w", ci, err)
-				}
-				if ok && d <= eps {
-					ids = append(ids, ci)
-					if emit != nil {
-						if err := emit(ci, d); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			e.seriesSkipped.Add(skipped)
-			buckets[shard] = ids
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, ids := range buckets {
-		out = append(out, ids...)
-	}
-	return out, nil
 }

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"uncertts/internal/core"
+	"uncertts/internal/qerr"
 	"uncertts/internal/query"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -56,47 +59,14 @@ func TestTopKMatchesNaiveScanEveryMeasure(t *testing.T) {
 	w := testWorkload(t, 40, 64)
 	for _, opts := range allMeasures() {
 		opts.ShardSize = 7 // force many shards
-		e, err := New(w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, w.Snapshot(), opts)
 		for _, k := range []int{1, 3, 10, 100} {
 			for _, qi := range []int{0, 13, 39} {
 				want := naiveTopK(t, e, qi, k)
-				got, err := e.TopK(qi, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: k}).Neighbors
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: TopK(q=%d, k=%d) = %v, want %v", opts.Measure, qi, k, got, want)
 				}
-			}
-		}
-	}
-}
-
-func TestTopKBatchDeterministicUnderWorkerCounts(t *testing.T) {
-	w := testWorkload(t, 40, 64)
-	queries := []int{0, 5, 11, 23, 39}
-	for _, opts := range allMeasures() {
-		opts.ShardSize = 8
-		var want [][]query.Neighbor
-		for _, workers := range []int{1, 2, 3, 8, 32} {
-			opts.Workers = workers
-			e, err := New(w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.TopKBatch(queries, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: workers=%d changed the batch answer", opts.Measure, workers)
 			}
 		}
 	}
@@ -106,10 +76,7 @@ func TestRangeMatchesNaiveScan(t *testing.T) {
 	w := testWorkload(t, 40, 64)
 	for _, opts := range allMeasures() {
 		opts.ShardSize = 6
-		e, err := New(w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, w.Snapshot(), opts)
 		qi := 4
 		// Pick an eps that catches a non-trivial subset: the exact distance
 		// to the 8th nearest neighbour.
@@ -121,47 +88,36 @@ func TestRangeMatchesNaiveScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Range(qi, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, e, Request{Kind: KindRange, Index: &qi, Eps: eps}).IDs
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Range(%d, %g) = %v, want %v", opts.Measure, qi, eps, got, want)
 		}
 	}
 }
 
+// everyTopK answers the top-k query of every resident series in turn.
+func everyTopK(t *testing.T, e *Engine, k int) [][]query.Neighbor {
+	t.Helper()
+	out := make([][]query.Neighbor, e.Snapshot().Len())
+	for qi := range out {
+		out[qi] = mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: k}).Neighbors
+	}
+	return out
+}
+
 func TestPruningDoesMeasurablyLessWork(t *testing.T) {
 	w := testWorkload(t, 60, 96)
-	queries := make([]int, w.Len())
-	for i := range queries {
-		queries[i] = i
-	}
 	for _, opts := range []Options{
 		{Measure: MeasureEuclidean},
 		{Measure: MeasureDTW, Band: 5},
 		{Measure: MeasureDUST},
 	} {
-		pruned, err := New(w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pruned := newEngine(t, w.Snapshot(), opts)
 		naiveOpts := opts
 		naiveOpts.NoPrune = true
-		naive, err := New(w, naiveOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes, err := naive.TopKBatch(queries, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotRes, err := pruned.TopKBatch(queries, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotRes, wantRes) {
-			t.Errorf("%s: pruned batch differs from naive scan", opts.Measure)
+		naive := newEngine(t, w.Snapshot(), naiveOpts)
+		if !reflect.DeepEqual(everyTopK(t, pruned, 5), everyTopK(t, naive, 5)) {
+			t.Errorf("%s: pruned answers differ from the naive scan", opts.Measure)
 		}
 		ps, ns := pruned.Stats(), naive.Stats()
 		if ps.Candidates != ns.Candidates {
@@ -181,31 +137,27 @@ func TestPruningDoesMeasurablyLessWork(t *testing.T) {
 	}
 }
 
-func TestTopKBatchConcurrentUseIsSafe(t *testing.T) {
+func TestConcurrentRunIsSafe(t *testing.T) {
 	// Multiple goroutines share one engine (and, for DUST, one set of phi
 	// tables); run with -race in CI.
 	w := testWorkload(t, 30, 48)
 	for _, opts := range []Options{{Measure: MeasureEuclidean, Workers: 4, ShardSize: 5}, {Measure: MeasureDUST, Workers: 2, ShardSize: 8}} {
-		e, err := New(w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := e.TopKBatch([]int{0, 1, 2}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, w.Snapshot(), opts)
+		qi := 1
+		req := Request{Measure: opts.Measure, Kind: KindTopK, Index: &qi, K: 4}
+		want := mustRun(t, e, req)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := e.TopKBatch([]int{0, 1, 2}, 4)
+				got, err := e.Run(context.Background(), req)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Error("concurrent batch answer differs")
+					t.Error("concurrent answer differs")
 				}
 			}()
 		}
@@ -215,27 +167,23 @@ func TestTopKBatchConcurrentUseIsSafe(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	w := testWorkload(t, 20, 32)
-	if _, err := New(nil, Options{}); err == nil {
-		t.Error("nil workload should error")
+	if _, err := NewFromSnapshot(nil, Options{}); err == nil {
+		t.Error("nil snapshot should error")
 	}
-	if _, err := New(w, Options{Measure: Measure(99)}); err == nil {
+	if _, err := NewFromSnapshot(w.Snapshot(), Options{Measure: Measure(99)}); err == nil {
 		t.Error("unknown measure should error")
 	}
-	e, err := New(w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.TopK(99, 3); err == nil {
-		t.Error("out-of-range query should error")
-	}
-	if _, err := e.TopK(0, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := e.Range(0, -1); err == nil {
-		t.Error("negative eps should error")
-	}
-	if _, err := e.Range(0, math.NaN()); err == nil {
-		t.Error("NaN eps should error")
+	e := newEngine(t, w.Snapshot(), Options{})
+	far, qi := 99, 0
+	for name, req := range map[string]Request{
+		"out-of-range query": {Kind: KindTopK, Index: &far, K: 3},
+		"k=0":                {Kind: KindTopK, Index: &qi},
+		"negative eps":       {Kind: KindRange, Index: &qi, Eps: -1},
+		"NaN eps":            {Kind: KindRange, Index: &qi, Eps: math.NaN()},
+	} {
+		if _, err := e.Run(context.Background(), req); !errors.Is(err, qerr.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
 	}
 	if _, err := e.Distance(0, 99); err == nil {
 		t.Error("out-of-range candidate should error")
@@ -259,13 +207,9 @@ func TestMeasureString(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	w := testWorkload(t, 20, 32)
-	e, err := New(w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.TopK(0, 3); err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{})
+	qi := 0
+	mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: 3})
 	if e.Stats().Candidates == 0 {
 		t.Fatal("expected work to be counted")
 	}

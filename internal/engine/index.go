@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,14 +10,14 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
-	"uncertts/internal/query"
+	"uncertts/internal/qerr"
 	"uncertts/internal/sketch"
 	"uncertts/internal/telemetry"
 )
 
-// Indexed execution, which banded DTW alone uses: instead of sharding the
-// candidate space positionally, the engine walks the snapshot's sketch index
-// (internal/sketch) bucket by bucket. Each bucket carries the elementwise
+// The second candidate source, which banded DTW alone uses: instead of
+// sharding the candidate space positionally, the engine walks the snapshot's
+// sketch index (internal/sketch) bucket by bucket. Each bucket carries the elementwise
 // [min, max] region of its members' sketch rows, which bounds every member
 // at once: the exact endpoint gaps (every warping path aligns (0,0) and
 // (N-1,N-1) — LB_Kim's first/last terms, read from the row's v0/vLast
@@ -27,10 +26,10 @@ import (
 // LB_PAA form) and the bucket's raw-PAA block against the query's own
 // envelope means (the reverse bound); both chain under DTW^2.
 //
-// Buckets are ranked best-first per query, so the shared per-query bound
-// tightens on the nearest candidates first and far buckets are skipped
-// wholesale at their work item — workers cooperate across buckets exactly as
-// the linear path cooperates across shards. Inside a surviving bucket, each
+// Buckets are ranked best-first, so the query's cut tightens on the nearest
+// candidates first and far buckets are skipped wholesale at their work item
+// — workers cooperate across buckets exactly as the scan cooperates across
+// shards. Inside a surviving bucket, each
 // member is prefiltered by the same bound evaluated on its own sketch row
 // (the classic iSAX leaf check: an O(W) read of the summary before the
 // O(N * band) DP is touched) — a bucket's box is the union of dozens of rows
@@ -39,8 +38,8 @@ import (
 // so indexed answers are bit-identical to the linear scan, which the parity
 // tests assert for every worker count.
 //
-// Survivors feed the per-candidate prune cascade unchanged: the index only
-// decides which candidates are examined at all. The DTW kernel is dear
+// Survivors go through the same step and the same collector as the scan's
+// (scan.go): the index only decides which candidates are examined at all. The DTW kernel is dear
 // enough for this to pay (about 4 against 7 ms per query on the bench's
 // sampled corpus). The lock-step measures and PROUD are not — see tier0.go —
 // and MUNICH's bucket bound skipped 0.28% of the series, so all of those run
@@ -121,12 +120,17 @@ func (e *Engine) memberPos(m sketch.Member) int {
 	return -1
 }
 
-// idxTally batches one worker chunk's stats deltas so the hot bucket loops
-// touch no shared atomics; flushed once per chunk. Skipped buckets count
-// every member — including the query itself when its bucket happens to be
-// skipped, which the caller corrects once per query at the end (selfFix)
-// rather than scanning every skipped bucket's member list for it.
-type idxTally struct{ visited, pruned, skipped int64 }
+// idxTally is what one worker chunk of the tree walk carries: its stats
+// deltas, batched so the hot bucket loops touch no shared atomics and
+// flushed once per chunk, and the buffer a visited bucket's member positions
+// are gathered in. Skipped buckets count every member — including the query
+// itself when its bucket happens to be skipped, which the caller corrects
+// once per query at the end (selfFix) rather than scanning every skipped
+// bucket's member list for it.
+type idxTally struct {
+	visited, pruned, skipped int64
+	ids                      []int
+}
 
 func (t *idxTally) flush(e *Engine) {
 	if t.visited != 0 {
@@ -144,7 +148,7 @@ func (t *idxTally) flush(e *Engine) {
 // query's series lives in exactly one bucket, so either it surfaced in a
 // visited bucket's member loop (sawSelf, never counted anywhere) or its
 // bucket was skipped wholesale and the tally counted it once too many.
-func (e *Engine) selfFix(pq *PreparedQuery, sawSelf bool) {
+func (e *Engine) selfFix(pq *prepared, sawSelf bool) {
 	if pq.self >= 0 && !sawSelf {
 		e.seriesSkipped.Add(-1)
 	}
@@ -172,7 +176,7 @@ func gap2(v, lo, hi float64) float64 {
 // LB_PAA, sound by Cauchy-Schwarz per segment) and the reverse form (the
 // region's raw-PAA box vs the query's own envelope means, sound by the
 // symmetric argument).
-func (e *Engine) dtwLB2(pq *PreparedQuery, lo, hi []float64) float64 {
+func (e *Engine) dtwLB2(pq *prepared, lo, hi []float64) float64 {
 	lay := e.idx.lay
 	w := lay.W
 	kim := gap2(pq.vec[0], lo[lay.OffV0()], hi[lay.OffV0()]) +
@@ -198,7 +202,7 @@ func (e *Engine) dtwLB2(pq *PreparedQuery, lo, hi []float64) float64 {
 // (endpoint gaps, forward and reverse interior envelope bounds) are tried
 // cheapest-first; any one of them clearing limit-kim settles the max the
 // eager bound takes.
-func (e *Engine) bucketBound(pq *PreparedQuery, bk sketch.Bucket, cut float64) (float64, bool) {
+func (e *Engine) bucketBound(pq *prepared, bk sketch.Bucket, cut float64) (float64, bool) {
 	lay := e.idx.lay
 	w := lay.W
 	limit := skipLimit(cut)
@@ -224,7 +228,7 @@ func (e *Engine) bucketBound(pq *PreparedQuery, bk sketch.Bucket, cut float64) (
 
 // bucketSkip is bucketBound's decision without the value (static-cutoff
 // paths, where nothing ranks the survivors).
-func (e *Engine) bucketSkip(pq *PreparedQuery, bk sketch.Bucket, cut float64) bool {
+func (e *Engine) bucketSkip(pq *prepared, bk sketch.Bucket, cut float64) bool {
 	_, over := e.bucketBound(pq, bk, cut)
 	return over
 }
@@ -234,7 +238,7 @@ func (e *Engine) bucketSkip(pq *PreparedQuery, bk sketch.Bucket, cut float64) bo
 // a skip decision so the accumulation abandons as soon as the
 // margin-deflated bound provably exceeds cut: the exact endpoint terms, then
 // the forward interior envelope bound, then the reverse one.
-func (e *Engine) memberSkip(pq *PreparedQuery, row []float64, cut float64) bool {
+func (e *Engine) memberSkip(pq *prepared, row []float64, cut float64) bool {
 	lay := e.idx.lay
 	w := lay.W
 	limit := skipLimit(cut)
@@ -254,14 +258,14 @@ func (e *Engine) memberSkip(pq *PreparedQuery, row []float64, cut float64) bool 
 	return sketch.MinDistSquaredOver(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
 }
 
-// sketchRow returns the sketch row of the series at snapshot position ci
-// (aliasing the arena; read-only): arithmetic into the sketch arena on dense
-// snapshots, the entry's view otherwise.
-func (e *Engine) sketchRow(ci int) []float64 {
-	if e.idx.dense {
-		return e.idx.rows.at(ci)
+// row returns the sketch row of the series at snapshot position ci (aliasing
+// the arena; read-only): arithmetic into the sketch arena on dense snapshots,
+// the entry's view otherwise.
+func (x *engineIndex) row(snap *corpus.Snapshot, ci int) []float64 {
+	if x.dense {
+		return x.rows.at(ci)
 	}
-	return e.snap.Entry(ci).Sketch
+	return snap.Entry(ci).Sketch
 }
 
 // bucketPlan is one bucket scheduled for a query, carrying the deflated
@@ -272,54 +276,45 @@ type bucketPlan struct {
 	bound float64
 }
 
-// seedBuckets picks each query's seed set for the top-k path: the query's
-// home leaf first (the tree descent by its PAA symbols — its SAX neighbours,
-// whose exact distances make the shared bound near-final), then the
-// best-bounded buckets of a deterministic stride sample until more than k
-// candidates have surfaced. A near-final cut is what lets the plan pass test
-// every remaining bucket with the early-abandoning bound instead of ranking
-// them all eagerly.
-func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
+// seedBuckets picks the query's seed set for the top-k path: its home leaf
+// first (the tree descent by its PAA symbols — its SAX neighbours, whose
+// exact distances make the cut near-final), then the best-bounded buckets of
+// a deterministic stride sample until more than k candidates have surfaced. A
+// near-final cut is what lets the plan pass test every remaining bucket with
+// the early-abandoning bound instead of ranking them all eagerly.
+func (e *Engine) seedBuckets(pq *prepared, k int) []int {
 	nb := len(e.idx.buckets)
-	stride := nb / 256
-	if stride < 1 {
-		stride = 1
+	stride := max(nb/256, 1)
+	var seeds []int
+	m := 0
+	home := e.idx.tree.Locate(pq.qpaa)
+	if home >= 0 {
+		seeds = append(seeds, home)
+		m += len(e.idx.buckets[home].Members)
 	}
-	out := make([][]int, len(pqs))
+	if m > k {
+		return seeds
+	}
 	sample := make([]bucketPlan, 0, nb/stride+1)
-	for q, pq := range pqs {
-		m := 0
-		home := -1
-		if home = e.idx.tree.Locate(pq.qpaa); home >= 0 {
-			out[q] = append(out[q], home)
-			m += len(e.idx.buckets[home].Members)
-		}
-		if m > k {
-			continue
-		}
-		sample = sample[:0]
-		for bi := 0; bi < nb; bi += stride {
-			if bi == home {
-				continue
-			}
+	for bi := 0; bi < nb; bi += stride {
+		if bi != home {
 			sample = append(sample, bucketPlan{idx: bi, bound: e.dtwLB2(pq, e.idx.buckets[bi].Lo, e.idx.buckets[bi].Hi)})
 		}
-		slices.SortFunc(sample, func(a, b bucketPlan) int { return cmp.Compare(a.bound, b.bound) })
-		for _, pl := range sample {
-			out[q] = append(out[q], pl.idx)
-			m += len(e.idx.buckets[pl.idx].Members)
-			if m > k {
-				break
-			}
+	}
+	slices.SortFunc(sample, func(a, b bucketPlan) int { return cmp.Compare(a.bound, b.bound) })
+	for _, pl := range sample {
+		seeds = append(seeds, pl.idx)
+		if m += len(e.idx.buckets[pl.idx].Members); m > k {
+			break
 		}
 	}
-	return out
+	return seeds
 }
 
-// topKIndexed is the indexed counterpart of topKPrepared, in four stages:
+// treeTopK is the tree's counterpart of scan for KindTopK, in four stages:
 //
-//  1. seed: the sampled best buckets per query run their exact kernels
-//     serially (queries in parallel), making the shared bound finite;
+//  1. seed: the sampled best buckets run their exact kernels, making the
+//     cut finite;
 //  2. plan: every remaining bucket is tested with the early-abandoning
 //     bound at the seeded cut — almost all of them settle within a few
 //     segments and are skipped wholesale without ranking;
@@ -328,118 +323,76 @@ func (e *Engine) seedBuckets(pqs []*PreparedQuery, k int) [][]int {
 //  4. work: survivors run sharded in that order, each re-checked against
 //     the live cut first — the nearest buckets tighten it to final almost
 //     immediately, so later survivors usually skip at an O(1) compare.
-func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int, bounds []*sharedBound, found []*topKCollector) error {
-	nb := len(e.idx.buckets)
-	done := ctx.Done()
-	sawSelf := make([]bool, len(pqs))
+//
+// The members of a visited bucket go through step, the same one the scan
+// would run, which offers to coll.
+func (e *Engine) treeTopK(ctx context.Context, pq *prepared, workers, k int, coll *collector, step step) error {
+	if err := ctx.Err(); err != nil {
+		return qerr.Cancelled(err)
+	}
+	sawSelf := false // set by the one worker that visits the query's own bucket
 
-	visit := func(q, bi int, scratch *distance.DTWScratch, t *idxTally) error {
-		pq := pqs[q]
-		bk := e.idx.buckets[bi]
+	// visit runs the members of one bucket through step.
+	visit := func(scratch *distance.DTWScratch, t *idxTally, bi int) error {
 		t.visited++
-		for _, m := range bk.Members {
-			ci := e.memberPos(m)
-			if ci < 0 {
-				continue
+		t.ids = t.ids[:0]
+		for _, m := range e.idx.buckets[bi].Members {
+			switch ci := e.memberPos(m); {
+			case ci < 0: // unknown to the snapshot; see memberPos
+			case ci == pq.self:
+				sawSelf = true
+			default:
+				t.ids = append(t.ids, ci)
 			}
-			if ci == pq.self {
-				sawSelf[q] = true
-				continue
-			}
-			cut := bounds[q].get()
-			if e.memberSkip(pq, e.sketchRow(ci), cut) {
-				t.skipped++
-				continue
-			}
-			d, ok, err := e.distPruned(pq, ci, cut, done, scratch)
-			if err != nil {
-				return fmt.Errorf("engine: query %d candidate %d: %w", q, ci, err)
-			}
-			if !ok {
-				continue
-			}
-			found[q].offer(query.Neighbor{ID: ci, Distance: d}, bounds[q])
 		}
-		return nil
+		_, skipped, err := step(scratch, span{t.ids, 0, len(t.ids)})
+		t.skipped += skipped
+		return err
+	}
+	// skipBucket accounts a bucket excluded wholesale.
+	skipBucket := func(t *idxTally, bi int) {
+		t.pruned++
+		t.skipped += int64(len(e.idx.buckets[bi].Members))
 	}
 
 	seedSpan := telemetry.TraceFrom(ctx).Start("index_descent")
-	seeds := e.seedBuckets(pqs, k)
+	seeds := e.seedBuckets(pq, k)
 	seedSpan.End()
-	err := core.RunShardedCtx(ctx, len(pqs), 1, e.workersFor(pqs), func(lo, hi int) error {
-		var scratch distance.DTWScratch
-		var t idxTally
-		for q := lo; q < hi; q++ {
-			for _, bi := range seeds[q] {
-				bk := e.idx.buckets[bi]
-				if e.bucketSkip(pqs[q], bk, bounds[q].get()) {
-					t.pruned++
-					t.skipped += int64(len(bk.Members))
-					continue
-				}
-				if err := visit(q, bi, &scratch, &t); err != nil {
-					return err
-				}
-			}
+	scratch := e.newScratch()
+	var t idxTally
+	for _, bi := range seeds {
+		if e.bucketSkip(pq, e.idx.buckets[bi], coll.cut.get()) {
+			skipBucket(&t, bi)
+		} else if err := visit(scratch, &t, bi); err != nil {
+			return err
 		}
-		t.flush(e)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
-	plans := make([][]bucketPlan, len(pqs))
-	err = core.RunShardedCtx(ctx, len(pqs), 1, e.workersFor(pqs), func(lo, hi int) error {
-		var t idxTally
-		for q := lo; q < hi; q++ {
-			pq := pqs[q]
-			for bi := 0; bi < nb; bi++ {
-				if slices.Contains(seeds[q], bi) { // a handful of entries
-					continue
-				}
-				bk := e.idx.buckets[bi]
-				bound, skip := e.bucketBound(pq, bk, bounds[q].get())
-				if skip {
-					t.pruned++
-					t.skipped += int64(len(bk.Members))
-					continue
-				}
-				plans[q] = append(plans[q], bucketPlan{idx: bi, bound: bound})
-			}
-			slices.SortFunc(plans[q], func(a, b bucketPlan) int { return cmp.Compare(a.bound, b.bound) })
+	var plan []bucketPlan
+	for bi, bk := range e.idx.buckets {
+		if slices.Contains(seeds, bi) { // a handful of entries
+			continue
 		}
-		t.flush(e)
-		return nil
-	})
-	if err != nil {
-		return err
+		bound, over := e.bucketBound(pq, bk, coll.cut.get())
+		if over {
+			skipBucket(&t, bi)
+			continue
+		}
+		plan = append(plan, bucketPlan{idx: bi, bound: bound})
 	}
+	slices.SortFunc(plan, func(a, b bucketPlan) int { return cmp.Compare(a.bound, b.bound) })
+	t.flush(e)
 
-	type workItem struct {
-		q  int
-		pl bucketPlan
-	}
-	var items []workItem
-	for q := range plans {
-		for _, pl := range plans[q] {
-			items = append(items, workItem{q: q, pl: pl})
-		}
-	}
 	// One bucket per claim: best-first order puts the dear buckets (near
 	// members, whose DP runs long before it abandons) at the front, so
 	// coarser chunks leave one worker finishing them while the others idle.
-	err = core.RunShardedCtx(ctx, len(items), 1, e.workersFor(pqs), func(lo, hi int) error {
-		var scratch distance.DTWScratch
+	err := core.RunShardedCtx(ctx, len(plan), 1, workers, func(lo, hi int) error {
+		scratch := e.newScratch()
 		var t idxTally
-		for i := lo; i < hi; i++ {
-			it := items[i]
-			if it.pl.bound > bounds[it.q].get() {
-				t.pruned++
-				t.skipped += int64(len(e.idx.buckets[it.pl.idx].Members))
-				continue
-			}
-			if err := visit(it.q, it.pl.idx, &scratch, &t); err != nil {
+		for _, pl := range plan[lo:hi] {
+			if pl.bound > coll.cut.get() {
+				skipBucket(&t, pl.idx)
+			} else if err := visit(scratch, &t, pl.idx); err != nil {
 				return err
 			}
 		}
@@ -449,89 +402,40 @@ func (e *Engine) topKIndexed(ctx context.Context, pqs []*PreparedQuery, k int, b
 	if err != nil {
 		return err
 	}
-	for q, pq := range pqs {
-		e.selfFix(pq, sawSelf[q])
-	}
+	e.selfFix(pq, sawSelf)
 	return nil
 }
 
-// rangeIndexed is the indexed counterpart of rangePrepared. The cutoff is
-// static, so best-first bucket ordering buys nothing here; instead, the
-// members of every bucket the bound cannot exclude are sorted back into
-// snapshot position order and scanned contiguously — bucket order would hop
-// all over the arenas and forfeit the locality the columnar layout exists
-// for. Each survivor is still prefiltered by its own sketch row before the
-// kernel runs.
-func (e *Engine) rangeIndexed(ctx context.Context, pq *PreparedQuery, eps float64, emit func(id int, dist float64) error) ([]int, error) {
-	cutoff2 := ulpUp(eps * eps)
-	done := ctx.Done()
-	var cands []int
-	var tally idxTally
+// treeCandidates is the tree as the candidate source of KindRange. The
+// cutoff is static, so best-first bucket ordering buys nothing here; instead,
+// the members of every bucket the bound cannot exclude are sorted back into
+// snapshot position order for scan to sweep contiguously — bucket order would
+// hop all over the arenas and forfeit the locality the columnar layout exists
+// for. (The step still prefilters each survivor by its own sketch row before
+// the kernel runs.)
+func (e *Engine) treeCandidates(pq *prepared, cutoff2 float64) []int {
+	cands := []int{} // non-nil even when empty: nil means "every position" to scan
+	var t idxTally
 	sawSelf := false
 	for _, bk := range e.idx.buckets {
 		if e.bucketSkip(pq, bk, cutoff2) {
-			tally.pruned++
-			tally.skipped += int64(len(bk.Members))
+			t.pruned++
+			t.skipped += int64(len(bk.Members))
 			continue
 		}
-		tally.visited++
+		t.visited++
 		for _, m := range bk.Members {
-			ci := e.memberPos(m)
-			if ci < 0 {
-				continue
-			}
-			if ci == pq.self {
+			switch ci := e.memberPos(m); {
+			case ci < 0: // unknown to the snapshot; see memberPos
+			case ci == pq.self:
 				sawSelf = true
-				continue
+			default:
+				cands = append(cands, ci)
 			}
-			cands = append(cands, ci)
 		}
 	}
-	tally.flush(e)
+	t.flush(e)
 	e.selfFix(pq, sawSelf)
 	sort.Ints(cands)
-
-	shardSize := e.opts.ShardSize
-	numShards := (len(cands) + shardSize - 1) / shardSize
-	buckets := make([][]int, numShards)
-	err := core.RunShardedCtx(ctx, numShards, 1, e.workersFor([]*PreparedQuery{pq}), func(lo, hi int) error {
-		var scratch distance.DTWScratch
-		for shard := lo; shard < hi; shard++ {
-			cLo, cHi := shard*shardSize, (shard+1)*shardSize
-			if cHi > len(cands) {
-				cHi = len(cands)
-			}
-			var ids []int
-			var skipped int64
-			for _, ci := range cands[cLo:cHi] {
-				if e.memberSkip(pq, e.sketchRow(ci), cutoff2) {
-					skipped++
-					continue
-				}
-				d, ok, err := e.distPruned(pq, ci, cutoff2, done, &scratch)
-				if err != nil {
-					return fmt.Errorf("engine: candidate %d: %w", ci, err)
-				}
-				if ok && d <= eps {
-					ids = append(ids, ci)
-					if emit != nil {
-						if err := emit(ci, d); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			e.seriesSkipped.Add(skipped)
-			buckets[shard] = ids
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, ids := range buckets {
-		out = append(out, ids...)
-	}
-	return out, nil
+	return cands
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uncertts/internal/corpus"
@@ -32,42 +33,19 @@ func indexMeasureOptions() []Options {
 	}
 }
 
-// runIndexQuery executes the measure-appropriate index queries and returns
-// a comparable result value.
-func runIndexQuery(t testing.TB, e *Engine, qi int, eps float64) interface{} {
+// residentAnswers is answers for the resident series at position qi.
+func residentAnswers(t testing.TB, e *Engine, qi int, eps float64) interface{} {
 	t.Helper()
-	if e.Measure().Probabilistic() {
-		rng, err := e.ProbRange(qi, eps, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		top, err := e.ProbTopK(qi, eps, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []interface{}{rng, top}
-	}
-	nn, err := e.TopK(qi, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng, err := e.Range(qi, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []interface{}{nn, rng}
+	return answers(t, e, Request{Index: &qi}, eps)
 }
 
 // prefiltered reports whether the measure has a prefilter at all.
 func prefiltered(m Measure) bool { return m != MeasureDUST && m != MeasureMUNICH }
 
-// TestIndexedParityAllMeasures is the prefilters' bit-identity property: an
-// engine with tier 0 or the sketch index engaged and an engine forced onto
-// the plain scan must return exactly the same answers — same positions, same
-// float64 bits — for every measure, every worker count, index and ad-hoc
-// queries, over dense, sparse and freshly compacted snapshots.
-func TestIndexedParityAllMeasures(t *testing.T) {
-	const n, length = 30, 32
+// prefilterCorpus is 64 series under the index-test geometry.
+func prefilterCorpus(t *testing.T) *corpus.Snapshot {
+	t.Helper()
+	const n, length = 64, 32
 	c := corpus.New(indexCorpusConfig())
 	batch := make([]corpus.Series, n)
 	for i := range batch {
@@ -76,128 +54,35 @@ func TestIndexedParityAllMeasures(t *testing.T) {
 	if _, err := c.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	dense := c.Snapshot()
-	if _, ok := dense.Columns(); !ok {
-		t.Fatal("insert-only snapshot is not dense")
-	}
-	// Two sacrificial inserts plus deletes leave the arena sparse (2 dead
-	// of 32 rows stays under the compaction threshold).
-	extra, err := c.InsertBatch([]corpus.Series{corpusSeries(length, 500), corpusSeries(length, 501)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete(extra...); err != nil {
-		t.Fatal(err)
-	}
-	sparse := c.Snapshot()
-	if _, ok := sparse.Columns(); ok {
-		t.Fatal("post-delete snapshot is unexpectedly dense")
-	}
-	// Twelve more sacrificial inserts deleted at once push past the
-	// quarter-dead threshold and force a compaction (and the bulk tree
-	// rebuild that rides along).
-	extra2 := make([]corpus.Series, 12)
-	for i := range extra2 {
-		extra2[i] = corpusSeries(length, int64(600+i))
-	}
-	ids2, err := c.InsertBatch(extra2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete(ids2...); err != nil {
-		t.Fatal(err)
-	}
-	compacted := c.Snapshot()
-	if _, ok := compacted.Columns(); !ok {
-		t.Fatal("deletes past the threshold did not compact")
-	}
-
-	adhoc := adhocQueryFor(length)
-	const eps = 2.5
-	for _, snapCase := range []struct {
-		name string
-		snap *corpus.Snapshot
-	}{{"dense", dense}, {"sparse", sparse}, {"compacted", compacted}} {
-		for _, base := range indexMeasureOptions() {
-			for _, workers := range []int{1, 2, 8} {
-				idxOpts := base
-				idxOpts.Workers = workers
-				idxOpts.IndexThreshold = -1
-				linOpts := idxOpts
-				linOpts.NoIndex = true
-				ei, err := NewFromSnapshot(snapCase.snap, idxOpts)
-				if err != nil {
-					t.Fatalf("%s/%s/w=%d: indexed engine: %v", snapCase.name, base.Measure, workers, err)
-				}
-				el, err := NewFromSnapshot(snapCase.snap, linOpts)
-				if err != nil {
-					t.Fatalf("%s/%s/w=%d: linear engine: %v", snapCase.name, base.Measure, workers, err)
-				}
-				if want := prefiltered(base.Measure); ei.Indexed() != want {
-					t.Fatalf("%s/%s: Indexed() = %v, want %v", snapCase.name, base.Measure, ei.Indexed(), want)
-				}
-				if el.Indexed() {
-					t.Fatalf("%s/%s: NoIndex engine reports Indexed()", snapCase.name, base.Measure)
-				}
-				for _, qi := range []int{0, 7, 29} {
-					got := runIndexQuery(t, ei, qi, eps)
-					want := runIndexQuery(t, el, qi, eps)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s/w=%d q=%d: indexed %v != linear %v", snapCase.name, base.Measure, workers, qi, got, want)
-					}
-				}
-				ipq, err := ei.Prepare(adhoc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lpq, err := el.Prepare(adhoc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runPrepared(t, ei, ipq, eps)
-				want := runPrepared(t, el, lpq, eps)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s/w=%d: ad-hoc indexed answer differs from linear", snapCase.name, base.Measure, workers)
-				}
-			}
-		}
-	}
+	return c.Snapshot()
 }
 
-// TestIndexedStatsIdentity checks the extended accounting of index queries:
-// Candidates still equals the sum of the resolution counters, every
-// candidate the linear scan would have examined is either examined or
-// accounted to SeriesSkippedByIndex, and only DTW — the one measure left on
-// the bucket tree — reports bucket decisions.
+// TestIndexedStatsIdentity checks the accounting of prefiltered queries over
+// a run of requests: Candidates still equals the sum of the resolution
+// counters, every candidate the linear scan would have examined is either
+// examined or accounted to SeriesSkippedByIndex, only DTW — the one measure
+// left on the bucket tree — reports bucket decisions, and Distance, the
+// reference lookup tests interleave with queries, moves no counter.
 func TestIndexedStatsIdentity(t *testing.T) {
-	const n, length, queries = 64, 32, 10
-	c := corpus.New(indexCorpusConfig())
-	batch := make([]corpus.Series, n)
-	for i := range batch {
-		batch[i] = corpusSeries(length, int64(i))
-	}
-	if _, err := c.InsertBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot()
-	qis := make([]int, queries)
-	for i := range qis {
-		qis[i] = i
-	}
+	const queries = 10
+	snap := prefilterCorpus(t)
+	n := snap.Len()
 	for _, base := range indexMeasureOptions() {
 		opts := base
 		opts.IndexThreshold = -1
-		e, err := NewFromSnapshot(snap, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Measure.Probabilistic() {
-			if _, err := e.ProbTopKBatch(qis, 2.0, 3); err != nil {
+		e := newEngine(t, snap, opts)
+		for qi := 0; qi < queries; qi++ {
+			req := Request{Kind: KindTopK, Index: &qi, K: 3}
+			if base.Measure.Probabilistic() {
+				req.Kind, req.Eps = KindProbTopK, 2.0
+			}
+			mustRun(t, e, req)
+			before := e.Stats()
+			if _, err := e.Distance(qi, (qi+1)%n); err != nil && !base.Measure.Probabilistic() {
 				t.Fatal(err)
 			}
-		} else {
-			if _, err := e.TopKBatch(qis, 3); err != nil {
-				t.Fatal(err)
+			if after := e.Stats(); after != before {
+				t.Fatalf("%s: Distance moved the counters: %+v -> %+v", base.Measure, before, after)
 			}
 		}
 		s := e.Stats()
@@ -213,6 +98,41 @@ func TestIndexedStatsIdentity(t *testing.T) {
 		}
 		if (s.SeriesSkippedByIndex > 0) != prefiltered(base.Measure) {
 			t.Errorf("%s: SeriesSkippedByIndex = %d, prefiltered = %v", base.Measure, s.SeriesSkippedByIndex, prefiltered(base.Measure))
+		}
+	}
+}
+
+// TestStatsStringNamesThePrefilter pins the one-line summary /stats and
+// uncertquery print: whatever a prefilter skipped is reported, with bucket
+// counts only where the bucket tree ran, and a plain scan says nothing about
+// an index.
+func TestStatsStringNamesThePrefilter(t *testing.T) {
+	snap := prefilterCorpus(t)
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		skipped bool // "N series skipped" is printed
+		buckets bool // "N buckets visited, N pruned" is printed
+	}{
+		{"tier 0", Options{Measure: MeasureEuclidean, IndexThreshold: -1}, true, false},
+		{"bucket tree", Options{Measure: MeasureDTW, Band: 3, IndexThreshold: -1}, true, true},
+		{"plain scan", Options{Measure: MeasureEuclidean, NoIndex: true}, false, false},
+	} {
+		e := newEngine(t, snap, tc.opts)
+		qi := 5
+		mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: 3})
+		s := e.Stats()
+		line := s.String()
+		wantSkipped := fmt.Sprintf("%d series skipped", s.SeriesSkippedByIndex)
+		if got := strings.Contains(line, "; index: ") && strings.HasSuffix(line, wantSkipped); got != tc.skipped {
+			t.Errorf("%s: skipped clause present = %v, want %v: %q", tc.name, got, tc.skipped, line)
+		}
+		wantBuckets := fmt.Sprintf("index: %d buckets visited, %d pruned, ", s.BucketsVisited, s.BucketsPruned)
+		if got := strings.Contains(line, wantBuckets); got != tc.buckets {
+			t.Errorf("%s: bucket clause present = %v, want %v: %q", tc.name, got, tc.buckets, line)
+		}
+		if tc.skipped && s.SeriesSkippedByIndex == 0 {
+			t.Errorf("%s: the prefilter skipped nothing; the case proves nothing", tc.name)
 		}
 	}
 }
@@ -294,12 +214,12 @@ func TestIndexChurnParity(t *testing.T) {
 				t.Fatalf("step %d %s: %v", step, base.Measure, err)
 			}
 			for _, qi := range []int{0, snap.Len() / 2} {
-				got := runIndexQuery(t, inc, qi, 2.5)
-				want := runIndexQuery(t, lin, qi, 2.5)
+				got := residentAnswers(t, inc, qi, 2.5)
+				want := residentAnswers(t, lin, qi, 2.5)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("step %d %s q=%d: incremental index %v != linear %v", step, base.Measure, qi, got, want)
 				}
-				fresh := runIndexQuery(t, bulk, qi, 2.5)
+				fresh := residentAnswers(t, bulk, qi, 2.5)
 				if !reflect.DeepEqual(fresh, want) {
 					t.Errorf("step %d %s q=%d: bulk-rebuilt index %v != linear %v", step, base.Measure, qi, fresh, want)
 				}
@@ -347,13 +267,13 @@ func TestIndexFallbacks(t *testing.T) {
 	}
 	// Results through a fallback engine still match: the sanity anchor for
 	// every case above.
-	want := fmt.Sprintf("%v", runIndexQuery(t, e, 0, 2.5))
+	want := fmt.Sprintf("%v", residentAnswers(t, e, 0, 2.5))
 	for _, tc := range cases[:3] {
 		el, err := NewFromSnapshot(snap, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%v", runIndexQuery(t, el, 0, 2.5)); got != want {
+		if got := fmt.Sprintf("%v", residentAnswers(t, el, 0, 2.5)); got != want {
 			t.Errorf("%s: fallback answer %s != indexed %s", tc.name, got, want)
 		}
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -10,6 +12,7 @@ import (
 	"uncertts/internal/corpus"
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
+	"uncertts/internal/qerr"
 	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/ucr"
@@ -88,11 +91,7 @@ func naiveProbs(t *testing.T, w *core.Workload, measure Measure, qi int, eps flo
 
 func probEngine(t *testing.T, w *core.Workload, measure Measure, workers int) *Engine {
 	t.Helper()
-	e, err := New(w, Options{Measure: measure, Workers: workers, ShardSize: 7, MUNICH: testMunichOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return newEngine(t, w.Snapshot(), Options{Measure: measure, Workers: workers, ShardSize: 7, MUNICH: testMunichOpts()})
 }
 
 func TestProbRangeMatchesNaiveMatcherEveryWorkerCount(t *testing.T) {
@@ -122,10 +121,7 @@ func TestProbRangeMatchesNaiveMatcherEveryWorkerCount(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.ProbRange(qi, w.EpsEucl(qi), tau)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := mustRun(t, e, Request{Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: tau}).IDs
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: ProbRange(q=%d, tau=%g, workers=%d) = %v, want %v",
 							tc.measure, qi, tau, workers, got, want)
@@ -149,10 +145,7 @@ func TestProbTopKMatchesNaiveRankingEveryWorkerCount(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 8} {
 					e := probEngine(t, w, measure, workers)
-					got, err := e.ProbTopK(qi, eps, k)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := mustRun(t, e, Request{Kind: KindProbTopK, Index: &qi, Eps: eps, K: k}).Matches
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: ProbTopK(q=%d, k=%d, workers=%d) = %v, want %v",
 							measure, qi, k, workers, got, want)
@@ -202,19 +195,13 @@ func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 8} {
-					e, err := New(w, Options{Measure: MeasureMUNICH, Workers: workers, ShardSize: 5, MUNICH: tc.opts})
-					if err != nil {
-						t.Fatal(err)
-					}
+					e := newEngine(t, w.Snapshot(), Options{Measure: MeasureMUNICH, Workers: workers, ShardSize: 5, MUNICH: tc.opts})
 					for _, qi := range []int{0, 9, 17} {
 						want, err := naive.Match(qi)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := e.ProbRange(qi, w.EpsEucl(qi), tau)
-						if err != nil {
-							t.Fatal(err)
-						}
+						got := mustRun(t, e, Request{Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: tau}).IDs
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("tau=%g workers=%d q=%d: engine %v, naive %v", tau, workers, qi, got, want)
 						}
@@ -225,37 +212,11 @@ func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 	}
 }
 
-func TestProbRangeBatchMatchesSingleQueries(t *testing.T) {
-	w := probWorkload(t, 24, 32)
-	queries := []int{0, 5, 11, 23}
-	eps := w.EpsEucl(0)
-	for _, measure := range []Measure{MeasurePROUD, MeasureMUNICH} {
-		e := probEngine(t, w, measure, 4)
-		batch, err := e.ProbRangeBatch(queries, eps, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, qi := range queries {
-			single, err := e.ProbRange(qi, eps, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(batch[i], single) {
-				t.Errorf("%s: batch answer for query %d differs from single-query answer", measure, qi)
-			}
-		}
-	}
-}
-
 // TestProbPruningResolvesMostCandidates is the acceptance bar of the
 // probabilistic engine: identical answers to the unpruned arm, with more
 // than half of the candidates resolved without the full refine step.
 func TestProbPruningResolvesMostCandidates(t *testing.T) {
 	w := probWorkload(t, 30, 48)
-	queries := make([]int, w.Len())
-	for i := range queries {
-		queries[i] = i
-	}
 	eps := w.EpsEucl(0)
 	for _, tc := range []struct {
 		measure Measure
@@ -265,20 +226,12 @@ func TestProbPruningResolvesMostCandidates(t *testing.T) {
 		{MeasureMUNICH, 0.5},
 	} {
 		pruned := probEngine(t, w, tc.measure, 0)
-		naive, err := New(w, Options{Measure: tc.measure, ShardSize: 7, MUNICH: testMunichOpts(), NoPrune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes, err := naive.ProbRangeBatch(queries, eps, tc.tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotRes, err := pruned.ProbRangeBatch(queries, eps, tc.tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotRes, wantRes) {
-			t.Errorf("%s: pruned batch differs from the unpruned arm", tc.measure)
+		naive := newEngine(t, w.Snapshot(), Options{Measure: tc.measure, ShardSize: 7, MUNICH: testMunichOpts(), NoPrune: true})
+		for qi := 0; qi < w.Len(); qi++ {
+			req := Request{Kind: KindProbRange, Index: &qi, Eps: eps, Tau: tc.tau}
+			if got, want := mustRun(t, pruned, req).IDs, mustRun(t, naive, req).IDs; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s q=%d: pruned answer %v differs from the unpruned arm's %v", tc.measure, qi, got, want)
+			}
 		}
 		ps, ns := pruned.Stats(), naive.Stats()
 		if ps.Candidates != ns.Candidates {
@@ -310,61 +263,40 @@ func TestProbValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(noSamples, Options{Measure: MeasureMUNICH}); err == nil {
+	if _, err := NewFromSnapshot(noSamples.Snapshot(), Options{Measure: MeasureMUNICH}); err == nil {
 		t.Error("MeasureMUNICH without samples should error")
 	}
-	// Probabilistic queries are rejected on distance measures and vice versa.
-	de, err := New(w, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := de.ProbRange(0, 1, 0.5); err == nil {
-		t.Error("ProbRange on a distance measure should error")
-	}
-	if _, err := de.ProbTopK(0, 1, 3); err == nil {
-		t.Error("ProbTopK on a distance measure should error")
-	}
-	pe, err := New(w, Options{Measure: MeasurePROUD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe.TopK(0, 3); err == nil {
-		t.Error("TopK on a probabilistic measure should error")
-	}
+	de := newEngine(t, w.Snapshot(), Options{Measure: MeasureEuclidean})
+	pe := newEngine(t, w.Snapshot(), Options{Measure: MeasurePROUD})
+	me := newEngine(t, w.Snapshot(), Options{Measure: MeasureMUNICH})
 	if _, err := pe.Distance(0, 1); err == nil {
 		t.Error("Distance on a probabilistic measure should error")
 	}
-	if _, err := pe.ProbRange(99, 1, 0.5); err == nil {
-		t.Error("out-of-range query should error")
+	far, qi := 99, 0
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		req  Request
+	}{
+		// Probabilistic queries are rejected on distance measures and vice versa.
+		{"probrange on a distance measure", de, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 0.5}},
+		{"probtopk on a distance measure", de, Request{Kind: KindProbTopK, Index: &qi, Eps: 1, K: 3}},
+		{"topk on a probabilistic measure", pe, Request{Kind: KindTopK, Index: &qi, K: 3}},
+		{"out-of-range query", pe, Request{Kind: KindProbRange, Index: &far, Eps: 1, Tau: 0.5}},
+		{"negative eps", pe, Request{Kind: KindProbRange, Index: &qi, Eps: -1, Tau: 0.5}},
+		{"NaN eps", pe, Request{Kind: KindProbRange, Index: &qi, Eps: math.NaN(), Tau: 0.5}},
+		{"PROUD tau=0", pe, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 0}},
+		{"PROUD tau=1", pe, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 1}},
+		{"k=0", pe, Request{Kind: KindProbTopK, Index: &qi, Eps: 1}},
+		{"MUNICH tau=0", me, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 0}},
+		{"MUNICH tau>1", me, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 1.5}},
+	} {
+		tc.req.Measure = tc.e.Measure()
+		if _, err := tc.e.Run(context.Background(), tc.req); !errors.Is(err, qerr.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
 	}
-	if _, err := pe.ProbRange(0, -1, 0.5); err == nil {
-		t.Error("negative eps should error")
-	}
-	if _, err := pe.ProbRange(0, math.NaN(), 0.5); err == nil {
-		t.Error("NaN eps should error")
-	}
-	if _, err := pe.ProbRange(0, 1, 0); err == nil {
-		t.Error("PROUD tau=0 should error")
-	}
-	if _, err := pe.ProbRange(0, 1, 1); err == nil {
-		t.Error("PROUD tau=1 should error")
-	}
-	if _, err := pe.ProbTopK(0, 1, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	me, err := New(w, Options{Measure: MeasureMUNICH})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := me.ProbRange(0, 1, 0); err == nil {
-		t.Error("MUNICH tau=0 should error")
-	}
-	if _, err := me.ProbRange(0, 1, 1.5); err == nil {
-		t.Error("MUNICH tau>1 should error")
-	}
-	if _, err := me.ProbRange(0, 1, 1); err != nil {
-		t.Errorf("MUNICH tau=1 is valid: %v", err)
-	}
+	mustRun(t, me, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 1}) // MUNICH tau=1 is valid
 }
 
 // duplicateWorkload hand-builds a workload where series 0-3 are exact
@@ -404,25 +336,17 @@ func TestZeroDistanceTies(t *testing.T) {
 		{Measure: MeasureEuclidean, ShardSize: 3},
 		{Measure: MeasureDTW, Band: 3, ShardSize: 3},
 	} {
-		e, err := NewFromSnapshot(snap, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, snap, opts)
+		qi := 0
 		for _, k := range []int{2, 3, 5} {
 			want := naiveTopK(t, e, 0, k)
-			got, err := e.TopK(0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: k}).Neighbors
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: TopK(0, %d) over duplicates = %v, want %v", opts.Measure, k, got, want)
 			}
 		}
 		// Range with eps = 0 must return exactly the duplicates.
-		got, err := e.Range(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, e, Request{Kind: KindRange, Index: &qi, Eps: 0}).IDs
 		want, err := query.RangeQueryFunc(snap.Len(), 0, func(ci int) (float64, error) {
 			return e.Distance(0, ci)
 		}, 0)

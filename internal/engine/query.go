@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -10,7 +8,6 @@ import (
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
 	"uncertts/internal/qerr"
-	"uncertts/internal/query"
 	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
@@ -40,27 +37,14 @@ type Query struct {
 	Samples [][]float64
 }
 
-// PreparedQuery is a query bound to an engine with all its derived state
-// precomputed: the measure-specific scan vector (filtered series for
-// UMA/UEMA), the query-side error model for DUST, suffix energies and the
-// moment variance for PROUD, the sample model and segment envelope for
-// MUNICH. Preparing once and querying many times amortises that setup; a
-// PreparedQuery is safe for concurrent use.
-type PreparedQuery struct {
-	// Workers optionally overrides the engine's worker budget for
-	// requests issued through this query (0 = the engine default). The
-	// server sets it per HTTP request.
-	Workers int
-	// Bound optionally shares a top-k pruning cut with executions outside
-	// this engine — cluster shards running the same query inject one
-	// Bound into every shard's request so the global k-th distance
-	// tightens each shard's cascade mid-flight. Nil (the default) keeps
-	// the cut private to the execution. Only KindTopK consults it.
-	Bound *Bound
-	// ProbBound is Bound for KindProbTopK (rising k-th best probability).
-	ProbBound *ProbBound
-
-	e    *Engine
+// prepared is the per-request state of one query: the request's target bound
+// to the engine with everything the scan derives from it computed once — the
+// measure-specific scan vector (filtered series for UMA/UEMA), the query-side
+// error model for DUST, suffix energies and the moment variance for PROUD,
+// the sample model and segment envelope for MUNICH, and the summaries the
+// engaged prefilter reads. It is immutable once built; the workers of the
+// request share it.
+type prepared struct {
 	self int // snapshot position to exclude (-1 for ad-hoc queries)
 
 	vec    []float64              // scan vector (lock-step measures, DTW, PROUD)
@@ -76,15 +60,15 @@ type PreparedQuery struct {
 	env    munich.Envelope        // query segment envelope (MUNICH)
 }
 
-// PrepareIndex binds the resident series at snapshot position qi as a
+// prepareIndex binds the resident series at snapshot position qi as a
 // query. All derived state aliases the engine's precomputed artifacts, so
-// preparation is allocation-free on the hot fields; results exclude the
-// series itself, exactly as the index-based query methods do.
-func (e *Engine) PrepareIndex(qi int) (*PreparedQuery, error) {
+// preparation allocates nothing but the struct; the series itself is
+// excluded from the answer.
+func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 	if err := e.checkIndex(qi); err != nil {
 		return nil, err
 	}
-	pq := &PreparedQuery{e: e, self: qi}
+	pq := &prepared{self: qi}
 	ent := e.snap.Entry(qi)
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasureUMA, MeasureUEMA, MeasureDTW:
@@ -99,7 +83,6 @@ func (e *Engine) PrepareIndex(qi int) (*PreparedQuery, error) {
 		pq.sample = *ent.Samples
 		pq.env = e.envs[qi]
 	}
-	e.summarise(pq)
 	return pq, nil
 }
 
@@ -107,7 +90,7 @@ func (e *Engine) PrepareIndex(qi int) (*PreparedQuery, error) {
 // the coarse segment means for tier 0 (a resident query aliases its own
 // filter-column row), the PAA of the query and of its warping envelope for
 // the DTW bucket bounds.
-func (e *Engine) summarise(pq *PreparedQuery) {
+func (e *Engine) summarise(pq *prepared) {
 	switch {
 	case e.t0 != nil:
 		if pq.self >= 0 {
@@ -128,25 +111,12 @@ func (e *Engine) summarise(pq *PreparedQuery) {
 	}
 }
 
-func (e *Engine) prepareIndexBatch(queries []int) ([]*PreparedQuery, error) {
-	pqs := make([]*PreparedQuery, len(queries))
-	for i, qi := range queries {
-		pq, err := e.PrepareIndex(qi)
-		if err != nil {
-			return nil, err
-		}
-		pqs[i] = pq
-	}
-	return pqs, nil
-}
-
-// Prepare binds an ad-hoc series as a query against the engine's snapshot,
-// computing the measure-specific derived state once. The returned query
-// never excludes a candidate (it is not resident), and may be reused for
-// any number of requests.
-func (e *Engine) Prepare(q Query) (*PreparedQuery, error) {
+// prepare binds an ad-hoc series as a query against the engine's snapshot,
+// computing the measure-specific derived state once. The query never
+// excludes a candidate (it is not resident).
+func (e *Engine) prepare(q Query) (*prepared, error) {
 	n := e.snap.SeriesLen()
-	pq := &PreparedQuery{e: e, self: -1}
+	pq := &prepared{self: -1}
 	needValues := e.opts.Measure != MeasureMUNICH
 	if needValues && len(q.Values) != n {
 		return nil, fmt.Errorf("engine: %w", qerr.LengthMismatchf("query has %d values, snapshot series have %d", len(q.Values), n))
@@ -219,7 +189,6 @@ func (e *Engine) Prepare(q Query) (*PreparedQuery, error) {
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)
 	}
-	e.summarise(pq)
 	return pq, nil
 }
 
@@ -249,56 +218,4 @@ func (e *Engine) querySigmas(q Query) []float64 {
 		}
 	}
 	return out
-}
-
-// checkPrepared validates that every prepared query belongs to this engine.
-func (e *Engine) checkPrepared(pqs []*PreparedQuery) error {
-	for _, pq := range pqs {
-		if pq == nil {
-			return errors.New("engine: nil prepared query")
-		}
-		if pq.e != e {
-			return errors.New("engine: prepared query belongs to a different engine")
-		}
-	}
-	return nil
-}
-
-// TopK returns the k nearest snapshot positions of the prepared query
-// under the engine's measure, sorted by ascending distance with ties
-// broken by position — bit-identical to the naive full scan.
-func (pq *PreparedQuery) TopK(k int) ([]query.Neighbor, error) {
-	res, err := pq.e.TopKPrepared([]*PreparedQuery{pq}, k)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// Range returns the snapshot positions of every series within eps of the
-// prepared query, in ascending order.
-func (pq *PreparedQuery) Range(eps float64) ([]int, error) {
-	return pq.e.rangePrepared(context.Background(), pq, eps, nil)
-}
-
-// ProbRange returns the snapshot positions of every candidate whose match
-// probability Pr(distance <= eps) reaches tau (MeasurePROUD and
-// MeasureMUNICH only).
-func (pq *PreparedQuery) ProbRange(eps, tau float64) ([]int, error) {
-	res, err := pq.e.ProbRangePrepared([]*PreparedQuery{pq}, eps, tau)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// ProbTopK returns the k candidates with the highest match probability
-// Pr(distance <= eps), sorted by descending probability with ties broken
-// by ascending position (MeasurePROUD and MeasureMUNICH only).
-func (pq *PreparedQuery) ProbTopK(eps float64, k int) ([]ProbMatch, error) {
-	res, err := pq.e.ProbTopKPrepared([]*PreparedQuery{pq}, eps, k)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }

@@ -12,24 +12,21 @@ import (
 	"uncertts/internal/telemetry"
 )
 
-// The declarative query surface. The four result shapes x resident/ad-hoc
-// targets that used to be eight separate methods collapse into one request
-// value and one entry point:
+// The engine's one query surface. A request value names the kind, the target
+// and the resource envelope; Run executes it:
 //
 //	req := engine.Request{Measure: engine.MeasureDTW, Kind: engine.KindTopK, Index: &qi, K: 5}
 //	res, err := e.Run(ctx, req)
 //
 // Run validates the request up front with field-specific errors (every
-// failure wraps a qerr sentinel), plans it onto the measure-native pruned
-// execution cores, and threads the context all the way down: the sharded
-// executor polls it at every work-item boundary, PROUD polls it at every
-// prefix stride, and the DTW and MUNICH kernels poll it inside a single
-// long distance or refine computation — so cancelling the context or
-// letting its deadline expire stops a running query promptly, drains the
-// workers and returns an error wrapping both qerr.ErrCancelled and
-// ctx.Err(). Results are bit-identical to the legacy per-shape methods
-// (TopK, Range, ProbTopK, ProbRange), which survive as thin wrappers over
-// Run.
+// failure wraps a qerr sentinel), binds the target as per-request state,
+// picks the candidate source and the kind's step (scan.go), and threads the
+// context all the way down: the sharded executor polls it at every
+// work-item boundary, PROUD polls it at every prefix stride, and the DTW and
+// MUNICH kernels poll it inside a single long distance or refine
+// computation — so cancelling the context or letting its deadline expire
+// stops a running query promptly, drains the workers and returns an error
+// wrapping both qerr.ErrCancelled and ctx.Err().
 
 // Kind is the query family of a Request.
 type Kind int
@@ -237,13 +234,12 @@ func window[T any](xs []T, offset, limit int) []T {
 }
 
 // Run executes one declarative request against the engine's snapshot and
-// returns its result. It is the single entry point every query shape goes
+// returns its result. It is the single entry point every query goes
 // through: the request is validated up front (failures wrap the qerr
-// sentinels), planned onto the measure-native pruned execution core for
-// its kind, and executed under ctx — cancellation or an expired deadline
+// sentinels) and executed under ctx — cancellation or an expired deadline
 // drains the executor workers and returns an error wrapping both
 // qerr.ErrCancelled and ctx.Err(). Results are bit-identical to the
-// legacy per-shape methods for every measure and worker count.
+// unpruned scan (Options.NoPrune) for every measure and worker count.
 func (e *Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	return e.RunStream(ctx, req, nil)
 }
@@ -264,88 +260,63 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 	if err := e.validate(req); err != nil {
 		return nil, err
 	}
-	var pq *PreparedQuery
+	var pq *prepared
 	var err error
 	if req.Index != nil {
-		pq, err = e.PrepareIndex(*req.Index)
+		pq, err = e.prepareIndex(*req.Index)
 	} else {
-		pq, err = e.Prepare(*req.AdHoc)
+		pq, err = e.prepare(*req.AdHoc)
 	}
 	if err != nil {
 		return nil, err
 	}
-	pq.Workers = req.Workers
-	pq.Bound, pq.ProbBound = req.Bound, req.ProbBound
-
-	// Serialize worker-side emissions so emit needs no locking of its own.
-	var emitMu sync.Mutex
-	locked := func(it Item) error {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		return emit(it)
-	}
+	e.summarise(pq)
 
 	res := &Result{Kind: req.Kind}
-	// The refine span covers the whole execution core — index descent spans
-	// nest inside it when the indexed path runs.
+	// The refine span covers the whole execution — index descent spans nest
+	// inside it when the tree source runs.
 	refineSpan := telemetry.TraceFrom(ctx).Start("refine")
 	switch req.Kind {
-	case KindTopK:
-		var out [][]query.Neighbor
-		out, err = e.topKPrepared(ctx, []*PreparedQuery{pq}, req.K)
-		if err == nil {
-			res.Neighbors = out[0]
-			res.Total = len(res.Neighbors)
-			if emit != nil {
-				for _, n := range res.Neighbors {
-					if err = locked(Item{ID: n.ID, Distance: n.Distance}); err != nil {
-						break
-					}
-				}
-			}
-			res.Neighbors = window(res.Neighbors, req.Offset, req.Limit)
+	case KindTopK, KindProbTopK:
+		var top []ranked
+		top, err = e.topK(ctx, pq, &req)
+		res.Total = len(top)
+		if req.Kind == KindTopK {
+			res.Neighbors = make([]query.Neighbor, len(top))
+		} else {
+			res.Matches = make([]ProbMatch, len(top))
 		}
-	case KindRange:
-		var rangeEmit func(id int, dist float64) error
+		// The ranked list is final here, so the top-k kinds emit it in order.
+		for i, r := range top {
+			it := Item{ID: r.id}
+			if req.Kind == KindTopK {
+				it.Distance = r.key
+				res.Neighbors[i] = query.Neighbor{ID: r.id, Distance: r.key}
+			} else {
+				it.Prob = -r.key // the collector ranks by -p
+				res.Matches[i] = ProbMatch{ID: r.id, Prob: it.Prob}
+			}
+			if emit != nil && err == nil {
+				err = emit(it)
+			}
+		}
+		res.Neighbors = window(res.Neighbors, req.Offset, req.Limit)
+		res.Matches = window(res.Matches, req.Offset, req.Limit)
+	case KindRange, KindProbRange:
+		// Workers confirm matches concurrently; serialize their emissions
+		// so emit needs no locking of its own.
+		var locked func(Item) error
 		if emit != nil {
-			rangeEmit = func(id int, dist float64) error {
-				return locked(Item{ID: id, Distance: dist})
+			var mu sync.Mutex
+			locked = func(it Item) error {
+				mu.Lock()
+				defer mu.Unlock()
+				return emit(it)
 			}
 		}
-		res.IDs, err = e.rangePrepared(ctx, pq, req.Eps, rangeEmit)
-		if err == nil {
-			res.Total = len(res.IDs)
-			res.IDs = window(res.IDs, req.Offset, req.Limit)
-		}
-	case KindProbRange:
-		var probEmit func(q, id int) error
-		if emit != nil {
-			probEmit = func(_, id int) error {
-				return locked(Item{ID: id})
-			}
-		}
-		var out [][]int
-		out, err = e.probRangePrepared(ctx, []*PreparedQuery{pq}, req.Eps, req.Tau, probEmit)
-		if err == nil {
-			res.IDs = out[0]
-			res.Total = len(res.IDs)
-			res.IDs = window(res.IDs, req.Offset, req.Limit)
-		}
-	case KindProbTopK:
-		var out [][]ProbMatch
-		out, err = e.probTopKPrepared(ctx, []*PreparedQuery{pq}, req.Eps, req.K)
-		if err == nil {
-			res.Matches = out[0]
-			res.Total = len(res.Matches)
-			if emit != nil {
-				for _, m := range res.Matches {
-					if err = locked(Item{ID: m.ID, Prob: m.Prob}); err != nil {
-						break
-					}
-				}
-			}
-			res.Matches = window(res.Matches, req.Offset, req.Limit)
-		}
+		res.IDs, err = e.matches(ctx, pq, &req, locked)
+		res.Total = len(res.IDs)
+		res.IDs = window(res.IDs, req.Offset, req.Limit)
 	}
 	refineSpan.EndErr(err)
 	recordStatsMetrics(e.opts.Measure, e.Stats())

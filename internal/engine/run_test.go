@@ -27,93 +27,9 @@ func runConfigs() []Options {
 	}
 }
 
-// TestRunMatchesDirectPathEveryMeasureAndWorkers is the API-redesign
-// acceptance test: Engine.Run answers are bit-identical to the direct
-// batch execution paths for every measure at workers {1, 2, 8}.
-func TestRunMatchesDirectPathEveryMeasureAndWorkers(t *testing.T) {
-	w := probWorkload(t, 24, 32)
-	const qi, k = 3, 4
-	for _, opts := range runConfigs() {
-		for _, workers := range []int{1, 2, 8} {
-			e, err := New(w, opts)
-			if err != nil {
-				t.Fatalf("%v: %v", opts.Measure, err)
-			}
-			name := opts.Measure.String()
-			req := Request{Measure: opts.Measure, Workers: workers}
-			idx := qi
-			req.Index = &idx
-
-			if !opts.Measure.Probabilistic() {
-				req.Kind, req.K = KindTopK, k
-				res, err := e.Run(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s w=%d Run(topk): %v", name, workers, err)
-				}
-				direct, err := e.TopKBatch([]int{qi}, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res.Neighbors, direct[0]) {
-					t.Errorf("%s w=%d: Run topk %v != direct %v", name, workers, res.Neighbors, direct[0])
-				}
-
-				eps := direct[0][len(direct[0])-1].Distance
-				req.Kind, req.Eps = KindRange, eps
-				res, err = e.Run(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s w=%d Run(range): %v", name, workers, err)
-				}
-				pq, err := e.PrepareIndex(qi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				directIDs, err := pq.Range(eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res.IDs, directIDs) {
-					t.Errorf("%s w=%d: Run range %v != direct %v", name, workers, res.IDs, directIDs)
-				}
-				continue
-			}
-
-			eps, tau := w.EpsEucl(qi), 0.3
-			req.Kind, req.Eps, req.Tau = KindProbRange, eps, tau
-			res, err := e.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s w=%d Run(probrange): %v", name, workers, err)
-			}
-			directIDs, err := e.ProbRangeBatch([]int{qi}, eps, tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.IDs, directIDs[0]) {
-				t.Errorf("%s w=%d: Run probrange %v != direct %v", name, workers, res.IDs, directIDs[0])
-			}
-
-			req.Kind, req.K = KindProbTopK, k
-			res, err = e.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s w=%d Run(probtopk): %v", name, workers, err)
-			}
-			directMs, err := e.ProbTopKBatch([]int{qi}, eps, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Matches, directMs[0]) {
-				t.Errorf("%s w=%d: Run probtopk %v != direct %v", name, workers, res.Matches, directMs[0])
-			}
-		}
-	}
-}
-
 func TestRunValidationSentinels(t *testing.T) {
 	w := probWorkload(t, 12, 16)
-	e, err := New(w, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureEuclidean})
 	qi := 0
 	cases := []struct {
 		name string
@@ -139,10 +55,7 @@ func TestRunValidationSentinels(t *testing.T) {
 	}
 
 	// Tau domain errors are measure-specific and typed.
-	pe, err := New(w, Options{Measure: MeasurePROUD})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pe := newEngine(t, w.Snapshot(), Options{Measure: MeasurePROUD})
 	for _, tau := range []float64{-0.1, 0, 1, 1.5} {
 		req := Request{Measure: MeasurePROUD, Kind: KindProbRange, Index: &qi, Eps: 1, Tau: tau}
 		if _, err := pe.Run(context.Background(), req); !errors.Is(err, qerr.ErrBadRequest) {
@@ -161,10 +74,7 @@ func TestRunValidationSentinels(t *testing.T) {
 
 func TestRunPaginationWindow(t *testing.T) {
 	w := probWorkload(t, 20, 16)
-	e, err := New(w, Options{Measure: MeasureEuclidean})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureEuclidean})
 	qi := 2
 	full, err := e.Run(context.Background(), Request{Kind: KindTopK, Index: &qi, K: 10})
 	if err != nil {
@@ -201,10 +111,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	w := probWorkload(t, 24, 32)
 	qi := 1
 
-	e, err := New(w, Options{Measure: MeasureUEMA, Workers: 4, ShardSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureUEMA, Workers: 4, ShardSize: 4})
 	var items []Item
 	collect := func(it Item) error { items = append(items, it); return nil }
 
@@ -237,10 +144,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 
 	// Probabilistic kinds stream too.
-	pe, err := New(w, Options{Measure: MeasurePROUD, Workers: 4, ShardSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pe := newEngine(t, w.Snapshot(), Options{Measure: MeasurePROUD, Workers: 4, ShardSize: 4})
 	items = nil
 	res, err = pe.RunStream(context.Background(), Request{Measure: MeasurePROUD, Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: 0.3}, collect)
 	if err != nil {
@@ -275,17 +179,14 @@ func TestRunPreCancelledContext(t *testing.T) {
 	qi := 0
 	for _, opts := range runConfigs() {
 		for _, workers := range []int{1, 2, 8} {
-			e, err := New(w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newEngine(t, w.Snapshot(), opts)
 			req := Request{Measure: opts.Measure, Index: &qi, Workers: workers}
 			if opts.Measure.Probabilistic() {
 				req.Kind, req.Eps, req.Tau = KindProbRange, 1, 0.5
 			} else {
 				req.Kind, req.K = KindTopK, 3
 			}
-			_, err = e.Run(ctx, req)
+			_, err := e.Run(ctx, req)
 			if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
 				t.Errorf("%v w=%d: err = %v, want ErrCancelled wrapping context.Canceled", opts.Measure, workers, err)
 			}
@@ -306,10 +207,7 @@ func TestRunCancelMidQueryEveryMeasure(t *testing.T) {
 	qi := 0
 	for _, opts := range runConfigs() {
 		for _, workers := range []int{1, 2, 8} {
-			e, err := New(w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newEngine(t, w.Snapshot(), opts)
 			req := Request{Measure: opts.Measure, Index: &qi, Workers: workers}
 			if opts.Measure.Probabilistic() {
 				req.Kind, req.Eps, req.Tau = KindProbRange, w.EpsEucl(qi), 0.3
@@ -356,10 +254,7 @@ func TestRunCancelMidQueryEveryMeasure(t *testing.T) {
 // quickly.
 func TestRunCancellationInterruptsLongKernels(t *testing.T) {
 	w := testWorkload(t, 16, 1024)
-	e, err := New(w, Options{Measure: MeasureDTW, Band: -1}) // unconstrained: n^2 DP per pair
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW, Band: -1}) // unconstrained: n^2 DP per pair
 	qi := 0
 	ctx, cancel := context.WithCancel(context.Background())
 	var watcherDone atomic.Bool
@@ -371,7 +266,7 @@ func TestRunCancellationInterruptsLongKernels(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 3, Workers: 1})
+	_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 3, Workers: 1})
 	elapsed := time.Since(start)
 	cancel()
 	if !errors.Is(err, qerr.ErrCancelled) {
@@ -397,14 +292,11 @@ func TestRunCancellationInterruptsLongKernels(t *testing.T) {
 // ErrCancelled and context.DeadlineExceeded.
 func TestRunDeadlineExceeded(t *testing.T) {
 	w := testWorkload(t, 16, 1024)
-	e, err := New(w, Options{Measure: MeasureDTW, Band: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW, Band: -1})
 	qi := 0
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err = e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 3, Workers: 2})
+	_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 3, Workers: 2})
 	if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want ErrCancelled wrapping context.DeadlineExceeded", err)
 	}

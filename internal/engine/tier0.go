@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"uncertts/internal/distance"
@@ -14,14 +13,14 @@ import (
 // Jensen inequality sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2
 // turns the corpus' dense filter columns — sketch.CoarseSegments segment
 // means per series, 128 bytes apart — into a lower bound on the squared
-// distance that costs 16 multiply-adds. The scan loops test it against the
-// live cut before distPruned/proudAccept touch the kilobyte-stride series
-// row; a candidate it drops is counted in SeriesSkippedByIndex and never
-// becomes a kernel candidate. Range and probabilistic scans compute the bound
-// in the loop (the cut is static, or a probability); top-k computes all n of
-// them up front, because they also say where the near neighbours are
+// distance that costs 16 multiply-adds. The steps (scan.go) test it against
+// the live cut before the kernels touch the kilobyte-stride series row; a
+// candidate it drops is counted in SeriesSkippedByIndex and never
+// becomes a kernel candidate. Range and probabilistic steps compute the bound
+// per candidate (the cut is static, or a probability); top-k computes all n
+// of them up front, because they also say where the near neighbours are
 // (seedCut). Nothing else about the scan changes (sharding by position, the
-// shared atomic bound, the (distance, ID) merge), and the bound only ever
+// shared atomic cut, the (distance, ID) ranking), and the bound only ever
 // drops a series whose margin-deflated lower bound exceeds the cut, so
 // answers are bit-identical to the scan without it — which Options.NoIndex
 // still runs.
@@ -127,14 +126,8 @@ func (t *tier0) row(ci int) []float64 {
 }
 
 // rawBound is the raw Jensen bound between the query and candidate ci.
-func (t *tier0) rawBound(pq *PreparedQuery, ci int) float64 {
+func (t *tier0) rawBound(pq *prepared, ci int) float64 {
 	return t.geo.GapSquared(pq.qc, t.row(ci))
-}
-
-// coarseSkip reports whether tier 0 excludes candidate ci from a distance
-// query at the given squared cut: coarseLB2(pq, ci) > cut.
-func (e *Engine) coarseSkip(pq *PreparedQuery, ci int, cut float64) bool {
-	return e.t0 != nil && e.t0.rawBound(pq, ci) > skipLimit(cut+pq.slack)
 }
 
 // seedCut computes tier 0's raw bound for every resident series and uses
@@ -146,11 +139,11 @@ func (e *Engine) coarseSkip(pq *PreparedQuery, ci int, cut float64) bool {
 // (a superset of the k smallest; a few dozen series) get their exact
 // distance, and the k-th smallest of those is the cut the collector would
 // hold had it been offered exactly these — an upper bound on the final k-th
-// best, so lowering the shared bound to it drops no answer. The seeds are
+// best, so lowering the shared cut to it drops no answer. The seeds are
 // neither offered nor counted: they meet the scan again like every other
 // candidate, which then reads its tier-0 verdict off the returned bounds
 // against a cut that is near-final from the start.
-func (e *Engine) seedCut(pq *PreparedQuery, k int, b *sharedBound) ([]float64, error) {
+func (e *Engine) seedCut(pq *prepared, k int, b *cut) ([]float64, error) {
 	lbs := make([]float64, e.snap.Len())
 	e.t0.geo.GapsSquared(lbs, pq.qc, e.t0.means)
 	gaps, exact := newKHeap(k), newKHeap(k)
@@ -161,7 +154,7 @@ func (e *Engine) seedCut(pq *PreparedQuery, k int, b *sharedBound) ([]float64, e
 		gaps.push(g)
 		d2, _, err := distance.SquaredEuclideanEarlyAbandon(pq.vec, e.vecs.at(ci), math.Inf(1))
 		if err != nil {
-			return nil, fmt.Errorf("engine: candidate %d: %w", ci, err)
+			return nil, candErr(ci, err)
 		}
 		exact.push(math.Sqrt(d2))
 	}
@@ -173,7 +166,7 @@ func (e *Engine) seedCut(pq *PreparedQuery, k int, b *sharedBound) ([]float64, e
 
 // coarseLB2 is tier 0's sound lower bound on the squared lock-step distance
 // between the query and candidate ci.
-func (e *Engine) coarseLB2(pq *PreparedQuery, ci int) float64 {
+func (e *Engine) coarseLB2(pq *prepared, ci int) float64 {
 	return math.Max(0, deflate(e.t0.rawBound(pq, ci))-pq.slack)
 }
 
@@ -183,7 +176,7 @@ func (e *Engine) coarseLB2(pq *PreparedQuery, ci int) float64 {
 // (q - c)^2 <= 2 q^2 + 2 c^2). PROUD's moments are affine in the gap, so the
 // bracket feeds the same prefix bounds the per-candidate accumulation uses,
 // as a prefix of zero timestamps.
-func (e *Engine) proudGap(pq *PreparedQuery, ci int) (lb2, ub2 float64) {
+func (e *Engine) proudGap(pq *prepared, ci int) (lb2, ub2 float64) {
 	lb2 = e.coarseLB2(pq, ci)
 	ub2 = 2 * (pq.suffix[0] + e.t0.energy[ci])
 	if ub2 < lb2 {
@@ -196,7 +189,7 @@ func (e *Engine) proudGap(pq *PreparedQuery, ci int) (lb2, ub2 float64) {
 // range predicate. A certain accept still goes to proudAccept: the candidate
 // is in the answer either way, and it is accounted exactly as the scan
 // without tier 0 accounts it.
-func (e *Engine) proudRejects(pq *PreparedQuery, ci int, eps, epsLimit float64) bool {
+func (e *Engine) proudRejects(pq *prepared, ci int, eps, epsLimit float64) bool {
 	if e.t0 == nil {
 		return false
 	}
@@ -206,7 +199,7 @@ func (e *Engine) proudRejects(pq *PreparedQuery, ci int, eps, epsLimit float64) 
 
 // proudBelow reports whether tier 0 proves candidate ci's match probability
 // falls below the current k-th best.
-func (e *Engine) proudBelow(pq *PreparedQuery, ci int, eps, cut float64) bool {
+func (e *Engine) proudBelow(pq *prepared, ci int, eps, cut float64) bool {
 	if e.t0 == nil || math.IsInf(cut, -1) { // no k-th best yet: nothing to fall below
 		return false
 	}

@@ -127,26 +127,18 @@ func TestTier0Soundness(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sc.name, m, err)
 				}
-				all := make([]int, snap.Len())
-				for i := range all {
-					all[i] = i
-				}
 				for _, k := range []int{1, 2, 3, snap.Len()} {
-					got, err1 := e.TopKBatch(all, k)
-					want, err2 := scan.TopKBatch(all, k)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("%s/%s k=%d: %v, %v", sc.name, m, k, err1, err2)
-					}
-					if !reflect.DeepEqual(got, want) {
+					if !reflect.DeepEqual(everyTopK(t, e, k), everyTopK(t, scan, k)) {
 						t.Errorf("%s/%s k=%d: tier 0 top-k differs from the scan", sc.name, m, k)
 					}
 				}
 			}
 			for qi := 0; qi < snap.Len(); qi++ {
-				pq, err := e.PrepareIndex(qi)
+				pq, err := e.prepareIndex(qi)
 				if err != nil {
 					t.Fatal(err)
 				}
+				e.summarise(pq)
 				for ci := 0; ci < snap.Len(); ci++ {
 					var exact float64
 					for t, v := range pq.vec {

@@ -396,18 +396,19 @@ func ParseStoreSyncPolicy(name string) (StoreSyncPolicy, error) {
 
 // ---- Query engine ----
 
-// QueryEngine is the pruned top-k / range similarity engine: it serves the
-// MUNICH/PROUD/DUST/UMA-family measures over a workload with early
-// abandoning, LB_Keogh envelope pruning (banded DTW) and shared DUST phi
-// tables, executing batches on a sharded work-stealing pool. The
-// probabilistic measures (MeasurePROUD, MeasureMUNICH) answer threshold
-// queries — ProbRange(qi, eps, tau) and the probability-ranked
-// ProbTopK(qi, eps, k) — pruned by measure-native bounds: MUNICH walks a
-// segment-envelope lower bound, the exact bounding-interval prune and a
-// per-timestamp sample-pair bound before any combination counting; PROUD
-// stops accumulating as soon as sound prefix bounds force the predicate.
-// Answers are exact — identical to the naive full scan — for every worker
-// count.
+// QueryEngine is the pruned top-k / range similarity engine over one corpus
+// snapshot. It has one query entry point — Run (RunStream for incremental
+// delivery) executes a declarative QueryRequest — and one path behind it for
+// every measure and kind: candidate source (a sharded sweep of the snapshot,
+// or the sketch-tree walk for banded DTW) → tier 0 / bounds (the coarse
+// filter columns for Euclidean, UMA, UEMA and PROUD, sketch rows for DTW) →
+// refine (the measure's own early-abandoning kernel: LB_Keogh and a banded
+// DP for DTW, shared phi tables for DUST, MUNICH's envelope,
+// bounding-interval and sample-pair bounds before any combination counting,
+// PROUD's sound prefix bounds) → collect (matches by position, or one
+// query-wide top-k collector whose k-th best tightens the cut every worker
+// prunes against). Answers are exact — identical to the naive full scan —
+// for every worker count. Distance is the unpruned reference lookup.
 type QueryEngine = engine.Engine
 
 // QueryEngineOptions configures a QueryEngine.
@@ -435,13 +436,13 @@ const (
 type Neighbor = query.Neighbor
 
 // ProbMatch pairs a candidate index with its match probability
-// Pr(distance <= eps); the result unit of the engine's ProbTopK queries.
+// Pr(distance <= eps); the result unit of QueryProbTopK requests.
 type ProbMatch = engine.ProbMatch
 
-// NewQueryEngine builds a pruned query engine over the workload (a thin
-// wrapper over NewQueryEngineFromSnapshot on the workload's snapshot).
+// NewQueryEngine builds a pruned query engine over the workload's corpus
+// snapshot.
 func NewQueryEngine(w *Workload, opts QueryEngineOptions) (*QueryEngine, error) {
-	return engine.New(w, opts)
+	return engine.NewFromSnapshot(w.Snapshot(), opts)
 }
 
 // NewQueryEngineFromSnapshot builds a pruned query engine over a corpus
@@ -455,12 +456,6 @@ func NewQueryEngineFromSnapshot(snap *CorpusSnapshot, opts QueryEngineOptions) (
 // in any corpus — posed as a query: observations, optional error model,
 // optional repeated-observation samples (required for MUNICH).
 type AdHocQuery = engine.Query
-
-// PreparedQuery is a query bound to an engine with its derived state
-// (filtered vector, suffix energies, sample envelope) precomputed, so
-// repeated queries amortise their setup. Its Workers field sets a
-// per-request worker budget.
-type PreparedQuery = engine.PreparedQuery
 
 // ---- Declarative query API ----
 
@@ -483,8 +478,6 @@ type PreparedQuery = engine.PreparedQuery
 // expired deadline stops the scan promptly — the executor polls the
 // context at every work-item boundary and the long kernels (DTW rows,
 // MUNICH refines, PROUD prefix accumulation) poll it mid-computation.
-// Results are bit-identical to the legacy per-shape methods (TopK, Range,
-// ProbTopK, ProbRange), which remain as thin wrappers over Run.
 type QueryRequest = engine.Request
 
 // QueryResult is the answer to one QueryRequest: exactly one of Neighbors

@@ -1,6 +1,7 @@
 package uncertts
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -249,10 +250,12 @@ func TestPublicQueryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nn, err := e.TopK(0, 5)
+		qi := 0
+		res, err := e.Run(context.Background(), QueryRequest{Measure: measure, Kind: QueryTopK, Index: &qi, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		nn := res.Neighbors
 		if len(nn) != 5 {
 			t.Fatalf("%v: got %d neighbours, want 5", measure, len(nn))
 		}
