@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"uncertts/internal/arena"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
 	"uncertts/internal/engine"
@@ -192,23 +193,16 @@ func buildScanCorpus(stderr io.Writer, p scanParams) (*corpus.Corpus, error) {
 // its 5th-nearest neighbour — the paper's K-NN threshold recipe applied to
 // the observation space, so the range queries return non-trivial but small
 // answer sets at any scale.
-func calibrateEps(snap *corpus.Snapshot, qis []int) (float64, error) {
-	cols, dense := snap.Columns()
-	row := func(i int) []float64 {
-		if dense {
-			return cols.Values.Row(i)
-		}
-		return snap.Entry(i).PDF.Observations
-	}
+func calibrateEps(values arena.Matrix, qis []int) (float64, error) {
 	var sum float64
 	for _, qi := range qis {
-		q := row(qi)
+		q := values.Row(qi)
 		var best []float64 // ascending, at most 5
-		for ci := 0; ci < snap.Len(); ci++ {
+		for ci := 0; ci < values.Rows(); ci++ {
 			if ci == qi {
 				continue
 			}
-			d, err := distance.Euclidean(q, row(ci))
+			d, err := distance.Euclidean(q, values.Row(ci))
 			if err != nil {
 				return 0, err
 			}
@@ -316,7 +310,7 @@ func runScanBench(stdout, stderr io.Writer, p scanParams, asJSON bool) error {
 		qis[i] = i * (p.series / p.queries)
 	}
 	start = time.Now()
-	eps, err := calibrateEps(snap, qis)
+	eps, err := calibrateEps(cols.Values, qis)
 	if err != nil {
 		return err
 	}

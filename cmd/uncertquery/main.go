@@ -188,6 +188,17 @@ func validate(cfg config) error {
 	return nil
 }
 
+// checkBand holds -band against the band a persisted corpus was built
+// under. The band is corpus geometry — the stored envelopes, sketch rows and
+// index all embody it, and engines serve the corpus as it is — so with -data
+// the flag can only agree (0 = no opinion).
+func checkBand(band, persisted int) error {
+	if band != 0 && band != persisted {
+		return fmt.Errorf("-band = %d disagrees with the persisted corpus, which was built with band %d (omit -band, or rebuild the corpus with the band you want)", band, persisted)
+	}
+	return nil
+}
+
 // queryContext derives the engine-query context from the -timeout flag
 // (0 = no deadline).
 func queryContext(cfg config) (context.Context, context.CancelFunc) {
@@ -214,7 +225,7 @@ func main() {
 	flag.Float64Var(&cfg.eps, "eps", 0, "distance threshold in probrange mode (0 = the calibrated ground-truth eps)")
 	flag.StringVar(&cfg.mode, "mode", "match", "match (range query vs ground truth), topk (pruned k-NN) or probrange (pruned probabilistic range query)")
 	flag.IntVar(&cfg.topk, "topk", 5, "neighbours to return in topk mode")
-	flag.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width for dtw topk (0 = length/10)")
+	flag.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width of the generated corpus, for dtw topk (0 = length/10, negative = unconstrained; with -data it must match the persisted band)")
 	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers in topk/probrange mode (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "deadline for topk/probrange queries, e.g. 500ms (0 = none)")
 	flag.Parse()
@@ -247,7 +258,7 @@ func main() {
 	if cfg.technique == "munich" {
 		samplesPerTS = 5
 	}
-	w, err := core.NewWorkload(ds, pert, core.WorkloadConfig{K: cfg.k, SamplesPerTS: samplesPerTS})
+	w, err := core.NewWorkload(ds, pert, core.WorkloadConfig{K: cfg.k, SamplesPerTS: samplesPerTS, Band: cfg.band})
 	if err != nil {
 		fatal(err)
 	}
@@ -323,12 +334,15 @@ func runFromStore(cfg config) {
 	if snap.Len() == 0 {
 		fatal(fmt.Errorf("persisted corpus %s holds no series", cfg.dataDir))
 	}
+	if err := checkBand(cfg.band, snap.Config().Band); err != nil {
+		fatal(err)
+	}
 	pos, ok := snap.PosOf(cfg.queryIdx)
 	if !ok {
 		fatal(fmt.Errorf("no series with stable ID %d in %s (IDs are assigned at ingest and never reused)", cfg.queryIdx, cfg.dataDir))
 	}
 	measure := measureFor(cfg.technique)
-	e, err := engine.NewFromSnapshot(snap, engine.Options{Measure: measure, Band: cfg.band, Workers: cfg.workers})
+	e, err := engine.NewFromSnapshot(snap, engine.Options{Measure: measure, Workers: cfg.workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -438,7 +452,7 @@ func runFromServer(cfg config) {
 // scan statistics next to a naive full-scan baseline.
 func runTopK(w *core.Workload, dsName string, cfg config) {
 	measure := measureFor(cfg.technique)
-	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Band: cfg.band, Workers: cfg.workers})
+	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Workers: cfg.workers})
 	if err != nil {
 		fatal(err)
 	}

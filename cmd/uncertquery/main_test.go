@@ -56,6 +56,8 @@ func TestValidate(t *testing.T) {
 		{"tau above one", func(c *config) { c.mode = "probrange"; c.technique = "munich"; c.tau = 1.5 }, "-tau"},
 		{"negative timeout", func(c *config) { c.timeout = -time.Second }, "-timeout"},
 
+		{"generated band", func(c *config) { c.mode = "topk"; c.technique = "dtw"; c.band = 4 }, ""},
+		{"generated band unconstrained", func(c *config) { c.mode = "topk"; c.technique = "dtw"; c.band = -1 }, ""},
 		{"data topk", func(c *config) { c.dataDir = "d"; c.mode = "topk"; c.technique = "dtw"; c.series = 0; c.length = 0 }, ""},
 		{"data probrange explicit", func(c *config) {
 			c.dataDir = "d"
@@ -87,5 +89,28 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("validate error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCheckBand: -band is the generated corpus' geometry; against a
+// persisted corpus (-data) it may only agree with the band the corpus was
+// built under, and the refusal names that band.
+func TestCheckBand(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		band, persisted int
+		wantErr         string
+	}{
+		{"unset", 0, 9, ""},
+		{"agrees", 9, 9, ""},
+		{"unconstrained agrees", -1, -1, ""},
+		{"disagrees", 4, 9, "built with band 9"},
+		{"constrains an unconstrained corpus", 4, -1, "built with band -1"},
+		{"unconstrains a banded corpus", -1, 9, "built with band 9"},
+	} {
+		err := checkBand(tc.band, tc.persisted)
+		if (err == nil) != (tc.wantErr == "") || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: checkBand(%d, %d) = %v, want error containing %q", tc.name, tc.band, tc.persisted, err, tc.wantErr)
+		}
 	}
 }

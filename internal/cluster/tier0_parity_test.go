@@ -39,7 +39,8 @@ func sameAnswer(a, b server.QueryResponse) error {
 // clusters of one and two shards — once with tier 0 live (every shard is
 // past the engine's default index threshold, which the server does not
 // expose) and once with NoIndex — over dense snapshots and again after
-// deletes left the shards without a columnar view. Answers must agree bit
+// interior deletes left the shards reading their arenas through the row
+// index. Answers must agree bit
 // for bit, and the tier-0 side's accounting must stay coherent: every series
 // but the query itself is either a candidate or skipped by the index, and no
 // bucket of the tree is touched.
@@ -141,9 +142,9 @@ func TestTier0DifferentialParity(t *testing.T) {
 			}
 			run("dense", nSeries)
 
-			// Delete a few series on every shard, too few to compact: the
-			// shards' snapshots lose their columnar view and tier 0 reads the
-			// per-entry views.
+			// Delete a few series from the middle of every shard, too few to
+			// compact: positions past the holes are no longer arena rows, and
+			// tier 0 and the scan read through the snapshots' row index.
 			var del []int
 			perShard := make([]int, nShards)
 			for id := 100; len(del) < 6*nShards; id++ {

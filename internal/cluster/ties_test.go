@@ -109,8 +109,8 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	const nSeries, length, k = 48, 256, 3
 	// Unconstrained DTW and a fine-grained MUNICH estimator make one query
 	// last tens of bound-poll intervals, so records do get interleaved.
-	srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4}),
-		server.Options{Band: -1, MUNICH: munich.Options{Bins: 4096}})
+	srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
+		server.Options{MUNICH: munich.Options{Bins: 4096}})
 	ins := server.SeriesRequest{}
 	for i := 0; i < nSeries; i++ {
 		ins.Insert = append(ins.Insert, testSeries(length, int64(i)))

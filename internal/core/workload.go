@@ -47,6 +47,10 @@ type WorkloadConfig struct {
 	// and the UMA/UEMA filters receive. Zero derives it from the reported
 	// errors (root mean variance).
 	ReportedSigma float64
+	// Band is the Sakoe-Chiba half-width of the workload's corpus — the
+	// corpus.Config.Band DTW engines over Snapshot() run under (0 =
+	// length/10, negative = unconstrained).
+	Band int
 }
 
 // Workload bundles an exact dataset, its perturbed views, the reported
@@ -136,6 +140,7 @@ func NewWorkload(exact timeseries.Dataset, p *uncertain.Perturber, cfg WorkloadC
 		ReportedSigma: w.ReportedSigma,
 		Sigmas:        w.Sigmas,
 		Errors:        reported[:n],
+		Band:          cfg.Band,
 	})
 	batch := make([]corpus.Series, len(exact.Series))
 	for i, s := range exact.Series {

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -11,8 +12,19 @@ type artifactCopy struct {
 	envLo, envHi                                    []float64
 }
 
-func copyArtifacts(e *Entry) artifactCopy {
+// arenaRow resolves position i of a snapshot to its arena row.
+func arenaRow(s *Snapshot, i int) (*Columns, int) {
+	cols := s.Arena()
+	if cols.Rows != nil {
+		return cols, int(cols.Rows[i])
+	}
+	return cols, i
+}
+
+func copyArtifacts(s *Snapshot, i int) artifactCopy {
 	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	e := s.Entry(i)
+	cols, row := arenaRow(s, i)
 	return artifactCopy{
 		values: cp(e.PDF.Observations),
 		sigmas: cp(e.Sigmas),
@@ -20,14 +32,16 @@ func copyArtifacts(e *Entry) artifactCopy {
 		uema:   cp(e.UEMA),
 		upper:  cp(e.Upper),
 		lower:  cp(e.Lower),
-		suffix: cp(e.Suffix),
+		suffix: cp(cols.Suffix.Row(row)),
 		envLo:  cp(e.Env.Lo),
 		envHi:  cp(e.Env.Hi),
 	}
 }
 
-func checkArtifacts(t *testing.T, when string, e *Entry, want artifactCopy) {
+func checkArtifacts(t *testing.T, when string, s *Snapshot, i int, want artifactCopy) {
 	t.Helper()
+	e := s.Entry(i)
+	cols, row := arenaRow(s, i)
 	eq := func(name string, got, want []float64) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -45,7 +59,7 @@ func checkArtifacts(t *testing.T, when string, e *Entry, want artifactCopy) {
 	eq("uema", e.UEMA, want.uema)
 	eq("upper", e.Upper, want.upper)
 	eq("lower", e.Lower, want.lower)
-	eq("suffix", e.Suffix, want.suffix)
+	eq("suffix", cols.Suffix.Row(row), want.suffix)
 	eq("envLo", e.Env.Lo, want.envLo)
 	eq("envHi", e.Env.Hi, want.envHi)
 }
@@ -70,7 +84,7 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 	}
 	want1 := make([]artifactCopy, s1.Len())
 	for i := range want1 {
-		want1[i] = copyArtifacts(s1.Entry(i))
+		want1[i] = copyArtifacts(s1, i)
 	}
 
 	// Appends beyond the captured row count: the arena may grow (and
@@ -81,7 +95,7 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 		}
 	}
 	for i := range want1 {
-		checkArtifacts(t, "after growth", s1.Entry(i), want1[i])
+		checkArtifacts(t, "after growth", s1, i, want1[i])
 	}
 	if cols, ok := s1.Columns(); !ok {
 		t.Fatal("snapshot lost its columns")
@@ -92,7 +106,7 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 	s2 := c.Snapshot()
 	want2 := make([]artifactCopy, s2.Len())
 	for i := range want2 {
-		want2[i] = copyArtifacts(s2.Entry(i))
+		want2[i] = copyArtifacts(s2, i)
 	}
 
 	// Delete well past the compaction threshold (dead > 25% of rows): the
@@ -106,10 +120,10 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want1 {
-		checkArtifacts(t, "after compaction", s1.Entry(i), want1[i])
+		checkArtifacts(t, "after compaction", s1, i, want1[i])
 	}
 	for i := range want2 {
-		checkArtifacts(t, "after compaction", s2.Entry(i), want2[i])
+		checkArtifacts(t, "after compaction", s2, i, want2[i])
 	}
 
 	// The post-compaction snapshot is dense again, and its rebuilt rows
@@ -128,7 +142,7 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 		if !ok {
 			t.Fatalf("compacted entry %d not in pre-delete snapshot", e.ID)
 		}
-		checkArtifacts(t, "compacted rows", e, want2[pos])
+		checkArtifacts(t, "compacted rows", s3, i, want2[pos])
 		if &e.PDF.Observations[0] != &cols.Values.Row(i)[0] {
 			t.Fatalf("compacted entry %d does not alias its column row", e.ID)
 		}
@@ -140,11 +154,11 @@ func TestSnapshotViewsSurviveMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want1 {
-		checkArtifacts(t, "after post-compaction insert", s1.Entry(i), want1[i])
+		checkArtifacts(t, "after post-compaction insert", s1, i, want1[i])
 	}
 	for i := 0; i < s3.Len(); i++ {
 		pos, _ := s2.PosOf(s3.Entry(i).ID)
-		checkArtifacts(t, "after post-compaction insert", s3.Entry(i), want2[pos])
+		checkArtifacts(t, "after post-compaction insert", s3, i, want2[pos])
 	}
 }
 
@@ -175,5 +189,73 @@ func TestFailedInsertRollsBackArena(t *testing.T) {
 	if cols.Values.Rows() != 2 {
 		t.Fatalf("columns hold %d rows, want 2", cols.Values.Rows())
 	}
-	checkArtifacts(t, "after rollback", before.Entry(0), copyArtifacts(after.Entry(0)))
+	checkArtifacts(t, "after rollback", before, 0, copyArtifacts(after, 0))
+}
+
+// TestArenaRowIndexAfterInteriorDelete pins what engines read on a snapshot
+// with dead rows: the arena capture stays available, Columns() reports not
+// dense, and the row index maps every position to the arena row holding its
+// entry's artifacts — with live rows on both sides of the dead one — until the
+// corpus compacts and positions are rows again. HasSamples is a count kept
+// at publication, so it follows the sample-less series in and out.
+func TestArenaRowIndexAfterInteriorDelete(t *testing.T) {
+	c := New(Config{ReportedSigma: 0.5, Segments: 4})
+	batch := make([]Series, 12)
+	for i := range batch {
+		batch[i] = testSeries(24, 3, float64(i))
+	}
+	ids, err := c.InsertBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := c.Snapshot().Arena().Rows; rows != nil {
+		t.Fatalf("dense snapshot carries a row index: %v", rows)
+	}
+	if err := c.Delete(ids[5]); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := c.Insert(testSeries(24, 0, 99)) // no sample model
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if _, dense := s.Columns(); dense {
+		t.Fatal("snapshot with a dead interior row reports dense")
+	}
+	if s.HasSamples() {
+		t.Error("HasSamples() = true with a sample-less series resident")
+	}
+	cols := s.Arena()
+	rows := cols.Rows
+	if len(rows) != s.Len() || cols.Values.Rows() != s.Len()+1 {
+		t.Fatalf("Arena() = %d rows indexed by %d positions, want %d and %d", cols.Values.Rows(), len(rows), s.Len()+1, s.Len())
+	}
+	for i := 0; i < s.Len(); i++ {
+		want := i
+		if i >= 5 {
+			want = i + 1 // positions past the hole sit one row further on
+		}
+		if int(rows[i]) != want {
+			t.Errorf("position %d maps to row %d, want %d", i, rows[i], want)
+		}
+		// Equal bytes, not equal addresses: growing an arena copies it, so an
+		// older entry's views may live in the array the capture replaced.
+		e := s.Entry(i)
+		if !slices.Equal(e.PDF.Observations, cols.Values.Row(want)) || !slices.Equal(e.UMA, cols.UMA.Row(want)) {
+			t.Errorf("position %d: arena row %d does not hold the entry's artifacts", i, want)
+		}
+	}
+	if err := c.Delete(bare); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Snapshot().HasSamples() {
+		t.Error("HasSamples() = false after the sample-less series was deleted")
+	}
+	// Past a quarter dead the corpus compacts: dense again, no index.
+	if err := c.Delete(ids[0], ids[1], ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if rows := c.Snapshot().Arena().Rows; rows != nil {
+		t.Errorf("compacted snapshot still carries a row index: %v", rows)
+	}
 }

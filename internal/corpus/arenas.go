@@ -126,12 +126,18 @@ func (a *arenas) compact(keep []int) *arenas {
 	}
 }
 
-// Columns is the dense columnar view of a snapshot: one arena.Matrix per
-// artifact, row i holding the artifact of the entry at position i. It is
-// only available on dense snapshots (no dead rows — see Snapshot.Columns);
-// engines use it to drive hot scans over contiguous memory instead of
-// chasing per-entry slice headers.
+// Columns is the columnar view of a snapshot: one arena.Matrix per artifact
+// and the row index that addresses them by snapshot position. Engines drive
+// their scans over it — contiguous memory read by arithmetic — instead of
+// chasing per-entry slice headers. Snapshot.Columns hands it out on dense
+// snapshots only, where a row is a position; Snapshot.Arena always.
 type Columns struct {
+	// Rows maps a snapshot position to the arena row holding that entry's
+	// artifacts. It is nil on dense snapshots (row i is position i) and
+	// strictly increasing otherwise: rows and positions are both in insertion
+	// order, and the rows it skips belong to deleted series awaiting
+	// compaction.
+	Rows []int32
 	// Values holds the observation vectors (stride = series length).
 	Values arena.Matrix
 	// Sigmas holds the per-timestamp error stddevs.

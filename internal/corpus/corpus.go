@@ -189,18 +189,8 @@ type Entry struct {
 	UMA, UEMA []float64
 	// Upper and Lower are the LB_Keogh envelopes for the corpus band.
 	Upper, Lower []float64
-	// Suffix holds PROUD's suffix energies of the observations.
-	Suffix []float64
 	// Env is the MUNICH segment envelope (zero value when Samples is nil).
 	Env munich.Envelope
-	// Sketch is the series' PAA sketch row (see internal/sketch for the
-	// layout), the summary the bucket index is built over.
-	Sketch []float64
-	// CoarseV, CoarseU and CoarseE are the coarse segment means of the
-	// observations and the UMA/UEMA vectors (see sketch.Coarse) — the
-	// per-entry views of the dense filter columns, for snapshots without a
-	// columnar view. The matching energy term is Suffix[0].
-	CoarseV, CoarseU, CoarseE []float64
 	// OwnErrors records whether the series was inserted with its own error
 	// distributions (as opposed to adopting the corpus defaults) — the
 	// fidelity bit a checkpoint needs to re-ingest the entry through the
@@ -209,7 +199,9 @@ type Entry struct {
 
 	// row is the entry's row index in the corpus arenas at the time it was
 	// built (or last compacted). All float64 artifacts above are views into
-	// arena row `row`; compaction rewires fresh Entry copies to new rows.
+	// arena row `row`, which also holds the artifacts only scans read (suffix
+	// energies, sketch row, filter columns — see Snapshot.Arena); compaction
+	// rewires fresh Entry copies to new rows.
 	row int
 }
 
@@ -237,15 +229,12 @@ type Corpus struct {
 func New(cfg Config) *Corpus {
 	cfg = cfg.withDefaults()
 	c := &Corpus{d: dust.New(cfg.DUST)}
-	snap := &Snapshot{cfg: cfg, epoch: 0, pos: map[int]int{}, d: c.d}
 	if cfg.Length > 0 {
-		snap.finishGeometry()
-		c.ar = newArenas(snap.cfg, 0)
-		c.tree = sketch.NewTree(c.ar.lay, snap.cfg.SketchLeafCap)
-		snap.cols = c.ar.capture()
-		snap.tree = c.tree
+		cfg = cfg.resolveLength(cfg.Length)
+		c.ar = newArenas(cfg, 0)
+		c.tree = sketch.NewTree(c.ar.lay, cfg.SketchLeafCap)
 	}
-	c.cur.Store(snap)
+	c.cur.Store(c.newSnapshot(cfg, 0, nil))
 	return c
 }
 
@@ -465,7 +454,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 			c.tree = c.tree.Update(c.ar.sketch.Matrix(), insMembers, delMembers)
 		}
 	}
-	c.publish(cfg, old, entries)
+	c.cur.Store(c.newSnapshot(cfg, old.epoch+1, entries))
 	return ids, nil
 }
 
@@ -490,12 +479,9 @@ func (c *Corpus) compactLocked(entries []*Entry) []*Entry {
 		ne.UEMA = cols.UEMA.Row(i)
 		ne.Upper = cols.Upper.Row(i)
 		ne.Lower = cols.Lower.Row(i)
-		ne.Suffix = cols.Suffix.Row(i)
 		if ne.Samples != nil {
 			ne.Env = munich.Envelope{Lo: cols.EnvLo.Row(i), Hi: cols.EnvHi.Row(i)}
 		}
-		ne.Sketch = cols.Sketch.Row(i)
-		ne.CoarseV, ne.CoarseU, ne.CoarseE = cols.CoarseV.Row(i), cols.CoarseU.Row(i), cols.CoarseE.Row(i)
 		out[i] = &ne
 	}
 	c.ar = na
@@ -554,15 +540,7 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 		}
 		entries = append(entries, e)
 	}
-	snap := &Snapshot{cfg: cfg, epoch: epoch, entries: entries, pos: make(map[int]int, len(entries)), d: c.d, nextID: nextID}
-	for i, e := range entries {
-		snap.pos[e.ID] = i
-	}
-	if cfg.Length > 0 {
-		snap.finishGeometry()
-	}
 	if c.ar != nil {
-		snap.cols = c.ar.capture()
 		// The sketch rows were rebuilt row by row through buildEntry — the
 		// same incremental path inserts use — so the restored index prunes
 		// bit-identically; only the bucket shapes depend on load order.
@@ -570,41 +548,49 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 		for i, e := range entries {
 			members[i] = sketch.Member{ID: e.ID, Row: e.row}
 		}
-		c.tree = sketch.Build(c.ar.lay, snap.cfg.SketchLeafCap, members, snap.cols.Sketch)
-		snap.tree = c.tree
+		c.tree = sketch.Build(c.ar.lay, cfg.SketchLeafCap, members, c.ar.sketch.Matrix())
 	}
-	c.cur.Store(snap)
+	c.cur.Store(c.newSnapshot(cfg, epoch, entries))
 	return c, nil
 }
 
-// publish installs a new snapshot over the given entries. Callers hold
-// c.mu.
-func (c *Corpus) publish(cfg Config, old *Snapshot, entries []*Entry) {
+// newSnapshot freezes the writer's state — c.ar, c.tree, c.nextID — over
+// the given entries as the snapshot of the given epoch. Callers hold c.mu
+// (or own a corpus nobody else can see yet).
+func (c *Corpus) newSnapshot(cfg Config, epoch uint64, entries []*Entry) *Snapshot {
 	snap := &Snapshot{
 		cfg:     cfg,
-		epoch:   old.epoch + 1,
+		epoch:   epoch,
 		entries: entries,
 		pos:     make(map[int]int, len(entries)),
 		d:       c.d,
 		nextID:  c.nextID,
+		tree:    c.tree,
 	}
 	for i, e := range entries {
 		snap.pos[e.ID] = i
+		if e.Samples == nil {
+			snap.unsampled++
+		}
 	}
-	snap.finishGeometry()
-	// A snapshot is dense — arena row i holds the artifacts of position i —
-	// exactly when no deleted rows await compaction, i.e. when the arena row
-	// count matches the entry count (rows and entries both grow in insertion
-	// order, and only deletes break the alignment). Dense snapshots carry
-	// the columnar view engines use for contiguous scans.
-	if c.ar != nil && c.ar.rows() == len(entries) {
-		snap.cols = c.ar.capture()
+	if cfg.Length == 0 {
+		return snap
 	}
-	// The index travels with every snapshot, dense or not: its bounds read
-	// only the tree's own region storage, and member positions resolve
-	// through PosOf on sparse snapshots.
-	snap.tree = c.tree
-	c.cur.Store(snap)
+	snap.spans = munich.SegmentSpans(cfg.Length, cfg.Segments)
+	// Every snapshot carries the arena capture, dead rows included: they
+	// stay resident until compaction, which the sketch tree relies on too.
+	// Rows and entries both grow in insertion order and only deletes break
+	// the alignment, so arena row == position exactly when the counts agree;
+	// otherwise the row index says where each position lives.
+	snap.cols = c.ar.capture()
+	if c.ar.rows() != len(entries) {
+		rows := make([]int32, len(entries))
+		for i, e := range entries {
+			rows[i] = int32(e.row)
+		}
+		snap.cols.Rows = rows
+	}
+	return snap
 }
 
 // deriveSigma mirrors the Workload derivation: the root mean variance of
@@ -693,8 +679,8 @@ func buildEntry(id int, s Series, cfg Config, ar *arenas) (*Entry, error) {
 	e.Sigmas = sigmas
 	e.Upper, e.Lower = ar.upper.AppendZero(), ar.lower.AppendZero()
 	distance.EnvelopeIntoScratch(e.Upper, e.Lower, obs, cfg.Band, &ar.envScratch)
-	e.Suffix = ar.suffix.AppendZero()
-	proud.SuffixEnergyInto(e.Suffix, obs)
+	suffix := ar.suffix.AppendZero()
+	proud.SuffixEnergyInto(suffix, obs)
 
 	// Every arena gets its row even when the series carries no samples, to
 	// keep row indices aligned across artifacts; Env stays the zero value
@@ -712,12 +698,10 @@ func buildEntry(id int, s Series, cfg Config, ar *arenas) (*Entry, error) {
 		e.Env = munich.Envelope{Lo: envLo, Hi: envHi}
 		munich.BuildEnvelopeInto(e.Env, ss)
 	}
-	e.Sketch = ar.sketch.AppendZero()
-	ar.lay.FillRow(e.Sketch, obs, e.Upper, e.Lower)
-	e.CoarseV, e.CoarseU, e.CoarseE = ar.coarseV.AppendZero(), ar.coarseU.AppendZero(), ar.coarseE.AppendZero()
-	sketch.PAAInto(e.CoarseV, obs, ar.coarse.Spans)
-	sketch.PAAInto(e.CoarseU, e.UMA, ar.coarse.Spans)
-	sketch.PAAInto(e.CoarseE, e.UEMA, ar.coarse.Spans)
-	ar.energy.AppendZero()[0] = e.Suffix[0]
+	ar.lay.FillRow(ar.sketch.AppendZero(), obs, e.Upper, e.Lower)
+	sketch.PAAInto(ar.coarseV.AppendZero(), obs, ar.coarse.Spans)
+	sketch.PAAInto(ar.coarseU.AppendZero(), e.UMA, ar.coarse.Spans)
+	sketch.PAAInto(ar.coarseE.AppendZero(), e.UEMA, ar.coarse.Spans)
+	ar.energy.AppendZero()[0] = suffix[0]
 	return e, nil
 }

@@ -136,7 +136,8 @@ func TestEntryArtifactsMatchDirectComputation(t *testing.T) {
 	if !reflect.DeepEqual(e.Upper, up) || !reflect.DeepEqual(e.Lower, lo) {
 		t.Error("LB_Keogh envelopes differ from direct computation")
 	}
-	if !reflect.DeepEqual(e.Suffix, proud.SuffixEnergy(s.Values)) {
+	cols, _ := snap.Columns()
+	if !reflect.DeepEqual(cols.Suffix.Row(pos), proud.SuffixEnergy(s.Values)) {
 		t.Error("suffix energies differ from direct computation")
 	}
 	sigmas := make([]float64, 24)

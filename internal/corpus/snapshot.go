@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"uncertts/internal/dust"
-	"uncertts/internal/munich"
 	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
 	"uncertts/internal/uncertain"
@@ -20,21 +19,11 @@ type Snapshot struct {
 	d       *dust.Dust
 	spans   [][2]int // MUNICH segment geometry for cfg.Segments
 	nextID  int      // the ID the next insert will receive
-	cols    *Columns // dense columnar view; nil while dead rows await compaction
 	tree    *sketch.Tree
-}
 
-// finishGeometry resolves the derived geometry once cfg.Length is known.
-func (s *Snapshot) finishGeometry() {
-	s.cfg = s.cfg.resolveLength(s.cfg.Length)
-	s.spans = segmentSpansFor(s.cfg)
-}
+	cols *Columns // the arena capture; nil until the series length is resolved
 
-func segmentSpansFor(cfg Config) [][2]int {
-	if cfg.Length == 0 {
-		return nil
-	}
-	return munich.SegmentSpans(cfg.Length, cfg.Segments)
+	unsampled int // resident series without a sample model
 }
 
 // Epoch returns the snapshot's version number; it increases by one with
@@ -95,14 +84,25 @@ func (s *Snapshot) Spans() [][2]int { return s.spans }
 // position order reads contiguous memory. It is available exactly when the
 // snapshot is dense — no deleted rows awaiting compaction — which is the
 // steady state (inserts preserve density, deletes break it until the
-// corpus compacts). ok=false means readers must fall back to the per-entry
-// views, which alias the same storage row by row.
-func (s *Snapshot) Columns() (*Columns, bool) { return s.cols, s.cols != nil }
+// corpus compacts). ok=false means rows and positions differ: readers use
+// Arena, or the per-entry views, which alias the same storage row by row.
+func (s *Snapshot) Columns() (*Columns, bool) {
+	if s.cols == nil || s.cols.Rows != nil {
+		return nil, false
+	}
+	return s.cols, true
+}
+
+// Arena returns the arena capture every snapshot with resolved geometry
+// carries, dense or not: the artifacts of the entry at position i are row
+// Rows[i] of every matrix, or row i when Rows is nil (the snapshot is
+// dense). Rows no position maps to belong to deleted series awaiting
+// compaction.
+func (s *Snapshot) Arena() *Columns { return s.cols }
 
 // Index returns the snapshot's immutable bucket-tree sketch index, present
-// on every snapshot with resolved geometry (dense or not — member positions
-// resolve through PosOf on sparse snapshots). Nil while the corpus is empty
-// and no length was configured.
+// on every snapshot with resolved geometry (dense or not — its members name
+// arena rows). Nil while the corpus is empty and no length was configured.
 func (s *Snapshot) Index() *sketch.Tree { return s.tree }
 
 // DefaultErrors returns the per-timestamp error distributions attached to
@@ -125,14 +125,7 @@ func (s *Snapshot) DefaultErrors() []stats.Dist {
 
 // HasSamples reports whether every resident series carries the
 // repeated-observation model (the precondition for serving MUNICH).
-func (s *Snapshot) HasSamples() bool {
-	for _, e := range s.entries {
-		if e.Samples == nil {
-			return false
-		}
-	}
-	return len(s.entries) > 0
-}
+func (s *Snapshot) HasSamples() bool { return len(s.entries) > 0 && s.unsampled == 0 }
 
 // PDFSeries returns the PDF-model views in position order (sharing the
 // snapshot's immutable storage).

@@ -47,13 +47,16 @@ func corpusSeries(length int, seed int64) corpus.Series {
 }
 
 // allMeasureOptions enumerates one engine configuration per measure, with
-// the cheap estimator settings the MUNICH tests use.
+// the cheap estimator settings the MUNICH tests use. Geometry is the
+// corpus', so with IndexThreshold -1 a prefilter engages wherever one
+// exists: tier 0 for the lock-step measures and PROUD, the bucket tree for
+// DTW (DUST and MUNICH have neither).
 func allMeasureOptions() []Options {
 	return []Options{
 		{Measure: MeasureEuclidean, ShardSize: 5},
 		{Measure: MeasureUMA, ShardSize: 5},
 		{Measure: MeasureUEMA, ShardSize: 5},
-		{Measure: MeasureDTW, Band: 3, ShardSize: 5},
+		{Measure: MeasureDTW, ShardSize: 5},
 		{Measure: MeasureDUST, ShardSize: 5},
 		{Measure: MeasurePROUD, ShardSize: 5},
 		{Measure: MeasureMUNICH, ShardSize: 5, MUNICH: munich.Options{Bins: 256}},
@@ -234,51 +237,18 @@ func TestStatsMergeAndString(t *testing.T) {
 	}
 }
 
-// TestEngineReusesCorpusArtifacts verifies the incremental-maintenance
-// contract: an engine whose options match the corpus geometry aliases the
-// snapshot's precomputed artifacts instead of recomputing them.
-func TestEngineReusesCorpusArtifacts(t *testing.T) {
+// TestEngineReadsArenaColumnsInPlace verifies the one-layout contract: an
+// engine binds the corpus' arena columns — the storage the entry views alias
+// — instead of deriving or copying anything.
+func TestEngineReadsArenaColumnsInPlace(t *testing.T) {
 	c := testCorpus(t, 6, 40)
 	snap := c.Snapshot()
-	cfg := snap.Config()
-
-	dtw, err := NewFromSnapshot(snap, Options{Measure: MeasureDTW, Band: cfg.Band})
-	if err != nil {
-		t.Fatal(err)
+	dtw := newEngine(t, snap, Options{Measure: MeasureDTW})
+	if &dtw.upper.at(0)[0] != &snap.Entry(0).Upper[0] || &dtw.lower.at(5)[0] != &snap.Entry(5).Lower[0] {
+		t.Error("DTW engine does not alias the corpus envelopes")
 	}
-	if &dtw.upper.at(0)[0] != &snap.Entry(0).Upper[0] {
-		t.Error("DTW engine did not alias the corpus envelopes")
+	uma := newEngine(t, snap, Options{Measure: MeasureUMA})
+	if &uma.vecs.at(3)[0] != &snap.Entry(3).UMA[0] {
+		t.Error("UMA engine does not alias the corpus filtered vectors")
 	}
-	uma, err := NewFromSnapshot(snap, Options{Measure: MeasureUMA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &uma.vecs.at(0)[0] != &snap.Entry(0).UMA[0] {
-		t.Error("UMA engine did not alias the corpus filtered vectors")
-	}
-	du, err := NewFromSnapshot(snap, Options{Measure: MeasureDUST})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if du.dust != snap.Dust() {
-		t.Error("DUST engine did not share the corpus evaluator")
-	}
-	mu, err := NewFromSnapshot(snap, Options{Measure: MeasureMUNICH, Segments: cfg.Segments})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &mu.envs[0].Lo[0] != &snap.Entry(0).Env.Lo[0] {
-		t.Error("MUNICH engine did not alias the corpus envelopes")
-	}
-	// Mismatched geometry falls back to local computation and still
-	// answers correctly.
-	dtw2, err := NewFromSnapshot(snap, Options{Measure: MeasureDTW, Band: cfg.Band + 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &dtw2.upper.at(0)[0] == &snap.Entry(0).Upper[0] {
-		t.Error("band-mismatched DTW engine aliased the wrong envelopes")
-	}
-	qi := 0
-	mustRun(t, dtw2, Request{Kind: KindTopK, Index: &qi, K: 3})
 }

@@ -90,13 +90,14 @@ func checkStatsIdentity(e *Engine, resident bool) error {
 
 // TestDifferentialEveryMeasureKindSourceAndWorkers is the engine's one
 // equivalence table: 7 measures x 4 kinds x resident / ad-hoc targets x
-// dense / after-delete / compacted snapshots x Workers {1, 2, 8} x
-// prefilter engaged / NoIndex. Every served combination must answer
-// bit-identically to the unpruned reference (Options.NoPrune over the dense
-// snapshot: the three snapshots hold the same series at the same positions,
-// so one reference also pins the arena and the slice-backed row layouts to
-// each other) with both Stats identities holding per request; every
-// combination a measure does not serve must be refused as a bad request.
+// dense / after-delete / interior-hole / compacted snapshots x Workers
+// {1, 2, 8} x prefilter engaged / NoIndex. Every served combination must
+// answer bit-identically to the unpruned reference (Options.NoPrune over a
+// dense snapshot holding the same series under the same IDs at the same
+// positions, so the reference also pins reading the arena through the row
+// index to reading it directly) with both Stats identities holding per
+// request; every combination a measure does not serve must be refused as a
+// bad request.
 func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 	const n, length = 30, 32
 	c := corpus.New(indexCorpusConfig())
@@ -112,7 +113,8 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 		t.Fatal("insert-only snapshot is not dense")
 	}
 	// Two sacrificial inserts plus deletes leave the arena sparse (2 dead
-	// of 32 rows stays under the compaction threshold).
+	// of 32 rows stays under the compaction threshold) — but only at its
+	// tail: every live series still sits in the row of its position.
 	churn := func(seeds ...int64) *corpus.Snapshot {
 		extra := make([]corpus.Series, len(seeds))
 		for i, s := range seeds {
@@ -137,17 +139,52 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 	if _, ok := compacted.Columns(); !ok {
 		t.Fatal("deletes past the threshold did not compact")
 	}
+	// Three deleted from the middle and three inserted after them: live rows
+	// on both sides of dead ones, so from the first hole on a position is
+	// not its arena row and only the row index finds the series. Its
+	// reference is a dense corpus ingesting the survivors under their IDs.
+	holeSeeds := map[int]int64{}
+	for id := 0; id < n; id++ {
+		holeSeeds[id] = int64(id)
+	}
+	if err := c.Delete(3, 11, 12); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := c.InsertBatch([]corpus.Series{corpusSeries(length, 700), corpusSeries(length, 701), corpusSeries(length, 702)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range fresh {
+		holeSeeds[id] = int64(700 + i)
+	}
+	hole := c.Snapshot()
+	if rows := hole.Arena().Rows; rows == nil || int(rows[2]) != 2 || int(rows[3]) == 3 {
+		t.Fatalf("interior-hole snapshot maps positions to rows %v, want a hole at row 3", rows)
+	}
+	survivors := make([]corpus.Series, n)
+	for i, id := range hole.IDs() {
+		survivors[i] = corpusSeries(length, holeSeeds[id])
+	}
+	hc := corpus.New(indexCorpusConfig())
+	if _, err := hc.ApplyAt(survivors, hole.IDs(), nil); err != nil {
+		t.Fatal(err)
+	}
+	holeRef := hc.Snapshot()
+	if _, ok := holeRef.Columns(); !ok {
+		t.Fatal("the interior-hole reference corpus is not dense")
+	}
+
 	snaps := []struct {
-		name string
-		snap *corpus.Snapshot
-	}{{"dense", dense}, {"after-delete", sparse}, {"compacted", compacted}}
+		name      string
+		snap, ref *corpus.Snapshot
+	}{{"dense", dense, dense}, {"after-delete", sparse, dense}, {"compacted", compacted, dense}, {"interior-hole", hole, holeRef}}
 	for _, sc := range snaps {
 		if sc.snap.Len() != n {
 			t.Fatalf("%s snapshot holds %d series, want %d", sc.name, sc.snap.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			if sc.snap.IDAt(i) != dense.IDAt(i) {
-				t.Fatalf("%s snapshot: position %d holds series %d, dense holds %d", sc.name, i, sc.snap.IDAt(i), dense.IDAt(i))
+			if sc.snap.IDAt(i) != sc.ref.IDAt(i) {
+				t.Fatalf("%s snapshot: position %d holds series %d, its reference holds %d", sc.name, i, sc.snap.IDAt(i), sc.ref.IDAt(i))
 			}
 		}
 	}
@@ -158,27 +195,33 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 		targets = append(targets, Request{Index: &qi})
 	}
 
-	for _, base := range indexMeasureOptions() {
+	for _, base := range allMeasureOptions() {
 		m := base.Measure
 		refOpts := base
 		refOpts.NoPrune = true
-		ref := newEngine(t, dense, refOpts)
+		refs := map[*corpus.Snapshot]*Engine{dense: newEngine(t, dense, refOpts), holeRef: newEngine(t, holeRef, refOpts)}
 		for _, kr := range kindRequests() {
 			for ti, tgt := range targets {
 				req := kr
 				req.Measure, req.Index, req.AdHoc = m, tgt.Index, tgt.AdHoc
 				name := fmt.Sprintf("%v/%v/target=%d", m, req.Kind, ti)
-				want, refErr := ref.Run(context.Background(), req)
-				if req.Kind.Probabilistic() != m.Probabilistic() {
-					if !errors.Is(refErr, qerr.ErrBadRequest) {
+				wants := map[*corpus.Snapshot]*Result{}
+				served := req.Kind.Probabilistic() == m.Probabilistic()
+				for ref, e := range refs {
+					want, refErr := e.Run(context.Background(), req)
+					switch {
+					case !served && !errors.Is(refErr, qerr.ErrBadRequest):
 						t.Errorf("%s: err = %v, want ErrBadRequest (the measure does not serve the kind)", name, refErr)
+					case served && refErr != nil:
+						t.Fatalf("%s: reference: %v", name, refErr)
 					}
+					wants[ref] = want
+				}
+				if !served {
 					continue
 				}
-				if refErr != nil {
-					t.Fatalf("%s: reference: %v", name, refErr)
-				}
 				for _, sc := range snaps {
+					want := wants[sc.ref]
 					for _, noIndex := range []bool{false, true} {
 						opts := base
 						opts.IndexThreshold, opts.NoIndex = -1, noIndex

@@ -16,7 +16,7 @@
 //
 // Tier 0 / bounds. Before a candidate's series row is touched, the measure's
 // cheap bound is tested against the request's cut: the 16-segment Jensen
-// bound over the corpus' dense filter columns for the lock-step measures
+// bound over the corpus' filter columns for the lock-step measures
 // (Euclidean, UMA, UEMA) and PROUD (tier0.go), the candidate's own sketch
 // row for DTW. A candidate dropped here is counted in
 // Stats.SeriesSkippedByIndex and never reaches a kernel.
@@ -40,13 +40,19 @@
 // belong to the answer: results are bit-identical to the unpruned scan
 // (Options.NoPrune) for every worker count, which the tests assert.
 //
-// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot).
-// The per-candidate artifacts every device needs — LB_Keogh envelopes,
-// filtered vectors, suffix energies, MUNICH segment envelopes, DUST phi
-// tables — are maintained incrementally by the corpus and reused here
-// whenever the engine options match the corpus geometry, so constructing an
-// engine for a fresh snapshot is nearly free and writers never invalidate a
-// running query (snapshot isolation).
+// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot)
+// and owns no data and no geometry. The per-candidate artifacts every device
+// needs — LB_Keogh envelopes, filtered vectors, suffix energies, filter
+// columns, sketch rows — are columns of the corpus arenas, maintained
+// incrementally by the corpus; the engine reads them in place, one layout
+// for every snapshot: row i of a column on a dense snapshot, row Rows[i]
+// through the snapshot's position -> row index while deleted rows await
+// compaction (corpus.Snapshot.Arena). The band, filter window, decay, weight
+// mode, DUST tables and segment count are the snapshot's corpus.Config and
+// nothing else — a caller wanting another window builds another corpus. So
+// constructing an engine is O(1) in the corpus size for every measure on
+// every snapshot, and writers never invalidate a running query (snapshot
+// isolation).
 package engine
 
 import (
@@ -59,30 +65,32 @@ import (
 	"uncertts/internal/arena"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
-	"uncertts/internal/dust"
 	"uncertts/internal/munich"
 	"uncertts/internal/qerr"
-	"uncertts/internal/timeseries"
 )
 
-// rows is the engine's per-candidate vector table in one of two layouts:
-// a dense arena matrix (the fast path — row ci is arithmetic into one
-// contiguous array, so a scan in candidate order is a sequential read) or a
-// plain slice of views (the fallback for non-dense snapshots and for
-// vectors derived locally when the engine options diverge from the corpus
-// geometry). Both layouts serve bit-identical values.
+// rows is one arena column addressed by snapshot position: row ci is
+// arithmetic into one contiguous array, so a scan in candidate order is a
+// sequential read (dead rows are stepped over, never touched). idx is the
+// snapshot's position -> arena row index, nil on dense snapshots, where the
+// two coincide. It holds the matrix's backing array and stride rather than
+// the arena.Matrix: tier 0 takes a row per candidate, nine in ten of which
+// end there, and Matrix.Row's capped view of a by-value matrix measured
+// +40% on Euclidean range queries.
 type rows struct {
-	mat   arena.Matrix
-	views [][]float64
+	data   []float64
+	stride int
+	idx    []int32
 }
 
-func matRows(m arena.Matrix) rows { return rows{mat: m} }
-func viewRows(v [][]float64) rows { return rows{views: v} }
-func (r rows) at(ci int) []float64 {
-	if r.views != nil {
-		return r.views[ci]
+func column(m arena.Matrix, idx []int32) rows { return rows{m.Data(), m.Stride(), idx} }
+
+func (r *rows) at(ci int) []float64 {
+	if r.idx != nil {
+		ci = int(r.idx[ci])
 	}
-	return r.mat.Row(ci)
+	off := ci * r.stride
+	return r.data[off : off+r.stride]
 }
 
 // Measure selects the similarity measure the engine serves.
@@ -163,18 +171,10 @@ func ParseMeasure(name string) (Measure, error) {
 
 // Options configures an Engine.
 type Options struct {
-	// Measure selects the similarity measure (default Euclidean).
+	// Measure selects the similarity measure (default Euclidean). Its
+	// geometry — DTW band, UMA/UEMA window, decay and weight mode, DUST
+	// tables, MUNICH segment count — is the snapshot's corpus.Config.
 	Measure Measure
-	// Band is the Sakoe-Chiba half-width for MeasureDTW. Zero derives
-	// max(1, n/10) from the series length n (the usual warping-window
-	// heuristic); negative means unconstrained warping.
-	Band int
-	// W is the filter window half-width for UMA/UEMA (0 = the paper's 2).
-	W int
-	// Lambda is the UEMA decay (0 = the paper's 1).
-	Lambda float64
-	// Mode selects the Eq. 17/18 weight normalisation for UMA/UEMA.
-	Mode timeseries.WeightMode
 	// Workers bounds the executor's parallelism (0 = GOMAXPROCS).
 	// Request.Workers overrides it per request.
 	Workers int
@@ -194,11 +194,6 @@ type Options struct {
 	// engages (0 = 1024; negative = always, which the parity tests use).
 	// Below it the plain scan wins.
 	IndexThreshold int
-	// DUST configures the shared evaluator for MeasureDUST.
-	DUST dust.Options
-	// Segments is the envelope segment count of the MUNICH filter index
-	// (0 = 16, clamped to the series length).
-	Segments int
 	// MUNICH configures the probability estimator MeasureMUNICH refines
 	// with; it must match the options of any naive scan being compared
 	// against.
@@ -291,19 +286,15 @@ func (s Stats) String() string {
 // frozen state regardless of later corpus mutations.
 type Engine struct {
 	snap *corpus.Snapshot
+	cfg  corpus.Config // snap's geometry: the engine's only one
 	opts Options
-	band int
 
-	vecs         rows              // scanned vectors (observations or filtered)
-	upper, lower rows              // per-series LB_Keogh envelopes (DTW only)
-	dust         *dust.Dust        // shared evaluator (DUST only)
-	varD         float64           // per-timestamp D_i variance sum (PROUD only)
-	suffix       rows              // per-series suffix energies (PROUD only)
-	envs         []munich.Envelope // per-series segment envelopes (MUNICH only)
-	spans        [][2]int          // MUNICH segment geometry
-	segments     int               // resolved MUNICH segment count
+	vecs         rows    // scanned vectors (observations or filtered)
+	upper, lower rows    // per-series LB_Keogh envelopes (DTW only)
+	suffix       rows    // per-series suffix energies (PROUD only)
+	varD         float64 // per-timestamp D_i variance sum (PROUD only)
 
-	// At most one prefilter is engaged (see resolveIndex): t0, the dense
+	// At most one prefilter is engaged (see resolveIndex): t0, the
 	// filter columns the lock-step and PROUD scans test first, or idx, the
 	// engine's view of the snapshot's sketch index, which DTW walks instead
 	// of scanning. Both nil when queries run the plain sharded scan.
@@ -336,150 +327,47 @@ const (
 // cancelled or failed is never counted.
 func (e *Engine) count(o outcome) { e.outcomes[o].Add(1) }
 
-// NewFromSnapshot builds an engine over a corpus snapshot, reusing the
-// snapshot's precomputed per-series artifacts whenever the engine options
-// match the corpus geometry (the common case: zero-value options adopt the
-// corpus defaults) and deriving them locally otherwise.
+// NewFromSnapshot builds an engine over a corpus snapshot by binding the
+// arena columns its measure reads; nothing is derived, copied or gathered,
+// whatever the snapshot's size and whether or not it is dense.
 func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, errors.New("engine: nil or empty snapshot")
 	}
-	cfg := snap.Config()
-	if opts.W == 0 {
-		opts.W = cfg.W
-	}
-	if opts.Lambda == 0 {
-		opts.Lambda = cfg.Lambda
-	}
 	if opts.ShardSize <= 0 {
 		opts.ShardSize = 64
 	}
-	e := &Engine{snap: snap, opts: opts}
-	n := snap.SeriesLen()
-	cols, dense := snap.Columns()
-	filterReuse := false
+	e := &Engine{snap: snap, cfg: snap.Config(), opts: opts}
+	cols := snap.Arena()
+	idx := cols.Rows
 
 	switch opts.Measure {
 	case MeasureEuclidean:
-		e.vecs = observations(snap)
-	case MeasureUMA, MeasureUEMA:
-		reuse := opts.W == cfg.W && opts.Mode == cfg.Mode &&
-			//lint:allow floatcmp artifact reuse requires the bit-identical filter config; a near-miss must recompute
-			(opts.Measure == MeasureUMA || opts.Lambda == cfg.Lambda)
-		filterReuse = reuse
-		if reuse && dense {
-			if opts.Measure == MeasureUMA {
-				e.vecs = matRows(cols.UMA)
-			} else {
-				e.vecs = matRows(cols.UEMA)
-			}
-			break
-		}
-		vecs := make([][]float64, snap.Len())
-		for i := 0; i < snap.Len(); i++ {
-			ent := snap.Entry(i)
-			if reuse {
-				if opts.Measure == MeasureUMA {
-					vecs[i] = ent.UMA
-				} else {
-					vecs[i] = ent.UEMA
-				}
-				continue
-			}
-			var f []float64
-			var err error
-			if opts.Measure == MeasureUMA {
-				f, err = timeseries.UncertainMovingAverage(ent.PDF.Observations, ent.Sigmas, opts.W, opts.Mode)
-			} else {
-				f, err = timeseries.UncertainExponentialMovingAverage(ent.PDF.Observations, ent.Sigmas, opts.W, opts.Lambda, opts.Mode)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("engine: filtering series %d: %w", ent.ID, err)
-			}
-			vecs[i] = f
-		}
-		e.vecs = viewRows(vecs)
+		e.vecs = column(cols.Values, idx)
+	case MeasureUMA:
+		e.vecs = column(cols.UMA, idx)
+	case MeasureUEMA:
+		e.vecs = column(cols.UEMA, idx)
 	case MeasureDTW:
-		e.vecs = observations(snap)
-		e.band = opts.Band
-		if e.band == 0 {
-			e.band = n / 10
-			if e.band < 1 {
-				e.band = 1
-			}
-		}
-		if e.band == cfg.Band && dense {
-			e.upper, e.lower = matRows(cols.Upper), matRows(cols.Lower)
-			break
-		}
-		upper := make([][]float64, snap.Len())
-		lower := make([][]float64, snap.Len())
-		for i := 0; i < snap.Len(); i++ {
-			if ent := snap.Entry(i); e.band == cfg.Band {
-				upper[i], lower[i] = ent.Upper, ent.Lower
-			} else {
-				upper[i], lower[i] = distance.Envelope(e.vecs.at(i), e.band)
-			}
-		}
-		e.upper, e.lower = viewRows(upper), viewRows(lower)
+		e.vecs, e.upper, e.lower = column(cols.Values, idx), column(cols.Upper, idx), column(cols.Lower, idx)
 	case MeasureDUST:
-		if opts.DUST == cfg.DUST {
-			e.dust = snap.Dust()
-		} else {
-			e.dust = dust.New(opts.DUST)
-		}
+		// No column: DUST reads the entries' error models, through the
+		// evaluator (and its phi tables) the snapshot shares.
 	case MeasurePROUD:
-		e.vecs = observations(snap)
+		e.vecs, e.suffix = column(cols.Values, idx), column(cols.Suffix, idx)
 		// The same arithmetic the naive matcher feeds proud.Distance with
 		// (QuerySigma and CandSigma both the snapshot's reported sigma).
 		sigma := snap.ReportedSigma()
 		e.varD = sigma*sigma + sigma*sigma
-		if dense {
-			e.suffix = matRows(cols.Suffix)
-		} else {
-			suffix := make([][]float64, snap.Len())
-			for i := 0; i < snap.Len(); i++ {
-				suffix[i] = snap.Entry(i).Suffix
-			}
-			e.suffix = viewRows(suffix)
-		}
 	case MeasureMUNICH:
 		if !snap.HasSamples() {
 			return nil, errors.New("engine: MeasureMUNICH requires every resident series to carry a sample model (SamplesPerTS > 0)")
 		}
-		e.segments = opts.Segments
-		if e.segments <= 0 {
-			e.segments = 16
-		}
-		e.segments = munich.ClampSegments(n, e.segments)
-		e.envs = make([]munich.Envelope, snap.Len())
-		if e.segments == cfg.Segments {
-			e.spans = snap.Spans()
-			for i := 0; i < snap.Len(); i++ {
-				e.envs[i] = snap.Entry(i).Env
-			}
-		} else {
-			e.spans = munich.SegmentSpans(n, e.segments)
-			for i := 0; i < snap.Len(); i++ {
-				e.envs[i] = munich.BuildEnvelope(*snap.Entry(i).Samples, e.segments)
-			}
-		}
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, opts.Measure)
 	}
-	e.resolveIndex(cfg, filterReuse)
+	e.resolveIndex(cols)
 	return e, nil
-}
-
-func observations(snap *corpus.Snapshot) rows {
-	if cols, ok := snap.Columns(); ok {
-		return matRows(cols.Values)
-	}
-	out := make([][]float64, snap.Len())
-	for i := range out {
-		out[i] = snap.Entry(i).PDF.Observations
-	}
-	return viewRows(out)
 }
 
 // Measure reports the measure the engine was built for.
@@ -554,9 +442,9 @@ func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{
 		if lb > cutoff2 {
 			return 0, envelopePruned, nil
 		}
-		d, complete, err = distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.band, cutoff2, done, scratch)
+		d, complete, err = distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.cfg.Band, cutoff2, done, scratch)
 	case MeasureDUST:
-		d, complete, err = e.dust.DistanceEarlyAbandon(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
+		d, complete, err = e.snap.Dust().DistanceEarlyAbandon(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
 	default:
 		return 0, 0, qerr.BadRequestf("engine: measure %v defines match probabilities, not distances (use KindProbRange/KindProbTopK)", e.opts.Measure)
 	}

@@ -5,17 +5,21 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"uncertts/internal/core"
+	"uncertts/internal/corpus"
 	"uncertts/internal/qerr"
 	"uncertts/internal/query"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
 )
 
-func testWorkload(t testing.TB, series, length int) *core.Workload {
+// testWorkload perturbs a CBF dataset into a workload whose corpus runs DTW
+// under the given band (0 = length/10, negative = unconstrained).
+func testWorkload(t testing.TB, series, length, band int) *core.Workload {
 	t.Helper()
 	ds, err := ucr.Generate("CBF", ucr.Options{MaxSeries: series, Length: length, Seed: 7})
 	if err != nil {
@@ -25,7 +29,7 @@ func testWorkload(t testing.TB, series, length int) *core.Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := core.NewWorkload(ds, pert, core.WorkloadConfig{K: 5})
+	w, err := core.NewWorkload(ds, pert, core.WorkloadConfig{K: 5, Band: band})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +53,14 @@ func allMeasures() []Options {
 	return []Options{
 		{Measure: MeasureEuclidean},
 		{Measure: MeasureUMA},
-		{Measure: MeasureUEMA, Lambda: 0.8},
-		{Measure: MeasureDTW, Band: 5},
+		{Measure: MeasureUEMA},
+		{Measure: MeasureDTW},
 		{Measure: MeasureDUST},
 	}
 }
 
 func TestTopKMatchesNaiveScanEveryMeasure(t *testing.T) {
-	w := testWorkload(t, 40, 64)
+	w := testWorkload(t, 40, 64, 5)
 	for _, opts := range allMeasures() {
 		opts.ShardSize = 7 // force many shards
 		e := newEngine(t, w.Snapshot(), opts)
@@ -73,7 +77,7 @@ func TestTopKMatchesNaiveScanEveryMeasure(t *testing.T) {
 }
 
 func TestRangeMatchesNaiveScan(t *testing.T) {
-	w := testWorkload(t, 40, 64)
+	w := testWorkload(t, 40, 64, 5)
 	for _, opts := range allMeasures() {
 		opts.ShardSize = 6
 		e := newEngine(t, w.Snapshot(), opts)
@@ -106,10 +110,10 @@ func everyTopK(t *testing.T, e *Engine, k int) [][]query.Neighbor {
 }
 
 func TestPruningDoesMeasurablyLessWork(t *testing.T) {
-	w := testWorkload(t, 60, 96)
+	w := testWorkload(t, 60, 96, 5)
 	for _, opts := range []Options{
 		{Measure: MeasureEuclidean},
-		{Measure: MeasureDTW, Band: 5},
+		{Measure: MeasureDTW},
 		{Measure: MeasureDUST},
 	} {
 		pruned := newEngine(t, w.Snapshot(), opts)
@@ -140,7 +144,7 @@ func TestPruningDoesMeasurablyLessWork(t *testing.T) {
 func TestConcurrentRunIsSafe(t *testing.T) {
 	// Multiple goroutines share one engine (and, for DUST, one set of phi
 	// tables); run with -race in CI.
-	w := testWorkload(t, 30, 48)
+	w := testWorkload(t, 30, 48, 0)
 	for _, opts := range []Options{{Measure: MeasureEuclidean, Workers: 4, ShardSize: 5}, {Measure: MeasureDUST, Workers: 2, ShardSize: 8}} {
 		e := newEngine(t, w.Snapshot(), opts)
 		qi := 1
@@ -166,7 +170,7 @@ func TestConcurrentRunIsSafe(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	w := testWorkload(t, 20, 32)
+	w := testWorkload(t, 20, 32, 0)
 	if _, err := NewFromSnapshot(nil, Options{}); err == nil {
 		t.Error("nil snapshot should error")
 	}
@@ -206,7 +210,7 @@ func TestMeasureString(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	w := testWorkload(t, 20, 32)
+	w := testWorkload(t, 20, 32, 0)
 	e := newEngine(t, w.Snapshot(), Options{})
 	qi := 0
 	mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: 3})
@@ -216,5 +220,58 @@ func TestResetStats(t *testing.T) {
 	e.ResetStats()
 	if s := e.Stats(); s != (Stats{}) {
 		t.Fatalf("ResetStats left %+v", s)
+	}
+}
+
+// TestConstructionCostIsConstantInCorpusSize is the construction gate. Over
+// a snapshot with a dead interior row — the steady state of any corpus that
+// deletes, until a quarter of its rows are dead and it compacts — building
+// an engine must cost the same few allocations and the same few hundred
+// bytes at 256 and at 4096 series, for every measure with its prefilter
+// engaged: the engine binds arena columns and the snapshot's row index, and
+// gathers, derives or walks nothing. (The bucket list DTW's tree walk reads
+// belongs to the tree version, which collects it once, whoever asks first —
+// AllocsPerRun's warm-up call here, the epoch's first DTW engine in a
+// server.)
+func TestConstructionCostIsConstantInCorpusSize(t *testing.T) {
+	afterDelete := func(n int) *corpus.Snapshot {
+		c := testCorpus(t, n+1, 16)
+		if err := c.Delete(n / 2); err != nil {
+			t.Fatal(err)
+		}
+		snap := c.Snapshot()
+		if _, dense := snap.Columns(); dense || snap.Len() != n {
+			t.Fatalf("after-delete snapshot: %d series, dense = %v", snap.Len(), dense)
+		}
+		return snap
+	}
+	small, large := afterDelete(256), afterDelete(4096)
+	cost := func(snap *corpus.Snapshot, opts Options) (allocs float64, bytes uint64) {
+		build := func() {
+			if _, err := NewFromSnapshot(snap, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(10, build)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, opts := range allMeasureOptions() {
+		opts.IndexThreshold = -1
+		sa, sb := cost(small, opts)
+		la, lb := cost(large, opts)
+		if sa != la || sb != lb {
+			t.Errorf("%v: %v allocs / %d B at 256 series, %v allocs / %d B at 4096: construction depends on the corpus size", opts.Measure, sa, sb, la, lb)
+		}
+		if la > 8 || lb > 2048 {
+			t.Errorf("%v: %v allocs / %d B per engine build, want a handful", opts.Measure, la, lb)
+		}
+		t.Logf("%v: %v allocs, %d B per build", opts.Measure, la, lb)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"uncertts/internal/arena"
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
@@ -17,7 +18,10 @@ import (
 
 // The second candidate source, which banded DTW alone uses: instead of
 // sharding the candidate space positionally, the engine walks the snapshot's
-// sketch index (internal/sketch) bucket by bucket. Each bucket carries the elementwise
+// sketch index (internal/sketch) bucket by bucket. The tree was built over
+// the corpus' own envelopes, so its band is the engine's by construction;
+// its members name arena rows, which memberPos turns into positions. Each
+// bucket carries the elementwise
 // [min, max] region of its members' sketch rows, which bounds every member
 // at once: the exact endpoint gaps (every warping path aligns (0,0) and
 // (N-1,N-1) — LB_Kim's first/last terms, read from the row's v0/vLast
@@ -52,26 +56,21 @@ import (
 const defaultIndexThreshold = 1024
 
 // engineIndex is the engine's resolved view of the snapshot's sketch index:
-// the bucket list collected once at construction, the row layout, and — on
-// dense snapshots, where member rows coincide with snapshot positions — the
-// sketch arena itself.
+// the bucket list collected once at construction, the row layout, and the
+// sketch arena the members' own rows are read from.
 type engineIndex struct {
 	lay     sketch.Layout
 	tree    *sketch.Tree
 	buckets []sketch.Bucket
-	dense   bool
-	rows    rows // the sketch rows by position (dense snapshots only)
+	rows    rows // the sketch rows by position
 }
 
 // resolveIndex decides which prefilter, if any, serves the engine's queries:
-// tier 0 (the dense filter columns, inside the scan) for the lock-step
-// measures and PROUD, the sketch bucket tree for DTW, neither for DUST and
-// MUNICH. A prefilter engages only when its bound is sound for this engine's
-// configuration: UMA/UEMA need the corpus filter config (the columns
-// summarise the arena vectors), DTW the corpus band (the sketch summarises
-// the arena envelopes). Euclidean and PROUD scan the raw observations, which
-// the columns always summarise.
-func (e *Engine) resolveIndex(cfg corpus.Config, filterReuse bool) {
+// tier 0 (the filter columns, inside the scan) for the lock-step measures
+// and PROUD, the sketch bucket tree for DTW, neither for DUST and MUNICH.
+// Both summarise the very arena columns the engine scans, under the very
+// geometry it scans them with, so they are sound for every engine.
+func (e *Engine) resolveIndex(cols *corpus.Columns) {
 	if e.opts.NoPrune || e.opts.NoIndex {
 		return
 	}
@@ -82,42 +81,38 @@ func (e *Engine) resolveIndex(cfg corpus.Config, filterReuse bool) {
 	if threshold > 0 && e.snap.Len() < threshold {
 		return
 	}
+	t0 := func(means arena.Matrix) *tier0 {
+		return &tier0{geo: sketch.NewCoarse(e.snap.SeriesLen()), means: column(means, cols.Rows), energy: column(cols.Energy, cols.Rows)}
+	}
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasurePROUD:
-		e.t0 = e.newTier0()
-	case MeasureUMA, MeasureUEMA:
-		if filterReuse {
-			e.t0 = e.newTier0()
-		}
+		e.t0 = t0(cols.CoarseV)
+	case MeasureUMA:
+		e.t0 = t0(cols.CoarseU)
+	case MeasureUEMA:
+		e.t0 = t0(cols.CoarseE)
 	case MeasureDTW:
 		tree := e.snap.Index()
-		if e.band != cfg.Band || tree == nil || tree.Len() != e.snap.Len() {
-			return
-		}
-		e.idx = &engineIndex{lay: tree.Layout(), tree: tree, buckets: tree.Buckets()}
-		if cols, dense := e.snap.Columns(); dense {
-			e.idx.dense, e.idx.rows = true, matRows(cols.Sketch)
-		}
+		e.idx = &engineIndex{lay: tree.Layout(), tree: tree, buckets: tree.Buckets(), rows: column(cols.Sketch, cols.Rows)}
 	}
 }
 
 // Indexed reports whether a prefilter — tier 0 or the sketch index — serves
 // the engine's queries (false when it runs the plain scan: small snapshot,
-// mismatched geometry, NoIndex/NoPrune, or a measure without either).
+// NoIndex/NoPrune, or a measure without either).
 func (e *Engine) Indexed() bool { return e.idx != nil || e.t0 != nil }
 
 // memberPos resolves a bucket member to its snapshot position: the arena
-// row on dense snapshots, the ID lookup otherwise. A negative return means
-// the member is unknown to the snapshot, which the corpus' incremental
-// maintenance rules out; callers skip it defensively.
+// row itself on dense snapshots, its rank in the (increasing) row index
+// otherwise. The tree holds exactly the snapshot's live series, so the row
+// is always found.
 func (e *Engine) memberPos(m sketch.Member) int {
-	if e.idx.dense {
+	idx := e.idx.rows.idx
+	if idx == nil {
 		return m.Row
 	}
-	if p, ok := e.snap.PosOf(m.ID); ok {
-		return p
-	}
-	return -1
+	pos, _ := slices.BinarySearch(idx, int32(m.Row))
+	return pos
 }
 
 // idxTally is what one worker chunk of the tree walk carries: its stats
@@ -258,16 +253,6 @@ func (e *Engine) memberSkip(pq *prepared, row []float64, cut float64) bool {
 	return sketch.MinDistSquaredOver(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior, limit-kim)
 }
 
-// row returns the sketch row of the series at snapshot position ci (aliasing
-// the arena; read-only): arithmetic into the sketch arena on dense snapshots,
-// the entry's view otherwise.
-func (x *engineIndex) row(snap *corpus.Snapshot, ci int) []float64 {
-	if x.dense {
-		return x.rows.at(ci)
-	}
-	return snap.Entry(ci).Sketch
-}
-
 // bucketPlan is one bucket scheduled for a query, carrying the deflated
 // lower bound it was ranked by so the work item can re-check it against the
 // live shared bound and skip mid-flight.
@@ -337,11 +322,9 @@ func (e *Engine) treeTopK(ctx context.Context, pq *prepared, workers, k int, col
 		t.visited++
 		t.ids = t.ids[:0]
 		for _, m := range e.idx.buckets[bi].Members {
-			switch ci := e.memberPos(m); {
-			case ci < 0: // unknown to the snapshot; see memberPos
-			case ci == pq.self:
+			if ci := e.memberPos(m); ci == pq.self {
 				sawSelf = true
-			default:
+			} else {
 				t.ids = append(t.ids, ci)
 			}
 		}
@@ -425,11 +408,9 @@ func (e *Engine) treeCandidates(pq *prepared, cutoff2 float64) []int {
 		}
 		t.visited++
 		for _, m := range bk.Members {
-			switch ci := e.memberPos(m); {
-			case ci < 0: // unknown to the snapshot; see memberPos
-			case ci == pq.self:
+			if ci := e.memberPos(m); ci == pq.self {
 				sawSelf = true
-			default:
+			} else {
 				cands = append(cands, ci)
 			}
 		}

@@ -11,26 +11,9 @@ import (
 )
 
 // indexCorpusConfig is the geometry the index tests pin: a tiny leaf
-// capacity so even a few dozen series split into many buckets, and a
-// segment count the MUNICH engines below match.
+// capacity so even a few dozen series split into many buckets.
 func indexCorpusConfig() corpus.Config {
 	return corpus.Config{ReportedSigma: 0.3, Segments: 4, SketchLeafCap: 4}
-}
-
-// indexMeasureOptions mirrors allMeasureOptions with every measure
-// configured to match the corpus geometry, so a prefilter engages wherever
-// one exists: tier 0 for the lock-step measures and PROUD, the bucket tree
-// for DTW (DUST and MUNICH have neither).
-func indexMeasureOptions() []Options {
-	return []Options{
-		{Measure: MeasureEuclidean, ShardSize: 5},
-		{Measure: MeasureUMA, ShardSize: 5},
-		{Measure: MeasureUEMA, ShardSize: 5},
-		{Measure: MeasureDTW, Band: 3, ShardSize: 5},
-		{Measure: MeasureDUST, ShardSize: 5},
-		{Measure: MeasurePROUD, ShardSize: 5},
-		{Measure: MeasureMUNICH, ShardSize: 5, Segments: 4, MUNICH: munich.Options{Bins: 256}},
-	}
 }
 
 // residentAnswers is answers for the resident series at position qi.
@@ -67,7 +50,7 @@ func TestIndexedStatsIdentity(t *testing.T) {
 	const queries = 10
 	snap := prefilterCorpus(t)
 	n := snap.Len()
-	for _, base := range indexMeasureOptions() {
+	for _, base := range allMeasureOptions() {
 		opts := base
 		opts.IndexThreshold = -1
 		e := newEngine(t, snap, opts)
@@ -115,7 +98,7 @@ func TestStatsStringNamesThePrefilter(t *testing.T) {
 		buckets bool // "N buckets visited, N pruned" is printed
 	}{
 		{"tier 0", Options{Measure: MeasureEuclidean, IndexThreshold: -1}, true, false},
-		{"bucket tree", Options{Measure: MeasureDTW, Band: 3, IndexThreshold: -1}, true, true},
+		{"bucket tree", Options{Measure: MeasureDTW, IndexThreshold: -1}, true, true},
 		{"plain scan", Options{Measure: MeasureEuclidean, NoIndex: true}, false, false},
 	} {
 		e := newEngine(t, snap, tc.opts)
@@ -196,7 +179,7 @@ func TestIndexChurnParity(t *testing.T) {
 		}
 		rsnap := restored.Snapshot()
 
-		for _, base := range indexMeasureOptions() {
+		for _, base := range allMeasureOptions() {
 			opts := base
 			opts.IndexThreshold = -1
 			linOpts := opts
@@ -234,7 +217,7 @@ func TestIndexChurnParity(t *testing.T) {
 // TestIndexFallbacks enumerates the configurations that must fall back to
 // the linear scan.
 func TestIndexFallbacks(t *testing.T) {
-	c := testCorpus(t, 16, 32) // default sketch knobs, cfg.Segments = 4
+	c := testCorpus(t, 16, 32) // default sketch knobs
 	snap := c.Snapshot()
 	cases := []struct {
 		name string
@@ -244,10 +227,7 @@ func TestIndexFallbacks(t *testing.T) {
 		{"NoIndex", Options{Measure: MeasureEuclidean, NoIndex: true, IndexThreshold: -1}},
 		{"NoPrune", Options{Measure: MeasureEuclidean, NoPrune: true, IndexThreshold: -1}},
 		{"DUST has no prefilter", Options{Measure: MeasureDUST, IndexThreshold: -1}},
-		{"MUNICH has no prefilter", Options{Measure: MeasureMUNICH, Segments: 4, IndexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
-		{"DTW band mismatch", Options{Measure: MeasureDTW, Band: 7, IndexThreshold: -1}},
-		{"UEMA lambda mismatch", Options{Measure: MeasureUEMA, Lambda: 0.5, IndexThreshold: -1}},
-		{"UMA window mismatch", Options{Measure: MeasureUMA, W: 3, IndexThreshold: -1}},
+		{"MUNICH has no prefilter", Options{Measure: MeasureMUNICH, IndexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
 	}
 	for _, tc := range cases {
 		e, err := NewFromSnapshot(snap, tc.opts)

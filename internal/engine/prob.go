@@ -79,95 +79,77 @@ func (e *Engine) checkTau(tau float64) (float64, error) {
 	return 0, nil
 }
 
-// proudAccept decides the PROUD range predicate for one pair: accumulate
-// the distance moments in exactly proud.Distance's order, stopping as soon
-// as the prefix bounds force the outcome. A completed accumulation applies
-// the same EpsNorm >= epsLimit test as the naive matcher to bit-identical
-// moments. done (nil = never) is polled at every prefix stride, so even a
-// single long accumulation stops promptly on cancellation.
-func (e *Engine) proudAccept(pq *prepared, ci int, eps, epsLimit float64, done <-chan struct{}) (bool, error) {
+// proudMoments accumulates the distance moments of the query and candidate
+// ci in exactly proud.Distance's order, timestamp by timestamp. Between
+// strides it polls done (nil = never), so even a single long accumulation
+// stops promptly on cancellation, and — unless NoPrune — asks settled whether
+// the moments of the prefix, the number of timestamps still to come and the
+// bound on their squared gap already decide the candidate; a yes stops the
+// accumulation with complete = false. A completed accumulation is counted
+// and returns the same moments the naive matcher computes, bit for bit.
+func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settled func(mean, variance float64, rest int, gap float64) bool) (d proud.DistanceDist, complete bool, err error) {
 	q, c := pq.vec, e.vecs.at(ci)
 	n := len(q)
 	varD := pq.varD
 	var mean, variance float64
 	for t := 0; t < n; {
-		stop := t + proudCheckStride
-		if stop > n {
-			stop = n
-		}
+		stop := min(t+proudCheckStride, n)
 		for ; t < stop; t++ {
 			mu := q[t] - c[t]
 			mean += mu*mu + varD
 			variance += 2*varD*varD + 4*varD*mu*mu
 		}
 		if t >= n {
-			continue
+			break
 		}
 		if done != nil {
 			select {
 			case <-done:
-				return false, qerr.Cancelled(nil)
+				return d, false, qerr.Cancelled(nil)
 			default:
 			}
 		}
-		if e.opts.NoPrune {
-			continue
-		}
-		gap := 2 * (pq.suffix[t] + e.suffix.at(ci)[t])
-		switch proud.PrefixDecide(mean, variance, n-t, varD, gap, eps, epsLimit) {
-		case proud.Accept:
-			e.count(prefixResolved)
-			return true, nil
-		case proud.Reject:
-			e.count(prefixResolved)
-			return false, nil
+		if !e.opts.NoPrune && settled(mean, variance, n-t, 2*(pq.suffix[t]+e.suffix.at(ci)[t])) {
+			return d, false, nil
 		}
 	}
 	e.count(completed)
-	d := proud.DistanceDist{Mean: mean, Variance: variance}
-	return d.EpsNorm(eps) >= epsLimit, nil
+	return proud.DistanceDist{Mean: mean, Variance: variance}, true, nil
+}
+
+// proudAccept decides the PROUD range predicate for one pair, stopping as
+// soon as the prefix bounds force the outcome. A completed accumulation
+// applies the same EpsNorm >= epsLimit test as the naive matcher.
+func (e *Engine) proudAccept(pq *prepared, ci int, eps, epsLimit float64, done <-chan struct{}) (bool, error) {
+	verdict := proud.Undecided
+	d, complete, err := e.proudMoments(pq, ci, done, func(mean, variance float64, rest int, gap float64) bool {
+		verdict = proud.PrefixDecide(mean, variance, rest, pq.varD, gap, eps, epsLimit)
+		return verdict != proud.Undecided
+	})
+	if err != nil {
+		return false, err
+	}
+	if complete {
+		return d.EpsNorm(eps) >= epsLimit, nil
+	}
+	e.count(prefixResolved)
+	return verdict == proud.Accept, nil
 }
 
 // proudProb computes the exact match probability for one pair, abandoning
 // (ok = false) when the prefix bounds prove the probability cannot reach
-// the current k-th best. done (nil = never) is polled at every prefix
-// stride.
+// the current k-th best (cut; -Inf while there is none).
 func (e *Engine) proudProb(pq *prepared, ci int, eps, cut float64, done <-chan struct{}) (float64, bool, error) {
-	q, c := pq.vec, e.vecs.at(ci)
-	n := len(q)
-	varD := pq.varD
-	var mean, variance float64
-	for t := 0; t < n; {
-		stop := t + proudCheckStride
-		if stop > n {
-			stop = n
-		}
-		for ; t < stop; t++ {
-			mu := q[t] - c[t]
-			mean += mu*mu + varD
-			variance += 2*varD*varD + 4*varD*mu*mu
-		}
-		if t >= n {
-			continue
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return 0, false, qerr.Cancelled(nil)
-			default:
-			}
-		}
-		if e.opts.NoPrune || math.IsInf(cut, -1) {
-			continue
-		}
-		gap := 2 * (pq.suffix[t] + e.suffix.at(ci)[t])
-		if proud.ProbWithinUpper(mean, variance, n-t, varD, gap, eps) < cut-probBoundMargin {
-			e.count(abandoned)
-			return 0, false, nil
-		}
+	d, complete, err := e.proudMoments(pq, ci, done, func(mean, variance float64, rest int, gap float64) bool {
+		return !math.IsInf(cut, -1) && proud.ProbWithinUpper(mean, variance, rest, pq.varD, gap, eps) < cut-probBoundMargin
+	})
+	if err != nil {
+		return 0, false, err
 	}
-	e.count(completed)
-	d := proud.DistanceDist{Mean: mean, Variance: variance}
+	if !complete {
+		e.count(abandoned)
+		return 0, false, nil
+	}
 	return d.ProbWithin(eps), true, nil
 }
 
@@ -192,12 +174,13 @@ func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-cha
 // the engine's additions. done (nil = never) threads cooperative
 // cancellation into the refine estimators.
 func (e *Engine) munichProb(pq *prepared, ci int, eps, cut float64, done <-chan struct{}) (float64, bool, error) {
-	if !e.opts.NoPrune && munich.EnvelopeLowerBound(pq.env, e.envs[ci], e.spans) > eps {
+	ent := e.snap.Entry(ci)
+	if !e.opts.NoPrune && munich.EnvelopeLowerBound(pq.env, ent.Env, e.snap.Spans()) > eps {
 		// No materialisation is within eps: the probability is exactly 0.
 		e.count(envelopePruned)
 		return 0, true, nil
 	}
-	x, y := pq.sample, *e.snap.Entry(ci).Samples
+	x, y := pq.sample, *ent.Samples
 	dec, err := munich.Prune(x, y, eps)
 	if err != nil {
 		return 0, false, err

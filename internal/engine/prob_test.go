@@ -309,7 +309,7 @@ func duplicateWorkload(t *testing.T) *corpus.Snapshot {
 	for i := range base {
 		base[i] = rng.NormFloat64()
 	}
-	c := corpus.New(corpus.Config{ReportedSigma: 0.1})
+	c := corpus.New(corpus.Config{ReportedSigma: 0.1, Band: 3})
 	for id := 0; id < 10; id++ {
 		vals := make([]float64, n)
 		copy(vals, base)
@@ -334,7 +334,7 @@ func TestZeroDistanceTies(t *testing.T) {
 	snap := duplicateWorkload(t)
 	for _, opts := range []Options{
 		{Measure: MeasureEuclidean, ShardSize: 3},
-		{Measure: MeasureDTW, Band: 3, ShardSize: 3},
+		{Measure: MeasureDTW, ShardSize: 3},
 	} {
 		e := newEngine(t, snap, opts)
 		qi := 0

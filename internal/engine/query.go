@@ -81,7 +81,7 @@ func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 		pq.varD = e.varD
 	case MeasureMUNICH:
 		pq.sample = *ent.Samples
-		pq.env = e.envs[qi]
+		pq.env = ent.Env
 	}
 	return pq, nil
 }
@@ -94,7 +94,7 @@ func (e *Engine) summarise(pq *prepared) {
 	switch {
 	case e.t0 != nil:
 		if pq.self >= 0 {
-			pq.qc = e.t0.row(pq.self)
+			pq.qc = e.t0.means.at(pq.self)
 		} else {
 			pq.qc = sketch.PAA(pq.vec, e.t0.geo.Spans)
 		}
@@ -105,7 +105,7 @@ func (e *Engine) summarise(pq *prepared) {
 		pq.slack = e.t0.slack(energy)
 	case e.idx != nil:
 		pq.qpaa = sketch.PAA(pq.vec, e.idx.lay.Spans)
-		up, lo := distance.Envelope(pq.vec, e.band)
+		up, lo := distance.Envelope(pq.vec, e.cfg.Band)
 		pq.qenvHi = sketch.PAA(up, e.idx.lay.Spans)
 		pq.qenvLo = sketch.PAA(lo, e.idx.lay.Spans)
 	}
@@ -136,9 +136,9 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 		var f []float64
 		var err error
 		if e.opts.Measure == MeasureUMA {
-			f, err = timeseries.UncertainMovingAverage(q.Values, sigmas, e.opts.W, e.opts.Mode)
+			f, err = timeseries.UncertainMovingAverage(q.Values, sigmas, e.cfg.W, e.cfg.Mode)
 		} else {
-			f, err = timeseries.UncertainExponentialMovingAverage(q.Values, sigmas, e.opts.W, e.opts.Lambda, e.opts.Mode)
+			f, err = timeseries.UncertainExponentialMovingAverage(q.Values, sigmas, e.cfg.W, e.cfg.Lambda, e.cfg.Mode)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: filtering query: %w", err)
@@ -185,7 +185,7 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 		if err := pq.sample.Validate(); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		pq.env = munich.BuildEnvelope(pq.sample, e.segments)
+		pq.env = munich.BuildEnvelope(pq.sample, e.cfg.Segments)
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)
 	}
@@ -208,9 +208,8 @@ func (e *Engine) querySigmas(q Query) []float64 {
 			out[i] = q.Sigma
 		}
 	default:
-		cfg := e.snap.Config()
-		if cfg.Sigmas != nil {
-			copy(out, cfg.Sigmas)
+		if e.cfg.Sigmas != nil {
+			copy(out, e.cfg.Sigmas)
 		} else {
 			for i := range out {
 				out[i] = e.snap.ReportedSigma()

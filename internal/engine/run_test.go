@@ -19,8 +19,8 @@ func runConfigs() []Options {
 	return []Options{
 		{Measure: MeasureEuclidean},
 		{Measure: MeasureUMA},
-		{Measure: MeasureUEMA, Lambda: 0.8},
-		{Measure: MeasureDTW, Band: 5},
+		{Measure: MeasureUEMA},
+		{Measure: MeasureDTW},
 		{Measure: MeasureDUST},
 		{Measure: MeasurePROUD},
 		{Measure: MeasureMUNICH, MUNICH: munich.Options{Bins: 512}},
@@ -253,8 +253,8 @@ func TestRunCancelMidQueryEveryMeasure(t *testing.T) {
 // candidates examined than the full scan — and return the cancellation
 // quickly.
 func TestRunCancellationInterruptsLongKernels(t *testing.T) {
-	w := testWorkload(t, 16, 1024)
-	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW, Band: -1}) // unconstrained: n^2 DP per pair
+	w := testWorkload(t, 16, 1024, -1) // unconstrained: n^2 DP per pair
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW})
 	qi := 0
 	ctx, cancel := context.WithCancel(context.Background())
 	var watcherDone atomic.Bool
@@ -291,8 +291,8 @@ func TestRunCancellationInterruptsLongKernels(t *testing.T) {
 // TestRunDeadlineExceeded asserts an expired deadline surfaces as both
 // ErrCancelled and context.DeadlineExceeded.
 func TestRunDeadlineExceeded(t *testing.T) {
-	w := testWorkload(t, 16, 1024)
-	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW, Band: -1})
+	w := testWorkload(t, 16, 1024, -1)
+	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW})
 	qi := 0
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()

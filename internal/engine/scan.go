@@ -189,7 +189,7 @@ func (e *Engine) coarseSkip(pq *prepared, ci int, cutoff2 float64) bool {
 }
 
 func (e *Engine) rowSkip(pq *prepared, ci int, cutoff2 float64) bool {
-	return e.idx != nil && e.memberSkip(pq, e.idx.row(e.snap, ci), cutoff2)
+	return e.idx != nil && e.memberSkip(pq, e.idx.rows.at(ci), cutoff2)
 }
 
 // topKStep is the KindTopK step. The cut is read per candidate, so each one

@@ -11,8 +11,8 @@ import (
 // Tier 0 of the lock-step scans. Euclidean, UMA, UEMA and PROUD compare the
 // query with each candidate timestamp by timestamp, so the per-segment
 // Jensen inequality sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2
-// turns the corpus' dense filter columns — sketch.CoarseSegments segment
-// means per series, 128 bytes apart — into a lower bound on the squared
+// turns the corpus' filter columns — sketch.CoarseSegments segment means per
+// series, 128 bytes apart in one arena — into a lower bound on the squared
 // distance that costs 16 multiply-adds. The steps (scan.go) test it against
 // the live cut before the kernels touch the kilobyte-stride series row; a
 // candidate it drops is counted in SeriesSkippedByIndex and never
@@ -23,7 +23,10 @@ import (
 // shared atomic cut, the (distance, ID) ranking), and the bound only ever
 // drops a series whose margin-deflated lower bound exceeds the cut, so
 // answers are bit-identical to the scan without it — which Options.NoIndex
-// still runs.
+// still runs. The columns summarise the very arena vectors the engine scans
+// (raw, UMA or UEMA, under the corpus' one filter geometry), so tier 0 is
+// sound for every engine, and it reads them where they lie: through the
+// snapshot's row index while deleted rows await compaction, never a copy.
 //
 // The sketch bucket tree does not serve these measures: its boxes are loose
 // in 64 dimensions, so most buckets get visited anyway, and the per-member
@@ -69,65 +72,17 @@ func (t *tier0) slack(queryEnergy float64) float64 {
 	return 3 * eta2 / indexBoundMargin
 }
 
-// tier0 is the engine's resolved view of the filter columns for its
-// measure's vector kind.
+// tier0 is the filter column matching the engine's scanned vectors (raw, UMA
+// or UEMA coarse means), plus the energy column PROUD's upper bound reads.
 type tier0 struct {
 	geo    sketch.Coarse
-	means  []float64 // n x geo.W() coarse means of the scanned vectors, by position
-	energy []float64 // per-series total squared energy (PROUD only)
-}
-
-// newTier0 binds the filter column matching the engine's scanned vectors:
-// the column itself on dense snapshots, a gathered copy of the per-entry
-// views otherwise, so the hot loop indexes one flat slice either way.
-func (e *Engine) newTier0() *tier0 {
-	t := &tier0{geo: sketch.NewCoarse(e.snap.SeriesLen())}
-	m := e.opts.Measure
-	if cols, dense := e.snap.Columns(); dense {
-		switch m {
-		case MeasureUMA:
-			t.means = cols.CoarseU.Data()
-		case MeasureUEMA:
-			t.means = cols.CoarseE.Data()
-		default:
-			t.means = cols.CoarseV.Data()
-		}
-		if m == MeasurePROUD {
-			t.energy = cols.Energy.Data()
-		}
-		return t
-	}
-	n := e.snap.Len()
-	t.means = make([]float64, 0, n*t.geo.W())
-	if m == MeasurePROUD {
-		t.energy = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		ent := e.snap.Entry(i)
-		switch m {
-		case MeasureUMA:
-			t.means = append(t.means, ent.CoarseU...)
-		case MeasureUEMA:
-			t.means = append(t.means, ent.CoarseE...)
-		default:
-			t.means = append(t.means, ent.CoarseV...)
-		}
-		if m == MeasurePROUD {
-			t.energy[i] = ent.Suffix[0]
-		}
-	}
-	return t
-}
-
-// row returns the coarse means of the series at position ci.
-func (t *tier0) row(ci int) []float64 {
-	w := len(t.geo.Weights)
-	return t.means[ci*w : ci*w+w]
+	means  rows // geo.W() coarse means per series
+	energy rows // total squared observation energy per series, stride 1
 }
 
 // rawBound is the raw Jensen bound between the query and candidate ci.
 func (t *tier0) rawBound(pq *prepared, ci int) float64 {
-	return t.geo.GapSquared(pq.qc, t.row(ci))
+	return t.geo.GapSquared(pq.qc, t.means.at(ci))
 }
 
 // seedCut computes tier 0's raw bound for every resident series and uses
@@ -143,9 +98,21 @@ func (t *tier0) rawBound(pq *prepared, ci int) float64 {
 // neither offered nor counted: they meet the scan again like every other
 // candidate, which then reads its tier-0 verdict off the returned bounds
 // against a cut that is near-final from the start.
+//
+// The bounds are computed in one sequential pass over the whole arena column
+// — the few dead rows of a sparse snapshot cost less than an indirection per
+// live one — and then folded down to position order in place: the row index
+// is increasing and never below the position, so no bound is overwritten
+// before it is read.
 func (e *Engine) seedCut(pq *prepared, k int, b *cut) ([]float64, error) {
-	lbs := make([]float64, e.snap.Len())
-	e.t0.geo.GapsSquared(lbs, pq.qc, e.t0.means)
+	lbs := make([]float64, len(e.t0.energy.data))
+	e.t0.geo.GapsSquared(lbs, pq.qc, e.t0.means.data)
+	if idx := e.t0.means.idx; idx != nil {
+		for pos, row := range idx {
+			lbs[pos] = lbs[row]
+		}
+		lbs = lbs[:len(idx)]
+	}
 	gaps, exact := newKHeap(k), newKHeap(k)
 	for ci, g := range lbs {
 		if ci == pq.self || (gaps.full() && g >= gaps.top()) {
@@ -178,7 +145,7 @@ func (e *Engine) coarseLB2(pq *prepared, ci int) float64 {
 // as a prefix of zero timestamps.
 func (e *Engine) proudGap(pq *prepared, ci int) (lb2, ub2 float64) {
 	lb2 = e.coarseLB2(pq, ci)
-	ub2 = 2 * (pq.suffix[0] + e.t0.energy[ci])
+	ub2 = 2 * (pq.suffix[0] + e.t0.energy.at(ci)[0])
 	if ub2 < lb2 {
 		ub2 = lb2
 	}

@@ -99,10 +99,7 @@ func TestChiSquareRejectsEverywhere(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	tables, err := Fig4(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "fig4")
 	if len(tables) != 3 {
 		t.Fatalf("want 3 family tables, got %d", len(tables))
 	}
@@ -263,11 +260,7 @@ func TestFig13Fig14Shapes(t *testing.T) {
 }
 
 func TestFig15UMABeatsBaselines(t *testing.T) {
-	tables, err := Fig16(testCfg) // normal-error variant, the paper's Fig 16
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := tables[0]
+	tbl := testCfgTables(t, "fig16")[0] // normal-error variant, the paper's Fig 16
 	// Averaged over all datasets, UEMA must beat Euclidean (the paper's
 	// headline).
 	var euSum, ueSum float64

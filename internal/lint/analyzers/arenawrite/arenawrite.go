@@ -1,6 +1,7 @@
 // Package arenawrite enforces the arena copy-on-write contract: slices
 // obtained from an arena.Matrix (Row, Data), from a corpus snapshot's
-// Columns, or from a corpus Entry's artifact fields are views into shared
+// Columns or Arena (the matrices and the position -> row index beside
+// them), or from a corpus Entry's artifact fields are views into shared
 // immutable storage. Writing through one corrupts every snapshot aliasing
 // the same rows — silently, across goroutines, with no test failing until
 // a scan reads the poisoned row. Only the arena package itself (whose
@@ -25,7 +26,7 @@ import (
 // Analyzer flags writes through arena and corpus snapshot views.
 var Analyzer = &analysis.Analyzer{
 	Name: "arenawrite",
-	Doc:  "flags writes through arena.Matrix.Row/Data, Snapshot.Columns and corpus entry views — snapshot storage is immutable",
+	Doc:  "flags writes through arena.Matrix.Row/Data, Snapshot.Columns/Arena and corpus entry views — snapshot storage is immutable",
 	Run:  run,
 }
 
@@ -141,8 +142,11 @@ func (c *checker) viewKind(e ast.Expr) string {
 		if _, isSlice := obj.Type().Underlying().(*types.Slice); !isSlice {
 			return ""
 		}
-		if c.entryDerived(e.X) {
+		if c.derivedFrom(e.X, "Entry") {
 			return "corpus entry view ." + e.Sel.Name
+		}
+		if c.derivedFrom(e.X, "Columns") {
+			return "corpus columns view ." + e.Sel.Name
 		}
 	}
 	return ""
@@ -160,17 +164,19 @@ func isMatrixView(fn *types.Func) bool {
 	return isNamed(sig.Recv().Type(), "arena", "Matrix")
 }
 
-// entryDerived reports whether the expression is (a selector chain rooted
-// at) a corpus.Entry value — the carrier of snapshot artifact views.
-func (c *checker) entryDerived(e ast.Expr) bool {
+// derivedFrom reports whether the expression is (a selector chain rooted
+// at) a value of the named corpus type: Entry, the carrier of per-series
+// artifact views, or Columns, the arena capture, whose Rows index is as
+// shared as the matrices it addresses.
+func (c *checker) derivedFrom(e ast.Expr, name string) bool {
 	e = ast.Unparen(e)
 	if tv, ok := c.pass.TypesInfo.Types[e]; ok && tv.Type != nil {
-		if isNamed(tv.Type, "corpus", "Entry") {
+		if isNamed(tv.Type, "corpus", name) {
 			return true
 		}
 	}
 	if sel, ok := e.(*ast.SelectorExpr); ok {
-		return c.entryDerived(sel.X)
+		return c.derivedFrom(sel.X, name)
 	}
 	return false
 }

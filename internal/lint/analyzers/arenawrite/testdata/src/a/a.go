@@ -29,7 +29,7 @@ func throughLocals(m arena.Matrix, src []float64) {
 
 func entryViews(e *corpus.Entry, src []float64) {
 	e.UMA[0] = 1              // want `write through corpus entry view \.UMA`
-	copy(e.Suffix, src)       // want `copy into corpus entry view \.Suffix`
+	copy(e.Upper, src)        // want `copy into corpus entry view \.Upper`
 	e.PDF.Observations[0] = 2 // want `write through corpus entry view \.Observations`
 	e.Env.Lo[0] = 3           // want `write through corpus entry view \.Lo`
 	sig := e.Sigmas
@@ -44,6 +44,21 @@ func snapshotColumns(s *corpus.Snapshot) {
 	cols.UMA.Row(3)[0] = 1 // want `write through arena\.Matrix\.Row\(\)`
 }
 
+func snapshotArena(s *corpus.Snapshot) int {
+	cols := s.Arena()
+	cols.Rows[0] = 7                        // want `write through corpus columns view \.Rows`
+	cols.Suffix.Row(int(cols.Rows[1]))[0]++ // want `\+\+ through arena\.Matrix\.Row\(\)`
+	tail := cols.Rows[2:]
+	copy(tail, cols.Rows) // want `copy into a local alias of a snapshot view`
+
+	// Reading the index, and writing a private copy of it, is legal.
+	own := append([]int32(nil), cols.Rows...)
+	own[0] = cols.Rows[1]
+	//lint:allow arenawrite proving the suppression path on the row index
+	cols.Rows[3] = 0
+	return int(own[0]) + cols.Values.Rows()
+}
+
 func legal(b *arena.Builder, m arena.Matrix, e *corpus.Entry) float64 {
 	// Builder rows are writer-owned until published.
 	row := b.AppendZero()
@@ -53,7 +68,7 @@ func legal(b *arena.Builder, m arena.Matrix, e *corpus.Entry) float64 {
 	// Plain local slices are nobody's views.
 	local := make([]float64, 4)
 	local[3] = v
-	copy(local, e.Suffix)
+	copy(local, e.Lower)
 	return local[3]
 }
 

@@ -1,7 +1,6 @@
 package munich
 
 import (
-	"fmt"
 	"math"
 
 	"uncertts/internal/uncertain"
@@ -11,15 +10,12 @@ import (
 // per-timestamp minimal bounding intervals of a sample series, coarsened
 // into fixed-width segments (a piecewise-constant envelope). Envelopes are
 // the unit of incremental index maintenance — one can be built for a single
-// series in isolation, so a mutable corpus can keep them up to date on
-// insert without rebuilding a whole Index.
+// series in isolation, so a mutable corpus keeps them up to date on insert,
+// under the one segment count its corpus.Config fixes.
 type Envelope struct {
 	// Lo and Hi hold the per-segment envelope minimum and maximum.
 	Lo, Hi []float64
 }
-
-// Segments returns the number of envelope segments.
-func (e Envelope) Segments() int { return len(e.Lo) }
 
 // SegmentSpans returns the [start, end) timestamp range of each of the
 // given number of segments for series of the given length. Segments are
@@ -97,12 +93,4 @@ func EnvelopeLowerBound(a, b Envelope, spans [][2]int) float64 {
 		acc += gap * gap * width
 	}
 	return math.Sqrt(acc)
-}
-
-// CheckEnvelope validates that an envelope matches a span geometry.
-func CheckEnvelope(e Envelope, spans [][2]int) error {
-	if len(e.Lo) != len(spans) || len(e.Hi) != len(spans) {
-		return fmt.Errorf("munich: envelope has %d/%d segments, spans %d", len(e.Lo), len(e.Hi), len(spans))
-	}
-	return nil
 }

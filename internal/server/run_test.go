@@ -25,7 +25,7 @@ import (
 // and disconnects reliably land mid-query.
 func slowServer(t testing.TB, series, length int) (*Server, *atomic.Int64, *httptest.Server) {
 	t.Helper()
-	c := corpus.New(corpus.Config{ReportedSigma: 0.3, Length: length})
+	c := corpus.New(corpus.Config{ReportedSigma: 0.3, Length: length, Band: -1}) // unconstrained DTW: O(n^2) per pair
 	var batch []corpus.Series
 	for i := 0; i < series; i++ {
 		vals := make([]float64, length)
@@ -37,7 +37,7 @@ func slowServer(t testing.TB, series, length int) (*Server, *atomic.Int64, *http
 	if _, err := c.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(c, Options{Band: -1}) // unconstrained DTW: O(n^2) per pair
+	srv := New(c, Options{})
 	// inFlight counts requests currently inside the handler, so tests can
 	// assert the executor drained after a disconnect.
 	var inFlight atomic.Int64

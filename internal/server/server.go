@@ -27,9 +27,12 @@
 // writers never wait for readers.
 //
 // Engines are cached per measure and rebuilt only when the corpus epoch
-// moves on — and rebuilding is cheap because the per-series artifacts
-// (envelopes, filtered vectors, suffix energies, phi tables) live in the
-// corpus entries, which snapshots share. Work counters survive rebuilds:
+// moves on — and rebuilding costs the same few allocations whatever the
+// corpus size, because the per-series artifacts (envelopes, filtered
+// vectors, suffix energies, filter columns, phi tables) and the geometry
+// they were built under (band, filter window, segment count: the corpus'
+// corpus.Config, which the server does not second-guess) live in the corpus
+// arenas, which snapshots share. Work counters survive rebuilds:
 // /stats reports the cumulative accounting since the server started.
 package server
 
@@ -65,8 +68,6 @@ type Options struct {
 	// timeout_ms (0 = no server-side bound). Expiry cancels the query's
 	// context, drains the executor and answers 504.
 	DefaultTimeout time.Duration
-	// Band is the Sakoe-Chiba half-width DTW engines use (0 = length/10).
-	Band int
 	// MUNICH configures the probability estimator of MUNICH engines.
 	MUNICH munich.Options
 	// NoIndex forces every engine onto the linear scan path, ignoring the
@@ -172,7 +173,6 @@ func (s *Server) engineFor(m engine.Measure) (*engine.Engine, error) {
 	}
 	e, err := engine.NewFromSnapshot(snap, engine.Options{
 		Measure: m,
-		Band:    s.opts.Band,
 		MUNICH:  s.opts.MUNICH,
 		NoIndex: s.opts.NoIndex,
 	})

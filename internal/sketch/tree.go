@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"sync"
+
 	"uncertts/internal/arena"
 )
 
@@ -27,7 +29,8 @@ import (
 
 // Member identifies one series in the tree: its stable corpus ID and its
 // row in the sketch arena. On a dense snapshot the row equals the series'
-// snapshot position; sparse snapshots resolve positions through the ID.
+// snapshot position; sparse snapshots resolve positions through their
+// position -> row index.
 type Member struct {
 	ID  int
 	Row int
@@ -53,6 +56,11 @@ type Tree struct {
 	gen     uint64
 	root    *node
 	size    int
+
+	// buckets memoises Buckets(): a version never changes, so its leaf list
+	// is collected by whoever asks first and shared by everyone after.
+	bucketsOnce sync.Once
+	buckets     []Bucket
 }
 
 // NewTree returns an empty tree for the layout (leafCap <= 0 adopts
@@ -318,24 +326,26 @@ func (t *Tree) Locate(paa []float64) int {
 	return idx
 }
 
-// Buckets returns the non-empty leaves in tree order. The engine collects
-// them once per snapshot and ranks them per query by its measure's bound.
+// Buckets returns the non-empty leaves in tree order, collected once per
+// tree version; the engine ranks them per query by its measure's bound. The
+// slice is shared: callers must not modify it.
 func (t *Tree) Buckets() []Bucket {
-	var out []Bucket
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.leaf() {
-			if len(n.members) > 0 {
-				out = append(out, Bucket{Lo: n.lo, Hi: n.hi, Members: n.members})
+	t.bucketsOnce.Do(func() {
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n == nil {
+				return
 			}
-			return
+			if n.leaf() {
+				if len(n.members) > 0 {
+					t.buckets = append(t.buckets, Bucket{Lo: n.lo, Hi: n.hi, Members: n.members})
+				}
+				return
+			}
+			walk(n.left)
+			walk(n.right)
 		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out
+		walk(t.root)
+	})
+	return t.buckets
 }

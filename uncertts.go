@@ -411,7 +411,13 @@ func ParseStoreSyncPolicy(name string) (StoreSyncPolicy, error) {
 // for every worker count. Distance is the unpruned reference lookup.
 type QueryEngine = engine.Engine
 
-// QueryEngineOptions configures a QueryEngine.
+// QueryEngineOptions configures a QueryEngine: the measure, the executor
+// (Workers, ShardSize), the reference and scan arms (NoPrune, NoIndex,
+// IndexThreshold) and MUNICH's probability estimator. It carries no
+// geometry: the DTW band, the UMA/UEMA window, decay and weight mode, the
+// DUST tables and the MUNICH segment count are the CorpusConfig of the
+// corpus the snapshot came from (WorkloadConfig.Band for a Workload's), and
+// an engine wanting another window is built over another corpus.
 type QueryEngineOptions = engine.Options
 
 // QueryEngineStats counts the engine's work (candidates examined, full
@@ -446,8 +452,9 @@ func NewQueryEngine(w *Workload, opts QueryEngineOptions) (*QueryEngine, error) 
 }
 
 // NewQueryEngineFromSnapshot builds a pruned query engine over a corpus
-// snapshot, reusing the snapshot's precomputed per-series artifacts
-// whenever the options match the corpus geometry.
+// snapshot. The engine reads the snapshot's precomputed per-series
+// artifacts in place, under the corpus geometry, so construction costs the
+// same few allocations whatever the corpus size.
 func NewQueryEngineFromSnapshot(snap *CorpusSnapshot, opts QueryEngineOptions) (*QueryEngine, error) {
 	return engine.NewFromSnapshot(snap, opts)
 }
