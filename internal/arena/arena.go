@@ -86,19 +86,23 @@ func (b *Builder) Stride() int { return b.stride }
 // Rows returns the number of appended rows.
 func (b *Builder) Rows() int { return len(b.data) / b.stride }
 
-// Grow reserves capacity for at least extra more rows, so a bulk load pays
-// for one allocation instead of log-many growth steps.
-func (b *Builder) Grow(extra int) {
-	if extra <= 0 {
-		return
-	}
+// Grow reserves capacity for at least extra more rows and returns how many
+// float64s it copied doing so: 0 while the spare capacity suffices, the
+// whole resident arena when it reallocates. A reallocation at least doubles
+// the capacity, so appending N rows in batches of any size reallocates
+// O(log N) times and copies fewer than 2N rows in total — an append costs
+// what it appends, amortised. The one append per doubling that reallocates
+// still copies everything; views handed out before it keep reading the old
+// backing array.
+func (b *Builder) Grow(extra int) (copied int) {
 	need := len(b.data) + extra*b.stride
-	if need <= cap(b.data) {
-		return
+	if extra <= 0 || need <= cap(b.data) {
+		return 0
 	}
-	grown := make([]float64, len(b.data), need)
+	grown := make([]float64, len(b.data), max(need, 2*cap(b.data)))
 	copy(grown, b.data)
 	b.data = grown
+	return len(grown)
 }
 
 // Append copies row into the arena and returns the resident view. row must
@@ -116,16 +120,13 @@ func (b *Builder) Append(row []float64) []float64 {
 // callers that compute the row in place (filters, envelopes) without a
 // temporary.
 func (b *Builder) AppendZero() []float64 {
+	b.Grow(1)
 	off := len(b.data)
-	if off+b.stride <= cap(b.data) {
-		// Reuse spare capacity, clearing any bytes left by a Truncate.
-		b.data = b.data[: off+b.stride : cap(b.data)]
-		row := b.data[off : off+b.stride : off+b.stride]
-		clear(row)
-		return row
-	}
-	b.data = append(b.data, make([]float64, b.stride)...)
-	return b.data[off : off+b.stride : off+b.stride]
+	b.data = b.data[: off+b.stride : cap(b.data)]
+	row := b.data[off : off+b.stride : off+b.stride]
+	// Spare capacity may hold bytes left by a Truncate.
+	clear(row)
+	return row
 }
 
 // Truncate discards rows from the tail until exactly rows remain — the

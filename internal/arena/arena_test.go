@@ -127,3 +127,49 @@ func TestGrowPreservesRowsAndAvoidsRealloc(t *testing.T) {
 		t.Fatalf("row view invalidated by appends within reserved capacity")
 	}
 }
+
+// TestGrowIsGeometric is the write path's cost bound, in counts: appending N
+// rows in batches of k reallocates O(log N) times and copies fewer than 2N
+// rows in all, for every k — so an append costs what it appends, amortised —
+// and a view handed out before a reallocation keeps reading its old values.
+func TestGrowIsGeometric(t *testing.T) {
+	const stride, total = 4, 1 << 14
+	for _, k := range []int{1, 8, 512} {
+		b := NewBuilder(stride, 0)
+		reallocs, copied := 0, 0
+		var views [][]float64 // one view captured just before each reallocation
+		for b.Rows() < total {
+			before := b.Matrix()
+			if n := b.Grow(k); n > 0 {
+				reallocs++
+				copied += n
+				views = append(views, before.Row(before.Rows()-1))
+			}
+			for i := 0; i < k; i++ {
+				r := float64(b.Rows())
+				b.Append(row(r, r, r, r))
+			}
+		}
+		// Doubling from k rows reaches total in log2(total/k) steps, plus the
+		// first allocation (which copies nothing, so Grow does not report it).
+		if limit := 15; reallocs > limit {
+			t.Errorf("k=%d: %d reallocations over %d rows, want O(log N) <= %d", k, reallocs, total, limit)
+		}
+		if copied >= 2*total*stride {
+			t.Errorf("k=%d: growth copied %d float64s for %d resident, want < 2x", k, copied, total*stride)
+		}
+		m := b.Matrix()
+		for _, v := range views {
+			i := int(v[0])
+			if v[0] != v[3] || &v[0] == &m.Row(i)[0] {
+				t.Fatalf("k=%d: the view of row %d taken before a reallocation reads %v, or aliases the new array", k, i, v)
+			}
+			if cur := m.Row(i); cur[0] != v[0] || cur[3] != v[3] {
+				t.Fatalf("k=%d: row %d reads %v after reallocation, %v before", k, i, cur, v)
+			}
+		}
+		if len(views) != reallocs || reallocs == 0 {
+			t.Fatalf("k=%d: %d views over %d reallocations", k, len(views), reallocs)
+		}
+	}
+}

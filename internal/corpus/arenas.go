@@ -40,6 +40,11 @@ type arenas struct {
 	lay    sketch.Layout
 	coarse sketch.Coarse
 
+	// copied is the running total of float64s growth has copied over the
+	// corpus' lifetime (compactions carry it forward): under Grow's doubling
+	// it stays below twice the resident arena size, whatever the batch size.
+	copied int64
+
 	// envScratch is the deque storage LB_Keogh envelope builds reuse
 	// across inserts; buildEntry runs under the corpus writer lock, so
 	// one scratch per arena set suffices.
@@ -77,11 +82,15 @@ func newArenas(cfg Config, capRows int) *arenas {
 // rows returns the common row count.
 func (a *arenas) rows() int { return a.values.Rows() }
 
-// grow reserves capacity for extra more rows in every builder.
-func (a *arenas) grow(extra int) {
+// grow reserves capacity for extra more rows in every builder and reports
+// whether doing so moved resident rows to new backing arrays (the builders
+// hold equal row counts and grow by the same rule, so they move together).
+func (a *arenas) grow(extra int) bool {
+	before := a.copied
 	for _, b := range a.all() {
-		b.Grow(extra)
+		a.copied += int64(b.Grow(extra))
 	}
+	return a.copied > before
 }
 
 // truncate rolls every builder back to the given row count — the abort path
@@ -123,6 +132,7 @@ func (a *arenas) compact(keep []int) *arenas {
 
 		lay:    a.lay,
 		coarse: a.coarse,
+		copied: a.copied,
 	}
 }
 

@@ -198,10 +198,11 @@ type Entry struct {
 	OwnErrors bool
 
 	// row is the entry's row index in the corpus arenas at the time it was
-	// built (or last compacted). All float64 artifacts above are views into
-	// arena row `row`, which also holds the artifacts only scans read (suffix
-	// energies, sketch row, filter columns — see Snapshot.Arena); compaction
-	// rewires fresh Entry copies to new rows.
+	// built (or last compacted, or last regrown). All float64 artifacts above
+	// are views into arena row `row`, which also holds the artifacts only
+	// scans read (suffix energies, sketch row, filter columns — see
+	// Snapshot.Arena); compaction and arena growth rewire fresh Entry copies
+	// to the new storage.
 	row int
 }
 
@@ -223,6 +224,15 @@ type Corpus struct {
 	// mutation and published (immutably) with every snapshot. Nil exactly
 	// when ar is nil. Guarded by mu.
 	tree *sketch.Tree
+	// regrown records that growth moved the arenas to new backing arrays
+	// since the published entries were last pointed at them; the next
+	// mutation to publish rewires the survivors (an aborted one leaves the
+	// flag for its successor). Guarded by mu.
+	regrown bool
+	// defErrs is the one error model every series inserted without Errors
+	// shares (see defaultErrors); nil until the geometry it needs is
+	// resolved. Guarded by mu.
+	defErrs []stats.Dist
 }
 
 // New returns an empty corpus with the given artifact geometry.
@@ -233,6 +243,7 @@ func New(cfg Config) *Corpus {
 		cfg = cfg.resolveLength(cfg.Length)
 		c.ar = newArenas(cfg, 0)
 		c.tree = sketch.NewTree(c.ar.lay, cfg.SketchLeafCap)
+		c.defErrs = defaultErrors(cfg)
 	}
 	c.cur.Store(c.newSnapshot(cfg, 0, nil))
 	return c
@@ -349,7 +360,7 @@ func (c *Corpus) Replay(m Mutation) error {
 // the contiguous assignment from c.nextID.
 func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, logged bool) ([]int, error) {
 	old := c.cur.Load()
-	cfg := old.cfg
+	cfg, defErrs := old.cfg, c.defErrs
 
 	if len(insertIDs) > 0 {
 		if len(insertIDs) != len(insert) {
@@ -366,7 +377,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 
 	drop := make(map[int]bool, len(deleteIDs))
 	for _, id := range deleteIDs {
-		if _, ok := old.pos[id]; !ok {
+		if _, ok := old.PosOf(id); !ok {
 			return nil, fmt.Errorf("corpus: no series with ID %d", id)
 		}
 		drop[id] = true
@@ -385,8 +396,11 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 		if c.ar == nil {
 			c.ar = newArenas(cfg, len(insert))
 			c.tree = sketch.NewTree(c.ar.lay, cfg.SketchLeafCap)
-		} else if len(insert) > 1 {
-			c.ar.grow(len(insert))
+		} else if c.ar.grow(len(insert)) {
+			c.regrown = true
+		}
+		if defErrs == nil {
+			defErrs = defaultErrors(cfg)
 		}
 	}
 
@@ -412,6 +426,11 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 		defer func() {
 			if !committed {
 				c.ar.truncate(mark)
+				if old.cols == nil {
+					// The arenas took their strides from this mutation's first
+					// series; the next first insert may bring another length.
+					c.ar, c.tree = nil, nil
+				}
 			}
 		}()
 	}
@@ -422,7 +441,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 		if len(insertIDs) > 0 {
 			id = insertIDs[i]
 		}
-		e, err := buildEntry(id, s, cfg, c.ar)
+		e, err := buildEntry(id, s, cfg, defErrs, c.ar)
 		if err != nil {
 			return nil, err
 		}
@@ -437,6 +456,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 		}
 	}
 	committed = true
+	c.defErrs = defErrs
 	if len(insertIDs) > 0 {
 		c.nextID = insertIDs[len(insertIDs)-1] + 1
 	} else {
@@ -450,9 +470,22 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 			// compactLocked bulk-rebuilds the tree over the compacted rows,
 			// so the incremental update is subsumed.
 			entries = c.compactLocked(entries)
-		} else if len(insMembers) > 0 || len(delMembers) > 0 {
-			c.tree = c.tree.Update(c.ar.sketch.Matrix(), insMembers, delMembers)
+		} else {
+			if c.regrown {
+				// The arrays the survivors' views read were superseded: carry
+				// them forward as copies over the new ones (the entries built
+				// above already are), so that once older snapshots are
+				// released nothing keeps an old generation reachable.
+				cols := c.ar.capture()
+				for i, e := range entries[:len(entries)-len(insert)] {
+					entries[i] = rewire(e, cols, e.row)
+				}
+			}
+			if len(insMembers) > 0 || len(delMembers) > 0 {
+				c.tree = c.tree.Update(c.ar.sketch.Matrix(), insMembers, delMembers)
+			}
 		}
+		c.regrown = false
 	}
 	c.cur.Store(c.newSnapshot(cfg, old.epoch+1, entries))
 	return ids, nil
@@ -471,18 +504,7 @@ func (c *Corpus) compactLocked(entries []*Entry) []*Entry {
 	cols := na.capture()
 	out := make([]*Entry, len(entries))
 	for i, e := range entries {
-		ne := *e
-		ne.row = i
-		ne.PDF.Observations = cols.Values.Row(i)
-		ne.Sigmas = cols.Sigmas.Row(i)
-		ne.UMA = cols.UMA.Row(i)
-		ne.UEMA = cols.UEMA.Row(i)
-		ne.Upper = cols.Upper.Row(i)
-		ne.Lower = cols.Lower.Row(i)
-		if ne.Samples != nil {
-			ne.Env = munich.Envelope{Lo: cols.EnvLo.Row(i), Hi: cols.EnvHi.Row(i)}
-		}
-		out[i] = &ne
+		out[i] = rewire(e, cols, i)
 	}
 	c.ar = na
 	// Compaction rewires every member to a new row, so the tree is rebuilt
@@ -493,6 +515,25 @@ func (c *Corpus) compactLocked(entries []*Entry) []*Entry {
 	}
 	c.tree = sketch.Build(na.lay, c.tree.LeafCap(), members, cols.Sketch)
 	return out
+}
+
+// rewire returns a fresh copy of e whose artifact views read row `row` of
+// cols — how an entry follows its artifacts to new storage when the arenas
+// compact or regrow. e itself, which published snapshots may still hold, is
+// left untouched.
+func rewire(e *Entry, cols *Columns, row int) *Entry {
+	ne := *e
+	ne.row = row
+	ne.PDF.Observations = cols.Values.Row(row)
+	ne.Sigmas = cols.Sigmas.Row(row)
+	ne.UMA = cols.UMA.Row(row)
+	ne.UEMA = cols.UEMA.Row(row)
+	ne.Upper = cols.Upper.Row(row)
+	ne.Lower = cols.Lower.Row(row)
+	if ne.Samples != nil {
+		ne.Env = munich.Envelope{Lo: cols.EnvLo.Row(row), Hi: cols.EnvHi.Row(row)}
+	}
+	return &ne
 }
 
 // RestoredSeries pairs an ingestion record with the stable ID it held — the
@@ -520,21 +561,28 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 	c := &Corpus{d: dust.New(cfg.DUST), nextID: nextID}
 	if cfg.Length > 0 {
 		cfg = cfg.resolveLength(cfg.Length)
-		// One exactly-sized allocation per arena up front: the bulk load
-		// then stages every series without a single growth copy.
+		// One allocation per arena up front, sized to the checkpoint: the
+		// bulk load stages every series without a growth copy, and holds no
+		// headroom — the first insert after a restore pays one copy of the
+		// arenas, after which Grow's doubling takes over.
 		c.ar = newArenas(cfg, len(series))
+		c.defErrs = defaultErrors(cfg)
 	}
 	entries := make([]*Entry, 0, len(series))
-	seen := make(map[int]bool, len(series))
+	prev := -1
 	for _, rec := range series {
 		if rec.ID < 0 || rec.ID >= nextID {
 			return nil, fmt.Errorf("corpus: restore: series ID %d outside [0, %d)", rec.ID, nextID)
 		}
-		if seen[rec.ID] {
+		// Position order is ID order (Snapshot.PosOf searches on it).
+		if rec.ID == prev {
 			return nil, fmt.Errorf("corpus: restore: duplicate series ID %d", rec.ID)
 		}
-		seen[rec.ID] = true
-		e, err := buildEntry(rec.ID, rec.Series, cfg, c.ar)
+		if rec.ID < prev {
+			return nil, fmt.Errorf("corpus: restore: series ID %d follows %d; resident series must be in increasing ID order", rec.ID, prev)
+		}
+		prev = rec.ID
+		e, err := buildEntry(rec.ID, rec.Series, cfg, c.defErrs, c.ar)
 		if err != nil {
 			return nil, err
 		}
@@ -554,21 +602,20 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 	return c, nil
 }
 
-// newSnapshot freezes the writer's state — c.ar, c.tree, c.nextID — over
-// the given entries as the snapshot of the given epoch. Callers hold c.mu
-// (or own a corpus nobody else can see yet).
+// newSnapshot freezes the writer's state — c.ar, c.tree, c.nextID,
+// c.defErrs — over the given entries as the snapshot of the given epoch.
+// Callers hold c.mu (or own a corpus nobody else can see yet).
 func (c *Corpus) newSnapshot(cfg Config, epoch uint64, entries []*Entry) *Snapshot {
 	snap := &Snapshot{
 		cfg:     cfg,
 		epoch:   epoch,
 		entries: entries,
-		pos:     make(map[int]int, len(entries)),
 		d:       c.d,
 		nextID:  c.nextID,
 		tree:    c.tree,
+		defErrs: c.defErrs,
 	}
-	for i, e := range entries {
-		snap.pos[e.ID] = i
+	for _, e := range entries {
 		if e.Samples == nil {
 			snap.unsampled++
 		}
@@ -611,12 +658,36 @@ func deriveSigma(s Series, cfg Config) float64 {
 	return math.Sqrt(acc / float64(len(errs)))
 }
 
+// defaultErrors returns the error model of series inserted without their
+// own: the configured per-timestamp distributions, or Normal(0,
+// ReportedSigma) throughout when there are none (or too few for the series
+// length to be of use). It is built once per corpus — every such entry and
+// every snapshot share the one slice — and is nil until the length and the
+// sigma it needs are resolved.
+func defaultErrors(cfg Config) []stats.Dist {
+	if cfg.Length == 0 {
+		return nil
+	}
+	if len(cfg.Errors) >= cfg.Length {
+		return cfg.Errors[:cfg.Length]
+	}
+	if cfg.ReportedSigma <= 0 {
+		return nil
+	}
+	d := stats.NewNormal(0, cfg.ReportedSigma)
+	out := make([]stats.Dist, cfg.Length)
+	for i := range out {
+		out[i] = d
+	}
+	return out
+}
+
 // buildEntry computes every derived artifact for one inserted series — the
 // whole cost of an insert, independent of the corpus size. The float64
 // artifacts are staged directly into the arenas (one new row each, computed
 // in place); on error the caller rolls the staged rows back, so a failed
 // build leaves no trace.
-func buildEntry(id int, s Series, cfg Config, ar *arenas) (*Entry, error) {
+func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) (*Entry, error) {
 	n := cfg.Length
 	if len(s.Values) != n {
 		return nil, fmt.Errorf("corpus: series has length %d, want %d (corpora require aligned series)", len(s.Values), n)
@@ -626,14 +697,12 @@ func buildEntry(id int, s Series, cfg Config, ar *arenas) (*Entry, error) {
 
 	errs := s.Errors
 	if errs == nil {
+		// The corpus' one shared model, not a copy per series. A configured
+		// default stands in for it unsliced, so that one too short for the
+		// series still fails the length check below.
+		errs = defErrs
 		if cfg.Errors != nil {
 			errs = cfg.Errors
-		} else {
-			d := stats.NewNormal(0, cfg.ReportedSigma)
-			errs = make([]stats.Dist, n)
-			for i := range errs {
-				errs[i] = d
-			}
 		}
 	}
 	if len(errs) < n {

@@ -1,6 +1,9 @@
 package corpus
 
 import (
+	"cmp"
+	"slices"
+
 	"uncertts/internal/dust"
 	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
@@ -14,8 +17,7 @@ import (
 type Snapshot struct {
 	cfg     Config
 	epoch   uint64
-	entries []*Entry
-	pos     map[int]int // ID -> position
+	entries []*Entry // in strictly increasing ID order
 	d       *dust.Dust
 	spans   [][2]int // MUNICH segment geometry for cfg.Segments
 	nextID  int      // the ID the next insert will receive
@@ -23,7 +25,8 @@ type Snapshot struct {
 
 	cols *Columns // the arena capture; nil until the series length is resolved
 
-	unsampled int // resident series without a sample model
+	unsampled int          // resident series without a sample model
+	defErrs   []stats.Dist // the corpus' shared default error model
 }
 
 // Epoch returns the snapshot's version number; it increases by one with
@@ -54,10 +57,11 @@ func (s *Snapshot) Entry(i int) *Entry { return s.entries[i] }
 // IDAt returns the stable series ID at position i.
 func (s *Snapshot) IDAt(i int) int { return s.entries[i].ID }
 
-// PosOf resolves a stable series ID to its position in this snapshot.
+// PosOf resolves a stable series ID to its position in this snapshot: a
+// binary search, since IDs are assigned in increasing order and neither
+// deletes nor compaction reorder the survivors.
 func (s *Snapshot) PosOf(id int) (int, bool) {
-	i, ok := s.pos[id]
-	return i, ok
+	return slices.BinarySearchFunc(s.entries, id, func(e *Entry, id int) int { return cmp.Compare(e.ID, id) })
 }
 
 // IDs returns the resident series IDs in position order.
@@ -107,21 +111,10 @@ func (s *Snapshot) Index() *sketch.Tree { return s.tree }
 
 // DefaultErrors returns the per-timestamp error distributions attached to
 // series inserted without their own — the model ad-hoc queries adopt when
-// they carry no error information.
-func (s *Snapshot) DefaultErrors() []stats.Dist {
-	// A configured default that is too short for the series length is
-	// useless; fall back to the constant-sigma model rather than slicing
-	// out of bounds.
-	if len(s.cfg.Errors) >= s.cfg.Length {
-		return s.cfg.Errors[:s.cfg.Length]
-	}
-	d := stats.NewNormal(0, s.cfg.ReportedSigma)
-	out := make([]stats.Dist, s.cfg.Length)
-	for i := range out {
-		out[i] = d
-	}
-	return out
-}
+// they carry no error information. It is the very slice those entries
+// share, not a copy: read-only, like everything else a snapshot hands out.
+// Nil while the series length or the reported sigma is still unresolved.
+func (s *Snapshot) DefaultErrors() []stats.Dist { return s.defErrs }
 
 // HasSamples reports whether every resident series carries the
 // repeated-observation model (the precondition for serving MUNICH).
