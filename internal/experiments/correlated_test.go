@@ -6,10 +6,7 @@ import (
 )
 
 func TestCorrelatedShapes(t *testing.T) {
-	tables, err := Correlated(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "correlated")
 	tbl := tables[0]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("want 4 rho rows, got %d", len(tbl.Rows))

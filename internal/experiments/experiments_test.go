@@ -83,10 +83,7 @@ func TestTableRenderAndLookup(t *testing.T) {
 }
 
 func TestChiSquareRejectsEverywhere(t *testing.T) {
-	tables, err := ChiSquare(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "chisquare")
 	tbl := tables[0]
 	if len(tbl.Rows) != 17 {
 		t.Fatalf("want 17 rows, got %d", len(tbl.Rows))
@@ -122,10 +119,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	tables, err := Fig5(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "fig5")
 	if len(tables) != 3 {
 		t.Fatalf("want 3 tables, got %d", len(tables))
 	}
@@ -154,14 +148,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6Fig7Shapes(t *testing.T) {
-	t6, err := Fig6(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t7, err := Fig7(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t6, t7 := testCfgTables(t, "fig6"), testCfgTables(t, "fig7")
 	for _, pair := range [][]Table{t6, t7} {
 		if len(pair) != 2 {
 			t.Fatalf("want precision+recall tables, got %d", len(pair))
@@ -179,23 +166,16 @@ func TestFig6Fig7Shapes(t *testing.T) {
 }
 
 func TestFig8Fig9Fig10Shapes(t *testing.T) {
-	for _, run := range []struct {
-		name string
-		fn   Runner
-	}{{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}} {
-		tables, err := run.fn(testCfg)
-		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
-		}
-		tbl := tables[0]
+	for _, name := range []string{"fig8", "fig9", "fig10"} {
+		tbl := testCfgTables(t, name)[0]
 		if len(tbl.Rows) != 17 {
-			t.Fatalf("%s: want 17 dataset rows, got %d", run.name, len(tbl.Rows))
+			t.Fatalf("%s: want 17 dataset rows, got %d", name, len(tbl.Rows))
 		}
 		for _, row := range tbl.Rows {
 			for i := 1; i < len(row); i++ {
 				v, err := strconv.ParseFloat(row[i], 64)
 				if err != nil || v < 0 || v > 1 {
-					t.Errorf("%s %s: column %d out of range: %q", run.name, row[0], i, row[i])
+					t.Errorf("%s %s: column %d out of range: %q", name, row[0], i, row[i])
 				}
 			}
 		}
@@ -228,10 +208,7 @@ func TestFig11Fig12Shapes(t *testing.T) {
 }
 
 func TestFig13Fig14Shapes(t *testing.T) {
-	t13, err := Fig13(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t13 := testCfgTables(t, "fig13")
 	tbl := t13[0]
 	// w=0 is plain Euclidean; a small positive w must improve accuracy.
 	base := f(t, tbl, "UMA", "0")
@@ -245,10 +222,7 @@ func TestFig13Fig14Shapes(t *testing.T) {
 		t.Errorf("fig13: no window size improves over w=0 (base %v)", base)
 	}
 
-	t14, err := Fig14(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t14 := testCfgTables(t, "fig14")
 	for _, row := range t14[0].Rows {
 		for i := 1; i < len(row); i++ {
 			v, err := strconv.ParseFloat(row[i], 64)

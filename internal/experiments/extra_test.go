@@ -8,10 +8,7 @@ import (
 )
 
 func TestTopKShapes(t *testing.T) {
-	tables, err := TopK(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "topk")
 	tbl := tables[0]
 	if len(tbl.Rows) != 17 {
 		t.Fatalf("want 17 rows, got %d", len(tbl.Rows))
@@ -36,10 +33,7 @@ func TestTopKShapes(t *testing.T) {
 }
 
 func TestClassifyShapes(t *testing.T) {
-	tables, err := Classify(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := testCfgTables(t, "classify")
 	tbl := tables[0]
 	if len(tbl.Rows) != 17 {
 		t.Fatalf("want 17 rows, got %d", len(tbl.Rows))

@@ -31,25 +31,36 @@ func testCfgTables(t *testing.T, name string) []Table {
 	return tables
 }
 
-// TestGoldenFigures pins the reproduction itself: the F1 tables of Figure 4
+// goldenFigures lists every experiment whose tables are a function of the
+// config alone — all but the timing figures 11 and 12 — in the order the
+// golden file renders them.
+var goldenFigures = []string{
+	"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"fig13", "fig14", "fig15", "fig16", "fig17",
+	"topk", "classify", "correlated", "chisquare",
+}
+
+// TestGoldenFigures pins the reproduction itself: every deterministic table
+// the package produces (goldenFigures) at small scale and a fixed seed,
+// compared character for character with a checked-in rendering, and the
+// accuracy ordering the paper reports read off the tables of Figure 4
 // (MUNICH, PROUD, DUST and Euclidean on truncated Gun Point) and Figure 16
-// (Euclidean, DUST, UMA and UEMA over every dataset) at small scale and a
-// fixed seed, compared character for character with a checked-in rendering,
-// and the accuracy ordering the paper reports read off the same tables. The
-// shape tests above bound what the figures may look like; this one says what
-// they are, so a refactor of anything under them — the matchers, the corpus
-// artifacts they read, the kernels — cannot change the reproduction
-// unnoticed. Regenerate with `go test ./internal/experiments -run
-// TestGoldenFigures -update` only for a change that means to move a number,
-// and say which in the commit.
+// (Euclidean, DUST, UMA and UEMA over every dataset). The shape tests above
+// bound what the figures may look like; this one says what they are, so a
+// refactor of anything under them — the evaluation, the corpus artifacts it
+// reads, the kernels — cannot change the reproduction unnoticed. Regenerate
+// with `go test ./internal/experiments -run TestGoldenFigures -update` only
+// for a change that means to move a number, and say which in the commit.
 func TestGoldenFigures(t *testing.T) {
-	fig4, fig16 := testCfgTables(t, "fig4"), testCfgTables(t, "fig16")
 	var got bytes.Buffer
-	for _, tbl := range append(fig4[:len(fig4):len(fig4)], fig16...) {
-		if err := tbl.Render(&got); err != nil {
-			t.Fatal(err)
+	for _, name := range goldenFigures {
+		for _, tbl := range testCfgTables(t, name) {
+			if err := tbl.Render(&got); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	fig4, fig16 := testCfgTables(t, "fig4"), testCfgTables(t, "fig16")
 	path := filepath.Join("testdata", "golden_small_seed42.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
