@@ -1,10 +1,9 @@
 package uncertts
 
 // The benchmark harness regenerates every figure of the paper's evaluation
-// (go test -bench=Fig -benchmem) and adds ablation benches for the design
-// choices called out in DESIGN.md. Benchmarks run the experiment at small
-// scale per iteration; the emitted tables are the deliverable of
-// EXPERIMENTS.md (regenerated at medium/full scale via cmd/uncertbench).
+// (go test -bench=Fig -benchmem) and adds ablation benches for a few design
+// choices. Benchmarks run the experiment at small scale per iteration;
+// cmd/uncertbench regenerates the tables at medium/full scale.
 
 import (
 	"context"
@@ -185,7 +184,7 @@ func BenchmarkHaarTransform(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (design choices called out in DESIGN.md) ----
+// ---- Ablation benches ----
 
 func ablationWorkload(b *testing.B) *core.Workload {
 	b.Helper()
@@ -207,9 +206,9 @@ func ablationWorkload(b *testing.B) *core.Workload {
 	return w
 }
 
-func reportF1(b *testing.B, w *core.Workload, m core.Matcher, label string) {
+func reportF1(b *testing.B, w *core.Workload, t experiments.Technique, label string) {
 	b.Helper()
-	ms, err := core.Evaluate(w, m, []int{0, 1, 2, 3, 4, 5})
+	ms, err := experiments.Evaluate(w, t, []int{0, 1, 2, 3, 4, 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,23 +220,8 @@ func reportF1(b *testing.B, w *core.Workload, m core.Matcher, label string) {
 func BenchmarkAblationUMAWeights(b *testing.B) {
 	w := ablationWorkload(b)
 	for i := 0; i < b.N; i++ {
-		norm := &core.FilteredMatcher{Kind: core.FilterUMA, W: 2, Mode: timeseries.WeightModeNormalized}
-		strict := &core.FilteredMatcher{Kind: core.FilterUMA, W: 2, Mode: timeseries.WeightModeStrict}
-		reportF1(b, w, norm, "normalized")
-		reportF1(b, w, strict, "strict")
-	}
-}
-
-// BenchmarkAblationUnweightedMA compares UMA/UEMA against their
-// uncertainty-blind MA/EMA counterparts: how much of the win comes from the
-// 1/sigma weights versus plain smoothing.
-func BenchmarkAblationUnweightedMA(b *testing.B) {
-	w := ablationWorkload(b)
-	for i := 0; i < b.N; i++ {
-		reportF1(b, w, core.NewMAMatcher(2), "MA")
-		reportF1(b, w, core.NewUMAMatcher(2), "UMA")
-		reportF1(b, w, core.NewEMAMatcher(2, 1), "EMA")
-		reportF1(b, w, core.NewUEMAMatcher(2, 1), "UEMA")
+		reportF1(b, w, experiments.Technique{Measure: engine.MeasureUMA, Mode: timeseries.WeightModeNormalized}, "normalized")
+		reportF1(b, w, experiments.Technique{Measure: engine.MeasureUMA, Mode: timeseries.WeightModeStrict}, "strict")
 	}
 }
 
@@ -300,27 +284,6 @@ func BenchmarkAblationMunichEstimator(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationPROUDWavelet compares PROUD on raw observations against
-// PROUD over a Haar synopsis (Section 4.3 footnote). The tau is calibrated
-// once for the raw variant so both sides operate in their useful regime
-// (PROUD's optimal tau is far below 0.5 — see DefaultTauGrid).
-func BenchmarkAblationPROUDWavelet(b *testing.B) {
-	w := ablationWorkload(b)
-	tau, _, err := core.CalibrateTau(w, func(tau float64) core.Matcher {
-		return core.NewPROUDMatcher(tau)
-	}, []int{0, 1, 2}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := core.NewPROUDMatcher(tau)
-		syn := &core.PROUDMatcher{Tau: tau, UseSynopsis: true, Coeffs: 16}
-		reportF1(b, w, raw, "raw")
-		reportF1(b, w, syn, "wavelet")
 	}
 }
 

@@ -8,6 +8,10 @@
 //	uncertquery -dataset CBF -series 40 -technique uema -sigma 0.8 -query 3
 //	uncertquery -csv data.csv -technique dust -sigma 0.5 -query 0
 //
+// Every mode runs on the query engine over the workload's corpus, so the
+// technique's geometry is the corpus': -technique dtw matches under -band
+// (default length/10; -band -1 is unconstrained DTW).
+//
 // The topk mode answers a k-nearest-neighbour query through the pruned
 // engine (early abandoning, LB_Keogh, shared DUST tables) and reports how
 // much of the scan the pruning skipped:
@@ -63,6 +67,8 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/engine"
+	"uncertts/internal/experiments"
+	"uncertts/internal/query"
 	"uncertts/internal/server"
 	"uncertts/internal/store"
 	"uncertts/internal/telemetry"
@@ -225,7 +231,7 @@ func main() {
 	flag.Float64Var(&cfg.eps, "eps", 0, "distance threshold in probrange mode (0 = the calibrated ground-truth eps)")
 	flag.StringVar(&cfg.mode, "mode", "match", "match (range query vs ground truth), topk (pruned k-NN) or probrange (pruned probabilistic range query)")
 	flag.IntVar(&cfg.topk, "topk", 5, "neighbours to return in topk mode")
-	flag.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width of the generated corpus, for dtw topk (0 = length/10, negative = unconstrained; with -data it must match the persisted band)")
+	flag.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width of the generated corpus, for dtw in match and topk mode (0 = length/10, negative = unconstrained; with -data it must match the persisted band)")
 	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers in topk/probrange mode (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "deadline for topk/probrange queries, e.g. 500ms (0 = none)")
 	flag.Parse()
@@ -276,25 +282,39 @@ func main() {
 	}
 }
 
+// runMatch answers the paper's similarity-matching task (Section 4.1.2) for
+// the query and scores the answer against the ground truth.
 func runMatch(w *core.Workload, dsName string, cfg config) {
-	m, err := buildMatcher(w, cfg.technique, cfg.tau)
+	t := experiments.Technique{Measure: measureFor(cfg.technique), Tau: cfg.tau}
+	if t.Measure.Probabilistic() && t.Tau == 0 {
+		best, err := calibrateTau(w, t.Measure)
+		if err != nil {
+			fatal(err)
+		}
+		t.Tau = best
+	}
+	// The technique as the report names it: with the parameter it ran under.
+	name, geometry := t.Measure.String(), w.Snapshot().Config()
+	switch t.Measure {
+	case engine.MeasurePROUD, engine.MeasureMUNICH:
+		name = fmt.Sprintf("%s(tau=%g)", name, t.Tau)
+	case engine.MeasureUMA:
+		name = fmt.Sprintf("%s(w=%d)", name, geometry.W)
+	case engine.MeasureUEMA:
+		name = fmt.Sprintf("%s(w=%d,lambda=%g)", name, geometry.W, geometry.Lambda)
+	case engine.MeasureDTW:
+		if geometry.Band >= 0 {
+			name = fmt.Sprintf("%s(band=%d)", name, geometry.Band)
+		}
+	}
+	got, err := experiments.Match(w, t, cfg.queryIdx)
 	if err != nil {
 		fatal(err)
 	}
-	if err := m.Prepare(w); err != nil {
-		fatal(err)
-	}
-	got, err := m.Match(cfg.queryIdx)
-	if err != nil {
-		fatal(err)
-	}
-	metrics, err := core.EvaluateQuery(w, m, cfg.queryIdx)
-	if err != nil {
-		fatal(err)
-	}
+	metrics := query.Evaluate(got, w.Truth(cfg.queryIdx))
 
 	fmt.Printf("dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
-	fmt.Printf("technique  : %s\n", m.Name())
+	fmt.Printf("technique  : %s\n", name)
 	fmt.Printf("perturbation: normal error, sigma=%.2f\n", cfg.sigma)
 	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
 	fmt.Printf("matches    : %v\n", got)
@@ -302,24 +322,14 @@ func runMatch(w *core.Workload, dsName string, cfg config) {
 	fmt.Printf("precision=%.3f recall=%.3f F1=%.3f\n", metrics.Precision, metrics.Recall, metrics.F1)
 }
 
-// measureFor maps a validated technique name to its engine measure.
+// measureFor maps a validated technique name to its engine measure: the
+// technique names are the engine's measure names.
 func measureFor(technique string) engine.Measure {
-	switch technique {
-	case "euclidean":
-		return engine.MeasureEuclidean
-	case "uma":
-		return engine.MeasureUMA
-	case "uema":
-		return engine.MeasureUEMA
-	case "dtw":
-		return engine.MeasureDTW
-	case "dust":
-		return engine.MeasureDUST
-	case "proud":
-		return engine.MeasurePROUD
-	default:
-		return engine.MeasureMUNICH
+	m, err := engine.ParseMeasure(technique)
+	if err != nil {
+		fatal(err)
 	}
+	return m
 }
 
 // runFromStore answers the query against a persisted corpus: read-only
@@ -484,13 +494,10 @@ func runTopK(w *core.Workload, dsName string, cfg config) {
 // runProbRange answers the probabilistic range query through the pruned
 // engine and reports which bound resolved how much of the scan.
 func runProbRange(w *core.Workload, dsName string, cfg config) {
-	measure := engine.MeasurePROUD
-	if cfg.technique == "munich" {
-		measure = engine.MeasureMUNICH
-	}
+	measure := measureFor(cfg.technique)
 	tau := cfg.tau
 	if tau == 0 {
-		best, err := calibrateTau(w, cfg.technique)
+		best, err := calibrateTau(w, measure)
 		if err != nil {
 			fatal(err)
 		}
@@ -543,52 +550,13 @@ func loadDataset(csvPath, name string, series, length int, seed int64) (timeseri
 // calibrateTau reproduces the paper's "optimal tau" procedure for the
 // probabilistic techniques over a fixed query sample, reporting the result
 // on stderr. Both the match and probrange paths share it.
-func calibrateTau(w *core.Workload, technique string) (float64, error) {
-	factory := func(tau float64) core.Matcher { return core.NewPROUDMatcher(tau) }
-	if technique == "munich" {
-		// One probability cache across the sweep: the pair probabilities do
-		// not depend on tau, so the expensive counting runs once per pair
-		// instead of once per grid point.
-		cache := core.NewMunichProbCache()
-		factory = func(tau float64) core.Matcher { return &core.MUNICHMatcher{Tau: tau, Cache: cache} }
-	}
-	best, _, err := core.CalibrateTau(w, factory, []int{0, 1, 2}, nil)
+func calibrateTau(w *core.Workload, measure engine.Measure) (float64, error) {
+	best, _, err := experiments.CalibrateTau(w, experiments.Technique{Measure: measure}, []int{0, 1, 2}, nil)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Fprintf(os.Stderr, "calibrated tau = %g\n", best)
 	return best, nil
-}
-
-func buildMatcher(w *core.Workload, technique string, tau float64) (core.Matcher, error) {
-	calibrated := func(factory func(tau float64) core.Matcher) (core.Matcher, error) {
-		if tau > 0 {
-			return factory(tau), nil
-		}
-		best, err := calibrateTau(w, technique)
-		if err != nil {
-			return nil, err
-		}
-		return factory(best), nil
-	}
-	switch technique {
-	case "euclidean":
-		return core.NewEuclideanMatcher(), nil
-	case "dust":
-		return core.NewDUSTMatcher(), nil
-	case "uma":
-		return core.NewUMAMatcher(2), nil
-	case "uema":
-		return core.NewUEMAMatcher(2, 1), nil
-	case "dtw":
-		return core.NewDTWMatcher(), nil
-	case "proud":
-		return calibrated(func(tau float64) core.Matcher { return core.NewPROUDMatcher(tau) })
-	case "munich":
-		return calibrated(func(tau float64) core.Matcher { return core.NewMUNICHMatcher(tau) })
-	default:
-		return nil, fmt.Errorf("unknown technique %q", technique)
-	}
 }
 
 func fatal(err error) {

@@ -50,7 +50,7 @@ func ExampleNewWorkload() {
 	})
 	pert, _ := uncertts.NewConstantPerturber(uncertts.Normal, 0.4, 64, 1)
 	w, _ := uncertts.NewWorkload(ds, pert, uncertts.WorkloadConfig{K: 5})
-	ms, _ := uncertts.Evaluate(w, uncertts.NewUEMAMatcher(2, 1), []int{0})
+	ms, _ := uncertts.Evaluate(w, uncertts.Technique{Measure: uncertts.MeasureUEMA}, []int{0})
 	fmt.Printf("queries evaluated: %d, ground truth size: %d\n",
 		len(ms), len(w.Truth(0)))
 	// Output: queries evaluated: 1, ground truth size: 5

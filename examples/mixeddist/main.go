@@ -60,17 +60,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eval := func(w *uncertts.Workload, m uncertts.Matcher) float64 {
-		ms, err := uncertts.Evaluate(w, m, nil)
+	eval := func(w *uncertts.Workload, measure uncertts.QueryMeasure) float64 {
+		ms, err := uncertts.Evaluate(w, uncertts.Technique{Measure: measure}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return uncertts.AverageMetrics(ms).F1
 	}
 
-	dustTrue := eval(truthW, uncertts.NewDUSTMatcher())
-	dustLied := eval(liedW, uncertts.NewDUSTMatcher())
-	eucl := eval(truthW, uncertts.NewEuclideanMatcher())
+	dustTrue := eval(truthW, uncertts.MeasureDUST)
+	dustLied := eval(liedW, uncertts.MeasureDUST)
+	eucl := eval(truthW, uncertts.MeasureEuclidean)
 
 	fmt.Println("Mixed error: 20% of timestamps sigma=1.0, 80% sigma=0.4 (normal)")
 	fmt.Printf("  DUST with true per-timestamp sigmas : F1 = %.3f\n", dustTrue)

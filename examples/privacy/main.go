@@ -47,11 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eu, err := uncertts.Evaluate(w, uncertts.NewEuclideanMatcher(), nil)
+		eu, err := uncertts.Evaluate(w, uncertts.Technique{Measure: uncertts.MeasureEuclidean}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ue, err := uncertts.Evaluate(w, uncertts.NewUEMAMatcher(2, 1), nil)
+		ue, err := uncertts.Evaluate(w, uncertts.Technique{Measure: uncertts.MeasureUEMA}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

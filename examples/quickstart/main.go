@@ -37,29 +37,29 @@ func main() {
 
 	// 4. PROUD needs its probability threshold calibrated (the paper uses
 	//    the "optimal tau determined after repeated experiments").
-	tau, _, err := uncertts.CalibrateTau(w, func(tau float64) uncertts.Matcher {
-		return uncertts.NewPROUDMatcher(tau)
-	}, []int{0, 1, 2, 3}, nil)
+	proud := uncertts.Technique{Measure: uncertts.MeasurePROUD}
+	proud.Tau, _, err = uncertts.CalibrateTau(w, proud, []int{0, 1, 2, 3}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 5. Same task, five techniques.
-	techniques := []uncertts.Matcher{
-		uncertts.NewEuclideanMatcher(),
-		uncertts.NewPROUDMatcher(tau),
-		uncertts.NewDUSTMatcher(),
-		uncertts.NewUMAMatcher(2),
-		uncertts.NewUEMAMatcher(2, 1),
+	// 5. Same task, five techniques (UMA and UEMA at the paper's w = 2,
+	//    lambda = 1).
+	techniques := []uncertts.Technique{
+		{Measure: uncertts.MeasureEuclidean},
+		proud,
+		{Measure: uncertts.MeasureDUST},
+		{Measure: uncertts.MeasureUMA},
+		{Measure: uncertts.MeasureUEMA},
 	}
 	fmt.Println("technique         F1     precision  recall")
-	for _, m := range techniques {
-		ms, err := uncertts.Evaluate(w, m, nil)
+	for _, t := range techniques {
+		ms, err := uncertts.Evaluate(w, t, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		avg := uncertts.AverageMetrics(ms)
-		fmt.Printf("%-16s  %.3f  %.3f      %.3f\n", m.Name(), avg.F1, avg.Precision, avg.Recall)
+		fmt.Printf("%-16s  %.3f  %.3f      %.3f\n", t.Measure, avg.F1, avg.Precision, avg.Recall)
 	}
 	fmt.Println("\nExpect UEMA and UMA on top: they exploit the temporal")
 	fmt.Println("correlation of neighbouring points that the other techniques ignore.")

@@ -65,17 +65,17 @@ func main() {
 		f1   float64
 	}
 	var rows []row
-	for _, m := range []uncertts.Matcher{
-		uncertts.NewEuclideanMatcher(), // ignores the sigmas entirely
-		uncertts.NewDUSTMatcher(),      // uses the per-instant sigmas
-		uncertts.NewUMAMatcher(2),      // weights samples by 1/sigma
-		uncertts.NewUEMAMatcher(2, 1),  // ... with exponential decay
+	for _, measure := range []uncertts.QueryMeasure{
+		uncertts.MeasureEuclidean, // ignores the sigmas entirely
+		uncertts.MeasureDUST,      // uses the per-instant sigmas
+		uncertts.MeasureUMA,       // weights samples by 1/sigma (w = 2)
+		uncertts.MeasureUEMA,      // ... with exponential decay (lambda = 1)
 	} {
-		ms, err := uncertts.Evaluate(w, m, nil)
+		ms, err := uncertts.Evaluate(w, uncertts.Technique{Measure: measure}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows = append(rows, row{m.Name(), uncertts.AverageMetrics(ms).F1})
+		rows = append(rows, row{measure.String(), uncertts.AverageMetrics(ms).F1})
 	}
 
 	fmt.Println("Retrieving each machine's true nearest signatures from noisy data:")

@@ -1,15 +1,18 @@
 package uncertts
 
 // Cross-module integration tests: the full pipeline — synthetic dataset,
-// perturbation, workload construction, every matcher — exercised as a
+// perturbation, workload construction, every technique — exercised as a
 // matrix over error families and uncertainty levels, plus end-to-end
 // invariants that individual package tests cannot see.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
+	"uncertts/internal/experiments"
 	"uncertts/internal/query"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -37,27 +40,21 @@ func matrixWorkload(t *testing.T, family uncertain.ErrorFamily, sigma float64) *
 // checks basic sanity: no errors, F1 in range, and (at tiny sigma) strong
 // agreement with the ground truth for the distance techniques.
 func TestAllMatchersAllFamilies(t *testing.T) {
-	matchers := func() map[string]core.Matcher {
-		return map[string]core.Matcher{
-			"euclidean":      core.NewEuclideanMatcher(),
-			"dtw":            core.NewDTWMatcher(),
-			"dust":           core.NewDUSTMatcher(),
-			"dust-dtw":       core.NewDUSTDTWMatcher(),
-			"dust-empirical": core.NewDUSTEmpiricalMatcher(),
-			"uma":            core.NewUMAMatcher(2),
-			"uema":           core.NewUEMAMatcher(2, 1),
-			"ma":             core.NewMAMatcher(2),
-			"ema":            core.NewEMAMatcher(2, 1),
-			"proud":          core.NewPROUDMatcher(0.05),
-			"munich":         core.NewMUNICHMatcher(0.5),
-		}
+	techniques := map[string]Technique{
+		"euclidean": {Measure: MeasureEuclidean},
+		"dtw":       {Measure: MeasureDTW},
+		"dust":      {Measure: MeasureDUST},
+		"uma":       {Measure: MeasureUMA},
+		"uema":      {Measure: MeasureUEMA},
+		"proud":     {Measure: MeasurePROUD, Tau: 0.05},
+		"munich":    {Measure: MeasureMUNICH, Tau: 0.5},
 	}
 	for _, family := range uncertain.AllErrorFamilies() {
 		for _, sigma := range []float64{0.2, 1.0} {
 			w := matrixWorkload(t, family, sigma)
-			for name, m := range matchers() {
+			for name, tech := range techniques {
 				t.Run(fmt.Sprintf("%s/%s/sigma=%.1f", name, family, sigma), func(t *testing.T) {
-					ms, err := core.Evaluate(w, m, []int{0, 1, 2})
+					ms, err := Evaluate(w, tech, []int{0, 1, 2})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,20 +68,18 @@ func TestAllMatchersAllFamilies(t *testing.T) {
 	}
 }
 
-// TestLowNoiseConvergence: as sigma approaches zero, the distance-based
-// techniques converge to the exact ground truth.
+// TestLowNoiseConvergence: as sigma approaches zero, Euclidean and the
+// lightest smoothing on offer (UEMA's decaying window, which barely distorts
+// the exact data) converge to the exact ground truth.
 func TestLowNoiseConvergence(t *testing.T) {
 	w := matrixWorkload(t, uncertain.Normal, 1e-6)
-	for _, m := range []core.Matcher{
-		core.NewEuclideanMatcher(),
-		core.NewUMAMatcher(0), // w=0: no smoothing to distort the exact data
-	} {
-		ms, err := core.Evaluate(w, m, nil)
+	for _, measure := range []QueryMeasure{MeasureEuclidean, MeasureUEMA} {
+		ms, err := Evaluate(w, Technique{Measure: measure}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f1 := query.AverageMetrics(ms).F1; f1 < 0.99 {
-			t.Errorf("%s at sigma=1e-6: F1 = %v, want ~1", m.Name(), f1)
+			t.Errorf("%s at sigma=1e-6: F1 = %v, want ~1", measure, f1)
 		}
 	}
 }
@@ -98,24 +93,27 @@ func TestLowNoiseConvergence(t *testing.T) {
 // reorder sums across timestamps.
 func TestDUSTRankingMatchesEuclideanForNormalErrors(t *testing.T) {
 	w := matrixWorkload(t, uncertain.Normal, 0.5)
-	eu := core.NewEuclideanMatcher()
-	du := core.NewDUSTMatcher()
-	du.Opts.TailWeight = -1 // pure normal phi: dust = gap / (2 sigma)
-	if err := eu.Prepare(w); err != nil {
-		t.Fatal(err)
+	// The DUST evaluator is corpus geometry: the workload's series under a
+	// corpus whose phi is the pure normal one (dust = gap / (2 sigma)).
+	c := NewCorpus(CorpusConfig{DUST: DUSTOptions{TailWeight: -1}})
+	for _, ps := range w.PDF {
+		if _, err := c.Insert(CorpusSeries{Values: ps.Observations, Errors: ps.Errors}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := du.Prepare(w); err != nil {
-		t.Fatal(err)
+	top5 := func(measure QueryMeasure, qi int) []Neighbor {
+		e, err := NewQueryEngineFromSnapshot(c.Snapshot(), QueryEngineOptions{Measure: measure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(context.Background(), QueryRequest{Measure: measure, Kind: QueryTopK, Index: &qi, K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Neighbors
 	}
 	for qi := 0; qi < 3; qi++ {
-		euTop, err := query.TopK(w.Len(), qi, func(ci int) (float64, error) { return eu.Distance(qi, ci) }, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		duTop, err := query.TopK(w.Len(), qi, func(ci int) (float64, error) { return du.Distance(qi, ci) }, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		euTop, duTop := top5(MeasureEuclidean, qi), top5(MeasureDUST, qi)
 		for i := range euTop {
 			if euTop[i].ID != duTop[i].ID {
 				t.Fatalf("query %d: rank %d differs: euclidean %d vs dust %d",
@@ -184,11 +182,11 @@ func TestPublicVsInternalAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPublic, err := Evaluate(w, NewUEMAMatcher(2, 1), []int{0, 1})
+	viaPublic, err := Evaluate(w, Technique{Measure: MeasureUEMA}, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaInternal, err := core.Evaluate(w, core.NewUEMAMatcher(2, 1), []int{0, 1})
+	viaInternal, err := experiments.Evaluate(w, experiments.Technique{Measure: engine.MeasureUEMA}, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

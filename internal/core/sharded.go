@@ -12,10 +12,9 @@ import (
 // RunSharded executes fn over contiguous chunks of the index space [0, n):
 // the space is split into ceil(n/chunk) chunks and workers goroutines pull
 // the next unclaimed chunk off a shared atomic cursor until none remain —
-// chunked work stealing, without a channel send per item. It generalises
-// the per-query fan-out of EvaluateParallel: callers shard whatever they
-// like (queries, candidate ranges, query x shard pairs) into the flat index
-// space.
+// chunked work stealing, without a channel send per item. Callers shard
+// whatever they like (queries, candidate ranges, query x shard pairs) into
+// the flat index space.
 //
 // chunk <= 0 picks a size that gives each worker several chunks to steal
 // (good load balancing without contention on the cursor); workers <= 0 uses

@@ -1,8 +1,7 @@
-// Package core is the heart of the reproduction: it places every similarity
-// technique — Euclidean, MUNICH, PROUD, DUST, and the paper's own UMA/UEMA
-// moving-average measures — on the single common task of Section 4.1.2:
-// time-series similarity matching against a ground truth derived from the
-// exact (unperturbed) data.
+// Package core holds the ground truth of the reproduction's common task —
+// the time-series similarity matching of Section 4.1.2, against a truth
+// derived from the exact (unperturbed) data — and the sharded executor the
+// query engine drains its scans with (RunSharded).
 //
 // The methodology, exactly as in the paper:
 //
@@ -17,6 +16,10 @@
 //     distance between q and c").
 //  4. Each technique answers the range query on the *uncertain* data; the
 //     answer is scored against the ground truth with precision/recall/F1.
+//
+// A Workload is steps 1 and 2: the perturbed corpus, the truth sets, the
+// calibration neighbours and eps_eucl. Steps 3 and 4 are one function over
+// the query engine, internal/experiments' Evaluate.
 package core
 
 import (
@@ -61,9 +64,8 @@ type WorkloadConfig struct {
 // public PDF/Samples/Sigmas fields alias one immutable snapshot of it
 // (Snapshot()). The workload adds what only the evaluation methodology
 // needs — the exact series, the ground-truth sets and the calibrated
-// thresholds. Matchers and experiments keep reading the public fields
-// exactly as before; engine construction goes through the snapshot and
-// reuses the corpus' precomputed artifacts.
+// thresholds. Engine construction goes through the snapshot and reuses the
+// corpus' precomputed artifacts.
 type Workload struct {
 	// Exact holds the unperturbed ground-truth series.
 	Exact []timeseries.Series

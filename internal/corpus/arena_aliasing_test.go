@@ -28,8 +28,8 @@ func copyArtifacts(s *Snapshot, i int) artifactCopy {
 	return artifactCopy{
 		values: cp(e.PDF.Observations),
 		sigmas: cp(e.Sigmas),
-		uma:    cp(e.UMA),
-		uema:   cp(e.UEMA),
+		uma:    cp(cols.UMA.Row(row)),
+		uema:   cp(cols.UEMA.Row(row)),
 		upper:  cp(e.Upper),
 		lower:  cp(e.Lower),
 		suffix: cp(cols.Suffix.Row(row)),
@@ -55,8 +55,8 @@ func checkArtifacts(t *testing.T, when string, s *Snapshot, i int, want artifact
 	}
 	eq("values", e.PDF.Observations, want.values)
 	eq("sigmas", e.Sigmas, want.sigmas)
-	eq("uma", e.UMA, want.uma)
-	eq("uema", e.UEMA, want.uema)
+	eq("uma", cols.UMA.Row(row), want.uma)
+	eq("uema", cols.UEMA.Row(row), want.uema)
 	eq("upper", e.Upper, want.upper)
 	eq("lower", e.Lower, want.lower)
 	eq("suffix", cols.Suffix.Row(row), want.suffix)
@@ -241,7 +241,7 @@ func TestArenaRowIndexAfterInteriorDelete(t *testing.T) {
 		// Equal bytes, not equal addresses: growing an arena copies it, so an
 		// older entry's views may live in the array the capture replaced.
 		e := s.Entry(i)
-		if !slices.Equal(e.PDF.Observations, cols.Values.Row(want)) || !slices.Equal(e.UMA, cols.UMA.Row(want)) {
+		if !slices.Equal(e.PDF.Observations, cols.Values.Row(want)) || !slices.Equal(e.Upper, cols.Upper.Row(want)) {
 			t.Errorf("position %d: arena row %d does not hold the entry's artifacts", i, want)
 		}
 	}

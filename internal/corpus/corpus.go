@@ -185,8 +185,6 @@ type Entry struct {
 	Samples *uncertain.SampleSeries
 	// Sigmas caches the per-timestamp error stddevs of PDF.Errors.
 	Sigmas []float64
-	// UMA and UEMA are the filtered vectors of the corpus' filter config.
-	UMA, UEMA []float64
 	// Upper and Lower are the LB_Keogh envelopes for the corpus band.
 	Upper, Lower []float64
 	// Env is the MUNICH segment envelope (zero value when Samples is nil).
@@ -200,9 +198,9 @@ type Entry struct {
 	// row is the entry's row index in the corpus arenas at the time it was
 	// built (or last compacted, or last regrown). All float64 artifacts above
 	// are views into arena row `row`, which also holds the artifacts only
-	// scans read (suffix energies, sketch row, filter columns — see
-	// Snapshot.Arena); compaction and arena growth rewire fresh Entry copies
-	// to the new storage.
+	// scans read (filtered vectors, suffix energies, sketch row, filter
+	// columns — see Snapshot.Arena); compaction and arena growth rewire fresh
+	// Entry copies to the new storage.
 	row int
 }
 
@@ -526,8 +524,6 @@ func rewire(e *Entry, cols *Columns, row int) *Entry {
 	ne.row = row
 	ne.PDF.Observations = cols.Values.Row(row)
 	ne.Sigmas = cols.Sigmas.Row(row)
-	ne.UMA = cols.UMA.Row(row)
-	ne.UEMA = cols.UEMA.Row(row)
 	ne.Upper = cols.Upper.Row(row)
 	ne.Lower = cols.Lower.Row(row)
 	if ne.Samples != nil {
@@ -734,12 +730,12 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 		sigmas = sig
 	}
 
-	e.UMA = ar.uma.AppendZero()
-	if err := timeseries.UncertainMovingAverageInto(e.UMA, obs, sigmas, cfg.W, cfg.Mode); err != nil {
+	uma := ar.uma.AppendZero()
+	if err := timeseries.UncertainMovingAverageInto(uma, obs, sigmas, cfg.W, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("corpus: UMA filter: %w", err)
 	}
-	e.UEMA = ar.uema.AppendZero()
-	if err := timeseries.UncertainExponentialMovingAverageInto(e.UEMA, obs, sigmas, cfg.W, cfg.Lambda, cfg.Mode); err != nil {
+	uema := ar.uema.AppendZero()
+	if err := timeseries.UncertainExponentialMovingAverageInto(uema, obs, sigmas, cfg.W, cfg.Lambda, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("corpus: UEMA filter: %w", err)
 	}
 	if !derived {
@@ -769,8 +765,8 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 	}
 	ar.lay.FillRow(ar.sketch.AppendZero(), obs, e.Upper, e.Lower)
 	sketch.PAAInto(ar.coarseV.AppendZero(), obs, ar.coarse.Spans)
-	sketch.PAAInto(ar.coarseU.AppendZero(), e.UMA, ar.coarse.Spans)
-	sketch.PAAInto(ar.coarseE.AppendZero(), e.UEMA, ar.coarse.Spans)
+	sketch.PAAInto(ar.coarseU.AppendZero(), uma, ar.coarse.Spans)
+	sketch.PAAInto(ar.coarseE.AppendZero(), uema, ar.coarse.Spans)
 	ar.energy.AppendZero()[0] = suffix[0]
 	return e, nil
 }

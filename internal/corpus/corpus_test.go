@@ -148,14 +148,14 @@ func TestEntryArtifactsMatchDirectComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(e.UMA, uma) {
+	if !reflect.DeepEqual(cols.UMA.Row(pos), uma) {
 		t.Error("UMA vector differs from direct computation")
 	}
 	uema, err := timeseries.UncertainExponentialMovingAverage(s.Values, sigmas, 2, 0.9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(e.UEMA, uema) {
+	if !reflect.DeepEqual(cols.UEMA.Row(pos), uema) {
 		t.Error("UEMA vector differs from direct computation")
 	}
 	wantEnv := munich.BuildEnvelope(*e.Samples, 4)

@@ -48,8 +48,6 @@ func checkViewsAliasArena(t *testing.T, when string, s *Snapshot) {
 		}
 		same("Observations", e.PDF.Observations, cols.Values.Row(row))
 		same("Sigmas", e.Sigmas, cols.Sigmas.Row(row))
-		same("UMA", e.UMA, cols.UMA.Row(row))
-		same("UEMA", e.UEMA, cols.UEMA.Row(row))
 		same("Upper", e.Upper, cols.Upper.Row(row))
 		same("Lower", e.Lower, cols.Lower.Row(row))
 		if e.Samples != nil {

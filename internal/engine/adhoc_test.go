@@ -248,7 +248,7 @@ func TestEngineReadsArenaColumnsInPlace(t *testing.T) {
 		t.Error("DTW engine does not alias the corpus envelopes")
 	}
 	uma := newEngine(t, snap, Options{Measure: MeasureUMA})
-	if &uma.vecs.at(3)[0] != &snap.Entry(3).UMA[0] {
+	if &uma.vecs.at(3)[0] != &snap.Arena().UMA.Row(3)[0] {
 		t.Error("UMA engine does not alias the corpus filtered vectors")
 	}
 }

@@ -355,7 +355,7 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 		// evaluator (and its phi tables) the snapshot shares.
 	case MeasurePROUD:
 		e.vecs, e.suffix = column(cols.Values, idx), column(cols.Suffix, idx)
-		// The same arithmetic the naive matcher feeds proud.Distance with
+		// The same arithmetic a naive scan feeds proud.Distance with
 		// (QuerySigma and CandSigma both the snapshot's reported sigma).
 		sigma := snap.ReportedSigma()
 		e.varD = sigma*sigma + sigma*sigma

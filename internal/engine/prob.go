@@ -10,8 +10,8 @@ import (
 )
 
 // The kernels of the probabilistic threshold queries (MeasurePROUD,
-// MeasureMUNICH): the engine-side counterparts of the naive
-// core.PROUDMatcher and core.MUNICHMatcher scans. KindProbRange answers
+// MeasureMUNICH): the pruned counterparts of the definitional scans over
+// proud.Matcher and munich.Prune + munich.Probability. KindProbRange answers
 // PRQ(q, C, eps, tau) — which candidates match with probability at least
 // tau — and KindProbTopK ranks candidates by their match probability
 // Pr(distance <= eps), against the k-th best probability proven so far. The
@@ -26,7 +26,7 @@ import (
 //     probability bound when the refine step is exact — and survivors pay
 //     for a refine that itself abandons early in the estimator's own
 //     arithmetic (munich.ProbabilityCutoff). Every shortcut either mirrors
-//     a prune the naive matcher also applies, fixes the probability at
+//     a prune the definitional scan also applies, fixes the probability at
 //     exactly 0 or 1, or is proven in the estimator's arithmetic, so
 //     answers are bit-identical to the naive scan for every estimator
 //     configuration.
@@ -37,7 +37,7 @@ import (
 //     the predicate outcome or push the candidate's best possible
 //     probability below the shared k-th best.
 //
-// All decisions either mirror the naive matcher's arithmetic exactly or
+// All decisions either mirror the definitional arithmetic exactly or
 // are backed by a conservative bound, so results match the naive scans
 // bit for bit at every worker count.
 
@@ -62,7 +62,7 @@ type ProbMatch struct {
 }
 
 // checkTau validates the probability threshold against the measure's
-// domain (mirroring the naive matchers: PROUD needs tau in (0, 1), MUNICH
+// domain (mirroring the kernels': PROUD needs tau in (0, 1), MUNICH
 // tau in (0, 1]) and returns PROUD's eps_limit, so the inverse-CDF work runs
 // once per request, not per candidate.
 func (e *Engine) checkTau(tau float64) (float64, error) {
@@ -86,7 +86,7 @@ func (e *Engine) checkTau(tau float64) (float64, error) {
 // the moments of the prefix, the number of timestamps still to come and the
 // bound on their squared gap already decide the candidate; a yes stops the
 // accumulation with complete = false. A completed accumulation is counted
-// and returns the same moments the naive matcher computes, bit for bit.
+// and returns the same moments proud.Distance computes, bit for bit.
 func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settled func(mean, variance float64, rest int, gap float64) bool) (d proud.DistanceDist, complete bool, err error) {
 	q, c := pq.vec, e.vecs.at(ci)
 	n := len(q)
@@ -119,7 +119,7 @@ func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settle
 
 // proudAccept decides the PROUD range predicate for one pair, stopping as
 // soon as the prefix bounds force the outcome. A completed accumulation
-// applies the same EpsNorm >= epsLimit test as the naive matcher.
+// applies the same EpsNorm >= epsLimit test as proud.Matcher.
 func (e *Engine) proudAccept(pq *prepared, ci int, eps, epsLimit float64, done <-chan struct{}) (bool, error) {
 	verdict := proud.Undecided
 	d, complete, err := e.proudMoments(pq, ci, done, func(mean, variance float64, rest int, gap float64) bool {
@@ -156,7 +156,7 @@ func (e *Engine) proudProb(pq *prepared, ci int, eps, cut float64, done <-chan s
 // munichAccept decides the MUNICH range predicate for one pair. It is
 // munichProb with tau as the exclusion cutoff: an excluded candidate has a
 // probability provably below tau, so it rejects; a resolved one compares
-// exactly as the naive matcher does.
+// exactly as the naive scan does.
 func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-chan struct{}) (bool, error) {
 	p, ok, err := e.munichProb(pq, ci, eps, tau, done)
 	return ok && p >= tau, err
@@ -170,7 +170,7 @@ func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-cha
 // with the estimator-native early rejection of munich.ProbabilityCutoff.
 // ok = false means the candidate's probability is provably below cut
 // without having been computed. The bounding-interval prune runs in every
-// arm because the naive matcher itself applies it; the other devices are
+// arm because the naive scan itself applies it; the other devices are
 // the engine's additions. done (nil = never) threads cooperative
 // cancellation into the refine estimators.
 func (e *Engine) munichProb(pq *prepared, ci int, eps, cut float64, done <-chan struct{}) (float64, bool, error) {

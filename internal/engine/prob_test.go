@@ -43,9 +43,59 @@ func probWorkload(t testing.TB, series, length int) *core.Workload {
 
 func testMunichOpts() munich.Options { return munich.Options{Bins: 512} }
 
+// naiveMunichProb is the definitional MUNICH pair probability: the exact
+// bounding-interval prune, then the estimator.
+func naiveMunichProb(t *testing.T, w *core.Workload, qi, ci int, eps float64, opts munich.Options) float64 {
+	t.Helper()
+	dec, err := munich.Prune(w.Samples[qi], w.Samples[ci], eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch dec {
+	case munich.PruneAccept:
+		return 1
+	case munich.PruneReject:
+		return 0
+	}
+	p, err := munich.Probability(w.Samples[qi], w.Samples[ci], eps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// naiveProbRange is the reference scan for ProbRange, independent of the
+// engine: the definitional loop over every candidate — PROUD's
+// proud.Matcher predicate under the workload's reported sigma, MUNICH's
+// pair probability against tau — at the ground truth's Euclidean threshold.
+func naiveProbRange(t *testing.T, w *core.Workload, measure Measure, qi int, tau float64, opts munich.Options) []int {
+	t.Helper()
+	eps := w.EpsEucl(qi)
+	var out []int
+	for ci := 0; ci < w.Len(); ci++ {
+		if ci == qi {
+			continue
+		}
+		var ok bool
+		if measure == MeasurePROUD {
+			m := proud.Matcher{Eps: eps, Tau: tau, QuerySigma: w.ReportedSigma, CandSigma: w.ReportedSigma}
+			var err error
+			if ok, err = m.Matches(w.PDF[qi].Observations, w.PDF[ci].Observations); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			ok = naiveMunichProb(t, w, qi, ci, eps, opts) >= tau
+		}
+		if ok {
+			out = append(out, ci)
+		}
+	}
+	return out
+}
+
 // naiveProbs is the reference scan for ProbTopK: every pair probability
-// computed exactly the way the naive matchers do, sorted by descending
-// probability with ties broken by index.
+// computed definitionally, sorted by descending probability with ties
+// broken by index.
 func naiveProbs(t *testing.T, w *core.Workload, measure Measure, qi int, eps float64) []ProbMatch {
 	t.Helper()
 	var out []ProbMatch
@@ -62,21 +112,7 @@ func naiveProbs(t *testing.T, w *core.Workload, measure Measure, qi int, eps flo
 			}
 			p = d.ProbWithin(eps)
 		case MeasureMUNICH:
-			dec, err := munich.Prune(w.Samples[qi], w.Samples[ci], eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch dec {
-			case munich.PruneAccept:
-				p = 1
-			case munich.PruneReject:
-				p = 0
-			default:
-				p, err = munich.Probability(w.Samples[qi], w.Samples[ci], eps, testMunichOpts())
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+			p = naiveMunichProb(t, w, qi, ci, eps, testMunichOpts())
 		}
 		out = append(out, ProbMatch{ID: ci, Prob: p})
 	}
@@ -105,22 +141,10 @@ func TestProbRangeMatchesNaiveMatcherEveryWorkerCount(t *testing.T) {
 		{MeasureMUNICH, []float64{0.3, 0.5, 1}},
 	} {
 		for _, tau := range tc.taus {
-			var naive core.Matcher
-			if tc.measure == MeasurePROUD {
-				naive = core.NewPROUDMatcher(tau)
-			} else {
-				naive = &core.MUNICHMatcher{Tau: tau, Opts: testMunichOpts()}
-			}
-			if err := naive.Prepare(w); err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 2, 8} {
 				e := probEngine(t, w, tc.measure, workers)
 				for _, qi := range queries {
-					want, err := naive.Match(qi)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := naiveProbRange(t, w, tc.measure, qi, tau, testMunichOpts())
 					got := mustRun(t, e, Request{Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: tau}).IDs
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: ProbRange(q=%d, tau=%g, workers=%d) = %v, want %v",
@@ -190,17 +214,10 @@ func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tau := range []float64{0.1, 0.5, 0.9} {
-				naive := &core.MUNICHMatcher{Tau: tau, Opts: tc.opts}
-				if err := naive.Prepare(w); err != nil {
-					t.Fatal(err)
-				}
 				for _, workers := range []int{1, 8} {
 					e := newEngine(t, w.Snapshot(), Options{Measure: MeasureMUNICH, Workers: workers, ShardSize: 5, MUNICH: tc.opts})
 					for _, qi := range []int{0, 9, 17} {
-						want, err := naive.Match(qi)
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := naiveProbRange(t, w, MeasureMUNICH, qi, tau, tc.opts)
 						got := mustRun(t, e, Request{Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: tau}).IDs
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("tau=%g workers=%d q=%d: engine %v, naive %v", tau, workers, qi, got, want)

@@ -40,13 +40,8 @@ func Correlated(cfg Config) ([]Table, error) {
 				return nil, err
 			}
 			queries := queryIndexes(w, p.queries)
-			for mi, mk := range []func() core.Matcher{
-				func() core.Matcher { return core.NewEuclideanMatcher() },
-				func() core.Matcher { return core.NewDUSTMatcher() },
-				func() core.Matcher { return core.NewUMAMatcher(2) },
-				func() core.Matcher { return core.NewUEMAMatcher(2, 1) },
-			} {
-				f1, err := meanF1(w, mk(), queries)
+			for mi, tech := range distanceTechniques {
+				f1, err := meanF1(w, tech, queries)
 				if err != nil {
 					return nil, err
 				}

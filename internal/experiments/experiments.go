@@ -13,6 +13,7 @@ import (
 	"text/tabwriter"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
 	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
@@ -187,7 +188,7 @@ func Registry() map[string]Runner {
 		"fig15":     Fig15,
 		"fig16":     Fig16,
 		"fig17":     Fig17,
-		// Extension tasks beyond the paper's figures (DESIGN.md §6).
+		// Extension tasks beyond the paper's figures.
 		"topk":       TopK,
 		"classify":   Classify,
 		"correlated": Correlated,
@@ -224,13 +225,46 @@ func queryIndexes(w *core.Workload, n int) []int {
 	return out
 }
 
-// meanF1 evaluates a matcher and returns its mean F1 over the queries.
-func meanF1(w *core.Workload, m core.Matcher, queries []int) (float64, error) {
-	ms, err := core.Evaluate(w, m, queries)
+// calibrationQueries returns the leading queries a tau calibration sweeps.
+func (p params) calibrationQueries(queries []int) []int {
+	if len(queries) > p.calQs {
+		return queries[:p.calQs]
+	}
+	return queries
+}
+
+// meanF1 evaluates a technique and returns its mean F1 over the queries.
+func meanF1(w *core.Workload, t Technique, queries []int) (float64, error) {
+	ms, err := Evaluate(w, t, queries)
 	if err != nil {
 		return 0, err
 	}
 	return query.AverageMetrics(ms).F1, nil
+}
+
+// The techniques the figures compare at their paper settings (UMA and UEMA
+// with w = 2, lambda = 1 — the workload corpus' own filter geometry).
+var (
+	techEuclidean = Technique{Measure: engine.MeasureEuclidean}
+	techDUST      = Technique{Measure: engine.MeasureDUST}
+	techUMA       = Technique{Measure: engine.MeasureUMA}
+	techUEMA      = Technique{Measure: engine.MeasureUEMA}
+
+	// distanceTechniques lists the distance-based techniques the Section 5
+	// figures and the extension tasks compare, in column order.
+	distanceTechniques = []Technique{techEuclidean, techDUST, techUMA, techUEMA}
+)
+
+// calibrated returns the probabilistic technique at the tau CalibrateTau
+// finds for it over the calibration queries.
+func calibrated(w *core.Workload, measure engine.Measure, calQs []int) (Technique, error) {
+	t := Technique{Measure: measure}
+	tau, _, err := CalibrateTau(w, t, calQs, nil)
+	if err != nil {
+		return t, fmt.Errorf("experiments: %v tau: %w", measure, err)
+	}
+	t.Tau = tau
+	return t, nil
 }
 
 // fmtF returns a fixed-precision decimal for table cells.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
 	"uncertts/internal/query"
 	"uncertts/internal/uncertain"
 )
@@ -20,15 +21,14 @@ import (
 // Both confirm the paper's ordering (UEMA/UMA >= DUST ~ Euclidean) on
 // tasks other than range matching.
 
-// distanceTechniques builds the distance-based matchers the extension
-// tasks compare.
-func distanceTechniques() []core.DistanceMatcher {
-	return []core.DistanceMatcher{
-		core.NewEuclideanMatcher(),
-		core.NewDUSTMatcher(),
-		core.NewUMAMatcher(2),
-		core.NewUEMAMatcher(2, 1),
+// nearest returns the technique's k nearest neighbours of query qi on the
+// perturbed data.
+func (b *bound) nearest(qi, k int) ([]query.Neighbor, error) {
+	res, err := b.run(qi, engine.KindTopK, k)
+	if err != nil {
+		return nil, err
 	}
+	return res.Neighbors, nil
 }
 
 // TopK evaluates top-k retrieval overlap per technique under mixed normal
@@ -52,8 +52,9 @@ func TopK(cfg Config) ([]Table, error) {
 		}
 		queries := queryIndexes(w, p.queries)
 		row := []string{ds.Name}
-		for _, m := range distanceTechniques() {
-			if err := m.Prepare(w); err != nil {
+		for _, tech := range distanceTechniques {
+			b, err := bind(w, tech, engine.Options{})
+			if err != nil {
 				return nil, err
 			}
 			var overlapSum float64
@@ -62,9 +63,7 @@ func TopK(cfg Config) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				got, err := query.TopK(w.Len(), qi, func(ci int) (float64, error) {
-					return m.Distance(qi, ci)
-				}, k)
+				got, err := b.nearest(qi, k)
 				if err != nil {
 					return nil, err
 				}
@@ -122,15 +121,14 @@ func Classify(cfg Config) ([]Table, error) {
 		}
 		row = append(row, fmtF(float64(correct)/float64(len(queries))))
 
-		for _, m := range distanceTechniques() {
-			if err := m.Prepare(w); err != nil {
+		for _, tech := range distanceTechniques {
+			b, err := bind(w, tech, engine.Options{})
+			if err != nil {
 				return nil, err
 			}
 			correct := 0
 			for _, qi := range queries {
-				nn, err := query.TopK(w.Len(), qi, func(ci int) (float64, error) {
-					return m.Distance(qi, ci)
-				}, 1)
+				nn, err := b.nearest(qi, 1)
 				if err != nil {
 					return nil, err
 				}

@@ -5,23 +5,27 @@ import (
 	"time"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/uncertain"
 )
 
-// timePerQuery measures the mean wall-clock time of Match over the queries.
-func timePerQuery(w *core.Workload, m core.Matcher, queries []int) (time.Duration, error) {
-	if err := m.Prepare(w); err != nil {
+// timePerQuery measures the mean wall-clock time of the technique's answer
+// over the queries, as the paper timed it: the definitional scan — every
+// pruning device off — on one worker.
+func timePerQuery(w *core.Workload, t Technique, queries []int) (time.Duration, error) {
+	b, err := bind(w, t, engine.Options{NoPrune: true, Workers: 1})
+	if err != nil {
 		return 0, err
 	}
 	// One warm-up query lets lazy structures (DUST tables) build outside
 	// the measured region, as a real deployment would amortise them.
-	if _, err := m.Match(queries[0]); err != nil {
+	if _, err := b.match(queries[0]); err != nil {
 		return 0, err
 	}
 	start := time.Now()
 	for _, qi := range queries {
-		if _, err := m.Match(qi); err != nil {
+		if _, err := b.match(qi); err != nil {
 			return 0, err
 		}
 	}
@@ -31,15 +35,15 @@ func timePerQuery(w *core.Workload, m core.Matcher, queries []int) (time.Duratio
 // timingRow runs PROUD, DUST and Euclidean on one workload and reports
 // microseconds per query for each.
 func timingRow(w *core.Workload, queries []int) (proudUS, dustUS, euclUS float64, err error) {
-	p, err := timePerQuery(w, core.NewPROUDMatcher(0.5), queries)
+	p, err := timePerQuery(w, Technique{Measure: engine.MeasurePROUD, Tau: 0.5}, queries)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	d, err := timePerQuery(w, core.NewDUSTMatcher(), queries)
+	d, err := timePerQuery(w, techDUST, queries)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	e, err := timePerQuery(w, core.NewEuclideanMatcher(), queries)
+	e, err := timePerQuery(w, techEuclidean, queries)
 	if err != nil {
 		return 0, 0, 0, err
 	}

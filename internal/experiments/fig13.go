@@ -27,13 +27,13 @@ func umaWorkloads(cfg Config) ([]*core.Workload, error) {
 	return out, nil
 }
 
-// averageF1Over evaluates a matcher factory over every workload and returns
-// the overall mean F1.
-func averageF1Over(ws []*core.Workload, queries int, factory func() core.Matcher) (float64, error) {
+// averageF1Over evaluates a technique over every workload and returns the
+// overall mean F1.
+func averageF1Over(ws []*core.Workload, queries int, t Technique) (float64, error) {
 	var sum float64
 	var count int
 	for _, w := range ws {
-		f1, err := meanF1(w, factory(), queryIndexes(w, queries))
+		f1, err := meanF1(w, t, queryIndexes(w, queries))
 		if err != nil {
 			return 0, err
 		}
@@ -63,15 +63,15 @@ func Fig13(cfg Config) ([]Table, error) {
 		Header:  []string{"w", "UMA", "UEMA-0.1", "UEMA-1"},
 	}
 	for _, w := range windows {
-		uma, err := averageF1Over(ws, p.queries, func() core.Matcher { return core.NewUMAMatcher(w) })
+		uma, err := averageF1Over(ws, p.queries, UMA(w))
 		if err != nil {
 			return nil, err
 		}
-		uema01, err := averageF1Over(ws, p.queries, func() core.Matcher { return core.NewUEMAMatcher(w, 0.1) })
+		uema01, err := averageF1Over(ws, p.queries, UEMA(w, 0.1))
 		if err != nil {
 			return nil, err
 		}
-		uema1, err := averageF1Over(ws, p.queries, func() core.Matcher { return core.NewUEMAMatcher(w, 1) })
+		uema1, err := averageF1Over(ws, p.queries, UEMA(w, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +98,11 @@ func Fig14(cfg Config) ([]Table, error) {
 		Header:  []string{"lambda", "UEMA-5", "UEMA-10"},
 	}
 	for _, lambda := range lambdas {
-		w5, err := averageF1Over(ws, p.queries, func() core.Matcher { return core.NewUEMAMatcher(5, lambda) })
+		w5, err := averageF1Over(ws, p.queries, UEMA(5, lambda))
 		if err != nil {
 			return nil, err
 		}
-		w10, err := averageF1Over(ws, p.queries, func() core.Matcher { return core.NewUEMAMatcher(10, lambda) })
+		w10, err := averageF1Over(ws, p.queries, UEMA(10, lambda))
 		if err != nil {
 			return nil, err
 		}

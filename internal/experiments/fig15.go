@@ -12,10 +12,6 @@ import (
 // family. The paper's settings: w = 2 (window length 5) and lambda = 1.
 func movingAverageFigure(cfg Config, name string, family uncertain.ErrorFamily) ([]Table, error) {
 	p := cfg.params()
-	const (
-		w      = 2
-		lambda = 1.0
-	)
 	t := Table{
 		Name: name,
 		Caption: fmt.Sprintf(
@@ -32,23 +28,15 @@ func movingAverageFigure(cfg Config, name string, family uncertain.ErrorFamily) 
 			return nil, fmt.Errorf("experiments: %s dataset %s: %w", name, ds.Name, err)
 		}
 		queries := queryIndexes(wl, p.queries)
-		eF1, err := meanF1(wl, core.NewEuclideanMatcher(), queries)
-		if err != nil {
-			return nil, err
+		row := []string{ds.Name}
+		for _, tech := range distanceTechniques {
+			f1, err := meanF1(wl, tech, queries)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmtF(f1))
 		}
-		dF1, err := meanF1(wl, core.NewDUSTMatcher(), queries)
-		if err != nil {
-			return nil, err
-		}
-		uF1, err := meanF1(wl, core.NewUMAMatcher(w), queries)
-		if err != nil {
-			return nil, err
-		}
-		ueF1, err := meanF1(wl, core.NewUEMAMatcher(w, lambda), queries)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{ds.Name, fmtF(eF1), fmtF(dF1), fmtF(uF1), fmtF(ueF1)})
+		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
 }

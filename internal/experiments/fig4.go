@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"uncertts/internal/core"
-	"uncertts/internal/munich"
+	"uncertts/internal/engine"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -49,44 +49,24 @@ func Fig4(cfg Config) ([]Table, error) {
 				return nil, err
 			}
 			queries := queryIndexes(w, nQueries)
-			calQs := queries
-			if len(calQs) > p.calQs {
-				calQs = calQs[:p.calQs]
-			}
-
-			// One probability cache per workload: the tau sweep and the
-			// final evaluation share the expensive distance counting.
-			cache := core.NewMunichProbCache()
-			munichTau, _, err := core.CalibrateTau(w, func(tau float64) core.Matcher {
-				return &core.MUNICHMatcher{Tau: tau, Opts: munich.Options{}, Cache: cache}
-			}, calQs, nil)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig4 MUNICH tau: %w", err)
-			}
-			proudTau, _, err := core.CalibrateTau(w, func(tau float64) core.Matcher {
-				return core.NewPROUDMatcher(tau)
-			}, calQs, nil)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig4 PROUD tau: %w", err)
-			}
-
-			mF1, err := meanF1(w, &core.MUNICHMatcher{Tau: munichTau, Opts: munich.Options{}, Cache: cache}, queries)
+			calQs := p.calibrationQueries(queries)
+			munichT, err := calibrated(w, engine.MeasureMUNICH, calQs)
 			if err != nil {
 				return nil, err
 			}
-			pF1, err := meanF1(w, core.NewPROUDMatcher(proudTau), queries)
+			proudT, err := calibrated(w, engine.MeasurePROUD, calQs)
 			if err != nil {
 				return nil, err
 			}
-			dF1, err := meanF1(w, core.NewDUSTMatcher(), queries)
-			if err != nil {
-				return nil, err
+			row := []string{fmtS(sigma)}
+			for _, tech := range []Technique{munichT, proudT, techDUST, techEuclidean} {
+				f1, err := meanF1(w, tech, queries)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, fmtF(f1))
 			}
-			eF1, err := meanF1(w, core.NewEuclideanMatcher(), queries)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{fmtS(sigma), fmtF(mF1), fmtF(pF1), fmtF(dF1), fmtF(eF1)})
+			t.Rows = append(t.Rows, row)
 		}
 		tables = append(tables, t)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
 	"uncertts/internal/query"
 	"uncertts/internal/uncertain"
 )
@@ -63,25 +64,19 @@ func runSweep(cfg Config) (*sweepResult, error) {
 					return nil, fmt.Errorf("experiments: sweep %s sigma=%v dataset=%s: %w", family, sigma, ds.Name, err)
 				}
 				queries := queryIndexes(w, p.queries)
-				calQs := queries
-				if len(calQs) > p.calQs {
-					calQs = calQs[:p.calQs]
-				}
-				tau, _, err := core.CalibrateTau(w, func(tau float64) core.Matcher {
-					return core.NewPROUDMatcher(tau)
-				}, calQs, nil)
+				proudT, err := calibrated(w, engine.MeasurePROUD, p.calibrationQueries(queries))
 				if err != nil {
 					return nil, err
 				}
-				proudMs, err := core.Evaluate(w, core.NewPROUDMatcher(tau), queries)
+				proudMs, err := Evaluate(w, proudT, queries)
 				if err != nil {
 					return nil, err
 				}
-				dustMs, err := core.Evaluate(w, core.NewDUSTMatcher(), queries)
+				dustMs, err := Evaluate(w, techDUST, queries)
 				if err != nil {
 					return nil, err
 				}
-				euclMs, err := core.Evaluate(w, core.NewEuclideanMatcher(), queries)
+				euclMs, err := Evaluate(w, techEuclidean, queries)
 				if err != nil {
 					return nil, err
 				}

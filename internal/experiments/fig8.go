@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"uncertts/internal/core"
+	"uncertts/internal/engine"
 	"uncertts/internal/uncertain"
 )
 
@@ -53,26 +54,20 @@ func mixedErrorFigure(cfg Config, name, caption string, families []uncertain.Err
 		}
 
 		queries := queryIndexes(dustW, p.queries)
-		calQs := queries
-		if len(calQs) > p.calQs {
-			calQs = calQs[:p.calQs]
-		}
-		tau, _, err := core.CalibrateTau(proudW, func(tau float64) core.Matcher {
-			return core.NewPROUDMatcher(tau)
-		}, calQs, nil)
+		proudT, err := calibrated(proudW, engine.MeasurePROUD, p.calibrationQueries(queries))
 		if err != nil {
 			return nil, err
 		}
 
-		eF1, err := meanF1(dustW, core.NewEuclideanMatcher(), queries)
+		eF1, err := meanF1(dustW, techEuclidean, queries)
 		if err != nil {
 			return nil, err
 		}
-		dF1, err := meanF1(dustW, core.NewDUSTMatcher(), queries)
+		dF1, err := meanF1(dustW, techDUST, queries)
 		if err != nil {
 			return nil, err
 		}
-		pF1, err := meanF1(proudW, core.NewPROUDMatcher(tau), queries)
+		pF1, err := meanF1(proudW, proudT, queries)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func throughLocals(m arena.Matrix, src []float64) {
 }
 
 func entryViews(e *corpus.Entry, src []float64) {
-	e.UMA[0] = 1              // want `write through corpus entry view \.UMA`
+	e.Lower[0] = 1            // want `write through corpus entry view \.Lower`
 	copy(e.Upper, src)        // want `copy into corpus entry view \.Upper`
 	e.PDF.Observations[0] = 2 // want `write through corpus entry view \.Observations`
 	e.Env.Lo[0] = 3           // want `write through corpus entry view \.Lo`
@@ -64,7 +64,7 @@ func legal(b *arena.Builder, m arena.Matrix, e *corpus.Entry) float64 {
 	row := b.AppendZero()
 	row[0] = 1
 	// Reading views is the whole point.
-	v := m.Row(0)[1] + e.UMA[2]
+	v := m.Row(0)[1] + e.Upper[2]
 	// Plain local slices are nobody's views.
 	local := make([]float64, 4)
 	local[3] = v

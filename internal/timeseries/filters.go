@@ -112,7 +112,7 @@ func abs(x int) int {
 }
 
 // WeightMode selects between the two readings of the paper's Eq. 17/18 for
-// the uncertainty-weighted filters (see DESIGN.md, Interpretation notes).
+// the uncertainty-weighted filters.
 type WeightMode int
 
 const (

@@ -1,7 +1,7 @@
 // Package ucr generates deterministic synthetic stand-ins for the 17 UCR
 // classification datasets the paper evaluates on (Section 4.1.1). The real
-// archive is not redistributable and this build is offline; DESIGN.md
-// documents the substitution.
+// archive is not redistributable and this build is offline, hence the
+// substitution.
 //
 // What the experiments actually require from the data is:
 //

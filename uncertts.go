@@ -23,7 +23,7 @@
 //	ds, _ := uncertts.GenerateDataset("CBF", uncertts.DatasetOptions{MaxSeries: 40, Length: 96, Seed: 1})
 //	pert, _ := uncertts.NewConstantPerturber(uncertts.Normal, 0.6, 96, 1)
 //	w, _ := uncertts.NewWorkload(ds, pert, uncertts.WorkloadConfig{K: 10})
-//	metrics, _ := uncertts.Evaluate(w, uncertts.NewUEMAMatcher(2, 1), nil)
+//	metrics, _ := uncertts.Evaluate(w, uncertts.Technique{Measure: uncertts.MeasureUEMA}, nil)
 //	fmt.Printf("UEMA F1: %.3f\n", uncertts.AverageMetrics(metrics).F1)
 //
 // # Serving
@@ -58,8 +58,7 @@
 //
 //	uncertbench -exp fig5 -scale medium
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-versus-measured results.
+// README.md holds the system inventory (Architecture, Package map).
 package uncertts
 
 import (
@@ -235,8 +234,12 @@ type Workload = core.Workload
 // WorkloadConfig parameterises workload construction.
 type WorkloadConfig = core.WorkloadConfig
 
-// Matcher is a similarity technique on the common matching task.
-type Matcher = core.Matcher
+// Technique names one of the paper's techniques on the common matching
+// task: an engine measure (MeasureEuclidean ... MeasureMUNICH), the
+// probability threshold Tau of PROUD and MUNICH, and — for the Section 5
+// parameter studies — a UMA/UEMA filter geometry (W, Lambda, Mode; zero =
+// the paper's w = 2, lambda = 1, normalised weights).
+type Technique = experiments.Technique
 
 // Metrics holds precision / recall / F1 for one query.
 type Metrics = query.Metrics
@@ -246,52 +249,12 @@ func NewWorkload(ds Dataset, p *Perturber, cfg WorkloadConfig) (*Workload, error
 	return core.NewWorkload(ds, p, cfg)
 }
 
-// NewEuclideanMatcher returns the Euclidean baseline.
-func NewEuclideanMatcher() Matcher { return core.NewEuclideanMatcher() }
-
-// NewDUSTMatcher returns the DUST technique.
-func NewDUSTMatcher() Matcher { return core.NewDUSTMatcher() }
-
-// NewPROUDMatcher returns the PROUD technique with probability threshold
-// tau.
-func NewPROUDMatcher(tau float64) Matcher { return core.NewPROUDMatcher(tau) }
-
-// NewMUNICHMatcher returns the MUNICH technique with probability threshold
-// tau (requires a workload built with SamplesPerTS > 0).
-func NewMUNICHMatcher(tau float64) Matcher { return core.NewMUNICHMatcher(tau) }
-
-// NewUMAMatcher returns the UMA measure with window half-width w.
-func NewUMAMatcher(w int) Matcher { return core.NewUMAMatcher(w) }
-
-// NewUEMAMatcher returns the UEMA measure with window half-width w and
-// decay lambda.
-func NewUEMAMatcher(w int, lambda float64) Matcher { return core.NewUEMAMatcher(w, lambda) }
-
-// NewDTWMatcher returns the DTW baseline (DTW over perturbed observations).
-func NewDTWMatcher() Matcher { return core.NewDTWMatcher() }
-
-// NewDUSTDTWMatcher returns the DUST-under-DTW combination of Section 3.2.
-func NewDUSTDTWMatcher() Matcher { return core.NewDUSTDTWMatcher() }
-
-// NewMUNICHDTWMatcher returns MUNICH with the DTW inner distance (Monte
-// Carlo estimation; requires a workload with SamplesPerTS > 0).
-func NewMUNICHDTWMatcher(tau float64) Matcher { return core.NewMUNICHDTWMatcher(tau) }
-
-// NewDUSTEmpiricalMatcher returns DUST with its error model *estimated*
-// from repeated observations (requires SamplesPerTS > 1) instead of
-// supplied a priori.
-func NewDUSTEmpiricalMatcher() Matcher { return core.NewDUSTEmpiricalMatcher() }
-
-// Evaluate runs a matcher over the workload's queries (nil = all) and
-// returns per-query metrics.
-func Evaluate(w *Workload, m Matcher, queries []int) ([]Metrics, error) {
-	return core.Evaluate(w, m, queries)
-}
-
-// EvaluateParallel is Evaluate with per-query work fanned out across the
-// given number of workers (0 = GOMAXPROCS); results are identical.
-func EvaluateParallel(w *Workload, m Matcher, queries []int, workers int) ([]Metrics, error) {
-	return core.EvaluateParallel(w, m, queries, workers)
+// Evaluate answers the Section 4.1.2 matching task with the technique for
+// the workload's queries (nil = all) — each answer one QueryEngine.Run over
+// the workload's corpus, thresholds calibrated through the ground truth's
+// K-th neighbour — and returns per-query metrics.
+func Evaluate(w *Workload, t Technique, queries []int) ([]Metrics, error) {
+	return experiments.Evaluate(w, t, queries)
 }
 
 // ---- Corpus (mutable data layer) ----
@@ -555,7 +518,7 @@ var (
 type QueryServer = server.Server
 
 // QueryServerOptions configures a QueryServer (per-request worker budgets,
-// default query timeout, DTW band, MUNICH estimator).
+// default query timeout, MUNICH estimator).
 type QueryServerOptions = server.Options
 
 // NewQueryServer returns a query server over the corpus; mount Handler()
@@ -565,9 +528,11 @@ func NewQueryServer(c *Corpus, opts QueryServerOptions) *QueryServer {
 }
 
 // CalibrateTau finds the best probability threshold for a probabilistic
-// matcher, reproducing the paper's "optimal tau" procedure.
-func CalibrateTau(w *Workload, factory func(tau float64) Matcher, queries []int, grid []float64) (float64, float64, error) {
-	return core.CalibrateTau(w, factory, queries, grid)
+// technique (MeasurePROUD or MeasureMUNICH) over a tau grid (nil = the
+// default grid), reproducing the paper's "optimal tau" procedure; it returns
+// that tau and its mean F1.
+func CalibrateTau(w *Workload, t Technique, queries []int, grid []float64) (float64, float64, error) {
+	return experiments.CalibrateTau(w, t, queries, grid)
 }
 
 // AverageMetrics averages per-query metrics.

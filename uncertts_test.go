@@ -24,26 +24,22 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Matcher{
-		NewEuclideanMatcher(),
-		NewDUSTMatcher(),
-		NewUMAMatcher(2),
-		NewUEMAMatcher(2, 1),
-	} {
-		ms, err := Evaluate(w, m, []int{0, 1, 2, 3})
+	for _, measure := range []QueryMeasure{MeasureEuclidean, MeasureDUST, MeasureUMA, MeasureUEMA} {
+		ms, err := Evaluate(w, Technique{Measure: measure}, []int{0, 1, 2, 3})
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", measure, err)
 		}
 		avg := AverageMetrics(ms)
 		if avg.F1 < 0 || avg.F1 > 1 {
-			t.Errorf("%s: F1 = %v", m.Name(), avg.F1)
+			t.Errorf("%s: F1 = %v", measure, avg.F1)
 		}
 	}
-	tau, _, err := CalibrateTau(w, func(tau float64) Matcher { return NewPROUDMatcher(tau) }, []int{0, 1}, nil)
+	proud := Technique{Measure: MeasurePROUD}
+	proud.Tau, _, err = CalibrateTau(w, proud, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(w, NewPROUDMatcher(tau), []int{0, 1}); err != nil {
+	if _, err := Evaluate(w, proud, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,18 +167,15 @@ func TestPublicExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Parallel evaluation with DTW and empirical-DUST matchers.
-	for _, m := range []Matcher{
-		NewDTWMatcher(),
-		NewDUSTDTWMatcher(),
-		NewDUSTEmpiricalMatcher(),
-	} {
-		ms, err := EvaluateParallel(w, m, []int{0, 1}, 2)
+	// The matching task under correlated errors, for a distance technique
+	// and a probabilistic one.
+	for _, tech := range []Technique{{Measure: MeasureDTW}, {Measure: MeasureMUNICH, Tau: 0.5}} {
+		ms, err := Evaluate(w, tech, []int{0, 1})
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", tech.Measure, err)
 		}
 		if len(ms) != 2 {
-			t.Fatalf("%s: %d rows", m.Name(), len(ms))
+			t.Fatalf("%s: %d rows", tech.Measure, len(ms))
 		}
 	}
 	// Empirical distribution from data.
@@ -277,25 +270,6 @@ func TestPublicQueryEngine(t *testing.T) {
 		s := e.Stats()
 		if s.Candidates == 0 || s.Completed+s.AbandonedEarly+s.PrunedByEnvelope != s.Candidates {
 			t.Fatalf("%v: inconsistent stats %+v", measure, s)
-		}
-	}
-	// Batched evaluation through the generalised parallel executor still
-	// matches the sequential path from the public surface too.
-	m := NewUEMAMatcher(2, 1)
-	serial, err := Evaluate(w, m, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := EvaluateParallel(w, m, []int{0, 1, 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) {
-		t.Fatal("parallel metrics length mismatch")
-	}
-	for i := range par {
-		if par[i] != serial[i] {
-			t.Fatalf("query %d: parallel %+v != serial %+v", i, par[i], serial[i])
 		}
 	}
 }
