@@ -7,7 +7,9 @@ package uncertts
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"uncertts/internal/core"
@@ -134,26 +136,56 @@ func BenchmarkPROUDDistance(b *testing.B) {
 	}
 }
 
+// benchSampleSeries draws a sample-model series of the given shape, one
+// value(i) call per observation of timestamp i.
+func benchSampleSeries(id, length, per int, value func(i int) float64) uncertain.SampleSeries {
+	samples := make([][]float64, length)
+	for i := range samples {
+		row := make([]float64, per)
+		for j := range row {
+			row[j] = value(i)
+		}
+		samples[i] = row
+	}
+	return uncertain.SampleSeries{Samples: samples, ID: id}
+}
+
 func BenchmarkMUNICHProbabilityExact(b *testing.B) {
 	rng := stats.NewRand(3)
-	mk := func(id int) uncertain.SampleSeries {
-		samples := make([][]float64, 6)
-		for i := range samples {
-			row := make([]float64, 5)
-			for j := range row {
-				row[j] = rng.NormFloat64()
-			}
-			samples[i] = row
-		}
-		return uncertain.SampleSeries{Samples: samples, ID: id}
-	}
-	x, y := mk(0), mk(1)
+	value := func(int) float64 { return rng.NormFloat64() }
+	x, y := benchSampleSeries(0, 6, 5, value), benchSampleSeries(1, 6, 5, value)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := munich.Probability(x, y, 2, munich.Options{Estimator: munich.EstimatorExact}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMUNICHProbabilityConvolution is the refine uncertserve actually
+// runs: 128 timestamps x 3 samples is far beyond the exact estimator's cap,
+// so Auto convolves over the default 4096 bins. eps sits where the estimate
+// is ~0.056 (0.47 of the way up the bounding-interval bracket): the -Inf arm
+// completes, the tau = 0.1 arm abandons part-way.
+func BenchmarkMUNICHProbabilityConvolution(b *testing.B) {
+	rng := stats.NewRand(3)
+	value := func(i int) float64 { return math.Sin(0.2*float64(i)) + 0.25*rng.NormFloat64() }
+	x, y := benchSampleSeries(0, 128, 3, value), benchSampleSeries(1, 128, 3, value)
+	lo, hi, err := munich.Bounds(x, y)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eps := lo + 0.47*(hi-lo)
+	for _, cutoff := range []float64{math.Inf(-1), 0.1} {
+		b.Run(fmt.Sprintf("cutoff=%g", cutoff), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := munich.ProbabilityCutoff(x, y, eps, cutoff, munich.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -26,7 +26,13 @@
 // supports. Because evaluation is expensive and experiments call it
 // millions of times, per-error-distribution lookup tables over a delta grid
 // are built lazily and interpolated (the "DUST lookup tables" of Section
-// 4.2.1).
+// 4.2.1). A table is found by the string forms of its two error models, but
+// the per-timestamp path of Value and the three Distance functions does not
+// format them: a call starts from the pair the evaluator resolved last and
+// goes back to the string-keyed cache only when either model differs from
+// the previous timestamp's, so a run of equal models — a whole corpus under
+// one default — costs a type switch and four integer compares per
+// timestamp, with no lock, map or allocation.
 //
 // Uniform errors make phi exactly zero for |delta| larger than the support
 // width, so dust degenerates to log 0. The paper's workaround — "adding two
@@ -40,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"uncertts/internal/stats"
 	"uncertts/internal/uncertain"
@@ -97,13 +104,64 @@ func (o Options) withDefaults() Options {
 // the tail workaround is disabled.
 const MaxDust = 1e6
 
-// Dust evaluates DUST distances. It is safe for concurrent use; the lazily
-// built lookup tables are guarded by a mutex.
+// Dust evaluates DUST distances. It is safe for concurrent use: the last
+// resolved (error model pair, table) is an immutable value behind an atomic
+// pointer, which each call copies on entry and replaces on exit if it ended
+// on another pair; the mutex guards only the string-keyed map of lazily
+// built tables behind it.
 type Dust struct {
 	opts Options
 
+	last atomic.Pointer[resolved]
+
 	mu     sync.Mutex
 	tables map[tableKey]*phiTable
+}
+
+// leaf identifies an error model of one of the comparable leaf families by
+// its kind and the bit patterns of its two parameters, so equal leaves have
+// equal String() forms (bits, not float ==: -0 and 0 print differently).
+type leaf struct {
+	kind byte
+	p, q uint64
+}
+
+// leafOf returns the identity of a leaf error model. Everything else —
+// stats.Mixture above all, which holds slices: an interface == on it
+// panics — reports false and is looked up by its string form every time.
+func leafOf(d stats.Dist) (leaf, bool) {
+	switch d := d.(type) {
+	case stats.Normal:
+		return leaf{'n', math.Float64bits(d.Mu), math.Float64bits(d.Sigma)}, true
+	case stats.Uniform:
+		return leaf{'u', math.Float64bits(d.A), math.Float64bits(d.B)}, true
+	case stats.Exponential:
+		return leaf{'e', math.Float64bits(d.Scale), math.Float64bits(d.Shift)}, true
+	}
+	return leaf{}, false
+}
+
+// resolved is one answered table lookup: a pair of leaf error models and
+// the phi table the string-keyed cache returned for it (nil: none yet).
+type resolved struct {
+	x, y leaf
+	t    *phiTable
+}
+
+// recall starts a call from the evaluator's last resolution.
+func (d *Dust) recall() resolved {
+	if r := d.last.Load(); r != nil {
+		return *r
+	}
+	return resolved{}
+}
+
+// remember publishes the resolution a call ended on, if it is news.
+func (d *Dust) remember(r resolved) {
+	if last := d.last.Load(); r.t != nil && (last == nil || *last != r) {
+		news := r // only the copy escapes, and only when stored
+		d.last.Store(&news)
+	}
 }
 
 // tableKey identifies a phi table by the pair of error distributions. The
@@ -176,7 +234,22 @@ type globalTableKey struct {
 	tailSpread float64
 }
 
-func (d *Dust) table(errX, errY stats.Dist) *phiTable {
+// table returns the phi table of an error model pair: the one r holds when
+// both models are the leaves it was resolved for, the string-keyed lookup
+// (which r then holds) otherwise.
+func (d *Dust) table(r *resolved, errX, errY stats.Dist) *phiTable {
+	x, okX := leafOf(errX)
+	y, okY := leafOf(errY)
+	if !okX || !okY {
+		return d.tableByString(errX, errY)
+	}
+	if r.t == nil || r.x != x || r.y != y {
+		*r = resolved{x: x, y: y, t: d.tableByString(errX, errY)}
+	}
+	return r.t
+}
+
+func (d *Dust) tableByString(errX, errY stats.Dist) *phiTable {
 	key := tableKey{errX.String(), errY.String()}
 	d.mu.Lock()
 	if t, ok := d.tables[key]; ok {
@@ -260,6 +333,15 @@ func (d *Dust) dust2At(errX, errY stats.Dist, delta, logPhi0 float64) float64 {
 // Value returns dust(x, y) for two observed values whose errors follow errX
 // and errY.
 func (d *Dust) Value(x, y float64, errX, errY stats.Dist) (float64, error) {
+	r := d.recall()
+	v, err := d.value(&r, x, y, errX, errY)
+	d.remember(r)
+	return v, err
+}
+
+// value is Value over the caller's running resolution, which the series
+// distances carry from one timestamp to the next.
+func (d *Dust) value(r *resolved, x, y float64, errX, errY stats.Dist) (float64, error) {
 	if errX == nil || errY == nil {
 		return 0, errors.New("dust: nil error distribution")
 	}
@@ -274,8 +356,7 @@ func (d *Dust) Value(x, y float64, errX, errY stats.Dist) (float64, error) {
 		v := d.dust2At(ex, ey, delta, math.Log(phi0))
 		return math.Sqrt(v), nil
 	}
-	t := d.table(errX, errY)
-	return math.Sqrt(t.lookup(delta, d)), nil
+	return math.Sqrt(d.table(r, errX, errY).lookup(delta, d)), nil
 }
 
 // lookup interpolates dust^2 at delta, falling back to direct evaluation
@@ -310,14 +391,16 @@ func (d *Dust) Distance(q, c uncertain.PDFSeries) (float64, error) {
 	if q.Len() != c.Len() {
 		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, q.Len(), c.Len())
 	}
+	r := d.recall()
 	var acc float64
 	for i := 0; i < q.Len(); i++ {
-		v, err := d.Value(q.Observations[i], c.Observations[i], q.Errors[i], c.Errors[i])
+		v, err := d.value(&r, q.Observations[i], c.Observations[i], q.Errors[i], c.Errors[i])
 		if err != nil {
 			return 0, fmt.Errorf("dust: timestamp %d: %w", i, err)
 		}
 		acc += v * v
 	}
+	d.remember(r)
 	return math.Sqrt(acc), nil
 }
 
@@ -339,17 +422,20 @@ func (d *Dust) DistanceEarlyAbandon(q, c uncertain.PDFSeries, cutoff float64) (f
 	if q.Len() != c.Len() {
 		return 0, false, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, q.Len(), c.Len())
 	}
+	r := d.recall()
 	var acc float64
 	for i := 0; i < q.Len(); i++ {
-		v, err := d.Value(q.Observations[i], c.Observations[i], q.Errors[i], c.Errors[i])
+		v, err := d.value(&r, q.Observations[i], c.Observations[i], q.Errors[i], c.Errors[i])
 		if err != nil {
 			return 0, false, fmt.Errorf("dust: timestamp %d: %w", i, err)
 		}
 		acc += v * v
 		if acc > cutoff {
+			d.remember(r)
 			return math.Sqrt(acc), false, nil
 		}
 	}
+	d.remember(r)
 	return math.Sqrt(acc), true, nil
 }
 
@@ -371,10 +457,11 @@ func (d *Dust) DistanceDTW(q, c uncertain.PDFSeries) (float64, error) {
 		prev[j] = math.Inf(1)
 	}
 	prev[0] = 0
+	r := d.recall()
 	for i := 1; i <= n; i++ {
 		curr[0] = math.Inf(1)
 		for j := 1; j <= m; j++ {
-			v, err := d.Value(q.Observations[i-1], c.Observations[j-1], q.Errors[i-1], c.Errors[j-1])
+			v, err := d.value(&r, q.Observations[i-1], c.Observations[j-1], q.Errors[i-1], c.Errors[j-1])
 			if err != nil {
 				return 0, err
 			}
@@ -389,6 +476,7 @@ func (d *Dust) DistanceDTW(q, c uncertain.PDFSeries) (float64, error) {
 		}
 		prev, curr = curr, prev
 	}
+	d.remember(r)
 	return math.Sqrt(prev[m]), nil
 }
 
