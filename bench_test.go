@@ -172,7 +172,7 @@ func BenchmarkMUNICHProbabilityConvolution(b *testing.B) {
 	rng := stats.NewRand(3)
 	value := func(i int) float64 { return math.Sin(0.2*float64(i)) + 0.25*rng.NormFloat64() }
 	x, y := benchSampleSeries(0, 128, 3, value), benchSampleSeries(1, 128, 3, value)
-	lo, hi, err := munich.Bounds(x, y)
+	lo, hi, err := munich.BoundingIntervals(x).Bounds(y)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"uncertts/internal/corpus"
@@ -110,7 +111,7 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	// Unconstrained DTW and a fine-grained MUNICH estimator make one query
 	// last tens of bound-poll intervals, so records do get interleaved.
 	srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
-		server.Options{MUNICH: munich.Options{Bins: 4096}})
+		server.Options{MUNICH: munich.Options{Bins: 16384}})
 	ins := server.SeriesRequest{}
 	for i := 0; i < nSeries; i++ {
 		ins.Insert = append(ins.Insert, testSeries(length, int64(i)))
@@ -194,11 +195,11 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 		}
 	})
 
-	t.Run("probtopk", func(t *testing.T) {
-		// Seeded at 0 — a proven but useless floor — the shard must report
-		// 0 back as a probability, then only larger ones.
-		seed := 0.0
-		bounds, keys := stream(server.ClusterQueryRequest{
+	// probtopk posts the MUNICH query under a seeded bound and holds the
+	// records to the contract: prob_bound only, strictly rising, from the
+	// seed at the lowest to the final k-th probability at the highest.
+	probtopk := func(t *testing.T, seed float64) (bounds []server.ClusterBoundJSON, keys []float64) {
+		bounds, keys = stream(server.ClusterQueryRequest{
 			QueryRequest: server.QueryRequest{Measure: "munich", Type: "probtopk", Eps: 6, K: k, Series: &q},
 			ProbBound:    &seed,
 		})
@@ -210,13 +211,35 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 			if b.ProbBound == nil || b.BoundSq != nil {
 				t.Fatalf("a probtopk stream carries prob_bound records only: %+v", b)
 			}
-			if p := *b.ProbBound; p <= last || p < 0 || p > keys[k-1] || math.Signbit(p) {
-				t.Errorf("prob_bound %v after %v: want strictly rising within [0, final k-th probability %v]", p, last, keys[k-1])
+			if p := *b.ProbBound; p <= last || p < seed || p > keys[k-1] || math.Signbit(p) {
+				t.Errorf("prob_bound %v after %v: want strictly rising within [seed %v, final k-th probability %v]", p, last, seed, keys[k-1])
 			}
 			last = *b.ProbBound
 		}
-		if first := *bounds[0].ProbBound; first != seed {
-			t.Errorf("first prob_bound %v, want the coordinator's seed %v echoed", first, seed)
+		return bounds, keys
+	}
+
+	t.Run("probtopk", func(t *testing.T) {
+		// Seeded at 0 — a proven but useless floor. Whether 0 itself is
+		// reported depends on the first k refines outlasting the first poll
+		// tick; that every record is a probability at or above it does not.
+		probtopk(t, 0)
+	})
+
+	t.Run("probtopk_seed_echo", func(t *testing.T) {
+		// Seeded at the final k-th probability itself, the bound no resident
+		// candidate can beat: the shard has nothing to improve on, so every
+		// record it sends is the coordinator's seed, echoed unchanged — and
+		// the answer is the one the useless seed gave.
+		_, want := probtopk(t, 0)
+		bounds, keys := probtopk(t, want[k-1])
+		for _, b := range bounds {
+			if *b.ProbBound != want[k-1] {
+				t.Errorf("prob_bound %v, want the coordinator's seed %v echoed", *b.ProbBound, want[k-1])
+			}
+		}
+		if !reflect.DeepEqual(keys, want) {
+			t.Errorf("answer under the tight seed %v, want %v", keys, want)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"uncertts/internal/corpus"
+	"uncertts/internal/munich"
 	"uncertts/internal/qerr"
 )
 
@@ -86,6 +87,53 @@ func checkStatsIdentity(e *Engine, resident bool) error {
 		return fmt.Errorf("Candidates %d + SeriesSkippedByIndex %d = %d, want %d", s.Candidates, s.SeriesSkippedByIndex, got, want)
 	}
 	return nil
+}
+
+// munichTiers walks MUNICH's bound hierarchy for one probabilistic range
+// request the unhoisted way — the query's bounding intervals read off its
+// samples again for every candidate — and counts the tier each candidate
+// resolves in. The engine, which computes them once per request, must count
+// the same: tau is a fixed cutoff, so no count depends on scan order.
+func munichTiers(t *testing.T, e *Engine, req Request) (s Stats) {
+	t.Helper()
+	var pq *prepared
+	var err error
+	if req.Index != nil {
+		pq, err = e.prepareIndex(*req.Index)
+	} else {
+		pq, err = e.prepare(*req.AdHoc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < e.snap.Len(); ci++ {
+		if ci == pq.self {
+			continue
+		}
+		ent := e.snap.Entry(ci)
+		s.Candidates++
+		if munich.EnvelopeLowerBound(pq.env, ent.Env, e.snap.Spans()) > req.Eps {
+			s.PrunedByEnvelope++
+			continue
+		}
+		if dec, err := munich.BoundingIntervals(pq.sample).Prune(*ent.Samples, req.Eps); err != nil {
+			t.Fatal(err)
+		} else if dec != munich.PruneUnknown {
+			s.ResolvedByBounds++
+			continue
+		}
+		if e.opts.MUNICH.ExactFeasible(pq.sample, *ent.Samples) {
+			t.Fatal("the table's MUNICH refine is meant to be the convolution")
+		}
+		if _, complete, err := munich.ProbabilityCutoff(pq.sample, *ent.Samples, req.Eps, req.Tau, e.opts.MUNICH); err != nil {
+			t.Fatal(err)
+		} else if complete {
+			s.Completed++
+		} else {
+			s.AbandonedEarly++
+		}
+	}
+	return s
 }
 
 // TestDifferentialEveryMeasureKindSourceAndWorkers is the engine's one
@@ -242,6 +290,11 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 							}
 							if err := checkStatsIdentity(e, req.Index != nil); err != nil {
 								t.Errorf("%s: %v", row, err)
+							}
+							if m == MeasureMUNICH && req.Kind == KindProbRange {
+								if got, want := e.Stats(), munichTiers(t, e, req); got != want {
+									t.Errorf("%s: stats %+v, the unhoisted walk counts %+v", row, got, want)
+								}
 							}
 						}
 					}

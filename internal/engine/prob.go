@@ -11,21 +11,26 @@ import (
 
 // The kernels of the probabilistic threshold queries (MeasurePROUD,
 // MeasureMUNICH): the pruned counterparts of the definitional scans over
-// proud.Matcher and munich.Prune + munich.Probability. KindProbRange answers
-// PRQ(q, C, eps, tau) — which candidates match with probability at least
-// tau — and KindProbTopK ranks candidates by their match probability
-// Pr(distance <= eps), against the k-th best probability proven so far. The
-// scan loop, the cut and the collector are the ones every kind shares
-// (scan.go, bound.go); this file holds what is PROUD's and MUNICH's own.
+// proud.Matcher and munich.Intervals.Prune + munich.Probability.
+// KindProbRange answers PRQ(q, C, eps, tau) — which candidates match with
+// probability at least tau — and KindProbTopK ranks candidates by their
+// match probability Pr(distance <= eps), against the k-th best probability
+// proven so far. The scan loop, the cut and the collector are the ones every
+// kind shares (scan.go, bound.go); this file holds what is PROUD's and
+// MUNICH's own.
 //
 // Pruning is measure-native and exact:
 //
 //   - MUNICH walks a bound hierarchy — segment-envelope lower bound (built
 //     from the per-series envelopes the corpus maintains), the exact
-//     bounding-interval prune, then a per-timestamp sample-pair
-//     probability bound when the refine step is exact — and survivors pay
-//     for a refine that itself abandons early in the estimator's own
-//     arithmetic (munich.ProbabilityCutoff). Every shortcut either mirrors
+//     bounding-interval prune (the query's intervals computed once per
+//     request, prepared.iv), then a per-timestamp sample-pair probability
+//     bound when the refine step is exact — and survivors pay for a refine
+//     that itself abandons early in the estimator's own arithmetic
+//     (munich.ProbabilityCutoff; its convolution runs each timestamp as
+//     shifted adds in the scalar definition's addend order, falling back to
+//     that definition within munich's convShiftSlack of a bin edge, so the
+//     estimate does not depend on which form ran). Every shortcut either mirrors
 //     a prune the definitional scan also applies, fixes the probability at
 //     exactly 0 or 1, or is proven in the estimator's arithmetic, so
 //     answers are bit-identical to the naive scan for every estimator
@@ -181,7 +186,7 @@ func (e *Engine) munichProb(pq *prepared, ci int, eps, cut float64, done <-chan 
 		return 0, true, nil
 	}
 	x, y := pq.sample, *ent.Samples
-	dec, err := munich.Prune(x, y, eps)
+	dec, err := pq.iv.Prune(y, eps)
 	if err != nil {
 		return 0, false, err
 	}

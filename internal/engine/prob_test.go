@@ -47,7 +47,7 @@ func testMunichOpts() munich.Options { return munich.Options{Bins: 512} }
 // bounding-interval prune, then the estimator.
 func naiveMunichProb(t *testing.T, w *core.Workload, qi, ci int, eps float64, opts munich.Options) float64 {
 	t.Helper()
-	dec, err := munich.Prune(w.Samples[qi], w.Samples[ci], eps)
+	dec, err := munich.BoundingIntervals(w.Samples[qi]).Prune(w.Samples[ci], eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type Query struct {
 // to the engine with everything the scan derives from it computed once — the
 // measure-specific scan vector (filtered series for UMA/UEMA), the query-side
 // error model for DUST, suffix energies and the moment variance for PROUD,
-// the sample model and segment envelope for MUNICH, and the summaries the
-// engaged prefilter reads. It is immutable once built; the workers of the
+// the sample model, its per-timestamp bounding intervals and segment envelope
+// for MUNICH, and the summaries the engaged prefilter reads. It is immutable once built; the workers of the
 // request share it.
 type prepared struct {
 	self int // snapshot position to exclude (-1 for ad-hoc queries)
@@ -57,13 +57,14 @@ type prepared struct {
 	suffix []float64              // query suffix energies (PROUD)
 	varD   float64                // per-timestamp D_i variance sum (PROUD)
 	sample uncertain.SampleSeries // repeated-observation model (MUNICH)
+	iv     munich.Intervals       // query per-timestamp bounding intervals (MUNICH)
 	env    munich.Envelope        // query segment envelope (MUNICH)
 }
 
 // prepareIndex binds the resident series at snapshot position qi as a
-// query. All derived state aliases the engine's precomputed artifacts, so
-// preparation allocates nothing but the struct; the series itself is
-// excluded from the answer.
+// query. All derived state but MUNICH's bounding intervals aliases the
+// engine's precomputed artifacts; the series itself is excluded from the
+// answer.
 func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 	if err := e.checkIndex(qi); err != nil {
 		return nil, err
@@ -81,6 +82,7 @@ func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 		pq.varD = e.varD
 	case MeasureMUNICH:
 		pq.sample = *ent.Samples
+		pq.iv = munich.BoundingIntervals(pq.sample)
 		pq.env = ent.Env
 	}
 	return pq, nil
@@ -185,6 +187,7 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 		if err := pq.sample.Validate(); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
+		pq.iv = munich.BoundingIntervals(pq.sample)
 		pq.env = munich.BuildEnvelope(pq.sample, e.cfg.Segments)
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)

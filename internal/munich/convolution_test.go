@@ -1,9 +1,12 @@
 package munich
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"uncertts/internal/qerr"
@@ -86,17 +89,22 @@ func convolutionProbabilityRef(x, y uncertain.SampleSeries, eps, cutoff float64,
 }
 
 // convPair draws a seeded pair the way the benchmark's sampled corpus is
-// shaped: a smooth base, per-timestamp samples around it, values rounded to
-// 4 decimals. spread sets how far apart the two series sit.
-func convPair(rng *rand.Rand, n int, spread float64) (x, y uncertain.SampleSeries) {
+// shaped: a smooth base, 1 to maxSamples samples per timestamp around it
+// (1 to maxSamples^2 taps a step, now and then with a repeated sample, so
+// taps tie), values rounded to 4 decimals. spread sets how far apart the two
+// series sit.
+func convPair(rng *rand.Rand, n, maxSamples int, spread float64) (x, y uncertain.SampleSeries) {
 	round := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
 	mk := func(id int, shift float64) uncertain.SampleSeries {
 		samples := make([][]float64, n)
 		for i := range samples {
-			row := make([]float64, 1+rng.Intn(4))
+			row := make([]float64, 1+rng.Intn(maxSamples))
 			centre := math.Sin(0.2*float64(i)) + shift
 			for k := range row {
 				row[k] = round(centre + 0.25*rng.NormFloat64())
+			}
+			if rng.Intn(8) == 0 {
+				row[len(row)-1] = row[0]
 			}
 			samples[i] = row
 		}
@@ -105,9 +113,29 @@ func convPair(rng *rand.Rand, n int, spread float64) (x, y uncertain.SampleSerie
 	return mk(0, 0), mk(1, spread*rng.NormFloat64())
 }
 
-// nothingReaches reports whether the look-ahead finds no bin of the initial
-// histogram — not even bin 0 — whose mass can arrive at eps^2.
-func nothingReaches(x, y uncertain.SampleSeries, eps float64, bins int) bool {
+// edgePair builds a pair whose bin width is exactly 2 at the given bin count
+// (bins/8 timestamps, each with a largest squared difference of 16) and
+// whose other squared differences are multiples of the width — except that
+// every fourth timestamp carries off: off = 1 and off = 9 sit exactly on a
+// bin edge (an odd multiple of width/2 from the bin centres), off*off a
+// rounding to either side lands a hair off one, where the scalar index
+// int(((j+0.5)*width + v)/width) is not the same shift for every j.
+func edgePair(bins int, off float64) (x, y uncertain.SampleSeries) {
+	n := bins / 8
+	xs, ys := make([][]float64, n), make([][]float64, n)
+	for i := range xs {
+		xs[i] = []float64{0}
+		ys[i] = []float64{4, float64(2 * (i % 3)), 2}
+		if i%4 == 1 {
+			ys[i][2] = off
+		}
+	}
+	return uncertain.SampleSeries{Samples: xs, ID: 0}, uncertain.SampleSeries{Samples: ys, ID: 1}
+}
+
+// lookAhead is the reachable-bin table convolutionProbability computes for
+// the pair, nil when the histogram is degenerate.
+func lookAhead(x, y uncertain.SampleSeries, eps float64, bins int) []int {
 	mins := make([]float64, x.Len())
 	var maxSum float64
 	for i := range mins {
@@ -115,26 +143,39 @@ func nothingReaches(x, y uncertain.SampleSeries, eps float64, bins int) bool {
 		mins[i] = lo
 		maxSum += hi
 	}
-	return maxSum > 0 && reachableBins(mins, maxSum/float64(bins), eps*eps, bins)[0] < 0
+	if maxSum == 0 {
+		return nil
+	}
+	last := make([]int, len(mins)+1)
+	reachableBins(last, mins, maxSum/float64(bins), eps*eps, bins)
+	return last
 }
 
-// TestConvolutionMatchesReference is the differential test of the windowed
-// convolution against the frozen full sweep.
-func TestConvolutionMatchesReference(t *testing.T) {
+// convCase is one row of the differential table.
+type convCase struct {
+	name    string
+	x, y    uncertain.SampleSeries
+	eps     float64
+	bins    int
+	cutoffs []float64
+	// edge marks an edgePair row; wantScalar says whether the shift test (no
+	// step of these rows clamps) must send one of its steps to the scalar loop.
+	edge, wantScalar bool
+}
+
+// convCases is the seeded table TestConvolutionMatchesReference and
+// TestConvolutionConcurrent run: random pairs with eps across and beyond the
+// bounding-interval bracket (below it nothing reaches eps^2, above it the
+// readout sits in the clamping top bin), then the edge pairs.
+func convCases(t *testing.T, pairs int) []convCase {
 	rng := rand.New(rand.NewSource(23))
 	finite := []float64{1e-12, 0.1, 0.5, 0.9, 1}
 	binChoices := []int{16, 256, 4096}
-	var completed, abandoned, refAbandoned, unreachable int
-	// Each pair runs uncut and under two of the finite cutoffs; the full
-	// sweep of the reference is what costs (~9x more under -race).
-	pairs := 3000
-	if testing.Short() {
-		pairs = 400
-	}
+	var out []convCase
 	for trial := 0; trial < pairs; trial++ {
 		n := 1 + rng.Intn(128)
-		x, y := convPair(rng, n, []float64{0, 0.05, 0.3, 1}[trial%4])
-		lo, hi, err := Bounds(x, y)
+		x, y := convPair(rng, n, 4+2*(trial%2), []float64{0, 0.05, 0.3, 1}[trial%4])
+		lo, hi, err := BoundingIntervals(x).Bounds(y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,20 +186,65 @@ func TestConvolutionMatchesReference(t *testing.T) {
 			eps = lo * 0.5 // nothing can reach eps^2
 		case 1:
 			eps = 0
+		case 2:
+			eps = hi * 1.01 // the readout is the clamping bin
 		}
 		if eps < 0 {
 			eps = 0
 		}
 		bins := binChoices[trial%len(binChoices)]
-		want, complete, err := convolutionProbabilityRef(x, y, eps, math.Inf(-1), bins, nil)
-		if err != nil || !complete {
-			t.Fatalf("trial %d: uncut reference: %v, complete=%v", trial, err, complete)
-		}
-		noReach := nothingReaches(x, y, eps, bins)
 		first := rng.Intn(len(finite))
 		second := (first + 1 + rng.Intn(len(finite)-1)) % len(finite)
-		for _, cutoff := range []float64{math.Inf(-1), finite[first], finite[second]} {
-			name := fmt.Sprintf("trial %d (n=%d bins=%d eps=%g cutoff=%g)", trial, n, bins, eps, cutoff)
+		out = append(out, convCase{
+			name: fmt.Sprintf("trial %d (n=%d bins=%d eps=%g)", trial, n, bins, eps),
+			x:    x, y: y, eps: eps, bins: bins, cutoffs: []float64{math.Inf(-1), finite[first], finite[second]},
+		})
+	}
+	for _, bins := range binChoices {
+		for _, off := range []float64{1, math.Nextafter(1, 2), math.Nextafter(1, 0), 3, 2} {
+			x, y := edgePair(bins, off)
+			out = append(out, convCase{
+				name: fmt.Sprintf("edge pair (bins=%d off=%v)", bins, off),
+				x:    x, y: y, eps: math.Sqrt(0.3 * 2 * float64(bins)), bins: bins, cutoffs: []float64{math.Inf(-1), 0.1, 0.9},
+				edge: true, wantScalar: off != 2,
+			})
+		}
+	}
+	return out
+}
+
+// TestConvolutionMatchesReference is the differential test of the windowed,
+// shifted-add convolution against the frozen full sweep.
+func TestConvolutionMatchesReference(t *testing.T) {
+	var completed, abandoned, refAbandoned, unreachable, clamped int
+	// Each pair runs uncut and under two of the finite cutoffs; the full
+	// sweep of the reference is what costs (~9x more under -race).
+	pairs := 3000
+	if testing.Short() {
+		pairs = 400
+	}
+	fast0, scalar0 := convFast.Load(), convScalar.Load()
+	for _, tc := range convCases(t, pairs) {
+		x, y, eps, bins := tc.x, tc.y, tc.eps, tc.bins
+		want, complete, err := convolutionProbabilityRef(x, y, eps, math.Inf(-1), bins, nil)
+		if err != nil || !complete {
+			t.Fatalf("%s: uncut reference: %v, complete=%v", tc.name, err, complete)
+		}
+		last := lookAhead(x, y, eps, bins)
+		noReach := last != nil && last[0] < 0
+		if last != nil && last[x.Len()] == bins-1 {
+			clamped++
+		} else if tc.edge {
+			before := convScalar.Load()
+			if _, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil); err != nil {
+				t.Fatal(err)
+			}
+			if fell := convScalar.Load() != before; fell != tc.wantScalar {
+				t.Fatalf("%s: a step ran the scalar loop: %v, want %v", tc.name, fell, tc.wantScalar)
+			}
+		}
+		for _, cutoff := range tc.cutoffs {
+			name := fmt.Sprintf("%s cutoff=%g", tc.name, cutoff)
 			refP, refComplete := want, true
 			if !math.IsInf(cutoff, -1) {
 				if refP, refComplete, err = convolutionProbabilityRef(x, y, eps, cutoff, bins, nil); err != nil {
@@ -197,8 +283,91 @@ func TestConvolutionMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin", pairs, completed, abandoned, refAbandoned, unreachable)
-	if abandoned < refAbandoned || abandoned == 0 || unreachable == 0 {
-		t.Fatalf("the table does not exercise the abandon paths: %d abandoned (reference %d), %d unreachable", abandoned, refAbandoned, unreachable)
+	fast, scalar := convFast.Load()-fast0, convScalar.Load()-scalar0
+	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; %d steps as shifted adds, %d scalar",
+		pairs, completed, abandoned, refAbandoned, unreachable, clamped, fast, scalar)
+	if abandoned < refAbandoned || abandoned == 0 || unreachable == 0 || clamped == 0 {
+		t.Fatalf("the table does not exercise the abandon paths or the clamp: %d abandoned (reference %d), %d unreachable, %d clamped", abandoned, refAbandoned, unreachable, clamped)
+	}
+	if fast == 0 || scalar == 0 {
+		t.Fatalf("the table does not exercise both forms: %d steps as shifted adds, %d scalar", fast, scalar)
+	}
+}
+
+// TestConvolutionConcurrent shares the scratch pool between 8 goroutines
+// (under -race in CI): every call must return what the serial run returned.
+func TestConvolutionConcurrent(t *testing.T) {
+	type answer struct {
+		p  float64
+		ok bool
+	}
+	cases := convCases(t, 48)
+	run := func() []answer {
+		var out []answer
+		for _, tc := range cases {
+			for _, cutoff := range tc.cutoffs {
+				p, ok, err := convolutionProbability(tc.x, tc.y, tc.eps, cutoff, tc.bins, nil)
+				if err != nil {
+					t.Error(err)
+				}
+				out = append(out, answer{p, ok})
+			}
+		}
+		return out
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := run(); !reflect.DeepEqual(got, want) {
+				t.Errorf("goroutine %d: answers differ from the serial run", g)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestConvolutionServedShape gates the refine uncertserve runs (128
+// timestamps x 3 samples a side, EstimatorAuto over 4096 bins) on its
+// allocations with a warm pool: a handful per call, none per timestamp.
+func TestConvolutionServedShape(t *testing.T) {
+	x, y := convPair(rand.New(rand.NewSource(24)), 128, 3, 0.3)
+	for i := range x.Samples {
+		x.Samples[i], y.Samples[i] = append(x.Samples[i], 0, 0)[:3], append(y.Samples[i], 0, 0)[:3]
+	}
+	lo, hi, err := BoundingIntervals(x).Bounds(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := lo + 0.4*(hi-lo)
+	for _, cutoff := range []float64{math.Inf(-1), 0.1} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := ProbabilityCutoff(x, y, eps, cutoff, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("cutoff %v: %v allocations per refine of 128 timestamps, want <= 4", cutoff, allocs)
+		}
+	}
+}
+
+// TestConvolutionRejectsOverflowingDomain: finite samples whose squared
+// differences overflow leave no bin width; the estimator must say so with a
+// typed error, not index a histogram with int(NaN).
+func TestConvolutionRejectsOverflowingDomain(t *testing.T) {
+	row := [][]float64{{-1e154, 0, 1e154}}
+	x, y := tinySeries(0, row[0], row[0]), tinySeries(1, row[0], row[0])
+	for _, bins := range []int{16, 4096} {
+		if _, _, err := convolutionProbability(x, y, 1e154, 0.1, bins, nil); !errors.Is(err, qerr.ErrBadRequest) {
+			t.Errorf("bins=%d: err = %v, want ErrBadRequest", bins, err)
+		}
+	}
+	// Squares that vanish into the subnormals have no usable width either.
+	z := tinySeries(2, []float64{1e-160}, []float64{0})
+	if _, _, err := convolutionProbability(tinySeries(3, []float64{0}, []float64{0}), z, 1, 0.1, 16, nil); !errors.Is(err, qerr.ErrBadRequest) {
+		t.Errorf("subnormal width: err = %v, want ErrBadRequest", err)
 	}
 }

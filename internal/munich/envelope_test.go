@@ -45,7 +45,7 @@ func TestEnvelopeLowerBoundNoFalseDismissals(t *testing.T) {
 		pruned := 0
 		for qi, q := range coll {
 			for ci, c := range coll {
-				lo, _, err := Bounds(q, c)
+				lo, _, err := BoundingIntervals(q).Bounds(c)
 				if err != nil {
 					t.Fatal(err)
 				}

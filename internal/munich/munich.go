@@ -15,10 +15,16 @@
 //     multisets (the distance is a sum of independent per-timestamp terms, so
 //     combinations factor into two halves that are enumerated and merged);
 //   - approximate, via histogram convolution of the per-timestamp multisets,
-//     with resolution controlled by the bin count — each step carrying only
-//     the bins whose mass can still arrive at or below eps^2, which is where
-//     a served refine spends its time (128 timestamps x 9 sample pairs over
-//     4096 bins otherwise);
+//     with resolution controlled by the bin count. This is where a served
+//     refine spends its time (128 timestamps x 9 sample pairs over 4096
+//     bins), so each step carries only the bins that hold mass and can still
+//     arrive at or below eps^2, and runs as a handful of shifted adds: a
+//     squared difference moves every bin by the same number of bins unless
+//     it sits within a few ulps (convShiftSlack) of a bin edge, and adding
+//     the scaled window once per difference, largest shift first, hands each
+//     bin its addends in the order of the bin-by-bin definition — the
+//     scalar loop kept beside it, which the rare edge case still runs — so
+//     the estimate is that loop's bit for bit. Scratch comes from a pool;
 //   - Monte Carlo, by sampling materialisations, usable with any inner
 //     distance including DTW.
 //
@@ -32,7 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"uncertts/internal/distance"
 	"uncertts/internal/qerr"
@@ -157,24 +166,14 @@ func ProbabilityCutoffCancel(x, y uncertain.SampleSeries, eps, cutoff float64, o
 		return monteCarloProbability(x, y, eps, cutoff, opts, done)
 	}
 
-	switch opts.Estimator {
-	case EstimatorMonteCarlo:
+	switch {
+	case opts.Estimator == EstimatorMonteCarlo:
 		return monteCarloProbability(x, y, eps, cutoff, opts, done)
-	case EstimatorExact:
-		p, err := exactProbability(x, y, eps, opts.MaxExactCombos, done)
-		return p, err == nil, err
-	case EstimatorConvolution:
-		return convolutionProbability(x, y, eps, cutoff, opts.Bins, done)
-	default: // Auto
-		p, err := exactProbability(x, y, eps, opts.MaxExactCombos, done)
-		if err == nil {
-			return p, true, nil
-		}
-		if errors.Is(err, qerr.ErrCancelled) {
-			return 0, false, err
-		}
+	case opts.Estimator == EstimatorConvolution, opts.Estimator == EstimatorAuto && !opts.ExactFeasible(x, y):
 		return convolutionProbability(x, y, eps, cutoff, opts.Bins, done)
 	}
+	p, err := exactProbability(x, y, eps, opts.MaxExactCombos, done)
+	return p, err == nil, err
 }
 
 // cancelled polls a done channel without blocking; a nil channel never
@@ -200,23 +199,24 @@ func (o Options) ExactFeasible(x, y uncertain.SampleSeries) bool {
 	if o.UseDTW || o.Estimator == EstimatorConvolution || o.Estimator == EstimatorMonteCarlo {
 		return false
 	}
-	o = o.withDefaults()
+	return x.Len() == y.Len() && exactFits(x, y, o.withDefaults().MaxExactCombos)
+}
+
+// exactFits reports whether both halves of the meet-in-the-middle split
+// enumerate within maxCombos sums.
+func exactFits(x, y uncertain.SampleSeries, maxCombos int) bool {
 	n := x.Len()
-	if y.Len() != n {
-		return false
-	}
 	half := func(lo, hi int) bool {
 		size := 1
 		for i := lo; i < hi; i++ {
 			size *= len(x.Samples[i]) * len(y.Samples[i])
-			if size > o.MaxExactCombos || size <= 0 {
+			if size > maxCombos || size <= 0 {
 				return false
 			}
 		}
 		return true
 	}
-	split := n / 2
-	return half(0, split) && half(split, n)
+	return half(0, n/2) && half(n/2, n)
 }
 
 // minGap is the minimal possible |a - b| for a in [alo, ahi] and b in
@@ -231,22 +231,33 @@ func minGap(alo, ahi, blo, bhi float64) float64 {
 	return 0
 }
 
-// Bounds returns lower and upper bounds on every feasible Euclidean distance
-// between materialisations of x and y, derived from the per-timestamp
-// minimal bounding intervals (the pruning device of the original paper).
-func Bounds(x, y uncertain.SampleSeries) (lo, hi float64, err error) {
-	if err := x.Validate(); err != nil {
-		return 0, 0, err
+// Intervals are the per-timestamp minimal bounding intervals of a sample
+// series. A query posed against many candidates computes its own once.
+type Intervals struct{ Lo, Hi []float64 }
+
+// BoundingIntervals reads the intervals off a series.
+func BoundingIntervals(s uncertain.SampleSeries) Intervals {
+	iv := Intervals{Lo: make([]float64, s.Len()), Hi: make([]float64, s.Len())}
+	for i := range iv.Lo {
+		iv.Lo[i], iv.Hi[i] = s.MinMaxAt(i)
 	}
+	return iv
+}
+
+// Bounds returns lower and upper bounds on every feasible Euclidean distance
+// between materialisations of the series x was read off and y, derived from
+// the per-timestamp minimal bounding intervals (the pruning device of the
+// original paper).
+func (x Intervals) Bounds(y uncertain.SampleSeries) (lo, hi float64, err error) {
 	if err := y.Validate(); err != nil {
 		return 0, 0, err
 	}
-	if x.Len() != y.Len() {
-		return 0, 0, fmt.Errorf("munich: series lengths differ: %d vs %d", x.Len(), y.Len())
+	if len(x.Lo) != y.Len() {
+		return 0, 0, fmt.Errorf("munich: series lengths differ: %d vs %d", len(x.Lo), y.Len())
 	}
 	var lo2, hi2 float64
-	for i := 0; i < x.Len(); i++ {
-		xlo, xhi := x.MinMaxAt(i)
+	for i, xlo := range x.Lo {
+		xhi := x.Hi[i]
 		ylo, yhi := y.MinMaxAt(i)
 		dmin := minGap(xlo, xhi, ylo, yhi)
 		// Maximal possible |xi - yi|.
@@ -332,8 +343,8 @@ const (
 )
 
 // Prune applies the bounding-interval test.
-func Prune(x, y uncertain.SampleSeries, eps float64) (PruneDecision, error) {
-	lo, hi, err := Bounds(x, y)
+func (x Intervals) Prune(y uncertain.SampleSeries, eps float64) (PruneDecision, error) {
+	lo, hi, err := x.Bounds(y)
 	if err != nil {
 		return PruneUnknown, err
 	}
@@ -351,7 +362,12 @@ func Prune(x, y uncertain.SampleSeries, eps float64) (PruneDecision, error) {
 // the observations of x and y at timestamp i.
 func squaredDiffMultiset(x, y uncertain.SampleSeries, i int) []float64 {
 	xs, ys := x.Samples[i], y.Samples[i]
-	out := make([]float64, 0, len(xs)*len(ys))
+	return appendSquaredDiffs(make([]float64, 0, len(xs)*len(ys)), xs, ys)
+}
+
+// appendSquaredDiffs appends the squared differences of every sample pair,
+// xs-major.
+func appendSquaredDiffs(out, xs, ys []float64) []float64 {
 	for _, a := range xs {
 		for _, b := range ys {
 			d := a - b
@@ -363,20 +379,17 @@ func squaredDiffMultiset(x, y uncertain.SampleSeries, i int) []float64 {
 
 // exactProbability counts combinations with total squared distance <= eps^2
 // using meet-in-the-middle. If the enumeration would exceed maxCombos per
-// half it returns an error; EstimatorAuto callers fall back to convolution.
+// half it returns an error (EstimatorAuto asks ExactFeasible first).
 func exactProbability(x, y uncertain.SampleSeries, eps float64, maxCombos int, done <-chan struct{}) (float64, error) {
+	if !exactFits(x, y, maxCombos) {
+		return 0, fmt.Errorf("munich: exact enumeration exceeds cap %d per half", maxCombos)
+	}
 	n := x.Len()
 	multisets := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		multisets[i] = squaredDiffMultiset(x, y, i)
 	}
-	// Split so the two halves have balanced enumeration sizes.
 	split := n / 2
-	sizeA, okA := productSize(multisets[:split], maxCombos)
-	sizeB, okB := productSize(multisets[split:], maxCombos)
-	if !okA || !okB {
-		return 0, fmt.Errorf("munich: exact enumeration exceeds cap %d (halves %d x %d)", maxCombos, sizeA, sizeB)
-	}
 	sumsA := enumerateSums(multisets[:split])
 	sumsB := enumerateSums(multisets[split:])
 	if cancelled(done) {
@@ -398,18 +411,6 @@ func exactProbability(x, y uncertain.SampleSeries, eps float64, maxCombos int, d
 		return 0, errors.New("munich: empty combination space")
 	}
 	return float64(count) / float64(total), nil
-}
-
-// productSize returns the product of multiset sizes, capped.
-func productSize(ms [][]float64, cap int) (int, bool) {
-	size := 1
-	for _, m := range ms {
-		size *= len(m)
-		if size > cap || size <= 0 {
-			return size, false
-		}
-	}
-	return size, true
 }
 
 // enumerateSums returns every sum formed by picking one element from each
@@ -462,9 +463,10 @@ func binnedCDF(probs []float64, from, to int, width, eps2 float64) float64 {
 
 // convBin is the bin the mass at the centre of bin j moves to when a squared
 // difference v convolves in. It is monotone in j and in v in floating point
-// (every operation is), which is what makes reachableBins exact. The
-// conversion keeps the product from fusing into the sum, so the look-ahead
-// and the convolution loop round alike on every platform.
+// (every operation is), which is what makes reachableBins and the [lo, hi]
+// window of the convolution exact. The conversion keeps the product from
+// fusing into the sum, so the look-ahead and the convolution loop round
+// alike on every platform.
 func convBin(j int, v, width float64, bins int) int {
 	idx := int((float64((float64(j)+0.5)*width) + v) / width)
 	if idx >= bins {
@@ -473,17 +475,16 @@ func convBin(j int, v, width float64, bins int) int {
 	return idx
 }
 
-// reachableBins returns, for the histogram after each of the len(mins)+1
-// steps (step 0 is the unit mass in bin 0), the highest bin whose mass can
-// still arrive where binnedCDF reads at eps2: last[n] is the first bin whose
-// upper edge lies beyond eps2, and last[s] the largest j whose minimal
-// destination under timestamp s (its smallest squared difference, mins[s])
-// is within last[s+1] — -1 when there is none. Mass above last[s] can only
-// land above last[s+1], so a convolution that drops it reads the same bins
-// at the end.
-func reachableBins(mins []float64, width, eps2 float64, bins int) []int {
+// reachableBins fills last — one entry per histogram after each of the
+// len(mins)+1 steps (step 0 is the unit mass in bin 0) — with the highest
+// bin whose mass can still arrive where binnedCDF reads at eps2: last[n] is
+// the first bin whose upper edge lies beyond eps2, and last[s] the largest j
+// whose minimal destination under timestamp s (its smallest squared
+// difference, mins[s]) is within last[s+1] — -1 when there is none. Mass
+// above last[s] can only land above last[s+1], so a convolution that drops
+// it reads the same bins at the end.
+func reachableBins(last []int, mins []float64, width, eps2 float64, bins int) {
 	n := len(mins)
-	last := make([]int, n+1)
 	last[n] = sort.Search(bins-1, func(j int) bool { return (float64(j)+1)*width > eps2 })
 	for s := n - 1; s >= 0; s-- {
 		j := last[s+1] // convBin(j, v) >= j for v >= 0
@@ -492,82 +493,197 @@ func reachableBins(mins []float64, width, eps2 float64, bins int) []int {
 		}
 		last[s] = j
 	}
-	return last
 }
+
+// convShiftSlack, times bins + v/width, is how close to a bin edge the
+// fractional part of 0.5 + v/width may sit before the scalar index
+// int(((j+0.5)*width + v)/width) stops being provably j + floor(0.5 +
+// v/width) for every j. With u = 2^-53: the product, the sum and the quotient
+// each err by at most u*(j + 0.5 + v/width) <= u*(bins + v/width), and
+// binShifts' own fl(0.5 + fl(v/width)) by at most 2u*(v/width + 0.5) — 5u in
+// all, taken as 8u (7e-12 at 4096 bins).
+const convShiftSlack = 8 * 0x1p-53
+
+// binShifts resolves every squared difference of one timestamp to the bin
+// shift it applies to all source bins alike, appended to taps in descending
+// order; ok = false when some shift is within convShiftSlack of a bin edge,
+// and the step must run the scalar loop.
+func binShifts(taps []int, m []float64, width float64, bins int) (_ []int, ok bool) {
+	taps = slices.Grow(taps, len(m))
+	for _, v := range m {
+		r := v / width
+		t := 0.5 + r
+		k := math.Floor(t)
+		frac := t - k // exact
+		if slack := convShiftSlack * (float64(bins) + r); !(frac > slack && frac < 1-slack) {
+			return taps, false
+		}
+		i := len(taps)
+		taps = append(taps, int(k))
+		for ; i > 0 && taps[i-1] < int(k); i-- {
+			taps[i] = taps[i-1]
+		}
+		taps[i] = int(k)
+	}
+	return taps, true
+}
+
+// convScratch is the working memory of one convolution refine, pooled so a
+// served refine allocates nothing: f holds each timestamp's smallest and
+// largest squared difference and three histograms (current, next, current
+// scaled by a timestamp's pair weight), pairs every timestamp's squared
+// differences back to back, last the reachable-bin table, taps one
+// timestamp's bin shifts.
+type convScratch struct {
+	f, pairs   []float64
+	last, taps []int
+}
+
+var convPool = sync.Pool{New: func() any { return new(convScratch) }}
+
+// convFast and convScalar count the convolution steps run as shifted adds
+// and as the scalar loop; tests read them to show both forms ran.
+var convFast, convScalar atomic.Int64
 
 // convolutionProbability approximates the distribution of the total squared
 // distance by repeated histogram convolution and reads off the CDF at
-// eps^2. Only the bins that can still reach eps^2 are carried (see
-// reachableBins): each step reads [lo, last[s]] and writes up to
-// last[s+1], and every bin it keeps receives the addends of a full sweep
-// in the same order, so a completed call returns the full sweep's value bit
-// for bit. Because every per-timestamp squared difference is non-negative,
-// convolving in another timestamp only moves mass towards higher bins, so
-// the final CDF at eps^2 cannot exceed the mass still within reach: once
-// that falls below the cutoff the final estimate must too, and the scan
-// abandons (complete = false).
+// eps^2. Only the bins that hold mass and can still reach eps^2 are carried
+// (see reachableBins): each step reads [lo, hi] and writes up to last[s+1],
+// and every bin it keeps receives the addends of a full sweep in the same
+// order, so a completed call returns the full sweep's value bit for bit.
+//
+// A step is a sparse FIR filter, defined by convolveScalar: for every source
+// bin j ascending and every squared difference v in sample-pair order, add
+// probs[j]*w into bin int(((j+0.5)*width + v)/width). Where that index is
+// provably j + k_v for every j (binShifts), the step runs as shifted adds:
+// the window is scaled once and added into next at offset k_v, one v after
+// another in descending k_v. A destination bin then meets its sources in
+// ascending order, as in the scalar loop, and sources that tie (equal k_v)
+// bring the same addend, so their order is immaterial: same addends, same
+// order, same bits. A step that may clamp into the top bin (keep == bins-1)
+// or holds an unprovable shift runs the scalar loop.
+//
+// Because every squared difference is non-negative, convolving in another
+// timestamp only moves mass towards higher bins, so the final CDF at eps^2
+// cannot exceed the mass still within reach: once that falls below the
+// cutoff the final estimate must too, and the scan abandons (complete =
+// false).
 func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bins int, done <-chan struct{}) (float64, bool, error) {
 	n := x.Len()
+	sc := convPool.Get().(*convScratch)
+	defer convPool.Put(sc)
+	sc.f = slices.Grow(sc.f[:0], 2*n+3*bins)[:2*n+3*bins]
+	sc.last = slices.Grow(sc.last[:0], n+1)[:n+1]
+	mins, maxs, hist, last := sc.f[:n], sc.f[n:2*n], sc.f[2*n:], sc.last
 	// Upper bound of the total squared distance fixes the histogram domain.
 	var maxSum float64
-	multisets := make([][]float64, n)
-	mins := make([]float64, n)
+	pairs := slices.Grow(sc.pairs[:0], n*len(x.Samples[0])*len(y.Samples[0])) // exact when every timestamp holds as many samples
 	for i := 0; i < n; i++ {
-		m := squaredDiffMultiset(x, y, i)
-		multisets[i] = m
-		lo, hi := stats.MinMax(m)
-		mins[i] = lo
-		maxSum += hi
+		from := len(pairs)
+		pairs = appendSquaredDiffs(pairs, x.Samples[i], y.Samples[i])
+		mins[i], maxs[i] = stats.MinMax(pairs[from:])
+		maxSum += maxs[i]
 	}
+	sc.pairs = pairs
 	if maxSum == 0 {
 		// All materialisations coincide: distance 0 with probability 1.
-		if eps >= 0 {
-			return 1, true, nil
-		}
-		return 0, true, nil
+		return 1, true, nil
 	}
 	eps2 := eps * eps
 	width := maxSum / float64(bins)
-	last := reachableBins(mins, width, eps2, bins)
-	probs := make([]float64, bins)
-	next := make([]float64, bins)
-	if last[0] >= 0 {
+	if !(width >= 0x1p-1022 && width <= math.MaxFloat64) {
+		// Squared differences that overflow (or vanish into the subnormals)
+		// leave no bin width to divide by.
+		return 0, false, qerr.BadRequestf("munich: squared distances up to %v do not fit a %d-bin histogram", maxSum, bins)
+	}
+	reachableBins(last, mins, width, eps2, bins)
+	probs, next, scaled := hist[:bins], hist[bins:2*bins], hist[2*bins:]
+	// Nothing is ever written above last[n], and nothing above it is read.
+	clear(probs[:last[n]+1])
+	clear(next[:last[n]+1])
+	// Every bin of probs holding mass lies in [lo, hi], hi <= last[step].
+	lo, hi := 0, min(0, last[0])
+	if hi == 0 {
 		probs[0] = 1
 	}
-	lo := 0 // no bin of probs below lo holds mass; none above last[step] either
-	for step, m := range multisets {
+	for step := 0; step < n; step++ {
 		if cancelled(done) {
 			return 0, false, qerr.Cancelled(nil)
 		}
+		m := pairs[:len(x.Samples[step])*len(y.Samples[step])]
+		pairs = pairs[len(m):]
 		keep := last[step+1]
 		w := 1 / float64(len(m))
-		for j := lo; j <= last[step]; j++ {
-			p := probs[j]
-			if p == 0 {
-				continue
+		if lo <= hi {
+			uniform := false
+			if keep != bins-1 {
+				sc.taps, uniform = binShifts(sc.taps[:0], m, width, bins)
 			}
-			probs[j] = 0 // leaves the buffer clean for the step after next
-			base := float64((float64(j) + 0.5) * width)
-			for _, v := range m {
-				idx := int((base + v) / width)
-				if idx > keep {
-					if keep != bins-1 {
-						continue // can no longer reach eps^2
-					}
-					idx = keep
-				}
-				next[idx] += p * w
+			if uniform {
+				convFast.Add(1)
+				convolveShifted(probs, next, scaled, lo, hi, keep, sc.taps, w)
+			} else {
+				convScalar.Add(1)
+				convolveScalar(probs, next, lo, hi, keep, m, w, width, bins)
 			}
 		}
 		probs, next = next, probs
 		lo = convBin(lo, mins[step], width, bins)
+		hi = min(convBin(hi, maxs[step], width, bins), keep)
 		// The mass within reach is the partial CDF itself while keep is
 		// still the bin eps^2 falls in.
-		if step < n-1 && binnedCDF(probs, lo, keep, width, eps2) < cutoff-convCutoffMargin {
+		if step < n-1 && binnedCDF(probs, lo, hi, width, eps2) < cutoff-convCutoffMargin {
 			return 0, false, nil
 		}
 	}
-	return binnedCDF(probs, lo, last[n], width, eps2), true, nil
+	return binnedCDF(probs, lo, hi, width, eps2), true, nil
+}
+
+// convolveShifted is convolveScalar for a step whose squared differences
+// shift every source bin alike, by taps (descending): the window scaled
+// once, then one shifted add per tap. The conversion keeps p*w a rounded
+// product in both forms on platforms that would fuse it into the sum.
+func convolveShifted(probs, next, scaled []float64, lo, hi, keep int, taps []int, w float64) {
+	src := scaled[lo : hi+1]
+	for i, p := range probs[lo : hi+1] {
+		src[i] = float64(p * w)
+	}
+	clear(probs[lo : hi+1]) // leaves the buffer clean for the step after next
+	for _, k := range taps {
+		top := min(hi, keep-k) // sources above top can no longer reach eps^2
+		if top < lo {
+			continue
+		}
+		dst := next[lo+k : top+k+1]
+		for i, s := range src[:len(dst)] {
+			dst[i] += s
+		}
+	}
+}
+
+// convolveScalar is one convolution step by definition: the mass of every
+// source bin in [lo, hi], split evenly over the squared differences in m,
+// moves to the bin its centre lands in; mass landing above keep is dropped
+// unless keep is the histogram's clamping top bin. It zeroes the source bins.
+func convolveScalar(probs, next []float64, lo, hi, keep int, m []float64, w, width float64, bins int) {
+	for j := lo; j <= hi; j++ {
+		p := probs[j]
+		if p == 0 {
+			continue
+		}
+		probs[j] = 0 // leaves the buffer clean for the step after next
+		base := float64((float64(j) + 0.5) * width)
+		for _, v := range m {
+			idx := int((base + v) / width)
+			if idx > keep {
+				if keep != bins-1 {
+					continue // can no longer reach eps^2
+				}
+				idx = keep
+			}
+			next[idx] += float64(p * w)
+		}
+	}
 }
 
 // monteCarloProbability samples materialisation pairs uniformly and returns
@@ -608,49 +724,4 @@ func monteCarloProbability(x, y uncertain.SampleSeries, eps, cutoff float64, opt
 		}
 	}
 	return float64(hits) / float64(total), true, nil
-}
-
-// Matcher answers probabilistic range queries PRQ(Q, C, eps, tau) over
-// sample-model uncertain series (Equation 2 of the paper).
-type Matcher struct {
-	// Eps is the distance threshold.
-	Eps float64
-	// Tau is the probability threshold.
-	Tau float64
-	// Opts configures probability estimation.
-	Opts Options
-}
-
-// Matches reports whether Pr(distance(q, c) <= Eps) >= Tau, applying the
-// bounding-interval pruning before any counting.
-func (m Matcher) Matches(q, c uncertain.SampleSeries) (bool, error) {
-	switch dec, err := Prune(q, c, m.Eps); {
-	case err != nil:
-		return false, err
-	case dec == PruneAccept:
-		return true, nil
-	case dec == PruneReject:
-		return false, nil
-	}
-	p, err := Probability(q, c, m.Eps, m.Opts)
-	if err != nil {
-		return false, err
-	}
-	return p >= m.Tau, nil
-}
-
-// RangeQuery returns the IDs of all series in the collection that match the
-// probabilistic range predicate against q.
-func (m Matcher) RangeQuery(q uncertain.SampleSeries, collection []uncertain.SampleSeries) ([]int, error) {
-	var out []int
-	for _, c := range collection {
-		ok, err := m.Matches(q, c)
-		if err != nil {
-			return nil, fmt.Errorf("munich: candidate %d: %w", c.ID, err)
-		}
-		if ok {
-			out = append(out, c.ID)
-		}
-	}
-	return out, nil
 }

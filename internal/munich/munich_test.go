@@ -207,6 +207,14 @@ func TestProbabilityValidation(t *testing.T) {
 	if _, err := Probability(empty, empty, 1, Options{}); err == nil {
 		t.Error("empty series should error")
 	}
+	// A timestamp without observations is invalid wherever it surfaces.
+	bad := uncertain.SampleSeries{Samples: [][]float64{{}}, ID: 7}
+	if _, err := Probability(x, bad, 1, Options{}); err == nil {
+		t.Error("a candidate with an empty timestamp should error")
+	}
+	if _, err := BoundingIntervals(x).Prune(bad, 1); err == nil {
+		t.Error("pruning against a candidate with an empty timestamp should error")
+	}
 	p, err := Probability(x, x, -1, Options{})
 	if err != nil || p != 0 {
 		t.Errorf("negative eps: p=%v err=%v, want 0, nil", p, err)
@@ -234,7 +242,7 @@ func TestDTWRequiresMonteCarlo(t *testing.T) {
 func TestBounds(t *testing.T) {
 	x := tinySeries(0, []float64{0, 1}) // interval [0, 1]
 	y := tinySeries(1, []float64{3, 4}) // interval [3, 4]
-	lo, hi, err := Bounds(x, y)
+	lo, hi, err := BoundingIntervals(x).Bounds(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +254,11 @@ func TestBounds(t *testing.T) {
 	}
 	// Overlapping intervals give a zero lower bound.
 	z := tinySeries(2, []float64{0.5, 2})
-	lo, _, err = Bounds(x, z)
+	lo, _, err = BoundingIntervals(x).Bounds(z)
 	if err != nil || lo != 0 {
 		t.Errorf("overlapping intervals: lo=%v err=%v, want 0", lo, err)
 	}
-	if _, _, err := Bounds(x, tinySeries(3, []float64{1}, []float64{2})); err == nil {
+	if _, _, err := BoundingIntervals(x).Bounds(tinySeries(3, []float64{1}, []float64{2})); err == nil {
 		t.Error("length mismatch should error")
 	}
 }
@@ -269,7 +277,7 @@ func TestBoundsContainAllDistances(t *testing.T) {
 		return uncertain.SampleSeries{Samples: samples, ID: id}
 	}
 	x, y := mk(0), mk(1)
-	lo, hi, err := Bounds(x, y)
+	lo, hi, err := BoundingIntervals(x).Bounds(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,52 +295,17 @@ func TestBoundsContainAllDistances(t *testing.T) {
 func TestPrune(t *testing.T) {
 	x := tinySeries(0, []float64{0, 1})
 	y := tinySeries(1, []float64{3, 4})
-	dec, err := Prune(x, y, 10)
+	dec, err := BoundingIntervals(x).Prune(y, 10)
 	if err != nil || dec != PruneAccept {
 		t.Errorf("generous eps: dec=%v err=%v, want accept", dec, err)
 	}
-	dec, err = Prune(x, y, 1)
+	dec, err = BoundingIntervals(x).Prune(y, 1)
 	if err != nil || dec != PruneReject {
 		t.Errorf("tiny eps: dec=%v err=%v, want reject", dec, err)
 	}
-	dec, err = Prune(x, y, 3)
+	dec, err = BoundingIntervals(x).Prune(y, 3)
 	if err != nil || dec != PruneUnknown {
 		t.Errorf("straddling eps: dec=%v err=%v, want unknown", dec, err)
-	}
-}
-
-func TestMatcherRangeQuery(t *testing.T) {
-	rng := stats.NewRand(13)
-	noisy := func(id int, base float64) uncertain.SampleSeries {
-		samples := make([][]float64, 5)
-		for i := range samples {
-			row := make([]float64, 3)
-			for j := range row {
-				row[j] = base + rng.NormFloat64()*0.05
-			}
-			samples[i] = row
-		}
-		return uncertain.SampleSeries{Samples: samples, ID: id}
-	}
-	q := noisy(0, 0)
-	near := noisy(1, 0.1)
-	far := noisy(2, 5)
-	m := Matcher{Eps: 1, Tau: 0.5, Opts: Options{Estimator: EstimatorExact}}
-	got, err := m.RangeQuery(q, []uncertain.SampleSeries{near, far})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("range query = %v, want [1]", got)
-	}
-}
-
-func TestMatcherPropagatesErrors(t *testing.T) {
-	q := tinySeries(0, []float64{1})
-	bad := uncertain.SampleSeries{Samples: [][]float64{{}}, ID: 7}
-	m := Matcher{Eps: 1, Tau: 0.5}
-	if _, err := m.RangeQuery(q, []uncertain.SampleSeries{bad}); err == nil {
-		t.Error("invalid candidate should surface an error")
 	}
 }
 

@@ -37,6 +37,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -830,9 +831,19 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.opts.Store.Status())
 }
 
+// writeJSON answers with v, encoded before the status line goes out: a value
+// with no JSON form (a non-finite number, e.g. an overflowed distance) is a
+// 500 with a typed error body, never a 200 with no bytes.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Header().Set("Content-Type", "application/json")
+	if err := enc.Encode(v); err != nil {
+		queryErrors.With("encode").Inc()
+		w.WriteHeader(http.StatusInternalServerError)
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"kind": "encode", "error": "encoding response: " + err.Error()})
+	}
+	_, _ = w.Write(buf.Bytes()) // the client hanging up is not the server's error
 }

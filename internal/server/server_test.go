@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -441,5 +443,58 @@ func TestHealthzAndCheckpointWithStore(t *testing.T) {
 	resp2.Body.Close()
 	if h2.Status != "degraded" {
 		t.Fatalf("healthz after store close = %q, want degraded", h2.Status)
+	}
+}
+
+// TestUnrepresentableAnswersAreTypedErrors drives the two requests that used
+// to escape the error taxonomy: samples whose squared differences overflow
+// (MUNICH's convolution has no bin width left — it panicked, dropping the
+// connection) and values whose Euclidean distance overflows to +Inf (JSON
+// cannot carry it — the answer was 200 OK with no bytes). Both are typed
+// errors now, and the server answers the request after each.
+func TestUnrepresentableAnswersAreTypedErrors(t *testing.T) {
+	const length = 16
+	srv := New(corpus.New(corpus.Config{}), Options{})
+	ins := SeriesRequest{}
+	for i := 0; i < 3; i++ {
+		s := SeriesJSON{Values: make([]float64, length), Samples: make([][]float64, length)}
+		for j := range s.Values {
+			s.Values[j] = 1e160 * float64(i-1)
+			s.Samples[j] = []float64{-1e154, 0, 1e154}
+		}
+		ins.Insert = append(ins.Insert, s)
+	}
+	if _, err := srv.Mutate(ins); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(req QueryRequest) (int, string) {
+		t.Helper()
+		buf, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("%s %s: %v (the server dropped the connection)", req.Measure, req.Type, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	id := 0
+	status, body := post(QueryRequest{Measure: "munich", Type: "probrange", Eps: 1e154, Tau: 0.1, ID: &id})
+	if status != http.StatusBadRequest || !strings.Contains(body, "bad request: munich:") {
+		t.Errorf("overflowing MUNICH domain: status %d, body %q; want 400 naming the histogram", status, body)
+	}
+	encodeErrors := queryErrors.With("encode").Value()
+	status, body = post(QueryRequest{Measure: "euclidean", Type: "topk", K: 1, ID: &id})
+	var typed struct{ Kind, Error string }
+	if err := json.Unmarshal([]byte(body), &typed); status != http.StatusInternalServerError || err != nil || typed.Kind != "encode" || typed.Error == "" {
+		t.Errorf("+Inf distance: status %d, body %q (%v); want 500 with a JSON error of kind encode", status, body, err)
+	}
+	if got := queryErrors.With("encode").Value() - encodeErrors; got != 1 {
+		t.Errorf("uncertts_server_query_errors_total{error=\"encode\"} moved by %d, want 1", got)
+	}
+	if status, body = post(QueryRequest{Measure: "euclidean", Type: "range", Eps: 1, ID: &id}); status != http.StatusOK || !strings.Contains(body, `"epoch"`) {
+		t.Errorf("the request after the failures: status %d, body %q", status, body)
 	}
 }
