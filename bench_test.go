@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"uncertts/internal/core"
+	"uncertts/internal/distance"
 	"uncertts/internal/dust"
 	"uncertts/internal/engine"
 	"uncertts/internal/experiments"
@@ -182,6 +183,38 @@ func BenchmarkMUNICHProbabilityConvolution(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := munich.ProbabilityCutoff(x, y, eps, cutoff, munich.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDTWBandServedShape is the DTW refine uncertserve runs: 128 points
+// under band 12 (the corpus default, length/10) with a warm scratch, on
+// smooth series like the served corpus' rather than white noise. The +Inf
+// arm completes; the other cuts at half the path cost and abandons part-way,
+// as most candidates of a top-k scan do.
+func BenchmarkDTWBandServedShape(b *testing.B) {
+	rng := stats.NewRand(5)
+	smooth := func(phase float64) []float64 {
+		s := make([]float64, 128)
+		for i := range s {
+			s[i] = math.Sin(0.1*float64(i)+phase) + 0.1*rng.NormFloat64()
+		}
+		return s
+	}
+	x, y := smooth(0), smooth(0.5)
+	var scratch distance.DTWScratch
+	full, _, err := distance.DTWBandEarlyAbandonScratch(x, y, 12, math.Inf(1), nil, &scratch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cutoff := range []float64{math.Inf(1), full * full / 2} {
+		b.Run(fmt.Sprintf("cutoff=%.3g", cutoff), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := distance.DTWBandEarlyAbandonScratch(x, y, 12, cutoff, nil, &scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

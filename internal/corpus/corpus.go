@@ -688,6 +688,9 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 	if len(s.Values) != n {
 		return nil, fmt.Errorf("corpus: series has length %d, want %d (corpora require aligned series)", len(s.Values), n)
 	}
+	if err := uncertain.CheckFinite(s.Values, s.Samples); err != nil {
+		return nil, fmt.Errorf("corpus: %w", err)
+	}
 	row := ar.rows()
 	obs := ar.values.Append(s.Values)
 

@@ -1,7 +1,9 @@
 // Package distance implements the distance functions underlying the
 // similarity techniques: Lp norms, Euclidean distance (the basis of MUNICH
 // and PROUD), and Dynamic Time Warping (which MUNICH and DUST can also be
-// combined with, Section 3.2 of the paper).
+// combined with, Section 3.2 of the paper). All DTW runs one banded DP,
+// DTWBandEarlyAbandonScratch: it writes only each row's band, carries its
+// neighbours in registers and takes a branch-free, exact builtin min.
 package distance
 
 import (
@@ -85,50 +87,13 @@ func DTW(x, y []float64) (float64, error) {
 
 // DTWBand returns the DTW distance constrained to a Sakoe-Chiba band of the
 // given half-width (band < 0 means unconstrained). The band must be at least
-// |len(x)-len(y)| for a path to exist.
+// |len(x)-len(y)| for a path to exist. It is the pruning kernel
+// (DTWBandEarlyAbandonScratch, a rolling two-row DP over the (n+1) x (m+1)
+// cost matrix) at a cutoff that never abandons, and shares its contract:
+// x and y must be finite.
 func DTWBand(x, y []float64, band int) (float64, error) {
-	n, m := len(x), len(y)
-	if n == 0 || m == 0 {
-		return 0, errors.New("distance: DTW over empty series")
-	}
-	if band >= 0 && abs(n-m) > band {
-		return 0, fmt.Errorf("distance: DTW band %d narrower than length difference %d", band, abs(n-m))
-	}
-	// Rolling two-row DP over the (n+1) x (m+1) cost matrix.
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		for j := range curr {
-			curr[j] = math.Inf(1)
-		}
-		lo, hi := 1, m
-		if band >= 0 {
-			if l := i - band; l > lo {
-				lo = l
-			}
-			if h := i + band; h < hi {
-				hi = h
-			}
-		}
-		for j := lo; j <= hi; j++ {
-			d := x[i-1] - y[j-1]
-			cost := d * d
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
-			}
-			if curr[j-1] < best {
-				best = curr[j-1] // deletion
-			}
-			curr[j] = cost + best
-		}
-		prev, curr = curr, prev
-	}
-	return math.Sqrt(prev[m]), nil
+	d, _, err := DTWBandEarlyAbandonScratch(x, y, band, math.Inf(1), nil, nil)
+	return d, err
 }
 
 func abs(x int) int {

@@ -170,7 +170,8 @@ func LBKeoghSquared(q, upper, lower []float64, cutoff float64) (float64, error) 
 // come in under it and the scan abandons. It returns the distance (the
 // square root of the path cost, identical to DTWBand when complete) and
 // whether the computation completed. Completion implies dist^2 <= cutoff
-// up to the final-cell check; cutoff = +Inf never abandons.
+// up to the final-cell check; cutoff = +Inf never abandons (DTWBand is
+// exactly that call).
 func DTWBandEarlyAbandon(x, y []float64, band int, cutoff float64) (float64, bool, error) {
 	return DTWBandEarlyAbandonCancel(x, y, band, cutoff, nil)
 }
@@ -210,6 +211,12 @@ func (s *DTWScratch) rows(m int) (prev, curr []float64) {
 // DP scratch. A nil scratch allocates fresh rows, computing exactly
 // DTWBandEarlyAbandonCancel; the arithmetic is identical either way, so the
 // results are bit-for-bit the same.
+//
+// x and y must be finite (the corpus refuses anything else at insert, the
+// engine at prepare): the DP then only ever holds finite squares, their sums
+// and +Inf — never NaN, never -0 — and over such operands the builtin min
+// picks exactly the value a compare-and-branch chain would, without a
+// data-dependent branch.
 func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *DTWScratch) (float64, bool, error) {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {
@@ -225,8 +232,9 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 		prev = make([]float64, m+1)
 		curr = make([]float64, m+1)
 	}
+	inf := math.Inf(1)
 	for j := range prev {
-		prev[j] = math.Inf(1)
+		prev[j] = inf
 	}
 	prev[0] = 0
 	for i := 1; i <= n; i++ {
@@ -237,9 +245,6 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 			default:
 			}
 		}
-		for j := range curr {
-			curr[j] = math.Inf(1)
-		}
 		lo, hi := 1, m
 		if band >= 0 {
 			if l := i - band; l > lo {
@@ -249,21 +254,24 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 				hi = h
 			}
 		}
-		rowMin := math.Inf(1)
+		// Only the band is computed and only the band plus one cell either
+		// side is written: the next row's band starts no further left and
+		// ends at most one cell further right, so [lo-1, hi+1] is all it
+		// reads. The two edge cells hold stale values (row i-2's, row 0's
+		// origin, or an earlier call's) and must read as unreachable.
+		curr[lo-1] = inf
+		if hi < m {
+			curr[hi+1] = inf
+		}
+		xi := x[i-1]
+		rowMin, left, diag := inf, inf, prev[lo-1]
 		for j := lo; j <= hi; j++ {
-			d := x[i-1] - y[j-1]
-			cost := d * d
-			best := prev[j]
-			if prev[j-1] < best {
-				best = prev[j-1]
-			}
-			if curr[j-1] < best {
-				best = curr[j-1]
-			}
-			curr[j] = cost + best
-			if curr[j] < rowMin {
-				rowMin = curr[j]
-			}
+			d := xi - y[j-1]
+			up := prev[j]
+			left = d*d + min(up, diag, left)
+			curr[j] = left
+			rowMin = min(rowMin, left)
+			diag = up
 		}
 		// Path costs are non-decreasing along any warping path, so once the
 		// cheapest cell of a row exceeds the cutoff the final cost must too.

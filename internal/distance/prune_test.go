@@ -2,6 +2,7 @@ package distance
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,6 +149,151 @@ func TestDTWBandEarlyAbandonErrors(t *testing.T) {
 	if _, _, err := DTWBandEarlyAbandon([]float64{1, 2, 3}, []float64{1}, 1, 1); err == nil {
 		t.Fatal("want band-too-narrow error")
 	}
+}
+
+// dtwBandRef is DTWBandEarlyAbandonScratch as it stood before PR 25, frozen
+// verbatim: every row reset to +Inf whole, neighbours reloaded from the rows,
+// the minimum taken by compare-and-branch. TestDTWKernelMatchesReference
+// holds the kernel to it bit for bit; do not edit it.
+func dtwBandRef(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *DTWScratch) (float64, bool, error) {
+	n, m := len(x), len(y)
+	if n == 0 || m == 0 {
+		return 0, false, fmt.Errorf("distance: DTW over empty series")
+	}
+	if band >= 0 && abs(n-m) > band {
+		return 0, false, fmt.Errorf("distance: DTW band %d narrower than length difference %d", band, abs(n-m))
+	}
+	var prev, curr []float64
+	if scratch != nil {
+		prev, curr = scratch.rows(m)
+	} else {
+		prev = make([]float64, m+1)
+		curr = make([]float64, m+1)
+	}
+	for j := range prev {
+		prev[j] = math.Inf(1)
+	}
+	prev[0] = 0
+	for i := 1; i <= n; i++ {
+		if done != nil && i%dtwCancelStride == 0 {
+			select {
+			case <-done:
+				return 0, false, qerr.Cancelled(nil)
+			default:
+			}
+		}
+		for j := range curr {
+			curr[j] = math.Inf(1)
+		}
+		lo, hi := 1, m
+		if band >= 0 {
+			if l := i - band; l > lo {
+				lo = l
+			}
+			if h := i + band; h < hi {
+				hi = h
+			}
+		}
+		rowMin := math.Inf(1)
+		for j := lo; j <= hi; j++ {
+			d := x[i-1] - y[j-1]
+			cost := d * d
+			best := prev[j]
+			if prev[j-1] < best {
+				best = prev[j-1]
+			}
+			if curr[j-1] < best {
+				best = curr[j-1]
+			}
+			curr[j] = cost + best
+			if curr[j] < rowMin {
+				rowMin = curr[j]
+			}
+		}
+		// Path costs are non-decreasing along any warping path, so once the
+		// cheapest cell of a row exceeds the cutoff the final cost must too.
+		if rowMin > cutoff {
+			return math.Sqrt(rowMin), false, nil
+		}
+		prev, curr = curr, prev
+	}
+	if prev[m] > cutoff {
+		return math.Sqrt(prev[m]), false, nil
+	}
+	return math.Sqrt(prev[m]), true, nil
+}
+
+// TestDTWKernelMatchesReference runs the kernel and the frozen loop over
+// seeded pairs of two-decimal series (ties everywhere), with and without
+// rows of +-1e200 whose squared differences overflow to +Inf, under every
+// band shape (narrower than the length difference, 0, narrow, wide,
+// unconstrained) and cutoffs on both sides of the path cost and exactly on
+// it. Value bits, completion and error must agree, and DTWBand (the kernel at
+// +Inf, on fresh rows) must return the reference's completed value. The
+// kernel's scratch carries over between calls of any length, as a scan
+// worker's does.
+func TestDTWKernelMatchesReference(t *testing.T) {
+	pairs := 100000
+	if testing.Short() {
+		pairs = 5000
+	}
+	rng := rand.New(rand.NewSource(25))
+	series := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64(rng.Intn(2001)-1000) / 100
+		}
+		if rng.Intn(8) == 0 {
+			// Whole overflowing rows as well as single cells.
+			v := math.Copysign(1e200, rng.Float64()-0.5)
+			for i := rng.Intn(n); i < n && rng.Intn(3) > 0; i++ {
+				s[i] = v
+			}
+		}
+		return s
+	}
+	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
+	var scratch, refScratch DTWScratch
+	var completed, abandoned, failed int
+	for p := 0; p < pairs; p++ {
+		n := 1 + rng.Intn(40)
+		m := n + rng.Intn(5) - 2
+		if m < 1 {
+			m = 1
+		}
+		x, y := series(n), series(m)
+		for _, band := range []int{-1, 0, 1, 2, 3, 12, n + rng.Intn(3)} {
+			full, _, fullErr := dtwBandRef(x, y, band, math.Inf(1), nil, &refScratch)
+			got, gotErr := DTWBand(x, y, band)
+			if math.Float64bits(got) != math.Float64bits(full) || !sameErr(gotErr, fullErr) {
+				t.Fatalf("x=%v y=%v band=%d: DTWBand (%v, %v), reference (%v, %v)", x, y, band, got, gotErr, full, fullErr)
+			}
+			d2 := full * full
+			for _, cutoff := range []float64{math.Inf(1), d2, math.Nextafter(d2, 0), rng.Float64() * d2, 1.5 * d2} {
+				want, wantDone, wantErr := full, fullErr == nil, fullErr
+				if !math.IsInf(cutoff, 1) {
+					want, wantDone, wantErr = dtwBandRef(x, y, band, cutoff, nil, &refScratch)
+				}
+				got, gotDone, gotErr := DTWBandEarlyAbandonScratch(x, y, band, cutoff, nil, &scratch)
+				if math.Float64bits(got) != math.Float64bits(want) || gotDone != wantDone || !sameErr(gotErr, wantErr) {
+					t.Fatalf("x=%v y=%v band=%d cutoff=%v: kernel (%v, %v, %v), reference (%v, %v, %v)",
+						x, y, band, cutoff, got, gotDone, gotErr, want, wantDone, wantErr)
+				}
+				switch {
+				case wantErr != nil:
+					failed++
+				case wantDone:
+					completed++
+				default:
+					abandoned++
+				}
+			}
+		}
+	}
+	if completed == 0 || abandoned == 0 || failed == 0 {
+		t.Fatalf("the table must complete, abandon and fail: %d / %d / %d", completed, abandoned, failed)
+	}
+	t.Logf("%d pairs: %d completed, %d abandoned, %d errors, all bit-identical", pairs, completed, abandoned, failed)
 }
 
 func TestDTWBandEarlyAbandonCancel(t *testing.T) {

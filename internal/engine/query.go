@@ -129,6 +129,9 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 	if q.Sigma < 0 || math.IsNaN(q.Sigma) {
 		return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("query sigma %v must be non-negative", q.Sigma))
 	}
+	if err := uncertain.CheckFinite(q.Values, q.Samples); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasureDTW:

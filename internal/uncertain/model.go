@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
 )
@@ -51,6 +52,26 @@ func (p PDFSeries) Validate() error {
 	for i, e := range p.Errors {
 		if e == nil {
 			return fmt.Errorf("uncertain: PDFSeries %d: nil error distribution at timestamp %d", p.ID, i)
+		}
+	}
+	return nil
+}
+
+// CheckFinite rejects a NaN or infinite observation or sample with an error
+// wrapping qerr.ErrBadRequest. No measure gives one a meaning — a NaN
+// distance sorts nowhere, infinite ones cannot be ranked — and the DTW
+// kernel's branch-free minimum relies on never meeting one.
+func CheckFinite(values []float64, samples [][]float64) error {
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return qerr.BadRequestf("value %v at timestamp %d is not finite", v, i)
+		}
+	}
+	for i, obs := range samples {
+		for _, v := range obs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return qerr.BadRequestf("sample %v at timestamp %d is not finite", v, i)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package uncertts
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -220,6 +221,72 @@ func TestPublicSeriesHelpers(t *testing.T) {
 	spec := MixedSigmaSpec{Fraction: 0.2, SigmaHigh: 1, SigmaLow: 0.4, Families: []ErrorFamily{Normal}}
 	if _, err := NewMixedPerturber(spec, 40, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonFiniteInputIsRejected pins the two reproductions of PR 25's bug:
+// a 40-series corpus holding one series with a NaN value answered a
+// Euclidean top-5 from that series with 4 neighbours, all at distance NaN,
+// and a DTW top-5 with five +Inf distances. Both the insert and an ad-hoc
+// query carrying a non-finite value or sample are now typed bad requests.
+// Only the Go API can pose them: JSON has no NaN or Inf, so /series and
+// /query never see one.
+func TestNonFiniteInputIsRejected(t *testing.T) {
+	series := func(s int) CorpusSeries {
+		v := make([]float64, 32)
+		samples := make([][]float64, 32)
+		for i := range v {
+			v[i] = math.Sin(0.3*float64(i)+float64(s)) + 0.05*float64(s)
+			samples[i] = []float64{v[i] - 0.1, v[i], v[i] + 0.1}
+		}
+		return CorpusSeries{Values: v, Samples: samples}
+	}
+	batch := make([]CorpusSeries, 40)
+	for s := range batch {
+		batch[s] = series(s)
+	}
+	c := NewCorpus(CorpusConfig{})
+	for _, bad := range []struct {
+		name string
+		set  func(CorpusSeries)
+	}{
+		{"NaN value", func(s CorpusSeries) { s.Values[5] = math.NaN() }},
+		{"+Inf value", func(s CorpusSeries) { s.Values[0] = math.Inf(1) }},
+		{"-Inf sample", func(s CorpusSeries) { s.Samples[31][2] = math.Inf(-1) }},
+	} {
+		poisoned := append([]CorpusSeries(nil), batch...)
+		poisoned[7] = series(7)
+		bad.set(poisoned[7])
+		if _, err := c.InsertBatch(poisoned); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("insert with a %s: err = %v, want ErrBadRequest", bad.name, err)
+		}
+		if c.Len() != 0 {
+			t.Fatalf("a refused insert left %d series behind", c.Len())
+		}
+	}
+	if _, err := c.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := series(7).Values, series(7).Samples
+	nan[5] = math.NaN()
+	inf[3][1] = math.Inf(1)
+	for _, tc := range []struct {
+		measure QueryMeasure
+		kind    QueryKind
+		q       AdHocQuery
+	}{
+		{MeasureEuclidean, QueryTopK, AdHocQuery{Values: nan}},
+		{MeasureDTW, QueryTopK, AdHocQuery{Values: nan}},
+		{MeasureMUNICH, QueryProbRange, AdHocQuery{Samples: inf}},
+	} {
+		e, err := NewQueryEngineFromSnapshot(c.Snapshot(), QueryEngineOptions{Measure: tc.measure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(context.Background(), QueryRequest{Measure: tc.measure, Kind: tc.kind, AdHoc: &tc.q, K: 5, Eps: 1, Tau: 0.5})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%v query with a non-finite input: err = %v (answer %+v), want ErrBadRequest", tc.measure, err, res)
+		}
 	}
 }
 
