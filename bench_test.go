@@ -24,7 +24,6 @@ import (
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
-	"uncertts/internal/wavelet"
 )
 
 // benchExperiment runs a figure runner once per iteration at small scale.
@@ -229,21 +228,6 @@ func BenchmarkUEMAFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := UEMA(q.Observations, sig, 2, 1, WeightModeNormalized); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHaarTransform(b *testing.B) {
-	xs := make([]float64, 512)
-	rng := stats.NewRand(1)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wavelet.Transform(xs); err != nil {
 			b.Fatal(err)
 		}
 	}

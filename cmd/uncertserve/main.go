@@ -83,6 +83,11 @@ import (
 	"uncertts/internal/uncertain"
 )
 
+// maxMunichBins caps -munich-bins: every MUNICH refine holds three float64
+// histograms of that many bins, so an unbounded count lets one query exhaust
+// the process's memory (a runtime fatal, not a recoverable panic).
+const maxMunichBins = 1 << 20
+
 type config struct {
 	addr       string
 	dataset    string
@@ -93,7 +98,7 @@ type config struct {
 	samples    int
 	defWorkers int
 	maxWorkers int
-	mcSamples  int
+	munichBins int
 	timeout    time.Duration
 	noIndex    bool
 
@@ -124,7 +129,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&cfg.samples, "samples", 5, "repeated observations per timestamp (0 disables the MUNICH measure)")
 	fs.IntVar(&cfg.defWorkers, "workers", 1, "default per-request worker budget")
 	fs.IntVar(&cfg.maxWorkers, "max-workers", 0, "per-request worker budget cap (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.mcSamples, "munich-bins", 0, "MUNICH convolution estimator bins (0 = default)")
+	fs.IntVar(&cfg.munichBins, "munich-bins", 0, fmt.Sprintf("MUNICH convolution estimator bins, at most %d (0 = default)", maxMunichBins))
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-query deadline for requests without timeout_ms, e.g. 2s (0 = none)")
 	fs.BoolVar(&cfg.noIndex, "no-index", false, "serve every query through the linear scan, ignoring the sketch index")
 	fs.StringVar(&cfg.dataDir, "data", "", "durable store directory (empty = in-memory corpus, restart loses everything)")
@@ -151,6 +156,9 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.samples < 0 {
 		return cfg, fmt.Errorf("-samples = %d must be non-negative", cfg.samples)
+	}
+	if cfg.munichBins < 0 || cfg.munichBins > maxMunichBins {
+		return cfg, fmt.Errorf("-munich-bins = %d outside [0, %d]", cfg.munichBins, maxMunichBins)
 	}
 	if cfg.dataset != "" && cfg.series < 1 {
 		return cfg, fmt.Errorf("-series = %d must be at least 1", cfg.series)
@@ -257,7 +265,7 @@ func buildServer(cfg config) (*server.Server, *store.Store, error) {
 		DefaultWorkers: cfg.defWorkers,
 		MaxWorkers:     cfg.maxWorkers,
 		DefaultTimeout: cfg.timeout,
-		MUNICH:         munich.Options{Bins: cfg.mcSamples},
+		MUNICH:         munich.Options{Bins: cfg.munichBins},
 		NoIndex:        cfg.noIndex,
 		Store:          st,
 	}), st, nil
@@ -297,7 +305,7 @@ func buildCluster(cfg config) (*cluster.Coordinator, []*store.Store, error) {
 		shards[i] = cluster.NewLocal(fmt.Sprintf("shard-%d", i), server.New(c, server.Options{
 			DefaultWorkers: cfg.defWorkers,
 			MaxWorkers:     cfg.maxWorkers,
-			MUNICH:         munich.Options{Bins: cfg.mcSamples},
+			MUNICH:         munich.Options{Bins: cfg.munichBins},
 			NoIndex:        cfg.noIndex,
 			Store:          st,
 		}))

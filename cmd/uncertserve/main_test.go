@@ -57,6 +57,36 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 }
 
+// TestMunichBinsBounded: -munich-bins sizes three histograms per MUNICH
+// refine, so a count past maxMunichBins is a usage error (main exits 2 before
+// listening) instead of a process killed by its first MUNICH query.
+func TestMunichBinsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want int // -1: a usage error
+	}{
+		{"0", 0},
+		{"1", 1},
+		{"4096", 4096},
+		{"1048576", 1 << 20},
+		{"1048577", -1},
+		{"1099511627776", -1},
+		{"-1", -1},
+	} {
+		cfg, err := parseFlags([]string{"-munich-bins", tc.arg}, io.Discard)
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("-munich-bins %s: accepted as %d, want a usage error", tc.arg, cfg.munichBins)
+		case tc.want < 0 && !strings.Contains(err.Error(), "-munich-bins"):
+			t.Errorf("-munich-bins %s: error %q does not name the flag", tc.arg, err)
+		case tc.want >= 0 && err != nil:
+			t.Errorf("-munich-bins %s: %v", tc.arg, err)
+		case tc.want >= 0 && cfg.munichBins != tc.want:
+			t.Errorf("-munich-bins %s: parsed %d, want %d", tc.arg, cfg.munichBins, tc.want)
+		}
+	}
+}
+
 // TestEndToEnd builds the server on a tiny dataset and runs one query of
 // each family through the HTTP handler.
 func TestEndToEnd(t *testing.T) {

@@ -107,31 +107,38 @@ func TestTiesAcrossKthPlaceComeBackInIDOrder(t *testing.T) {
 // entry, and a bound seeded by the coordinator is reported back unchanged
 // until the shard improves on it.
 func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
-	const nSeries, length, k = 48, 256, 3
-	// Unconstrained DTW and a fine-grained MUNICH estimator make one query
-	// last tens of bound-poll intervals, so records do get interleaved.
-	srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
-		server.Options{MUNICH: munich.Options{Bins: 16384}})
-	ins := server.SeriesRequest{}
-	for i := 0; i < nSeries; i++ {
-		ins.Insert = append(ins.Insert, testSeries(length, int64(i)))
+	const nSeries, k = 48, 3
+	// Unconstrained DTW over long series and a fine-grained MUNICH estimator
+	// make one query last tens of bound-poll intervals, so records do get
+	// interleaved. DTW's banded kernel is fast enough that at 256 points its
+	// query could end before the first tick; it gets series three times as
+	// long, and a shard of its own so MUNICH's refines do not grow with them.
+	shard := func(length int) (url string, q server.SeriesJSON) {
+		srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
+			server.Options{MUNICH: munich.Options{Bins: 16384}})
+		ins := server.SeriesRequest{}
+		for i := 0; i < nSeries; i++ {
+			ins.Insert = append(ins.Insert, testSeries(length, int64(i)))
+		}
+		if _, err := srv.Mutate(ins); err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		return hs.URL, testSeries(length, 99)
 	}
-	if _, err := srv.Mutate(ins); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	q := testSeries(length, 99)
+	dtwURL, dtwQ := shard(768)
+	url, q := shard(256)
 
-	// stream posts one cluster query and returns the bound records and the
-	// answer's keys, both in arrival order.
-	stream := func(req server.ClusterQueryRequest) (bounds []server.ClusterBoundJSON, keys []float64) {
+	// stream posts one cluster query to the shard at url and returns the
+	// bound records and the answer's keys, both in arrival order.
+	stream := func(url string, req server.ClusterQueryRequest) (bounds []server.ClusterBoundJSON, keys []float64) {
 		t.Helper()
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(hs.URL+"/cluster/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/cluster/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +179,7 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	}
 
 	t.Run("topk", func(t *testing.T) {
-		bounds, keys := stream(server.ClusterQueryRequest{QueryRequest: server.QueryRequest{Measure: "dtw", Type: "topk", K: k, Series: &q}})
+		bounds, keys := stream(dtwURL, server.ClusterQueryRequest{QueryRequest: server.QueryRequest{Measure: "dtw", Type: "topk", K: k, Series: &dtwQ}})
 		if len(keys) != k || len(bounds) == 0 {
 			t.Fatalf("%d answers, %d bound records; want %d and at least one", len(keys), len(bounds), k)
 		}
@@ -199,7 +206,7 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	// records to the contract: prob_bound only, strictly rising, from the
 	// seed at the lowest to the final k-th probability at the highest.
 	probtopk := func(t *testing.T, seed float64) (bounds []server.ClusterBoundJSON, keys []float64) {
-		bounds, keys = stream(server.ClusterQueryRequest{
+		bounds, keys = stream(url, server.ClusterQueryRequest{
 			QueryRequest: server.QueryRequest{Measure: "munich", Type: "probtopk", Eps: 6, K: k, Series: &q},
 			ProbBound:    &seed,
 		})

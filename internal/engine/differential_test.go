@@ -91,9 +91,10 @@ func checkStatsIdentity(e *Engine, resident bool) error {
 
 // munichTiers walks MUNICH's bound hierarchy for one probabilistic range
 // request the unhoisted way — the query's bounding intervals read off its
-// samples again for every candidate — and counts the tier each candidate
-// resolves in. The engine, which computes them once per request, must count
-// the same: tau is a fixed cutoff, so no count depends on scan order.
+// samples again for every candidate, the moment bracket taken against tau on
+// both sides — and counts the tier each candidate resolves in. The engine,
+// which computes the intervals once per request, must count the same: tau
+// is a fixed cutoff, so no count depends on scan order.
 func munichTiers(t *testing.T, e *Engine, req Request) (s Stats) {
 	t.Helper()
 	var pq *prepared
@@ -124,6 +125,10 @@ func munichTiers(t *testing.T, e *Engine, req Request) (s Stats) {
 		}
 		if e.opts.MUNICH.ExactFeasible(pq.sample, *ent.Samples) {
 			t.Fatal("the table's MUNICH refine is meant to be the convolution")
+		}
+		if lo, hi := e.opts.MUNICH.MomentBracket(pq.sample, *ent.Samples, req.Eps); hi < req.Tau-probBoundMargin || lo >= req.Tau+probBoundMargin {
+			s.ResolvedByBounds++
+			continue
 		}
 		if _, complete, err := munich.ProbabilityCutoff(pq.sample, *ent.Samples, req.Eps, req.Tau, e.opts.MUNICH); err != nil {
 			t.Fatal(err)

@@ -24,15 +24,21 @@ import (
 //   - MUNICH walks a bound hierarchy — segment-envelope lower bound (built
 //     from the per-series envelopes the corpus maintains), the exact
 //     bounding-interval prune (the query's intervals computed once per
-//     request, prepared.iv), then a per-timestamp sample-pair probability
-//     bound when the refine step is exact — and survivors pay for a refine
-//     that itself abandons early in the estimator's own arithmetic
+//     request, prepared.iv), a per-timestamp sample-pair probability bound
+//     when the refine step is exact, then the moment bracket
+//     (munich.Options.MomentBracket), which rejects below the cut and, for
+//     probrange, accepts at or above tau. The bracket is a Cantelli bound on
+//     the total squared distance, widened by (n/2 + 1) bins. Each convolution
+//     step rounds a materialisation's bin by at most half a bin, so the
+//     bracket holds against the binned estimate the refine would return, not
+//     only against the exact probability. Survivors pay for a refine that
+//     itself abandons early in the estimator's own arithmetic
 //     (munich.ProbabilityCutoff; its convolution runs each timestamp as
 //     shifted adds in the scalar definition's addend order, falling back to
 //     that definition within munich's convShiftSlack of a bin edge, so the
 //     estimate does not depend on which form ran). Every shortcut either mirrors
 //     a prune the definitional scan also applies, fixes the probability at
-//     exactly 0 or 1, or is proven in the estimator's arithmetic, so
+//     exactly 0 or 1, or is proven against what the refine step returns, so
 //     answers are bit-identical to the naive scan for every estimator
 //     configuration.
 //   - PROUD first pushes tier 0's bracket of the squared gap (tier0.go)
@@ -159,11 +165,12 @@ func (e *Engine) proudProb(pq *prepared, ci int, eps, cut float64, done <-chan s
 }
 
 // munichAccept decides the MUNICH range predicate for one pair. It is
-// munichProb with tau as the exclusion cutoff: an excluded candidate has a
-// probability provably below tau, so it rejects; a resolved one compares
-// exactly as the naive scan does.
+// munichProb with tau as the exclusion cutoff and as the acceptance
+// threshold: an excluded candidate has a probability provably below tau, so
+// it rejects; one the moment bracket places at or above tau accepts; a
+// resolved one compares exactly as the naive scan does.
 func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-chan struct{}) (bool, error) {
-	p, ok, err := e.munichProb(pq, ci, eps, tau, done)
+	p, ok, err := e.munichProb(pq, ci, eps, tau, tau, done)
 	return ok && p >= tau, err
 }
 
@@ -171,14 +178,18 @@ func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-cha
 // hierarchy: segment envelope, exact bounding intervals (both resolve the
 // probability to exactly 0 or 1), the sample-pair probability bound in the
 // exact-refine regime (it bounds the exact probability, so it may only
-// shortcut a refine step that would count exactly), then the refine itself
-// with the estimator-native early rejection of munich.ProbabilityCutoff.
-// ok = false means the candidate's probability is provably below cut
-// without having been computed. The bounding-interval prune runs in every
-// arm because the naive scan itself applies it; the other devices are
-// the engine's additions. done (nil = never) threads cooperative
-// cancellation into the refine estimators.
-func (e *Engine) munichProb(pq *prepared, ci int, eps, cut float64, done <-chan struct{}) (float64, bool, error) {
+// shortcut a refine step that would count exactly), the moment bracket
+// (munich.Options.MomentBracket: a Cantelli bound on either side of the
+// estimate the refine would return, binned or exact), then the refine
+// itself with the estimator-native early rejection of
+// munich.ProbabilityCutoff. ok = false means the candidate's probability is
+// provably below cut without having been computed. A bracket at or above
+// accept (+Inf = never; probrange passes tau, whose answer is a set of IDs)
+// returns its lower end, which proves the predicate without the value. The
+// bounding-interval prune runs in every arm because the naive scan itself
+// applies it; the other devices are the engine's additions. done (nil =
+// never) threads cooperative cancellation into the refine estimators.
+func (e *Engine) munichProb(pq *prepared, ci int, eps, cut, accept float64, done <-chan struct{}) (float64, bool, error) {
 	ent := e.snap.Entry(ci)
 	if !e.opts.NoPrune && munich.EnvelopeLowerBound(pq.env, ent.Env, e.snap.Spans()) > eps {
 		// No materialisation is within eps: the probability is exactly 0.
@@ -208,6 +219,17 @@ func (e *Engine) munichProb(pq *prepared, ci int, eps, cut float64, done <-chan 
 			if up < cut-probBoundMargin {
 				e.count(boundResolved)
 				return 0, false, nil
+			}
+		}
+		if !math.IsInf(cut, -1) || !math.IsInf(accept, 1) {
+			lo, hi := e.opts.MUNICH.MomentBracket(x, y, eps)
+			switch {
+			case hi < cut-probBoundMargin:
+				e.count(boundResolved)
+				return 0, false, nil
+			case lo >= accept+probBoundMargin:
+				e.count(boundResolved)
+				return lo, true, nil
 			}
 		}
 		cutoff = cut

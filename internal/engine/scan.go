@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"uncertts/internal/core"
 	"uncertts/internal/distance"
@@ -296,7 +297,7 @@ func (r *run) probTopKStep(_ *distance.DTWScratch, s span) (_ []int, skipped int
 			}
 			p, ok, err = e.proudProb(pq, ci, eps, floor, r.done)
 		} else {
-			p, ok, err = e.munichProb(pq, ci, eps, floor, r.done)
+			p, ok, err = e.munichProb(pq, ci, eps, floor, math.Inf(1), r.done)
 		}
 		if err != nil {
 			return nil, skipped, candErr(ci, err)

@@ -294,6 +294,99 @@ func TestConvolutionMatchesReference(t *testing.T) {
 	}
 }
 
+// bracketSlack is the mass rounding MomentBracket leaves to its caller: the
+// engine's probBoundMargin, against which it decides.
+const bracketSlack = 1e-9
+
+// TestMomentBracketBoundsTheEstimate holds MomentBracket to what it claims,
+// pair by pair: lo <= p <= hi for the uncut estimate p of the convolution
+// over every convCases row (bins 16/256/4096, eps below, across and above
+// the bounding-interval bracket, the clamping rows, the edge pairs), of the
+// exact estimator over short series, and of both over constant series, where
+// the variance is 0 and the bracket closes on the answer.
+func TestMomentBracketBoundsTheEstimate(t *testing.T) {
+	type row struct {
+		name string
+		x, y uncertain.SampleSeries
+		eps  float64
+		opts Options
+	}
+	var rows []row
+	for _, tc := range convCases(t, 3000) {
+		rows = append(rows, row{tc.name, tc.x, tc.y, tc.eps, Options{Estimator: EstimatorConvolution, Bins: tc.bins}})
+	}
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 300; trial++ {
+		x, y := convPair(rng, 1+rng.Intn(12), 3, []float64{0, 0.3, 1}[trial%3])
+		lo, hi, err := BoundingIntervals(x).Bounds(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := max(0, lo+(hi-lo)*(rng.Float64()*1.2-0.1))
+		bins := []int{16, 256, 4096}[trial%3]
+		rows = append(rows, row{fmt.Sprintf("exact trial %d (n=%d bins=%d eps=%g)", trial, x.Len(), bins, eps), x, y, eps, Options{Estimator: EstimatorExact, Bins: bins}})
+	}
+	// Every squared difference of a constant pair is 0.25, so S = n/4. At 33
+	// timestamps over 16 bins a step is 0.48 bins: each one rounds the bin
+	// back to where it was, and the whole of S/w drifts away from it — the
+	// worst case the n/2 of the margin is there for.
+	for _, shape := range []struct{ n, bins int }{{1, 4096}, {7, 4096}, {128, 4096}, {33, 16}} {
+		xs, ys := make([][]float64, shape.n), make([][]float64, shape.n)
+		for i := range xs {
+			c := math.Sin(0.3 * float64(i))
+			xs[i], ys[i] = []float64{c, c, c}, []float64{c + 0.5, c + 0.5}
+		}
+		x, y, s := tinySeries(0, xs...), tinySeries(1, ys...), float64(shape.n)/4
+		for _, f := range []float64{0.07, 0.5, 0.99, 1, 1.01, 2} {
+			for _, est := range []Estimator{EstimatorConvolution, EstimatorAuto} {
+				rows = append(rows, row{fmt.Sprintf("constant (n=%d bins=%d eps^2=%g*S %v)", shape.n, shape.bins, f, est), x, y, math.Sqrt(f * s), Options{Estimator: est, Bins: shape.bins}})
+			}
+		}
+	}
+	var decided, closed int
+	for _, r := range rows {
+		p, err := Probability(r.x, r.y, r.eps, r.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		lo, hi := r.opts.MomentBracket(r.x, r.y, r.eps)
+		if !(lo <= p+bracketSlack && p <= hi+bracketSlack) {
+			t.Errorf("%s: estimate %v outside the bracket [%v, %v]", r.name, p, lo, hi)
+		}
+		if lo > 0 || hi < 1 {
+			decided++
+		}
+		if hi-lo < 1e-6 {
+			closed++
+		}
+	}
+	t.Logf("%d pairs: the bracket is non-trivial on %d, closed on %d", len(rows), decided, closed)
+	if decided < len(rows)/4 || closed < 12 {
+		t.Fatalf("the table does not exercise the bracket: non-trivial on %d of %d pairs, closed on %d", decided, len(rows), closed)
+	}
+}
+
+// TestMomentBracketTrivialWhereItDoesNotApply: sampling estimators, an exact
+// count the cap refuses and a domain the convolution refuses get [0, 1], so
+// the refine decides, or reports its error.
+func TestMomentBracketTrivialWhereItDoesNotApply(t *testing.T) {
+	x, y := convPair(rand.New(rand.NewSource(7)), 64, 3, 0)
+	row := []float64{-1e154, 0, 1e154}
+	for name, tc := range map[string]struct {
+		x, y uncertain.SampleSeries
+		opts Options
+	}{
+		"monte carlo":      {x, y, Options{Estimator: EstimatorMonteCarlo}},
+		"dtw":              {x, y, Options{UseDTW: true}},
+		"exact over cap":   {x, y, Options{Estimator: EstimatorExact, MaxExactCombos: 8}},
+		"overflowing diff": {tinySeries(0, row), tinySeries(1, row), Options{}},
+	} {
+		if lo, hi := tc.opts.MomentBracket(tc.x, tc.y, 1e-3); lo != 0 || hi != 1 {
+			t.Errorf("%s: bracket [%v, %v], want [0, 1]", name, lo, hi)
+		}
+	}
+}
+
 // TestConvolutionConcurrent shares the scratch pool between 8 goroutines
 // (under -race in CI): every call must return what the serial run returned.
 func TestConvolutionConcurrent(t *testing.T) {

@@ -31,7 +31,11 @@
 // Upper/lower distance bounds from the per-timestamp minimal bounding
 // intervals provide the pruning step of the original paper: a candidate
 // whose upper bound is within eps is accepted without counting, one whose
-// lower bound exceeds eps is rejected without counting.
+// lower bound exceeds eps is rejected without counting. Between them and the
+// count sits Options.MomentBracket: the total squared distance is a sum of
+// independent per-timestamp terms, so its mean and variance (multiply-adds,
+// no exp) put a two-sided Cantelli bracket on the estimate the count would
+// return, widened by the convolution's own discretisation.
 package munich
 
 import (
@@ -503,6 +507,92 @@ func reachableBins(last []int, mins []float64, width, eps2 float64, bins int) {
 // binShifts' own fl(0.5 + fl(v/width)) by at most 2u*(v/width + 0.5) — 5u in
 // all, taken as 8u (7e-12 at 4096 bins).
 const convShiftSlack = 8 * 0x1p-53
+
+// MomentBracket returns lo <= p <= hi for p = Probability(x, y, eps, o),
+// without counting: a two-sided
+// Cantelli bound on S, the total squared distance of a random
+// materialisation. S is a sum of n independent terms X_t, each uniform over
+// the squared sample differences at t. Its mean mu and variance s2 take one
+// O(n*s^2) pass, with a two-pass variance per timestamp. Monte Carlo, DTW
+// and an exact count the cap refuses get the trivial [0, 1]. So does a
+// domain the convolution would refuse, which leaves that error to the refine.
+//
+// The bracket holds against the binned estimate, not only against the
+// law of S. Take one materialisation. Step t moves its bin from J to
+// floor(J + 1/2 + v_t/w) (the bin width w is maxSum/bins). Each step
+// therefore adds to J - S/w a rounding error in (-1/2, 1/2], so
+// |J_n - S/w| <= n/2 after n steps. The scalar index computation errs by at
+// most 3u(bins + v_t/w) more per step, and since sum_t v_t/w <= 2*bins, the
+// total stays under convShiftSlack*bins*(n+2). binnedCDF reads bins with
+// j*w < eps^2, and reads fully every bin with (j+1)*w <= eps^2. With
+// m = (n/2 + 1 + convShiftSlack*bins*(n+2))*w:
+//
+//	P(S <= eps^2 - m) <= p <= P(S < eps^2 + m)
+//
+// A clamp into the top bin only lowers J, which cannot break the left
+// inequality. It cannot break the right one either: the top bin is read only
+// when (bins-1)*w < eps^2, and then eps^2 + m > bins*w + (n/2)*w >= maxSum >= S
+// (n/2 >= 1/2 covers the rounding of w), so the right side is 1.
+// The exact estimator sits inside the same bracket a fortiori: its float sums
+// err by far less than w. The rounding of mu, s2, eps^2 and the readout's
+// compares is at most the 2(n + s^2 + 8)u relative slack folded into m and
+// s2. Cantelli, P(S - mu <= -a) <= s2/(s2 + a^2) and the same bound for
+// P(S - mu >= a) with a > 0, then brackets both sides; it needs only that the
+// terms be independent, which is MUNICH's model. The histogram's own mass
+// rounding (a few ulps per addition) is left to the caller's margin.
+func (o Options) MomentBracket(x, y uncertain.SampleSeries, eps float64) (lo, hi float64) {
+	o = o.withDefaults()
+	n := x.Len()
+	if o.UseDTW || o.Estimator == EstimatorMonteCarlo || n != y.Len() || eps < 0 ||
+		o.Estimator == EstimatorExact && !exactFits(x, y, o.MaxExactCombos) {
+		return 0, 1
+	}
+	var mu, s2, maxSum float64
+	pairs := 0
+	for i := 0; i < n; i++ {
+		xs, ys := x.Samples[i], y.Samples[i]
+		var sum, top float64
+		for _, a := range xs {
+			for _, b := range ys {
+				d := a - b
+				v := float64(d * d) // the convolution's squared difference
+				sum += v
+				top = max(top, v)
+			}
+		}
+		k := float64(len(xs) * len(ys))
+		mean := sum / k
+		var dev float64
+		for _, a := range xs {
+			for _, b := range ys {
+				d := a - b
+				e := float64(d*d) - mean
+				dev += e * e
+			}
+		}
+		mu += mean
+		s2 += dev / k
+		maxSum += top // in the convolution's order: the same width, bit for bit
+		pairs = max(pairs, len(xs)*len(ys))
+	}
+	bins, eps2 := float64(o.Bins), eps*eps
+	width := maxSum / bins
+	if !(width >= 0x1p-1022 && width <= math.MaxFloat64 && s2 <= math.MaxFloat64 && eps2 <= math.MaxFloat64) {
+		return 0, 1
+	}
+	nf := float64(n)
+	slack := 2 * (nf + float64(pairs) + 8) * 0x1p-53
+	m := width*(nf/2+1+convShiftSlack*bins*(nf+2)) + slack*(mu+eps2+maxSum)
+	s2 *= 1 + slack
+	lo, hi = 0, 1
+	if a := mu - (eps2 + m); a > 0 {
+		hi = s2 / (s2 + a*a)
+	}
+	if a := eps2 - m - mu; a > 0 {
+		lo = 1 - s2/(s2+a*a)
+	}
+	return lo, hi
+}
 
 // binShifts resolves every squared difference of one timestamp to the bin
 // shift it applies to all source bins alike, appended to taps in descending

@@ -24,7 +24,6 @@ import (
 
 	"uncertts/internal/stats"
 	"uncertts/internal/uncertain"
-	"uncertts/internal/wavelet"
 )
 
 // ErrLengthMismatch is returned when query and candidate lengths differ.
@@ -178,48 +177,6 @@ func (m Matcher) RangeQuery(q uncertain.PDFSeries, collection []uncertain.PDFSer
 	return out, nil
 }
 
-// SynopsisMatcher is the PROUD-over-Haar-synopsis variant mentioned in the
-// paper (Section 4.3: "it is possible to apply PROUD on top of a Haar
-// wavelet synopsis"). Observations are transformed with the orthonormal
-// Haar DWT — which preserves Euclidean distance and, being orthonormal,
-// maps i.i.d. per-timestamp error variance sigma^2 to the same variance per
-// coefficient — and only the Coeffs largest query coefficients participate
-// in the accumulation.
-type SynopsisMatcher struct {
-	Matcher
-	// Coeffs is the number of retained wavelet coefficients.
-	Coeffs int
-}
-
-// Matches runs the PROUD test in coefficient space.
-func (m SynopsisMatcher) Matches(qObs, cObs []float64) (bool, error) {
-	if len(qObs) != len(cObs) {
-		return false, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(qObs), len(cObs))
-	}
-	qc, err := wavelet.Transform(wavelet.PadToPowerOfTwo(qObs))
-	if err != nil {
-		return false, err
-	}
-	cc, err := wavelet.Transform(wavelet.PadToPowerOfTwo(cObs))
-	if err != nil {
-		return false, err
-	}
-	idx := topKIndices(qc, m.Coeffs)
-	varD := m.QuerySigma*m.QuerySigma + m.CandSigma*m.CandSigma
-	var mean, variance float64
-	for _, i := range idx {
-		mu := qc[i] - cc[i]
-		mean += mu*mu + varD
-		variance += 2*varD*varD + 4*varD*mu*mu
-	}
-	d := DistanceDist{Mean: mean, Variance: variance}
-	limit, err := EpsLimit(m.Tau)
-	if err != nil {
-		return false, err
-	}
-	return d.EpsNorm(m.Eps) >= limit, nil
-}
-
 // topKIndices returns the positions of the k largest-magnitude entries.
 func topKIndices(xs []float64, k int) []int {
 	if k <= 0 || k > len(xs) {
@@ -229,7 +186,7 @@ func topKIndices(xs []float64, k int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Partial selection sort is fine for the small k used in synopses.
+	// Partial selection sort is fine for small k.
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < len(idx); j++ {

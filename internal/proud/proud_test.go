@@ -231,52 +231,6 @@ func TestMatcherErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestSynopsisMatcherAgreesOnSmoothData(t *testing.T) {
-	// With all coefficients retained, the synopsis matcher must agree with
-	// the raw matcher on power-of-two lengths (Parseval).
-	n := 32
-	q := make([]float64, n)
-	c := make([]float64, n)
-	for i := range q {
-		q[i] = math.Sin(2 * math.Pi * float64(i) / 16)
-		c[i] = math.Sin(2*math.Pi*float64(i)/16 + 0.2)
-	}
-	base := Matcher{Eps: 1.5, Tau: 0.5, QuerySigma: 0.3, CandSigma: 0.3}
-	full := SynopsisMatcher{Matcher: base, Coeffs: n}
-	rawOK, err := base.Matches(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	synOK, err := full.Matches(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawOK != synOK {
-		t.Errorf("full synopsis (%v) disagrees with raw (%v)", synOK, rawOK)
-	}
-}
-
-func TestSynopsisMatcherSmallK(t *testing.T) {
-	n := 64
-	q := make([]float64, n)
-	c := make([]float64, n)
-	for i := range q {
-		q[i] = math.Sin(2 * math.Pi * float64(i) / 32)
-		c[i] = q[i] + 0.01
-	}
-	m := SynopsisMatcher{Matcher: Matcher{Eps: 1, Tau: 0.5, QuerySigma: 0.1, CandSigma: 0.1}, Coeffs: 8}
-	ok, err := m.Matches(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("nearly identical smooth series should match under a synopsis")
-	}
-	if _, err := m.Matches(q, c[:10]); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestTopKIndices(t *testing.T) {
 	xs := []float64{0.1, -5, 2, 0, 3}
 	idx := topKIndices(xs, 2)

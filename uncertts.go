@@ -81,7 +81,6 @@ import (
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
-	"uncertts/internal/wavelet"
 )
 
 // ---- Time series substrate ----
@@ -614,11 +613,3 @@ func NewStreamMonitor(querySigma, streamSigma float64) (*StreamMonitor, error) {
 // NewSeededRand returns a deterministic random source (reproducible
 // examples and workloads).
 func NewSeededRand(seed int64) *rand.Rand { return stats.NewRand(seed) }
-
-// ---- Wavelets ----
-
-// HaarTransform returns the orthonormal Haar DWT (power-of-two length).
-func HaarTransform(xs []float64) ([]float64, error) { return wavelet.Transform(xs) }
-
-// HaarInverse inverts HaarTransform.
-func HaarInverse(coeffs []float64) ([]float64, error) { return wavelet.Inverse(coeffs) }

@@ -137,23 +137,6 @@ func errorsAs(err error, target **UnknownExperimentError) bool {
 	return ok
 }
 
-func TestPublicWavelets(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	c, err := HaarTransform(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := HaarInverse(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if math.Abs(back[i]-xs[i]) > 1e-9 {
-			t.Fatal("Haar round trip failed")
-		}
-	}
-}
-
 func TestPublicExtensions(t *testing.T) {
 	ds, err := GenerateDataset("CBF", DatasetOptions{MaxSeries: 14, Length: 32, Seed: 2})
 	if err != nil {
