@@ -397,7 +397,6 @@ func topkWorkload(b *testing.B) *core.Workload {
 // the engine.
 func runEvery(b *testing.B, e *engine.Engine, req engine.Request) {
 	b.Helper()
-	req.Measure = e.Measure()
 	for qi := 0; qi < e.Snapshot().Len(); qi++ {
 		req.Index = &qi
 		if _, err := e.Run(context.Background(), req); err != nil {
@@ -415,7 +414,7 @@ func benchEngineTopK(b *testing.B, opts engine.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := engine.Request{Kind: engine.KindTopK, K: 10}
+	req := engine.Request{Measure: opts.Measure, Kind: engine.KindTopK, K: 10}
 	runEvery(b, e, req) // warm caches/tables outside timing
 	e.ResetStats()
 	b.ReportAllocs()
@@ -509,7 +508,7 @@ func benchProbRange(b *testing.B, w *core.Workload, opts engine.Options, tau flo
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := engine.Request{Kind: engine.KindProbRange, Eps: w.EpsEucl(0), Tau: tau}
+	req := engine.Request{Measure: opts.Measure, Kind: engine.KindProbRange, Eps: w.EpsEucl(0), Tau: tau}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -557,7 +556,7 @@ func BenchmarkProbTopK(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req := engine.Request{Kind: engine.KindProbTopK, Eps: w.EpsEucl(0), K: 10}
+			req := engine.Request{Measure: arm.opts.Measure, Kind: engine.KindProbTopK, Eps: w.EpsEucl(0), K: 10}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runEvery(b, e, req)

@@ -25,9 +25,9 @@ type Options struct {
 	// DisableBoundPropagation gives every shard its own private pruning
 	// cut instead of the shared global one. Answers are identical either
 	// way (the cut only prunes work, never results); shards just complete
-	// more full refines. The knob exists so `uncertbench -shards` can A/B
-	// the propagation gain through the exact production code path — leave
-	// it off when serving.
+	// more full refines. The knob exists so tests can A/B the propagation
+	// gain through the exact production code path — leave it off when
+	// serving.
 	DisableBoundPropagation bool
 
 	// Tracer receives the coordinator's finished query traces (nil = the

@@ -143,10 +143,16 @@ func TestNoEntryPinsASupersededArena(t *testing.T) {
 // batches of 8, growth copies at most twice the float64s that end up
 // resident (exact-size growth copied ~1000x), and a steady-state insert of 8
 // copies no arena bytes and allocates the same number of objects at 16384
-// resident as at 4096.
+// resident as at 4096. Recovery is held to the same line: the ingest's log,
+// fed back through Replay, copies at most twice the arena it rebuilds.
 func TestGrowthCopiesAtMostTwiceTheArena(t *testing.T) {
 	const n, k = 32, 8
 	c := New(Config{ReportedSigma: 0.5, Segments: 4})
+	log := make([]Mutation, 0, 16384/k+64)
+	c.SetHook(func(m Mutation) error {
+		log = append(log, m)
+		return nil
+	})
 	next := 0
 	insert8 := func() {
 		if _, err := c.InsertBatch(batchOf(k, n, 0, next)); err != nil {
@@ -185,6 +191,25 @@ func TestGrowthCopiesAtMostTwiceTheArena(t *testing.T) {
 	}
 	t.Logf("%d series in batches of %d: growth copied %.2fx the resident arena; insert-8 allocates %.0f objects at 4096 resident, %.0f at 16384",
 		s.Len(), k, float64(c.ar.copied)/float64(arenaFloats(s)), allocs4k, allocs16k)
+
+	// Replay the log (8-series mutations with their recorded IDs and
+	// epochs) into a fresh corpus, as recovery does; the ingest corpus is
+	// released first, so only one arena set is resident at a time.
+	c = nil
+	r := New(Config{ReportedSigma: 0.5, Segments: 4})
+	for _, m := range log {
+		if err := r.Replay(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := r.Snapshot()
+	if rs.Len() != next {
+		t.Fatalf("replay recovered %d series, want %d", rs.Len(), next)
+	}
+	if live := arenaFloats(rs); r.ar.copied > 2*live {
+		t.Errorf("replay growth copied %d float64s over %d mutations for %d resident, want <= 2x", r.ar.copied, len(log), live)
+	}
+	t.Logf("replaying %d mutations: growth copied %.2fx the resident arena", len(log), float64(r.ar.copied)/float64(arenaFloats(rs)))
 }
 
 // TestPosOfSearchesIDOrder pins PosOf as a search over the ID-ordered entry

@@ -78,7 +78,7 @@ func answers(t testing.TB, e *Engine, target Request, eps float64) interface{} {
 		req.Index, req.AdHoc = target.Index, target.AdHoc
 		return mustRun(t, e, req)
 	}
-	if e.Measure().Probabilistic() {
+	if e.opts.Measure.Probabilistic() {
 		return []interface{}{
 			ask(Request{Kind: KindProbRange, Eps: eps, Tau: 0.1}).IDs,
 			ask(Request{Kind: KindProbTopK, Eps: eps, K: 4}).Matches,

@@ -27,10 +27,10 @@ func newEngine(t testing.TB, snap *corpus.Snapshot, opts Options) *Engine {
 // and any error fails the test. Tests of the error paths call Run themselves.
 func mustRun(t testing.TB, e *Engine, req Request) *Result {
 	t.Helper()
-	req.Measure = e.Measure()
+	req.Measure = e.opts.Measure
 	res, err := e.Run(context.Background(), req)
 	if err != nil {
-		t.Fatalf("%v %v: %v", e.Measure(), req.Kind, err)
+		t.Fatalf("%v %v: %v", req.Measure, req.Kind, err)
 	}
 	return res
 }
@@ -276,8 +276,8 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 						opts := base
 						opts.IndexThreshold, opts.NoIndex = -1, noIndex
 						e := newEngine(t, sc.snap, opts)
-						if want := !noIndex && prefiltered(m); e.Indexed() != want {
-							t.Fatalf("%v/%s/noindex=%v: Indexed() = %v, want %v", m, sc.name, noIndex, e.Indexed(), want)
+						if want := !noIndex && prefiltered(m); engaged(e) != want {
+							t.Fatalf("%v/%s/noindex=%v: engaged = %v, want %v", m, sc.name, noIndex, engaged(e), want)
 						}
 						for _, workers := range []int{1, 2, 8} {
 							req.Workers = workers

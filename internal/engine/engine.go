@@ -370,9 +370,6 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Measure reports the measure the engine was built for.
-func (e *Engine) Measure() Measure { return e.opts.Measure }
-
 // Snapshot returns the corpus snapshot the engine serves.
 func (e *Engine) Snapshot() *corpus.Snapshot { return e.snap }
 

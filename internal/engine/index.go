@@ -97,11 +97,6 @@ func (e *Engine) resolveIndex(cols *corpus.Columns) {
 	}
 }
 
-// Indexed reports whether a prefilter — tier 0 or the sketch index — serves
-// the engine's queries (false when it runs the plain scan: small snapshot,
-// NoIndex/NoPrune, or a measure without either).
-func (e *Engine) Indexed() bool { return e.idx != nil || e.t0 != nil }
-
 // memberPos resolves a bucket member to its snapshot position: the arena
 // row itself on dense snapshots, its rank in the (increasing) row index
 // otherwise. The tree holds exactly the snapshot's live series, so the row

@@ -25,6 +25,11 @@ func residentAnswers(t testing.TB, e *Engine, qi int, eps float64) interface{} {
 // prefiltered reports whether the measure has a prefilter at all.
 func prefiltered(m Measure) bool { return m != MeasureDUST && m != MeasureMUNICH }
 
+// engaged reports whether a prefilter — tier 0 or the sketch index — serves
+// the engine's queries (false when it runs the plain scan: small snapshot,
+// NoIndex/NoPrune, or a measure without either).
+func engaged(e *Engine) bool { return e.idx != nil || e.t0 != nil }
+
 // prefilterCorpus is 64 series under the index-test geometry.
 func prefilterCorpus(t *testing.T) *corpus.Snapshot {
 	t.Helper()
@@ -234,7 +239,7 @@ func TestIndexFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e.Indexed() {
+		if engaged(e) {
 			t.Errorf("%s: engine unexpectedly indexed", tc.name)
 		}
 	}
@@ -242,7 +247,7 @@ func TestIndexFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Indexed() {
+	if !engaged(e) {
 		t.Error("negative IndexThreshold did not engage the index")
 	}
 	// Results through a fallback engine still match: the sanity anchor for

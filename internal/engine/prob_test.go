@@ -308,7 +308,7 @@ func TestProbValidation(t *testing.T) {
 		{"MUNICH tau=0", me, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 0}},
 		{"MUNICH tau>1", me, Request{Kind: KindProbRange, Index: &qi, Eps: 1, Tau: 1.5}},
 	} {
-		tc.req.Measure = tc.e.Measure()
+		tc.req.Measure = tc.e.opts.Measure
 		if _, err := tc.e.Run(context.Background(), tc.req); !errors.Is(err, qerr.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
 		}

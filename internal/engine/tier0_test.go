@@ -233,8 +233,8 @@ func BenchmarkLockstepTopK(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if e.Indexed() == arm.noIndex {
-				b.Fatalf("Indexed() = %v", e.Indexed())
+			if engaged(e) == arm.noIndex {
+				b.Fatalf("engaged = %v", engaged(e))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

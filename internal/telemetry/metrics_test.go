@@ -86,6 +86,31 @@ func TestVecChildren(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocatesNothing holds the package's promise as counts: an
+// update — on a plain instrument or on a labelled child resolved once with
+// With — allocates nothing.
+func TestHotPathAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("t_hot_total", "c")
+	g := r.NewGauge("t_hot_ratio", "g")
+	h := r.NewHistogram("t_hot_seconds", "h", nil)
+	child := r.NewCounterVec("t_hot_lbl_total", "cv", "kind", "measure").With("topk", "dtw")
+	hchild := r.NewHistogramVec("t_hot_lbl_seconds", "hv", nil, "kind", "measure").With("topk", "dtw")
+	for name, update := range map[string]func(){
+		"Counter.Inc":                c.Inc,
+		"Counter.Add":                func() { c.Add(3) },
+		"Gauge.Set":                  func() { g.Set(0.5) },
+		"Gauge.Add":                  func() { g.Add(-0.25) },
+		"Histogram.Observe":          func() { h.Observe(0.003) },
+		"CounterVec child Inc":       child.Inc,
+		"HistogramVec child Observe": func() { hchild.Observe(0.003) },
+	} {
+		if n := testing.AllocsPerRun(100, update); n != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", name, n)
+		}
+	}
+}
+
 func TestNameValidation(t *testing.T) {
 	for name, ok := range map[string]bool{
 		"uncertts_queries_total":   true,
@@ -112,7 +137,6 @@ func TestNameValidation(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	//lint:allow metricname the invalid literal is the test subject
 	r.NewCounter("bad_name", "no unit suffix")
 }
 
