@@ -9,12 +9,12 @@ import (
 	"uncertts/internal/qerr"
 )
 
-// RunSharded executes fn over contiguous chunks of the index space [0, n):
-// the space is split into ceil(n/chunk) chunks and workers goroutines pull
-// the next unclaimed chunk off a shared atomic cursor until none remain —
-// chunked work stealing, without a channel send per item. Callers shard
-// whatever they like (queries, candidate ranges, query x shard pairs) into
-// the flat index space.
+// RunShardedCtx executes fn over contiguous chunks of the index space
+// [0, n): the space is split into ceil(n/chunk) chunks and workers goroutines
+// pull the next unclaimed chunk off a shared atomic cursor, in chunk order,
+// until none remain — chunked work stealing, without a channel send per
+// item. Callers shard whatever they like (queries, candidate ranges, query x
+// shard pairs) into the flat index space.
 //
 // chunk <= 0 picks a size that gives each worker several chunks to steal
 // (good load balancing without contention on the cursor); workers <= 0 uses
@@ -22,18 +22,14 @@ import (
 // be safe for concurrent invocation on disjoint ranges. After the first
 // error, workers stop claiming new chunks; the error reported is the one
 // from the lowest-indexed failed chunk.
-func RunSharded(n, chunk, workers int, fn func(lo, hi int) error) error {
-	return RunShardedCtx(context.Background(), n, chunk, workers, fn)
-}
-
-// RunShardedCtx is RunSharded under a context: workers poll ctx at every
-// chunk boundary, stop claiming chunks once it is cancelled, drain (the
-// call does not return while any fn invocation is still running) and
-// report a qerr.Cancelled error wrapping ctx.Err(). Work already completed
-// is not rolled back; a run whose last chunk was claimed before the
-// cancellation landed completes normally and returns nil. Promptness
-// within a chunk is the callee's business: long-running fn bodies that
-// want mid-chunk cancellation should poll ctx.Done() themselves.
+//
+// Workers poll ctx at every chunk boundary, stop claiming chunks once it is
+// cancelled, drain (the call does not return while any fn invocation is
+// still running) and report a qerr.Cancelled error wrapping ctx.Err(). Work
+// already completed is not rolled back; a run whose last chunk was claimed
+// before the cancellation landed completes normally and returns nil.
+// Promptness within a chunk is the callee's business: long-running fn
+// bodies that want mid-chunk cancellation should poll ctx.Done() themselves.
 func RunShardedCtx(ctx context.Context, n, chunk, workers int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil

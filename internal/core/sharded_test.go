@@ -15,7 +15,7 @@ func TestRunShardedCoversEveryIndexOnce(t *testing.T) {
 		for _, chunk := range []int{0, 1, 3, 64, 5000} {
 			for _, workers := range []int{0, 1, 2, 8, 64} {
 				hits := make([]int32, n)
-				err := RunSharded(n, chunk, workers, func(lo, hi int) error {
+				err := RunShardedCtx(context.Background(), n, chunk, workers, func(lo, hi int) error {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("bad range [%d, %d) for n=%d", lo, hi, n)
 					}
@@ -40,7 +40,7 @@ func TestRunShardedCoversEveryIndexOnce(t *testing.T) {
 func TestRunShardedPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := RunSharded(100, 10, workers, func(lo, hi int) error {
+		err := RunShardedCtx(context.Background(), 100, 10, workers, func(lo, hi int) error {
 			if lo == 50 {
 				return boom
 			}
@@ -55,7 +55,7 @@ func TestRunShardedPropagatesError(t *testing.T) {
 func TestRunShardedStopsClaimingAfterError(t *testing.T) {
 	// With a single worker the executor must stop at the failing chunk.
 	var ran atomic.Int64
-	err := RunSharded(100, 10, 1, func(lo, hi int) error {
+	err := RunShardedCtx(context.Background(), 100, 10, 1, func(lo, hi int) error {
 		ran.Add(1)
 		if lo == 20 {
 			return errors.New("stop here")

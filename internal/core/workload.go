@@ -1,7 +1,7 @@
 // Package core holds the ground truth of the reproduction's common task —
 // the time-series similarity matching of Section 4.1.2, against a truth
 // derived from the exact (unperturbed) data — and the sharded executor the
-// query engine drains its scans with (RunSharded).
+// query engine drains its scans with (RunShardedCtx).
 //
 // The methodology, exactly as in the paper:
 //

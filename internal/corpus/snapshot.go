@@ -107,6 +107,8 @@ func (s *Snapshot) Arena() *Columns { return s.cols }
 // Index returns the snapshot's immutable bucket-tree sketch index, present
 // on every snapshot with resolved geometry (dense or not — its members name
 // arena rows). Nil while the corpus is empty and no length was configured.
+// No query walks it: the engine reads the sketch rows themselves
+// (Arena().Sketch), and the tree is kept for the benchmark's layer probe.
 func (s *Snapshot) Index() *sketch.Tree { return s.tree }
 
 // DefaultErrors returns the per-timestamp error distributions attached to

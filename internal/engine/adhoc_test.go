@@ -49,7 +49,7 @@ func corpusSeries(length int, seed int64) corpus.Series {
 // allMeasureOptions enumerates one engine configuration per measure, with
 // the cheap estimator settings the MUNICH tests use. Geometry is the
 // corpus', so with IndexThreshold -1 a prefilter engages wherever one
-// exists: tier 0 for the lock-step measures and PROUD, the bucket tree for
+// exists: tier 0 for the lock-step measures and PROUD, the sketch rows for
 // DTW (DUST and MUNICH have neither).
 func allMeasureOptions() []Options {
 	return []Options{

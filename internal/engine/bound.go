@@ -116,7 +116,9 @@ type kHeap struct {
 	ds []float64
 }
 
-func newKHeap(k int) *kHeap { return &kHeap{k: k, ds: make([]float64, 0, k)} }
+// newKHeap sizes the heap by the n keys that can ever be pushed, not by k: a
+// request's k is unbounded, and past n it changes nothing.
+func newKHeap(k, n int) *kHeap { return &kHeap{k: k, ds: make([]float64, 0, min(k, n))} }
 
 func (h *kHeap) full() bool { return len(h.ds) >= h.k }
 
@@ -183,7 +185,7 @@ type ranked struct {
 }
 
 // collector is the query-wide top-k accumulator every work item of one
-// query shares, on the scan and on the tree path alike: each resolved
+// query shares, in position and in bound order alike: each resolved
 // candidate is offered under a mutex, and once k are known the k-th best key
 // tightens the query's cut. A heap per work item would only ever prove the
 // k-th best of its own few dozen candidates, a far looser cut than the
@@ -200,13 +202,13 @@ type collector struct {
 	kept []ranked
 }
 
-// newCollector ranks the k smallest keys against the shared cut (nil = a
-// private one).
-func newCollector(k int, squared bool, shared *cut) *collector {
+// newCollector ranks the k smallest of at most n keys against the shared cut
+// (nil = a private one).
+func newCollector(k, n int, squared bool, shared *cut) *collector {
 	if shared == nil {
 		shared = new(cut).set(math.Inf(1))
 	}
-	return &collector{cut: shared, squared: squared, h: newKHeap(k)}
+	return &collector{cut: shared, squared: squared, h: newKHeap(k, n)}
 }
 
 func (c *collector) offer(id int, key float64) {

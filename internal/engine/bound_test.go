@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -58,6 +59,37 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	if n := reflect.TypeOf(Stats{}).NumField(); n != len(want) {
 		t.Fatalf("Stats has %d fields but the wire shape pins %d — tag the new field and extend this test", n, len(want))
+	}
+}
+
+// TestHugeKAllocatesByCandidates holds the top-k kinds to a memory cost set
+// by the candidates that exist, not by the k a client asks for: k = 1<<26
+// over ten series (a heap of k float64s would be 512 MB) allocates under a
+// megabyte and answers what k = N answers, ties broken the same way.
+func TestHugeKAllocatesByCandidates(t *testing.T) {
+	snap := testCorpus(t, 10, 32).Snapshot()
+	qi := 3
+	for _, tc := range []struct {
+		opts Options
+		req  Request
+	}{
+		{Options{Measure: MeasureEuclidean, IndexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
+		{Options{Measure: MeasureDTW, IndexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
+		{Options{Measure: MeasurePROUD}, Request{Kind: KindProbTopK, Index: &qi, Eps: 2.5}},
+	} {
+		e := newEngine(t, snap, tc.opts)
+		huge, all := tc.req, tc.req
+		huge.K, all.K = 1<<26, snap.Len()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := mustRun(t, e, huge)
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("%v %v at k = 1<<26 allocated %d bytes", tc.opts.Measure, tc.req.Kind, b)
+		}
+		if err := sameResult(got, mustRun(t, e, all)); err != nil {
+			t.Errorf("%v %v at k = 1<<26 differs from k = N: %v", tc.opts.Measure, tc.req.Kind, err)
+		}
 	}
 }
 

@@ -10,15 +10,16 @@
 //
 // Source. The candidates of a request are every snapshot position but the
 // query's own, cut into ShardSize shards that the work-stealing executor of
-// internal/core drains (scan.go). Banded DTW alone has a second source: it
-// walks the snapshot's sketch bucket tree best-first (index.go), because
-// its kernel is dear enough for the walk to pay.
+// internal/core drains (scan.go). There is one source for every measure and
+// kind; it runs in position order, except DTW top-k, which runs it in the
+// order of its sketch-row bound (index.go) so its dear kernel meets the
+// nearest candidates first.
 //
 // Tier 0 / bounds. Before a candidate's series row is touched, the measure's
 // cheap bound is tested against the request's cut: the 16-segment Jensen
 // bound over the corpus' filter columns for the lock-step measures
 // (Euclidean, UMA, UEMA) and PROUD (tier0.go), the candidate's own sketch
-// row for DTW. A candidate dropped here is counted in
+// row for DTW (index.go). A candidate dropped here is counted in
 // Stats.SeriesSkippedByIndex and never reaches a kernel.
 //
 // Refine. Survivors run the measure's own pruned kernel against the same
@@ -186,7 +187,7 @@ type Options struct {
 	// It implies NoIndex.
 	NoPrune bool
 	// NoIndex disables both prefilters — tier 0 of the lock-step scans and
-	// the sketch bucket index DTW walks — forcing the plain sharded scan
+	// DTW's sketch-row bound — forcing the plain position-order scan
 	// (the per-candidate pruning devices still run). Both are sound
 	// prefilters, so results are bit-identical either way; this is the
 	// parity oracle and the benchmarks' scan arm.
@@ -225,16 +226,15 @@ type Stats struct {
 	// ResolvedEarly counts PROUD candidates whose predicate was decided by
 	// the sound prefix bounds after only a prefix of timestamps.
 	ResolvedEarly int64 `json:"resolved_early"`
-	// BucketsVisited and BucketsPruned count sketch-index bucket decisions:
-	// a pruned bucket's members were never candidates at all. Zero on
-	// engines running the linear scan, tier 0 included (DTW alone walks
-	// the bucket tree).
+	// BucketsVisited and BucketsPruned are always zero: they counted the
+	// sketch bucket tree DTW used to walk, and stay on the wire so readers
+	// of the JSON shape keep decoding it.
 	BucketsVisited int64 `json:"buckets_visited"`
 	BucketsPruned  int64 `json:"buckets_pruned"`
 	// SeriesSkippedByIndex counts series a prefilter excluded before they
 	// became candidates (the query series itself is never counted): by
-	// tier 0's coarse bound for the lock-step measures and PROUD, by a
-	// bucket or sketch-row bound for DTW. For resident queries, Candidates +
+	// tier 0's coarse bound for the lock-step measures and PROUD, by the
+	// sketch-row bound for DTW. For resident queries, Candidates +
 	// SeriesSkippedByIndex = queries * (N - 1); for ad-hoc ones, queries * N.
 	SeriesSkippedByIndex int64 `json:"series_skipped_by_index"`
 }
@@ -262,7 +262,7 @@ func (s Stats) Pruned() int64 { return s.Candidates - s.Completed }
 
 // String renders the counters in the one-line form the CLI and the /stats
 // endpoint report. The prefilter clause appears whenever a prefilter skipped
-// anything; bucket counts only for the measure that walks the bucket tree.
+// anything.
 func (s Stats) String() string {
 	pct := 0.0
 	if s.Candidates > 0 {
@@ -270,13 +270,8 @@ func (s Stats) String() string {
 	}
 	line := fmt.Sprintf("%d candidates, %d completed, %d abandoned early, %d envelope-pruned, %d resolved by bounds, %d resolved on a prefix (%.1f%% of the scan skipped)",
 		s.Candidates, s.Completed, s.AbandonedEarly, s.PrunedByEnvelope, s.ResolvedByBounds, s.ResolvedEarly, pct)
-	buckets := s.BucketsVisited > 0 || s.BucketsPruned > 0
-	if buckets || s.SeriesSkippedByIndex > 0 {
-		line += "; index: "
-		if buckets {
-			line += fmt.Sprintf("%d buckets visited, %d pruned, ", s.BucketsVisited, s.BucketsPruned)
-		}
-		line += fmt.Sprintf("%d series skipped", s.SeriesSkippedByIndex)
+	if s.SeriesSkippedByIndex > 0 {
+		line += fmt.Sprintf("; index: %d series skipped", s.SeriesSkippedByIndex)
 	}
 	return line
 }
@@ -296,18 +291,15 @@ type Engine struct {
 
 	// At most one prefilter is engaged (see resolveIndex): t0, the
 	// filter columns the lock-step and PROUD scans test first, or idx, the
-	// engine's view of the snapshot's sketch index, which DTW walks instead
-	// of scanning. Both nil when queries run the plain sharded scan.
+	// sketch rows DTW tests first. Both nil when queries run the plain scan.
 	t0  *tier0
 	idx *engineIndex
 
 	// Work counters. Every examined candidate lands in exactly one outcome
 	// slot, so Stats.Candidates is their sum and the accounting identity
 	// holds by construction.
-	outcomes       [numOutcomes]atomic.Int64
-	bucketsVisited atomic.Int64
-	bucketsPruned  atomic.Int64
-	seriesSkipped  atomic.Int64
+	outcomes      [numOutcomes]atomic.Int64
+	seriesSkipped atomic.Int64
 }
 
 // outcome is how one examined candidate was resolved; each maps to one
@@ -382,8 +374,6 @@ func (e *Engine) Stats() Stats {
 		ResolvedByBounds: e.outcomes[boundResolved].Load(),
 		ResolvedEarly:    e.outcomes[prefixResolved].Load(),
 
-		BucketsVisited:       e.bucketsVisited.Load(),
-		BucketsPruned:        e.bucketsPruned.Load(),
 		SeriesSkippedByIndex: e.seriesSkipped.Load(),
 	}
 	s.Candidates = s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly
@@ -395,8 +385,6 @@ func (e *Engine) ResetStats() {
 	for o := range e.outcomes {
 		e.outcomes[o].Store(0)
 	}
-	e.bucketsVisited.Store(0)
-	e.bucketsPruned.Store(0)
 	e.seriesSkipped.Store(0)
 }
 

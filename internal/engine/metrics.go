@@ -16,7 +16,7 @@ var (
 		"measure")
 	indexSkippedRatio = telemetry.NewGaugeVec(
 		"uncertts_engine_index_skipped_ratio",
-		"Fraction of series a prefilter (tier 0's coarse bound for the lock-step measures and PROUD, the sketch index for DTW) skipped before they became kernel candidates, by measure (cumulative).",
+		"Fraction of series a prefilter (tier 0's coarse bound for the lock-step measures and PROUD, the sketch-row bound for DTW) skipped before they became kernel candidates, by measure (cumulative).",
 		"measure")
 )
 

@@ -87,7 +87,7 @@ func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 // summarise attaches the query-side summaries the engaged prefilter reads:
 // the coarse segment means for tier 0 (a resident query aliases its own
 // filter-column row), the PAA of the query and of its warping envelope for
-// the DTW bucket bounds.
+// DTW's sketch-row bound.
 func (e *Engine) summarise(pq *prepared) {
 	switch {
 	case e.t0 != nil:

@@ -273,8 +273,8 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 	e.summarise(pq)
 
 	res := &Result{Kind: req.Kind}
-	// The refine span covers the whole execution — index descent spans nest
-	// inside it when the tree source runs.
+	// The refine span covers the whole execution — DTW top-k's index_descent
+	// span (its bound-and-sort pass) nests inside it.
 	refineSpan := telemetry.TraceFrom(ctx).Start("refine")
 	switch req.Kind {
 	case KindTopK, KindProbTopK:

@@ -7,11 +7,12 @@ import (
 
 	"uncertts/internal/core"
 	"uncertts/internal/distance"
+	"uncertts/internal/telemetry"
 )
 
 // span is a run of candidates handed to a step: positions [lo, hi) of the
-// snapshot, or elements [lo, hi) of list when the source is a survivor list.
-// It never contains the query itself.
+// snapshot, or elements [lo, hi) of list when the source runs in bound order
+// (DTW top-k). It never contains the query itself.
 type span struct {
 	list   []int
 	lo, hi int
@@ -45,14 +46,15 @@ type step func(scratch *distance.DTWScratch, s span) (hits []int, skipped int64,
 // candErr names the candidate a kernel failed on.
 func candErr(ci int, err error) error { return fmt.Errorf("engine: candidate %d: %w", ci, err) }
 
-// scan is the engine's one scan loop. The candidate source — cands, ascending
-// and without the query itself, or every snapshot position but self when
-// cands is nil — is cut into ShardSize shards that the work-stealing executor
-// drains under ctx (polled at every shard; the steps poll it inside the long
-// kernels), and each shard goes through step. scan keeps the query out of
-// the spans, tallies the prefilter's skips, and gathers the matches shard by
-// shard so the returned positions are ascending whatever order the shards
-// ran in.
+// scan is the engine's one scan loop over the engine's one candidate source,
+// every snapshot position but self: in position order when cands is nil, in
+// cands' order otherwise (DTW top-k's bound order; cands omits self). It is
+// cut into ShardSize shards that the work-stealing executor claims in order
+// and drains under ctx (polled at every shard; the steps poll it inside the
+// long kernels), and each shard goes through step. scan keeps the query out
+// of the spans, tallies the prefilter's skips, and gathers the matches shard
+// by shard so the returned positions are ascending (the range kinds scan in
+// position order) whatever order the shards ran in.
 func (e *Engine) scan(ctx context.Context, workers int, cands []int, self int, step step) ([]int, error) {
 	n := e.snap.Len()
 	if cands != nil {
@@ -110,7 +112,7 @@ type run struct {
 	done <-chan struct{}
 
 	coll     *collector       // the top-k kinds' collector and live cut
-	lbs      []float64        // tier 0's raw bound of every position (KindTopK on a tier-0 engine)
+	lbs      []float64        // the prefilter's raw bound of every position (KindTopK on a prefiltered engine)
 	cutoff2  float64          // KindRange: ulpUp(Eps^2)
 	epsLimit float64          // KindProbRange on a PROUD engine
 	emit     func(Item) error // the range kinds' match callback (nil = none)
@@ -127,24 +129,24 @@ func (e *Engine) topK(ctx context.Context, pq *prepared, req *Request) ([]ranked
 	case req.Kind == KindProbTopK && req.ProbBound != nil:
 		shared = &req.ProbBound.c
 	}
-	r := &run{e: e, pq: pq, req: req, done: ctx.Done(), coll: newCollector(req.K, req.Kind == KindTopK, shared)}
+	r := &run{e: e, pq: pq, req: req, done: ctx.Done(), coll: newCollector(req.K, e.snap.Len(), req.Kind == KindTopK, shared)}
 	st := r.probTopKStep
+	var cands []int // nil: position order
 	if req.Kind == KindTopK {
 		st = r.topKStep
-		if e.t0 != nil {
+		switch {
+		case e.t0 != nil:
 			var err error
 			if r.lbs, err = e.seedCut(pq, req.K, r.coll.cut); err != nil {
 				return nil, err
 			}
+		case e.idx != nil:
+			sp := telemetry.TraceFrom(ctx).Start("index_descent")
+			r.lbs, cands = e.dtwOrder(pq)
+			sp.End()
 		}
 	}
-	var err error
-	if e.idx != nil {
-		err = e.treeTopK(ctx, pq, e.workers(req), req.K, r.coll, st)
-	} else {
-		_, err = e.scan(ctx, e.workers(req), nil, pq.self, st)
-	}
-	if err != nil {
+	if _, err := e.scan(ctx, e.workers(req), cands, pq.self, st); err != nil {
 		return nil, err
 	}
 	return r.coll.best(), nil
@@ -164,11 +166,7 @@ func (e *Engine) matches(ctx context.Context, pq *prepared, req *Request, emit f
 		return e.scan(ctx, e.workers(req), nil, pq.self, r.probRangeStep)
 	}
 	r.cutoff2 = ulpUp(req.Eps * req.Eps)
-	var cands []int
-	if e.idx != nil {
-		cands = e.treeCandidates(pq, r.cutoff2)
-	}
-	return e.scan(ctx, e.workers(req), cands, pq.self, r.rangeStep)
+	return e.scan(ctx, e.workers(req), nil, pq.self, r.rangeStep)
 }
 
 // workers resolves the executor parallelism of one request: its own budget,
@@ -181,31 +179,24 @@ func (e *Engine) workers(req *Request) int {
 }
 
 // The distance steps test the engaged prefilter's bound before the kernel:
-// tier 0's (coarseSkip, or the bounds top-k computed up front) for the
-// lock-step measures, the candidate's own sketch row (rowSkip) for DTW. At
-// most one is engaged.
+// top-k reads the bounds it computed up front, range computes tier 0's
+// (coarseSkip) for the lock-step measures or the candidate's sketch-row bound
+// (rowSkip, index.go) for DTW. At most one is engaged.
 
 func (e *Engine) coarseSkip(pq *prepared, ci int, cutoff2 float64) bool {
 	return e.t0 != nil && e.t0.rawBound(pq, ci) > skipLimit(cutoff2+pq.slack)
 }
 
-func (e *Engine) rowSkip(pq *prepared, ci int, cutoff2 float64) bool {
-	return e.idx != nil && e.memberSkip(pq, e.idx.rows.at(ci), cutoff2)
-}
-
 // topKStep is the KindTopK step. The cut is read per candidate, so each one
-// is tested against the tightest k-th best yet.
+// is tested against the tightest k-th best yet, through the bound top-k
+// computed up front for every position (tier 0's or DTW's, whichever is
+// engaged).
 func (r *run) topKStep(scratch *distance.DTWScratch, s span) (_ []int, skipped int64, _ error) {
 	e, pq, lbs := r.e, r.pq, r.lbs
 	for i := s.lo; i < s.hi; i++ {
 		ci := s.at(i)
 		cutoff2 := r.coll.cut.get()
-		if lbs != nil {
-			if lbs[ci] > skipLimit(cutoff2+pq.slack) {
-				skipped++
-				continue
-			}
-		} else if e.rowSkip(pq, ci, cutoff2) {
+		if lbs != nil && lbs[ci] > skipLimit(cutoff2+pq.slack) {
 			skipped++
 			continue
 		}

@@ -27,15 +27,12 @@ import (
 // (raw, UMA or UEMA, under the corpus' one filter geometry), so tier 0 is
 // sound for every engine, and it reads them where they lie: through the
 // snapshot's row index while deleted rows await compaction, never a copy.
-//
-// The sketch bucket tree does not serve these measures: its boxes are loose
-// in 64 dimensions, so most buckets get visited anyway, and the per-member
-// check then streams a kilobyte-plus sketch row per series — more bytes than
-// the scan it is meant to avoid (bench/README.md, finding 3).
+// The source is the same for every measure: all positions, in position order
+// (DTW's top-k alone runs them in the order of its own bound, index.go).
 
-// indexBoundMargin deflates every distance-space lower bound (tier 0 and the
-// DTW bucket bounds alike) before a skip comparison. The bounds are sound in
-// exact arithmetic; the relative margin (enormous next to float64 rounding,
+// indexBoundMargin deflates every distance-space lower bound (tier 0 and
+// DTW's sketch-row bound alike) before a skip comparison. The bounds are
+// sound in exact arithmetic; the relative margin (enormous next to float64 rounding,
 // tiny next to any real distance gap — the same philosophy as
 // probBoundMargin on the probability side) absorbs the rounding of the
 // bound's own accumulation and of the kernel's.
@@ -113,7 +110,7 @@ func (e *Engine) seedCut(pq *prepared, k int, b *cut) ([]float64, error) {
 		}
 		lbs = lbs[:len(idx)]
 	}
-	gaps, exact := newKHeap(k), newKHeap(k)
+	gaps, exact := newKHeap(k, len(lbs)), newKHeap(k, len(lbs))
 	for ci, g := range lbs {
 		if ci == pq.self || (gaps.full() && g >= gaps.top()) {
 			continue

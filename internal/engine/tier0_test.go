@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"uncertts/internal/corpus"
+	"uncertts/internal/distance"
 	"uncertts/internal/stats"
 )
 
@@ -22,9 +23,9 @@ type soundnessCase struct {
 
 // soundnessCases enumerates the inputs ROADMAP 4(b) names: constant series,
 // zero and huge sigma, length 1, a length below the coarse segment count,
-// a length the segments do not divide, and near-ties at the k-th distance
-// (the case in which the Jensen bound is tight, so only the margin stands
-// between it and the exact distance).
+// a length the segments do not divide, and near-ties and exact duplicates at
+// the k-th distance (the case in which the Jensen bound is tight, so only the
+// margin stands between it and the exact distance).
 func soundnessCases() []soundnessCase {
 	rng := rand.New(rand.NewSource(13))
 	noisy := func(n, length int) [][]float64 {
@@ -48,10 +49,11 @@ func soundnessCases() []soundnessCase {
 		return out
 	}
 	// Near-ties: pairs q +/- delta are equidistant from q, and a constant
-	// offset makes every segment's Jensen inequality an equality.
+	// offset makes every segment's Jensen inequality an equality. The base
+	// comes twice: an exact duplicate is a tie at distance zero.
 	ties := func(length int) [][]float64 {
 		base := noisy(1, length)[0]
-		out := [][]float64{base}
+		out := [][]float64{base, append([]float64(nil), base...)}
 		for _, delta := range []float64{1e-3, 1e-3 * (1 + 1e-12), 0.5, 0.5 * (1 + 1e-15), 2} {
 			for _, sign := range []float64{1, -1} {
 				s := make([]float64, length)
@@ -105,10 +107,14 @@ func (sc soundnessCase) corpus(t *testing.T) *corpus.Corpus {
 // distance), and PROUD's bracket contains the squared gap. The near-tie
 // cases are the ones a relative margin alone fails (the bound is tight and
 // the means' rounding dominates); the constant-offset pairs also pin that
-// the rounding allowance costs no pruning where the gap is real.
+// the rounding allowance costs no pruning where the gap is real. DTW's
+// sketch-row bound is held to the same contract against the banded kernel,
+// and its bound-ordered top-k to the scan's answer, ties at the k-th place
+// included.
 func TestTier0Soundness(t *testing.T) {
 	for _, sc := range soundnessCases() {
 		snap := sc.corpus(t).Snapshot()
+		checkDTWRowBound(t, sc.name, snap)
 		for _, m := range []Measure{MeasureEuclidean, MeasureUMA, MeasureUEMA, MeasurePROUD} {
 			e, err := NewFromSnapshot(snap, Options{Measure: m, IndexThreshold: -1})
 			if err != nil {
@@ -164,6 +170,43 @@ func TestTier0Soundness(t *testing.T) {
 						t.Errorf("%s pair (%d,%d): PROUD bracket [%g, %g] misses the gap %g", sc.name, qi, ci, lb2, ub2, exact)
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkDTWRowBound is TestTier0Soundness for DTW: pair by pair, the deflated
+// sketch-row bound never exceeds the square of the distance the kernel
+// computes, and the range step does not skip a candidate at its own
+// distance; top-k at and around the tie groups equals the plain scan's.
+func checkDTWRowBound(t *testing.T, name string, snap *corpus.Snapshot) {
+	t.Helper()
+	e := newEngine(t, snap, Options{Measure: MeasureDTW, IndexThreshold: -1})
+	if e.idx == nil {
+		t.Fatalf("%s/DTW: the sketch rows are not engaged", name)
+	}
+	scan := newEngine(t, snap, Options{Measure: MeasureDTW, NoIndex: true})
+	for _, k := range []int{1, 2, 3, snap.Len()} {
+		if !reflect.DeepEqual(everyTopK(t, e, k), everyTopK(t, scan, k)) {
+			t.Errorf("%s/DTW k=%d: the bound-ordered top-k differs from the scan", name, k)
+		}
+	}
+	for qi := 0; qi < snap.Len(); qi++ {
+		pq, err := e.prepareIndex(qi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.summarise(pq)
+		for ci := 0; ci < snap.Len(); ci++ {
+			d, err := distance.DTWBand(pq.vec, e.vecs.at(ci), e.cfg.Band)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lb := deflate(e.dtwLB2(pq, e.idx.rows.at(ci))); lb > d*d {
+				t.Errorf("%s/DTW pair (%d,%d): bound %g exceeds the squared distance %g", name, qi, ci, lb, d*d)
+			}
+			if e.rowSkip(pq, ci, ulpUp(d*d)) {
+				t.Errorf("%s/DTW pair (%d,%d): the row bound skips a candidate at its own distance %g", name, qi, ci, d)
 			}
 		}
 	}

@@ -41,7 +41,8 @@ type expectation struct {
 
 // Run loads testdata/src/<pkg>, applies the analyzer through the driver,
 // and reports any mismatch between diagnostics and want comments as test
-// failures.
+// failures. The package may import its siblings under testdata/src by their
+// directory names, GOPATH-style.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkg)
@@ -49,6 +50,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 		t.Fatalf("no testdata package: %v", err)
 	}
 	loader := load.NewLoader(dir)
+	loader.Src = filepath.Join(testdata, "src")
 	p, err := loader.LoadDir(dir, pkg)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)

@@ -5,7 +5,7 @@ package b
 import (
 	"context"
 
-	"uncertts/internal/core"
+	"core" // the stand-in under testdata/src
 	"uncertts/internal/distance"
 	"uncertts/internal/munich"
 	"uncertts/internal/uncertain"
@@ -18,7 +18,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	if _, _, err := munich.ProbabilityCutoff(xs, ys, 0.5, 0.1, munich.Options{}); err != nil { // want `call to munich\.ProbabilityCutoff cannot be cancelled; use ProbabilityCutoffCancel`
 		return err
 	}
-	if err := core.RunSharded(100, 1, 4, func(lo, hi int) error { return nil }); err != nil { // want `call to core\.RunSharded cannot be cancelled; use RunShardedCtx`
+	if err := core.Run(100, func(i int) error { return nil }); err != nil { // want `call to core\.Run cannot be cancelled; use RunCtx`
 		return err
 	}
 
@@ -26,7 +26,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	if _, _, err := distance.DTWBandEarlyAbandonCancel(q, c, 4, 1e9, ctx.Done()); err != nil {
 		return err
 	}
-	if err := core.RunShardedCtx(ctx, 100, 1, 4, func(lo, hi int) error { return nil }); err != nil {
+	if err := core.RunCtx(ctx, 100, func(i int) error { return nil }); err != nil {
 		return err
 	}
 	// Kernels with no cancellable sibling carry no obligation.

@@ -42,22 +42,53 @@ type Loader struct {
 	// Dir is the directory `go list` runs in; it must lie inside the
 	// module being analyzed. Empty means the current directory.
 	Dir string
+	// Src, when set, is a GOPATH-style source root: an import path naming
+	// a directory under it is type-checked from that directory's sources
+	// (testdata packages importing a sibling stand-in), any other from the
+	// module's export data.
+	Src string
 
 	fset    *token.FileSet
 	imp     types.ImporterFrom
 	mu      sync.Mutex
-	exports map[string]string // import path -> export data file
+	exports map[string]string         // import path -> export data file
+	srcPkgs map[string]*types.Package // import path -> package checked from Src
 }
 
 // NewLoader returns a loader rooted at dir.
 func NewLoader(dir string) *Loader {
-	l := &Loader{Dir: dir, fset: token.NewFileSet(), exports: map[string]string{}}
+	l := &Loader{Dir: dir, fset: token.NewFileSet(), exports: map[string]string{}, srcPkgs: map[string]*types.Package{}}
 	l.imp = importer.ForCompiler(l.fset, "gc", l.lookupExport).(types.ImporterFrom)
 	return l
 }
 
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
+
+// srcImporter is the type checker's importer: Src first, then export data.
+type srcImporter struct{ l *Loader }
+
+func (s srcImporter) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, "", 0)
+}
+
+func (s srcImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	l := s.l
+	if p, ok := l.srcPkgs[path]; ok {
+		return p, nil
+	}
+	if src := filepath.Join(l.Src, path); l.Src != "" {
+		if fi, err := os.Stat(src); err == nil && fi.IsDir() {
+			p, err := l.LoadDir(src, path)
+			if err != nil {
+				return nil, err
+			}
+			l.srcPkgs[path] = p.Types
+			return p.Types, nil
+		}
+	}
+	return l.imp.ImportFrom(path, dir, mode)
+}
 
 type listPackage struct {
 	ImportPath string
@@ -205,7 +236,7 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: srcImporter{l}}
 	tpkg, err := conf.Check(importPath, l.fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)

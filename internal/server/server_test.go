@@ -137,6 +137,32 @@ func TestQueryByIDExcludesSelfAndUsesStableIDs(t *testing.T) {
 	}
 }
 
+// TestHugeKAnswersEveryNeighbour: a k far past the corpus size is the k = N
+// query, not an allocation of k slots (which used to kill the process with a
+// fatal out-of-memory error net/http cannot recover).
+func TestHugeKAnswersEveryNeighbour(t *testing.T) {
+	srv, ts := testServer(t, 10, 16)
+	id := srv.Corpus().Snapshot().IDAt(3)
+	for _, body := range []string{
+		fmt.Sprintf(`{"measure":"euclidean","type":"topk","k":10000000000,"id":%d}`, id),
+		fmt.Sprintf(`{"measure":"proud","type":"probtopk","eps":2,"k":10000000000,"id":%d}`, id),
+	} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v", body, resp.StatusCode, err)
+		}
+		if n := len(out.Neighbors) + len(out.Matches); n != 9 {
+			t.Errorf("%s: %d answers, want every one of the 9 other series", body, n)
+		}
+	}
+}
+
 func TestSeriesEndpointInsertDelete(t *testing.T) {
 	srv, ts := testServer(t, 6, 16)
 	var resp SeriesResponse

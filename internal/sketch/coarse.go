@@ -7,9 +7,7 @@ import "uncertts/internal/munich"
 // observations, UMA, UEMA) the CoarseSegments segment means, packed into one
 // contiguous n x Wc matrix each. The lock-step measures read them as tier 0
 // of the linear scan — a 16-term Jensen lower bound per candidate, 128 bytes
-// apart, before the kilobyte-stride series row is touched — instead of
-// walking the bucket tree, whose 64-dimensional boxes are too loose to pay
-// for the lock-step measures.
+// apart, before the kilobyte-stride series row is touched.
 //
 // Spans come from munich.SegmentSpans(n, min(n, CoarseSegments)), so every
 // length is defined: N < 16 degenerates to one segment per timestamp (the

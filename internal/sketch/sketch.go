@@ -2,13 +2,12 @@
 // a fixed-width PAA (piecewise aggregate approximation) sketch row per
 // resident series, stored in its own contiguous arena alongside the other
 // columnar artifacts, and an iSAX-style split-on-overflow bucket tree over
-// those rows. The engine walks the tree's buckets best-first by a sound
-// lower bound before any exact kernel runs, so a query inspects a handful
-// of buckets instead of every resident series. The engine walks the tree for
-// banded DTW only: the lock-step measures and PROUD read the dense coarse
-// filter columns (coarse.go) inside the plain scan, which MUNICH and DUST
-// run unaided — so the row carries what the DTW bound reads and nothing
-// else.
+// those rows (tree.go). The engine reads the rows only, for banded DTW: each
+// candidate's own row bounds its DTW distance before the kernel runs. The
+// lock-step measures and PROUD read the dense coarse filter columns
+// (coarse.go), which MUNICH and DUST run without — so the row carries what
+// the DTW bound reads and nothing else. No query walks the tree; the corpus
+// maintains it for the repository benchmark's layer probe.
 //
 // The row layout, for series length N summarised into W segments, is
 //
@@ -24,21 +23,18 @@
 //	    terms) add soundly to any envelope bound evaluated over the interior
 //	    timestamps only.
 //
-// A bucket's region is the elementwise [min, max] of its members' rows, so
-// the bound on a whole bucket and on one member read the same two vectors:
-// DTW sums the exact endpoint gaps against the [v0, vLast] intervals with
-// MinDistSquared over the INTERIOR segments of [kLo block of lo, kHi block
-// of hi] (the first and last segments are excluded so the endpoint terms are
-// never double-counted): for one member, sum_{t in j} dist(q_t, [L_t,
-// U_t])^2 >= len_j * dist(qbar_j, [Lbar_j, Ubar_j])^2 by Cauchy-Schwarz, the
-// bucket interval contains every member's [Lbar_j, Ubar_j], and the whole
-// chains under LB_Kim + LB_Keogh^2 <= DTW^2. The engine additionally takes
-// the max with the reverse bound (candidate PAA means against the query's
-// envelope means, via IntervalMinDistSquared), sound by the symmetric
-// argument. MinDistSquared over the paaV block is the classic lock-step PAA
-// bound — per segment j, sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j -
-// cbar_j)^2 by Jensen, and cbar_j lies inside [lo_j, hi_j] — which the
-// filter columns apply row by row.
+// DTW sums the exact endpoint gaps against a row's v0 and vLast with
+// MinDistSquared over the INTERIOR segments of [kLo, kHi] (the first and
+// last segments are excluded so the endpoint terms are never
+// double-counted): sum_{t in j} dist(q_t, [L_t, U_t])^2 >= len_j *
+// dist(qbar_j, [Lbar_j, Ubar_j])^2 by Cauchy-Schwarz, and the whole chains
+// under LB_Kim + LB_Keogh^2 <= DTW^2. The engine takes the max with the
+// reverse bound (MinDistSquared of the row's paaV against the query's
+// envelope means), sound by the symmetric argument. A bucket's region is the
+// elementwise [min, max] of its members' rows; MinDistSquared over its paaV
+// block is the classic lock-step PAA bound — per segment j, sum_{t in j}
+// (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2 by Jensen, and cbar_j lies
+// inside [lo_j, hi_j] — which the filter columns apply row by row.
 package sketch
 
 import (
@@ -191,55 +187,4 @@ func MinDistSquaredBounded(qpaa, lo, hi []float64, spans [][2]int, limit float64
 func MinDistSquaredOver(qpaa, lo, hi []float64, spans [][2]int, limit float64) bool {
 	_, over := MinDistSquaredBounded(qpaa, lo, hi, spans, limit)
 	return over
-}
-
-// IntervalMinDistSquaredBounded evaluates IntervalMinDistSquared under an
-// abandonment limit, with MinDistSquaredBounded's contract: (exact sum,
-// false) within limit, (partial sum, true) once the accumulation exceeds it.
-func IntervalMinDistSquaredBounded(alo, ahi, blo, bhi []float64, spans [][2]int, limit float64) (float64, bool) {
-	var acc float64
-	for j, sp := range spans {
-		var d float64
-		switch {
-		case ahi[j] < blo[j]:
-			d = blo[j] - ahi[j]
-		case alo[j] > bhi[j]:
-			d = alo[j] - bhi[j]
-		default:
-			continue
-		}
-		acc += float64(sp[1]-sp[0]) * d * d
-		if acc > limit {
-			return acc, true
-		}
-	}
-	return acc, false
-}
-
-// IntervalMinDistSquaredOver reports whether IntervalMinDistSquared exceeds
-// limit — IntervalMinDistSquaredBounded's decision without the value.
-func IntervalMinDistSquaredOver(alo, ahi, blo, bhi []float64, spans [][2]int, limit float64) bool {
-	_, over := IntervalMinDistSquaredBounded(alo, ahi, blo, bhi, spans, limit)
-	return over
-}
-
-// IntervalMinDistSquared is MinDistSquared with an interval on both sides:
-// per segment j, the squared gap between [alo_j, ahi_j] and [blo_j, bhi_j]
-// (zero when they overlap), weighted by the span width. It lower-bounds
-// MinDistSquared(x, blo, bhi, spans) for every x with x_j in [alo_j, ahi_j].
-func IntervalMinDistSquared(alo, ahi, blo, bhi []float64, spans [][2]int) float64 {
-	var acc float64
-	for j, sp := range spans {
-		var d float64
-		switch {
-		case ahi[j] < blo[j]:
-			d = blo[j] - ahi[j]
-		case alo[j] > bhi[j]:
-			d = alo[j] - bhi[j]
-		default:
-			continue
-		}
-		acc += float64(sp[1]-sp[0]) * d * d
-	}
-	return acc
 }

@@ -112,8 +112,9 @@ func TestCoarseGeometry(t *testing.T) {
 }
 
 // TestMinDistSoundness checks the per-measure bound chain on random data:
-// the Euclidean bound under the true squared distance, and the DTW bound
-// under LB_Keogh^2 (itself a lower bound on DTW^2).
+// the Euclidean bound of each bucket region under the true squared distance
+// of every member, and the DTW bound of each member's own row under LB_Keogh^2
+// (itself a lower bound on DTW^2).
 func TestMinDistSoundness(t *testing.T) {
 	lay := NewLayout(64, 8)
 	b := arena.NewBuilder(lay.Stride(), 0)
@@ -130,15 +131,6 @@ func TestMinDistSoundness(t *testing.T) {
 	}
 	w := lay.W
 	interior := lay.Interior()
-	gap2 := func(v, lo, hi float64) float64 {
-		switch {
-		case v < lo:
-			return (lo - v) * (lo - v)
-		case v > hi:
-			return (v - hi) * (v - hi)
-		}
-		return 0
-	}
 	var scratch distance.DTWScratch
 	for qi := 0; qi < 10; qi++ {
 		q := series[qi].values
@@ -147,13 +139,12 @@ func TestMinDistSoundness(t *testing.T) {
 		quSeg, qlSeg := PAA(qu, lay.Spans), PAA(ql, lay.Spans)
 		for _, bk := range buckets {
 			eucl := MinDistSquared(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
-			kim := gap2(q[0], bk.Lo[lay.OffV0()], bk.Hi[lay.OffV0()]) +
-				gap2(q[lay.N-1], bk.Lo[lay.OffVLast()], bk.Hi[lay.OffVLast()])
-			fwd := MinDistSquared(qpaa[1:w-1], bk.Lo[lay.OffKLo()+1:lay.OffKLo()+w-1], bk.Hi[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
-			rev := IntervalMinDistSquared(bk.Lo[1:w-1], bk.Hi[1:w-1], qlSeg[1:w-1], quSeg[1:w-1], interior)
-			dtwLB := kim + math.Max(fwd, rev)
 			for _, m := range bk.Members {
-				s := series[m.ID]
+				s, row := series[m.ID], mat.Row(m.Row)
+				d0, dn := q[0]-row[lay.OffV0()], q[lay.N-1]-row[lay.OffVLast()]
+				fwd := MinDistSquared(qpaa[1:w-1], row[lay.OffKLo()+1:lay.OffKLo()+w-1], row[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
+				rev := MinDistSquared(row[1:w-1], qlSeg[1:w-1], quSeg[1:w-1], interior)
+				dtwLB := d0*d0 + dn*dn + math.Max(fwd, rev)
 				var d2, keogh2 float64
 				for t := range q {
 					gap := q[t] - s.values[t]
@@ -196,11 +187,8 @@ func TestBoundedVariants(t *testing.T) {
 	w := lay.W
 	for qi := 0; qi < 5; qi++ {
 		qpaa := PAA(series[qi].values, lay.Spans)
-		qu, ql := distance.Envelope(series[qi].values, 3)
-		quSeg, qlSeg := PAA(qu, lay.Spans), PAA(ql, lay.Spans)
 		for _, bk := range tree.Buckets() {
 			full := MinDistSquared(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
-			ifull := IntervalMinDistSquared(bk.Lo[:w], bk.Hi[:w], qlSeg, quSeg, lay.Spans)
 			for _, limit := range []float64{0, full / 2, full, full * 2, math.Inf(1)} {
 				v, over := MinDistSquaredBounded(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans, limit)
 				if over != (full > limit) {
@@ -211,16 +199,6 @@ func TestBoundedVariants(t *testing.T) {
 				}
 				if over != MinDistSquaredOver(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans, limit) {
 					t.Fatalf("MinDistSquaredOver disagrees with Bounded at limit %g", limit)
-				}
-				iv, iover := IntervalMinDistSquaredBounded(bk.Lo[:w], bk.Hi[:w], qlSeg, quSeg, lay.Spans, limit)
-				if iover != (ifull > limit) {
-					t.Fatalf("IntervalMinDistSquaredBounded over=%v, want full %g > limit %g", iover, ifull, limit)
-				}
-				if !iover && iv != ifull {
-					t.Fatalf("IntervalMinDistSquaredBounded survived with %g, want exact %g", iv, ifull)
-				}
-				if iover != IntervalMinDistSquaredOver(bk.Lo[:w], bk.Hi[:w], qlSeg, quSeg, lay.Spans, limit) {
-					t.Fatalf("IntervalMinDistSquaredOver disagrees with Bounded at limit %g", limit)
 				}
 			}
 		}

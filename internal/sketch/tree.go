@@ -11,9 +11,9 @@ import (
 // PAA symbol with the widest extent at its midpoint — each split refines
 // that symbol's quantisation by one bit, which is exactly iSAX's
 // variable-cardinality idea expressed as a binary tree. Every node carries
-// the elementwise [min, max] region of its members' full sketch rows; the
-// engine's per-measure lower bounds read only those two vectors, so a
-// bucket is admitted or skipped in O(W) regardless of its size.
+// the elementwise [min, max] region of its members' full sketch rows; a
+// lower bound over a bucket reads only those two vectors, so a bucket is
+// admitted or skipped in O(W) regardless of its size.
 //
 // Trees are persistent (copy-on-write) with generation tags: Update bumps
 // the generation and shallow-copies only the nodes it touches, so every
@@ -274,7 +274,7 @@ func unionRegion(n *node) {
 	}
 }
 
-// Bucket is one non-empty leaf as the engine consumes it: the region
+// Bucket is one non-empty leaf as a reader consumes it: the region
 // vectors and the member list, all aliasing the tree's immutable storage —
 // callers must treat them as read-only.
 type Bucket struct {
@@ -285,10 +285,8 @@ type Bucket struct {
 // Locate descends to the leaf a row with the given raw-value PAA symbols
 // would land on — the query's "home" leaf, holding its nearest SAX
 // neighbours — and returns its index in Buckets() order, or -1 when that
-// leaf is empty (or the tree is). The engine seeds its top-k cut from this
-// leaf: exact distances to SAX neighbours are near-final, which is what
-// makes the early-abandoning bucket sweep bite. The point need not be
-// resident; any vector's PAA works.
+// leaf is empty (or the tree is). The point need not be resident; any
+// vector's PAA works.
 func (t *Tree) Locate(paa []float64) int {
 	n := t.root
 	if n == nil {
@@ -327,8 +325,7 @@ func (t *Tree) Locate(paa []float64) int {
 }
 
 // Buckets returns the non-empty leaves in tree order, collected once per
-// tree version; the engine ranks them per query by its measure's bound. The
-// slice is shared: callers must not modify it.
+// tree version. The slice is shared: callers must not modify it.
 func (t *Tree) Buckets() []Bucket {
 	t.bucketsOnce.Do(func() {
 		var walk func(n *node)

@@ -361,12 +361,13 @@ func ParseStoreSyncPolicy(name string) (StoreSyncPolicy, error) {
 // QueryEngine is the pruned top-k / range similarity engine over one corpus
 // snapshot. It has one query entry point — Run (RunStream for incremental
 // delivery) executes a declarative QueryRequest — and one path behind it for
-// every measure and kind: candidate source (a sharded sweep of the snapshot,
-// or the sketch-tree walk for banded DTW) → tier 0 / bounds (the coarse
-// filter columns for Euclidean, UMA, UEMA and PROUD, sketch rows for DTW) →
-// refine (the measure's own early-abandoning kernel: LB_Keogh and a banded
-// DP for DTW, shared phi tables for DUST, MUNICH's envelope,
-// bounding-interval and sample-pair bounds before any combination counting,
+// every measure and kind: candidate source (a sharded sweep of every
+// snapshot position, in position order or, for banded DTW top-k, in the
+// order of its sketch-row bound) → tier 0 / bounds (the coarse filter
+// columns for Euclidean, UMA, UEMA and PROUD, sketch rows for DTW) → refine
+// (the measure's own early-abandoning kernel: LB_Keogh and a banded DP for
+// DTW, shared phi tables for DUST, MUNICH's bounding-interval prune, moment
+// bracket and sample-pair bound before any combination counting,
 // PROUD's sound prefix bounds) → collect (matches by position, or one
 // query-wide top-k collector whose k-th best tightens the cut every worker
 // prunes against). Answers are exact — identical to the naive full scan —
