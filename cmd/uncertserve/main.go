@@ -100,7 +100,6 @@ type config struct {
 	maxWorkers int
 	munichBins int
 	timeout    time.Duration
-	noIndex    bool
 
 	dataDir       string
 	fsync         string
@@ -131,7 +130,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&cfg.maxWorkers, "max-workers", 0, "per-request worker budget cap (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.munichBins, "munich-bins", 0, fmt.Sprintf("MUNICH convolution estimator bins, at most %d (0 = default)", maxMunichBins))
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-query deadline for requests without timeout_ms, e.g. 2s (0 = none)")
-	fs.BoolVar(&cfg.noIndex, "no-index", false, "serve every query through the linear scan, ignoring the sketch index")
 	fs.StringVar(&cfg.dataDir, "data", "", "durable store directory (empty = in-memory corpus, restart loses everything)")
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy with -data: always (fsync before acknowledging each mutation) or interval")
 	fs.DurationVar(&cfg.fsyncEvery, "fsync-interval", 100*time.Millisecond, "fsync period of -fsync interval")
@@ -266,7 +264,6 @@ func buildServer(cfg config) (*server.Server, *store.Store, error) {
 		MaxWorkers:     cfg.maxWorkers,
 		DefaultTimeout: cfg.timeout,
 		MUNICH:         munich.Options{Bins: cfg.munichBins},
-		NoIndex:        cfg.noIndex,
 		Store:          st,
 	}), st, nil
 }
@@ -306,7 +303,6 @@ func buildCluster(cfg config) (*cluster.Coordinator, []*store.Store, error) {
 			DefaultWorkers: cfg.defWorkers,
 			MaxWorkers:     cfg.maxWorkers,
 			MUNICH:         munich.Options{Bins: cfg.munichBins},
-			NoIndex:        cfg.noIndex,
 			Store:          st,
 		}))
 	}

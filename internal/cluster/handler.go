@@ -56,8 +56,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.TimeoutMS < 0 {
@@ -101,8 +100,7 @@ func (c *Coordinator) handleSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.SeriesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := c.Mutate(r.Context(), req)

@@ -8,8 +8,8 @@ import (
 // artifactCopy deep-copies every float64 artifact view of a snapshot so a
 // later comparison can prove the views never changed underneath a reader.
 type artifactCopy struct {
-	values, sigmas, uma, uema, upper, lower, suffix []float64
-	envLo, envHi                                    []float64
+	values, uma, uema, upper, lower, suffix []float64
+	envLo, envHi                            []float64
 }
 
 // arenaRow resolves position i of a snapshot to its arena row.
@@ -27,7 +27,6 @@ func copyArtifacts(s *Snapshot, i int) artifactCopy {
 	cols, row := arenaRow(s, i)
 	return artifactCopy{
 		values: cp(e.PDF.Observations),
-		sigmas: cp(e.Sigmas),
 		uma:    cp(cols.UMA.Row(row)),
 		uema:   cp(cols.UEMA.Row(row)),
 		upper:  cp(e.Upper),
@@ -54,7 +53,6 @@ func checkArtifacts(t *testing.T, when string, s *Snapshot, i int, want artifact
 		}
 	}
 	eq("values", e.PDF.Observations, want.values)
-	eq("sigmas", e.Sigmas, want.sigmas)
 	eq("uma", cols.UMA.Row(row), want.uma)
 	eq("uema", cols.UEMA.Row(row), want.uema)
 	eq("upper", e.Upper, want.upper)

@@ -18,15 +18,12 @@ import (
 // storage is dead.
 type arenas struct {
 	values *arena.Builder // observations, stride n
-	sigmas *arena.Builder // per-timestamp error stddevs, stride n
 	uma    *arena.Builder // UMA-filtered vectors, stride n
 	uema   *arena.Builder // UEMA-filtered vectors, stride n
 	upper  *arena.Builder // LB_Keogh upper envelopes, stride n
 	lower  *arena.Builder // LB_Keogh lower envelopes, stride n
 	suffix *arena.Builder // PROUD suffix energies, stride n+1
-	envLo  *arena.Builder // MUNICH envelope minima, stride cfg.Segments
-	envHi  *arena.Builder // MUNICH envelope maxima, stride cfg.Segments
-	sketch *arena.Builder // PAA sketch rows for the bucket index, stride lay.Stride()
+	sketch *arena.Builder // PAA sketch rows for the DTW bound, stride lay.Stride()
 
 	// The dense filter columns: the coarse segment means of the raw, UMA
 	// and UEMA vectors (stride coarse.W() each) and the total squared
@@ -35,8 +32,8 @@ type arenas struct {
 	// never persisted: recovery recomputes them through buildEntry.
 	coarseV, coarseU, coarseE, energy *arena.Builder
 
-	// lay is the sketch-row geometry all sketch rows share (and the bucket
-	// tree indexes); coarse is the filter-column geometry.
+	// lay is the sketch-row geometry all sketch rows share; coarse is the
+	// filter-column geometry.
 	lay    sketch.Layout
 	coarse sketch.Coarse
 
@@ -49,24 +46,24 @@ type arenas struct {
 	// across inserts; buildEntry runs under the corpus writer lock, so
 	// one scratch per arena set suffices.
 	envScratch distance.EnvelopeScratch
+	// sigmas is the same kind of scratch for the per-timestamp error stddevs
+	// the UMA/UEMA filters read (length n): no query reads them, so no arena
+	// keeps them.
+	sigmas []float64
 }
 
-// newArenas allocates the builder set for a resolved geometry (cfg.Length
-// and cfg.Segments known), with capacity reserved for capRows series.
-func newArenas(cfg Config, capRows int) *arenas {
-	n := cfg.Length
-	lay := sketch.NewLayout(n, cfg.SketchSegments)
+// newArenas allocates the builder set for series of length n, with capacity
+// reserved for capRows series.
+func newArenas(n, capRows int) *arenas {
+	lay := sketch.NewLayout(n, sketch.DefaultSegments)
 	coarse := sketch.NewCoarse(n)
 	return &arenas{
 		values: arena.NewBuilder(n, capRows),
-		sigmas: arena.NewBuilder(n, capRows),
 		uma:    arena.NewBuilder(n, capRows),
 		uema:   arena.NewBuilder(n, capRows),
 		upper:  arena.NewBuilder(n, capRows),
 		lower:  arena.NewBuilder(n, capRows),
 		suffix: arena.NewBuilder(n+1, capRows),
-		envLo:  arena.NewBuilder(cfg.Segments, capRows),
-		envHi:  arena.NewBuilder(cfg.Segments, capRows),
 		sketch: arena.NewBuilder(lay.Stride(), capRows),
 
 		coarseV: arena.NewBuilder(coarse.W(), capRows),
@@ -76,6 +73,7 @@ func newArenas(cfg Config, capRows int) *arenas {
 
 		lay:    lay,
 		coarse: coarse,
+		sigmas: make([]float64, n),
 	}
 }
 
@@ -103,7 +101,7 @@ func (a *arenas) truncate(rows int) {
 
 func (a *arenas) all() []*arena.Builder {
 	return []*arena.Builder{
-		a.values, a.sigmas, a.uma, a.uema, a.upper, a.lower, a.suffix, a.envLo, a.envHi, a.sketch,
+		a.values, a.uma, a.uema, a.upper, a.lower, a.suffix, a.sketch,
 		a.coarseV, a.coarseU, a.coarseE, a.energy,
 	}
 }
@@ -115,14 +113,11 @@ func (a *arenas) all() []*arena.Builder {
 func (a *arenas) compact(keep []int) *arenas {
 	return &arenas{
 		values: a.values.Compact(keep),
-		sigmas: a.sigmas.Compact(keep),
 		uma:    a.uma.Compact(keep),
 		uema:   a.uema.Compact(keep),
 		upper:  a.upper.Compact(keep),
 		lower:  a.lower.Compact(keep),
 		suffix: a.suffix.Compact(keep),
-		envLo:  a.envLo.Compact(keep),
-		envHi:  a.envHi.Compact(keep),
 		sketch: a.sketch.Compact(keep),
 
 		coarseV: a.coarseV.Compact(keep),
@@ -133,6 +128,7 @@ func (a *arenas) compact(keep []int) *arenas {
 		lay:    a.lay,
 		coarse: a.coarse,
 		copied: a.copied,
+		sigmas: a.sigmas,
 	}
 }
 
@@ -150,19 +146,14 @@ type Columns struct {
 	Rows []int32
 	// Values holds the observation vectors (stride = series length).
 	Values arena.Matrix
-	// Sigmas holds the per-timestamp error stddevs.
-	Sigmas arena.Matrix
 	// UMA and UEMA hold the filtered vectors of the corpus filter config.
 	UMA, UEMA arena.Matrix
 	// Upper and Lower hold the LB_Keogh envelopes for the corpus band.
 	Upper, Lower arena.Matrix
 	// Suffix holds PROUD's suffix energies (stride = series length + 1).
 	Suffix arena.Matrix
-	// EnvLo and EnvHi hold the MUNICH segment envelopes (stride =
-	// cfg.Segments; zero rows for series without samples).
-	EnvLo, EnvHi arena.Matrix
-	// Sketch holds the PAA sketch rows the bucket index summarises
-	// (stride = the sketch layout's stride).
+	// Sketch holds the PAA sketch rows DTW's bound reads (stride = the
+	// sketch layout's stride; Snapshot.Index builds its tree over them).
 	Sketch arena.Matrix
 	// CoarseV, CoarseU and CoarseE hold the coarse segment means of the
 	// raw, UMA and UEMA vectors (stride = sketch.NewCoarse(length).W()),
@@ -176,14 +167,11 @@ type Columns struct {
 func (a *arenas) capture() *Columns {
 	return &Columns{
 		Values: a.values.Matrix(),
-		Sigmas: a.sigmas.Matrix(),
 		UMA:    a.uma.Matrix(),
 		UEMA:   a.uema.Matrix(),
 		Upper:  a.upper.Matrix(),
 		Lower:  a.lower.Matrix(),
 		Suffix: a.suffix.Matrix(),
-		EnvLo:  a.envLo.Matrix(),
-		EnvHi:  a.envHi.Matrix(),
 		Sketch: a.sketch.Matrix(),
 
 		CoarseV: a.coarseV.Matrix(),

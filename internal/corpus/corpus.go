@@ -5,14 +5,17 @@
 //
 // Two ideas carry the package:
 //
-//   - Incremental index maintenance. Every similarity measure the engine
-//     serves leans on per-series derived artifacts — LB_Keogh envelopes for
-//     banded DTW, UMA/UEMA filtered vectors, PROUD suffix energies, MUNICH
-//     bounding intervals, DUST phi lookup tables. All of them are functions
-//     of one series at a time (the phi tables of the shared evaluator are
-//     keyed by error distribution and built lazily), so an insert computes
-//     exactly the new series' artifacts and a delete drops exactly the
-//     removed ones. Nothing is ever rebuilt collection-wide.
+//   - Incremental artifact maintenance. Every similarity measure the engine
+//     serves leans on per-series derived artifacts — LB_Keogh envelopes and
+//     the sketch row for banded DTW, UMA/UEMA filtered vectors, PROUD suffix
+//     energies, MUNICH bounding intervals, DUST phi lookup tables. All of
+//     them are functions of one series at a time (the phi tables of the
+//     shared evaluator are keyed by error distribution and built lazily), so
+//     an insert computes exactly the new series' artifacts and a delete drops
+//     exactly the removed ones. Nothing is ever rebuilt collection-wide, and
+//     nothing is stored that no query reads: the per-timestamp error stddevs
+//     are filter input only, and the sketch bucket tree is built on demand
+//     (Snapshot.Index).
 //
 //   - Snapshot isolation. The corpus publishes its state as an immutable
 //     Snapshot under an atomic pointer (copy-on-write: writers copy the
@@ -45,6 +48,9 @@ import (
 // parameterised (envelope band, filter window, segment count, ...); pinning
 // the parameters at corpus construction is what lets inserts maintain the
 // artifacts incrementally and lets engines reuse them without recomputing.
+// The sketch rows have no setting: every corpus summarises its series into
+// sketch.DefaultSegments PAA segments (clamped to the length), the geometry
+// the engine reads them with.
 type Config struct {
 	// Length is the common series length. Zero adopts the length of the
 	// first inserted series.
@@ -75,16 +81,6 @@ type Config struct {
 	Mode timeseries.WeightMode
 	// DUST configures the shared phi-table evaluator.
 	DUST dust.Options
-
-	// SketchSegments is the PAA segment count of the sketch index rows
-	// (0 = sketch.DefaultSegments, clamped to the series length), and
-	// SketchLeafCap the bucket-tree leaf capacity (0 = sketch.DefaultLeafCap).
-	// Both are tuning knobs only — query results are bit-identical for every
-	// setting (the index is a sound prefilter) — and are deliberately NOT
-	// persisted by checkpoints: a restored corpus adopts the defaults, which
-	// changes nothing but bucket shapes.
-	SketchSegments int
-	SketchLeafCap  int
 }
 
 // withDefaults resolves the zero values that do not need the series length.
@@ -97,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Segments <= 0 {
 		c.Segments = 16
-	}
-	if c.SketchSegments <= 0 {
-		c.SketchSegments = sketch.DefaultSegments
-	}
-	if c.SketchLeafCap <= 0 {
-		c.SketchLeafCap = sketch.DefaultLeafCap
 	}
 	return c
 }
@@ -118,7 +108,6 @@ func (c Config) resolveLength(n int) Config {
 		}
 	}
 	c.Segments = munich.ClampSegments(n, c.Segments)
-	c.SketchSegments = munich.ClampSegments(n, c.SketchSegments)
 	return c
 }
 
@@ -183,13 +172,11 @@ type Entry struct {
 	// Samples is the repeated-observation view (MUNICH input), nil when
 	// the series was inserted without samples.
 	Samples *uncertain.SampleSeries
-	// Sigmas caches the per-timestamp error stddevs of PDF.Errors.
-	Sigmas []float64
 	// Upper and Lower are the LB_Keogh envelopes for the corpus band.
 	Upper, Lower []float64
-	// Env is the MUNICH segment envelope (zero value when Samples is nil).
-	// The engine prunes with Intervals; the benchmark's layer probe still
-	// times the envelope bound.
+	// Env is the MUNICH segment envelope, the entry's own allocation like
+	// Intervals (zero value when Samples is nil). No query reads it; the
+	// benchmark's layer probe times the envelope bound on it.
 	Env munich.Envelope
 	// Intervals are the MUNICH per-timestamp bounding intervals of Samples,
 	// the filter step of every MUNICH query: one allocation of 2n floats of
@@ -204,10 +191,10 @@ type Entry struct {
 
 	// row is the entry's row index in the corpus arenas at the time it was
 	// built (or last compacted, or last regrown). Every float64 artifact
-	// above but Intervals is a view into arena row `row`, which also holds
-	// the artifacts only scans read (filtered vectors, suffix energies,
-	// sketch row, filter columns — see Snapshot.Arena); compaction and arena
-	// growth rewire fresh Entry copies to the new storage.
+	// above but Env and Intervals is a view into arena row `row`, which also
+	// holds the artifacts only scans read (filtered vectors, suffix
+	// energies, sketch row, filter columns — see Snapshot.Arena); compaction
+	// and arena growth rewire fresh Entry copies to the new storage.
 	row int
 }
 
@@ -224,11 +211,6 @@ type Corpus struct {
 	// artifacts. Nil until the series length is resolved (the first insert,
 	// for corpora configured without a Length). Guarded by mu.
 	ar *arenas
-	// tree is the current version of the persistent bucket-tree sketch
-	// index over ar's sketch rows; it is maintained incrementally with every
-	// mutation and published (immutably) with every snapshot. Nil exactly
-	// when ar is nil. Guarded by mu.
-	tree *sketch.Tree
 	// regrown records that growth moved the arenas to new backing arrays
 	// since the published entries were last pointed at them; the next
 	// mutation to publish rewires the survivors (an aborted one leaves the
@@ -246,8 +228,7 @@ func New(cfg Config) *Corpus {
 	c := &Corpus{d: dust.New(cfg.DUST)}
 	if cfg.Length > 0 {
 		cfg = cfg.resolveLength(cfg.Length)
-		c.ar = newArenas(cfg, 0)
-		c.tree = sketch.NewTree(c.ar.lay, cfg.SketchLeafCap)
+		c.ar = newArenas(cfg.Length, 0)
 		c.defErrs = defaultErrors(cfg)
 	}
 	c.cur.Store(c.newSnapshot(cfg, 0, nil))
@@ -399,8 +380,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 			cfg.ReportedSigma = deriveSigma(insert[0], cfg)
 		}
 		if c.ar == nil {
-			c.ar = newArenas(cfg, len(insert))
-			c.tree = sketch.NewTree(c.ar.lay, cfg.SketchLeafCap)
+			c.ar = newArenas(cfg.Length, len(insert))
 		} else if c.ar.grow(len(insert)) {
 			c.regrown = true
 		}
@@ -410,15 +390,10 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 	}
 
 	entries := make([]*Entry, 0, len(old.entries)+len(insert)-len(drop))
-	// Dropped entries become tree deletions: their sketch rows stay resident
-	// until compaction, so the tree can descend by the removed row itself.
-	var delMembers []sketch.Member
 	for _, e := range old.entries {
-		if drop[e.ID] {
-			delMembers = append(delMembers, sketch.Member{ID: e.ID, Row: e.row})
-			continue
+		if !drop[e.ID] {
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
 	}
 	// Inserts stage rows into the arenas as they build; an abort (bad
 	// series, rejected hook) must roll the staged rows back so the arenas
@@ -434,13 +409,12 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 				if old.cols == nil {
 					// The arenas took their strides from this mutation's first
 					// series; the next first insert may bring another length.
-					c.ar, c.tree = nil, nil
+					c.ar = nil
 				}
 			}
 		}()
 	}
 	var ids []int
-	var insMembers []sketch.Member
 	for i, s := range insert {
 		id := c.nextID + i
 		if len(insertIDs) > 0 {
@@ -451,7 +425,6 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 			return nil, err
 		}
 		ids = append(ids, e.ID)
-		insMembers = append(insMembers, sketch.Member{ID: e.ID, Row: e.row})
 		entries = append(entries, e)
 	}
 	if logged && c.hook != nil {
@@ -472,22 +445,15 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 	// storage — compaction allocates fresh arrays and fresh Entry objects).
 	if c.ar != nil {
 		if dead := c.ar.rows() - len(entries); dead > 0 && dead*4 > c.ar.rows() {
-			// compactLocked bulk-rebuilds the tree over the compacted rows,
-			// so the incremental update is subsumed.
 			entries = c.compactLocked(entries)
-		} else {
-			if c.regrown {
-				// The arrays the survivors' views read were superseded: carry
-				// them forward as copies over the new ones (the entries built
-				// above already are), so that once older snapshots are
-				// released nothing keeps an old generation reachable.
-				cols := c.ar.capture()
-				for i, e := range entries[:len(entries)-len(insert)] {
-					entries[i] = rewire(e, cols, e.row)
-				}
-			}
-			if len(insMembers) > 0 || len(delMembers) > 0 {
-				c.tree = c.tree.Update(c.ar.sketch.Matrix(), insMembers, delMembers)
+		} else if c.regrown {
+			// The arrays the survivors' views read were superseded: carry
+			// them forward as copies over the new ones (the entries built
+			// above already are), so that once older snapshots are
+			// released nothing keeps an old generation reachable.
+			cols := c.ar.capture()
+			for i, e := range entries[:len(entries)-len(insert)] {
+				entries[i] = rewire(e, cols, e.row)
 			}
 		}
 		c.regrown = false
@@ -512,30 +478,20 @@ func (c *Corpus) compactLocked(entries []*Entry) []*Entry {
 		out[i] = rewire(e, cols, i)
 	}
 	c.ar = na
-	// Compaction rewires every member to a new row, so the tree is rebuilt
-	// in bulk over the dense arena rather than patched.
-	members := make([]sketch.Member, len(out))
-	for i, e := range out {
-		members[i] = sketch.Member{ID: e.ID, Row: i}
-	}
-	c.tree = sketch.Build(na.lay, c.tree.LeafCap(), members, cols.Sketch)
 	return out
 }
 
 // rewire returns a fresh copy of e whose artifact views read row `row` of
 // cols — how an entry follows its artifacts to new storage when the arenas
-// compact or regrow. e itself, which published snapshots may still hold, is
-// left untouched.
+// compact or regrow (Env and Intervals, its own allocations, come along as
+// they are). e itself, which published snapshots may still hold, is left
+// untouched.
 func rewire(e *Entry, cols *Columns, row int) *Entry {
 	ne := *e
 	ne.row = row
 	ne.PDF.Observations = cols.Values.Row(row)
-	ne.Sigmas = cols.Sigmas.Row(row)
 	ne.Upper = cols.Upper.Row(row)
 	ne.Lower = cols.Lower.Row(row)
-	if ne.Samples != nil {
-		ne.Env = munich.Envelope{Lo: cols.EnvLo.Row(row), Hi: cols.EnvHi.Row(row)}
-	}
 	return &ne
 }
 
@@ -568,7 +524,7 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 		// bulk load stages every series without a growth copy, and holds no
 		// headroom — the first insert after a restore pays one copy of the
 		// arenas, after which Grow's doubling takes over.
-		c.ar = newArenas(cfg, len(series))
+		c.ar = newArenas(cfg.Length, len(series))
 		c.defErrs = defaultErrors(cfg)
 	}
 	entries := make([]*Entry, 0, len(series))
@@ -591,23 +547,13 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 		}
 		entries = append(entries, e)
 	}
-	if c.ar != nil {
-		// The sketch rows were rebuilt row by row through buildEntry — the
-		// same incremental path inserts use — so the restored index prunes
-		// bit-identically; only the bucket shapes depend on load order.
-		members := make([]sketch.Member, len(entries))
-		for i, e := range entries {
-			members[i] = sketch.Member{ID: e.ID, Row: e.row}
-		}
-		c.tree = sketch.Build(c.ar.lay, cfg.SketchLeafCap, members, c.ar.sketch.Matrix())
-	}
 	c.cur.Store(c.newSnapshot(cfg, epoch, entries))
 	return c, nil
 }
 
-// newSnapshot freezes the writer's state — c.ar, c.tree, c.nextID,
-// c.defErrs — over the given entries as the snapshot of the given epoch.
-// Callers hold c.mu (or own a corpus nobody else can see yet).
+// newSnapshot freezes the writer's state — c.ar, c.nextID, c.defErrs — over
+// the given entries as the snapshot of the given epoch. Callers hold c.mu
+// (or own a corpus nobody else can see yet).
 func (c *Corpus) newSnapshot(cfg Config, epoch uint64, entries []*Entry) *Snapshot {
 	snap := &Snapshot{
 		cfg:     cfg,
@@ -615,7 +561,6 @@ func (c *Corpus) newSnapshot(cfg Config, epoch uint64, entries []*Entry) *Snapsh
 		entries: entries,
 		d:       c.d,
 		nextID:  c.nextID,
-		tree:    c.tree,
 		defErrs: c.defErrs,
 	}
 	for _, e := range entries {
@@ -626,12 +571,11 @@ func (c *Corpus) newSnapshot(cfg Config, epoch uint64, entries []*Entry) *Snapsh
 	if cfg.Length == 0 {
 		return snap
 	}
-	snap.spans = munich.SegmentSpans(cfg.Length, cfg.Segments)
 	// Every snapshot carries the arena capture, dead rows included: they
-	// stay resident until compaction, which the sketch tree relies on too.
-	// Rows and entries both grow in insertion order and only deletes break
-	// the alignment, so arena row == position exactly when the counts agree;
-	// otherwise the row index says where each position lives.
+	// stay resident until compaction. Rows and entries both grow in
+	// insertion order and only deletes break the alignment, so arena row ==
+	// position exactly when the counts agree; otherwise the row index says
+	// where each position lives.
 	snap.cols = c.ar.capture()
 	if c.ar.rows() != len(entries) {
 		rows := make([]int32, len(entries))
@@ -727,17 +671,16 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 		OwnErrors: s.Errors != nil,
 		row:       row,
 	}
-	// Configured default sigmas are validated by the filters below (length
-	// mismatch aborts the insert) and only then copied into the arena, so
-	// the filter errors stay exactly as before the columnar refactor.
+	// The per-timestamp error stddevs are the UMA/UEMA filters' input and
+	// nothing else, so they live in the writer's scratch, not in an arena.
+	// Configured default sigmas go to the filters as they are, which
+	// validate them (a length mismatch aborts the insert).
 	sigmas := cfg.Sigmas
-	derived := s.Errors != nil || sigmas == nil
-	if derived {
-		sig := ar.sigmas.AppendZero()
-		for i := range sig {
-			sig[i] = math.Sqrt(errs[i].Variance())
+	if s.Errors != nil || sigmas == nil {
+		sigmas = ar.sigmas
+		for i := range sigmas {
+			sigmas[i] = math.Sqrt(errs[i].Variance())
 		}
-		sigmas = sig
 	}
 
 	uma := ar.uma.AppendZero()
@@ -748,19 +691,13 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 	if err := timeseries.UncertainExponentialMovingAverageInto(uema, obs, sigmas, cfg.W, cfg.Lambda, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("corpus: UEMA filter: %w", err)
 	}
-	if !derived {
-		sigmas = ar.sigmas.Append(sigmas)
-	}
-	e.Sigmas = sigmas
 	e.Upper, e.Lower = ar.upper.AppendZero(), ar.lower.AppendZero()
 	distance.EnvelopeIntoScratch(e.Upper, e.Lower, obs, cfg.Band, &ar.envScratch)
 	suffix := ar.suffix.AppendZero()
 	proud.SuffixEnergyInto(suffix, obs)
 
-	// Every arena gets its row even when the series carries no samples, to
-	// keep row indices aligned across artifacts; Env stays the zero value
-	// (its absence is what gates MUNICH).
-	envLo, envHi := ar.envLo.AppendZero(), ar.envHi.AppendZero()
+	// Env and Intervals stay the zero value without samples (their absence
+	// is what gates MUNICH).
 	if s.Samples != nil {
 		if len(s.Samples) != n {
 			return nil, fmt.Errorf("corpus: sample model has %d timestamps, want %d", len(s.Samples), n)
@@ -770,8 +707,7 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
 		e.Samples = &ss
-		e.Env = munich.Envelope{Lo: envLo, Hi: envHi}
-		munich.BuildEnvelopeInto(e.Env, ss)
+		e.Env = munich.BuildEnvelope(ss, cfg.Segments)
 		e.Intervals = munich.BoundingIntervals(ss)
 	}
 	ar.lay.FillRow(ar.sketch.AppendZero(), obs, e.Upper, e.Lower)

@@ -263,6 +263,66 @@ func TestStoredIntervalsFollowTheEntry(t *testing.T) {
 	check("after restore", r.Snapshot())
 }
 
+// TestIndexHoldsTheSnapshotRows: the bucket tree Snapshot.Index builds on
+// call holds exactly the snapshot's IDs, each at the arena row holding its
+// sketch row, on a dense snapshot, a sparse one (a delete left a dead row),
+// a compacted one and a restored one; before the series length resolves
+// there is no tree.
+func TestIndexHoldsTheSnapshotRows(t *testing.T) {
+	check := func(when string, s *Snapshot, dense bool) {
+		t.Helper()
+		if _, ok := s.Columns(); ok != dense {
+			t.Fatalf("%s: dense = %v, want %v", when, ok, dense)
+		}
+		tree := s.Index()
+		if tree == nil || tree.Len() != s.Len() {
+			t.Fatalf("%s: the tree holds %v members, the snapshot %d series", when, tree, s.Len())
+		}
+		want := map[int]int{}
+		for i, id := range s.IDs() {
+			_, want[id] = arenaRow(s, i)
+		}
+		got := map[int]int{}
+		for _, b := range tree.Buckets() {
+			for _, m := range b.Members {
+				got[m.ID] = m.Row
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the tree holds ID -> row %v, the snapshot %v", when, got, want)
+		}
+	}
+
+	c := New(Config{ReportedSigma: 0.5})
+	if c.Snapshot().Index() != nil {
+		t.Fatal("a tree before the series length resolved")
+	}
+	ids, err := c.InsertBatch(batchOf(40, 16, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dense", c.Snapshot(), true)
+	if err := c.Delete(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	check("sparse", c.Snapshot(), false)
+	if err := c.Delete(ids[10:25]...); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	check("compacted", s, true)
+
+	recs := make([]RestoredSeries, s.Len())
+	for i := range recs {
+		recs[i] = RestoredSeries{ID: s.IDAt(i), Series: Series{Values: s.Entry(i).PDF.Observations}}
+	}
+	r, err := Restore(s.Config(), recs, s.NextID(), s.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", r.Snapshot(), true)
+}
+
 func TestDerivedSigmaAndDefaults(t *testing.T) {
 	// No sigma configured: derived from the first series' error dists.
 	c := New(Config{})

@@ -1,12 +1,14 @@
 package corpus
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"uncertts/internal/arena"
+	"uncertts/internal/munich"
 	"uncertts/internal/stats"
 )
 
@@ -19,17 +21,47 @@ func batchOf(k, n, samplesPerTS, base int) []Series {
 	return out
 }
 
+// matrices lists every arena column of c, found by type so that a column
+// added to Columns is counted without anyone listing it here.
+func matrices(c *Columns) []arena.Matrix {
+	var out []arena.Matrix
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if m, ok := v.Field(i).Interface().(arena.Matrix); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // arenaFloats is the live size of a snapshot's arena set in float64s.
 func arenaFloats(s *Snapshot) int64 {
-	c := s.Arena()
 	var n int64
-	for _, m := range []arena.Matrix{
-		c.Values, c.Sigmas, c.UMA, c.UEMA, c.Upper, c.Lower, c.Suffix, c.EnvLo, c.EnvHi, c.Sketch,
-		c.CoarseV, c.CoarseU, c.CoarseE, c.Energy,
-	} {
+	for _, m := range matrices(s.Arena()) {
 		n += int64(len(m.Data()))
 	}
 	return n
+}
+
+// TestArenaRowWidth pins what one series costs in the arenas at length 128:
+// observations, UMA and UEMA vectors, LB_Keogh envelopes (128 each), suffix
+// energies (129), the sketch row (3 x 64 + 2), three coarse filter columns
+// (16 each) and the energy (1) — 1012 float64s, every one of them read by a
+// query. A column no query reads (the error stddevs, the MUNICH segment
+// envelope) moves this count.
+func TestArenaRowWidth(t *testing.T) {
+	c := New(Config{ReportedSigma: 0.5})
+	if _, err := c.Insert(testSeries(128, 3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	cols := c.Snapshot().Arena()
+	width, ms := 0, matrices(cols)
+	for _, m := range ms {
+		width += m.Stride()
+	}
+	if len(ms) != 11 || width != 1012 {
+		t.Errorf("%d arenas, %d float64s a row at length 128; want 11 and 1012", len(ms), width)
+	}
 }
 
 // checkViewsAliasArena fails unless every artifact view of every entry of s
@@ -47,12 +79,12 @@ func checkViewsAliasArena(t *testing.T, when string, s *Snapshot) {
 			}
 		}
 		same("Observations", e.PDF.Observations, cols.Values.Row(row))
-		same("Sigmas", e.Sigmas, cols.Sigmas.Row(row))
 		same("Upper", e.Upper, cols.Upper.Row(row))
 		same("Lower", e.Lower, cols.Lower.Row(row))
-		if e.Samples != nil {
-			same("Env.Lo", e.Env.Lo, cols.EnvLo.Row(row))
-			same("Env.Hi", e.Env.Hi, cols.EnvHi.Row(row))
+		// Env is the entry's own allocation, not an arena view: it must
+		// survive the rewiring by value.
+		if e.Samples != nil && !reflect.DeepEqual(e.Env, munich.BuildEnvelope(*e.Samples, s.Config().Segments)) {
+			t.Fatalf("%s: entry %d: Env is not its samples' envelope", when, e.ID)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"uncertts/internal/dust"
+	"uncertts/internal/munich"
 	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
 	"uncertts/internal/uncertain"
@@ -19,9 +20,7 @@ type Snapshot struct {
 	epoch   uint64
 	entries []*Entry // in strictly increasing ID order
 	d       *dust.Dust
-	spans   [][2]int // MUNICH segment geometry for cfg.Segments
-	nextID  int      // the ID the next insert will receive
-	tree    *sketch.Tree
+	nextID  int // the ID the next insert will receive
 
 	cols *Columns // the arena capture; nil until the series length is resolved
 
@@ -80,8 +79,13 @@ func (s *Snapshot) IDs() []int {
 func (s *Snapshot) Dust() *dust.Dust { return s.d }
 
 // Spans returns the MUNICH segment geometry every entry envelope was built
-// with.
-func (s *Snapshot) Spans() [][2]int { return s.spans }
+// with (nil while the series length is unresolved), computed on each call.
+func (s *Snapshot) Spans() [][2]int {
+	if s.cfg.Length == 0 {
+		return nil
+	}
+	return munich.SegmentSpans(s.cfg.Length, s.cfg.Segments)
+}
 
 // Columns returns the snapshot's dense columnar arena view: row i of every
 // matrix holds the artifacts of the entry at position i, so a scan in
@@ -104,12 +108,22 @@ func (s *Snapshot) Columns() (*Columns, bool) {
 // compaction.
 func (s *Snapshot) Arena() *Columns { return s.cols }
 
-// Index returns the snapshot's immutable bucket-tree sketch index, present
-// on every snapshot with resolved geometry (dense or not — its members name
-// arena rows). Nil while the corpus is empty and no length was configured.
-// No query walks it: the engine reads the sketch rows themselves
-// (Arena().Sketch), and the tree is kept for the benchmark's layer probe.
-func (s *Snapshot) Index() *sketch.Tree { return s.tree }
+// Index builds a bucket tree over the snapshot's sketch column, one member
+// per resident series at its arena row (dense or not: rows of deleted series
+// are left out), with the default leaf capacity. Each call builds afresh;
+// nil while the corpus is empty and no length was configured. No query walks
+// it — the engine reads the sketch rows themselves (Arena().Sketch) — and
+// the benchmark's layer probe is what calls it.
+func (s *Snapshot) Index() *sketch.Tree {
+	if s.cols == nil {
+		return nil
+	}
+	members := make([]sketch.Member, len(s.entries))
+	for i, e := range s.entries {
+		members[i] = sketch.Member{ID: e.ID, Row: e.row}
+	}
+	return sketch.Build(sketch.NewLayout(s.cfg.Length, sketch.DefaultSegments), sketch.DefaultLeafCap, members, s.cols.Sketch)
+}
 
 // DefaultErrors returns the per-timestamp error distributions attached to
 // series inserted without their own — the model ad-hoc queries adopt when

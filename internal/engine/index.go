@@ -73,7 +73,7 @@ func (e *Engine) resolveIndex(cols *corpus.Columns) {
 	case MeasureUEMA:
 		e.t0 = t0(cols.CoarseE)
 	case MeasureDTW:
-		e.idx = &engineIndex{lay: sketch.NewLayout(e.snap.SeriesLen(), e.cfg.SketchSegments), rows: column(cols.Sketch, cols.Rows)}
+		e.idx = &engineIndex{lay: sketch.NewLayout(e.snap.SeriesLen(), sketch.DefaultSegments), rows: column(cols.Sketch, cols.Rows)}
 	}
 }
 

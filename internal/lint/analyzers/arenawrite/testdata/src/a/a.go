@@ -32,8 +32,8 @@ func entryViews(e *corpus.Entry, src []float64) {
 	copy(e.Upper, src)        // want `copy into corpus entry view \.Upper`
 	e.PDF.Observations[0] = 2 // want `write through corpus entry view \.Observations`
 	e.Env.Lo[0] = 3           // want `write through corpus entry view \.Lo`
-	sig := e.Sigmas
-	sig[1] = 0.5 // want `write through a local alias of a snapshot view`
+	up := e.Upper
+	up[1] = 0.5 // want `write through a local alias of a snapshot view`
 }
 
 func snapshotColumns(s *corpus.Snapshot) {

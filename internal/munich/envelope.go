@@ -8,10 +8,9 @@ import (
 
 // Envelope is the per-series summary of the MUNICH filter step: the
 // per-timestamp minimal bounding intervals of a sample series, coarsened
-// into fixed-width segments (a piecewise-constant envelope). Envelopes are
-// the unit of incremental index maintenance — one can be built for a single
-// series in isolation, so a mutable corpus keeps them up to date on insert,
-// under the one segment count its corpus.Config fixes.
+// into fixed-width segments (a piecewise-constant envelope). One is built
+// per series in isolation, so a mutable corpus builds each sampled series'
+// envelope on insert, under the one segment count its corpus.Config fixes.
 type Envelope struct {
 	// Lo and Hi hold the per-segment envelope minimum and maximum.
 	Lo, Hi []float64
@@ -47,16 +46,6 @@ func BuildEnvelope(s uncertain.SampleSeries, segments int) Envelope {
 	n := s.Len()
 	segments = ClampSegments(n, segments)
 	e := Envelope{Lo: make([]float64, segments), Hi: make([]float64, segments)}
-	BuildEnvelopeInto(e, s)
-	return e
-}
-
-// BuildEnvelopeInto fills a pre-shaped envelope (Lo and Hi already sized to
-// the clamped segment count) from a sample series — the allocation-free form
-// arena-backed corpora use, with Lo and Hi pointing into envelope arenas.
-func BuildEnvelopeInto(e Envelope, s uncertain.SampleSeries) {
-	n := s.Len()
-	segments := len(e.Lo)
 	for seg := 0; seg < segments; seg++ {
 		start := seg * n / segments
 		end := (seg + 1) * n / segments
@@ -69,6 +58,7 @@ func BuildEnvelopeInto(e Envelope, s uncertain.SampleSeries) {
 		e.Lo[seg] = lo
 		e.Hi[seg] = hi
 	}
+	return e
 }
 
 // EnvelopeLowerBound returns a lower bound on every feasible Euclidean

@@ -164,8 +164,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.queryContext(r.Context(), req.QueryRequest)
@@ -300,8 +299,7 @@ func (s *Server) handleClusterBound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rec ClusterBoundJSON
-	if err := json.NewDecoder(r.Body).Decode(&rec); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &rec) {
 		return
 	}
 	if rec.Token == "" {
@@ -336,9 +334,9 @@ func (s *Server) FetchSeries(id int) (*ClusterSeriesJSON, error) {
 		sj.Samples = ent.Samples.Samples
 	}
 	if ent.OwnErrors {
-		sigma := ent.Sigmas[0]
-		for _, v := range ent.Sigmas {
-			if v != sigma { //lint:allow floatcmp exact representability check: forwarding is only faithful for a truly constant sigma
+		sigma := math.Sqrt(ent.PDF.Errors[0].Variance())
+		for _, d := range ent.PDF.Errors {
+			if math.Sqrt(d.Variance()) != sigma { //lint:allow floatcmp exact representability check: forwarding is only faithful for a truly constant sigma
 				return nil, &httpError{
 					status: http.StatusUnprocessableEntity,
 					msg:    fmt.Sprintf("series %d carries a non-constant error model and cannot be forwarded as a wire series", id),

@@ -71,8 +71,9 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MUNICH configures the probability estimator of MUNICH engines.
 	MUNICH munich.Options
-	// NoIndex forces every engine onto the linear scan path, ignoring the
-	// corpus' sketch index (debugging / apples-to-apples benchmarking).
+	// NoIndex forces every engine onto the linear scan path, without tier 0
+	// or DTW's sketch-row bound (engine.Options.NoIndex): the reference arm
+	// of the prefilter parity tests.
 	NoIndex bool
 	// Store optionally attaches the durability engine behind the corpus:
 	// /healthz then reports WAL and checkpoint state, and POST
@@ -344,8 +345,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	// r.Context() is cancelled when the client hangs up, so a dead
@@ -518,8 +518,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Offset != 0 || req.Limit != 0 {
@@ -659,8 +658,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SeriesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.Mutate(req)
@@ -829,6 +827,30 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, s.opts.Store.Status())
+}
+
+// MaxBodyBytes bounds the JSON body of every request the server and the
+// cluster coordinator decode: no POST is buffered past it, whatever its
+// size. The largest body the repository benchmark sends, a 512-series
+// sampled ingest batch, is about 5 MB.
+const MaxBodyBytes = 64 << 20
+
+// DecodeBody decodes the JSON body of r into v, reading at most
+// MaxBodyBytes. It reports whether v holds the request; when it does not,
+// it has answered already: 413 naming the limit for a larger body, 400 for
+// malformed JSON.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds the %d MiB limit", MaxBodyBytes>>20), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
 }
 
 // writeJSON answers with v, encoded before the status line goes out: a value

@@ -6,8 +6,9 @@
 // candidate's own row bounds its DTW distance before the kernel runs. The
 // lock-step measures and PROUD read the dense coarse filter columns
 // (coarse.go), which MUNICH and DUST run without — so the row carries what
-// the DTW bound reads and nothing else. No query walks the tree; the corpus
-// maintains it for the repository benchmark's layer probe.
+// the DTW bound reads and nothing else. No query walks the tree; a corpus
+// snapshot builds one on demand (corpus.Snapshot.Index) for the repository
+// benchmark's layer probe.
 //
 // The row layout, for series length N summarised into W segments, is
 //

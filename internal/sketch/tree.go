@@ -16,16 +16,14 @@ import (
 // admitted or skipped in O(W) regardless of its size.
 //
 // Trees are persistent (copy-on-write) with generation tags: Update bumps
-// the generation and shallow-copies only the nodes it touches, so every
-// published corpus snapshot keeps its own immutable tree while a batch of
-// inserts and deletes amortises its path copies. A tree returned by Update
-// or Build is never mutated again — snapshots may hold it indefinitely.
+// the generation and shallow-copies only the nodes it touches, so a batch of
+// inserts and deletes amortises its path copies and the version it started
+// from stays intact. A tree returned by Update or Build is never mutated
+// again — readers may hold it indefinitely.
 //
-// Deletes descend by the removed member's own sketch row (the row is still
-// resident in the arena until compaction), which lands on the same leaf the
-// insert chose. Emptied leaves are kept (their region is cleared and
-// Buckets skips them); compaction rebuilds the tree in bulk, which also
-// rewires the members to the compacted arena rows.
+// Deletes descend by the removed member's own sketch row (the row must still
+// be readable in mat), which lands on the same leaf the insert chose.
+// Emptied leaves are kept (their region is cleared and Buckets skips them).
 
 // Member identifies one series in the tree: its stable corpus ID and its
 // row in the sketch arena. On a dense snapshot the row equals the series'
