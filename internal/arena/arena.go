@@ -1,7 +1,7 @@
 // Package arena provides contiguous columnar storage for fixed-stride
 // float64 rows — the resident representation of series data and every
-// per-series derived artifact (filtered vectors, envelopes, suffix
-// energies).
+// per-series derived artifact (filtered vectors, envelopes, filter
+// columns).
 //
 // The motivation is the memory wall: a similarity scan is a streaming read
 // over every candidate's vector, and when those vectors are individual heap

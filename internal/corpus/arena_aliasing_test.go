@@ -8,7 +8,7 @@ import (
 // artifactCopy deep-copies every float64 artifact view of a snapshot so a
 // later comparison can prove the views never changed underneath a reader.
 type artifactCopy struct {
-	values, uma, uema, upper, lower, suffix []float64
+	values, uma, uema, upper, lower, energy []float64
 	envLo, envHi                            []float64
 }
 
@@ -31,7 +31,7 @@ func copyArtifacts(s *Snapshot, i int) artifactCopy {
 		uema:   cp(cols.UEMA.Row(row)),
 		upper:  cp(e.Upper),
 		lower:  cp(e.Lower),
-		suffix: cp(cols.Suffix.Row(row)),
+		energy: cp(cols.Energy.Row(row)),
 		envLo:  cp(e.Env.Lo),
 		envHi:  cp(e.Env.Hi),
 	}
@@ -57,7 +57,7 @@ func checkArtifacts(t *testing.T, when string, s *Snapshot, i int, want artifact
 	eq("uema", cols.UEMA.Row(row), want.uema)
 	eq("upper", e.Upper, want.upper)
 	eq("lower", e.Lower, want.lower)
-	eq("suffix", cols.Suffix.Row(row), want.suffix)
+	eq("energy", cols.Energy.Row(row), want.energy)
 	eq("envLo", e.Env.Lo, want.envLo)
 	eq("envHi", e.Env.Hi, want.envHi)
 }

@@ -22,14 +22,14 @@ type arenas struct {
 	uema   *arena.Builder // UEMA-filtered vectors, stride n
 	upper  *arena.Builder // LB_Keogh upper envelopes, stride n
 	lower  *arena.Builder // LB_Keogh lower envelopes, stride n
-	suffix *arena.Builder // PROUD suffix energies, stride n+1
 	sketch *arena.Builder // PAA sketch rows for the DTW bound, stride lay.Stride()
 
 	// The dense filter columns: the coarse segment means of the raw, UMA
 	// and UEMA vectors (stride coarse.W() each) and the total squared
 	// observation energy (stride 1) — tier 0 of the engine's lock-step
-	// scans. Derived like every other artifact, and like the sketch rows
-	// never persisted: recovery recomputes them through buildEntry.
+	// scans, and the energy PROUD's unseen-gap bound reads. Derived like
+	// every other artifact, and like the sketch rows never persisted:
+	// recovery recomputes them through buildEntry.
 	coarseV, coarseU, coarseE, energy *arena.Builder
 
 	// lay is the sketch-row geometry all sketch rows share; coarse is the
@@ -63,7 +63,6 @@ func newArenas(n, capRows int) *arenas {
 		uema:   arena.NewBuilder(n, capRows),
 		upper:  arena.NewBuilder(n, capRows),
 		lower:  arena.NewBuilder(n, capRows),
-		suffix: arena.NewBuilder(n+1, capRows),
 		sketch: arena.NewBuilder(lay.Stride(), capRows),
 
 		coarseV: arena.NewBuilder(coarse.W(), capRows),
@@ -101,7 +100,7 @@ func (a *arenas) truncate(rows int) {
 
 func (a *arenas) all() []*arena.Builder {
 	return []*arena.Builder{
-		a.values, a.uma, a.uema, a.upper, a.lower, a.suffix, a.sketch,
+		a.values, a.uma, a.uema, a.upper, a.lower, a.sketch,
 		a.coarseV, a.coarseU, a.coarseE, a.energy,
 	}
 }
@@ -117,7 +116,6 @@ func (a *arenas) compact(keep []int) *arenas {
 		uema:   a.uema.Compact(keep),
 		upper:  a.upper.Compact(keep),
 		lower:  a.lower.Compact(keep),
-		suffix: a.suffix.Compact(keep),
 		sketch: a.sketch.Compact(keep),
 
 		coarseV: a.coarseV.Compact(keep),
@@ -150,16 +148,16 @@ type Columns struct {
 	UMA, UEMA arena.Matrix
 	// Upper and Lower hold the LB_Keogh envelopes for the corpus band.
 	Upper, Lower arena.Matrix
-	// Suffix holds PROUD's suffix energies (stride = series length + 1).
-	Suffix arena.Matrix
 	// Sketch holds the PAA sketch rows DTW's bound reads (stride = the
 	// sketch layout's stride; Snapshot.Index builds its tree over them).
 	Sketch arena.Matrix
 	// CoarseV, CoarseU and CoarseE hold the coarse segment means of the
 	// raw, UMA and UEMA vectors (stride = sketch.NewCoarse(length).W()),
 	// and Energy the total squared observation energy (stride 1, so
-	// Energy.Data()[i] is series i's): the dense filter columns the
-	// lock-step scans read before any full-length row.
+	// Energy.Data()[i] is series i's; proud.Energy of the observations): the
+	// dense filter columns the lock-step scans read before any full-length
+	// row. PROUD reads Energy to bound the gap its accumulation has not
+	// reached yet.
 	CoarseV, CoarseU, CoarseE, Energy arena.Matrix
 }
 
@@ -171,7 +169,6 @@ func (a *arenas) capture() *Columns {
 		UEMA:   a.uema.Matrix(),
 		Upper:  a.upper.Matrix(),
 		Lower:  a.lower.Matrix(),
-		Suffix: a.suffix.Matrix(),
 		Sketch: a.sketch.Matrix(),
 
 		CoarseV: a.coarseV.Matrix(),

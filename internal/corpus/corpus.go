@@ -7,15 +7,18 @@
 //
 //   - Incremental artifact maintenance. Every similarity measure the engine
 //     serves leans on per-series derived artifacts — LB_Keogh envelopes and
-//     the sketch row for banded DTW, UMA/UEMA filtered vectors, PROUD suffix
-//     energies, MUNICH bounding intervals, DUST phi lookup tables. All of
-//     them are functions of one series at a time (the phi tables of the
-//     shared evaluator are keyed by error distribution and built lazily), so
-//     an insert computes exactly the new series' artifacts and a delete drops
+//     the sketch row for banded DTW, UMA/UEMA filtered vectors, the tier-0
+//     filter columns and observation energy (which PROUD also reads),
+//     MUNICH bounding intervals, DUST phi lookup tables. All of them are
+//     functions of one series at a time (the phi tables of the shared
+//     evaluator are keyed by error distribution and built lazily), so an
+//     insert computes exactly the new series' artifacts and a delete drops
 //     exactly the removed ones. Nothing is ever rebuilt collection-wide, and
-//     nothing is stored that no query reads: the per-timestamp error stddevs
-//     are filter input only, and the sketch bucket tree is built on demand
-//     (Snapshot.Index).
+//     nothing is stored that no query reads or that a query rebuilds for
+//     less than it costs to store: the per-timestamp error stddevs are
+//     filter input only, PROUD derives the energy of a series' unread tail
+//     from its total energy as it scans, and the sketch bucket tree is built
+//     on demand (Snapshot.Index).
 //
 //   - Snapshot isolation. The corpus publishes its state as an immutable
 //     Snapshot under an atomic pointer (copy-on-write: writers copy the
@@ -192,9 +195,9 @@ type Entry struct {
 	// row is the entry's row index in the corpus arenas at the time it was
 	// built (or last compacted, or last regrown). Every float64 artifact
 	// above but Env and Intervals is a view into arena row `row`, which also
-	// holds the artifacts only scans read (filtered vectors, suffix
-	// energies, sketch row, filter columns — see Snapshot.Arena); compaction
-	// and arena growth rewire fresh Entry copies to the new storage.
+	// holds the artifacts only scans read (filtered vectors, sketch row,
+	// filter columns, energy — see Snapshot.Arena); compaction and arena
+	// growth rewire fresh Entry copies to the new storage.
 	row int
 }
 
@@ -693,8 +696,6 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 	}
 	e.Upper, e.Lower = ar.upper.AppendZero(), ar.lower.AppendZero()
 	distance.EnvelopeIntoScratch(e.Upper, e.Lower, obs, cfg.Band, &ar.envScratch)
-	suffix := ar.suffix.AppendZero()
-	proud.SuffixEnergyInto(suffix, obs)
 
 	// Env and Intervals stay the zero value without samples (their absence
 	// is what gates MUNICH).
@@ -714,6 +715,6 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 	sketch.PAAInto(ar.coarseV.AppendZero(), obs, ar.coarse.Spans)
 	sketch.PAAInto(ar.coarseU.AppendZero(), uma, ar.coarse.Spans)
 	sketch.PAAInto(ar.coarseE.AppendZero(), uema, ar.coarse.Spans)
-	ar.energy.AppendZero()[0] = suffix[0]
+	ar.energy.AppendZero()[0] = proud.Energy(obs)
 	return e, nil
 }

@@ -137,8 +137,8 @@ func TestEntryArtifactsMatchDirectComputation(t *testing.T) {
 		t.Error("LB_Keogh envelopes differ from direct computation")
 	}
 	cols, _ := snap.Columns()
-	if !reflect.DeepEqual(cols.Suffix.Row(pos), proud.SuffixEnergy(s.Values)) {
-		t.Error("suffix energies differ from direct computation")
+	if got, want := cols.Energy.Row(pos)[0], proud.Energy(s.Values); got != want {
+		t.Errorf("energy %v differs from direct computation %v", got, want)
 	}
 	sigmas := make([]float64, 24)
 	for i := range sigmas {

@@ -44,8 +44,8 @@
 //
 // The engine is built over an immutable corpus.Snapshot (NewFromSnapshot)
 // and owns no data and no geometry. The per-candidate artifacts every device
-// needs — LB_Keogh envelopes, filtered vectors, suffix energies, filter
-// columns, sketch rows — are columns of the corpus arenas, maintained
+// needs — LB_Keogh envelopes, filtered vectors, filter columns, energies,
+// sketch rows — are columns of the corpus arenas, maintained
 // incrementally by the corpus; the engine reads them in place, one layout
 // for every snapshot: row i of a column on a dense snapshot, row Rows[i]
 // through the snapshot's position -> row index while deleted rows await
@@ -216,8 +216,9 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 	// AbandonedEarly counts scans abandoned mid-accumulation.
 	AbandonedEarly int64 `json:"abandoned_early"`
-	// PrunedByEnvelope counts candidates excluded by an envelope lower
-	// bound alone (LB_Keogh, for DTW) without touching the DTW kernel.
+	// PrunedByEnvelope counts DTW candidates excluded by LB_Kim's endpoint
+	// bound or LB_Keogh's envelope bound alone, without touching the DTW
+	// kernel.
 	PrunedByEnvelope int64 `json:"pruned_by_envelope"`
 	// ResolvedByBounds counts MUNICH candidates whose probabilistic
 	// predicate was decided by the bounding intervals, the moment bracket or
@@ -286,7 +287,7 @@ type Engine struct {
 
 	vecs         rows    // scanned vectors (observations or filtered)
 	upper, lower rows    // per-series LB_Keogh envelopes (DTW only)
-	suffix       rows    // per-series suffix energies (PROUD only)
+	energy       rows    // per-series observation energy, stride 1 (PROUD only)
 	varD         float64 // per-timestamp D_i variance sum (PROUD only)
 
 	// At most one prefilter is engaged (see resolveIndex): t0, the
@@ -346,7 +347,7 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 		// No column: DUST reads the entries' error models, through the
 		// evaluator (and its phi tables) the snapshot shares.
 	case MeasurePROUD:
-		e.vecs, e.suffix = column(cols.Values, idx), column(cols.Suffix, idx)
+		e.vecs, e.energy = column(cols.Values, idx), column(cols.Energy, idx)
 		// The same arithmetic a naive scan feeds proud.Distance with
 		// (QuerySigma and CandSigma both the snapshot's reported sigma).
 		sigma := snap.ReportedSigma()

@@ -63,7 +63,7 @@ func (e *Engine) resolveIndex(cols *corpus.Columns) {
 		return
 	}
 	t0 := func(means arena.Matrix) *tier0 {
-		return &tier0{geo: sketch.NewCoarse(e.snap.SeriesLen()), means: column(means, cols.Rows), energy: column(cols.Energy, cols.Rows)}
+		return &tier0{geo: sketch.NewCoarse(e.snap.SeriesLen()), means: column(means, cols.Rows)}
 	}
 	switch e.opts.Measure {
 	case MeasureEuclidean, MeasurePROUD:

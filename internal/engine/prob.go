@@ -88,24 +88,28 @@ func (e *Engine) checkTau(tau float64) (float64, error) {
 }
 
 // proudMoments accumulates the distance moments of the query and candidate
-// ci in exactly proud.Distance's order, timestamp by timestamp. Between
-// strides it polls done (nil = never), so even a single long accumulation
-// stops promptly on cancellation, and — unless NoPrune — asks settled whether
-// the moments of the prefix, the number of timestamps still to come and the
-// bound on their squared gap already decide the candidate; a yes stops the
-// accumulation with complete = false. A completed accumulation is counted
-// and returns the same moments proud.Distance computes, bit for bit.
+// ci in exactly proud.Distance's order, timestamp by timestamp, and beside
+// them the energy seen of both series. Between strides it polls done (nil =
+// never), so even a single long accumulation stops promptly on cancellation,
+// and — unless NoPrune — asks settled whether the moments of the prefix, the
+// number of timestamps still to come and the bound on their squared gap
+// (proud.UnseenGap: what the two series' energies leave once the energy
+// seen is spent) already decide the candidate; a yes stops the accumulation
+// with complete = false. A completed accumulation is counted and returns the
+// same moments proud.Distance computes, bit for bit.
 func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settled func(mean, variance float64, rest int, gap float64) bool) (d proud.DistanceDist, complete bool, err error) {
 	q, c := pq.vec, e.vecs.at(ci)
 	n := len(q)
 	varD := pq.varD
-	var mean, variance float64
+	energy := pq.energy + e.energy.at(ci)[0]
+	var mean, variance, seen float64
 	for t := 0; t < n; {
 		stop := min(t+proudCheckStride, n)
 		for ; t < stop; t++ {
 			mu := q[t] - c[t]
 			mean += mu*mu + varD
 			variance += 2*varD*varD + 4*varD*mu*mu
+			seen += q[t]*q[t] + c[t]*c[t]
 		}
 		if t >= n {
 			break
@@ -117,7 +121,7 @@ func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settle
 			default:
 			}
 		}
-		if !e.opts.NoPrune && settled(mean, variance, n-t, 2*(pq.suffix[t]+e.suffix.at(ci)[t])) {
+		if !e.opts.NoPrune && settled(mean, variance, n-t, proud.UnseenGap(energy, seen, n)) {
 			return d, false, nil
 		}
 	}

@@ -40,10 +40,10 @@ type Query struct {
 // prepared is the per-request state of one query: the request's target bound
 // to the engine with everything the scan derives from it computed once — the
 // measure-specific scan vector (filtered series for UMA/UEMA), the query-side
-// error model for DUST, suffix energies and the moment variance for PROUD,
-// the sample model and its per-timestamp bounding intervals for MUNICH, and
-// the summaries the engaged prefilter reads. It is immutable once built; the
-// workers of the request share it.
+// error model for DUST, the observation energy and the moment variance for
+// PROUD, the sample model and its per-timestamp bounding intervals for
+// MUNICH, and the summaries the engaged prefilter reads. It is immutable once
+// built; the workers of the request share it.
 type prepared struct {
 	self int // snapshot position to exclude (-1 for ad-hoc queries)
 
@@ -54,7 +54,7 @@ type prepared struct {
 	qenvLo []float64              // PAA of the query's lower DTW envelope (indexed DTW)
 	qenvHi []float64              // PAA of the query's upper DTW envelope (indexed DTW)
 	pdf    uncertain.PDFSeries    // query-side error model (DUST)
-	suffix []float64              // query suffix energies (PROUD)
+	energy float64                // proud.Energy of the query's observations (PROUD)
 	varD   float64                // per-timestamp D_i variance sum (PROUD)
 	sample uncertain.SampleSeries // repeated-observation model (MUNICH)
 	iv     munich.Intervals       // query per-timestamp bounding intervals (MUNICH)
@@ -76,7 +76,7 @@ func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 		pq.pdf = ent.PDF
 	case MeasurePROUD:
 		pq.vec = e.vecs.at(qi)
-		pq.suffix = e.suffix.at(qi)
+		pq.energy = e.energy.at(qi)[0]
 		pq.varD = e.varD
 	case MeasureMUNICH:
 		pq.sample, pq.iv = *ent.Samples, ent.Intervals
@@ -168,7 +168,7 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 		}
 	case MeasurePROUD:
 		pq.vec = append([]float64(nil), q.Values...)
-		pq.suffix = proud.SuffixEnergy(pq.vec)
+		pq.energy = proud.Energy(pq.vec)
 		qSigma := q.Sigma
 		if qSigma == 0 {
 			qSigma = e.snap.ReportedSigma()

@@ -70,11 +70,10 @@ func (t *tier0) slack(queryEnergy float64) float64 {
 }
 
 // tier0 is the filter column matching the engine's scanned vectors (raw, UMA
-// or UEMA coarse means), plus the energy column PROUD's upper bound reads.
+// or UEMA coarse means).
 type tier0 struct {
-	geo    sketch.Coarse
-	means  rows // geo.W() coarse means per series
-	energy rows // total squared observation energy per series, stride 1
+	geo   sketch.Coarse
+	means rows // geo.W() coarse means per series
 }
 
 // rawBound is the raw Jensen bound between the query and candidate ci.
@@ -102,7 +101,7 @@ func (t *tier0) rawBound(pq *prepared, ci int) float64 {
 // is increasing and never below the position, so no bound is overwritten
 // before it is read.
 func (e *Engine) seedCut(pq *prepared, k int, b *cut) ([]float64, error) {
-	lbs := make([]float64, len(e.t0.energy.data))
+	lbs := make([]float64, len(e.t0.means.data)/e.t0.means.stride)
 	e.t0.geo.GapsSquared(lbs, pq.qc, e.t0.means.data)
 	if idx := e.t0.means.idx; idx != nil {
 		for pos, row := range idx {
@@ -136,13 +135,12 @@ func (e *Engine) coarseLB2(pq *prepared, ci int) float64 {
 
 // proudGap brackets the squared observation gap sum (q_t - c_t)^2 between
 // the query and candidate ci without touching either series: the coarse
-// bound from below, 2(E_q + E_c) from above (Cauchy-Schwarz:
-// (q - c)^2 <= 2 q^2 + 2 c^2). PROUD's moments are affine in the gap, so the
-// bracket feeds the same prefix bounds the per-candidate accumulation uses,
-// as a prefix of zero timestamps.
+// bound from below, proud.UnseenGap of the two energies from above. PROUD's
+// moments are affine in the gap, so the bracket feeds the same prefix bounds
+// the per-candidate accumulation uses, as a prefix of zero timestamps.
 func (e *Engine) proudGap(pq *prepared, ci int) (lb2, ub2 float64) {
 	lb2 = e.coarseLB2(pq, ci)
-	ub2 = 2 * (pq.suffix[0] + e.t0.energy.at(ci)[0])
+	ub2 = proud.UnseenGap(pq.energy+e.energy.at(ci)[0], 0, len(pq.vec))
 	if ub2 < lb2 {
 		ub2 = lb2
 	}

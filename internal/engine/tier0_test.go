@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,11 +22,14 @@ type soundnessCase struct {
 	series [][]float64
 }
 
-// soundnessCases enumerates the inputs ROADMAP 4(b) names: constant series,
-// zero and huge sigma, length 1, a length below the coarse segment count,
-// a length the segments do not divide, and near-ties and exact duplicates at
-// the k-th distance (the case in which the Jensen bound is tight, so only the
-// margin stands between it and the exact distance).
+// soundnessCases enumerates the adversarial inputs of the engine's bounds:
+// constant series, zero and huge sigma, length 1, a length below the coarse
+// segment count, a length the segments do not divide, near-ties and exact
+// duplicates at the k-th distance (the case in which the Jensen bound is
+// tight, so only the margin stands between it and the exact distance), and
+// series beside their own negations at magnitudes up to 1e150 (q = -c, where
+// PROUD's (q - c)^2 <= 2q^2 + 2c^2 is tight, so only the rounding slack stands
+// between its unseen-gap bound and the gap).
 func soundnessCases() []soundnessCase {
 	rng := rand.New(rand.NewSource(13))
 	noisy := func(n, length int) [][]float64 {
@@ -65,6 +69,19 @@ func soundnessCases() []soundnessCase {
 		}
 		return out
 	}
+	negated := func(length int) [][]float64 {
+		var out [][]float64
+		for _, scale := range []float64{1, 1e150} {
+			for _, s := range noisy(3, length) {
+				pos, neg := make([]float64, length), make([]float64, length)
+				for t, v := range s {
+					pos[t], neg[t] = scale*v, -scale*v
+				}
+				out = append(out, pos, neg)
+			}
+		}
+		return out
+	}
 	return []soundnessCase{
 		{name: "noisy-128", length: 128, series: noisy(24, 128)},
 		{name: "constant", length: 64, series: constant(64, 0, 0.1, 0.1, -3, 5, 1e6, -1e6, 1e-6)},
@@ -77,6 +94,10 @@ func soundnessCases() []soundnessCase {
 		{name: "length-127", length: 127, series: noisy(16, 127)},
 		{name: "near-ties", length: 48, tight: true, series: ties(48)},
 		{name: "near-ties-ragged", length: 127, tight: true, series: ties(127)},
+		{name: "negated-1", length: 1, series: negated(1)},
+		{name: "negated-15", length: 15, series: negated(15)},
+		{name: "negated-17", length: 17, series: negated(17)},
+		{name: "negated-127", length: 127, series: negated(127)},
 	}
 }
 
@@ -171,6 +192,67 @@ func TestTier0Soundness(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestProudUnseenGapSoundness holds the bound PROUD's accumulation decides
+// with to its contract, pair by pair and stride by stride: the gap
+// proudMoments hands settled is at least the exact squared gap
+// sum_{j >= t} (q_j - c_j)^2 of the timestamps it has not read (math/big, at
+// a precision these inputs never round at), and tier 0's bracket holds the
+// whole gap the same way. An ad-hoc copy of a resident query carries the
+// same energy bits, so both prune alike.
+func TestProudUnseenGapSoundness(t *testing.T) {
+	const prec = 4096
+	sq := func(a, b float64) *big.Float {
+		d := new(big.Float).SetPrec(prec).Sub(new(big.Float).SetPrec(prec).SetFloat64(a), new(big.Float).SetPrec(prec).SetFloat64(b))
+		return d.Mul(d, d)
+	}
+	for _, sc := range soundnessCases() {
+		snap := sc.corpus(t).Snapshot()
+		e := newEngine(t, snap, Options{Measure: MeasurePROUD, IndexThreshold: -1})
+		n := snap.SeriesLen()
+		checks := 0
+		for qi := 0; qi < snap.Len(); qi++ {
+			pq, err := e.prepareIndex(qi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.summarise(pq)
+			adhoc, err := e.prepare(Query{Values: pq.vec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(adhoc.energy) != math.Float64bits(pq.energy) {
+				t.Fatalf("%s: query %d: ad-hoc energy %v, resident %v", sc.name, qi, adhoc.energy, pq.energy)
+			}
+			for ci := 0; ci < snap.Len(); ci++ {
+				// rest[t] is the exact gap of timestamps t..n-1.
+				c := e.vecs.at(ci)
+				rest := make([]*big.Float, n+1)
+				rest[n] = new(big.Float).SetPrec(prec)
+				for j := n - 1; j >= 0; j-- {
+					rest[j] = new(big.Float).SetPrec(prec).Add(rest[j+1], sq(pq.vec[j], c[j]))
+				}
+				holds := func(at string, tt int, bound float64) {
+					if new(big.Float).SetPrec(prec).SetFloat64(bound).Cmp(rest[tt]) < 0 {
+						t.Errorf("%s pair (%d,%d) %s t=%d: bound %g below the unseen gap %s", sc.name, qi, ci, at, tt, bound, rest[tt].Text('g', 17))
+					}
+				}
+				_, ub2 := e.proudGap(pq, ci)
+				holds("tier 0", 0, ub2)
+				if _, _, err := e.proudMoments(pq, ci, nil, func(_, _ float64, r int, gap float64) bool {
+					holds("stride", n-r, gap)
+					checks++
+					return false
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if want := snap.Len() * snap.Len() * ((n - 1) / proudCheckStride); checks != want {
+			t.Errorf("%s: %d stride checks, want %d", sc.name, checks, want)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func snapshotColumns(s *corpus.Snapshot) {
 func snapshotArena(s *corpus.Snapshot) int {
 	cols := s.Arena()
 	cols.Rows[0] = 7                        // want `write through corpus columns view \.Rows`
-	cols.Suffix.Row(int(cols.Rows[1]))[0]++ // want `\+\+ through arena\.Matrix\.Row\(\)`
+	cols.Energy.Row(int(cols.Rows[1]))[0]++ // want `\+\+ through arena\.Matrix\.Row\(\)`
 	tail := cols.Rows[2:]
 	copy(tail, cols.Rows) // want `copy into a local alias of a snapshot view`
 

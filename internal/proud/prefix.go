@@ -1,43 +1,90 @@
 package proud
 
 import (
+	"fmt"
 	"math"
 
 	"uncertts/internal/stats"
 )
 
-// Batch-side prefix bounds: the same sound early-decision machinery as
-// Stream.earlyDecision, extended for the case where the whole candidate
-// series is resident. A batch scanner accumulates the distance moments
-// timestamp by timestamp (in exactly Distance's order, so a completed scan
-// is bit-identical to the full computation) and periodically asks whether
-// the predicate outcome is already forced. The stream variant can only
-// bound the eventual moments from below (every unseen timestamp adds at
-// least varD to the mean); with the data resident the scanner can also
-// bound the unseen observation gap from above — via precomputed suffix
-// energies and (q_j - c_j)^2 <= 2 q_j^2 + 2 c_j^2 — which unlocks certain
-// accepts and, for epsLimit < 0 (tau < 1/2, PROUD's calibrated regime),
-// certain rejects that the stream bound cannot reach.
+// Prefix bounds: deciding the PROUD acceptance test before the distance
+// moments are complete. A scanner accumulates the moments timestamp by
+// timestamp (in exactly Distance's order, so a completed scan is bit-identical
+// to the full computation) and periodically asks whether the predicate
+// outcome is already forced. Every unseen timestamp adds at least varD to the
+// mean, which bounds the eventual moments from below; with both series
+// resident the scanner can also bound the unseen observation gap from above
+// (UnseenGap), which unlocks certain accepts and, for epsLimit < 0 (tau < 1/2,
+// PROUD's calibrated regime), certain rejects.
 
-// SuffixEnergy precomputes, for one observation vector, the tail sums of
-// squared values: out[t] = sum_{j >= t} obs[j]^2, with out[len(obs)] = 0.
-// The sum of two series' suffix energies at t, doubled, upper-bounds the
-// unseen squared-gap energy sum_{j >= t} (q_j - c_j)^2.
-func SuffixEnergy(obs []float64) []float64 {
-	out := make([]float64, len(obs)+1)
-	SuffixEnergyInto(out, obs)
-	return out
-}
+// Decision is the tri-state outcome of a prefix check.
+type Decision int
 
-// SuffixEnergyInto computes SuffixEnergy into dst, which must have length
-// len(obs)+1 — the allocation-free form arena-backed corpora use (suffix
-// arenas have stride length+1).
-func SuffixEnergyInto(dst, obs []float64) {
-	dst[len(obs)] = 0
-	for t := len(obs) - 1; t >= 0; t-- {
-		dst[t] = dst[t+1] + obs[t]*obs[t]
+const (
+	// Undecided: the outcome still depends on unseen data.
+	Undecided Decision = iota
+	// Accept: the pair satisfies the probabilistic range predicate.
+	Accept
+	// Reject: the pair fails the predicate.
+	Reject
+)
+
+func (d Decision) String() string {
+	switch d {
+	case Accept:
+		return "accept"
+	case Reject:
+		return "reject"
+	case Undecided:
+		return "undecided"
+	default:
+		return fmt.Sprintf("Decision(%d)", int(d))
 	}
 }
+
+// Energy returns sum_t obs[t]^2. The corpus stores it per series and the
+// engine computes an ad-hoc query's with this same function, so a resident
+// and a forwarded copy of one query bound their candidates bit for bit alike.
+func Energy(obs []float64) float64 {
+	var e float64
+	for t := len(obs) - 1; t >= 0; t-- {
+		e += obs[t] * obs[t]
+	}
+	return e
+}
+
+// UnseenGap bounds from above the squared gap sum_{j >= t} (q_j - c_j)^2 of
+// the timestamps a prefix of t (of n) has not read yet, given energy =
+// Energy(q) + Energy(c) and seen = sum_{j < t} (q_j^2 + c_j^2), accumulated
+// one timestamp's q_j^2 + c_j^2 at a time. Since (q - c)^2 <= 2q^2 + 2c^2, the
+// gap is at most 2(energy - seen) in exact arithmetic; t = 0 (seen = 0)
+// bounds the whole gap.
+//
+// The difference cancels: late in the series energy - seen is small next to
+// the rounding errors of its two terms, so a relative widening cannot cover
+// it. With u = 2^-53 and gamma_k = k u / (1 - k u), energy as computed is
+// within gamma_{n+1} S of S = E_q + E_c (n rounded squares and n additions per
+// series, one more addition), and seen within gamma_{t+1} P <= gamma_{n+1} S of
+// its exact value. So the remaining energy R = S - P satisfies
+//
+//	R <= max(fl(energy - seen), 0) / (1 - u) + 2 gamma_{n+1} S,
+//
+// and after the doubling, the 1/(1 - u), S <= energy / (1 - gamma_{n+1}) and
+// the two roundings of the final multiply-add, 2R is below the returned value
+// once the absolute slack is 6 (n + 2) u times energy: the terms above sum to
+// about (4n + 8) u times it while (n + 2) u <= 1/100, i.e. for any series
+// shorter than 10^13. The slack is ~8.7e-14 of the energy at n = 128, too
+// small to move any PROUD candidate count on the repository benchmark's
+// corpus. Energies that overflow make the bound +Inf or NaN, under which
+// neither PrefixDecide nor ProbWithinUpper decides or prunes anything the
+// exact bound would not. The analysis assumes no square underflows.
+func UnseenGap(energy, seen float64, n int) float64 {
+	return 2*max(energy-seen, 0) + 6*float64(n+2)*unitRoundoff*energy
+}
+
+// unitRoundoff is u = 2^-53, the relative rounding error of one float64
+// operation.
+const unitRoundoff = 1.0 / (1 << 53)
 
 // momentBounds returns conservative bounds on the eventual distance moments
 // given the prefix accumulation, the number of unseen timestamps, the
@@ -68,9 +115,9 @@ func momentBounds(mean, variance float64, remaining int, varD, maxGapEnergy floa
 // Undecided when unseen data could still swing it. mean and variance are
 // the moments accumulated so far (Distance's order), remaining the count of
 // unseen timestamps, varD the per-timestamp error variance sum, and
-// maxGapEnergy an upper bound on sum_{unseen} (q_j - c_j)^2 — pass +Inf to
-// recover exactly the stream's weaker bound (no certain accepts, and no
-// certain rejects when epsLimit < 0).
+// maxGapEnergy an upper bound on sum_{unseen} (q_j - c_j)^2 (UnseenGap) —
+// +Inf when there is none, which leaves only the lower bounds: no certain
+// accepts, and no certain rejects when epsLimit < 0.
 //
 // Soundness: the eventual mean lies in [loMean, hiMean] and the eventual
 // variance in [loVar, hiVar]. The acceptance test eps^2 - E >= epsLimit*sd

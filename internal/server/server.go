@@ -29,7 +29,7 @@
 // Engines are cached per measure and rebuilt only when the corpus epoch
 // moves on — and rebuilding costs the same few allocations whatever the
 // corpus size, because the per-series artifacts (envelopes, filtered
-// vectors, suffix energies, filter columns, phi tables) and the geometry
+// vectors, filter columns, energies, phi tables) and the geometry
 // they were built under (band, filter window, segment count: the corpus'
 // corpus.Config, which the server does not second-guess) live in the corpus
 // arenas, which snapshots share. Work counters survive rebuilds:

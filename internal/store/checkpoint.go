@@ -40,7 +40,7 @@ import (
 // never a half-valid checkpoint. Recovery loads the newest checkpoint
 // whose checksum validates and replays the WAL records past its epoch.
 // The series records carry raw ingestion data, not derived artifacts:
-// envelopes, filtered vectors, suffix energies and phi tables are cheap to
+// envelopes, filtered vectors, energies and phi tables are cheap to
 // rebuild through the corpus' incremental-maintenance path and would
 // bloat the file many times over.
 

@@ -11,9 +11,11 @@
 //
 //   - Derived artifacts are functions of raw series. Checkpoints persist
 //     only ingestion records (observations, error models, samples);
-//     LB_Keogh envelopes, filtered vectors, suffix energies and DUST phi
-//     tables are rebuilt through the same incremental-maintenance code
-//     inserts use. Files stay compact and recovery stays exact.
+//     LB_Keogh envelopes, filtered vectors, filter columns, energies and
+//     DUST phi tables are rebuilt through the same incremental-maintenance
+//     code inserts use. Files stay compact and recovery stays exact. The
+//     WAL record decoder takes arbitrary bytes without panicking, and what
+//     it accepts re-encodes to the same mutation (FuzzDecodeMutation).
 //
 // Write-ahead ordering is enforced by the corpus hook: every mutation is
 // encoded, appended and (under the "always" fsync policy) forced to disk

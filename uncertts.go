@@ -77,7 +77,6 @@ import (
 	"uncertts/internal/server"
 	"uncertts/internal/stats"
 	"uncertts/internal/store"
-	"uncertts/internal/stream"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -260,11 +259,11 @@ func Evaluate(w *Workload, t Technique, queries []int) ([]Metrics, error) {
 
 // Corpus is the mutable data layer: a long-lived collection of uncertain
 // series supporting Insert/Delete while queries run. Per-series index
-// artifacts (LB_Keogh envelopes, UMA/UEMA filtered vectors, PROUD suffix
-// energies, MUNICH segment envelopes, shared DUST phi tables) are
-// maintained incrementally on insert, and the corpus publishes immutable
-// snapshots (copy-on-write, epoch-versioned) so concurrent readers are
-// never blocked by writers.
+// artifacts (LB_Keogh envelopes, UMA/UEMA filtered vectors, the tier-0
+// filter columns and observation energies, MUNICH bounding intervals,
+// shared DUST phi tables) are maintained incrementally on insert, and the
+// corpus publishes immutable snapshots (copy-on-write, epoch-versioned) so
+// concurrent readers are never blocked by writers.
 type Corpus = corpus.Corpus
 
 // CorpusConfig fixes the artifact geometry of a corpus (series length,
@@ -590,25 +589,6 @@ type UnknownExperimentError struct{ Name string }
 
 func (e *UnknownExperimentError) Error() string {
 	return "uncertts: unknown experiment " + e.Name
-}
-
-// ---- Streaming ----
-
-// StreamMonitor continuously matches registered patterns against uncertain
-// data streams using PROUD's probabilistic predicate with sound early
-// termination.
-type StreamMonitor = stream.Monitor
-
-// StreamPattern is a reference pattern registered with a StreamMonitor.
-type StreamPattern = stream.Pattern
-
-// StreamEvent is a per-epoch match/no-match decision.
-type StreamEvent = stream.Event
-
-// NewStreamMonitor returns a monitor with the given reported error levels
-// for the patterns and the streams.
-func NewStreamMonitor(querySigma, streamSigma float64) (*StreamMonitor, error) {
-	return stream.NewMonitor(querySigma, streamSigma)
 }
 
 // NewSeededRand returns a deterministic random source (reproducible

@@ -170,22 +170,6 @@ func TestPublicExtensions(t *testing.T) {
 	if e.N() != 6 {
 		t.Errorf("N = %d", e.N())
 	}
-	// Streaming monitor.
-	mon, err := NewStreamMonitor(0, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Register(StreamPattern{ID: 1, Values: []float64{0, 0, 0}, Eps: 2, Tau: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	events, err := mon.PushBatch(0, []float64{0.05, -0.05, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 {
-		t.Fatalf("events = %+v", events)
-	}
-	var _ StreamEvent = events[0]
 }
 
 func TestPublicSeriesHelpers(t *testing.T) {
