@@ -228,7 +228,9 @@ func BenchmarkMUNICHIntervalPrune(b *testing.B) {
 // under band 12 (the corpus default, length/10) with a warm scratch, on
 // smooth series like the served corpus' rather than white noise. The +Inf
 // arm completes; the other cuts at half the path cost and abandons part-way,
-// as most candidates of a top-k scan do.
+// as most candidates of a top-k scan do. The suffix arm is the engine's
+// cascade at that cut: LB_Keogh on the scratch, which arms the DP with its
+// suffix sums, then the DP.
 func BenchmarkDTWBandServedShape(b *testing.B) {
 	rng := stats.NewRand(5)
 	smooth := func(phase float64) []float64 {
@@ -254,6 +256,19 @@ func BenchmarkDTWBandServedShape(b *testing.B) {
 			}
 		})
 	}
+	upper, lower := distance.Envelope(y, 12)
+	cutoff := full * full / 2
+	b.Run(fmt.Sprintf("cutoff=%.3g/suffix", cutoff), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if lb, err := scratch.LBKeoghSquared(x, upper, lower, cutoff); err != nil || lb > cutoff {
+				b.Fatalf("LB_Keogh %v (err %v) prunes the pair the arm times", lb, err)
+			}
+			if _, done, err := distance.DTWBandEarlyAbandonScratch(x, y, 12, cutoff, nil, &scratch); err != nil || done {
+				b.Fatalf("the DP completed (err %v) under half its own cost", err)
+			}
+		}
+	})
 }
 
 func BenchmarkUEMAFilter(b *testing.B) {

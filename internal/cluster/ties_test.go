@@ -113,9 +113,11 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	// interleaved. DTW's banded kernel is fast enough that at 256 points its
 	// query could end before the first tick; it gets series three times as
 	// long, and a shard of its own so MUNICH's refines do not grow with them.
+	// MUNICH's estimator runs at 32768 bins: at 16384 the grouped shifted adds
+	// finished a probtopk before the first tick in 1 of 200 runs.
 	shard := func(length int) (url string, q server.SeriesJSON) {
 		srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
-			server.Options{MUNICH: munich.Options{Bins: 16384}})
+			server.Options{MUNICH: munich.Options{Bins: 32768}})
 		ins := server.SeriesRequest{}
 		for i := 0; i < nSeries; i++ {
 			ins.Insert = append(ins.Insert, testSeries(length, int64(i)))

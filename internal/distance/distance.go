@@ -2,8 +2,10 @@
 // similarity techniques: Lp norms, Euclidean distance (the basis of MUNICH
 // and PROUD), and Dynamic Time Warping (which MUNICH and DUST can also be
 // combined with, Section 3.2 of the paper). All DTW runs one banded DP,
-// DTWBandEarlyAbandonScratch: it writes only each row's band, carries its
-// neighbours in registers and takes a branch-free, exact builtin min.
+// DTWBandEarlyAbandonScratch: two rows a sweep, the second a cell behind,
+// neighbours in registers, a branch-free exact builtin min. After its
+// scratch's LBKeoghSquared it also abandons once a row's minimum plus the
+// LB_Keogh terms still ahead pass the cutoff (the UCR suite's suffix bound).
 package distance
 
 import (
@@ -88,8 +90,8 @@ func DTW(x, y []float64) (float64, error) {
 // DTWBand returns the DTW distance constrained to a Sakoe-Chiba band of the
 // given half-width (band < 0 means unconstrained). The band must be at least
 // |len(x)-len(y)| for a path to exist. It is the pruning kernel
-// (DTWBandEarlyAbandonScratch, a rolling two-row DP over the (n+1) x (m+1)
-// cost matrix) at a cutoff that never abandons, and shares its contract:
+// (DTWBandEarlyAbandonScratch, a DP over the (n+1) x (m+1) cost matrix that
+// keeps one row) at a cutoff that never abandons, and shares its contract:
 // x and y must be finite.
 func DTWBand(x, y []float64, band int) (float64, error) {
 	d, _, err := DTWBandEarlyAbandonScratch(x, y, band, math.Inf(1), nil, nil)

@@ -148,15 +148,26 @@ func LBKimSquared(x, y []float64) float64 {
 // force a full evaluation); either way the returned value is a valid lower
 // bound.
 func LBKeoghSquared(q, upper, lower []float64, cutoff float64) (float64, error) {
+	return lbKeogh(q, upper, lower, cutoff, nil)
+}
+
+// lbKeogh is LBKeoghSquared that also stores each timestamp's term into
+// terms, when not nil. A term of +0 leaves the sum's bits as they are.
+func lbKeogh(q, upper, lower []float64, cutoff float64, terms []float64) (float64, error) {
 	if len(q) != len(upper) || len(q) != len(lower) {
 		return 0, fmt.Errorf("%w: series %d vs envelope %d/%d", ErrLengthMismatch, len(q), len(upper), len(lower))
 	}
 	var acc float64
 	for i := range q {
+		var t float64
 		if d := q[i] - upper[i]; d > 0 {
-			acc += d * d
+			t = d * d
 		} else if d := lower[i] - q[i]; d > 0 {
-			acc += d * d
+			t = d * d
+		}
+		acc += t
+		if terms != nil {
+			terms[i] = t
 		}
 		if acc > cutoff {
 			return acc, nil
@@ -189,28 +200,88 @@ func DTWBandEarlyAbandonCancel(x, y []float64, band int, cutoff float64, done <-
 	return DTWBandEarlyAbandonScratch(x, y, band, cutoff, done, nil)
 }
 
-// DTWScratch holds the two DP rows a banded-DTW evaluation needs, so a scan
-// over many candidates reuses one pair of buffers instead of allocating per
-// call. The zero value is ready to use; it grows on demand and is not safe
-// for concurrent use (give each worker its own).
+// DTWScratch holds the DP row of a banded-DTW evaluation and the LB_Keogh
+// suffix sums its LBKeoghSquared method arms the next one with, so a scan
+// reuses its buffers. The zero value is ready to use; it grows on demand and
+// is not safe for concurrent use (give each worker its own).
 type DTWScratch struct {
-	prev, curr []float64
+	row    []float64
+	suffix []float64 // suffix[i] = sum of the LB_Keogh terms of q[i:]; suffix[n] = 0
+	armed  bool      // suffix belongs to the next DP
 }
 
-// rows returns the two DP rows sized for a series of length m, growing the
-// scratch buffers if needed.
-func (s *DTWScratch) rows(m int) (prev, curr []float64) {
-	if cap(s.prev) < m+1 {
-		s.prev = make([]float64, m+1)
-		s.curr = make([]float64, m+1)
+// LBKeoghSquared is the package's LBKeoghSquared, bit for bit. When the
+// bound is at most cutoff it also arms the next DTWBandEarlyAbandonScratch on
+// this scratch with its terms as suffix sums: that call must be the DP of q
+// against the series these envelopes (and their band) are of, as in the
+// engine's cascade. The DP disarms the scratch, and so does this method
+// before it starts. A nil scratch computes the bound alone.
+func (s *DTWScratch) LBKeoghSquared(q, upper, lower []float64, cutoff float64) (float64, error) {
+	if s == nil {
+		return LBKeoghSquared(q, upper, lower, cutoff)
 	}
-	return s.prev[:m+1], s.curr[:m+1]
+	s.armed = false
+	n := len(q)
+	if cap(s.suffix) < n+1 {
+		s.suffix = make([]float64, n+1)
+	}
+	suffix := s.suffix[:n+1]
+	lb, err := lbKeogh(q, upper, lower, cutoff, suffix[:n])
+	if err != nil || !(lb <= cutoff) {
+		return lb, err
+	}
+	suffix[n] = 0
+	for t := n - 1; t >= 0; t-- {
+		suffix[t] += suffix[t+1]
+	}
+	s.suffix, s.armed = suffix, true
+	return lb, nil
+}
+
+// dp returns the scratch's DP row for a series of length m and the suffix
+// sums armed for a query of length n (nil when none are), disarming them.
+func (s *DTWScratch) dp(n, m int) (row, suffix []float64) {
+	if cap(s.row) < m+1 {
+		s.row = make([]float64, m+1)
+	}
+	if s.armed && len(s.suffix) == n+1 {
+		suffix = s.suffix
+	}
+	s.armed = false
+	return s.row[:m+1], suffix
+}
+
+// suffixCut is the cutoff the suffix bound fl(rowMin_i + S_i) is held to,
+// inflated so that a pair whose computed cost D is within the cutoff is
+// never abandoned on it. With u = 2^-53: a term fl(fl(q_t - e)^2), e = y_j
+// of the band, never exceeds the DP's cost fl(fl(q_t - y_j)^2) of a cell of
+// row t+1 (rounding is monotone). Past its last cell in row i, worth at least
+// rowMin_i, D's path adds K <= n+m cells, one or more a row, each a rounded
+// sum of non-negatives: D >= (1-u)^K (rowMin_i + L_i), L_i the exact sum of
+// the terms ahead. S_i and the bound are n-i+1 rounded sums of
+// non-negatives, so fl(rowMin_i + S_i) <= (1+u)^(n+1) (1-u)^-(n+m) D, under
+// 1 + (2n+m+2)u + O(u^2); the inflating product rounds twice more, and
+// 4(n+m+2)u covers it (~8.6e-14 at n = m = 128). Where a sum would overflow
+// the inflated cut is +Inf; subnormal sums are exact.
+func suffixCut(cutoff float64, n, m int) float64 {
+	return cutoff * (1 + float64(4*(n+m+2))*0x1p-53)
 }
 
 // DTWBandEarlyAbandonScratch is DTWBandEarlyAbandonCancel with caller-owned
-// DP scratch. A nil scratch allocates fresh rows, computing exactly
+// DP scratch. A nil scratch allocates a fresh row, computing exactly
 // DTWBandEarlyAbandonCancel; the arithmetic is identical either way, so the
 // results are bit-for-bit the same.
+//
+// A scratch armed by its LBKeoghSquared also abandons at row i once
+// rowMin_i + suffix_i, a lower bound on the final cost, exceeds suffixCut's
+// inflated cutoff, returning the root of that bound: the call completes
+// exactly when the unarmed one does, with the same value.
+//
+// Rows i and i+1 run in one sweep, row i+1 a cell behind, reading row i's
+// cells from registers: the two left-neighbour chains interleave and only
+// row i+1 is written. Every cell keeps its operands and its one rounded sum,
+// so the values are the single-row loop's bit for bit. An odd n runs its
+// last row beside a phantom row that nothing reads.
 //
 // x and y must be finite (the corpus refuses anything else at insert, the
 // engine at prepare): the DP then only ever holds finite squares, their sums
@@ -225,63 +296,106 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 	if band >= 0 && abs(n-m) > band {
 		return 0, false, fmt.Errorf("distance: DTW band %d narrower than length difference %d", band, abs(n-m))
 	}
-	var prev, curr []float64
+	var row, suffix []float64
 	if scratch != nil {
-		prev, curr = scratch.rows(m)
+		row, suffix = scratch.dp(n, m)
 	} else {
-		prev = make([]float64, m+1)
-		curr = make([]float64, m+1)
+		row = make([]float64, m+1)
+	}
+	cut := cutoff
+	if suffix != nil {
+		cut = suffixCut(cutoff, n, m)
+	}
+	span := func(i int) (lo, hi int) { // row i's band in columns 1..m
+		lo, hi = 1, m
+		if band >= 0 {
+			lo, hi = max(lo, i-band), min(hi, i+band)
+		}
+		return lo, hi
 	}
 	inf := math.Inf(1)
-	for j := range prev {
-		prev[j] = inf
+	for j := range row {
+		row[j] = inf
 	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		if done != nil && i%dtwCancelStride == 0 {
+	row[0] = 0
+	var a float64 // row i's left neighbour; after the last sweep, row n's last cell when n is odd
+	for i := 1; i <= n; i += 2 {
+		// row holds row i-1 on [loA-1, hiA] and receives row i+1, edge cells
+		// unreachable, on [loB-1, hiB+1]; loB-loA and hiB-hiA are 0 or 1.
+		loA, hiA := span(i)
+		loB, hiB := span(i + 1)
+		xa, xb := x[i-1], x[i-1]
+		if i < n {
+			xb = x[i]
+		}
+		diag := row[loA-1]
+		var b float64
+		a, b = inf, inf
+		minA, minB := inf, inf
+		j := loA
+		if loB > loA {
+			// Row i's first cell has no row i+1 cell below it.
+			up := row[j]
+			d := xa - y[j-1]
+			a = d*d + min(up, diag, a)
+			minA, diag = a, up
+			j++
+		}
+		row[loB-1] = inf // read above, as row i's diagonal or up
+		ys, rs := y[j-1:hiA], row[j:hiA+1]
+		rs = rs[:len(ys)]
+		for k, yj := range ys {
+			up := rs[k]
+			d := xa - yj
+			an := d*d + min(up, diag, a)
+			e := xb - yj
+			b = e*e + min(an, a, b)
+			rs[k] = b
+			diag, a = up, an
+			minA, minB = min(minA, an), min(minB, b)
+		}
+		if hiB > hiA {
+			// Row i+1's last cell: row i's cell above it is unreachable.
+			e := xb - y[hiA]
+			b = e*e + min(inf, a, b)
+			row[hiB] = b
+			minB = min(minB, b)
+		}
+		if hiB < m {
+			row[hiB+1] = inf
+		}
+		// Path costs are non-decreasing along any warping path, so once the
+		// cheapest cell of a row — plus, when armed, the least the rows
+		// still ahead must add — exceeds the cutoff, the final cost must too.
+		if suffix != nil {
+			minA += suffix[i]
+		}
+		if minA > cut {
+			return math.Sqrt(minA), false, nil
+		}
+		if i == n {
+			break
+		}
+		if done != nil && (i+1)%dtwCancelStride == 0 {
 			select {
 			case <-done:
 				return 0, false, qerr.Cancelled(nil)
 			default:
 			}
 		}
-		lo, hi := 1, m
-		if band >= 0 {
-			if l := i - band; l > lo {
-				lo = l
-			}
-			if h := i + band; h < hi {
-				hi = h
-			}
+		if suffix != nil {
+			minB += suffix[i+1]
 		}
-		// Only the band is computed and only the band plus one cell either
-		// side is written: the next row's band starts no further left and
-		// ends at most one cell further right, so [lo-1, hi+1] is all it
-		// reads. The two edge cells hold stale values (row i-2's, row 0's
-		// origin, or an earlier call's) and must read as unreachable.
-		curr[lo-1] = inf
-		if hi < m {
-			curr[hi+1] = inf
+		if minB > cut {
+			return math.Sqrt(minB), false, nil
 		}
-		xi := x[i-1]
-		rowMin, left, diag := inf, inf, prev[lo-1]
-		for j := lo; j <= hi; j++ {
-			d := xi - y[j-1]
-			up := prev[j]
-			left = d*d + min(up, diag, left)
-			curr[j] = left
-			rowMin = min(rowMin, left)
-			diag = up
-		}
-		// Path costs are non-decreasing along any warping path, so once the
-		// cheapest cell of a row exceeds the cutoff the final cost must too.
-		if rowMin > cutoff {
-			return math.Sqrt(rowMin), false, nil
-		}
-		prev, curr = curr, prev
 	}
-	if prev[m] > cutoff {
-		return math.Sqrt(prev[m]), false, nil
+	final := row[m]
+	if n%2 == 1 {
+		final = a
 	}
-	return math.Sqrt(prev[m]), true, nil
+	if final > cutoff {
+		return math.Sqrt(final), false, nil
+	}
+	return math.Sqrt(final), true, nil
 }

@@ -151,11 +151,23 @@ func TestDTWBandEarlyAbandonErrors(t *testing.T) {
 	}
 }
 
+// dtwRefScratch is the two-row scratch dtwBandRef was written against.
+type dtwRefScratch struct{ prev, curr []float64 }
+
+func (s *dtwRefScratch) rows(m int) (prev, curr []float64) {
+	if cap(s.prev) < m+1 {
+		s.prev = make([]float64, m+1)
+		s.curr = make([]float64, m+1)
+	}
+	return s.prev[:m+1], s.curr[:m+1]
+}
+
 // dtwBandRef is DTWBandEarlyAbandonScratch as it stood before PR 25, frozen
-// verbatim: every row reset to +Inf whole, neighbours reloaded from the rows,
-// the minimum taken by compare-and-branch. TestDTWKernelMatchesReference
-// holds the kernel to it bit for bit; do not edit it.
-func dtwBandRef(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *DTWScratch) (float64, bool, error) {
+// verbatim (only its scratch type moved here): one row at a time, every row
+// reset to +Inf whole, neighbours reloaded from the rows, the minimum taken
+// by compare-and-branch. TestDTWKernelMatchesReference holds the kernel to it
+// bit for bit; do not edit it.
+func dtwBandRef(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *dtwRefScratch) (float64, bool, error) {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {
 		return 0, false, fmt.Errorf("distance: DTW over empty series")
@@ -253,7 +265,8 @@ func TestDTWKernelMatchesReference(t *testing.T) {
 		return s
 	}
 	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
-	var scratch, refScratch DTWScratch
+	var scratch DTWScratch
+	var refScratch dtwRefScratch
 	var completed, abandoned, failed int
 	for p := 0; p < pairs; p++ {
 		n := 1 + rng.Intn(40)

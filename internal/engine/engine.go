@@ -24,8 +24,9 @@
 //
 // Refine. Survivors run the measure's own pruned kernel against the same
 // cut: the lock-step measures early-abandon the squared-distance
-// accumulation; DTW checks LB_Kim and LB_Keogh, then runs a DP that
-// abandons per row; DUST early-abandons the Equation 13 accumulation over
+// accumulation; DTW checks LB_Kim and LB_Keogh, then runs a DP two rows a
+// sweep that abandons once a row's minimum plus LB_Keogh's remaining terms
+// pass the cut; DUST early-abandons the Equation 13 accumulation over
 // one shared set of phi tables; MUNICH walks the exact bounding-interval
 // prune over the corpus' stored intervals, the moment bracket and a
 // sample-pair probability bound before a refine that abandons in the
@@ -214,7 +215,8 @@ type Stats struct {
 	// probabilistic measures, full probability refines) that ran to
 	// completion — the figure pruning exists to minimise.
 	Completed int64 `json:"completed"`
-	// AbandonedEarly counts scans abandoned mid-accumulation.
+	// AbandonedEarly counts scans abandoned mid-accumulation, DTW's on a
+	// row minimum alone or plus LB_Keogh's suffix alike.
 	AbandonedEarly int64 `json:"abandoned_early"`
 	// PrunedByEnvelope counts DTW candidates excluded by LB_Kim's endpoint
 	// bound or LB_Keogh's envelope bound alone, without touching the DTW
@@ -397,7 +399,7 @@ func (e *Engine) ResetStats() {
 // cannot have distance <= the distance whose square the cutoff came from.
 // done (nil = never) threads cooperative cancellation into the one kernel
 // long enough to need mid-candidate polling, the DTW row loop. scratch
-// (nil = allocate) lends the DTW kernel its DP rows.
+// (nil = allocate) lends the DTW kernel its DP row and suffix sums.
 func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{}, scratch *distance.DTWScratch) (float64, outcome, error) {
 	if e.opts.NoPrune {
 		cutoff2 = math.Inf(1)
@@ -415,13 +417,16 @@ func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{
 	case MeasureDTW:
 		// Tiered prune cascade, cheapest first: the O(1) LB_Kim endpoint
 		// bound, then the O(n) LB_Keogh envelope bound, then the
-		// early-abandoning DP itself. Every tier is a sound lower bound on
-		// DTW^2, so a candidate any tier excludes could never have completed
-		// under the cutoff — results are identical, only cheaper.
+		// early-abandoning DP itself, which also abandons once a row's
+		// minimum plus LB_Keogh's terms still ahead exceeds the cut (the
+		// scratch keeps them; counted as abandoned). Every tier is a sound
+		// lower bound on DTW^2, so a candidate any tier excludes could never
+		// have completed under the cutoff — results are identical, only
+		// cheaper.
 		if distance.LBKimSquared(pq.vec, e.vecs.at(ci)) > cutoff2 {
 			return 0, envelopePruned, nil
 		}
-		lb, lbErr := distance.LBKeoghSquared(pq.vec, e.upper.at(ci), e.lower.at(ci), cutoff2)
+		lb, lbErr := scratch.LBKeoghSquared(pq.vec, e.upper.at(ci), e.lower.at(ci), cutoff2)
 		if lbErr != nil {
 			return 0, 0, lbErr
 		}

@@ -39,7 +39,7 @@ func (s span) at(i int) int {
 // closures built by small constructors: a closure copied into the caller of
 // an inlined constructor loses the inlining of its own loop body, which
 // measured 10% on Euclidean range queries); each polls the request's done
-// channel inside its long kernels, and the DTW one borrows its DP rows from
+// channel inside its long kernels, and the DTW one borrows its DP buffers from
 // scratch (nil for every other measure).
 type step func(scratch *distance.DTWScratch, s span) (hits []int, skipped int64, err error)
 
@@ -92,9 +92,9 @@ func (e *Engine) scan(ctx context.Context, workers int, cands []int, self int, s
 	return out, nil
 }
 
-// newScratch returns the DP rows one work batch of a DTW engine shares — one
-// pair per batch, not per candidate, so the hot path allocates nothing — and
-// nil for every other measure.
+// newScratch returns the DP row and LB_Keogh suffix sums one work batch of a
+// DTW engine shares — per batch, not per candidate, so the hot path
+// allocates nothing — and nil for every other measure.
 func (e *Engine) newScratch() *distance.DTWScratch {
 	if e.opts.Measure != MeasureDTW {
 		return nil

@@ -88,17 +88,31 @@ func convolutionProbabilityRef(x, y uncertain.SampleSeries, eps, cutoff float64,
 	return binnedCDFRef(probs, width, eps2), true, nil
 }
 
+// convTally reads the tally every convolution adds its own into.
+func convTally() convCount {
+	convRan.Lock()
+	defer convRan.Unlock()
+	return convRan.convCount
+}
+
 // convPair draws a seeded pair the way the benchmark's sampled corpus is
 // shaped: a smooth base, 1 to maxSamples samples per timestamp around it
 // (1 to maxSamples^2 taps a step, now and then with a repeated sample, so
 // taps tie), values rounded to 4 decimals. spread sets how far apart the two
 // series sit.
 func convPair(rng *rand.Rand, n, maxSamples int, spread float64) (x, y uncertain.SampleSeries) {
+	count := func() int { return 1 + rng.Intn(maxSamples) }
+	return shapedPair(rng, n, count, count, spread)
+}
+
+// shapedPair is convPair with the sample counts per timestamp drawn by nx
+// and ny.
+func shapedPair(rng *rand.Rand, n int, nx, ny func() int, spread float64) (x, y uncertain.SampleSeries) {
 	round := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
-	mk := func(id int, shift float64) uncertain.SampleSeries {
+	mk := func(id int, shift float64, count func() int) uncertain.SampleSeries {
 		samples := make([][]float64, n)
 		for i := range samples {
-			row := make([]float64, 1+rng.Intn(maxSamples))
+			row := make([]float64, count())
 			centre := math.Sin(0.2*float64(i)) + shift
 			for k := range row {
 				row[k] = round(centre + 0.25*rng.NormFloat64())
@@ -110,7 +124,7 @@ func convPair(rng *rand.Rand, n, maxSamples int, spread float64) (x, y uncertain
 		}
 		return uncertain.SampleSeries{Samples: samples, ID: id}
 	}
-	return mk(0, 0), mk(1, spread*rng.NormFloat64())
+	return mk(0, 0, nx), mk(1, spread*rng.NormFloat64(), ny)
 }
 
 // edgePair builds a pair whose bin width is exactly 2 at the given bin count
@@ -163,18 +177,31 @@ type convCase struct {
 	edge, wantScalar bool
 }
 
+// tapShapes are the samples per timestamp (x by y) of the fixed-shape rows
+// of convCases: 1, 2, 3, 4, 5, 8, 9 and 16 taps a step, so convolveShifted
+// runs every group size of up to four, alone and after full groups.
+var tapShapes = [][2]int{{1, 1}, {1, 2}, {1, 3}, {2, 2}, {1, 5}, {2, 4}, {3, 3}, {4, 4}}
+
 // convCases is the seeded table TestConvolutionMatchesReference and
 // TestConvolutionConcurrent run: random pairs with eps across and beyond the
 // bounding-interval bracket (below it nothing reaches eps^2, above it the
-// readout sits in the clamping top bin), then the edge pairs.
+// readout sits in the clamping top bin), pairs of every tapShapes shape
+// (their first steps convolve a window narrower than the taps' spread), then
+// the edge pairs.
 func convCases(t *testing.T, pairs int) []convCase {
 	rng := rand.New(rand.NewSource(23))
 	finite := []float64{1e-12, 0.1, 0.5, 0.9, 1}
 	binChoices := []int{16, 256, 4096}
 	var out []convCase
-	for trial := 0; trial < pairs; trial++ {
+	for trial := 0; trial < pairs+6*len(tapShapes); trial++ {
 		n := 1 + rng.Intn(128)
-		x, y := convPair(rng, n, 4+2*(trial%2), []float64{0, 0.05, 0.3, 1}[trial%4])
+		var x, y uncertain.SampleSeries
+		if trial < pairs {
+			x, y = convPair(rng, n, 4+2*(trial%2), []float64{0, 0.05, 0.3, 1}[trial%4])
+		} else {
+			shape := tapShapes[(trial-pairs)%len(tapShapes)]
+			x, y = shapedPair(rng, n, func() int { return shape[0] }, func() int { return shape[1] }, []float64{0.05, 0.3, 1}[trial%3])
+		}
 		lo, hi, err := BoundingIntervals(x).Bounds(BoundingIntervals(y))
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +250,7 @@ func TestConvolutionMatchesReference(t *testing.T) {
 	if testing.Short() {
 		pairs = 400
 	}
-	fast0, scalar0 := convFast.Load(), convScalar.Load()
+	ran0 := convTally()
 	for _, tc := range convCases(t, pairs) {
 		x, y, eps, bins := tc.x, tc.y, tc.eps, tc.bins
 		want, complete, err := convolutionProbabilityRef(x, y, eps, math.Inf(-1), bins, nil)
@@ -235,11 +262,11 @@ func TestConvolutionMatchesReference(t *testing.T) {
 		if last != nil && last[x.Len()] == bins-1 {
 			clamped++
 		} else if tc.edge {
-			before := convScalar.Load()
+			before := convTally().scalar
 			if _, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil); err != nil {
 				t.Fatal(err)
 			}
-			if fell := convScalar.Load() != before; fell != tc.wantScalar {
+			if fell := convTally().scalar != before; fell != tc.wantScalar {
 				t.Fatalf("%s: a step ran the scalar loop: %v, want %v", tc.name, fell, tc.wantScalar)
 			}
 		}
@@ -286,9 +313,19 @@ func TestConvolutionMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	fast, scalar := convFast.Load()-fast0, convScalar.Load()-scalar0
-	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; %d steps as shifted adds, %d scalar",
-		pairs, completed, abandoned, refAbandoned, unreachable, clamped, fast, scalar)
+	ran := convTally()
+	fast, scalar := ran.fast-ran0.fast, ran.scalar-ran0.scalar
+	var groups [5]int64
+	for g := range groups {
+		groups[g] = ran.group[g] - ran0.group[g]
+	}
+	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; %d steps as shifted adds (tap groups of 1-4 with an interior: %v, without one: %d), %d scalar",
+		pairs, completed, abandoned, refAbandoned, unreachable, clamped, fast, groups[1:], groups[0], scalar)
+	for g, runs := range groups {
+		if runs == 0 {
+			t.Fatalf("no tap group of size %d ran (size 0: a group with no interior bin): %v", g, groups)
+		}
+	}
 	if abandoned == 0 || unreachable == 0 || clamped == 0 {
 		t.Fatalf("the table does not exercise the abandon paths or the clamp: %d abandoned (reference %d), %d unreachable, %d clamped", abandoned, refAbandoned, unreachable, clamped)
 	}

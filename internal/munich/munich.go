@@ -18,13 +18,14 @@
 //     with resolution controlled by the bin count. This is where a served
 //     refine spends its time (128 timestamps x 9 sample pairs over 4096
 //     bins), so each step carries only the bins that hold mass and can still
-//     arrive at or below eps^2, and runs as a handful of shifted adds: a
+//     arrive at or below eps^2, and runs as a few passes of shifted adds: a
 //     squared difference moves every bin by the same number of bins unless
 //     it sits within a few ulps (convShiftSlack) of a bin edge, and adding
-//     the scaled window once per difference, largest shift first, hands each
-//     bin its addends in the order of the bin-by-bin definition — the
-//     scalar loop kept beside it, which the rare edge case still runs — so
-//     the estimate is that loop's bit for bit. Scratch comes from a pool;
+//     the scaled window at each difference's shift, largest shift first and
+//     up to four shifts a pass, hands each bin its addends in the order of
+//     the bin-by-bin definition — the scalar loop kept beside it, which the
+//     rare edge case still runs — so the estimate is that loop's bit for
+//     bit. Scratch comes from a pool;
 //   - Monte Carlo, by sampling materialisations, usable with any inner
 //     distance including DTW.
 //
@@ -49,7 +50,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"uncertts/internal/distance"
 	"uncertts/internal/qerr"
@@ -494,10 +494,14 @@ const convCutoffMargin = 1e-9
 
 // convReadStride is how many convolution steps run between early-rejection
 // readouts. The test is sound after any step, so the stride trades how soon
-// a doomed pair stops for how often the window is read: over the benchmark
-// corpus's six MUNICH queries (one worker, 2-vCPU Xeon) a readout after
-// every step cost ~11% more than one every 4th, and strides 2, 4 and 8 lay
-// within 3% of one another.
+// a doomed pair stops for how often the window is read. Over the benchmark
+// corpus's six MUNICH queries (one worker, shared 2-vCPU box, eight
+// interleaved rounds with the grouped shifted adds, which make the readout a
+// larger share of a step) stride 2 took a median 1.13x stride 4's time,
+// slower in 7 of 8 rounds, and stride 8 1.03x, within the noise; stride 8
+// also moves the completed/abandoned split of those queries from 24/41 to
+// 26/39. With the tap-by-tap step, a readout after every step cost ~11% more
+// than one every 4th.
 const convReadStride = 4
 
 // binnedCDF reads the probability mass at or below eps2 off bins [from, to]
@@ -691,9 +695,28 @@ type convScratch struct {
 
 var convPool = sync.Pool{New: func() any { return new(convScratch) }}
 
-// convFast and convScalar count the convolution steps run as shifted adds
-// and as the scalar loop; tests read them to show both forms ran.
-var convFast, convScalar atomic.Int64
+// convCount tallies one convolution's steps as shifted adds and as the
+// scalar loop, and convolveShifted's tap groups by size (group[0]: no
+// interior bin). Each call adds it into convRan, which the tests read.
+type convCount struct {
+	fast, scalar int64
+	group        [5]int64
+}
+
+var convRan struct {
+	sync.Mutex
+	convCount
+}
+
+func (c *convCount) flush() {
+	convRan.Lock()
+	defer convRan.Unlock()
+	convRan.fast += c.fast
+	convRan.scalar += c.scalar
+	for g, v := range c.group {
+		convRan.group[g] += v
+	}
+}
 
 // convolutionProbability approximates the distribution of the total squared
 // distance by repeated histogram convolution and reads off the CDF at
@@ -706,12 +729,12 @@ var convFast, convScalar atomic.Int64
 // bin j ascending and every squared difference v in sample-pair order, add
 // probs[j]*w into bin int(((j+0.5)*width + v)/width). Where that index is
 // provably j + k_v for every j (binShifts), the step runs as shifted adds:
-// the window is scaled once and added into next at offset k_v, one v after
-// another in descending k_v. A destination bin then meets its sources in
-// ascending order, as in the scalar loop, and sources that tie (equal k_v)
-// bring the same addend, so their order is immaterial: same addends, same
-// order, same bits. A step that may clamp into the top bin (keep == bins-1)
-// or holds an unprovable shift runs the scalar loop.
+// the window is scaled once and added into next at offset k_v, in descending
+// k_v, up to four offsets a pass (convolveShifted). A destination bin then
+// meets its sources in ascending order, as in the scalar loop, and sources
+// that tie (equal k_v) bring the same addend, so their order is immaterial:
+// same addends, same order, same bits. A step that may clamp into the top
+// bin (keep == bins-1) or holds an unprovable shift runs the scalar loop.
 //
 // Because every squared difference is non-negative, convolving in another
 // timestamp only moves mass towards higher bins, so the final CDF at eps^2
@@ -758,6 +781,8 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 		probs[0] = 1
 	}
 	readout := !math.IsInf(cutoff, -1)
+	var ran convCount
+	defer ran.flush()
 	for step := 0; step < n; step++ {
 		if cancelled(done) {
 			return 0, false, qerr.Cancelled(nil)
@@ -772,10 +797,10 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 				sc.taps, uniform = binShifts(sc.taps[:0], m, width, bins)
 			}
 			if uniform {
-				convFast.Add(1)
-				convolveShifted(probs, next, scaled, lo, hi, keep, sc.taps, w)
+				ran.fast++
+				convolveShifted(probs, next, scaled, lo, hi, keep, sc.taps, w, &ran)
 			} else {
-				convScalar.Add(1)
+				ran.scalar++
 				convolveScalar(probs, next, lo, hi, keep, m, w, width, bins)
 			}
 		}
@@ -794,23 +819,89 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 
 // convolveShifted is convolveScalar for a step whose squared differences
 // shift every source bin alike, by taps (descending): the window scaled
-// once, then one shifted add per tap. The conversion keeps p*w a rounded
-// product in both forms on platforms that would fuse it into the sum.
-func convolveShifted(probs, next, scaled []float64, lo, hi, keep int, taps []int, w float64) {
-	src := scaled[lo : hi+1]
-	for i, p := range probs[lo : hi+1] {
-		src[i] = float64(p * w)
+// once, then the taps in groups of up to four. Tap k lands on [lo+k,
+// min(hi+k, keep)], every tap of a group on its interior [lo+k_first,
+// min(hi+k_last, keep)]. There one pass adds next[b] + src[b-k_first] + ...
+// + src[b-k_last], left to right; around it each tap adds alone, in order.
+// Either way, and group after group, a bin meets its sources in ascending
+// order, as in convolveScalar: same addends, same order, same bits. The
+// conversion keeps p*w a rounded product on platforms that would fuse it.
+func convolveShifted(probs, next, scaled []float64, lo, hi, keep int, taps []int, w float64, ran *convCount) {
+	src := scaled[:hi+1] // src[j] is source bin j's addend
+	for j, p := range probs[lo : hi+1] {
+		src[lo+j] = float64(p * w)
 	}
 	clear(probs[lo : hi+1]) // leaves the buffer clean for the step after next
-	for _, k := range taps {
-		top := min(hi, keep-k) // sources above top can no longer reach eps^2
-		if top < lo {
+	for len(taps) > 0 {
+		g := taps[:min(4, len(taps))]
+		taps = taps[len(g):]
+		from, to := lo+g[0], min(hi+g[len(g)-1], keep)
+		if from > to {
+			// No bin hears every tap of the group (a window narrower than the
+			// group's spread, or one keep cuts short).
+			ran.group[0]++
+			for _, k := range g {
+				addShifted(next, src, k, lo+k, min(hi+k, keep))
+			}
 			continue
 		}
-		dst := next[lo+k : top+k+1]
-		for i, s := range src[:len(dst)] {
-			dst[i] += s
+		ran.group[len(g)]++
+		for _, k := range g {
+			addShifted(next, src, k, lo+k, from-1)
 		}
+		dst := next[from : to+1]
+		tap := func(i int) []float64 { return src[from-g[i] : to-g[i]+1] }
+		switch len(g) {
+		case 4:
+			add4(dst, tap(0), tap(1), tap(2), tap(3))
+		case 3:
+			add3(dst, tap(0), tap(1), tap(2))
+		case 2:
+			add2(dst, tap(0), tap(1))
+		default:
+			add1(dst, tap(0))
+		}
+		for _, k := range g {
+			addShifted(next, src, k, to+1, min(hi+k, keep))
+		}
+	}
+}
+
+// addShifted adds src[b-k] into next[b] for every bin b in [from, to].
+func addShifted(next, src []float64, k, from, to int) {
+	if from <= to {
+		add1(next[from:to+1], src[from-k:to-k+1])
+	}
+}
+
+// add1 to add4 add one to four source runs into dst, element by element,
+// left to right. Each is its own loop over fixed operands: a loop over a
+// variable number of runs per bin pays a bounds check per addend.
+func add1(dst, s0 []float64) {
+	s0 = s0[:len(dst)]
+	for i := range dst {
+		dst[i] += s0[i]
+	}
+}
+
+func add2(dst, s0, s1 []float64) {
+	s0, s1 = s0[:len(dst)], s1[:len(dst)]
+	for i := range dst {
+		dst[i] = dst[i] + s0[i] + s1[i]
+	}
+}
+
+func add3(dst, s0, s1, s2 []float64) {
+	s0, s1, s2 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)]
+	for i := range dst {
+		dst[i] = dst[i] + s0[i] + s1[i] + s2[i]
+	}
+}
+
+func add4(dst, s0, s1, s2, s3 []float64) {
+	s0, s1, s2, s3 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)], s3[:len(dst)]
+	for i := range dst {
+		dst[i] = dst[i] + s0[i] + s1[i] + s2[i] + s3[i]
 	}
 }
 
