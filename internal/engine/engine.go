@@ -3,36 +3,54 @@
 // aggressively before any work reaches the hot distance kernels.
 //
 // There is one way in — Run (RunStream with incremental delivery) takes a
-// declarative Request — and one path behind it, the same four stages for
-// every measure and every kind:
+// declarative Request — and one path behind it, the same stages for every
+// measure and every kind:
 //
-//	source → tier 0 / bounds → refine → collect
+//	source → prefilter pass → step (cascade per candidate) → collect
 //
 // Source. The candidates of a request are every snapshot position but the
-// query's own, cut into ShardSize shards that the work-stealing executor of
+// query's own, cut into ShardSize batches that the work-stealing executor of
 // internal/core drains (scan.go). There is one source for every measure and
 // kind; it runs in position order, except DTW top-k, which runs it in the
-// order of its sketch-row bound (index.go) so its dear kernel meets the
-// nearest candidates first.
+// order of its prefilter bound so its dear kernel meets the nearest
+// candidates first.
 //
-// Tier 0 / bounds. Before a candidate's series row is touched, the measure's
-// cheap bound is tested against the request's cut: the 16-segment Jensen
-// bound over the corpus' filter columns for the lock-step measures
-// (Euclidean, UMA, UEMA) and PROUD (tier0.go), the candidate's own sketch
-// row for DTW (index.go). A candidate dropped here is counted in
-// Stats.SeriesSkippedByIndex and never reaches a kernel.
+// Prefilter pass. A measure with a prefilter (prefilter.go) bounds the
+// candidates in a pass over one corpus column: tier 0's 16-segment Jensen
+// bound over the filter columns for Euclidean, UMA, UEMA and PROUD, the
+// candidate's own sketch row for DTW. KindTopK bounds every position before
+// the scan, because it starts from the bounds; the other kinds bound each
+// batch's positions as the batch starts, on the workers. DUST and MUNICH
+// have none.
 //
-// Refine. Survivors run the measure's own pruned kernel against the same
-// cut: the lock-step measures early-abandon the squared-distance
-// accumulation; DTW checks LB_Kim and LB_Keogh, then runs a DP two rows a
-// sweep that abandons once a row's minimum plus LB_Keogh's remaining terms
-// pass the cut; DUST early-abandons the Equation 13 accumulation over
-// one shared set of phi tables; MUNICH walks the exact bounding-interval
-// prune over the corpus' stored intervals, the moment bracket and a
-// sample-pair probability bound before a refine that abandons in the
-// estimator's own arithmetic; PROUD accumulates its distance moments over a
-// prefix of timestamps and stops once sound prefix bounds force the
-// predicate (prob.go).
+// Step and cascade. A batch goes through one of two steps, one per family of
+// kinds: the ranking kinds test each candidate against the live cut and
+// offer what resolves to the collector; the range kinds test it against a
+// static cut and gather what matches. What a candidate meets in either is its
+// measure's cascade — one ordered list of stages, cheapest first, each of
+// which either settles the candidate in one outcome (one Stats counter) or
+// hands it on:
+//
+//	Euclidean, UMA, UEMA  prefilter → early-abandoning squared sum
+//	DTW                   prefilter → LB_Kim → LB_Keogh → two-row DP, abandoned
+//	                      on a row's minimum plus LB_Keogh's terms still ahead
+//	DUST                  early-abandoning Equation 13 sum over shared phi tables
+//	PROUD                 prefilter (tier 0's gap bracket) → the moments, one
+//	                      prefix decision per 16 timestamps → the full moments
+//	MUNICH                bounding intervals → moment bracket → sample-pair
+//	                      bound (exact regime) → a refine that abandons in the
+//	                      estimator's own arithmetic
+//
+// A prefilter drop lands in SeriesSkippedByIndex and never becomes a
+// candidate; LB_Kim and LB_Keogh in PrunedByEnvelope; MUNICH's three bounds
+// in ResolvedByBounds; PROUD's prefix decisions of the range predicate in
+// ResolvedEarly; any other kernel stopped mid-way in AbandonedEarly; a full
+// one in Completed. Every stage compares a sound bound against the cut under
+// its own margin — indexBoundMargin and tier 0's slack at the prefilter,
+// probBoundMargin on the probability side, the kernels' derived margins
+// inside them — so no stage drops a candidate the unpruned scan would keep.
+// Each batch counts its outcomes in its own tally and adds it to the
+// engine's counters once.
 //
 // Collect. The range kinds gather their matches by position; the two top-k
 // kinds offer every resolved candidate to one query-wide collector whose
@@ -292,35 +310,42 @@ type Engine struct {
 	energy       rows    // per-series observation energy, stride 1 (PROUD only)
 	varD         float64 // per-timestamp D_i variance sum (PROUD only)
 
-	// At most one prefilter is engaged (see resolveIndex): t0, the
-	// filter columns the lock-step and PROUD scans test first, or idx, the
-	// sketch rows DTW tests first. Both nil when queries run the plain scan.
-	t0  *tier0
-	idx *engineIndex
+	pre *prefilter // the measure's prefilter; nil when queries run the plain scan
 
-	// Work counters. Every examined candidate lands in exactly one outcome
-	// slot, so Stats.Candidates is their sum and the accounting identity
-	// holds by construction.
-	outcomes      [numOutcomes]atomic.Int64
-	seriesSkipped atomic.Int64
+	// Work counters, one per outcome. Every series a query meets lands in
+	// exactly one, so Stats.Candidates is the sum of all but the prefilter's
+	// and the accounting identity holds by construction. Batches add their
+	// tallies here once each (scan).
+	outcomes [numOutcomes]atomic.Int64
 }
 
-// outcome is how one examined candidate was resolved; each maps to one
-// Stats counter.
+// outcome is how one series a query met was resolved: the last stage of its
+// measure's cascade it reached. Each maps to one Stats counter.
 type outcome int
 
 const (
-	completed      outcome = iota // the full distance or refine ran (Stats.Completed)
+	skipped        outcome = iota // the prefilter's bound dropped it before it became a candidate (SeriesSkippedByIndex)
+	completed                     // the full distance or refine ran (Completed)
 	abandoned                     // stopped mid-accumulation (AbandonedEarly)
-	envelopePruned                // an envelope bound alone excluded it (PrunedByEnvelope)
-	boundResolved                 // MUNICH interval / sample-pair bounds decided it (ResolvedByBounds)
-	prefixResolved                // PROUD prefix bounds decided it (ResolvedEarly)
+	lbPruned                      // DTW's LB_Kim or LB_Keogh alone excluded it (PrunedByEnvelope)
+	boundResolved                 // MUNICH's intervals, bracket or sample-pair bound decided it (ResolvedByBounds)
+	prefixResolved                // PROUD's prefix bounds decided it (ResolvedEarly)
 	numOutcomes
 )
 
-// count records one examined candidate. A candidate whose computation was
-// cancelled or failed is never counted.
-func (e *Engine) count(o outcome) { e.outcomes[o].Add(1) }
+// tally is one batch's outcome counts: the steps count into it, and the
+// engine's shared counters take one add per outcome per batch rather than
+// one per candidate.
+type tally [numOutcomes]int64
+
+// add folds one batch's tally into the engine's counters.
+func (e *Engine) add(t *tally) {
+	for o, n := range t {
+		if n != 0 {
+			e.outcomes[o].Add(n)
+		}
+	}
+}
 
 // NewFromSnapshot builds an engine over a corpus snapshot by binding the
 // arena columns its measure reads; nothing is derived, copied or gathered,
@@ -361,23 +386,24 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, opts.Measure)
 	}
-	e.resolveIndex(cols)
+	e.resolvePrefilter(cols)
 	return e, nil
 }
 
 // Snapshot returns the corpus snapshot the engine serves.
 func (e *Engine) Snapshot() *corpus.Snapshot { return e.snap }
 
-// Stats returns a snapshot of the work counters.
+// Stats returns a snapshot of the work counters. A running query moves them
+// a batch (ShardSize candidates) at a time, as each batch ends.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Completed:        e.outcomes[completed].Load(),
 		AbandonedEarly:   e.outcomes[abandoned].Load(),
-		PrunedByEnvelope: e.outcomes[envelopePruned].Load(),
+		PrunedByEnvelope: e.outcomes[lbPruned].Load(),
 		ResolvedByBounds: e.outcomes[boundResolved].Load(),
 		ResolvedEarly:    e.outcomes[prefixResolved].Load(),
 
-		SeriesSkippedByIndex: e.seriesSkipped.Load(),
+		SeriesSkippedByIndex: e.outcomes[skipped].Load(),
 	}
 	s.Candidates = s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly
 	return s
@@ -388,7 +414,6 @@ func (e *Engine) ResetStats() {
 	for o := range e.outcomes {
 		e.outcomes[o].Store(0)
 	}
-	e.seriesSkipped.Store(0)
 }
 
 // dist evaluates the measure's distance between a prepared query and
@@ -424,14 +449,14 @@ func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{
 		// have completed under the cutoff — results are identical, only
 		// cheaper.
 		if distance.LBKimSquared(pq.vec, e.vecs.at(ci)) > cutoff2 {
-			return 0, envelopePruned, nil
+			return 0, lbPruned, nil
 		}
 		lb, lbErr := scratch.LBKeoghSquared(pq.vec, e.upper.at(ci), e.lower.at(ci), cutoff2)
 		if lbErr != nil {
 			return 0, 0, lbErr
 		}
 		if lb > cutoff2 {
-			return 0, envelopePruned, nil
+			return 0, lbPruned, nil
 		}
 		d, complete, err = distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.cfg.Band, cutoff2, done, scratch)
 	case MeasureDUST:
@@ -443,17 +468,6 @@ func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{
 		return 0, abandoned, err
 	}
 	return d, completed, nil
-}
-
-// distPruned is dist for a candidate of a running query: it counts the
-// outcome and reports whether the distance completed.
-func (e *Engine) distPruned(pq *prepared, ci int, cutoff2 float64, done <-chan struct{}, scratch *distance.DTWScratch) (float64, bool, error) {
-	d, o, err := e.dist(pq, ci, cutoff2, done, scratch)
-	if err != nil {
-		return 0, false, err
-	}
-	e.count(o)
-	return d, o == completed, nil
 }
 
 // Distance returns the measure's exact distance between two series of the

@@ -27,7 +27,7 @@ func prefiltered(m Measure) bool { return m != MeasureDUST && m != MeasureMUNICH
 // engaged reports whether a prefilter — tier 0 or the sketch rows — serves
 // the engine's queries (false when it runs the plain scan: small snapshot,
 // NoIndex/NoPrune, or a measure without either).
-func engaged(e *Engine) bool { return e.idx != nil || e.t0 != nil }
+func engaged(e *Engine) bool { return e.pre != nil }
 
 // prefilterCorpus is 64 series under the index-test geometry.
 func prefilterCorpus(t *testing.T) *corpus.Snapshot {

@@ -15,9 +15,9 @@ import (
 // KindProbRange answers PRQ(q, C, eps, tau) — which candidates match with
 // probability at least tau — and KindProbTopK ranks candidates by their
 // match probability Pr(distance <= eps), against the k-th best probability
-// proven so far. The scan loop, the cut and the collector are the ones every
-// kind shares (scan.go, bound.go); this file holds what is PROUD's and
-// MUNICH's own.
+// proven so far. The steps, the cut and the collector are the ones every
+// kind shares (scan.go, bound.go); this file holds the two measures'
+// cascades.
 //
 // Pruning is measure-native and exact:
 //
@@ -38,7 +38,7 @@ import (
 //     fixes the probability at exactly 0 or 1, or is proven against what the
 //     refine step returns, so answers are bit-identical to the naive scan for
 //     every estimator configuration.
-//   - PROUD first pushes tier 0's bracket of the squared gap (tier0.go)
+//   - PROUD first pushes tier 0's bracket of the squared gap (prefilter.go)
 //     through the prefix bounds as a prefix of zero timestamps, then
 //     accumulates the distance moments timestamp by timestamp (in exactly
 //     proud.Distance's order) and stops as soon as the same bounds force
@@ -87,6 +87,26 @@ func (e *Engine) checkTau(tau float64) (float64, error) {
 	return 0, nil
 }
 
+// proudGap brackets the squared observation gap sum (q_t - c_t)^2 between
+// the query and candidate ci without touching either series: tier 0's bound
+// (raw) from below, proud.UnseenGap of the two energies from above. PROUD's
+// moments are affine in the gap, so the bracket feeds the same decision the
+// accumulation uses, as a prefix of zero timestamps.
+func (e *Engine) proudGap(pq *prepared, ci int, raw float64) (lb2, ub2 float64) {
+	lb2 = pq.lb2(raw)
+	return lb2, max(proud.UnseenGap(pq.energy+e.energy.at(ci)[0], 0, len(pq.vec)), lb2)
+}
+
+// proudSkip is PROUD's prefilter stage: proudDecide on tier 0's bracket
+// rejects candidate ci. A certain accept still runs the accumulation: the
+// candidate is in the answer either way, and it is accounted as the scan
+// without tier 0 accounts it.
+func (r *run) proudSkip(ci int, cut float64) bool {
+	pq := r.pq
+	lb2, ub2 := r.e.proudGap(pq, ci, r.lbs[ci])
+	return r.proudDecide(lb2, 4*pq.varD*lb2, len(pq.vec), ub2-lb2, cut) == proud.Reject
+}
+
 // proudMoments accumulates the distance moments of the query and candidate
 // ci in exactly proud.Distance's order, timestamp by timestamp, and beside
 // them the energy seen of both series. Between strides it polls done (nil =
@@ -95,8 +115,8 @@ func (e *Engine) checkTau(tau float64) (float64, error) {
 // number of timestamps still to come and the bound on their squared gap
 // (proud.UnseenGap: what the two series' energies leave once the energy
 // seen is spent) already decide the candidate; a yes stops the accumulation
-// with complete = false. A completed accumulation is counted and returns the
-// same moments proud.Distance computes, bit for bit.
+// with complete = false. A completed accumulation returns the same moments
+// proud.Distance computes, bit for bit.
 func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settled func(mean, variance float64, rest int, gap float64) bool) (d proud.DistanceDist, complete bool, err error) {
 	q, c := pq.vec, e.vecs.at(ci)
 	n := len(q)
@@ -125,54 +145,66 @@ func (e *Engine) proudMoments(pq *prepared, ci int, done <-chan struct{}, settle
 			return d, false, nil
 		}
 	}
-	e.count(completed)
 	return proud.DistanceDist{Mean: mean, Variance: variance}, true, nil
 }
 
-// proudAccept decides the PROUD range predicate for one pair, stopping as
-// soon as the prefix bounds force the outcome. A completed accumulation
-// applies the same EpsNorm >= epsLimit test as proud.Matcher.
-func (e *Engine) proudAccept(pq *prepared, ci int, eps, epsLimit float64, done <-chan struct{}) (bool, error) {
+// proudDecide is PROUD's one decision, on the moments of a prefix, the
+// number of timestamps still to come and the bound on their squared gap:
+// the range predicate against eps_limit (KindProbRange), or the best
+// possible probability against the k-th best, the floor -cut (KindProbTopK,
+// which only ever rejects). It is taken first on tier 0's bracket as a
+// prefix of zero timestamps, then on the moments of each stride.
+func (r *run) proudDecide(mean, variance float64, rest int, gap, cut float64) proud.Decision {
+	pq, eps := r.pq, r.req.Eps
+	if r.req.Kind == KindProbRange {
+		return proud.PrefixDecide(mean, variance, rest, pq.varD, gap, eps, r.epsLimit)
+	}
+	if !math.IsInf(cut, 1) && proud.ProbWithinUpper(mean, variance, rest, pq.varD, gap, eps) < -cut-probBoundMargin {
+		return proud.Reject
+	}
+	return proud.Undecided
+}
+
+// proud is the rest of PROUD's cascade for candidate ci: the moments
+// accumulated stride by stride until proudDecide settles them. A completed
+// accumulation applies the same EpsNorm >= eps_limit test as proud.Matcher,
+// or computes the exact probability.
+func (r *run) proud(ci int, cut float64) (key float64, in bool, o outcome, err error) {
 	verdict := proud.Undecided
-	d, complete, err := e.proudMoments(pq, ci, done, func(mean, variance float64, rest int, gap float64) bool {
-		verdict = proud.PrefixDecide(mean, variance, rest, pq.varD, gap, eps, epsLimit)
+	d, complete, err := r.e.proudMoments(r.pq, ci, r.done, func(mean, variance float64, rest int, gap float64) bool {
+		verdict = r.proudDecide(mean, variance, rest, gap, cut)
 		return verdict != proud.Undecided
 	})
-	if err != nil {
-		return false, err
+	probRange := r.req.Kind == KindProbRange
+	switch {
+	case err != nil:
+		return 0, false, 0, err
+	case complete && probRange:
+		return 0, d.EpsNorm(r.req.Eps) >= r.epsLimit, completed, nil
+	case complete:
+		return -d.ProbWithin(r.req.Eps), true, completed, nil
+	case probRange:
+		return 0, verdict == proud.Accept, prefixResolved, nil
 	}
-	if complete {
-		return d.EpsNorm(eps) >= epsLimit, nil
-	}
-	e.count(prefixResolved)
-	return verdict == proud.Accept, nil
+	return 0, false, abandoned, nil
 }
 
-// proudProb computes the exact match probability for one pair, abandoning
-// (ok = false) when the prefix bounds prove the probability cannot reach
-// the current k-th best (cut; -Inf while there is none).
-func (e *Engine) proudProb(pq *prepared, ci int, eps, cut float64, done <-chan struct{}) (float64, bool, error) {
-	d, complete, err := e.proudMoments(pq, ci, done, func(mean, variance float64, rest int, gap float64) bool {
-		return !math.IsInf(cut, -1) && proud.ProbWithinUpper(mean, variance, rest, pq.varD, gap, eps) < cut-probBoundMargin
-	})
-	if err != nil {
-		return 0, false, err
+// munich is MUNICH's cascade for candidate ci: munichProb against the floor
+// -cut (KindProbTopK), or with tau as both the exclusion cutoff and the
+// acceptance threshold (KindProbRange): an excluded candidate has a
+// probability provably below tau, so it rejects; one the moment bracket
+// places at or above tau accepts; a resolved one compares exactly as the
+// naive scan does.
+func (r *run) munich(ci int, cut float64) (key float64, in bool, o outcome, err error) {
+	floor, accept := -cut, math.Inf(1)
+	if r.req.Kind == KindProbRange {
+		floor, accept = r.req.Tau, r.req.Tau
 	}
-	if !complete {
-		e.count(abandoned)
-		return 0, false, nil
+	p, ok, o, err := r.e.munichProb(r.pq, ci, r.req.Eps, floor, accept, r.done)
+	if r.req.Kind == KindProbRange {
+		return 0, ok && p >= accept, o, err
 	}
-	return d.ProbWithin(eps), true, nil
-}
-
-// munichAccept decides the MUNICH range predicate for one pair. It is
-// munichProb with tau as the exclusion cutoff and as the acceptance
-// threshold: an excluded candidate has a probability provably below tau, so
-// it rejects; one the moment bracket places at or above tau accepts; a
-// resolved one compares exactly as the naive scan does.
-func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-chan struct{}) (bool, error) {
-	p, ok, err := e.munichProb(pq, ci, eps, tau, tau, done)
-	return ok && p >= tau, err
+	return -p, ok, o, err
 }
 
 // munichProb computes the match probability for one pair through the bound
@@ -191,19 +223,17 @@ func (e *Engine) munichAccept(pq *prepared, ci int, eps, tau float64, done <-cha
 // the naive scan itself applies it; the other devices are the engine's
 // additions. done (nil = never) threads cooperative cancellation into the
 // refine estimators.
-func (e *Engine) munichProb(pq *prepared, ci int, eps, cut, accept float64, done <-chan struct{}) (float64, bool, error) {
+func (e *Engine) munichProb(pq *prepared, ci int, eps, cut, accept float64, done <-chan struct{}) (float64, bool, outcome, error) {
 	ent := e.snap.Entry(ci)
 	dec, err := pq.iv.Prune(ent.Intervals, eps)
 	if err != nil {
-		return 0, false, err
+		return 0, false, 0, err
 	}
 	switch dec {
 	case munich.PruneAccept:
-		e.count(boundResolved)
-		return 1, true, nil
+		return 1, true, boundResolved, nil
 	case munich.PruneReject:
-		e.count(boundResolved)
-		return 0, true, nil
+		return 0, true, boundResolved, nil
 	}
 	x, y := pq.sample, *ent.Samples
 	cutoff := math.Inf(-1)
@@ -212,33 +242,28 @@ func (e *Engine) munichProb(pq *prepared, ci int, eps, cut, accept float64, done
 			lo, hi := e.opts.MUNICH.MomentBracket(x, y, eps)
 			switch {
 			case hi < cut-probBoundMargin:
-				e.count(boundResolved)
-				return 0, false, nil
+				return 0, false, boundResolved, nil
 			case lo >= accept+probBoundMargin:
-				e.count(boundResolved)
-				return lo, true, nil
+				return lo, true, boundResolved, nil
 			}
 		}
 		if !math.IsInf(cut, -1) && e.opts.MUNICH.ExactFeasible(x, y) {
 			up, err := munich.ProbUpperBound(x, y, pq.iv, ent.Intervals, eps)
 			if err != nil {
-				return 0, false, err
+				return 0, false, 0, err
 			}
 			if up < cut-probBoundMargin {
-				e.count(boundResolved)
-				return 0, false, nil
+				return 0, false, boundResolved, nil
 			}
 		}
 		cutoff = cut
 	}
 	p, complete, err := munich.ProbabilityCutoffCancel(x, y, eps, cutoff, e.opts.MUNICH, done)
-	if err != nil {
-		return 0, false, err
+	switch {
+	case err != nil:
+		return 0, false, 0, err
+	case !complete: // estimate provably below cut in the estimator's arithmetic
+		return 0, false, abandoned, nil
 	}
-	if !complete { // estimate provably below cut in the estimator's arithmetic
-		e.count(abandoned)
-		return 0, false, nil
-	}
-	e.count(completed)
-	return p, true, nil
+	return p, true, completed, nil
 }

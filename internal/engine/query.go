@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"uncertts/internal/distance"
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
 	"uncertts/internal/qerr"
-	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/uncertain"
@@ -82,31 +80,6 @@ func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 		pq.sample, pq.iv = *ent.Samples, ent.Intervals
 	}
 	return pq, nil
-}
-
-// summarise attaches the query-side summaries the engaged prefilter reads:
-// the coarse segment means for tier 0 (a resident query aliases its own
-// filter-column row), the PAA of the query and of its warping envelope for
-// DTW's sketch-row bound.
-func (e *Engine) summarise(pq *prepared) {
-	switch {
-	case e.t0 != nil:
-		if pq.self >= 0 {
-			pq.qc = e.t0.means.at(pq.self)
-		} else {
-			pq.qc = sketch.PAA(pq.vec, e.t0.geo.Spans)
-		}
-		var energy float64
-		for _, v := range pq.vec {
-			energy += v * v
-		}
-		pq.slack = e.t0.slack(energy)
-	case e.idx != nil:
-		pq.qpaa = sketch.PAA(pq.vec, e.idx.lay.Spans)
-		up, lo := distance.Envelope(pq.vec, e.cfg.Band)
-		pq.qenvHi = sketch.PAA(up, e.idx.lay.Spans)
-		pq.qenvLo = sketch.PAA(lo, e.idx.lay.Spans)
-	}
 }
 
 // prepare binds an ad-hoc series as a query against the engine's snapshot,

@@ -270,16 +270,26 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 	if err != nil {
 		return nil, err
 	}
-	e.summarise(pq)
 
 	res := &Result{Kind: req.Kind}
-	// The refine span covers the whole execution — DTW top-k's index_descent
-	// span (its bound-and-sort pass) nests inside it.
+	// Workers confirm range matches concurrently; serialize their emissions
+	// so emit needs no locking of its own.
+	var locked func(Item) error
+	if emit != nil && (req.Kind == KindRange || req.Kind == KindProbRange) {
+		var mu sync.Mutex
+		locked = func(it Item) error {
+			mu.Lock()
+			defer mu.Unlock()
+			return emit(it)
+		}
+	}
+	// The refine span covers the whole execution — the prefilter's
+	// index_descent span (the query's summaries and, for KindTopK, the bound
+	// pass over every position) nests inside it.
 	refineSpan := telemetry.TraceFrom(ctx).Start("refine")
+	top, ids, err := e.execute(ctx, pq, &req, locked)
 	switch req.Kind {
 	case KindTopK, KindProbTopK:
-		var top []ranked
-		top, err = e.topK(ctx, pq, &req)
 		res.Total = len(top)
 		if req.Kind == KindTopK {
 			res.Neighbors = make([]query.Neighbor, len(top))
@@ -303,20 +313,8 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 		res.Neighbors = window(res.Neighbors, req.Offset, req.Limit)
 		res.Matches = window(res.Matches, req.Offset, req.Limit)
 	case KindRange, KindProbRange:
-		// Workers confirm matches concurrently; serialize their emissions
-		// so emit needs no locking of its own.
-		var locked func(Item) error
-		if emit != nil {
-			var mu sync.Mutex
-			locked = func(it Item) error {
-				mu.Lock()
-				defer mu.Unlock()
-				return emit(it)
-			}
-		}
-		res.IDs, err = e.matches(ctx, pq, &req, locked)
-		res.Total = len(res.IDs)
-		res.IDs = window(res.IDs, req.Offset, req.Limit)
+		res.Total = len(ids)
+		res.IDs = window(ids, req.Offset, req.Limit)
 	}
 	refineSpan.EndErr(err)
 	recordStatsMetrics(e.opts.Measure, e.Stats())

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -198,82 +200,164 @@ func TestRunPreCancelledContext(t *testing.T) {
 }
 
 // TestRunCancelMidQueryEveryMeasure cancels a running query for all seven
-// measures at workers {1, 2, 8}: a watcher cancels the context as soon as
-// the scan has examined its first candidates, and Run must return promptly
-// either the cancellation error or — when the scan beat the cancel — a
-// result identical to an uncancelled run.
+// measures at workers {1, 2, 8}, in two shapes. At one candidate a batch a
+// watcher cancels as soon as the first batch's tally lands in Stats, so the
+// executor meets the cancel between batches. At the default batch size the
+// 47 candidates are one batch, and a timer cancels half-way through a
+// measured uncancelled run, so only the polls inside the kernels can stop
+// it. Either way Run must return promptly the cancellation error or — when
+// the scan beat the cancel — a result identical to an uncancelled run.
 func TestRunCancelMidQueryEveryMeasure(t *testing.T) {
 	w := probWorkload(t, 48, 64)
 	qi := 0
 	for _, opts := range runConfigs() {
 		for _, workers := range []int{1, 2, 8} {
-			e := newEngine(t, w.Snapshot(), opts)
 			req := Request{Measure: opts.Measure, Index: &qi, Workers: workers}
 			if opts.Measure.Probabilistic() {
 				req.Kind, req.Eps, req.Tau = KindProbRange, w.EpsEucl(qi), 0.3
 			} else {
 				req.Kind, req.K = KindTopK, 3
 			}
+			name := fmt.Sprintf("%v w=%d", opts.Measure, workers)
+
+			perCandidate := opts
+			perCandidate.ShardSize = 1
+			pe := newEngine(t, w.Snapshot(), perCandidate)
 			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				for e.Stats().Candidates == 0 {
+			go func(cancel context.CancelFunc) {
+				for pe.Stats().Candidates == 0 {
 					time.Sleep(10 * time.Microsecond)
 				}
 				cancel()
-			}()
-			start := time.Now()
-			res, err := e.Run(ctx, req)
-			elapsed := time.Since(start)
-			cancel()
-			if elapsed > 10*time.Second {
-				t.Fatalf("%v w=%d: Run held the executor %v after cancellation", opts.Measure, workers, elapsed)
+			}(cancel)
+			checkCancelledRun(t, name+" shard=1", pe, ctx, cancel, req)
+
+			e := newEngine(t, w.Snapshot(), opts)
+			began := time.Now()
+			if _, err := e.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
 			}
-			if err != nil {
-				if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
-					t.Errorf("%v w=%d: err = %v, want a cancellation", opts.Measure, workers, err)
-				}
-				continue
+			ctx, cancel = context.WithCancel(context.Background())
+			time.AfterFunc(time.Since(began)/2, cancel)
+			checkCancelledRun(t, name+" one batch", e, ctx, cancel, req)
+		}
+	}
+}
+
+// checkCancelledRun runs req under ctx, which is being cancelled mid-query,
+// and wants the cancellation, returned promptly, or the uncancelled answer.
+func checkCancelledRun(t *testing.T, name string, e *Engine, ctx context.Context, cancel context.CancelFunc, req Request) {
+	t.Helper()
+	start := time.Now()
+	res, err := e.Run(ctx, req)
+	elapsed := time.Since(start)
+	cancel()
+	if elapsed > 10*time.Second {
+		t.Fatalf("%s: Run held the executor %v after cancellation", name, elapsed)
+	}
+	if err != nil {
+		if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want a cancellation", name, err)
+		}
+		return
+	}
+	// The scan finished before the cancel landed: the result must be the
+	// real answer.
+	ref, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("%s: completed-under-cancel result differs from reference", name)
+	}
+}
+
+// TestRunCancelInsideABatch cancels from inside the one batch of a range
+// scan, deterministically: the first match emitted cancels the context, so
+// the rest of the batch runs under a cancelled context that only the polls
+// inside the kernels see. DTW, PROUD and MUNICH poll (between DP rows,
+// prefix strides and convolution steps), so they must stop with the
+// cancellation, and Stats must hold some but not all of the candidates: the
+// ones the batch resolved before the cancel, which reach the counters only
+// because a failed batch still adds its tally. The measures whose kernels do
+// not poll may finish the batch, with the uncancelled answer.
+func TestRunCancelInsideABatch(t *testing.T) {
+	w := probWorkload(t, 48, 64)
+	qi := 0
+	total := int64(w.Len() - 1)
+	polls := map[Measure]bool{MeasureDTW: true, MeasurePROUD: true, MeasureMUNICH: true}
+	for _, opts := range runConfigs() {
+		e := newEngine(t, w.Snapshot(), opts)
+		// Widen eps until about ten candidates match, the first of them
+		// well before the last candidate.
+		req := Request{Measure: opts.Measure, Kind: KindRange, Index: &qi, Eps: w.EpsEucl(qi)}
+		if opts.Measure.Probabilistic() {
+			req.Kind, req.Tau = KindProbRange, 0.3
+		}
+		var ref *Result
+		for {
+			var err error
+			if ref, err = e.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
 			}
-			// The scan finished before the cancel landed: the result must
-			// be the real answer.
-			ref, rerr := e.Run(context.Background(), req)
-			if rerr != nil {
-				t.Fatal(rerr)
+			if len(ref.IDs) >= 10 {
+				break
 			}
-			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("%v w=%d: completed-under-cancel result differs from reference", opts.Measure, workers)
+			req.Eps *= 1.25
+		}
+		e.ResetStats()
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := e.RunStream(ctx, req, func(Item) error { cancel(); return nil })
+		cancel()
+		switch {
+		case err != nil:
+			if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
+				t.Errorf("%v: err = %v, want a cancellation", opts.Measure, err)
 			}
+			if got := e.Stats().Candidates; got == 0 || got >= total {
+				t.Errorf("%v: %d of %d candidates in Stats after a cancel inside the batch, want some but not all", opts.Measure, got, total)
+			}
+		case polls[opts.Measure]:
+			t.Errorf("%v: the batch ran to its end under a cancelled context", opts.Measure)
+		case !reflect.DeepEqual(res, ref):
+			t.Errorf("%v: completed-under-cancel result differs from reference", opts.Measure)
 		}
 	}
 }
 
 // TestRunCancellationInterruptsLongKernels pins the mid-kernel polling: a
 // DTW scan over series long enough that even one distance computation
-// dwarfs the cancellation latency must stop early — strictly fewer
-// candidates examined than the full scan — and return the cancellation
-// quickly.
+// dwarfs the cancellation latency must stop early and return the
+// cancellation quickly. Eps is so large that every candidate runs its full
+// DP, and all 31 candidates are one batch, so only a poll inside the batch
+// can stop it short; the timer cancels after about three measured DPs,
+// leaving a wide margin on either side. Stats must then hold some but not
+// all of the candidates: the batch's tally reaches them when it fails too.
 func TestRunCancellationInterruptsLongKernels(t *testing.T) {
-	w := testWorkload(t, 16, 1024, -1) // unconstrained: n^2 DP per pair
+	w := testWorkload(t, 32, 1024, -1) // unconstrained: n^2 DP per pair
 	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW})
 	qi := 0
+	began := time.Now()
+	if _, err := e.Distance(qi, 1); err != nil {
+		t.Fatal(err)
+	}
+	oneDP := time.Since(began)
 	ctx, cancel := context.WithCancel(context.Background())
 	var watcherDone atomic.Bool
 	go func() {
 		defer watcherDone.Store(true)
-		for e.Stats().Candidates == 0 {
-			time.Sleep(10 * time.Microsecond)
-		}
+		time.Sleep(3 * oneDP)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 3, Workers: 1})
+	_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindRange, Index: &qi, Eps: math.MaxFloat64, Workers: 1})
 	elapsed := time.Since(start)
 	cancel()
 	if !errors.Is(err, qerr.ErrCancelled) {
 		t.Fatalf("err = %v, want cancellation (elapsed %v)", err, elapsed)
 	}
-	if got, total := e.Stats().Candidates, int64(w.Len()-1); got >= total {
-		t.Errorf("scan examined all %d candidates despite cancellation", got)
+	if got, total := e.Stats().Candidates, int64(w.Len()-1); got == 0 || got >= total {
+		t.Errorf("%d of %d candidates in Stats after the cancel, want some but not all", got, total)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v to take effect", elapsed)

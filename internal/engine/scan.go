@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"uncertts/internal/core"
 	"uncertts/internal/distance"
@@ -26,81 +25,8 @@ func (s span) at(i int) int {
 	return i
 }
 
-// step is the one thing that differs between the kinds and measure families:
-// what happens to a run of candidates. Every step puts each candidate
-// through the same three stages — test the prefilter bound against the cut,
-// run the measure's pruned kernel, then offer to the collector (top-k kinds)
-// or gather and emit the match (range kinds) — and returns the matches it
-// gathered and the number of candidates its prefilter dropped. It works on a
-// span rather than on one candidate because the loop is 30 ns a candidate on
-// the light measures, nine in ten of which fall at the first compare: an
-// indirect call per candidate measured 3% on PROUD range queries and on
-// tier-0 top-k. The steps are the four methods of run below (methods, not
-// closures built by small constructors: a closure copied into the caller of
-// an inlined constructor loses the inlining of its own loop body, which
-// measured 10% on Euclidean range queries); each polls the request's done
-// channel inside its long kernels, and the DTW one borrows its DP buffers from
-// scratch (nil for every other measure).
-type step func(scratch *distance.DTWScratch, s span) (hits []int, skipped int64, err error)
-
 // candErr names the candidate a kernel failed on.
 func candErr(ci int, err error) error { return fmt.Errorf("engine: candidate %d: %w", ci, err) }
-
-// scan is the engine's one scan loop over the engine's one candidate source,
-// every snapshot position but self: in position order when cands is nil, in
-// cands' order otherwise (DTW top-k's bound order; cands omits self). It is
-// cut into ShardSize shards that the work-stealing executor claims in order
-// and drains under ctx (polled at every shard; the steps poll it inside the
-// long kernels), and each shard goes through step. scan keeps the query out
-// of the spans, tallies the prefilter's skips, and gathers the matches shard
-// by shard so the returned positions are ascending (the range kinds scan in
-// position order) whatever order the shards ran in.
-func (e *Engine) scan(ctx context.Context, workers int, cands []int, self int, step step) ([]int, error) {
-	n := e.snap.Len()
-	if cands != nil {
-		n, self = len(cands), -1
-	}
-	size := e.opts.ShardSize
-	hits := make([][]int, (n+size-1)/size)
-	err := core.RunShardedCtx(ctx, n, size, workers, func(lo, hi int) error {
-		scratch := e.newScratch()
-		end := hi
-		if lo <= self && self < hi {
-			end = self // the shard holds the query itself: step around it
-		}
-		ids, skipped, err := step(scratch, span{cands, lo, end})
-		if err == nil && end < hi {
-			var more []int
-			var n int64
-			more, n, err = step(scratch, span{cands, self + 1, hi})
-			ids, skipped = append(ids, more...), skipped+n
-		}
-		if err != nil {
-			return err
-		}
-		e.seriesSkipped.Add(skipped)
-		hits[lo/size] = ids
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, ids := range hits {
-		out = append(out, ids...)
-	}
-	return out, nil
-}
-
-// newScratch returns the DP row and LB_Keogh suffix sums one work batch of a
-// DTW engine shares — per batch, not per candidate, so the hot path
-// allocates nothing — and nil for every other measure.
-func (e *Engine) newScratch() *distance.DTWScratch {
-	if e.opts.Measure != MeasureDTW {
-		return nil
-	}
-	return new(distance.DTWScratch)
-}
 
 // run is one request in flight: everything a step reads besides the
 // candidate. It is built once per request and shared, read-only, by the
@@ -111,62 +37,77 @@ type run struct {
 	req  *Request
 	done <-chan struct{}
 
-	coll     *collector       // the top-k kinds' collector and live cut
-	lbs      []float64        // the prefilter's raw bound of every position (KindTopK on a prefiltered engine)
+	pre      prefilterStage   // how the steps test lbs
+	lbs      []float64        // the prefilter's raw bound by position (nil: none engaged)
+	coll     *collector       // the top-k kinds' collector and live cut (nil: a range kind)
 	cutoff2  float64          // KindRange: ulpUp(Eps^2)
 	epsLimit float64          // KindProbRange on a PROUD engine
 	emit     func(Item) error // the range kinds' match callback (nil = none)
 }
 
-// topK answers the two ranking kinds: every candidate the step resolves is
-// offered to one collector, whose k-th best key is the live cut the step
-// prunes against. The result is ranked by (key, position) and at most K long.
-func (e *Engine) topK(ctx context.Context, pq *prepared, req *Request) ([]ranked, error) {
-	var shared *cut // the cluster-wide cut, when the request carries one
-	switch {
-	case req.Kind == KindTopK && req.Bound != nil:
-		shared = &req.Bound.c
-	case req.Kind == KindProbTopK && req.ProbBound != nil:
-		shared = &req.ProbBound.c
-	}
-	r := &run{e: e, pq: pq, req: req, done: ctx.Done(), coll: newCollector(req.K, e.snap.Len(), req.Kind == KindTopK, shared)}
-	st := r.probTopKStep
-	var cands []int // nil: position order
-	if req.Kind == KindTopK {
-		st = r.topKStep
-		switch {
-		case e.t0 != nil:
-			var err error
-			if r.lbs, err = e.seedCut(pq, req.K, r.coll.cut); err != nil {
-				return nil, err
-			}
-		case e.idx != nil:
-			sp := telemetry.TraceFrom(ctx).Start("index_descent")
-			r.lbs, cands = e.dtwOrder(pq)
-			sp.End()
-		}
-	}
-	if _, err := e.scan(ctx, e.workers(req), cands, pq.self, st); err != nil {
-		return nil, err
-	}
-	return r.coll.best(), nil
-}
+// prefilterStage is the prefilter stage of a request's cascade.
+type prefilterStage uint8
 
-// matches answers the two range kinds: the cut is static (Eps, or Tau), so
-// the scan gathers every candidate the step confirms, in ascending position.
-// emit (nil = none) sees each match as its shard confirms it; its error
-// aborts the scan and is returned verbatim.
-func (e *Engine) matches(ctx context.Context, pq *prepared, req *Request, emit func(Item) error) ([]int, error) {
+const (
+	noPrefilter    prefilterStage = iota
+	distPrefilter                 // the bound against the squared distance cut (skip)
+	proudPrefilter                // tier 0's bracket through PROUD's decision (proudSkip)
+)
+
+// execute answers one validated request: it binds the kind's cut, attaches
+// the query's summaries the prefilter reads (for KindTopK it also bounds
+// every position and takes the start they give: tier 0's seeded cut, or
+// DTW's best-first order), and scans. The ranking kinds return their
+// collector's list, ranked by (key, position) and at most K long; the range
+// kinds their matches in ascending position. emit (nil = none) sees each
+// range match as its shard confirms it; its error aborts the scan and is
+// returned verbatim.
+func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit func(Item) error) ([]ranked, []int, error) {
 	r := &run{e: e, pq: pq, req: req, done: ctx.Done(), emit: emit}
-	if req.Kind == KindProbRange {
-		var err error
-		if r.epsLimit, err = e.checkTau(req.Tau); err != nil {
-			return nil, err
+	var err error
+	switch req.Kind {
+	case KindTopK, KindProbTopK:
+		var shared *cut // the cluster-wide cut, when the request carries one
+		switch {
+		case req.Kind == KindTopK && req.Bound != nil:
+			shared = &req.Bound.c
+		case req.Kind == KindProbTopK && req.ProbBound != nil:
+			shared = &req.ProbBound.c
 		}
-		return e.scan(ctx, e.workers(req), nil, pq.self, r.probRangeStep)
+		r.coll = newCollector(req.K, e.snap.Len(), req.Kind == KindTopK, shared)
+	case KindRange:
+		r.cutoff2 = ulpUp(req.Eps * req.Eps)
+	case KindProbRange:
+		if r.epsLimit, err = e.checkTau(req.Tau); err != nil {
+			return nil, nil, err
+		}
 	}
-	r.cutoff2 = ulpUp(req.Eps * req.Eps)
-	return e.scan(ctx, e.workers(req), nil, pq.self, r.rangeStep)
+	var cands []int // nil: position order
+	if e.pre != nil {
+		sp := telemetry.TraceFrom(ctx).Start("index_descent")
+		e.pre.summarise(pq, e.cfg.Band)
+		r.pre, r.lbs = distPrefilter, make([]float64, e.snap.Len())
+		if e.opts.Measure == MeasurePROUD {
+			r.pre = proudPrefilter
+		}
+		if req.Kind == KindTopK { // the other kinds bound batch by batch (scan)
+			e.pre.bounds(pq, r.lbs, 0)
+			if e.pre.dtw {
+				cands = order(r.lbs, pq.self)
+			} else {
+				err = e.seedCut(pq, req.K, r.lbs, r.coll.cut)
+			}
+		}
+		sp.EndErr(err)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	hits, err := r.scan(ctx, cands)
+	if err != nil || r.coll == nil {
+		return nil, hits, err
+	}
+	return r.coll.best(), nil, nil
 }
 
 // workers resolves the executor parallelism of one request: its own budget,
@@ -178,124 +119,158 @@ func (e *Engine) workers(req *Request) int {
 	return e.opts.Workers
 }
 
-// The distance steps test the engaged prefilter's bound before the kernel:
-// top-k reads the bounds it computed up front, range computes tier 0's
-// (coarseSkip) for the lock-step measures or the candidate's sketch-row bound
-// (rowSkip, index.go) for DTW. At most one is engaged.
-
-func (e *Engine) coarseSkip(pq *prepared, ci int, cutoff2 float64) bool {
-	return e.t0 != nil && e.t0.rawBound(pq, ci) > skipLimit(cutoff2+pq.slack)
+// scan is the engine's one scan loop over the engine's one candidate source,
+// every snapshot position but self: in position order when cands is nil, in
+// cands' order otherwise (DTW top-k's bound order; cands omits self). It is
+// cut into ShardSize batches that the work-stealing executor claims in order
+// and drains under ctx (polled at every batch; the cascades poll it inside
+// the long kernels). A batch first bounds its own positions when the request
+// has a prefilter and is not KindTopK (which bounded them all up front), so
+// the bound pass runs on the workers; then it goes through the kind's step
+// with its own DTW scratch and outcome tally, and its tally reaches the
+// engine's counters once, when the batch ends — whether it ran out or
+// failed: a candidate whose computation was cancelled or failed is in no
+// tally. scan keeps the
+// query out of the spans and gathers the matches batch by batch, so the
+// returned positions are ascending (the range kinds scan in position order)
+// whatever order the batches ran in.
+func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
+	e := r.e
+	n, self := e.snap.Len(), r.pq.self
+	if cands != nil {
+		n, self = len(cands), -1
+	}
+	size := e.opts.ShardSize
+	hits := make([][]int, (n+size-1)/size)
+	err := core.RunShardedCtx(ctx, n, size, e.workers(r.req), func(lo, hi int) error {
+		var t tally
+		scratch := e.newScratch()
+		if r.lbs != nil && r.req.Kind != KindTopK {
+			e.pre.bounds(r.pq, r.lbs[lo:hi], lo)
+		}
+		end := hi
+		if lo <= self && self < hi {
+			end = self // the batch holds the query itself: step around it
+		}
+		ids, err := r.step(scratch, &t, span{cands, lo, end})
+		if err == nil && end < hi {
+			var more []int
+			more, err = r.step(scratch, &t, span{cands, self + 1, hi})
+			ids = append(ids, more...)
+		}
+		e.add(&t)
+		hits[lo/size] = ids
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for _, ids := range hits {
+		out = append(out, ids...)
+	}
+	return out, nil
 }
 
-// topKStep is the KindTopK step. The cut is read per candidate, so each one
-// is tested against the tightest k-th best yet, through the bound top-k
-// computed up front for every position (tier 0's or DTW's, whichever is
-// engaged).
-func (r *run) topKStep(scratch *distance.DTWScratch, s span) (_ []int, skipped int64, _ error) {
-	e, pq, lbs := r.e, r.pq, r.lbs
+// newScratch returns the DP row and LB_Keogh suffix sums one batch of a DTW
+// engine shares — per batch, not per candidate, so the hot path allocates
+// nothing — and nil for every other measure.
+func (e *Engine) newScratch() *distance.DTWScratch {
+	if e.opts.Measure != MeasureDTW {
+		return nil
+	}
+	return new(distance.DTWScratch)
+}
+
+// step puts a span through the kind's step. There are two, and they differ
+// only in where the cut comes from and what becomes of a candidate the
+// cascade admits; what differs between measures is the cascade (resolve).
+// They work on a span rather than on one candidate because the loop is
+// 30 ns a candidate on the light measures, nine in ten of which fall at the
+// prefilter: an indirect call per candidate measured 3% on PROUD range
+// queries and on tier-0 top-k. They are methods of run, not closures built
+// by small constructors: a closure copied into the caller of an inlined
+// constructor loses the inlining of its own loop body, which measured 10%
+// on Euclidean range queries.
+func (r *run) step(scratch *distance.DTWScratch, t *tally, s span) ([]int, error) {
+	if r.coll != nil {
+		return nil, r.topKStep(scratch, t, s)
+	}
+	return r.rangeStep(scratch, t, s)
+}
+
+// topKStep is the step of the ranking kinds: each candidate meets the cut as
+// it stands when its turn comes, and every one its cascade resolves is
+// offered to the collector, whose k-th best tightens the cut.
+func (r *run) topKStep(scratch *distance.DTWScratch, t *tally, s span) error {
 	for i := s.lo; i < s.hi; i++ {
 		ci := s.at(i)
-		cutoff2 := r.coll.cut.get()
-		if lbs != nil && lbs[ci] > skipLimit(cutoff2+pq.slack) {
-			skipped++
+		cut := r.coll.cut.get()
+		if r.skip(ci, cut) || r.pre == proudPrefilter && r.proudSkip(ci, cut) {
+			t[skipped]++
 			continue
 		}
-		d, ok, err := e.distPruned(pq, ci, cutoff2, r.done, scratch)
+		key, in, o, err := r.resolve(scratch, ci, cut)
 		if err != nil {
-			return nil, skipped, candErr(ci, err)
+			return candErr(ci, err)
 		}
-		if ok {
-			r.coll.offer(ci, d)
+		t[o]++
+		if in {
+			r.coll.offer(ci, key)
 		}
 	}
-	return nil, skipped, nil
+	return nil
 }
 
-// rangeStep is the KindRange step.
-func (r *run) rangeStep(scratch *distance.DTWScratch, s span) (hits []int, skipped int64, _ error) {
-	e, pq, cutoff2 := r.e, r.pq, r.cutoff2
+// rangeStep is the step of the range kinds: the cut is static, and every
+// candidate its cascade admits is gathered and emitted. A KindProbRange
+// match is emitted by position alone: the predicate can be decided by a
+// sound bound without ever computing the probability.
+func (r *run) rangeStep(scratch *distance.DTWScratch, t *tally, s span) (hits []int, _ error) {
+	cut := r.cutoff2 // KindProbRange's cascades decide against Tau instead
 	for i := s.lo; i < s.hi; i++ {
 		ci := s.at(i)
-		if e.coarseSkip(pq, ci, cutoff2) || e.rowSkip(pq, ci, cutoff2) {
-			skipped++
+		if r.skip(ci, cut) || r.pre == proudPrefilter && r.proudSkip(ci, cut) {
+			t[skipped]++
 			continue
 		}
-		d, ok, err := e.distPruned(pq, ci, cutoff2, r.done, scratch)
+		key, in, o, err := r.resolve(scratch, ci, cut)
 		if err != nil {
-			return nil, skipped, candErr(ci, err)
+			return nil, candErr(ci, err)
 		}
-		if !ok || d > r.req.Eps {
+		t[o]++
+		if !in {
 			continue
 		}
 		hits = append(hits, ci)
 		if r.emit != nil {
-			if err := r.emit(Item{ID: ci, Distance: d}); err != nil {
-				return nil, skipped, err
+			if err := r.emit(Item{ID: ci, Distance: key}); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return hits, skipped, nil
+	return hits, nil
 }
 
-// probRangeStep is the KindProbRange step. A match is emitted by position
-// alone: the range predicate can be decided by a sound bound without ever
-// computing the probability.
-func (r *run) probRangeStep(_ *distance.DTWScratch, s span) (hits []int, skipped int64, _ error) {
-	e, pq, eps := r.e, r.pq, r.req.Eps
-	for i := s.lo; i < s.hi; i++ {
-		ci := s.at(i)
-		var ok bool
-		var err error
-		if e.opts.Measure == MeasurePROUD {
-			if e.proudRejects(pq, ci, eps, r.epsLimit) {
-				skipped++
-				continue
-			}
-			ok, err = e.proudAccept(pq, ci, eps, r.epsLimit, r.done)
-		} else {
-			ok, err = e.munichAccept(pq, ci, eps, r.req.Tau, r.done)
-		}
-		if err != nil {
-			return nil, skipped, candErr(ci, err)
-		}
-		if !ok {
-			continue
-		}
-		hits = append(hits, ci)
-		if r.emit != nil {
-			if err := r.emit(Item{ID: ci}); err != nil {
-				return nil, skipped, err
-			}
-		}
-	}
-	return hits, skipped, nil
+// skip is the prefilter stage of the distance measures' cascades: whether
+// candidate ci's bound proves it beyond the squared cut. Most of the light
+// measures' candidates end here, so it inlines into the steps, which test
+// PROUD's own (proudSkip) beside it as one direct call.
+func (r *run) skip(ci int, cut2 float64) bool {
+	return r.pre == distPrefilter && r.pq.skips(r.lbs[ci], cut2)
 }
 
-// probTopKStep is the KindProbTopK step. The collector ranks by -p, so the
-// probability floor the kernels prune against is the cut negated.
-func (r *run) probTopKStep(_ *distance.DTWScratch, s span) (_ []int, skipped int64, _ error) {
-	e, pq, eps := r.e, r.pq, r.req.Eps
-	for i := s.lo; i < s.hi; i++ {
-		ci := s.at(i)
-		floor := -r.coll.cut.get()
-		var p float64
-		var ok bool
-		var err error
-		if e.opts.Measure == MeasurePROUD {
-			if e.proudBelow(pq, ci, eps, floor) {
-				skipped++
-				continue
-			}
-			p, ok, err = e.proudProb(pq, ci, eps, floor, r.done)
-		} else {
-			p, ok, err = e.munichProb(pq, ci, eps, floor, math.Inf(1), r.done)
-		}
-		if err != nil {
-			return nil, skipped, candErr(ci, err)
-		}
-		if ok {
-			r.coll.offer(ci, -p)
-		}
+// resolve walks candidate ci through the rest of its measure's cascade
+// against the cut and reports how it was resolved, whether it is in the
+// answer, and its ranking key (the distance, or the negated probability; 0
+// for KindProbRange).
+func (r *run) resolve(scratch *distance.DTWScratch, ci int, cut float64) (key float64, in bool, o outcome, err error) {
+	switch r.e.opts.Measure {
+	case MeasurePROUD:
+		return r.proud(ci, cut)
+	case MeasureMUNICH:
+		return r.munich(ci, cut)
 	}
-	return nil, skipped, nil
+	d, o, err := r.e.dist(r.pq, ci, cut, r.done, scratch)
+	return d, o == completed && (r.coll != nil || d <= r.req.Eps), o, err
 }

@@ -141,10 +141,10 @@ func TestTier0Soundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sc.name, m, err)
 			}
-			if e.t0 == nil {
+			if e.pre == nil || e.pre.dtw {
 				t.Fatalf("%s/%s: tier 0 not engaged", sc.name, m)
 			}
-			if w, want := e.t0.geo.W(), min(sc.length, 16); w != want {
+			if w, want := e.pre.coarse.W(), min(sc.length, 16); w != want {
 				t.Fatalf("%s: %d coarse segments, want %d", sc.name, w, want)
 			}
 			if m != MeasurePROUD {
@@ -165,18 +165,20 @@ func TestTier0Soundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.summarise(pq)
+				e.pre.summarise(pq, e.cfg.Band)
+				lbs := make([]float64, snap.Len())
+				e.pre.bounds(pq, lbs, 0)
 				for ci := 0; ci < snap.Len(); ci++ {
 					var exact float64
 					for t, v := range pq.vec {
 						d := v - e.vecs.at(ci)[t]
 						exact += d * d
 					}
-					lb := e.coarseLB2(pq, ci)
+					lb := pq.lb2(lbs[ci])
 					if lb > exact {
 						t.Errorf("%s/%s pair (%d,%d): bound %g exceeds the squared distance %g", sc.name, m, qi, ci, lb, exact)
 					}
-					if e.coarseSkip(pq, ci, ulpUp(exact)) {
+					if pq.skips(lbs[ci], ulpUp(exact)) {
 						t.Errorf("%s/%s pair (%d,%d): tier 0 skips a candidate at its own distance %g", sc.name, m, qi, ci, exact)
 					}
 					if sc.tight && m == MeasureEuclidean && exact > 1e-9 && lb < exact*(1-1e-6) {
@@ -187,7 +189,7 @@ func TestTier0Soundness(t *testing.T) {
 					}
 					// proud.momentBounds widens the upper end by 1e-12
 					// relative before any decision; hold ub2 to that.
-					if lb2, ub2 := e.proudGap(pq, ci); lb2 > exact || exact > ub2*(1+1e-12) {
+					if lb2, ub2 := e.proudGap(pq, ci, lbs[ci]); lb2 > exact || exact > ub2*(1+1e-12) {
 						t.Errorf("%s pair (%d,%d): PROUD bracket [%g, %g] misses the gap %g", sc.name, qi, ci, lb2, ub2, exact)
 					}
 				}
@@ -219,7 +221,9 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.summarise(pq)
+			e.pre.summarise(pq, e.cfg.Band)
+			lbs := make([]float64, snap.Len())
+			e.pre.bounds(pq, lbs, 0)
 			adhoc, err := e.prepare(Query{Values: pq.vec})
 			if err != nil {
 				t.Fatal(err)
@@ -240,7 +244,7 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 						t.Errorf("%s pair (%d,%d) %s t=%d: bound %g below the unseen gap %s", sc.name, qi, ci, at, tt, bound, rest[tt].Text('g', 17))
 					}
 				}
-				_, ub2 := e.proudGap(pq, ci)
+				_, ub2 := e.proudGap(pq, ci, lbs[ci])
 				holds("tier 0", 0, ub2)
 				if _, _, err := e.proudMoments(pq, ci, nil, func(_, _ float64, r int, gap float64) bool {
 					holds("stride", n-r, gap)
@@ -264,7 +268,7 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 func checkDTWRowBound(t *testing.T, name string, snap *corpus.Snapshot) {
 	t.Helper()
 	e := newEngine(t, snap, Options{Measure: MeasureDTW, IndexThreshold: -1})
-	if e.idx == nil {
+	if e.pre == nil || !e.pre.dtw {
 		t.Fatalf("%s/DTW: the sketch rows are not engaged", name)
 	}
 	scan := newEngine(t, snap, Options{Measure: MeasureDTW, NoIndex: true})
@@ -278,16 +282,18 @@ func checkDTWRowBound(t *testing.T, name string, snap *corpus.Snapshot) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.summarise(pq)
+		e.pre.summarise(pq, e.cfg.Band)
+		lbs := make([]float64, snap.Len())
+		e.pre.bounds(pq, lbs, 0)
 		for ci := 0; ci < snap.Len(); ci++ {
 			d, err := distance.DTWBand(pq.vec, e.vecs.at(ci), e.cfg.Band)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lb := deflate(e.dtwLB2(pq, e.idx.rows.at(ci))); lb > d*d {
+			if lb := pq.lb2(lbs[ci]); lb > d*d {
 				t.Errorf("%s/DTW pair (%d,%d): bound %g exceeds the squared distance %g", name, qi, ci, lb, d*d)
 			}
-			if e.rowSkip(pq, ci, ulpUp(d*d)) {
+			if pq.skips(lbs[ci], ulpUp(d*d)) {
 				t.Errorf("%s/DTW pair (%d,%d): the row bound skips a candidate at its own distance %g", name, qi, ci, d)
 			}
 		}

@@ -183,15 +183,29 @@ func TestFig8Fig9Fig10Shapes(t *testing.T) {
 }
 
 func TestFig11Fig12Shapes(t *testing.T) {
-	t11, err := Fig11(testCfg)
-	if err != nil {
-		t.Fatal(err)
+	// Fig. 11 compares wall-clock times of a few tens of microseconds, which
+	// one descheduled query inverts on a busy machine: each cell is the best
+	// of three runs, as a benchmark keeps its best cycle.
+	var sigmas []string
+	var eucl, dust []float64
+	for run := 0; run < 3; run++ {
+		t11, err := Fig11(testCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range t11[0].Rows {
+			e, _ := strconv.ParseFloat(row[3], 64)
+			d, _ := strconv.ParseFloat(row[2], 64)
+			if run == 0 {
+				sigmas, eucl, dust = append(sigmas, row[0]), append(eucl, e), append(dust, d)
+				continue
+			}
+			eucl[i], dust[i] = min(eucl[i], e), min(dust[i], d)
+		}
 	}
-	for _, row := range t11[0].Rows {
-		eucl, _ := strconv.ParseFloat(row[3], 64)
-		dust, _ := strconv.ParseFloat(row[2], 64)
-		if eucl > dust {
-			t.Errorf("fig11 sigma=%s: Euclidean (%v us) slower than DUST (%v us)", row[0], eucl, dust)
+	for i, sigma := range sigmas {
+		if eucl[i] > dust[i] {
+			t.Errorf("fig11 sigma=%s: Euclidean (%v us) slower than DUST (%v us), best of three runs", sigma, eucl[i], dust[i])
 		}
 	}
 

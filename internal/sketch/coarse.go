@@ -71,12 +71,3 @@ func (c *Coarse) GapSquared(q, x []float64) float64 {
 	}
 	return (a0 + a1) + (a2 + a3)
 }
-
-// GapsSquared fills dst[i] with GapSquared(q, row i of column) for every row
-// of a filter column (len(dst) rows of W() means each, back to back).
-func (c *Coarse) GapsSquared(dst, q, column []float64) {
-	w := len(c.Weights)
-	for i := range dst {
-		dst[i] = c.GapSquared(q, column[i*w:i*w+w])
-	}
-}

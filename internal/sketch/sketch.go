@@ -182,10 +182,3 @@ func MinDistSquaredBounded(qpaa, lo, hi []float64, spans [][2]int, limit float64
 	}
 	return acc, false
 }
-
-// MinDistSquaredOver reports whether MinDistSquared(qpaa, lo, hi, spans)
-// exceeds limit — MinDistSquaredBounded's decision without the value.
-func MinDistSquaredOver(qpaa, lo, hi []float64, spans [][2]int, limit float64) bool {
-	_, over := MinDistSquaredBounded(qpaa, lo, hi, spans, limit)
-	return over
-}

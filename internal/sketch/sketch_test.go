@@ -171,8 +171,8 @@ func TestMinDistSoundness(t *testing.T) {
 	}
 }
 
-// TestBoundedVariants pins the abandonment contract of the Bounded/Over
-// forms against the eager sums: the decision must be identical to comparing
+// TestBoundedVariants pins the abandonment contract of the Bounded form
+// against the eager sum: the decision must be identical to comparing
 // the full value, and a surviving evaluation must return the exact sum.
 func TestBoundedVariants(t *testing.T) {
 	lay := NewLayout(64, 8)
@@ -196,9 +196,6 @@ func TestBoundedVariants(t *testing.T) {
 				}
 				if !over && v != full {
 					t.Fatalf("MinDistSquaredBounded survived with %g, want exact %g", v, full)
-				}
-				if over != MinDistSquaredOver(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans, limit) {
-					t.Fatalf("MinDistSquaredOver disagrees with Bounded at limit %g", limit)
 				}
 			}
 		}
