@@ -19,7 +19,6 @@ import (
 	"uncertts/internal/experiments"
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
-	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
@@ -104,7 +103,7 @@ func BenchmarkDTWDistance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DTW(q.Observations, c.Observations); err != nil {
+		if _, err := distance.DTW(q.Observations, c.Observations); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +276,7 @@ func BenchmarkUEMAFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UEMA(q.Observations, sig, 2, 1, WeightModeNormalized); err != nil {
+		if _, err := timeseries.UncertainExponentialMovingAverage(q.Observations, sig, 2, 1, WeightModeNormalized); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +310,7 @@ func reportF1(b *testing.B, w *core.Workload, t experiments.Technique, label str
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(query.AverageMetrics(ms).F1, label+"-F1")
+	b.ReportMetric(experiments.AverageMetrics(ms).F1, label+"-F1")
 }
 
 // BenchmarkAblationUMAWeights compares the two readings of Eq. 17: strict

@@ -68,7 +68,6 @@ import (
 	"uncertts/internal/corpus"
 	"uncertts/internal/engine"
 	"uncertts/internal/experiments"
-	"uncertts/internal/query"
 	"uncertts/internal/server"
 	"uncertts/internal/store"
 	"uncertts/internal/telemetry"
@@ -311,7 +310,7 @@ func runMatch(w *core.Workload, dsName string, cfg config) {
 	if err != nil {
 		fatal(err)
 	}
-	metrics := query.Evaluate(got, w.Truth(cfg.queryIdx))
+	metrics := experiments.Score(got, w.Truth(cfg.queryIdx))
 
 	fmt.Printf("dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
 	fmt.Printf("technique  : %s\n", name)

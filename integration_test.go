@@ -13,7 +13,6 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/engine"
 	"uncertts/internal/experiments"
-	"uncertts/internal/query"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
 )
@@ -42,12 +41,12 @@ func matrixWorkload(t *testing.T, family uncertain.ErrorFamily, sigma float64) *
 func TestAllMatchersAllFamilies(t *testing.T) {
 	techniques := map[string]Technique{
 		"euclidean": {Measure: MeasureEuclidean},
-		"dtw":       {Measure: MeasureDTW},
+		"dtw":       {Measure: engine.MeasureDTW},
 		"dust":      {Measure: MeasureDUST},
 		"uma":       {Measure: MeasureUMA},
 		"uema":      {Measure: MeasureUEMA},
 		"proud":     {Measure: MeasurePROUD, Tau: 0.05},
-		"munich":    {Measure: MeasureMUNICH, Tau: 0.5},
+		"munich":    {Measure: engine.MeasureMUNICH, Tau: 0.5},
 	}
 	for _, family := range uncertain.AllErrorFamilies() {
 		for _, sigma := range []float64{0.2, 1.0} {
@@ -58,7 +57,7 @@ func TestAllMatchersAllFamilies(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					avg := query.AverageMetrics(ms)
+					avg := AverageMetrics(ms)
 					if avg.F1 < 0 || avg.F1 > 1 {
 						t.Fatalf("F1 out of range: %v", avg.F1)
 					}
@@ -78,7 +77,7 @@ func TestLowNoiseConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f1 := query.AverageMetrics(ms).F1; f1 < 0.99 {
+		if f1 := AverageMetrics(ms).F1; f1 < 0.99 {
 			t.Errorf("%s at sigma=1e-6: F1 = %v, want ~1", measure, f1)
 		}
 	}
@@ -101,7 +100,7 @@ func TestDUSTRankingMatchesEuclideanForNormalErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	top5 := func(measure QueryMeasure, qi int) []Neighbor {
+	top5 := func(measure QueryMeasure, qi int) []engine.Neighbor {
 		e, err := NewQueryEngineFromSnapshot(c.Snapshot(), QueryEngineOptions{Measure: measure})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -91,7 +90,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.tracer.Finish(tr)
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleSeries(w http.ResponseWriter, r *http.Request) {
@@ -108,7 +107,7 @@ func (c *Coordinator) handleSeries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -121,7 +120,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -129,12 +128,5 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, c.Health(r.Context()))
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	server.WriteJSON(w, c.Health(r.Context()))
 }

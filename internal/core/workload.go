@@ -18,7 +18,9 @@
 //     answer is scored against the ground truth with precision/recall/F1.
 //
 // A Workload is steps 1 and 2: the perturbed corpus, the truth sets, the
-// calibration neighbours and eps_eucl. Steps 3 and 4 are one function over
+// calibration neighbours and eps_eucl, built with the package's two exact
+// scans — NearestNeighbors (the K-th neighbour that calibrates eps) and
+// RangeQuery (the truth set within it). Steps 3 and 4 are one function over
 // the query engine, internal/experiments' Evaluate.
 package core
 
@@ -26,10 +28,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
-	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/uncertain"
@@ -178,19 +180,18 @@ func NewWorkload(exact timeseries.Dataset, p *uncertain.Perturber, cfg WorkloadC
 	w.calNN = make([]int, len(exact.Series))
 	w.epsEucl = make([]float64, len(exact.Series))
 	for qi, q := range exact.Series {
-		nn, err := query.NearestNeighbors(q, exact.Series, cfg.K)
+		nn, kth, err := NearestNeighbors(q, exact.Series, cfg.K)
 		if err != nil {
 			return nil, fmt.Errorf("core: ground truth for query %d: %w", q.ID, err)
 		}
 		if len(nn) < cfg.K {
 			return nil, fmt.Errorf("core: query %d has only %d neighbours, need %d", q.ID, len(nn), cfg.K)
 		}
-		kth := nn[cfg.K-1]
-		w.calNN[qi] = kth.ID
+		w.calNN[qi] = nn[cfg.K-1]
 		// A hair of slack keeps the K-th neighbour itself inside the truth
 		// set despite sqrt/square rounding at the boundary.
-		slack := kth.Distance * (1 + 1e-9)
-		truth, err := query.RangeQuery(q, exact.Series, slack)
+		slack := kth * (1 + 1e-9)
+		truth, err := RangeQuery(q, exact.Series, slack)
 		if err != nil {
 			return nil, err
 		}
@@ -204,6 +205,66 @@ func NewWorkload(exact timeseries.Dataset, p *uncertain.Perturber, cfg WorkloadC
 		w.epsEucl[qi] = obsDist
 	}
 	return w, nil
+}
+
+// NearestNeighbors returns the IDs of the k series of the collection nearest
+// to q under Euclidean distance, excluding q's own ID, nearest first (ties
+// broken by ID), and the distance of the last of them.
+func NearestNeighbors(q timeseries.Series, collection []timeseries.Series, k int) ([]int, float64, error) {
+	if k < 1 {
+		return nil, 0, fmt.Errorf("core: k = %d must be positive", k)
+	}
+	type neighbor struct {
+		id   int
+		dist float64
+	}
+	nn := make([]neighbor, 0, len(collection))
+	for _, c := range collection {
+		if c.ID == q.ID {
+			continue
+		}
+		d, err := distance.Euclidean(q.Values, c.Values)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: neighbour %d: %w", c.ID, err)
+		}
+		nn = append(nn, neighbor{c.ID, d})
+	}
+	sort.Slice(nn, func(i, j int) bool {
+		if nn[i].dist != nn[j].dist {
+			return nn[i].dist < nn[j].dist
+		}
+		return nn[i].id < nn[j].id
+	})
+	ids := make([]int, min(k, len(nn)))
+	var kth float64
+	for i := range ids {
+		ids[i], kth = nn[i].id, nn[i].dist
+	}
+	return ids, kth, nil
+}
+
+// RangeQuery returns the IDs of all series within eps of q under Euclidean
+// distance, excluding q's own ID. Applied to the exact (unperturbed) series
+// it produces the ground-truth answer set of Section 4.1.2.
+func RangeQuery(q timeseries.Series, collection []timeseries.Series, eps float64) ([]int, error) {
+	if math.IsNaN(eps) || eps < 0 {
+		return nil, errors.New("core: eps must be non-negative")
+	}
+	var out []int
+	eps2 := eps * eps
+	for _, c := range collection {
+		if c.ID == q.ID {
+			continue
+		}
+		d2, err := distance.SquaredEuclidean(q.Values, c.Values)
+		if err != nil {
+			return nil, fmt.Errorf("core: candidate %d: %w", c.ID, err)
+		}
+		if d2 <= eps2 {
+			out = append(out, c.ID)
+		}
+	}
+	return out, nil
 }
 
 // Len returns the number of series.

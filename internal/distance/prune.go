@@ -176,26 +176,20 @@ func lbKeogh(q, upper, lower []float64, cutoff float64, terms []float64) (float6
 	return acc, nil
 }
 
-// DTWBandEarlyAbandon is DTWBand with a cutoff on the squared path cost:
-// once every reachable cell of a DP row exceeds cutoff, no completion can
-// come in under it and the scan abandons. It returns the distance (the
-// square root of the path cost, identical to DTWBand when complete) and
-// whether the computation completed. Completion implies dist^2 <= cutoff
-// up to the final-cell check; cutoff = +Inf never abandons (DTWBand is
-// exactly that call).
-func DTWBandEarlyAbandon(x, y []float64, band int, cutoff float64) (float64, bool, error) {
-	return DTWBandEarlyAbandonCancel(x, y, band, cutoff, nil)
-}
-
 // dtwCancelStride is the number of DP rows computed between cancellation
 // polls: frequent enough that even a single long DTW stops within a sliver
 // of its runtime, sparse enough that the poll is noise next to a row.
 const dtwCancelStride = 32
 
-// DTWBandEarlyAbandonCancel is DTWBandEarlyAbandon with cooperative
-// cancellation: every dtwCancelStride DP rows it polls done and, once done
-// is closed, returns an error wrapping qerr.ErrCancelled. A nil done never
-// cancels and computes exactly DTWBandEarlyAbandon.
+// DTWBandEarlyAbandonCancel is DTWBand with a cutoff on the squared path
+// cost: once every reachable cell of a DP row exceeds cutoff, no completion
+// can come in under it and the scan abandons. It returns the distance (the
+// square root of the path cost, identical to DTWBand when complete) and
+// whether the computation completed. Completion implies dist^2 <= cutoff up
+// to the final-cell check; cutoff = +Inf never abandons (DTWBand is exactly
+// that call). Every dtwCancelStride DP rows it polls done and, once done is
+// closed, returns an error wrapping qerr.ErrCancelled; a nil done never
+// cancels.
 func DTWBandEarlyAbandonCancel(x, y []float64, band int, cutoff float64, done <-chan struct{}) (float64, bool, error) {
 	return DTWBandEarlyAbandonScratch(x, y, band, cutoff, done, nil)
 }

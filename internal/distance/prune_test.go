@@ -126,14 +126,14 @@ func TestDTWBandEarlyAbandonMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, complete, err := DTWBandEarlyAbandon(q, y, band, math.Inf(1))
+			got, complete, err := DTWBandEarlyAbandonCancel(q, y, band, math.Inf(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !complete || got != want {
 				t.Fatalf("band=%d: got (%v, %v), want (%v, true)", band, got, complete, want)
 			}
-			if got, complete, _ := DTWBandEarlyAbandon(q, y, band, want*want/4); complete {
+			if got, complete, _ := DTWBandEarlyAbandonCancel(q, y, band, want*want/4, nil); complete {
 				t.Fatalf("band=%d: cutoff below cost should abandon", band)
 			} else if got*got <= want*want/4*(1-1e-12) {
 				t.Fatalf("band=%d: abandoned partial %v should exceed cutoff", band, got)
@@ -143,10 +143,10 @@ func TestDTWBandEarlyAbandonMatchesFull(t *testing.T) {
 }
 
 func TestDTWBandEarlyAbandonErrors(t *testing.T) {
-	if _, _, err := DTWBandEarlyAbandon(nil, []float64{1}, -1, 1); err == nil {
+	if _, _, err := DTWBandEarlyAbandonCancel(nil, []float64{1}, -1, 1, nil); err == nil {
 		t.Fatal("want empty-series error")
 	}
-	if _, _, err := DTWBandEarlyAbandon([]float64{1, 2, 3}, []float64{1}, 1, 1); err == nil {
+	if _, _, err := DTWBandEarlyAbandonCancel([]float64{1, 2, 3}, []float64{1}, 1, 1, nil); err == nil {
 		t.Fatal("want band-too-narrow error")
 	}
 }
@@ -327,8 +327,8 @@ func TestDTWBandEarlyAbandonCancel(t *testing.T) {
 	}
 
 	// A nil done computes exactly the uncancelled kernel.
-	want, wantComplete, err := DTWBandEarlyAbandon(x, y, -1, math.Inf(1))
-	if err != nil || !wantComplete {
+	want, err := DTWBand(x, y, -1)
+	if err != nil {
 		t.Fatalf("reference failed: %v", err)
 	}
 	got, complete, err := DTWBandEarlyAbandonCancel(x, y, -1, math.Inf(1), nil)

@@ -438,52 +438,3 @@ func (d *Dust) DistanceEarlyAbandon(q, c uncertain.PDFSeries, cutoff float64) (f
 	d.remember(r)
 	return math.Sqrt(acc), true, nil
 }
-
-// DistanceDTW combines per-timestamp dust values under dynamic time
-// warping instead of lock-step alignment (Section 3.2 notes MUNICH and DUST
-// support DTW). The DP minimises the sum of squared dust values along the
-// warping path and returns its square root.
-func (d *Dust) DistanceDTW(q, c uncertain.PDFSeries) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	n, m := q.Len(), c.Len()
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	r := d.recall()
-	for i := 1; i <= n; i++ {
-		curr[0] = math.Inf(1)
-		for j := 1; j <= m; j++ {
-			v, err := d.value(&r, q.Observations[i-1], c.Observations[j-1], q.Errors[i-1], c.Errors[j-1])
-			if err != nil {
-				return 0, err
-			}
-			best := prev[j]
-			if prev[j-1] < best {
-				best = prev[j-1]
-			}
-			if curr[j-1] < best {
-				best = curr[j-1]
-			}
-			curr[j] = v*v + best
-		}
-		prev, curr = curr, prev
-	}
-	d.remember(r)
-	return math.Sqrt(prev[m]), nil
-}
-
-// TableCount reports how many phi tables have been built; exposed for the
-// table-reuse tests and the ablation bench.
-func (d *Dust) TableCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.tables)
-}

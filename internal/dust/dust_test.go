@@ -192,23 +192,23 @@ func TestTablesAreReused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.TableCount() != 1 {
-		t.Errorf("same distribution pair should share one table, got %d", d.TableCount())
+	if tableCount(d) != 1 {
+		t.Errorf("same distribution pair should share one table, got %d", tableCount(d))
 	}
 	other := stats.NewNormal(0, 1.5)
 	if _, err := d.Value(0, 1, other, other); err != nil {
 		t.Fatal(err)
 	}
-	if d.TableCount() != 2 {
-		t.Errorf("distinct parameters should get a second table, got %d", d.TableCount())
+	if tableCount(d) != 2 {
+		t.Errorf("distinct parameters should get a second table, got %d", tableCount(d))
 	}
 	// Equal parameters in a fresh value share the existing table.
 	same := stats.NewNormal(0, 0.5)
 	if _, err := d.Value(0, 1, same, same); err != nil {
 		t.Fatal(err)
 	}
-	if d.TableCount() != 2 {
-		t.Errorf("equal-parameter distributions must share tables, got %d", d.TableCount())
+	if tableCount(d) != 2 {
+		t.Errorf("equal-parameter distributions must share tables, got %d", tableCount(d))
 	}
 }
 
@@ -309,33 +309,6 @@ func TestAsymmetricErrorPair(t *testing.T) {
 	}
 }
 
-func TestDistanceDTW(t *testing.T) {
-	d := New(Options{})
-	errDist := stats.NewNormal(0, 0.3)
-	// A shifted bump: lock-step DUST sees differences, DTW aligns them away.
-	q := constSeries(0, []float64{0, 0, 1, 2, 1, 0, 0, 0}, errDist)
-	c := constSeries(1, []float64{0, 0, 0, 1, 2, 1, 0, 0}, errDist)
-	lock, err := d.Distance(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warped, err := d.DistanceDTW(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warped >= lock {
-		t.Errorf("DTW-DUST (%v) should beat lock-step DUST (%v) on shifted patterns", warped, lock)
-	}
-	if _, err := d.DistanceDTW(q, uncertain.PDFSeries{}); err == nil {
-		t.Error("invalid series should error")
-	}
-	// DTW handles unequal lengths.
-	short := constSeries(2, []float64{0, 1, 2, 1}, errDist)
-	if _, err := d.DistanceDTW(q, short); err != nil {
-		t.Errorf("unequal lengths should be fine under DTW: %v", err)
-	}
-}
-
 func TestExponentialClosedFormAgreement(t *testing.T) {
 	// For equal exponential errors with rate l = 1/scale, the correlation
 	// integral has the closed form (l/2) exp(-l |delta|), so
@@ -397,4 +370,11 @@ func TestDistanceEarlyAbandon(t *testing.T) {
 	if _, _, err := d.DistanceEarlyAbandon(q, uncertain.PDFSeries{}, 1); err == nil {
 		t.Fatal("want validation error")
 	}
+}
+
+// tableCount reports how many phi tables d has built.
+func tableCount(d *Dust) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.tables)
 }

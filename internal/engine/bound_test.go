@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"uncertts/internal/corpus"
-	"uncertts/internal/query"
 )
 
 // TestStatsJSONRoundTrip pins the wire-stable JSON shape of engine.Stats:
@@ -180,7 +179,7 @@ func TestSharedBoundShardParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			bnd := NewBound()
-			var merged []query.Neighbor
+			var merged []Neighbor
 			for _, sc := range shards {
 				e, err := NewFromSnapshot(sc.Snapshot(), opts)
 				if err != nil {
@@ -194,7 +193,7 @@ func TestSharedBoundShardParity(t *testing.T) {
 				}
 				snap := sc.Snapshot()
 				for _, n := range res.Neighbors {
-					merged = append(merged, query.Neighbor{ID: snap.IDAt(n.ID), Distance: n.Distance})
+					merged = append(merged, Neighbor{ID: snap.IDAt(n.ID), Distance: n.Distance})
 				}
 			}
 			sort.Slice(merged, func(i, j int) bool {

@@ -12,7 +12,6 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/qerr"
-	"uncertts/internal/query"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
 )
@@ -36,11 +35,11 @@ func testWorkload(t testing.TB, series, length, band int) *core.Workload {
 	return w
 }
 
-// naiveTopK is the reference full scan: query.TopK over the engine's own
+// naiveTopK is the reference full scan: topK over the engine's own
 // exact Distance.
-func naiveTopK(t *testing.T, e *Engine, qi, k int) []query.Neighbor {
+func naiveTopK(t *testing.T, e *Engine, qi, k int) []Neighbor {
 	t.Helper()
-	nn, err := query.TopK(e.snap.Len(), qi, func(ci int) (float64, error) {
+	nn, err := topK(e.snap.Len(), qi, func(ci int) (float64, error) {
 		return e.Distance(qi, ci)
 	}, k)
 	if err != nil {
@@ -86,7 +85,7 @@ func TestRangeMatchesNaiveScan(t *testing.T) {
 		// to the 8th nearest neighbour.
 		nn := naiveTopK(t, e, qi, 8)
 		eps := nn[len(nn)-1].Distance
-		want, err := query.RangeQueryFunc(w.Len(), qi, func(ci int) (float64, error) {
+		want, err := rangeQueryFunc(w.Len(), qi, func(ci int) (float64, error) {
 			return e.Distance(qi, ci)
 		}, eps)
 		if err != nil {
@@ -100,9 +99,9 @@ func TestRangeMatchesNaiveScan(t *testing.T) {
 }
 
 // everyTopK answers the top-k query of every resident series in turn.
-func everyTopK(t *testing.T, e *Engine, k int) [][]query.Neighbor {
+func everyTopK(t *testing.T, e *Engine, k int) [][]Neighbor {
 	t.Helper()
-	out := make([][]query.Neighbor, e.Snapshot().Len())
+	out := make([][]Neighbor, e.Snapshot().Len())
 	for qi := range out {
 		out[qi] = mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: k}).Neighbors
 	}

@@ -13,7 +13,6 @@ import (
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
 	"uncertts/internal/qerr"
-	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -364,7 +363,7 @@ func TestZeroDistanceTies(t *testing.T) {
 		}
 		// Range with eps = 0 must return exactly the duplicates.
 		got := mustRun(t, e, Request{Kind: KindRange, Index: &qi, Eps: 0}).IDs
-		want, err := query.RangeQueryFunc(snap.Len(), 0, func(ci int) (float64, error) {
+		want, err := rangeQueryFunc(snap.Len(), 0, func(ci int) (float64, error) {
 			return e.Distance(0, ci)
 		}, 0)
 		if err != nil {

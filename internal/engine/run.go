@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"uncertts/internal/qerr"
-	"uncertts/internal/query"
 	"uncertts/internal/telemetry"
 )
 
@@ -142,7 +141,7 @@ type Result struct {
 	Kind Kind
 	// Neighbors holds the KindTopK answer, ascending by distance with
 	// ties broken by position.
-	Neighbors []query.Neighbor
+	Neighbors []Neighbor
 	// IDs holds the KindRange / KindProbRange answer, ascending.
 	IDs []int
 	// Matches holds the KindProbTopK answer, descending by probability
@@ -151,6 +150,13 @@ type Result struct {
 	// Total is the full answer size before the Offset/Limit window was
 	// applied, so paginating clients know when to stop.
 	Total int
+}
+
+// Neighbor is one KindTopK answer entry: a candidate's snapshot position and
+// its distance from the query.
+type Neighbor struct {
+	ID       int
+	Distance float64
 }
 
 // Item is one incremental result delivered by RunStream: the candidate's
@@ -292,7 +298,7 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 	case KindTopK, KindProbTopK:
 		res.Total = len(top)
 		if req.Kind == KindTopK {
-			res.Neighbors = make([]query.Neighbor, len(top))
+			res.Neighbors = make([]Neighbor, len(top))
 		} else {
 			res.Matches = make([]ProbMatch, len(top))
 		}
@@ -301,7 +307,7 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 			it := Item{ID: r.id}
 			if req.Kind == KindTopK {
 				it.Distance = r.key
-				res.Neighbors[i] = query.Neighbor{ID: r.id, Distance: r.key}
+				res.Neighbors[i] = Neighbor{ID: r.id, Distance: r.key}
 			} else {
 				it.Prob = -r.key // the collector ranks by -p
 				res.Matches[i] = ProbMatch{ID: r.id, Prob: it.Prob}

@@ -2,7 +2,8 @@
 // (Figures 4-17) plus the Section 4.1.1 chi-square check. Each experiment
 // is a named runner that builds its workloads, executes the techniques
 // under the Section 4.1.2 methodology, and returns printable tables whose
-// rows mirror the paper's plotted series.
+// rows mirror the paper's plotted series. Every answer is scored against the
+// ground truth by Score (precision, recall and F1, Equation 14).
 package experiments
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"uncertts/internal/core"
 	"uncertts/internal/engine"
-	"uncertts/internal/query"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
@@ -239,7 +239,7 @@ func meanF1(w *core.Workload, t Technique, queries []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return query.AverageMetrics(ms).F1, nil
+	return AverageMetrics(ms).F1, nil
 }
 
 // The techniques the figures compare at their paper settings (UMA and UEMA
@@ -274,8 +274,8 @@ func fmtF(v float64) string { return fmt.Sprintf("%.4f", v) }
 func fmtS(v float64) string { return fmt.Sprintf("%.1f", v) }
 
 // ciHalf returns the 95% CI half-width of the F1 column.
-func ciHalf(ms []query.Metrics) float64 {
-	return stats.MeanCI(query.F1s(ms), 0.95).HalfWidth()
+func ciHalf(ms []Metrics) float64 {
+	return stats.MeanCI(F1s(ms), 0.95).HalfWidth()
 }
 
 // mixedPerturber builds the paper's mixed-sigma perturber (20% sigma 1.0,

@@ -5,7 +5,6 @@ import (
 
 	"uncertts/internal/core"
 	"uncertts/internal/engine"
-	"uncertts/internal/query"
 	"uncertts/internal/uncertain"
 )
 
@@ -23,7 +22,7 @@ import (
 
 // nearest returns the technique's k nearest neighbours of query qi on the
 // perturbed data.
-func (b *bound) nearest(qi, k int) ([]query.Neighbor, error) {
+func (b *bound) nearest(qi, k int) ([]engine.Neighbor, error) {
 	res, err := b.run(qi, engine.KindTopK, k)
 	if err != nil {
 		return nil, err
@@ -59,7 +58,7 @@ func TopK(cfg Config) ([]Table, error) {
 			}
 			var overlapSum float64
 			for _, qi := range queries {
-				exact, err := query.NearestNeighbors(w.Exact[qi], w.Exact, k)
+				exact, _, err := core.NearestNeighbors(w.Exact[qi], w.Exact, k)
 				if err != nil {
 					return nil, err
 				}
@@ -68,8 +67,8 @@ func TopK(cfg Config) ([]Table, error) {
 					return nil, err
 				}
 				exactSet := make(map[int]bool, k)
-				for _, nb := range exact {
-					exactSet[nb.ID] = true
+				for _, id := range exact {
+					exactSet[id] = true
 				}
 				hits := 0
 				for _, nb := range got {
@@ -111,11 +110,11 @@ func Classify(cfg Config) ([]Table, error) {
 		// Reference: 1-NN on the exact data.
 		correct := 0
 		for _, qi := range queries {
-			nn, err := query.NearestNeighbors(w.Exact[qi], w.Exact, 1)
+			nn, _, err := core.NearestNeighbors(w.Exact[qi], w.Exact, 1)
 			if err != nil {
 				return nil, err
 			}
-			if w.Exact[nn[0].ID].Label == w.Exact[qi].Label {
+			if w.Exact[nn[0]].Label == w.Exact[qi].Label {
 				correct++
 			}
 		}

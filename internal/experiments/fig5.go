@@ -6,16 +6,15 @@ import (
 
 	"uncertts/internal/core"
 	"uncertts/internal/engine"
-	"uncertts/internal/query"
 	"uncertts/internal/uncertain"
 )
 
 // sweepPoint aggregates one (family, sigma) cell of the Figures 5-7 sweep:
 // per-query metrics pooled over all datasets for each technique.
 type sweepPoint struct {
-	proud     []query.Metrics
-	dust      []query.Metrics
-	euclidean []query.Metrics
+	proud     []Metrics
+	dust      []Metrics
+	euclidean []Metrics
 }
 
 // sweepResult is the full PROUD/DUST/Euclidean sweep over all datasets,
@@ -114,9 +113,9 @@ func Fig5(cfg Config) ([]Table, error) {
 			pt := res.points[family][fmtS(sigma)]
 			t.Rows = append(t.Rows, []string{
 				fmtS(sigma),
-				fmtF(query.AverageMetrics(pt.proud).F1), fmtF(ciHalf(pt.proud)),
-				fmtF(query.AverageMetrics(pt.dust).F1), fmtF(ciHalf(pt.dust)),
-				fmtF(query.AverageMetrics(pt.euclidean).F1), fmtF(ciHalf(pt.euclidean)),
+				fmtF(AverageMetrics(pt.proud).F1), fmtF(ciHalf(pt.proud)),
+				fmtF(AverageMetrics(pt.dust).F1), fmtF(ciHalf(pt.dust)),
+				fmtF(AverageMetrics(pt.euclidean).F1), fmtF(ciHalf(pt.euclidean)),
 			})
 		}
 		tables = append(tables, t)
@@ -128,16 +127,16 @@ func Fig5(cfg Config) ([]Table, error) {
 // error standard deviation, one curve per error family. Recall stays in a
 // high band while precision decays sharply.
 func Fig6(cfg Config) ([]Table, error) {
-	return precisionRecallTables(cfg, "fig6", "PROUD", func(pt *sweepPoint) []query.Metrics { return pt.proud })
+	return precisionRecallTables(cfg, "fig6", "PROUD", func(pt *sweepPoint) []Metrics { return pt.proud })
 }
 
 // Fig7 reproduces Figure 7: DUST precision and recall, same axes as
 // Figure 6; DUST trades slightly better precision for lower recall.
 func Fig7(cfg Config) ([]Table, error) {
-	return precisionRecallTables(cfg, "fig7", "DUST", func(pt *sweepPoint) []query.Metrics { return pt.dust })
+	return precisionRecallTables(cfg, "fig7", "DUST", func(pt *sweepPoint) []Metrics { return pt.dust })
 }
 
-func precisionRecallTables(cfg Config, name, technique string, pick func(*sweepPoint) []query.Metrics) ([]Table, error) {
+func precisionRecallTables(cfg Config, name, technique string, pick func(*sweepPoint) []Metrics) ([]Table, error) {
 	res, err := runSweep(cfg)
 	if err != nil {
 		return nil, err
@@ -156,7 +155,7 @@ func precisionRecallTables(cfg Config, name, technique string, pick func(*sweepP
 		prow := []string{fmtS(sigma)}
 		rrow := []string{fmtS(sigma)}
 		for _, family := range []uncertain.ErrorFamily{uncertain.Uniform, uncertain.Normal, uncertain.Exponential} {
-			m := query.AverageMetrics(pick(res.points[family][fmtS(sigma)]))
+			m := AverageMetrics(pick(res.points[family][fmtS(sigma)]))
 			prow = append(prow, fmtF(m.Precision))
 			rrow = append(rrow, fmtF(m.Recall))
 		}

@@ -7,7 +7,6 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/corpus"
 	"uncertts/internal/engine"
-	"uncertts/internal/query"
 	"uncertts/internal/timeseries"
 )
 
@@ -150,19 +149,19 @@ func allQueries(w *core.Workload, queries []int) []int {
 
 // Evaluate runs the technique over the given query indexes (nil = every
 // series) and scores each answer against the ground truth.
-func Evaluate(w *core.Workload, t Technique, queries []int) ([]query.Metrics, error) {
+func Evaluate(w *core.Workload, t Technique, queries []int) ([]Metrics, error) {
 	b, err := bind(w, t, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
 	queries = allQueries(w, queries)
-	out := make([]query.Metrics, len(queries))
+	out := make([]Metrics, len(queries))
 	for i, qi := range queries {
 		got, err := b.match(qi)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v on query %d: %w", t.Measure, qi, err)
 		}
-		out[i] = query.Evaluate(got, w.Truth(qi))
+		out[i] = Score(got, w.Truth(qi))
 	}
 	return out, nil
 }
@@ -198,7 +197,7 @@ func CalibrateTau(w *core.Workload, t Technique, queries []int, grid []float64) 
 		probs[i] = res.Matches
 	}
 	bestF1 = -1
-	ms := make([]query.Metrics, len(queries))
+	ms := make([]Metrics, len(queries))
 	for _, tau := range grid {
 		for i, qi := range queries {
 			var got []int
@@ -207,9 +206,9 @@ func CalibrateTau(w *core.Workload, t Technique, queries []int, grid []float64) 
 					got = append(got, m.ID)
 				}
 			}
-			ms[i] = query.Evaluate(got, w.Truth(qi))
+			ms[i] = Score(got, w.Truth(qi))
 		}
-		if f1 := query.AverageMetrics(ms).F1; f1 > bestF1 {
+		if f1 := AverageMetrics(ms).F1; f1 > bestF1 {
 			bestTau, bestF1 = tau, f1
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"uncertts/internal/core"
 	"uncertts/internal/distance"
 	"uncertts/internal/engine"
-	"uncertts/internal/query"
 	"uncertts/internal/timeseries"
 	"uncertts/internal/ucr"
 	"uncertts/internal/uncertain"
@@ -231,9 +230,18 @@ func TestFilterGeometryMatchesDefinition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := query.RangeQueryFunc(w.Len(), qi, dist, eps)
-			if err != nil {
-				t.Fatal(err)
+			var want []int // the reference range scan
+			for ci := 0; ci < w.Len(); ci++ {
+				if ci == qi {
+					continue
+				}
+				d, err := dist(ci)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d <= eps {
+					want = append(want, ci)
+				}
 			}
 			got, err := Match(w, tc.tech, qi)
 			if err != nil {

@@ -12,9 +12,6 @@ import (
 )
 
 func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) error {
-	if _, _, err := distance.DTWBandEarlyAbandon(q, c, 4, 1e9); err != nil { // want `call to distance\.DTWBandEarlyAbandon cannot be cancelled; use DTWBandEarlyAbandonCancel`
-		return err
-	}
 	if _, _, err := munich.ProbabilityCutoff(xs, ys, 0.5, 0.1, munich.Options{}); err != nil { // want `call to munich\.ProbabilityCutoff cannot be cancelled; use ProbabilityCutoffCancel`
 		return err
 	}
@@ -36,7 +33,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	return nil
 }
 
-func suppressed(q, c []float64) (float64, bool, error) {
+func suppressed(xs, ys uncertain.SampleSeries) (float64, bool, error) {
 	//lint:allow ctxpoll init-time call with no request context in scope
-	return distance.DTWBandEarlyAbandon(q, c, 4, 1e9)
+	return munich.ProbabilityCutoff(xs, ys, 0.5, 0.1, munich.Options{})
 }

@@ -71,30 +71,6 @@ func Distance(qObs, cObs []float64, qSigma, cSigma float64) (DistanceDist, error
 	return DistanceDist{Mean: mean, Variance: variance}, nil
 }
 
-// DistancePDF computes the normal approximation from full PDF-model series,
-// reading the per-timestamp variances from the attached error
-// distributions. This is what PROUD *would* do with perfect per-timestamp
-// knowledge; the paper's PROUD uses a single constant sigma (see Matcher).
-func DistancePDF(q, c uncertain.PDFSeries) (DistanceDist, error) {
-	if err := q.Validate(); err != nil {
-		return DistanceDist{}, err
-	}
-	if err := c.Validate(); err != nil {
-		return DistanceDist{}, err
-	}
-	if q.Len() != c.Len() {
-		return DistanceDist{}, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, q.Len(), c.Len())
-	}
-	var mean, variance float64
-	for i := 0; i < q.Len(); i++ {
-		mu := q.Observations[i] - c.Observations[i]
-		varD := q.Errors[i].Variance() + c.Errors[i].Variance()
-		mean += mu*mu + varD
-		variance += 2*varD*varD + 4*varD*mu*mu
-	}
-	return DistanceDist{Mean: mean, Variance: variance}, nil
-}
-
 // EpsLimit returns Phi^-1(tau), the normalised acceptance threshold of
 // Equation 8.
 func EpsLimit(tau float64) (float64, error) {

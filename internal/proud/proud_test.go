@@ -74,50 +74,6 @@ func TestDistanceErrors(t *testing.T) {
 	}
 }
 
-func TestDistancePDFMatchesConstantSigma(t *testing.T) {
-	// When every timestamp has the same error stddev, DistancePDF and
-	// Distance agree.
-	qObs := []float64{1, 2, 3}
-	cObs := []float64{2, 2, 1}
-	mk := func(obs []float64, sigma float64, id int) uncertain.PDFSeries {
-		errs := make([]stats.Dist, len(obs))
-		for i := range errs {
-			errs[i] = stats.NewNormal(0, sigma)
-		}
-		return uncertain.PDFSeries{Observations: obs, Errors: errs, ID: id}
-	}
-	q := mk(qObs, 0.4, 0)
-	c := mk(cObs, 0.6, 1)
-	viaPDF, err := DistancePDF(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaConst, err := Distance(qObs, cObs, 0.4, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(viaPDF.Mean, viaConst.Mean, 1e-12) || !almostEqual(viaPDF.Variance, viaConst.Variance, 1e-12) {
-		t.Errorf("PDF (%+v) and constant-sigma (%+v) paths disagree", viaPDF, viaConst)
-	}
-}
-
-func TestDistancePDFValidation(t *testing.T) {
-	good := uncertain.PDFSeries{
-		Observations: []float64{1},
-		Errors:       []stats.Dist{stats.NewNormal(0, 1)},
-	}
-	if _, err := DistancePDF(good, uncertain.PDFSeries{}); err == nil {
-		t.Error("invalid candidate should error")
-	}
-	longer := uncertain.PDFSeries{
-		Observations: []float64{1, 2},
-		Errors:       []stats.Dist{stats.NewNormal(0, 1), stats.NewNormal(0, 1)},
-	}
-	if _, err := DistancePDF(good, longer); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestEpsLimit(t *testing.T) {
 	// tau = 0.5 gives limit 0; higher tau gives positive limits.
 	l, err := EpsLimit(0.5)

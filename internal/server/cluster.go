@@ -364,7 +364,7 @@ func (s *Server) handleClusterSeries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, rec)
+	WriteJSON(w, rec)
 }
 
 // Info reports the shard geometry the coordinator needs: the corpus
@@ -387,5 +387,5 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, s.Info())
+	WriteJSON(w, s.Info())
 }

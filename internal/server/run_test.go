@@ -133,7 +133,7 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	srv, ts := testServer(t, 10, 24)
 	id := 2
 	// Reference answer through the non-streaming path.
-	ref, err := srv.Query(QueryRequest{Measure: "euclidean", Type: "range", Eps: 50, ID: &id})
+	ref, err := srv.Run(context.Background(), QueryRequest{Measure: "euclidean", Type: "range", Eps: 50, ID: &id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res2.Body.Close()
-	refTopK, err := srv.Query(QueryRequest{Measure: "euclidean", Type: "topk", K: 3, ID: &id})
+	refTopK, err := srv.Run(context.Background(), QueryRequest{Measure: "euclidean", Type: "topk", K: 3, ID: &id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,14 @@ func mustJSON(t testing.TB, v interface{}) []byte {
 func TestQueryPaginationAndTotal(t *testing.T) {
 	srv, _ := testServer(t, 12, 24)
 	id := 0
-	full, err := srv.Query(QueryRequest{Measure: "uema", Type: "topk", K: 8, ID: &id})
+	full, err := srv.Run(context.Background(), QueryRequest{Measure: "uema", Type: "topk", K: 8, ID: &id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Total != len(full.Neighbors) {
 		t.Fatalf("total = %d, want %d", full.Total, len(full.Neighbors))
 	}
-	page, err := srv.Query(QueryRequest{Measure: "uema", Type: "topk", K: 8, ID: &id, Offset: 2, Limit: 3})
+	page, err := srv.Run(context.Background(), QueryRequest{Measure: "uema", Type: "topk", K: 8, ID: &id, Offset: 2, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

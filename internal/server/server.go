@@ -364,7 +364,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // queryContext derives the execution context of one query from the
@@ -436,26 +436,8 @@ func (s *Server) plan(req QueryRequest) (*engine.Engine, *corpus.Snapshot, engin
 // It is exported so in-process callers (tests, embedding applications)
 // can skip HTTP; cancellation and deadline semantics are exactly those of
 // engine.Run.
-func (s *Server) Run(ctx context.Context, req QueryRequest) (resp *QueryResponse, err error) {
-	done := track(req)
-	defer func() { done(err) }()
-	sp := telemetry.TraceFrom(ctx).Start("parse")
-	e, snap, ereq, err := s.plan(req)
-	sp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run(ctx, ereq)
-	if err != nil {
-		return nil, err
-	}
-	return toResponse(snap, ereq.Measure, res), nil
-}
-
-// Query executes one query request with no cancellation — the legacy
-// in-process surface, equivalent to Run with a background context.
-func (s *Server) Query(req QueryRequest) (*QueryResponse, error) {
-	return s.Run(context.Background(), req)
+func (s *Server) Run(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+	return s.RunBound(ctx, req, nil, nil)
 }
 
 // toResponse translates an engine result (snapshot positions) into the
@@ -671,7 +653,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // Mutate applies one ingestion/deletion request as a single atomic corpus
@@ -740,7 +722,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, s.Stats())
+	WriteJSON(w, s.Stats())
 }
 
 // Stats assembles the /stats payload.
@@ -786,7 +768,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, s.Health())
+	WriteJSON(w, s.Health())
 }
 
 // Health assembles the /healthz payload.
@@ -826,7 +808,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "checkpoint: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, s.opts.Store.Status())
+	WriteJSON(w, s.opts.Store.Status())
 }
 
 // MaxBodyBytes bounds the JSON body of every request the server and the
@@ -856,7 +838,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 // writeJSON answers with v, encoded before the status line goes out: a value
 // with no JSON form (a non-finite number, e.g. an overflowed distance) is a
 // 500 with a typed error body, never a 200 with no bytes.
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func WriteJSON(w http.ResponseWriter, v interface{}) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")

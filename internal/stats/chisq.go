@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ChiSquareResult is the outcome of a chi-square goodness-of-fit test.
 type ChiSquareResult struct {
@@ -75,89 +72,4 @@ func ChiSquareUniformTest(xs []float64, bins int) (ChiSquareResult, error) {
 		expected[i] = per
 	}
 	return ChiSquareGoF(h.Counts, expected, 2)
-}
-
-// KolmogorovSmirnov returns the one-sample KS statistic of xs against the
-// hypothesised distribution d: the supremum distance between the empirical
-// CDF and d's CDF. It complements the chi-square test for continuous data.
-func KolmogorovSmirnov(xs []float64, d Dist) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	insertionOrQuickSort(sorted)
-	n := float64(len(sorted))
-	var sup float64
-	for i, x := range sorted {
-		c := d.CDF(x)
-		above := math.Abs(float64(i+1)/n - c)
-		below := math.Abs(c - float64(i)/n)
-		if above > sup {
-			sup = above
-		}
-		if below > sup {
-			sup = below
-		}
-	}
-	return sup
-}
-
-// insertionOrQuickSort sorts in place. Small inputs use insertion sort to
-// avoid the sort.Float64s interface overhead in hot loops.
-func insertionOrQuickSort(xs []float64) {
-	if len(xs) <= 32 {
-		for i := 1; i < len(xs); i++ {
-			v := xs[i]
-			j := i - 1
-			for j >= 0 && xs[j] > v {
-				xs[j+1] = xs[j]
-				j--
-			}
-			xs[j+1] = v
-		}
-		return
-	}
-	quickSortFloats(xs)
-}
-
-func quickSortFloats(xs []float64) {
-	for len(xs) > 32 {
-		// Median-of-three pivot.
-		mid := len(xs) / 2
-		last := len(xs) - 1
-		if xs[mid] < xs[0] {
-			xs[mid], xs[0] = xs[0], xs[mid]
-		}
-		if xs[last] < xs[0] {
-			xs[last], xs[0] = xs[0], xs[last]
-		}
-		if xs[last] < xs[mid] {
-			xs[last], xs[mid] = xs[mid], xs[last]
-		}
-		pivot := xs[mid]
-		i, j := 0, last
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j < len(xs)-i {
-			quickSortFloats(xs[:j+1])
-			xs = xs[i:]
-		} else {
-			quickSortFloats(xs[i:])
-			xs = xs[:j+1]
-		}
-	}
-	insertionOrQuickSort(xs)
 }

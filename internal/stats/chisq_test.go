@@ -83,24 +83,3 @@ func TestChiSquareUniformTestErrors(t *testing.T) {
 		t.Error("degenerate range should error")
 	}
 }
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	rng := NewRand(31)
-	d := NewNormal(0, 1)
-	xs := make([]float64, 3000)
-	for i := range xs {
-		xs[i] = d.Sample(rng)
-	}
-	// Against the true distribution the statistic should be small
-	// (roughly 1.36/sqrt(n) at the 95% point).
-	if ks := KolmogorovSmirnov(xs, d); ks > 1.63/math.Sqrt(3000) {
-		t.Errorf("KS against true distribution = %v, too large", ks)
-	}
-	// Against a shifted distribution it should be large.
-	if ks := KolmogorovSmirnov(xs, NewNormal(2, 1)); ks < 0.5 {
-		t.Errorf("KS against shifted distribution = %v, too small", ks)
-	}
-	if !math.IsNaN(KolmogorovSmirnov(nil, d)) {
-		t.Error("KS of empty sample should be NaN")
-	}
-}

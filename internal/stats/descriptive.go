@@ -155,9 +155,3 @@ func (h *Histogram) AddAll(xs []float64) {
 		h.Add(x)
 	}
 }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}

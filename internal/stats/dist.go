@@ -371,51 +371,3 @@ func (m Mixture) String() string {
 	}
 	return fmt.Sprintf("mixture(%d components, fp=%x)", len(m.Components), h)
 }
-
-// TabulatedDist wraps a Dist with a pre-computed CDF table for fast repeated
-// sampling via inverse transform on a grid; it is used by workload generators
-// that draw millions of perturbation errors.
-type TabulatedDist struct {
-	base Dist
-	xs   []float64
-	ps   []float64
-}
-
-// NewTabulatedDist builds an n-point inverse-CDF table over the support of d.
-func NewTabulatedDist(d Dist, n int) *TabulatedDist {
-	if n < 2 {
-		n = 2
-	}
-	lo, hi := d.Support()
-	t := &TabulatedDist{base: d, xs: make([]float64, n), ps: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		t.xs[i] = x
-		t.ps[i] = d.CDF(x)
-	}
-	return t
-}
-
-// Sample draws via linear interpolation of the tabulated inverse CDF.
-func (t *TabulatedDist) Sample(rng *rand.Rand) float64 {
-	p := rng.Float64()
-	// Binary search for the bracketing CDF entries.
-	lo, hi := 0, len(t.ps)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if t.ps[mid] < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	p0, p1 := t.ps[lo], t.ps[hi]
-	if p1 <= p0 {
-		return t.xs[lo]
-	}
-	f := (p - p0) / (p1 - p0)
-	return t.xs[lo] + f*(t.xs[hi]-t.xs[lo])
-}
-
-// Base returns the wrapped distribution.
-func (t *TabulatedDist) Base() Dist { return t.base }

@@ -234,30 +234,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestTabulatedDistMatchesBase(t *testing.T) {
-	base := NewNormal(0, 1)
-	tab := NewTabulatedDist(base, 4096)
-	rng := NewRand(7)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := tab.Sample(rng)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("tabulated sample mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("tabulated sample variance %v too far from 1", variance)
-	}
-	if tab.Base() != Dist(base) {
-		t.Error("Base() should return the wrapped distribution")
-	}
-}
-
 func TestSplitRandStreamsDiffer(t *testing.T) {
 	a := SplitRand(1, 0)
 	b := SplitRand(1, 1)

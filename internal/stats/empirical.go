@@ -57,9 +57,6 @@ func NewEmpirical(samples []float64, bandwidth float64) (*Empirical, error) {
 	}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (e *Empirical) Bandwidth() float64 { return e.bandwidth }
-
 // N returns the number of fitted samples.
 func (e *Empirical) N() int { return len(e.samples) }
 

@@ -107,8 +107,8 @@ func TestEmpiricalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Bandwidth() != 0.25 {
-		t.Errorf("bandwidth = %v", e.Bandwidth())
+	if e.bandwidth != 0.25 {
+		t.Errorf("bandwidth = %v", e.bandwidth)
 	}
 	if e.N() != 2 {
 		t.Errorf("N = %d", e.N())

@@ -99,16 +99,6 @@ func RegularizedGammaP(a, x float64) (float64, error) {
 	return 1 - gammaQContinuedFraction(a, x), nil
 }
 
-// RegularizedGammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func RegularizedGammaQ(a, x float64) (float64, error) {
-	p, err := RegularizedGammaP(a, x)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return 1 - p, nil
-}
-
 const (
 	gammaMaxIter = 500
 	gammaEps     = 1e-14

@@ -149,22 +149,6 @@ func TestRegularizedGammaDomainErrors(t *testing.T) {
 	}
 }
 
-func TestRegularizedGammaComplement(t *testing.T) {
-	f := func(a, x float64) bool {
-		a = 0.5 + math.Mod(math.Abs(a), 20)
-		x = math.Mod(math.Abs(x), 40)
-		p, err1 := RegularizedGammaP(a, x)
-		q, err2 := RegularizedGammaQ(a, x)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return almostEqual(p+q, 1, 1e-10)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestChiSquareCDFKnownValues(t *testing.T) {
 	// Critical values: P(chi2_1 <= 3.841459) = 0.95, P(chi2_10 <= 18.307) ~= 0.95.
 	cases := []struct {

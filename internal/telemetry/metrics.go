@@ -70,11 +70,9 @@ func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]bool)}
 }
 
-var defaultRegistry = NewRegistry()
-
-// DefaultRegistry is the process-wide registry every package-level metric
+// defaultRegistry is the process-wide registry every package-level metric
 // registers on; /metrics serves it.
-func DefaultRegistry() *Registry { return defaultRegistry }
+var defaultRegistry = NewRegistry()
 
 // register validates the name and adds the family. Registration happens in
 // package var blocks, so violations are programmer errors and panic.
@@ -309,15 +307,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of observed values.

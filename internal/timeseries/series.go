@@ -87,15 +87,6 @@ func NormalizeInPlace(values []float64) {
 	}
 }
 
-// IsNormalized reports whether the series has zero mean and unit variance
-// within tolerance tol.
-func (s Series) IsNormalized(tol float64) bool {
-	if s.Len() == 0 {
-		return true
-	}
-	return math.Abs(s.Mean()) <= tol && math.Abs(s.StdDev()-1) <= tol
-}
-
 // Resample returns the series linearly resampled to n points, mapping the
 // original domain [0, len-1] onto [0, n-1]. The paper's Figure 12 obtains
 // series of lengths 50..1000 by "resampling the raw sequences".
@@ -155,18 +146,6 @@ type Dataset struct {
 
 // Len returns the number of series in the dataset.
 func (d Dataset) Len() int { return len(d.Series) }
-
-// AvgLength returns the average series length, rounded to nearest.
-func (d Dataset) AvgLength() int {
-	if len(d.Series) == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range d.Series {
-		total += s.Len()
-	}
-	return (total + len(d.Series)/2) / len(d.Series)
-}
 
 // AllValues returns every value of every series concatenated; used by the
 // chi-square uniformity check of Section 4.1.1.

@@ -129,7 +129,7 @@ func TestSpecializedDatasetsStillSeparate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := Separation(ds, c.series)
+		rep := separation(ds, c.series)
 		if !(rep.WithinMean < rep.BetweenMean) {
 			t.Errorf("%s: within %v not below between %v", c.name, rep.WithinMean, rep.BetweenMean)
 		}

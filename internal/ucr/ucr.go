@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
@@ -246,59 +245,4 @@ func instance(proto []float64, rng *rand.Rand) []float64 {
 		noise[i] -= mu
 	}
 	return timeseries.Add(warped, noise)
-}
-
-// ClassCounts returns how many series of each class the dataset holds;
-// useful for sanity checks.
-func ClassCounts(d timeseries.Dataset) map[int]int {
-	out := make(map[int]int)
-	for _, s := range d.Series {
-		out[s.Label]++
-	}
-	return out
-}
-
-// SeparationReport summarises within- versus between-class Euclidean
-// distances of a dataset: the generator is useful only if same-class series
-// are closer than different-class ones on average.
-type SeparationReport struct {
-	WithinMean  float64
-	BetweenMean float64
-}
-
-// Separation computes the report over (at most) the first limit series.
-func Separation(d timeseries.Dataset, limit int) SeparationReport {
-	n := len(d.Series)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	var within, between []float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a, b := d.Series[i], d.Series[j]
-			if a.Len() != b.Len() {
-				continue
-			}
-			var d2 float64
-			for k := range a.Values {
-				diff := a.Values[k] - b.Values[k]
-				d2 += diff * diff
-			}
-			dist := math.Sqrt(d2)
-			if a.Label == b.Label {
-				within = append(within, dist)
-			} else {
-				between = append(between, dist)
-			}
-		}
-	}
-	return SeparationReport{WithinMean: stats.Mean(within), BetweenMean: stats.Mean(between)}
-}
-
-// SortSpecsByName returns the specs sorted alphabetically; the default
-// order is the paper's.
-func SortSpecsByName() []Spec {
-	out := Specs()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

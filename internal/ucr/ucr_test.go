@@ -1,9 +1,11 @@
 package ucr
 
 import (
+	"math"
 	"testing"
 
 	"uncertts/internal/stats"
+	"uncertts/internal/timeseries"
 )
 
 func TestSpecsComplete(t *testing.T) {
@@ -90,11 +92,11 @@ func TestGenerateShapes(t *testing.T) {
 		if s.Len() != 80 {
 			t.Errorf("series %d length = %d", s.ID, s.Len())
 		}
-		if !s.IsNormalized(1e-6) {
+		if math.Abs(s.Mean()) > 1e-6 || math.Abs(s.StdDev()-1) > 1e-6 {
 			t.Errorf("series %d not z-normalized: mean=%v sd=%v", s.ID, s.Mean(), s.StdDev())
 		}
 	}
-	counts := ClassCounts(ds)
+	counts := classCounts(ds)
 	if len(counts) != 2 {
 		t.Errorf("GunPoint should have 2 classes, got %v", counts)
 	}
@@ -108,7 +110,7 @@ func TestClassSeparation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := Separation(ds, 36)
+		rep := separation(ds, 36)
 		if !(rep.WithinMean < rep.BetweenMean) {
 			t.Errorf("%s: within-class mean %v not below between-class mean %v",
 				name, rep.WithinMean, rep.BetweenMean)
@@ -166,8 +168,8 @@ func TestGenerateAllRespectsCaps(t *testing.T) {
 		if ds.Len() != 8 {
 			t.Errorf("%s: %d series, want 8", ds.Name, ds.Len())
 		}
-		if ds.AvgLength() != 50 {
-			t.Errorf("%s: avg length %d, want 50", ds.Name, ds.AvgLength())
+		if avgLength(ds) != 50 {
+			t.Errorf("%s: avg length %d, want 50", ds.Name, avgLength(ds))
 		}
 	}
 }
@@ -177,21 +179,8 @@ func TestFullSpecSizesWithoutCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 60 || ds.AvgLength() != 470 {
-		t.Errorf("Beef full size = %d x %d, want 60 x 470", ds.Len(), ds.AvgLength())
-	}
-}
-
-func TestSortSpecsByName(t *testing.T) {
-	sorted := SortSpecsByName()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].Name >= sorted[i].Name {
-			t.Fatal("not sorted")
-		}
-	}
-	// The original order must be untouched.
-	if Specs()[0].Name != "50words" {
-		t.Error("Specs order mutated")
+	if ds.Len() != 60 || avgLength(ds) != 470 {
+		t.Errorf("Beef full size = %d x %d, want 60 x 470", ds.Len(), avgLength(ds))
 	}
 }
 
@@ -201,9 +190,67 @@ func TestAllPrototypeFamiliesProduceDistinctClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := ClassCounts(ds)
+		counts := classCounts(ds)
 		if len(counts) < 3 {
 			t.Errorf("%s: expected at least 3 classes, got %v", name, counts)
 		}
 	}
+}
+
+// classCounts returns how many series of each class the dataset holds.
+func classCounts(d timeseries.Dataset) map[int]int {
+	out := make(map[int]int)
+	for _, s := range d.Series {
+		out[s.Label]++
+	}
+	return out
+}
+
+// avgLength returns the average series length, rounded to nearest.
+func avgLength(d timeseries.Dataset) int {
+	if len(d.Series) == 0 {
+		return 0
+	}
+	total := 0
+	for _, s := range d.Series {
+		total += s.Len()
+	}
+	return (total + len(d.Series)/2) / len(d.Series)
+}
+
+// separationReport summarises within- versus between-class Euclidean
+// distances of a dataset: the generator is useful only if same-class series
+// are closer than different-class ones on average.
+type separationReport struct {
+	WithinMean  float64
+	BetweenMean float64
+}
+
+// separation computes the report over (at most) the first limit series.
+func separation(d timeseries.Dataset, limit int) separationReport {
+	n := len(d.Series)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	var within, between []float64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a, b := d.Series[i], d.Series[j]
+			if a.Len() != b.Len() {
+				continue
+			}
+			var d2 float64
+			for k := range a.Values {
+				diff := a.Values[k] - b.Values[k]
+				d2 += diff * diff
+			}
+			dist := math.Sqrt(d2)
+			if a.Label == b.Label {
+				within = append(within, dist)
+			} else {
+				between = append(between, dist)
+			}
+		}
+	}
+	return separationReport{WithinMean: stats.Mean(within), BetweenMean: stats.Mean(between)}
 }

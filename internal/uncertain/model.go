@@ -12,11 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
-	"uncertts/internal/timeseries"
 )
 
 // ErrEmpty is returned when an uncertain series has no timestamps.
@@ -89,51 +87,6 @@ func (p PDFSeries) Sigmas() []float64 {
 	return out
 }
 
-// ValueDist returns the distribution of the *true* value at timestamp i
-// implied by the observation and the error model: truth = observation -
-// error (the error distribution describes observation minus truth).
-func (p PDFSeries) ValueDist(i int) stats.Dist {
-	return ShiftedNegated{Base: p.Errors[i], Offset: p.Observations[i]}
-}
-
-// ShiftedNegated is the distribution of (Offset - X) where X ~ Base. It is
-// the posterior of the true value given an observation under a known error
-// distribution (with a flat prior), which is exactly what DUST's phi
-// integral needs.
-type ShiftedNegated struct {
-	Base   stats.Dist
-	Offset float64
-}
-
-// PDF returns the density of Offset - X at x.
-func (s ShiftedNegated) PDF(x float64) float64 { return s.Base.PDF(s.Offset - x) }
-
-// CDF returns P(Offset - X <= x) = P(X >= Offset - x) = 1 - CDF_X(Offset-x)
-// for continuous X.
-func (s ShiftedNegated) CDF(x float64) float64 { return 1 - s.Base.CDF(s.Offset-x) }
-
-// Quantile inverts the CDF: Q(p) = Offset - Q_X(1-p).
-func (s ShiftedNegated) Quantile(p float64) float64 { return s.Offset - s.Base.Quantile(1-p) }
-
-// Sample draws Offset - X.
-func (s ShiftedNegated) Sample(rng *rand.Rand) float64 { return s.Offset - s.Base.Sample(rng) }
-
-// Mean returns Offset - E[X].
-func (s ShiftedNegated) Mean() float64 { return s.Offset - s.Base.Mean() }
-
-// Variance returns Var[X].
-func (s ShiftedNegated) Variance() float64 { return s.Base.Variance() }
-
-// Support reflects and shifts the base support.
-func (s ShiftedNegated) Support() (float64, float64) {
-	lo, hi := s.Base.Support()
-	return s.Offset - hi, s.Offset - lo
-}
-
-func (s ShiftedNegated) String() string {
-	return fmt.Sprintf("%g - %v", s.Offset, s.Base)
-}
-
 // SampleSeries models an uncertain time series by repeated observations:
 // Samples[i] lists the s observations recorded at timestamp i (paper
 // Figure 2, the MUNICH input model).
@@ -175,50 +128,8 @@ func (s SampleSeries) Validate() error {
 	return nil
 }
 
-// Means returns the per-timestamp sample means, the natural single-value
-// reduction of the repeated-observation model.
-func (s SampleSeries) Means() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, obs := range s.Samples {
-		out[i] = stats.Mean(obs)
-	}
-	return out
-}
-
 // MinMaxAt returns the smallest and largest observation at timestamp i;
 // these are the "minimal bounding intervals" MUNICH uses for pruning.
 func (s SampleSeries) MinMaxAt(i int) (float64, float64) {
 	return stats.MinMax(s.Samples[i])
-}
-
-// PDFDataset is a collection of PDFSeries, the perturbed counterpart of a
-// timeseries.Dataset.
-type PDFDataset struct {
-	Name   string
-	Series []PDFSeries
-}
-
-// Len returns the number of series.
-func (d PDFDataset) Len() int { return len(d.Series) }
-
-// SampleDataset is a collection of SampleSeries.
-type SampleDataset struct {
-	Name   string
-	Series []SampleSeries
-}
-
-// Len returns the number of series.
-func (d SampleDataset) Len() int { return len(d.Series) }
-
-// FromExact wraps an exact series as a degenerate PDFSeries whose errors all
-// have the given distribution. It is the bridge used when a technique needs
-// an uncertainty model for the query side.
-func FromExact(s timeseries.Series, err stats.Dist) PDFSeries {
-	obs := make([]float64, s.Len())
-	copy(obs, s.Values)
-	errs := make([]stats.Dist, s.Len())
-	for i := range errs {
-		errs[i] = err
-	}
-	return PDFSeries{Observations: obs, Errors: errs, Label: s.Label, ID: s.ID}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"uncertts/internal/stats"
-	"uncertts/internal/timeseries"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -59,75 +58,6 @@ func TestPDFSeriesSigmas(t *testing.T) {
 	}
 }
 
-func TestValueDistSymmetricError(t *testing.T) {
-	// With a symmetric zero-mean error, the value distribution is centered
-	// on the observation.
-	p := PDFSeries{
-		Observations: []float64{3},
-		Errors:       []stats.Dist{stats.NewNormal(0, 0.5)},
-	}
-	v := p.ValueDist(0)
-	if !almostEqual(v.Mean(), 3, 1e-12) {
-		t.Errorf("value mean = %v, want 3", v.Mean())
-	}
-	if !almostEqual(v.Variance(), 0.25, 1e-12) {
-		t.Errorf("value variance = %v, want 0.25", v.Variance())
-	}
-	if !almostEqual(v.CDF(3), 0.5, 1e-12) {
-		t.Errorf("value CDF at observation = %v, want 0.5", v.CDF(3))
-	}
-}
-
-func TestValueDistAsymmetricError(t *testing.T) {
-	// Exponential error is right-skewed (observation overshoots truth more
-	// often than it undershoots... actually the error has a long right
-	// tail), so the true value given the observation has a long *left* tail.
-	p := PDFSeries{
-		Observations: []float64{0},
-		Errors:       []stats.Dist{stats.NewExponentialByStdDev(1)},
-	}
-	v := p.ValueDist(0)
-	if !almostEqual(v.Mean(), 0, 1e-12) {
-		t.Errorf("value mean = %v, want 0", v.Mean())
-	}
-	// Density must vanish for truth > observation + shift (error below its
-	// lower bound).
-	if v.PDF(1.01) != 0 {
-		t.Errorf("density above obs+shift should be 0, got %v", v.PDF(1.01))
-	}
-	if v.PDF(-3) <= 0 {
-		t.Error("left tail should have positive density")
-	}
-	lo, hi := v.Support()
-	if hi > 1.01 || lo > -30 {
-		t.Errorf("support = [%v, %v] looks wrong", lo, hi)
-	}
-}
-
-func TestShiftedNegatedSampleAndQuantile(t *testing.T) {
-	base := stats.NewExponentialByStdDev(1)
-	sn := ShiftedNegated{Base: base, Offset: 2}
-	rng := stats.NewRand(5)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += sn.Sample(rng)
-	}
-	if got := sum / n; !almostEqual(got, 2, 0.02) {
-		t.Errorf("sample mean = %v, want 2", got)
-	}
-	// Quantile/CDF round trip.
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		x := sn.Quantile(p)
-		if !almostEqual(sn.CDF(x), p, 1e-9) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, sn.CDF(x))
-		}
-	}
-	if sn.String() == "" {
-		t.Error("String should not be empty")
-	}
-}
-
 func TestSampleSeriesValidate(t *testing.T) {
 	good := SampleSeries{Samples: [][]float64{{1, 2}, {3, 4}}}
 	if err := good.Validate(); err != nil {
@@ -150,39 +80,8 @@ func TestSampleSeriesHelpers(t *testing.T) {
 	if s.SamplesPerTimestamp() != 3 {
 		t.Errorf("SamplesPerTimestamp = %d, want 3", s.SamplesPerTimestamp())
 	}
-	means := s.Means()
-	if !almostEqual(means[0], 2, 1e-12) || !almostEqual(means[1], 5, 1e-12) {
-		t.Errorf("Means = %v", means)
-	}
 	lo, hi := s.MinMaxAt(0)
 	if lo != 1 || hi != 3 {
 		t.Errorf("MinMaxAt = %v, %v", lo, hi)
-	}
-}
-
-func TestFromExact(t *testing.T) {
-	s := timeseries.New([]float64{1, 2, 3})
-	s.Label = 7
-	s.ID = 11
-	d := stats.NewNormal(0, 0.3)
-	p := FromExact(s, d)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Label != 7 || p.ID != 11 {
-		t.Error("metadata not preserved")
-	}
-	for i := range p.Observations {
-		if p.Observations[i] != s.Values[i] {
-			t.Error("observations should equal the exact values")
-		}
-		if p.Errors[i] != stats.Dist(d) {
-			t.Error("error distributions should be the supplied one")
-		}
-	}
-	// Mutating the wrapper must not touch the original.
-	p.Observations[0] = 99
-	if s.Values[0] != 1 {
-		t.Error("FromExact must copy values")
 	}
 }

@@ -211,29 +211,6 @@ func (p *Perturber) PerturbSamples(s timeseries.Series, samplesPerTS int) (Sampl
 	return SampleSeries{Samples: samples, Label: s.Label, ID: s.ID}, nil
 }
 
-// PerturbDatasetPDF perturbs every series of a dataset into the PDF model.
-func (p *Perturber) PerturbDatasetPDF(d timeseries.Dataset) PDFDataset {
-	out := PDFDataset{Name: d.Name, Series: make([]PDFSeries, len(d.Series))}
-	for i, s := range d.Series {
-		out.Series[i] = p.PerturbPDF(s)
-	}
-	return out
-}
-
-// PerturbDatasetSamples perturbs every series of a dataset into the sample
-// model.
-func (p *Perturber) PerturbDatasetSamples(d timeseries.Dataset, samplesPerTS int) (SampleDataset, error) {
-	out := SampleDataset{Name: d.Name, Series: make([]SampleSeries, len(d.Series))}
-	for i, s := range d.Series {
-		ss, err := p.PerturbSamples(s, samplesPerTS)
-		if err != nil {
-			return SampleDataset{}, err
-		}
-		out.Series[i] = ss
-	}
-	return out, nil
-}
-
 // ReportedDists returns the per-timestamp error distributions a technique is
 // *told* about. By default this is the truth; WithMisreportedSigma builds the
 // Figure 10 scenario where the technique is told a wrong constant sigma.

@@ -222,29 +222,6 @@ func TestMixedPerturberValidation(t *testing.T) {
 	}
 }
 
-func TestPerturbDatasets(t *testing.T) {
-	ds := timeseries.Dataset{Name: "toy"}
-	for i := 0; i < 4; i++ {
-		s := flatSeries(20, i)
-		ds.Series = append(ds.Series, s)
-	}
-	p, _ := NewConstantPerturber(Normal, 1, 20, 42)
-	pdf := p.PerturbDatasetPDF(ds)
-	if pdf.Len() != 4 || pdf.Name != "toy" {
-		t.Errorf("PDF dataset wrong: %d %q", pdf.Len(), pdf.Name)
-	}
-	smp, err := p.PerturbDatasetSamples(ds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smp.Len() != 4 {
-		t.Errorf("sample dataset wrong: %d", smp.Len())
-	}
-	if _, err := p.PerturbDatasetSamples(ds, -1); err == nil {
-		t.Error("invalid samples count should propagate")
-	}
-}
-
 func TestReportedAndMisreportedDists(t *testing.T) {
 	p, _ := NewConstantPerturber(Normal, 0.9, 10, 1)
 	rep := p.ReportedDists(10)

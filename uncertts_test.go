@@ -5,6 +5,15 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"uncertts/internal/distance"
+	"uncertts/internal/engine"
+	"uncertts/internal/experiments"
+	"uncertts/internal/proud"
+	"uncertts/internal/stats"
+	"uncertts/internal/timeseries"
+	"uncertts/internal/ucr"
+	"uncertts/internal/uncertain"
 )
 
 // TestPublicAPIEndToEnd drives the whole public surface the way the README
@@ -48,7 +57,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPublicFiltersAndDistances(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	sig := []float64{1, 1, 1, 1, 1}
-	ma := MovingAverage(vals, 1)
+	ma := timeseries.MovingAverage(vals, 1)
 	uma, err := UMA(vals, sig, 1, WeightModeNormalized)
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +67,10 @@ func TestPublicFiltersAndDistances(t *testing.T) {
 			t.Fatal("constant-sigma UMA must equal MA")
 		}
 	}
-	if _, err := UEMA(vals, sig, 2, 0.5, WeightModeNormalized); err != nil {
+	if _, err := timeseries.UncertainExponentialMovingAverage(vals, sig, 2, 0.5, WeightModeNormalized); err != nil {
 		t.Fatal(err)
 	}
-	ema := ExponentialMovingAverage(vals, 2, 0.5)
+	ema := timeseries.ExponentialMovingAverage(vals, 2, 0.5)
 	if len(ema) != len(vals) {
 		t.Fatal("EMA length")
 	}
@@ -70,16 +79,16 @@ func TestPublicFiltersAndDistances(t *testing.T) {
 	if err != nil || d != 5 {
 		t.Fatalf("Euclidean = %v, %v", d, err)
 	}
-	if _, err := DTW([]float64{1, 2}, []float64{1, 2, 2}); err != nil {
+	if _, err := distance.DTW([]float64{1, 2}, []float64{1, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DTWBand([]float64{1, 2}, []float64{1, 2}, 1); err != nil {
+	if _, err := distance.DTWBand([]float64{1, 2}, []float64{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicDistributions(t *testing.T) {
-	for _, d := range []Dist{NormalDist(0, 1), UniformErrorDist(0.5), ExponentialErrorDist(0.5)} {
+	for _, d := range []Dist{NormalDist(0, 1), stats.NewUniformByStdDev(0.5), stats.NewExponentialByStdDev(0.5)} {
 		if math.IsNaN(d.Mean()) || d.Variance() <= 0 {
 			t.Errorf("%v: bad moments", d)
 		}
@@ -99,42 +108,25 @@ func TestPublicDUSTAndMUNICH(t *testing.T) {
 	if err != nil || p < 0 || p > 1 {
 		t.Fatalf("MUNICH probability = %v, %v", p, err)
 	}
-	dd, err := PROUDDistance([]float64{0, 0}, []float64{1, 1}, 0.3, 0.3)
+	dd, err := proud.Distance([]float64{0, 0}, []float64{1, 1}, 0.3, 0.3)
 	if err != nil || dd.Mean <= 0 {
 		t.Fatalf("PROUD distance = %+v, %v", dd, err)
 	}
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	names := ExperimentNames()
+	names := experiments.Names()
 	if len(names) != 18 {
 		t.Fatalf("want 18 experiments, got %d", len(names))
 	}
-	if _, err := RunExperiment("nope", ExperimentConfig{}); err == nil {
-		t.Error("unknown experiment should error")
+	registry := experiments.Registry()
+	if _, ok := registry["nope"]; ok {
+		t.Error("unknown experiment should not resolve")
 	}
-	var unknown *UnknownExperimentError
-	_, err := RunExperiment("nope", ExperimentConfig{})
-	if !errorsAs(err, &unknown) {
-		t.Errorf("want UnknownExperimentError, got %T", err)
-	}
-	tables, err := RunExperiment("chisquare", ExperimentConfig{Scale: ScaleSmall, Seed: 1})
+	tables, err := registry["chisquare"](experiments.Config{Scale: experiments.ScaleSmall, Seed: 1})
 	if err != nil || len(tables) != 1 {
 		t.Fatalf("chisquare: %v, %d tables", err, len(tables))
 	}
-}
-
-// errorsAs is a tiny local wrapper to avoid importing errors just for one
-// assertion.
-func errorsAs(err error, target **UnknownExperimentError) bool {
-	if err == nil {
-		return false
-	}
-	u, ok := err.(*UnknownExperimentError)
-	if ok {
-		*target = u
-	}
-	return ok
 }
 
 func TestPublicExtensions(t *testing.T) {
@@ -143,7 +135,7 @@ func TestPublicExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// AR(1) perturbation.
-	pert, err := NewAR1Perturber(Normal, 0.5, 0.6, 32, 3)
+	pert, err := uncertain.NewAR1Perturber(Normal, 0.5, 0.6, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +145,7 @@ func TestPublicExtensions(t *testing.T) {
 	}
 	// The matching task under correlated errors, for a distance technique
 	// and a probabilistic one.
-	for _, tech := range []Technique{{Measure: MeasureDTW}, {Measure: MeasureMUNICH, Tau: 0.5}} {
+	for _, tech := range []Technique{{Measure: engine.MeasureDTW}, {Measure: engine.MeasureMUNICH, Tau: 0.5}} {
 		ms, err := Evaluate(w, tech, []int{0, 1})
 		if err != nil {
 			t.Fatalf("%s: %v", tech.Measure, err)
@@ -163,7 +155,7 @@ func TestPublicExtensions(t *testing.T) {
 		}
 	}
 	// Empirical distribution from data.
-	e, err := NewEmpiricalDist([]float64{0.1, -0.2, 0.3, 0, -0.1, 0.2}, 0)
+	e, err := stats.NewEmpirical([]float64{0.1, -0.2, 0.3, 0, -0.1, 0.2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +165,14 @@ func TestPublicExtensions(t *testing.T) {
 }
 
 func TestPublicSeriesHelpers(t *testing.T) {
-	s := NewSeries([]float64{5, 10, 15})
-	n := s.Normalize()
-	if !n.IsNormalized(1e-9) {
+	n := timeseries.New([]float64{5, 10, 15}).Normalize()
+	if math.Abs(n.Mean()) > 1e-9 || math.Abs(n.StdDev()-1) > 1e-9 {
 		t.Error("Normalize failed")
 	}
-	if len(DatasetNames()) != 17 {
+	if len(ucr.Names()) != 17 {
 		t.Error("want 17 dataset names")
 	}
-	all := GenerateAllDatasets(DatasetOptions{MaxSeries: 3, Length: 40, Seed: 1})
+	all := ucr.GenerateAll(DatasetOptions{MaxSeries: 3, Length: 40, Seed: 1})
 	if len(all) != 17 {
 		t.Error("want 17 datasets")
 	}
@@ -239,12 +230,12 @@ func TestNonFiniteInputIsRejected(t *testing.T) {
 	inf[3][1] = math.Inf(1)
 	for _, tc := range []struct {
 		measure QueryMeasure
-		kind    QueryKind
-		q       AdHocQuery
+		kind    engine.Kind
+		q       engine.Query
 	}{
-		{MeasureEuclidean, QueryTopK, AdHocQuery{Values: nan}},
-		{MeasureDTW, QueryTopK, AdHocQuery{Values: nan}},
-		{MeasureMUNICH, QueryProbRange, AdHocQuery{Samples: inf}},
+		{MeasureEuclidean, QueryTopK, engine.Query{Values: nan}},
+		{engine.MeasureDTW, QueryTopK, engine.Query{Values: nan}},
+		{engine.MeasureMUNICH, engine.KindProbRange, engine.Query{Samples: inf}},
 	} {
 		e, err := NewQueryEngineFromSnapshot(c.Snapshot(), QueryEngineOptions{Measure: tc.measure})
 		if err != nil {
@@ -272,8 +263,8 @@ func TestPublicQueryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, measure := range []QueryMeasure{MeasureEuclidean, MeasureUEMA, MeasureDTW, MeasureDUST} {
-		e, err := NewQueryEngine(w, QueryEngineOptions{Measure: measure})
+	for _, measure := range []QueryMeasure{MeasureEuclidean, MeasureUEMA, engine.MeasureDTW, MeasureDUST} {
+		e, err := NewQueryEngineFromSnapshot(w.Snapshot(), QueryEngineOptions{Measure: measure})
 		if err != nil {
 			t.Fatal(err)
 		}
