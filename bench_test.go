@@ -103,7 +103,7 @@ func BenchmarkDTWDistance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := distance.DTW(q.Observations, c.Observations); err != nil {
+		if _, err := distance.DTWBand(q.Observations, c.Observations, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,15 +156,15 @@ func BenchmarkMUNICHProbabilityExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := munich.Probability(x, y, 2, munich.Options{Estimator: munich.EstimatorExact}); err != nil {
+		if _, err := munich.Probability(x, y, 2, munich.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkMUNICHProbabilityConvolution is the refine uncertserve actually
-// runs: 128 timestamps x 3 samples is far beyond the exact estimator's cap,
-// so Auto convolves over the default 4096 bins. eps sits where the estimate
+// runs: 128 timestamps x 3 samples is far beyond the exact count's cap, so
+// the refine convolves over the default 4096 bins. eps sits where the estimate
 // is ~0.056 (0.47 of the way up the bounding-interval bracket): the -Inf arm
 // completes, the tau = 0.1 arm abandons part-way.
 func BenchmarkMUNICHProbabilityConvolution(b *testing.B) {
@@ -348,41 +348,6 @@ func BenchmarkAblationDUSTTable(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationMunichEstimator compares the exact meet-in-the-middle
-// count, the histogram convolution, and Monte Carlo sampling on the same
-// probability query.
-func BenchmarkAblationMunichEstimator(b *testing.B) {
-	rng := stats.NewRand(4)
-	mk := func(id int) uncertain.SampleSeries {
-		samples := make([][]float64, 8)
-		for i := range samples {
-			row := make([]float64, 4)
-			for j := range row {
-				row[j] = rng.NormFloat64()
-			}
-			samples[i] = row
-		}
-		return uncertain.SampleSeries{Samples: samples, ID: id}
-	}
-	x, y := mk(0), mk(1)
-	for _, est := range []struct {
-		name string
-		opts munich.Options
-	}{
-		{"exact", munich.Options{Estimator: munich.EstimatorExact}},
-		{"convolution", munich.Options{Estimator: munich.EstimatorConvolution}},
-		{"montecarlo", munich.Options{Estimator: munich.EstimatorMonteCarlo, MonteCarloSamples: 5000}},
-	} {
-		b.Run(est.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := munich.Probability(x, y, 3, est.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // ---- Query engine benches: pruned top-k versus the naive full scan ----

@@ -82,61 +82,16 @@ func TestMetricProperties(t *testing.T) {
 	}
 }
 
-func TestLpSpecialCases(t *testing.T) {
-	x := []float64{1, -2, 3}
-	y := []float64{0, 0, 0}
-	l1, err := Lp(x, y, 1)
-	if err != nil || !almostEqual(l1, 6, 1e-12) {
-		t.Errorf("L1 = %v (%v), want 6", l1, err)
-	}
-	l2, err := Lp(x, y, 2)
-	if err != nil || !almostEqual(l2, math.Sqrt(14), 1e-12) {
-		t.Errorf("L2 = %v (%v)", l2, err)
-	}
-	linf, err := Lp(x, y, math.Inf(1))
-	if err != nil || !almostEqual(linf, 3, 1e-12) {
-		t.Errorf("Linf = %v (%v), want 3", linf, err)
-	}
-	l3, err := Lp(x, y, 3)
-	want := math.Pow(1+8+27, 1.0/3)
-	if err != nil || !almostEqual(l3, want, 1e-12) {
-		t.Errorf("L3 = %v (%v), want %v", l3, err, want)
-	}
-	if _, err := Lp(x, y, 0.5); err == nil {
-		t.Error("p < 1 should error")
-	}
-	if _, err := Lp(x, []float64{1}, 2); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
-func TestLpOrdering(t *testing.T) {
-	// For fixed vectors, Lp is non-increasing in p.
-	x := []float64{1, 2, 3, 4}
-	y := []float64{0, 0, 0, 0}
-	prev := math.Inf(1)
-	for _, p := range []float64{1, 1.5, 2, 3, 10, math.Inf(1)} {
-		d, err := Lp(x, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > prev+1e-12 {
-			t.Errorf("Lp not monotone at p=%v: %v > %v", p, d, prev)
-		}
-		prev = d
-	}
-}
-
 func TestDTWEqualsEuclideanOnAlignedSeries(t *testing.T) {
 	// When the optimal path is the diagonal (identical series), DTW = 0 and
 	// generally DTW <= Euclidean.
 	x := []float64{1, 2, 3, 2, 1}
-	d, err := DTW(x, x)
+	d, err := DTWBand(x, x, -1)
 	if err != nil || d != 0 {
-		t.Errorf("DTW(x,x) = %v (%v), want 0", d, err)
+		t.Errorf("DTWBand(x, x, -1) = %v (%v), want 0", d, err)
 	}
 	y := []float64{1, 2, 4, 2, 1}
-	dtw, _ := DTW(x, y)
+	dtw, _ := DTWBand(x, y, -1)
 	eucl, _ := Euclidean(x, y)
 	if dtw > eucl+1e-12 {
 		t.Errorf("DTW (%v) must not exceed Euclidean (%v)", dtw, eucl)
@@ -147,7 +102,7 @@ func TestDTWHandlesShift(t *testing.T) {
 	// A shifted copy of a pattern is close under DTW but far under Euclidean.
 	x := []float64{0, 0, 1, 2, 1, 0, 0, 0}
 	y := []float64{0, 0, 0, 1, 2, 1, 0, 0}
-	dtw, err := DTW(x, y)
+	dtw, err := DTWBand(x, y, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +118,7 @@ func TestDTWHandlesShift(t *testing.T) {
 func TestDTWUnequalLengths(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{1, 1, 2, 2, 3, 3}
-	d, err := DTW(x, y)
+	d, err := DTWBand(x, y, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +130,7 @@ func TestDTWUnequalLengths(t *testing.T) {
 func TestDTWBand(t *testing.T) {
 	x := []float64{0, 0, 1, 2, 1, 0, 0, 0}
 	y := []float64{0, 0, 0, 1, 2, 1, 0, 0}
-	full, _ := DTW(x, y)
+	full, _ := DTWBand(x, y, -1)
 	banded, err := DTWBand(x, y, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +154,7 @@ func TestDTWBand(t *testing.T) {
 }
 
 func TestDTWErrors(t *testing.T) {
-	if _, err := DTW(nil, []float64{1}); err == nil {
+	if _, err := DTWBand(nil, []float64{1}, -1); err == nil {
 		t.Error("empty input should error")
 	}
 	if _, err := DTWBand([]float64{1}, []float64{1, 2, 3, 4}, 1); err == nil {
@@ -219,8 +174,8 @@ func TestDTWSymmetry(t *testing.T) {
 		}
 		half := len(raw) / 2
 		x, y := raw[:half], raw[half:]
-		dxy, err1 := DTW(x, y)
-		dyx, err2 := DTW(y, x)
+		dxy, err1 := DTWBand(x, y, -1)
+		dyx, err2 := DTWBand(y, x, -1)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -228,25 +183,5 @@ func TestDTWSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMatrix(t *testing.T) {
-	items := [][]float64{{0, 0}, {3, 4}, {0, 1}}
-	m, err := Matrix(items, Euclidean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(m[0][1], 5, 1e-12) || m[0][1] != m[1][0] {
-		t.Errorf("matrix wrong: %v", m)
-	}
-	for i := range m {
-		if m[i][i] != 0 {
-			t.Errorf("diagonal must be zero: %v", m[i][i])
-		}
-	}
-	bad := [][]float64{{1}, {1, 2}}
-	if _, err := Matrix(bad, Euclidean); err == nil {
-		t.Error("mismatched items should propagate an error")
 	}
 }

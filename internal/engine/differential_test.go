@@ -120,7 +120,7 @@ func munichTiers(t *testing.T, e *Engine, req Request) (s Stats) {
 			s.ResolvedByBounds++
 			continue
 		}
-		if e.opts.MUNICH.ExactFeasible(pq.sample, *ent.Samples) {
+		if munich.ExactFeasible(pq.sample, *ent.Samples) {
 			t.Fatal("the table's MUNICH refine is meant to be the convolution")
 		}
 		if lo, hi := e.opts.MUNICH.MomentBracket(pq.sample, *ent.Samples, req.Eps); hi < req.Tau-probBoundMargin || lo >= req.Tau+probBoundMargin {

@@ -215,9 +215,9 @@ type Options struct {
 	// engages (0 = 1024; negative = always, which the parity tests use).
 	// Below it the plain scan wins.
 	IndexThreshold int
-	// MUNICH configures the probability estimator MeasureMUNICH refines
-	// with; it must match the options of any naive scan being compared
-	// against.
+	// MUNICH sets the bin count of the convolution MeasureMUNICH refines
+	// with when a pair is too large to count exactly; it must match the
+	// options of any naive scan being compared against.
 	MUNICH munich.Options
 }
 

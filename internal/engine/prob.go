@@ -247,7 +247,7 @@ func (e *Engine) munichProb(pq *prepared, ci int, eps, cut, accept float64, done
 				return lo, true, boundResolved, nil
 			}
 		}
-		if !math.IsInf(cut, -1) && e.opts.MUNICH.ExactFeasible(x, y) {
+		if !math.IsInf(cut, -1) && munich.ExactFeasible(x, y) {
 			up, err := munich.ProbUpperBound(x, y, pq.iv, ent.Intervals, eps)
 			if err != nil {
 				return 0, false, 0, err

@@ -179,9 +179,9 @@ func TestProbTopKMatchesNaiveRankingEveryWorkerCount(t *testing.T) {
 	}
 }
 
-// TestProbRangeMatchesNaiveAcrossEstimators pins bit-identity for the
-// estimator configurations whose refine step is approximate (Monte Carlo,
-// forced convolution) and for the exact-feasible regime where the
+// TestProbRangeMatchesNaiveAcrossEstimators pins bit-identity on both sides
+// of munich's estimator policy: a pair too large to count exactly convolves
+// (the refine is approximate), a small one is counted exactly, where the
 // sample-pair upper bound is live.
 func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 	cases := []struct {
@@ -190,13 +190,14 @@ func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 		length  int
 		samples int
 		opts    munich.Options
+		exact   bool
 	}{
-		{"montecarlo", 18, 24, 3, munich.Options{Estimator: munich.EstimatorMonteCarlo, MonteCarloSamples: 300}},
-		{"convolution", 18, 24, 3, munich.Options{Estimator: munich.EstimatorConvolution, Bins: 256}},
+		// 3 samples x 24 timestamps: 9^12 combinations per half, past the
+		// cap, so the refine convolves.
+		{"convolution", 18, 24, 3, munich.Options{Bins: 256}, false},
 		// 2 samples x 12 timestamps: 4^6 combinations per half, exactly
-		// countable, so Auto refines exactly and the sample-pair bound runs.
-		{"exact-auto", 18, 12, 2, munich.Options{}},
-		{"exact-forced", 18, 12, 2, munich.Options{Estimator: munich.EstimatorExact}},
+		// countable, so the refine counts and the sample-pair bound runs.
+		{"exact-auto", 18, 12, 2, munich.Options{}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,9 +213,13 @@ func TestProbRangeMatchesNaiveAcrossEstimators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			snap := w.Snapshot()
+			if got := munich.ExactFeasible(*snap.Entry(0).Samples, *snap.Entry(1).Samples); got != tc.exact {
+				t.Fatalf("ExactFeasible = %v, want %v", got, tc.exact)
+			}
 			for _, tau := range []float64{0.1, 0.5, 0.9} {
 				for _, workers := range []int{1, 8} {
-					e := newEngine(t, w.Snapshot(), Options{Measure: MeasureMUNICH, Workers: workers, ShardSize: 5, MUNICH: tc.opts})
+					e := newEngine(t, snap, Options{Measure: MeasureMUNICH, Workers: workers, ShardSize: 5, MUNICH: tc.opts})
 					for _, qi := range []int{0, 9, 17} {
 						want := naiveProbRange(t, w, MeasureMUNICH, qi, tau, tc.opts)
 						got := mustRun(t, e, Request{Kind: KindProbRange, Index: &qi, Eps: w.EpsEucl(qi), Tau: tau}).IDs

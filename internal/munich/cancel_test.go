@@ -31,18 +31,20 @@ func TestProbabilityCutoffCancelStopsEveryEstimator(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
 	cases := []struct {
-		name string
-		n    int // series length; the exact estimator needs one whose
-		// enumeration fits its combination cap
-		opts Options
+		name  string
+		n     int // series length
+		opts  Options
+		exact bool // whether n timestamps fit the combination cap
 	}{
-		{"convolution", 24, Options{Estimator: EstimatorConvolution, Bins: 128}},
-		{"montecarlo", 24, Options{Estimator: EstimatorMonteCarlo, MonteCarloSamples: 5000}},
-		{"exact", 8, Options{Estimator: EstimatorExact, MaxExactCombos: 1 << 20}},
-		{"auto", 24, Options{}},
+		{"convolution", 24, Options{Bins: 128}, false},
+		{"exact", 8, Options{}, true},
+		{"convolution, default bins", 24, Options{}, false},
 	}
 	for _, tc := range cases {
 		x, y := cancelSeries(0, tc.n, 3), cancelSeries(1, tc.n, 3)
+		if ExactFeasible(x, y) != tc.exact {
+			t.Fatalf("%s: ExactFeasible = %v, want %v", tc.name, !tc.exact, tc.exact)
+		}
 		_, complete, err := ProbabilityCutoffCancel(x, y, 4, -1, tc.opts, closed)
 		if !errors.Is(err, qerr.ErrCancelled) {
 			t.Errorf("%s: err = %v, want ErrCancelled", tc.name, err)

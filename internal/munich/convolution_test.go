@@ -342,18 +342,22 @@ const bracketSlack = 1e-9
 // pair by pair: lo <= p <= hi for the uncut estimate p of the convolution
 // over every convCases row (bins 16/256/4096, eps below, across and above
 // the bounding-interval bracket, the clamping rows, the edge pairs), of the
-// exact estimator over short series, and of both over constant series, where
-// the variance is 0 and the bracket closes on the answer.
+// exact count over short series, and of the convolution and Probability
+// over constant series, where the variance is 0 and the bracket closes on
+// the answer.
 func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 	type row struct {
 		name string
 		x, y uncertain.SampleSeries
 		eps  float64
-		opts Options
+		bins int
+		// estimate names the value the bracket must hold: the convolution
+		// at bins, the exact count, or Probability's.
+		estimate string
 	}
 	var rows []row
 	for _, tc := range convCases(t, 3000) {
-		rows = append(rows, row{tc.name, tc.x, tc.y, tc.eps, Options{Estimator: EstimatorConvolution, Bins: tc.bins}})
+		rows = append(rows, row{tc.name, tc.x, tc.y, tc.eps, tc.bins, "convolution"})
 	}
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 300; trial++ {
@@ -364,7 +368,7 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 		}
 		eps := max(0, lo+(hi-lo)*(rng.Float64()*1.2-0.1))
 		bins := []int{16, 256, 4096}[trial%3]
-		rows = append(rows, row{fmt.Sprintf("exact trial %d (n=%d bins=%d eps=%g)", trial, x.Len(), bins, eps), x, y, eps, Options{Estimator: EstimatorExact, Bins: bins}})
+		rows = append(rows, row{fmt.Sprintf("exact trial %d (n=%d bins=%d eps=%g)", trial, x.Len(), bins, eps), x, y, eps, bins, "exact"})
 	}
 	// Every squared difference of a constant pair is 0.25, so S = n/4. At 33
 	// timestamps over 16 bins a step is 0.48 bins: each one rounds the bin
@@ -378,18 +382,27 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 		}
 		x, y, s := tinySeries(0, xs...), tinySeries(1, ys...), float64(shape.n)/4
 		for _, f := range []float64{0.07, 0.5, 0.99, 1, 1.01, 2} {
-			for _, est := range []Estimator{EstimatorConvolution, EstimatorAuto} {
-				rows = append(rows, row{fmt.Sprintf("constant (n=%d bins=%d eps^2=%g*S %v)", shape.n, shape.bins, f, est), x, y, math.Sqrt(f * s), Options{Estimator: est, Bins: shape.bins}})
+			for _, est := range []string{"convolution", "probability"} {
+				rows = append(rows, row{fmt.Sprintf("constant (n=%d bins=%d eps^2=%g*S %s)", shape.n, shape.bins, f, est), x, y, math.Sqrt(f * s), shape.bins, est})
 			}
 		}
 	}
 	var decided, closed int
 	for _, r := range rows {
-		p, err := Probability(r.x, r.y, r.eps, r.opts)
+		var p float64
+		var err error
+		switch r.estimate {
+		case "convolution":
+			p, err = convolve(r.x, r.y, r.eps, r.bins)
+		case "exact":
+			p, err = exact(r.x, r.y, r.eps)
+		default:
+			p, err = Probability(r.x, r.y, r.eps, Options{Bins: r.bins})
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		lo, hi := r.opts.MomentBracket(r.x, r.y, r.eps)
+		lo, hi := Options{Bins: r.bins}.MomentBracket(r.x, r.y, r.eps)
 		if !(lo <= p+bracketSlack && p <= hi+bracketSlack) {
 			t.Errorf("%s: estimate %v outside the bracket [%v, %v]", r.name, p, lo, hi)
 		}
@@ -406,22 +419,22 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 	}
 }
 
-// TestMomentBracketTrivialWhereItDoesNotApply: sampling estimators, an exact
-// count the cap refuses and a domain the convolution refuses get [0, 1], so
-// the refine decides, or reports its error.
+// TestMomentBracketTrivialWhereItDoesNotApply: a length mismatch, a
+// negative eps and a domain the convolution refuses get [0, 1], so the
+// refine decides, or reports its error.
 func TestMomentBracketTrivialWhereItDoesNotApply(t *testing.T) {
 	x, y := convPair(rand.New(rand.NewSource(7)), 64, 3, 0)
+	short, _ := convPair(rand.New(rand.NewSource(8)), 63, 3, 0)
 	row := []float64{-1e154, 0, 1e154}
 	for name, tc := range map[string]struct {
 		x, y uncertain.SampleSeries
-		opts Options
+		eps  float64
 	}{
-		"monte carlo":      {x, y, Options{Estimator: EstimatorMonteCarlo}},
-		"dtw":              {x, y, Options{UseDTW: true}},
-		"exact over cap":   {x, y, Options{Estimator: EstimatorExact, MaxExactCombos: 8}},
-		"overflowing diff": {tinySeries(0, row), tinySeries(1, row), Options{}},
+		"length mismatch":  {x, short, 1},
+		"negative eps":     {x, y, -1},
+		"overflowing diff": {tinySeries(0, row), tinySeries(1, row), 1e-3},
 	} {
-		if lo, hi := tc.opts.MomentBracket(tc.x, tc.y, 1e-3); lo != 0 || hi != 1 {
+		if lo, hi := (Options{}).MomentBracket(tc.x, tc.y, tc.eps); lo != 0 || hi != 1 {
 			t.Errorf("%s: bracket [%v, %v], want [0, 1]", name, lo, hi)
 		}
 	}
@@ -463,7 +476,7 @@ func TestConvolutionConcurrent(t *testing.T) {
 }
 
 // TestConvolutionServedShape gates the refine uncertserve runs (128
-// timestamps x 3 samples a side, EstimatorAuto over 4096 bins) on its
+// timestamps x 3 samples a side, convolved over the default 4096 bins) on its
 // allocations with a warm pool: a handful per call, none per timestamp.
 func TestConvolutionServedShape(t *testing.T) {
 	x, y := convPair(rand.New(rand.NewSource(24)), 128, 3, 0.3)

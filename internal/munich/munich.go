@@ -25,9 +25,10 @@
 //     up to four shifts a pass, hands each bin its addends in the order of
 //     the bin-by-bin definition — the scalar loop kept beside it, which the
 //     rare edge case still runs — so the estimate is that loop's bit for
-//     bit. Scratch comes from a pool;
-//   - Monte Carlo, by sampling materialisations, usable with any inner
-//     distance including DTW.
+//     bit. Scratch comes from a pool.
+//
+// A pair is counted exactly when both halves of the split enumerate within a
+// fixed cap (ExactFeasible), and convolved otherwise.
 //
 // Upper/lower distance bounds from the per-timestamp minimal bounding
 // intervals provide the pruning step of the original paper: a candidate
@@ -51,80 +52,32 @@ import (
 	"sort"
 	"sync"
 
-	"uncertts/internal/distance"
 	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
 	"uncertts/internal/uncertain"
 )
 
-// Estimator selects how the distance-count probability is computed.
-type Estimator int
+// maxExactCombos caps each half of the exact meet-in-the-middle count: a
+// pair whose halves both enumerate within it is counted exactly, any other
+// pair convolves.
+const maxExactCombos = 1 << 21
 
-const (
-	// EstimatorAuto picks Exact when the meet-in-the-middle enumeration
-	// stays within MaxExactCombos, Convolution otherwise.
-	EstimatorAuto Estimator = iota
-	// EstimatorExact forces the exact meet-in-the-middle count.
-	EstimatorExact
-	// EstimatorConvolution forces the histogram-convolution approximation.
-	EstimatorConvolution
-	// EstimatorMonteCarlo samples materialisations; required for DTW.
-	EstimatorMonteCarlo
-)
-
-func (e Estimator) String() string {
-	switch e {
-	case EstimatorAuto:
-		return "auto"
-	case EstimatorExact:
-		return "exact"
-	case EstimatorConvolution:
-		return "convolution"
-	case EstimatorMonteCarlo:
-		return "montecarlo"
-	default:
-		return fmt.Sprintf("Estimator(%d)", int(e))
-	}
-}
+// defaultBins is the convolution's histogram resolution when Options.Bins
+// is not positive.
+const defaultBins = 4096
 
 // Options configures probability estimation.
 type Options struct {
-	// Estimator selects the counting strategy. Default EstimatorAuto.
-	Estimator Estimator
-	// MaxExactCombos caps the per-half enumeration size of the exact
-	// estimator (default 1<<21). Above the cap, Auto falls back to
-	// convolution.
-	MaxExactCombos int
-	// Bins is the histogram resolution of the convolution estimator
-	// (default 4096).
+	// Bins is the histogram resolution of the convolution (default 4096).
 	Bins int
-	// MonteCarloSamples is the number of sampled materialisation pairs
-	// (default 20000).
-	MonteCarloSamples int
-	// Seed drives the Monte Carlo estimator.
-	Seed int64
-	// UseDTW switches the inner distance from Euclidean to DTW. Only the
-	// Monte Carlo estimator supports it.
-	UseDTW bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxExactCombos <= 0 {
-		o.MaxExactCombos = 1 << 21
-	}
+func (o Options) bins() int {
 	if o.Bins <= 0 {
-		o.Bins = 4096
+		return defaultBins
 	}
-	if o.MonteCarloSamples <= 0 {
-		o.MonteCarloSamples = 20000
-	}
-	return o
+	return o.Bins
 }
-
-// ErrNeedMonteCarlo is returned when a DTW probability is requested from a
-// counting estimator; the distance no longer decomposes per timestamp, so
-// only sampling applies.
-var ErrNeedMonteCarlo = errors.New("munich: DTW probabilities require EstimatorMonteCarlo")
 
 // Probability returns Pr(distance(X, Y) <= eps) under the MUNICH semantics.
 func Probability(x, y uncertain.SampleSeries, eps float64, opts Options) (float64, error) {
@@ -136,10 +89,9 @@ func Probability(x, y uncertain.SampleSeries, eps float64, opts Options) (float6
 // rejection: the computation may stop — returning complete = false — as
 // soon as the final estimate is provably below cutoff in the estimator's
 // own arithmetic (the convolution CDF at eps^2 only decreases as further
-// timestamps convolve in; a Monte Carlo tally cannot beat hits-so-far plus
-// samples-remaining). A completed call returns exactly Probability's
+// timestamps convolve in). A completed call returns exactly Probability's
 // value, so a threshold test against cutoff decides identically either
-// way; cutoff = -Inf never abandons. The exact estimator has no prefix
+// way; cutoff = -Inf never abandons. The exact count has no prefix
 // structure (meet-in-the-middle) and always completes.
 func ProbabilityCutoff(x, y uncertain.SampleSeries, eps, cutoff float64, opts Options) (float64, bool, error) {
 	return ProbabilityCutoffCancel(x, y, eps, cutoff, opts, nil)
@@ -147,11 +99,10 @@ func ProbabilityCutoff(x, y uncertain.SampleSeries, eps, cutoff float64, opts Op
 
 // ProbabilityCutoffCancel is ProbabilityCutoff with cooperative
 // cancellation: the combination counting polls done between convolution
-// steps, Monte Carlo sample batches and exact-enumeration blocks and, once
-// done is closed, returns an error wrapping qerr.ErrCancelled — so even a
-// single slow refine stops within a sliver of its runtime instead of
-// holding its executor shard. A nil done never cancels and computes
-// exactly ProbabilityCutoff.
+// steps and exact-enumeration blocks and, once done is closed, returns an
+// error wrapping qerr.ErrCancelled — so even a single slow refine stops
+// within a sliver of its runtime instead of holding its executor shard. A
+// nil done never cancels and computes exactly ProbabilityCutoff.
 func ProbabilityCutoffCancel(x, y uncertain.SampleSeries, eps, cutoff float64, opts Options, done <-chan struct{}) (float64, bool, error) {
 	if err := x.Validate(); err != nil {
 		return 0, false, err
@@ -165,22 +116,10 @@ func ProbabilityCutoffCancel(x, y uncertain.SampleSeries, eps, cutoff float64, o
 	if eps < 0 {
 		return 0, true, nil
 	}
-	opts = opts.withDefaults()
-
-	if opts.UseDTW {
-		if opts.Estimator != EstimatorMonteCarlo && opts.Estimator != EstimatorAuto {
-			return 0, false, ErrNeedMonteCarlo
-		}
-		return monteCarloProbability(x, y, eps, cutoff, opts, done)
+	if !exactFits(x, y) {
+		return convolutionProbability(x, y, eps, cutoff, opts.bins(), done)
 	}
-
-	switch {
-	case opts.Estimator == EstimatorMonteCarlo:
-		return monteCarloProbability(x, y, eps, cutoff, opts, done)
-	case opts.Estimator == EstimatorConvolution, opts.Estimator == EstimatorAuto && !opts.ExactFeasible(x, y):
-		return convolutionProbability(x, y, eps, cutoff, opts.Bins, done)
-	}
-	p, err := exactProbability(x, y, eps, opts.MaxExactCombos, done)
+	p, err := exactProbability(x, y, eps, done)
 	return p, err == nil, err
 }
 
@@ -198,27 +137,24 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// ExactFeasible reports whether the exact meet-in-the-middle count fits
-// the options' combination cap for this pair — i.e. whether Probability
-// with EstimatorAuto (or EstimatorExact) resolves it exactly rather than
-// approximately. Callers use it to decide whether a bound proven against
-// the exact probability also bounds the estimate the refine step returns.
-func (o Options) ExactFeasible(x, y uncertain.SampleSeries) bool {
-	if o.UseDTW || o.Estimator == EstimatorConvolution || o.Estimator == EstimatorMonteCarlo {
-		return false
-	}
-	return x.Len() == y.Len() && exactFits(x, y, o.withDefaults().MaxExactCombos)
+// ExactFeasible reports whether both halves of the meet-in-the-middle count
+// fit the combination cap for this pair — i.e. whether Probability resolves
+// it exactly rather than by convolution. Callers use it to decide whether a
+// bound proven against the exact probability also bounds the estimate the
+// refine step returns.
+func ExactFeasible(x, y uncertain.SampleSeries) bool {
+	return x.Len() == y.Len() && exactFits(x, y)
 }
 
 // exactFits reports whether both halves of the meet-in-the-middle split
-// enumerate within maxCombos sums.
-func exactFits(x, y uncertain.SampleSeries, maxCombos int) bool {
+// enumerate within maxExactCombos sums.
+func exactFits(x, y uncertain.SampleSeries) bool {
 	n := x.Len()
 	half := func(lo, hi int) bool {
 		size := 1
 		for i := lo; i < hi; i++ {
 			size *= len(x.Samples[i]) * len(y.Samples[i])
-			if size > maxCombos || size <= 0 {
+			if size > maxExactCombos || size <= 0 {
 				return false
 			}
 		}
@@ -305,8 +241,8 @@ func (x Intervals) Bounds(y Intervals) (lo, hi float64, err error) {
 // full estimator's enumeration or convolution. The bound is the minimum
 // over all timestamps. A range query can reject a candidate as soon as the
 // bound falls below tau — but only when the refine step is exact (see
-// Options.ExactFeasible): the bound holds for the exact probability, not
-// for a convolution or Monte Carlo estimate of it.
+// ExactFeasible): the bound holds for the exact probability, not for a
+// convolution estimate of it.
 //
 // It earns its place after the moment bracket in that exact regime, less
 // as series grow. Over every ordered pair of 40 random walks of 6
@@ -434,11 +370,12 @@ func appendSquaredDiffs(out, xs, ys []float64) []float64 {
 }
 
 // exactProbability counts combinations with total squared distance <= eps^2
-// using meet-in-the-middle. If the enumeration would exceed maxCombos per
-// half it returns an error (EstimatorAuto asks ExactFeasible first).
-func exactProbability(x, y uncertain.SampleSeries, eps float64, maxCombos int, done <-chan struct{}) (float64, error) {
-	if !exactFits(x, y, maxCombos) {
-		return 0, fmt.Errorf("munich: exact enumeration exceeds cap %d per half", maxCombos)
+// using meet-in-the-middle. If the enumeration would exceed maxExactCombos
+// per half it returns an error (ProbabilityCutoffCancel asks exactFits
+// first).
+func exactProbability(x, y uncertain.SampleSeries, eps float64, done <-chan struct{}) (float64, error) {
+	if !exactFits(x, y) {
+		return 0, fmt.Errorf("munich: exact enumeration exceeds cap %d per half", maxExactCombos)
 	}
 	n := x.Len()
 	multisets := make([][]float64, n)
@@ -577,9 +514,9 @@ const convShiftSlack = 8 * 0x1p-53
 // Cantelli bound on S, the total squared distance of a random
 // materialisation. S is a sum of n independent terms X_t, each uniform over
 // the squared sample differences at t. Its mean mu and variance s2 take one
-// O(n*s^2) pass, with a two-pass variance per timestamp. Monte Carlo, DTW
-// and an exact count the cap refuses get the trivial [0, 1]. So does a
-// domain the convolution would refuse, which leaves that error to the refine.
+// O(n*s^2) pass, with a two-pass variance per timestamp. A domain the
+// convolution would refuse gets the trivial [0, 1], which leaves that error
+// to the refine.
 //
 // The bracket holds against the binned estimate, not only against the
 // law of S. Take one materialisation. Step t moves its bin from J to
@@ -605,10 +542,8 @@ const convShiftSlack = 8 * 0x1p-53
 // terms be independent, which is MUNICH's model. The histogram's own mass
 // rounding (a few ulps per addition) is left to the caller's margin.
 func (o Options) MomentBracket(x, y uncertain.SampleSeries, eps float64) (lo, hi float64) {
-	o = o.withDefaults()
 	n := x.Len()
-	if o.UseDTW || o.Estimator == EstimatorMonteCarlo || n != y.Len() || eps < 0 ||
-		o.Estimator == EstimatorExact && !exactFits(x, y, o.MaxExactCombos) {
+	if n != y.Len() || eps < 0 {
 		return 0, 1
 	}
 	var mu, s2, maxSum float64
@@ -639,7 +574,7 @@ func (o Options) MomentBracket(x, y uncertain.SampleSeries, eps float64) (lo, hi
 		maxSum += top // in the convolution's order: the same width, bit for bit
 		pairs = max(pairs, len(xs)*len(ys))
 	}
-	bins, eps2 := float64(o.Bins), eps*eps
+	bins, eps2 := float64(o.bins()), eps*eps
 	width := maxSum / bins
 	if !(width >= 0x1p-1022 && width <= math.MaxFloat64 && s2 <= math.MaxFloat64 && eps2 <= math.MaxFloat64) {
 		return 0, 1
@@ -928,44 +863,4 @@ func convolveScalar(probs, next []float64, lo, hi, keep int, m []float64, w, wid
 			next[idx] += float64(p * w)
 		}
 	}
-}
-
-// monteCarloProbability samples materialisation pairs uniformly and returns
-// the fraction within eps. It supports both Euclidean and DTW inner
-// distances. The tally abandons (complete = false) once even an all-hit
-// remainder could not lift the estimate to the cutoff — an integer-exact
-// test, so the implied threshold decision matches the full run's.
-func monteCarloProbability(x, y uncertain.SampleSeries, eps, cutoff float64, opts Options, done <-chan struct{}) (float64, bool, error) {
-	rng := stats.SplitRand(opts.Seed, int64(x.ID)<<20|int64(y.ID))
-	n := x.Len()
-	total := opts.MonteCarloSamples
-	bufX := make([]float64, n)
-	bufY := make([]float64, n)
-	hits := 0
-	for s := 0; s < total; s++ {
-		if s%256 == 255 && cancelled(done) {
-			return 0, false, qerr.Cancelled(nil)
-		}
-		for i := 0; i < n; i++ {
-			bufX[i] = x.Samples[i][rng.Intn(len(x.Samples[i]))]
-			bufY[i] = y.Samples[i][rng.Intn(len(y.Samples[i]))]
-		}
-		var d float64
-		var err error
-		if opts.UseDTW {
-			d, err = distance.DTW(bufX, bufY)
-		} else {
-			d, err = distance.Euclidean(bufX, bufY)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if d <= eps {
-			hits++
-		}
-		if float64(hits+total-1-s)/float64(total) < cutoff {
-			return 0, false, nil
-		}
-	}
-	return float64(hits) / float64(total), true, nil
 }

@@ -59,6 +59,17 @@ func bruteForceProbability(x, y uncertain.SampleSeries, eps float64) float64 {
 	return float64(count) / float64(total)
 }
 
+// exact and convolve force one estimator, as Probability runs it; convolve
+// never abandons.
+func exact(x, y uncertain.SampleSeries, eps float64) (float64, error) {
+	return exactProbability(x, y, eps, nil)
+}
+
+func convolve(x, y uncertain.SampleSeries, eps float64, bins int) (float64, error) {
+	p, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil)
+	return p, err
+}
+
 func TestExactMatchesBruteForce(t *testing.T) {
 	x := tinySeries(0,
 		[]float64{0, 1},
@@ -72,7 +83,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	)
 	for _, eps := range []float64{0, 0.5, 1, 1.5, 2, 3, 10} {
 		want := bruteForceProbability(x, y, eps)
-		got, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
+		got, err := exact(x, y, eps)
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
@@ -98,11 +109,11 @@ func TestConvolutionApproximatesExact(t *testing.T) {
 	x := uncertain.SampleSeries{Samples: samples(), ID: 0}
 	y := uncertain.SampleSeries{Samples: samples(), ID: 1}
 	for _, eps := range []float64{1, 2, 3, 4} {
-		exact, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
+		exact, err := exact(x, y, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conv, err := Probability(x, y, eps, Options{Estimator: EstimatorConvolution, Bins: 8192})
+		conv, err := convolve(x, y, eps, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,26 +123,8 @@ func TestConvolutionApproximatesExact(t *testing.T) {
 	}
 }
 
-func TestMonteCarloApproximatesExact(t *testing.T) {
-	x := tinySeries(0, []float64{0, 1}, []float64{2, 3})
-	y := tinySeries(1, []float64{0.5, 1.5}, []float64{2.5, 2})
-	for _, eps := range []float64{0.5, 1, 2} {
-		exact, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc, err := Probability(x, y, eps, Options{Estimator: EstimatorMonteCarlo, MonteCarloSamples: 50000, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(mc, exact, 0.02) {
-			t.Errorf("eps=%v: montecarlo=%v exact=%v", eps, mc, exact)
-		}
-	}
-}
-
 func TestAutoFallsBackWhenTooLarge(t *testing.T) {
-	// 20 timestamps x 5 samples: 5^10 per half >> cap, must fall back and
+	// 20 timestamps x 5 samples: 25^10 per half >> cap, must fall back and
 	// still produce a sane probability.
 	rng := stats.NewRand(5)
 	mk := func(id int) uncertain.SampleSeries {
@@ -146,16 +139,64 @@ func TestAutoFallsBackWhenTooLarge(t *testing.T) {
 		return uncertain.SampleSeries{Samples: samples, ID: id}
 	}
 	x, y := mk(0), mk(1)
-	p, err := Probability(x, y, 2.0, Options{Estimator: EstimatorAuto, MaxExactCombos: 1000})
+	p, err := Probability(x, y, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p < 0 || p > 1 {
 		t.Errorf("probability out of range: %v", p)
 	}
-	// The exact estimator must refuse.
-	if _, err := Probability(x, y, 2.0, Options{Estimator: EstimatorExact, MaxExactCombos: 1000}); err == nil {
-		t.Error("exact estimator should report the cap excess")
+	// The exact count must refuse.
+	if _, err := exact(x, y, 2.0); err == nil {
+		t.Error("exact count should report the cap excess")
+	}
+}
+
+// TestEstimatorPolicy pins the one policy Probability runs: a pair whose
+// meet-in-the-middle halves both fit maxExactCombos is counted exactly, bit
+// for bit; one timestamp more and it convolves over the default bins, and
+// ExactFeasible flips with it.
+func TestEstimatorPolicy(t *testing.T) {
+	// 3 x 3 samples are 9 sums a timestamp: 12 timestamps split 6 + 6, 9^6
+	// sums a half, under the cap; 13 split 6 + 7, and 9^7 is over it.
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range []int{12, 13} {
+		x, y := shapedPair(rng, n, func() int { return 3 }, func() int { return 3 }, 0.3)
+		lo, hi, err := BoundingIntervals(x).Bounds(BoundingIntervals(y))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits := n == 12
+		if got := ExactFeasible(x, y); got != fits {
+			t.Fatalf("n=%d: ExactFeasible = %v, want %v", n, got, fits)
+		}
+		for _, eps := range []float64{lo + 0.3*(hi-lo), lo + 0.6*(hi-lo)} {
+			got, err := Probability(x, y, eps, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want float64
+			if fits {
+				want, err = exact(x, y, eps)
+			} else {
+				want, err = convolve(x, y, eps, defaultBins)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d eps=%v: Probability %v, the policy's estimator %v", n, eps, got, want)
+			}
+		}
+	}
+	// The flip sits exactly at the cap: 1 x 2 samples are 2 sums a
+	// timestamp, so 42 timestamps make two halves of exactly 2^21 sums.
+	one, two := func() int { return 1 }, func() int { return 2 }
+	for n, fits := range map[int]bool{42: true, 43: false} {
+		x, y := shapedPair(rng, n, one, two, 0)
+		if got := ExactFeasible(x, y); got != fits {
+			t.Errorf("n=%d (1 x 2 samples): ExactFeasible = %v, want %v", n, got, fits)
+		}
 	}
 }
 
@@ -164,7 +205,7 @@ func TestProbabilityMonotoneInEps(t *testing.T) {
 	y := tinySeries(1, []float64{1, 2}, []float64{0, 1}, []float64{2, 2})
 	prev := -1.0
 	for eps := 0.0; eps <= 6; eps += 0.25 {
-		p, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
+		p, err := exact(x, y, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +222,7 @@ func TestProbabilityMonotoneInEps(t *testing.T) {
 func TestProbabilityIdenticalCertainSeries(t *testing.T) {
 	// One sample per timestamp makes the series certain.
 	x := tinySeries(0, []float64{1}, []float64{2})
-	p, err := Probability(x, x, 0, Options{Estimator: EstimatorExact})
+	p, err := exact(x, x, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +230,7 @@ func TestProbabilityIdenticalCertainSeries(t *testing.T) {
 		t.Errorf("identical certain series at eps=0: p=%v, want 1", p)
 	}
 	// Convolution path with all-zero distances.
-	p, err = Probability(x, x, 0, Options{Estimator: EstimatorConvolution})
+	p, err = convolve(x, x, 0, defaultBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,24 +260,6 @@ func TestProbabilityValidation(t *testing.T) {
 	p, err := Probability(x, x, -1, Options{})
 	if err != nil || p != 0 {
 		t.Errorf("negative eps: p=%v err=%v, want 0, nil", p, err)
-	}
-}
-
-func TestDTWRequiresMonteCarlo(t *testing.T) {
-	x := tinySeries(0, []float64{1}, []float64{2})
-	if _, err := Probability(x, x, 1, Options{UseDTW: true, Estimator: EstimatorExact}); err == nil {
-		t.Error("DTW with exact estimator should error")
-	}
-	p, err := Probability(x, x, 0.5, Options{UseDTW: true, Estimator: EstimatorMonteCarlo, MonteCarloSamples: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 1 {
-		t.Errorf("DTW probability of identical certain series = %v, want 1", p)
-	}
-	// Auto with UseDTW routes to Monte Carlo.
-	if _, err := Probability(x, x, 0.5, Options{UseDTW: true, MonteCarloSamples: 10}); err != nil {
-		t.Errorf("auto+DTW should work via Monte Carlo: %v", err)
 	}
 }
 
@@ -283,8 +306,8 @@ func TestBoundsContainAllDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exact probability at the bounds must be 0 just below lo and 1 at hi.
-	pLo, _ := Probability(x, y, lo-1e-9, Options{Estimator: EstimatorExact})
-	pHi, _ := Probability(x, y, hi, Options{Estimator: EstimatorExact})
+	pLo, _ := exact(x, y, lo-1e-9)
+	pHi, _ := exact(x, y, hi)
 	if pLo != 0 {
 		t.Errorf("probability below the lower bound = %v, want 0", pLo)
 	}
@@ -389,28 +412,13 @@ func TestIntervalPruneMatchesBounds(t *testing.T) {
 	}
 }
 
-func TestEstimatorString(t *testing.T) {
-	names := map[Estimator]string{
-		EstimatorAuto:        "auto",
-		EstimatorExact:       "exact",
-		EstimatorConvolution: "convolution",
-		EstimatorMonteCarlo:  "montecarlo",
-		Estimator(9):         "Estimator(9)",
-	}
-	for e, want := range names {
-		if e.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(e), e.String(), want)
-		}
-	}
-}
-
 func TestExactHandlesOddSplit(t *testing.T) {
 	// Odd number of timestamps exercises the n/2 split with unequal halves.
 	x := tinySeries(0, []float64{0, 1}, []float64{1}, []float64{2, 0}, []float64{1}, []float64{0.5, 1.5})
 	y := tinySeries(1, []float64{1}, []float64{0, 2}, []float64{1, 1.5}, []float64{0}, []float64{1})
 	for _, eps := range []float64{1, 2, 3} {
 		want := bruteForceProbability(x, y, eps)
-		got, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
+		got, err := exact(x, y, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +455,7 @@ func TestProbUpperBoundDominatesProbability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := Probability(x, y, eps, Options{Estimator: EstimatorExact})
+			exact, err := exact(x, y, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,40 +500,42 @@ func TestProbUpperBoundEdgeCases(t *testing.T) {
 }
 
 // TestProbabilityCutoffAgreesWithProbability: a completed cutoff run must
-// return exactly Probability's value; an abandoned one must imply the full
-// estimate is below the cutoff — across every estimator.
+// return exactly the uncut value; an abandoned one must imply the full
+// estimate is below the cutoff — for both estimators.
 func TestProbabilityCutoffAgreesWithProbability(t *testing.T) {
 	rng := stats.NewRand(29)
-	estimators := []Options{
-		{Estimator: EstimatorExact},
-		{Estimator: EstimatorConvolution, Bins: 256},
-		{Estimator: EstimatorMonteCarlo, MonteCarloSamples: 400},
-		{Bins: 256}, // Auto
+	estimators := map[string]func(x, y uncertain.SampleSeries, eps, cutoff float64) (float64, bool, error){
+		"exact": func(x, y uncertain.SampleSeries, eps, cutoff float64) (float64, bool, error) {
+			return ProbabilityCutoff(x, y, eps, cutoff, Options{})
+		},
+		"convolution": func(x, y uncertain.SampleSeries, eps, cutoff float64) (float64, bool, error) {
+			return convolutionProbability(x, y, eps, cutoff, 256, nil)
+		},
 	}
 	for trial := 0; trial < 20; trial++ {
 		x := randomSampleSeries(rng, 0, 8, 2, 0.2, 0)
 		y := randomSampleSeries(rng, 1, 8, 2, 0.2, rng.Float64()*3)
-		for _, opts := range estimators {
+		for name, estimate := range estimators {
 			for _, eps := range []float64{0.5, 2, 5} {
-				full, err := Probability(x, y, eps, opts)
+				full, _, err := estimate(x, y, eps, math.Inf(-1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, cutoff := range []float64{0.05, 0.5, 0.99} {
-					p, complete, err := ProbabilityCutoff(x, y, eps, cutoff, opts)
+					p, complete, err := estimate(x, y, eps, cutoff)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if complete {
 						if p != full {
-							t.Fatalf("estimator %v eps=%v cutoff=%v: completed cutoff run returned %v, Probability %v",
-								opts.Estimator, eps, cutoff, p, full)
+							t.Fatalf("%s eps=%v cutoff=%v: completed cutoff run returned %v, uncut %v",
+								name, eps, cutoff, p, full)
 						}
 						continue
 					}
 					if full >= cutoff {
-						t.Fatalf("estimator %v eps=%v: abandoned at cutoff %v but full estimate is %v",
-							opts.Estimator, eps, cutoff, full)
+						t.Fatalf("%s eps=%v: abandoned at cutoff %v but full estimate is %v",
+							name, eps, cutoff, full)
 					}
 				}
 			}
@@ -537,42 +547,62 @@ func TestProbabilityCutoffNeverAbandonsAtMinusInf(t *testing.T) {
 	rng := stats.NewRand(31)
 	x := randomSampleSeries(rng, 0, 6, 3, 0.3, 0)
 	y := randomSampleSeries(rng, 1, 6, 3, 0.3, 4)
-	for _, opts := range []Options{{Estimator: EstimatorConvolution, Bins: 128}, {Estimator: EstimatorMonteCarlo, MonteCarloSamples: 200}} {
-		p, complete, err := ProbabilityCutoff(x, y, 0.1, math.Inf(-1), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !complete {
-			t.Fatalf("estimator %v: abandoned with cutoff -Inf (p=%v)", opts.Estimator, p)
-		}
+	p, complete, err := convolutionProbability(x, y, 0.1, math.Inf(-1), 128, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !complete {
+		t.Fatalf("convolution abandoned with cutoff -Inf (p=%v)", p)
 	}
 }
 
 func TestExactFeasible(t *testing.T) {
 	small := tinySeries(0, []float64{0, 1}, []float64{1, 2}, []float64{3})
-	if !(Options{}).ExactFeasible(small, small) {
+	if !ExactFeasible(small, small) {
 		t.Error("tiny pair should be exactly countable")
 	}
-	if (Options{MaxExactCombos: 3}).ExactFeasible(small, small) {
-		t.Error("cap of 3 cannot fit a 4-combination half")
-	}
-	if (Options{UseDTW: true}).ExactFeasible(small, small) {
-		t.Error("DTW pairs are never exactly countable")
-	}
-	if (Options{Estimator: EstimatorConvolution}).ExactFeasible(small, small) {
-		t.Error("a forced convolution estimator never refines exactly")
-	}
-	if (Options{Estimator: EstimatorMonteCarlo}).ExactFeasible(small, small) {
-		t.Error("a forced Monte Carlo estimator never refines exactly")
-	}
-	if (Options{}).ExactFeasible(small, tinySeries(1, []float64{1})) {
+	if ExactFeasible(small, tinySeries(1, []float64{1})) {
 		t.Error("length mismatch is not feasible")
 	}
 	// Feasibility must agree with the estimator actually taking the exact
 	// path: a large pair falls back, and ExactFeasible must say so.
 	rng := stats.NewRand(37)
 	big := randomSampleSeries(rng, 2, 30, 4, 0.2, 0)
-	if (Options{}).ExactFeasible(big, big) {
-		t.Error("16^15 combinations per half cannot fit the default cap")
+	if ExactFeasible(big, big) {
+		t.Error("16^15 combinations per half cannot fit the cap")
+	}
+}
+
+// BenchmarkEstimators compares the exact meet-in-the-middle count with the
+// histogram convolution at the default bins on the same 8 x 4 pair, small
+// enough that the policy counts it exactly.
+func BenchmarkEstimators(b *testing.B) {
+	rng := stats.NewRand(4)
+	mk := func(id int) uncertain.SampleSeries {
+		samples := make([][]float64, 8)
+		for i := range samples {
+			row := make([]float64, 4)
+			for j := range row {
+				row[j] = rng.NormFloat64()
+			}
+			samples[i] = row
+		}
+		return uncertain.SampleSeries{Samples: samples, ID: id}
+	}
+	x, y := mk(0), mk(1)
+	for _, est := range []struct {
+		name     string
+		estimate func() (float64, error)
+	}{
+		{"exact", func() (float64, error) { return exact(x, y, 3) }},
+		{"convolution", func() (float64, error) { return convolve(x, y, 3, defaultBins) }},
+	} {
+		b.Run(est.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := est.estimate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"uncertts/internal/stats"
-	"uncertts/internal/uncertain"
 )
 
 // ErrLengthMismatch is returned when query and candidate lengths differ.
@@ -36,17 +35,6 @@ type DistanceDist struct {
 	Mean float64
 	// Variance is Var[distance^2].
 	Variance float64
-}
-
-// Normal returns the approximating normal distribution. A zero variance
-// (two certain series) degenerates to a point mass, represented by a
-// near-zero sigma.
-func (d DistanceDist) Normal() stats.Normal {
-	sigma := math.Sqrt(d.Variance)
-	if sigma <= 0 {
-		sigma = 1e-12
-	}
-	return stats.NewNormal(d.Mean, sigma)
 }
 
 // Distance computes the normal approximation of the squared distance
@@ -133,44 +121,4 @@ func (m Matcher) Matches(qObs, cObs []float64) (bool, error) {
 		return false, err
 	}
 	return d.EpsNorm(m.Eps) >= limit, nil
-}
-
-// RangeQuery returns the IDs of all candidates whose acceptance test passes.
-func (m Matcher) RangeQuery(q uncertain.PDFSeries, collection []uncertain.PDFSeries) ([]int, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, c := range collection {
-		ok, err := m.Matches(q.Observations, c.Observations)
-		if err != nil {
-			return nil, fmt.Errorf("proud: candidate %d: %w", c.ID, err)
-		}
-		if ok {
-			out = append(out, c.ID)
-		}
-	}
-	return out, nil
-}
-
-// topKIndices returns the positions of the k largest-magnitude entries.
-func topKIndices(xs []float64, k int) []int {
-	if k <= 0 || k > len(xs) {
-		k = len(xs)
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort is fine for small k.
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if math.Abs(xs[idx[j]]) > math.Abs(xs[idx[best]]) {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
 }

@@ -1,11 +1,11 @@
 package proud
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"uncertts/internal/stats"
-	"uncertts/internal/uncertain"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -115,17 +115,6 @@ func TestProbWithinDegenerate(t *testing.T) {
 	}
 }
 
-func TestNormalHelper(t *testing.T) {
-	n := DistanceDist{Mean: 5, Variance: 4}.Normal()
-	if !almostEqual(n.Mu, 5, 1e-12) || !almostEqual(n.Sigma, 2, 1e-12) {
-		t.Errorf("Normal() = %+v", n)
-	}
-	degenerate := DistanceDist{Mean: 5, Variance: 0}.Normal()
-	if degenerate.Sigma <= 0 {
-		t.Error("degenerate Normal() must still have positive sigma")
-	}
-}
-
 func TestMatcherAcceptanceMonotoneInTau(t *testing.T) {
 	// Raising tau makes the test stricter: acceptance can only shrink.
 	q := []float64{0, 0, 0, 0}
@@ -148,57 +137,41 @@ func TestMatcherAcceptanceMonotoneInTau(t *testing.T) {
 	}
 }
 
+// TestMatcherRangeQuerySeparatesNearFromFar: Matches is the probabilistic
+// range query's acceptance test, PRQ(Q, C, eps, tau); it takes a candidate
+// next to the query and refuses one far from it.
 func TestMatcherRangeQuerySeparatesNearFromFar(t *testing.T) {
-	mk := func(id int, v float64, n int) uncertain.PDFSeries {
+	mk := func(v float64, n int) []float64 {
 		obs := make([]float64, n)
-		errs := make([]stats.Dist, n)
 		for i := range obs {
 			obs[i] = v
-			errs[i] = stats.NewNormal(0, 0.2)
 		}
-		return uncertain.PDFSeries{Observations: obs, Errors: errs, ID: id}
+		return obs
 	}
-	q := mk(0, 0, 16)
-	near := mk(1, 0.1, 16)
-	far := mk(2, 3, 16)
+	q, near, far := mk(0, 16), mk(0.1, 16), mk(3, 16)
 	m := Matcher{Eps: 2, Tau: 0.5, QuerySigma: 0.2, CandSigma: 0.2}
-	got, err := m.RangeQuery(q, []uncertain.PDFSeries{near, far})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("range query = %v, want [1]", got)
+	for _, tc := range []struct {
+		name string
+		c    []float64
+		want bool
+	}{{"near", near, true}, {"far", far, false}} {
+		got, err := m.Matches(q, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s candidate: Matches = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestMatcherErrorPropagation(t *testing.T) {
-	q := uncertain.PDFSeries{Observations: []float64{1}, Errors: []stats.Dist{stats.NewNormal(0, 1)}}
-	bad := uncertain.PDFSeries{Observations: []float64{1, 2}, Errors: []stats.Dist{stats.NewNormal(0, 1), stats.NewNormal(0, 1)}, ID: 3}
 	m := Matcher{Eps: 1, Tau: 0.5}
-	if _, err := m.RangeQuery(q, []uncertain.PDFSeries{bad}); err == nil {
-		t.Error("length mismatch in candidate should error")
-	}
-	if _, err := m.RangeQuery(uncertain.PDFSeries{}, nil); err == nil {
-		t.Error("invalid query should error")
+	if _, err := m.Matches([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("length mismatch in candidate: err = %v, want ErrLengthMismatch", err)
 	}
 	badTau := Matcher{Eps: 1, Tau: 2}
 	if _, err := badTau.Matches([]float64{1}, []float64{1}); err == nil {
 		t.Error("invalid tau should error")
-	}
-}
-
-func TestTopKIndices(t *testing.T) {
-	xs := []float64{0.1, -5, 2, 0, 3}
-	idx := topKIndices(xs, 2)
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 4 {
-		t.Errorf("topKIndices = %v, want [1 4]", idx)
-	}
-	all := topKIndices(xs, 0)
-	if len(all) != len(xs) {
-		t.Errorf("k<=0 should keep everything, got %d", len(all))
-	}
-	over := topKIndices(xs, 99)
-	if len(over) != len(xs) {
-		t.Errorf("k>len should clamp, got %d", len(over))
 	}
 }

@@ -69,7 +69,8 @@ type Options struct {
 	// timeout_ms (0 = no server-side bound). Expiry cancels the query's
 	// context, drains the executor and answers 504.
 	DefaultTimeout time.Duration
-	// MUNICH configures the probability estimator of MUNICH engines.
+	// MUNICH sets the bin count of the convolution MUNICH engines refine
+	// with (uncertserve -munich-bins).
 	MUNICH munich.Options
 	// NoIndex forces every engine onto the linear scan path, without tier 0
 	// or DTW's sketch-row bound (engine.Options.NoIndex): the reference arm

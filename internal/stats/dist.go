@@ -33,9 +33,6 @@ type Dist interface {
 	String() string
 }
 
-// StdDev returns the standard deviation of d.
-func StdDev(d Dist) float64 { return math.Sqrt(d.Variance()) }
-
 // Normal is the Gaussian distribution N(mu, sigma^2).
 type Normal struct {
 	Mu    float64

@@ -166,7 +166,7 @@ func decodeCheckpoint(body []byte) (checkpointState, error) {
 	if n, ok := d.sliceLen(8); ok {
 		block := d.f64Block()
 		length := st.cfg.Length
-		if d.err == nil && len(block) != n*length {
+		if d.err == nil && !holdsRows(len(block), n, length) {
 			return checkpointState{}, fmt.Errorf("store: decode: values block holds %d floats, want %d series x length %d", len(block), n, length)
 		}
 		st.series = make([]corpus.RestoredSeries, 0, n)
@@ -189,6 +189,16 @@ func decodeCheckpoint(body []byte) (checkpointState, error) {
 	return st, nil
 }
 
+// holdsRows reports whether a block of size floats is exactly n rows of
+// length, by division, so that the product n*length of a damaged body
+// cannot wrap.
+func holdsRows(size, n, length int) bool {
+	if length == 0 {
+		return size == 0
+	}
+	return size%length == 0 && size/length == n
+}
+
 // decodeCheckpointV1 parses the legacy interleaved body.
 func decodeCheckpointV1(body []byte) (checkpointState, error) {
 	d := &dec{b: body}
@@ -203,6 +213,9 @@ func decodeCheckpointV1(body []byte) (checkpointState, error) {
 			s := d.series()
 			if d.err != nil {
 				break
+			}
+			if len(s.Values) != st.cfg.Length {
+				return checkpointState{}, fmt.Errorf("store: decode: series %d holds %d values, want length %d", id, len(s.Values), st.cfg.Length)
 			}
 			st.series = append(st.series, corpus.RestoredSeries{ID: id, Series: s})
 		}

@@ -389,7 +389,7 @@ func (d *dec) f64Block() []float64 {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || 8*n > len(d.b)-d.off {
+	if n < 0 || n > (len(d.b)-d.off)/8 { // by division: 8*n can wrap
 		d.fail("values block length %d exceeds the remaining payload", n)
 		return nil
 	}
@@ -425,6 +425,9 @@ func (d *dec) seriesTail() corpus.Series {
 func (d *dec) config() corpus.Config {
 	var cfg corpus.Config
 	cfg.Length = int(d.i64())
+	if cfg.Length < 0 {
+		d.fail("negative series length %d", cfg.Length)
+	}
 	cfg.ReportedSigma = d.f64()
 	if d.bool() {
 		cfg.Sigmas = d.floats()

@@ -2,10 +2,8 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -389,14 +387,8 @@ func TestReadsPreArenaV1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := make([]byte, 0, len(ckptMagicV1)+4+len(body))
-	file = append(file, ckptMagicV1...)
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(body, crcTable))
-	file = append(file, body...)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(snap.Epoch())), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpointFile(t, dir, ckptMagicV1, snap.Epoch(), body)
 
 	s, err := Open(dir, corpus.Config{}, Options{})
 	if err != nil {

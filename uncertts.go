@@ -148,7 +148,7 @@ func MUNICHProbability(x, y SampleSeries, eps float64, opts MUNICHOptions) (floa
 	return munich.Probability(x, y, eps, opts)
 }
 
-// MUNICHOptions configures MUNICH probability estimation.
+// MUNICHOptions sets the bin count of MUNICH's convolution estimator.
 type MUNICHOptions = munich.Options
 
 // ---- Evaluation framework ----
@@ -239,7 +239,7 @@ type QueryEngine = engine.Engine
 
 // QueryEngineOptions configures a QueryEngine: the measure, the executor
 // (Workers, ShardSize), the reference and scan arms (NoPrune, NoIndex,
-// IndexThreshold) and MUNICH's probability estimator. It carries no
+// IndexThreshold) and the bin count of MUNICH's convolution. It carries no
 // geometry: the DTW band, the UMA/UEMA window, decay and weight mode, the
 // DUST tables and the MUNICH segment count are the CorpusConfig of the
 // corpus the snapshot came from (WorkloadConfig.Band for a Workload's), and

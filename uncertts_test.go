@@ -79,7 +79,7 @@ func TestPublicFiltersAndDistances(t *testing.T) {
 	if err != nil || d != 5 {
 		t.Fatalf("Euclidean = %v, %v", d, err)
 	}
-	if _, err := distance.DTW([]float64{1, 2}, []float64{1, 2, 2}); err != nil {
+	if _, err := distance.DTWBand([]float64{1, 2}, []float64{1, 2, 2}, -1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := distance.DTWBand([]float64{1, 2}, []float64{1, 2}, 1); err != nil {
