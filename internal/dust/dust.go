@@ -382,26 +382,8 @@ func (t *phiTable) lookup(delta float64, d *Dust) float64 {
 // (Section 3.1: DUST "can take into account mixed distributions for the
 // uncertainty errors").
 func (d *Dust) Distance(q, c uncertain.PDFSeries) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	if q.Len() != c.Len() {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, q.Len(), c.Len())
-	}
-	r := d.recall()
-	var acc float64
-	for i := 0; i < q.Len(); i++ {
-		v, err := d.value(&r, q.Observations[i], c.Observations[i], q.Errors[i], c.Errors[i])
-		if err != nil {
-			return 0, fmt.Errorf("dust: timestamp %d: %w", i, err)
-		}
-		acc += v * v
-	}
-	d.remember(r)
-	return math.Sqrt(acc), nil
+	dist, _, err := d.DistanceEarlyAbandon(q, c, math.Inf(1))
+	return dist, err
 }
 
 // DistanceEarlyAbandon is Distance with a cutoff on the accumulated squared
@@ -419,6 +401,14 @@ func (d *Dust) DistanceEarlyAbandon(q, c uncertain.PDFSeries, cutoff float64) (f
 	if err := c.Validate(); err != nil {
 		return 0, false, err
 	}
+	return d.DistanceEarlyAbandonValidated(q, c, cutoff)
+}
+
+// DistanceEarlyAbandonValidated is DistanceEarlyAbandon for two series that
+// have passed uncertain.PDFSeries.Validate already — the engine's query,
+// validated once per request, against entries the corpus validated at
+// insert — so a refine does not walk both error models again.
+func (d *Dust) DistanceEarlyAbandonValidated(q, c uncertain.PDFSeries, cutoff float64) (float64, bool, error) {
 	if q.Len() != c.Len() {
 		return 0, false, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, q.Len(), c.Len())
 	}

@@ -460,7 +460,8 @@ func (e *Engine) dist(pq *prepared, ci int, cutoff2 float64, done <-chan struct{
 		}
 		d, complete, err = distance.DTWBandEarlyAbandonScratch(pq.vec, e.vecs.at(ci), e.cfg.Band, cutoff2, done, scratch)
 	case MeasureDUST:
-		d, complete, err = e.snap.Dust().DistanceEarlyAbandon(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
+		// prepare validated the query, the corpus every entry at insert.
+		d, complete, err = e.snap.Dust().DistanceEarlyAbandonValidated(pq.pdf, e.snap.Entry(ci).PDF, cutoff2)
 	default:
 		return 0, 0, qerr.BadRequestf("engine: measure %v defines match probabilities, not distances (use KindProbRange/KindProbTopK)", e.opts.Measure)
 	}

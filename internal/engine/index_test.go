@@ -1,13 +1,20 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"uncertts/internal/corpus"
+	"uncertts/internal/distance"
 	"uncertts/internal/munich"
+	"uncertts/internal/sketch"
+	"uncertts/internal/timeseries"
 )
 
 // indexCorpusConfig is the geometry the index tests pin.
@@ -255,6 +262,151 @@ func TestIndexFallbacks(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%v", residentAnswers(t, el, 0, 2.5)); got != want {
 			t.Errorf("%s: fallback answer %s != indexed %s", tc.name, got, want)
+		}
+	}
+}
+
+// dtwLB2Ref is the sketch-row bound as its definition states it, two
+// sketch.MinDistSquared passes: the reference dtwLB2's one fused pass must
+// match bit for bit.
+func dtwLB2Ref(p *prefilter, pq *prepared, row []float64) float64 {
+	lay, w := p.lay, p.lay.W
+	kim := p.kim(pq, row)
+	interior := lay.Interior()
+	if interior == nil {
+		return kim
+	}
+	fwd := sketch.MinDistSquared(pq.qpaa[1:w-1], row[lay.OffKLo()+1:lay.OffKLo()+w-1], row[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
+	rev := sketch.MinDistSquared(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior)
+	return kim + math.Max(fwd, rev)
+}
+
+// orderRef is DTW top-k's scan order as an indirect sort of positions by
+// their bounds, ties by position: the reference order must match.
+func orderRef(lbs []float64, self int) []int {
+	cands := make([]int, 0, len(lbs))
+	for ci := range lbs {
+		if ci != self {
+			cands = append(cands, ci)
+		}
+	}
+	slices.SortFunc(cands, func(a, b int) int { return cmp.Or(cmp.Compare(lbs[a], lbs[b]), a-b) })
+	return cands
+}
+
+// TestFusedSketchBoundMatchesDefinition holds dtwLB2 to dtwLB2Ref,
+// Float64bits, over z-normalised random walks and flat series (whose
+// envelopes close, lo == hi) at the served shape and at ragged and narrow
+// layouts down to W < 3, where only the endpoint terms remain. Every query
+// meets every row, its own row, and each row bent so that the query's
+// segment means lie exactly on an envelope edge and the row's means exactly
+// on the query's envelope edges.
+func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	walk := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := 1; i < n; i++ {
+			v[i] = v[i-1] + rng.NormFloat64()
+		}
+		timeseries.NormalizeInPlace(v)
+		return v
+	}
+	flat := func(n int, c float64) []float64 { return slices.Repeat([]float64{c}, n) }
+	var compared, edges, closed int
+	for _, shape := range []struct{ n, w, band int }{{128, 64, 12}, {128, 64, 0}, {100, 7, 5}, {37, 5, 40}, {16, 3, 2}, {16, 2, 3}, {16, 1, 3}, {1, 1, 0}} {
+		lay := sketch.NewLayout(shape.n, shape.w)
+		p := dtwPrefilter(lay, rows{})
+		if len(p.widths) != max(lay.W-2, 0) {
+			t.Fatalf("n=%d W=%d: %d interior widths", shape.n, lay.W, len(p.widths))
+		}
+		var series [][]float64
+		for i := 0; i < 24; i++ {
+			series = append(series, walk(shape.n))
+		}
+		series = append(series, flat(shape.n, 0.3), flat(shape.n, -1.25), flat(shape.n, 0.3))
+		sketchRow := func(v []float64) []float64 {
+			row := make([]float64, lay.Stride())
+			up, lo := distance.Envelope(v, shape.band)
+			lay.FillRow(row, v, up, lo)
+			return row
+		}
+		rowsOf := make([][]float64, len(series))
+		for i, v := range series {
+			rowsOf[i] = sketchRow(v)
+		}
+		w := lay.W
+		for qi, q := range series {
+			pq := &prepared{self: qi, vec: q}
+			p.summarise(pq, shape.band)
+			cands := append([][]float64(nil), rowsOf...)
+			for _, row := range rowsOf {
+				// Bend a copy onto the edges, alternating sides by segment.
+				bent := slices.Clone(row)
+				for j := 1; j < w-1; j++ {
+					v, klo, khi := pq.qpaa[j], &bent[lay.OffKLo()+j], &bent[lay.OffKHi()+j]
+					if j%2 == 0 && v <= *khi || v < *klo {
+						*klo = v
+					} else {
+						*khi = v
+					}
+					if j%2 == 0 {
+						bent[j] = pq.qenvLo[j]
+					} else {
+						bent[j] = pq.qenvHi[j]
+					}
+				}
+				cands = append(cands, bent)
+			}
+			for _, row := range cands {
+				for j := 1; j < w-1; j++ {
+					klo, khi := row[lay.OffKLo()+j], row[lay.OffKHi()+j]
+					if klo > khi || pq.qenvLo[j] > pq.qenvHi[j] {
+						t.Fatalf("n=%d W=%d segment %d: an envelope with lo > hi", shape.n, w, j)
+					}
+					if v := pq.qpaa[j]; v == klo || v == khi || row[j] == pq.qenvLo[j] || row[j] == pq.qenvHi[j] {
+						edges++
+					}
+					if klo == khi {
+						closed++
+					}
+				}
+				got, want := p.dtwLB2(pq, row), dtwLB2Ref(p, pq, row)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d W=%d band=%d query %d: fused bound %v, definition %v", shape.n, w, shape.band, qi, got, want)
+				}
+				compared++
+			}
+		}
+	}
+	t.Logf("%d rows compared; %d segments on an envelope edge, %d with lo == hi", compared, edges, closed)
+	if edges == 0 || closed == 0 {
+		t.Fatalf("the table reaches no edge (%d) or no closed envelope (%d)", edges, closed)
+	}
+}
+
+// TestOrderMatchesComparator holds order to orderRef over bounds with many
+// ties, zeros of both signs, infinities and NaNs, with self inside, outside
+// and absent.
+func TestOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(300)
+		lbs := make([]float64, n)
+		for i := range lbs {
+			switch rng.Intn(12) {
+			case 0:
+				lbs[i] = math.Inf(1)
+			case 1:
+				lbs[i] = math.Copysign(0, -1)
+			case 2:
+				lbs[i] = math.NaN()
+			default:
+				lbs[i] = float64(rng.Intn(25)) * 0.125
+			}
+		}
+		self := rng.Intn(n+2) - 1
+		if got, want := order(lbs, self), orderRef(lbs, self); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d self=%d): order %v, comparator %v", trial, n, self, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -338,13 +339,20 @@ func TestConvolutionMatchesReference(t *testing.T) {
 // engine's probBoundMargin, against which it decides.
 const bracketSlack = 1e-9
 
+// sideNames names bracketSides' bounds.
+var sideNames = [numSides]string{"Cantelli", "Bennett", "Berry–Esseen"}
+
 // TestMomentBracketBoundsTheEstimate holds MomentBracket to what it claims,
-// pair by pair: lo <= p <= hi for the uncut estimate p of the convolution
-// over every convCases row (bins 16/256/4096, eps below, across and above
-// the bounding-interval bracket, the clamping rows, the edge pairs), of the
-// exact count over short series, and of the convolution and Probability
-// over constant series, where the variance is 0 and the bracket closes on
-// the answer.
+// pair by pair and bound by bound: lo <= p <= hi for the uncut estimate p of
+// the convolution over every convCases row (bins 16/256/4096, eps below,
+// across and above the bounding-interval bracket, the clamping rows, the edge
+// pairs), of the exact count over short series, and of the convolution and
+// Probability over constant series, where the variance is 0 and Cantelli
+// closes the bracket on the answer. Each of Cantelli, Bennett and
+// Berry–Esseen must hold alone, and Bennett and Berry–Esseen must each set an
+// end of some bracket, tighter than Cantelli; where the pass computes a
+// variance of exactly 0 (one sample a side) they must fall back to [0, 1],
+// leaving Cantelli. MomentBracket must allocate nothing.
 func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 	type row struct {
 		name string
@@ -374,20 +382,24 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 	// timestamps over 16 bins a step is 0.48 bins: each one rounds the bin
 	// back to where it was, and the whole of S/w drifts away from it — the
 	// worst case the n/2 of the margin is there for.
-	for _, shape := range []struct{ n, bins int }{{1, 4096}, {7, 4096}, {128, 4096}, {33, 16}} {
+	// With one sample a side the pass computes a variance of exactly 0, where
+	// Bennett and Berry–Esseen do not apply.
+	for _, shape := range []struct{ n, bins, sx, sy int }{{1, 4096, 3, 2}, {7, 4096, 3, 2}, {128, 4096, 3, 2}, {33, 16, 3, 2}, {7, 4096, 1, 1}, {128, 4096, 1, 1}} {
 		xs, ys := make([][]float64, shape.n), make([][]float64, shape.n)
 		for i := range xs {
 			c := math.Sin(0.3 * float64(i))
-			xs[i], ys[i] = []float64{c, c, c}, []float64{c + 0.5, c + 0.5}
+			xs[i], ys[i] = slices.Repeat([]float64{c}, shape.sx), slices.Repeat([]float64{c + 0.5}, shape.sy)
 		}
 		x, y, s := tinySeries(0, xs...), tinySeries(1, ys...), float64(shape.n)/4
 		for _, f := range []float64{0.07, 0.5, 0.99, 1, 1.01, 2} {
 			for _, est := range []string{"convolution", "probability"} {
-				rows = append(rows, row{fmt.Sprintf("constant (n=%d bins=%d eps^2=%g*S %s)", shape.n, shape.bins, f, est), x, y, math.Sqrt(f * s), shape.bins, est})
+				rows = append(rows, row{fmt.Sprintf("constant (n=%d bins=%d %dx%d samples eps^2=%g*S %s)", shape.n, shape.bins, shape.sx, shape.sy, f, est), x, y, math.Sqrt(f * s), shape.bins, est})
 			}
 		}
 	}
-	var decided, closed int
+	var decided, closed, degenerate int
+	var violations [numSides]int
+	var sets [numSides][2]int // brackets whose lo / hi a side sets, tighter than Cantelli
 	for _, r := range rows {
 		var p float64
 		var err error
@@ -402,9 +414,31 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		lo, hi := Options{Bins: r.bins}.MomentBracket(r.x, r.y, r.eps)
+		o := Options{Bins: r.bins}
+		sides := o.bracketSides(r.x, r.y, r.eps)
+		for k, s := range sides {
+			if !(s[0] <= p+bracketSlack && p <= s[1]+bracketSlack) {
+				violations[k]++
+				t.Errorf("%s: estimate %v outside the %s bracket [%v, %v]", r.name, p, sideNames[k], s[0], s[1])
+			}
+		}
+		if certain(r.x, r.y) {
+			degenerate++
+			if sides[sideBennett] != [2]float64{0, 1} || sides[sideBerryEsseen] != [2]float64{0, 1} {
+				t.Errorf("%s: zero variance, yet Bennett %v and Berry–Esseen %v are not [0, 1]", r.name, sides[sideBennett], sides[sideBerryEsseen])
+			}
+		}
+		lo, hi := o.MomentBracket(r.x, r.y, r.eps)
 		if !(lo <= p+bracketSlack && p <= hi+bracketSlack) {
 			t.Errorf("%s: estimate %v outside the bracket [%v, %v]", r.name, p, lo, hi)
+		}
+		for k := sideBennett; k < numSides; k++ {
+			if sides[k][0] == lo && lo > sides[sideCantelli][0] {
+				sets[k][0]++
+			}
+			if sides[k][1] == hi && hi < sides[sideCantelli][1] {
+				sets[k][1]++
+			}
 		}
 		if lo > 0 || hi < 1 {
 			decided++
@@ -413,10 +447,32 @@ func TestMomentBracketBoundsTheEstimate(t *testing.T) {
 			closed++
 		}
 	}
-	t.Logf("%d pairs: the bracket is non-trivial on %d, closed on %d", len(rows), decided, closed)
-	if decided < len(rows)/4 || closed < 12 {
-		t.Fatalf("the table does not exercise the bracket: non-trivial on %d of %d pairs, closed on %d", decided, len(rows), closed)
+	t.Logf("%d pairs: the bracket is non-trivial on %d, closed on %d, of zero variance %d; violations by side %v; lo / hi set tighter than Cantelli by Bennett %v, by Berry–Esseen %v",
+		len(rows), decided, closed, degenerate, violations, sets[sideBennett], sets[sideBerryEsseen])
+	if decided < len(rows)/4 || closed < 12 || degenerate == 0 {
+		t.Fatalf("the table does not exercise the bracket: non-trivial on %d of %d pairs, closed on %d, of zero variance %d", decided, len(rows), closed, degenerate)
 	}
+	for k := sideBennett; k < numSides; k++ {
+		if sets[k][0] == 0 || sets[k][1] == 0 {
+			t.Fatalf("the table does not exercise %s on both ends: it sets %v (lo, hi) tighter than Cantelli", sideNames[k], sets[k])
+		}
+	}
+	x, y := convPair(rand.New(rand.NewSource(27)), 128, 3, 0.3)
+	if allocs := testing.AllocsPerRun(20, func() { Options{}.MomentBracket(x, y, 10) }); allocs != 0 {
+		t.Errorf("MomentBracket allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// certain reports whether every timestamp holds one sample a side: S is then
+// one value, and MomentBracket's pass computes a variance of exactly 0 (a
+// mean of one term is that term).
+func certain(x, y uncertain.SampleSeries) bool {
+	for i := range x.Samples {
+		if len(x.Samples[i]) != 1 || len(y.Samples[i]) != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMomentBracketTrivialWhereItDoesNotApply: a length mismatch, a
@@ -433,11 +489,83 @@ func TestMomentBracketTrivialWhereItDoesNotApply(t *testing.T) {
 		"length mismatch":  {x, short, 1},
 		"negative eps":     {x, y, -1},
 		"overflowing diff": {tinySeries(0, row), tinySeries(1, row), 1e-3},
+		"coincident":       {tinySeries(0, []float64{2}, []float64{3}), tinySeries(1, []float64{2}, []float64{3}), 1},
 	} {
 		if lo, hi := (Options{}).MomentBracket(tc.x, tc.y, tc.eps); lo != 0 || hi != 1 {
 			t.Errorf("%s: bracket [%v, %v], want [0, 1]", name, lo, hi)
 		}
 	}
+}
+
+// FuzzMomentBracket holds MomentBracket to the estimate it brackets on
+// fuzzed pairs. Each byte of shape is one timestamp (at most 24) and sets its
+// sample counts, 1 to 4 a side; the samples are int8s drawn from vals in turn
+// times scale (a scale that is zero, not finite or above 1e154 reads as 1);
+// wide picks 256 bins over 16; and eps sits at pos along the bounding
+// intervals' distance bracket [lo, hi] (clamped to [-0.5, 1.5]: below, across
+// and above the mass; NaN reads 0.5). Where the estimator refuses the domain
+// the bracket must be [0, 1]. Exact counts of more than 2^20 combinations
+// are skipped.
+func FuzzMomentBracket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape, vals []byte, scale float64, wide bool, pos float64) {
+		n := min(len(shape), 24)
+		if n == 0 {
+			return
+		}
+		if !(math.Abs(scale) <= 1e154) || scale == 0 {
+			scale = 1
+		}
+		next := 0
+		draw := func(count int) []float64 {
+			row := make([]float64, count)
+			for k := range row {
+				if len(vals) > 0 {
+					row[k] = float64(int8(vals[next%len(vals)])) * scale
+					next++
+				}
+			}
+			return row
+		}
+		xs, ys := make([][]float64, n), make([][]float64, n)
+		for i, b := range shape[:n] {
+			xs[i], ys[i] = draw(1+int(b&3)), draw(1+int(b>>2&3))
+		}
+		x, y := tinySeries(0, xs...), tinySeries(1, ys...)
+		if combos := 1; ExactFeasible(x, y) {
+			for i := range xs {
+				combos *= len(xs[i]) * len(ys[i])
+			}
+			if combos > 1<<20 {
+				// 2^21 sums a half take ~0.4 s an exec, 2^10 ~0.2 ms:
+				// TestMomentBracketBoundsTheEstimate's exact rows cover
+				// the larger counts.
+				return
+			}
+		}
+		lo, hi, err := BoundingIntervals(x).Bounds(BoundingIntervals(y))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(pos) {
+			pos = 0.5
+		}
+		eps := max(0, lo+(hi-lo)*min(max(pos, -0.5), 1.5))
+		o := Options{Bins: 16}
+		if wide {
+			o.Bins = 256
+		}
+		blo, bhi := o.MomentBracket(x, y, eps)
+		p, err := Probability(x, y, eps, o)
+		if err != nil {
+			if blo != 0 || bhi != 1 {
+				t.Fatalf("eps=%v bins=%d: the estimator refuses (%v), yet the bracket is [%v, %v]", eps, o.Bins, err, blo, bhi)
+			}
+			return
+		}
+		if !(blo-bracketSlack <= p && p <= bhi+bracketSlack) {
+			t.Fatalf("x=%v y=%v eps=%v bins=%d: estimate %v outside the bracket [%v, %v]", xs, ys, eps, o.Bins, p, blo, bhi)
+		}
+	})
 }
 
 // TestConvolutionConcurrent shares the scratch pool between 8 goroutines

@@ -39,9 +39,12 @@
 // summing the lower bound once it passes eps, deciding exactly as the whole
 // sums would. Between the prune and the count sits Options.MomentBracket:
 // the total squared distance is a sum of independent per-timestamp terms,
-// so its mean and variance (multiply-adds, no exp) put a two-sided Cantelli
-// bracket on the estimate the count would return, widened by the
-// convolution's own discretisation.
+// so one pass over the sample pairs for its mean, variance, third absolute
+// moment and the terms' ranges puts a bracket on the estimate the count
+// would return — on each side the least of Cantelli's, Bennett's and the
+// Berry–Esseen bound (Shevtsova's constant 0.5600), widened by the
+// convolution's own discretisation and taken to the conservative side of
+// every rounding.
 package munich
 
 import (
@@ -509,14 +512,42 @@ func reachableBins(last []int, mins []float64, width, eps2 float64, bins int) {
 // all, taken as 8u (7e-12 at 4096 bins).
 const convShiftSlack = 8 * 0x1p-53
 
+// berryEsseenC0 is the constant of the Berry–Esseen bound for independent,
+// non-identically distributed summands, sup_x |P(S <= x) - Phi((x-mu)/s)| <=
+// C0 * sum_t E|X_t - mu_t|^3 / s^3, as Shevtsova (2010, "An improvement of
+// convergence rate estimates in the Lyapunov theorem") proves it.
+const berryEsseenC0 = 0.5600
+
 // MomentBracket returns lo <= p <= hi for p = Probability(x, y, eps, o),
-// without counting: a two-sided
-// Cantelli bound on S, the total squared distance of a random
-// materialisation. S is a sum of n independent terms X_t, each uniform over
-// the squared sample differences at t. Its mean mu and variance s2 take one
-// O(n*s^2) pass, with a two-pass variance per timestamp. A domain the
-// convolution would refuse gets the trivial [0, 1], which leaves that error
-// to the refine.
+// without counting: the tightest of the brackets bracketSides derives. It
+// allocates nothing.
+func (o Options) MomentBracket(x, y uncertain.SampleSeries, eps float64) (lo, hi float64) {
+	lo, hi = 0, 1
+	for _, s := range o.bracketSides(x, y, eps) {
+		lo, hi = max(lo, s[0]), min(hi, s[1])
+	}
+	return lo, hi
+}
+
+// The bounds bracketSides puts on either side of the estimate, in the order
+// it returns them.
+const (
+	sideCantelli = iota
+	sideBennett
+	sideBerryEsseen
+	numSides
+)
+
+// bracketSides returns, for each of Cantelli, Bennett and Berry–Esseen, the
+// bracket [lo, hi] that bound alone puts on p = Probability(x, y, eps, o);
+// [0, 1] where it does not apply. S, the total squared distance of a random
+// materialisation, is a sum of n independent terms X_t, each uniform over the
+// squared sample differences v at t. One O(n*s^2) pass (a two-pass mean per
+// timestamp) gives its mean mu, variance s2 and third absolute central moment
+// rho = sum_t E|X_t - mu_t|^3, and the ranges of its terms below and above
+// their means, b- = max_t (mu_t - min v) and b+ = max_t (max v - mu_t). A
+// domain the convolution would refuse gets the trivial [0, 1] throughout,
+// which leaves that error to the refine.
 //
 // The bracket holds against the binned estimate, not only against the
 // law of S. Take one materialisation. Step t moves its bin from J to
@@ -535,62 +566,129 @@ const convShiftSlack = 8 * 0x1p-53
 // when (bins-1)*w < eps^2, and then eps^2 + m > bins*w + (n/2)*w >= maxSum >= S
 // (n/2 >= 1/2 covers the rounding of w), so the right side is 1.
 // The exact estimator sits inside the same bracket a fortiori: its float sums
-// err by far less than w. The rounding of mu, s2, eps^2 and the readout's
-// compares is at most the 2(n + s^2 + 8)u relative slack folded into m and
-// s2. Cantelli, P(S - mu <= -a) <= s2/(s2 + a^2) and the same bound for
-// P(S - mu >= a) with a > 0, then brackets both sides; it needs only that the
-// terms be independent, which is MUNICH's model. The histogram's own mass
-// rounding (a few ulps per addition) is left to the caller's margin.
-func (o Options) MomentBracket(x, y uncertain.SampleSeries, eps float64) (lo, hi float64) {
+// err by far less than w. So hi = tail(mu - eps^2 - m, b-) and lo = 1 -
+// tail(eps^2 - m - mu, b+), where tail(a, b) bounds P(Y >= a) for Y = mu - S
+// or S - mu, a sum of independent zero-mean terms each at most b (MUNICH's
+// model is all three bounds need):
+//
+//   - Cantelli, s2/(s2 + a^2), for a > 0;
+//   - Bennett, exp(-(s2/b^2) h(ab/s2)) with h(x) = (1+x)ln(1+x) - x, for
+//     a > 0 and b, s2 > 0;
+//   - Berry–Esseen, Phi(-a/s) + C0*rho/s^3 (berryEsseenC0), for s > 0 and
+//     any a.
+//
+// Rounding, u = 2^-53. Every input of a bound is taken to its conservative
+// side. slack = 2(n + s^2 + 8)u bounds the relative error of every sum of
+// the pass, and slack*(mu + eps^2 + maxSum) in m the rounding of a. The
+// computed mean of timestamp t is within tol_t = 2(s^2 + 2)u*mean of the
+// true one, so |v - mu_t| <= |fl(v - mean)|(1 + u) + tol_t: the pass adds
+// tol_t to each deviation it cubes and to both ranges, and rho and the
+// ranges take a factor 1 + slack. A two-pass variance about a computed mean
+// only overestimates in exact arithmetic, so s+^2 = s2(1 + slack) is an
+// upper bound, and taking off the mean errors, sum_t tol_t^2 <=
+// (slack*mu)^2, leaves a lower one, s-^2 = s2(1 - slack) - (slack*mu)^2.
+// Cantelli and Bennett grow with s2 and Bennett with b, so they read s+^2;
+// Berry–Esseen reads s- in rho/s^3 and, in Phi(-a/s), s+ where a > 0 and s-
+// elsewhere, the side on which Phi grows. h(x) subtracts terms of size up to
+// x + h: a few ulps of error in either, and in x itself (h'(x) = ln(1+x), and
+// x ln(1+x) <= x + h), move it by at most 8u(x + h), so Bennett's exponent
+// takes h - 16u(x + h). Bennett runs only where a*b, b^2, x and s2/b^2 are
+// normal floats, so no underflow inflates its exponent, and Berry–Esseen
+// only where s-^3 is finite (one that underflows only inflates its term).
+// What is left moves a bound by a few ulps: a relative rounding r of the
+// exponent E moves exp(-E) by at most rE*exp(-E) <= r/e, of Phi's argument
+// z moves Phi by |z|phi(z)r <= r/4, and exp, erfc and the divisions round a
+// probability in [0, 1]. Those ulps, with the histogram's own mass rounding
+// (a few ulps per addition), are left to the caller's margin.
+func (o Options) bracketSides(x, y uncertain.SampleSeries, eps float64) (sides [numSides][2]float64) {
+	sides = [numSides][2]float64{{0, 1}, {0, 1}, {0, 1}}
 	n := x.Len()
 	if n != y.Len() || eps < 0 {
-		return 0, 1
+		return sides
 	}
-	var mu, s2, maxSum float64
+	var mu, s2, rho, below, above, maxSum float64
 	pairs := 0
 	for i := 0; i < n; i++ {
 		xs, ys := x.Samples[i], y.Samples[i]
-		var sum, top float64
+		sum, low, top := 0.0, math.Inf(1), 0.0
 		for _, a := range xs {
 			for _, b := range ys {
 				d := a - b
 				v := float64(d * d) // the convolution's squared difference
 				sum += v
-				top = max(top, v)
+				low, top = min(low, v), max(top, v)
 			}
 		}
-		k := float64(len(xs) * len(ys))
-		mean := sum / k
-		var dev float64
+		k := len(xs) * len(ys)
+		mean := sum / float64(k)
+		tol := float64(2*(k+2)) * 0x1p-53 * mean
+		var dev, cube float64
 		for _, a := range xs {
 			for _, b := range ys {
 				d := a - b
 				e := float64(d*d) - mean
 				dev += e * e
+				r := math.Abs(e) + tol
+				cube += r * r * r
 			}
 		}
 		mu += mean
-		s2 += dev / k
+		s2 += dev / float64(k)
+		rho += cube / float64(k)
+		below, above = max(below, mean-low+tol), max(above, top-mean+tol)
 		maxSum += top // in the convolution's order: the same width, bit for bit
-		pairs = max(pairs, len(xs)*len(ys))
+		pairs = max(pairs, k)
 	}
 	bins, eps2 := float64(o.bins()), eps*eps
 	width := maxSum / bins
 	if !(width >= 0x1p-1022 && width <= math.MaxFloat64 && s2 <= math.MaxFloat64 && eps2 <= math.MaxFloat64) {
-		return 0, 1
+		return sides
 	}
 	nf := float64(n)
 	slack := 2 * (nf + float64(pairs) + 8) * 0x1p-53
 	m := width*(nf/2+1+convShiftSlack*bins*(nf+2)) + slack*(mu+eps2+maxSum)
-	s2 *= 1 + slack
-	lo, hi = 0, 1
-	if a := mu - (eps2 + m); a > 0 {
-		hi = s2 / (s2 + a*a)
+	t := tails{s2: s2 * (1 + slack)}
+	t.sHi = math.Sqrt(t.s2)
+	t.sLo = math.Sqrt(max(s2*(1-slack)-(slack*mu)*(slack*mu), 0))
+	t.rho = rho * (1 + slack)
+	below, above = below*(1+slack), above*(1+slack)
+	for k := range sides {
+		sides[k] = [2]float64{1 - t.tail(k, eps2-m-mu, above), t.tail(k, mu-(eps2+m), below)}
 	}
-	if a := eps2 - m - mu; a > 0 {
-		lo = 1 - s2/(s2+a*a)
+	return sides
+}
+
+// tails holds what bracketSides' tail bounds read: s+^2, s-, s+ and rho.
+type tails struct{ s2, sLo, sHi, rho float64 }
+
+// tail bounds P(Y >= a) for Y = S - mu or mu - S, whose terms are each at
+// most b above their zero mean, by side k alone; 1 where it does not apply,
+// and where it does not beat 1 (a NaN of a degenerate input included).
+func (t tails) tail(k int, a, b float64) float64 {
+	c := math.NaN()
+	switch {
+	case k == sideCantelli && a > 0:
+		c = t.s2 / (t.s2 + a*a)
+	case k == sideBennett && a > 0:
+		ab, bb := a*b, b*b
+		x, r := ab/t.s2, t.s2/bb
+		if min(ab, bb, x, r) >= 0x1p-1022 && max(x, r) <= math.MaxFloat64 {
+			h := (1+x)*math.Log1p(x) - x
+			c = math.Exp(-r * (h - 16*0x1p-53*(x+h)))
+		}
+	case k == sideBerryEsseen && t.sLo > 0:
+		s, c3 := t.sLo, t.sLo*t.sLo*t.sLo
+		if a > 0 {
+			s = t.sHi
+		}
+		if c3 <= math.MaxFloat64 {
+			c = stats.NormalCDF(-a/s) + berryEsseenC0*(t.rho/c3)
+		}
 	}
-	return lo, hi
+	if c >= 0 && c < 1 {
+		return c
+	}
+	return 1
 }
 
 // binShifts resolves every squared difference of one timestamp to the bin

@@ -31,11 +31,13 @@
 // dist(qbar_j, [Lbar_j, Ubar_j])^2 by Cauchy-Schwarz, and the whole chains
 // under LB_Kim + LB_Keogh^2 <= DTW^2. The engine takes the max with the
 // reverse bound (MinDistSquared of the row's paaV against the query's
-// envelope means), sound by the symmetric argument. A bucket's region is the
-// elementwise [min, max] of its members' rows; MinDistSquared over its paaV
-// block is the classic lock-step PAA bound — per segment j, sum_{t in j}
-// (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2 by Jensen, and cbar_j lies
-// inside [lo_j, hi_j] — which the filter columns apply row by row.
+// envelope means), sound by the symmetric argument, and sums both in one
+// fused pass that matches the two MinDistSquared calls bit for bit. A
+// bucket's region is the elementwise [min, max] of its members' rows;
+// MinDistSquared over its paaV block is the classic lock-step PAA bound —
+// per segment j, sum_{t in j} (q_t - c_t)^2 >= len_j (qbar_j - cbar_j)^2 by
+// Jensen, and cbar_j lies inside [lo_j, hi_j] — which the filter columns
+// apply row by row.
 package sketch
 
 import (
