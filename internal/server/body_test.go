@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -131,6 +134,204 @@ func TestFetchSeriesOverHTTP(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Series.Values, tc.want.Values) || !reflect.DeepEqual(got.Series.Samples, tc.want.Samples) {
 			t.Errorf("%s: values or samples did not round-trip", tc.name)
+		}
+	}
+}
+
+// floatBits lists every float of a request as bits, in order: reflect.DeepEqual
+// compares floats with ==, which does not tell -0 from 0.
+func floatBits(req SeriesRequest) []uint64 {
+	var out []uint64
+	for _, s := range req.Insert {
+		out = append(out, math.Float64bits(s.Sigma))
+		for _, v := range s.Values {
+			out = append(out, math.Float64bits(v))
+		}
+		for _, row := range s.Samples {
+			for _, v := range row {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+	}
+	return out
+}
+
+// sameRequest: reflect.DeepEqual, with every float equal bit for bit.
+func sameRequest(a, b SeriesRequest) bool {
+	return reflect.DeepEqual(a, b) && reflect.DeepEqual(floatBits(a), floatBits(b))
+}
+
+// decodeBody runs DecodeBody over body as the handlers do.
+func decodeBody(body io.Reader) (SeriesRequest, *httptest.ResponseRecorder, bool) {
+	rec := httptest.NewRecorder()
+	var req SeriesRequest
+	ok := DecodeBody(rec, httptest.NewRequest(http.MethodPost, "/series", body), &req)
+	return req, rec, ok
+}
+
+// TestSeriesBodiesOffShapeFallBack: DecodeBody answers every /series body as
+// json.Decoder alone did — the same status, and the same decoded request or
+// message — whether the one-pass reader takes it (fast) or hands the bytes on.
+func TestSeriesBodiesOffShapeFallBack(t *testing.T) {
+	plain := string(mustJSON(t, SeriesRequest{Insert: []SeriesJSON{testSeries(4, 1), testSeries(4, 2)}, InsertIDs: []int{7, 9}}))
+	for _, tc := range []struct {
+		name, body string
+		fast, ok   bool
+		check      func(SeriesRequest) bool
+	}{
+		{"plain batch", plain, true, true, func(r SeriesRequest) bool { return len(r.Insert) == 2 && len(r.Insert[1].Samples) == 4 }},
+		{"empty arrays", `{"insert":[],"delete":[], "insert_ids" : [ ]}`, true, true, func(r SeriesRequest) bool { return r.Insert != nil && r.Delete != nil && r.InsertIDs != nil }},
+		{"negative zero keeps its sign", `{"insert":[{"values":[-0,0,-0.0],"samples":[[-0],[]],"sigma":-0,"label":-0}]}`, true, true, func(r SeriesRequest) bool {
+			return math.Signbit(r.Insert[0].Values[0]) && !math.Signbit(r.Insert[0].Values[1]) && math.Signbit(r.Insert[0].Values[2]) &&
+				math.Signbit(r.Insert[0].Samples[0][0]) && r.Insert[0].Samples[1] != nil && math.Signbit(r.Insert[0].Sigma)
+		}},
+		{"whitespace around everything", " \t\r\n{ \"delete\" :\n[ 1 , 2 ]\t} \n", true, true, nil},
+		{"another key spelling is accepted", `{"insert":[{"Values":[1,2]}]}`, false, true, func(r SeriesRequest) bool { return len(r.Insert[0].Values) == 2 }},
+		{"an unknown key is ignored", `{"insert":[{"values":[1],"weight":[3]}],"note":"x"}`, false, true, func(r SeriesRequest) bool { return len(r.Insert) == 1 }},
+		{"an escaped key", `{"d\u0065lete":[4]}`, false, true, func(r SeriesRequest) bool { return len(r.Delete) == 1 }},
+		{"a repeated key", `{"insert":[{"values":[1,2],"label":3}],"insert":[{"values":[5]}]}`, false, true, nil},
+		{"null insert decodes to nothing", `{"insert":null}`, false, true, func(r SeriesRequest) bool { return r.Insert == nil }},
+		{"null values", `{"insert":[{"values":null}]}`, false, true, nil},
+		{"trailing bytes after the object", `{"delete":[1]}garbage`, false, true, func(r SeriesRequest) bool { return len(r.Delete) == 1 }},
+		{"a second object after the first", `{"delete":[1]} {"delete":[2]}`, false, true, nil},
+		{"a number out of range", `{"insert":[{"values":[1e400]}]}`, false, false, nil},
+		{"a leading zero", `{"delete":[01]}`, false, false, nil},
+		{"a fraction into an int", `{"insert":[{"values":[1],"label":1.5}]}`, false, false, nil},
+		{"a string number", `{"delete":["1"]}`, false, false, nil},
+		{"a bare dot", `{"insert":[{"values":[1.]}]}`, false, false, nil},
+		{"a trailing comma", `{"delete":[1,]}`, false, false, nil},
+		{"a truncated body", `{"insert":[{"values":[0.5,`, false, false, nil},
+		{"an empty body", ``, false, false, nil},
+		{"not an object", `[1,2]`, false, false, nil},
+	} {
+		var want SeriesRequest
+		werr := json.NewDecoder(strings.NewReader(tc.body)).Decode(&want)
+		if (werr == nil) != tc.ok {
+			t.Fatalf("%s: encoding/json says %v; the case expects ok=%v", tc.name, werr, tc.ok)
+		}
+		if _, fast := decodeSeries([]byte(tc.body)); fast != tc.fast {
+			t.Errorf("%s: one-pass reader took it: %v, want %v", tc.name, fast, tc.fast)
+		}
+		got, rec, ok := decodeBody(strings.NewReader(tc.body))
+		switch {
+		case ok != tc.ok:
+			t.Errorf("%s: DecodeBody ok=%v (%d %q), want %v", tc.name, ok, rec.Code, rec.Body.String(), tc.ok)
+		case ok && !sameRequest(got, want):
+			t.Errorf("%s: decoded %+v, encoding/json %+v", tc.name, got, want)
+		case ok && tc.check != nil && !tc.check(got):
+			t.Errorf("%s: decoded %+v", tc.name, got)
+		case !ok && (rec.Code != http.StatusBadRequest || rec.Body.String() != "malformed JSON: "+werr.Error()+"\n"):
+			t.Errorf("%s: answered %d %q, want 400 %q", tc.name, rec.Code, rec.Body.String(), "malformed JSON: "+werr.Error())
+		}
+	}
+
+	// Through the handler, a null insert is a request with nothing in it.
+	srv, _ := testServer(t, 2, 16)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/series", strings.NewReader(`{"insert":null}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "nothing to insert or delete") {
+		t.Errorf(`{"insert":null}: %d %q, want 400 "nothing to insert or delete"`, rec.Code, rec.Body.String())
+	}
+}
+
+// TestSeriesBodyReadErrors: a body cut short by a read error answers as
+// json.Decoder did: with the error where the bytes end inside the object or
+// turn malformed first, and with the request where the object closes before.
+func TestSeriesBodyReadErrors(t *testing.T) {
+	cut := errors.New("connection reset")
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"inside an array", `{"insert":[{"values":[0.5,`, false},
+		{"inside a number", `{"insert":[{"values":[0.5`, false},
+		{"inside a key", `{"insert":[{"valu`, false},
+		{"off the shape first", `{"insert":[{"values":[0.5,"x"`, false},
+		{"after the object", `{"delete":[3]} `, true},
+	} {
+		var want SeriesRequest
+		werr := json.NewDecoder(io.MultiReader(strings.NewReader(tc.body), errReader{cut})).Decode(&want)
+		got, rec, ok := decodeBody(io.MultiReader(strings.NewReader(tc.body), errReader{cut}))
+		if ok != tc.ok || (werr == nil) != tc.ok {
+			t.Fatalf("%s: DecodeBody ok=%v, encoding/json %v; want ok=%v", tc.name, ok, werr, tc.ok)
+		}
+		if ok && !sameRequest(got, want) {
+			t.Errorf("%s: decoded %+v, encoding/json %+v", tc.name, got, want)
+		}
+		if !ok && rec.Body.String() != "malformed JSON: "+werr.Error()+"\n" {
+			t.Errorf("%s: answered %q, want %q", tc.name, rec.Body.String(), "malformed JSON: "+werr.Error())
+		}
+	}
+}
+
+// FuzzDecodeSeriesRequest: whatever the body, a request the one-pass reader
+// accepts is one encoding/json accepts and decodes identically, bit for bit.
+func FuzzDecodeSeriesRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, fast := decodeSeries(body)
+		if !fast {
+			return
+		}
+		var want SeriesRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
+			t.Fatalf("one-pass reader accepted %q, encoding/json: %v", body, err)
+		}
+		if !sameRequest(got, want) {
+			t.Fatalf("%q: one-pass reader decoded %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}
+
+// seriesBody is a 512-series /series body as the repository benchmark sends
+// it: 128 values a series rounded to four decimals, and with samples three
+// observations per timestamp.
+func seriesBody(tb testing.TB, sampled bool) []byte {
+	round := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+	req := SeriesRequest{Insert: make([]SeriesJSON, 512)}
+	for i := range req.Insert {
+		s := testSeries(128, int64(i))
+		for t, v := range s.Values {
+			s.Values[t] = round(v)
+			for j, x := range s.Samples[t] {
+				s.Samples[t][j] = round(x)
+			}
+		}
+		s.Sigma = 0
+		if !sampled {
+			s.Samples = nil
+		}
+		req.Insert[i] = s
+	}
+	return mustJSON(tb, req)
+}
+
+// BenchmarkDecodeSeriesBody: a 512-series body, plain and sampled, through
+// DecodeBody (fast) and through json.Decoder as DecodeBody used to read it.
+func BenchmarkDecodeSeriesBody(b *testing.B) {
+	for _, sampled := range []bool{false, true} {
+		body := seriesBody(b, sampled)
+		for _, arm := range []string{"fast", "encoding_json"} {
+			b.Run(fmt.Sprintf("sampled=%v/%s", sampled, arm), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body)))
+				r := httptest.NewRequest(http.MethodPost, "/series", nil)
+				w := httptest.NewRecorder()
+				for range b.N {
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					var req SeriesRequest
+					var err error
+					if arm == "fast" {
+						if !DecodeBody(w, r, &req) {
+							err = errors.New(w.Body.String())
+						}
+					} else {
+						err = json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req)
+					}
+					if err != nil || len(req.Insert) != 512 {
+						b.Fatalf("decoded %d series: %v", len(req.Insert), err)
+					}
+				}
+			})
 		}
 	}
 }

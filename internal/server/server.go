@@ -815,15 +815,24 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // MaxBodyBytes bounds the JSON body of every request the server and the
 // cluster coordinator decode: no POST is buffered past it, whatever its
 // size. The largest body the repository benchmark sends, a 512-series
-// sampled ingest batch, is about 5 MB.
+// sampled ingest batch, is 2.08 MB; a plain one is 0.49 MB.
 const MaxBodyBytes = 64 << 20
 
 // DecodeBody decodes the JSON body of r into v, reading at most
 // MaxBodyBytes. It reports whether v holds the request; when it does not,
 // it has answered already: 413 naming the limit for a larger body, 400 for
-// malformed JSON.
+// malformed JSON. A *SeriesRequest of the plain shape decodes without
+// reflection (decodeSeries); every other body goes through encoding/json.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if req, ok := v.(*SeriesRequest); ok {
+		return decodeSeriesBody(w, body, req)
+	}
+	return answerDecode(w, json.NewDecoder(body).Decode(v))
+}
+
+// answerDecode answers a failed decode, reporting whether err is nil.
+func answerDecode(w http.ResponseWriter, err error) bool {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
