@@ -26,7 +26,8 @@
 //
 // Query a resident series by its stable ID, or ship an ad-hoc series.
 // Queries run under the request's context — hanging up cancels the scan —
-// and accept a per-request timeout_ms (-timeout sets the server default):
+// and accept a per-request timeout_ms (-timeout sets the default of a single
+// node; a cluster has none, see below):
 //
 //	curl -s localhost:8080/query -d '{"measure":"uema","type":"topk","k":5,"id":3,"timeout_ms":500}'
 //	curl -s localhost:8080/query -d '{"measure":"proud","type":"probrange","eps":4.5,"tau":0.1,"series":{"values":[...],"sigma":0.6}}'
@@ -54,7 +55,9 @@
 //
 // -shard-timeout bounds each shard's leg of a query; a shard that misses
 // it (or is down) degrades the answer — partial results tagged
-// "degraded" with per-shard detail — instead of failing it.
+// "degraded" with per-shard detail — instead of failing it. A cluster query
+// is bounded by its own timeout_ms and by -shard-timeout: -timeout is refused
+// with -shards N and with -coordinator.
 package main
 
 import (
@@ -129,7 +132,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&cfg.defWorkers, "workers", 1, "default per-request worker budget")
 	fs.IntVar(&cfg.maxWorkers, "max-workers", 0, "per-request worker budget cap (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.munichBins, "munich-bins", 0, fmt.Sprintf("MUNICH convolution estimator bins, at most %d (0 = default)", maxMunichBins))
-	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-query deadline for requests without timeout_ms, e.g. 2s (0 = none)")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-query deadline for requests without timeout_ms, e.g. 2s (0 = none); single node only: under -shards or -coordinator a query is bounded by its timeout_ms and -shard-timeout")
 	fs.StringVar(&cfg.dataDir, "data", "", "durable store directory (empty = in-memory corpus, restart loses everything)")
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy with -data: always (fsync before acknowledging each mutation) or interval")
 	fs.DurationVar(&cfg.fsyncEvery, "fsync-interval", 100*time.Millisecond, "fsync period of -fsync interval")
@@ -178,6 +181,9 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.slowQuery < 0 {
 		return cfg, fmt.Errorf("-slow-query = %v must be non-negative", cfg.slowQuery)
+	}
+	if cfg.timeout > 0 && (cfg.shards > 1 || cfg.coordinator != "") {
+		return cfg, fmt.Errorf("-timeout applies to a single node only; in a cluster a query is bounded by its timeout_ms and by -shard-timeout")
 	}
 	if cfg.coordinator != "" {
 		if cfg.shards > 1 {

@@ -33,13 +33,15 @@ func TestParseFlagsValidation(t *testing.T) {
 		}
 	}
 	for name, args := range map[string][]string{
-		"bad fsync":            {"-fsync", "sometimes"},
-		"bad fsync interval":   {"-fsync-interval", "0s"},
-		"bad grace":            {"-shutdown-grace", "-1s"},
-		"bad shards":           {"-shards", "0"},
-		"bad shard timeout":    {"-shard-timeout", "-1s"},
-		"coordinator + shards": {"-coordinator", "http://localhost:1", "-shards", "2"},
-		"coordinator + data":   {"-coordinator", "http://localhost:1", "-data", "/tmp/x"},
+		"bad fsync":             {"-fsync", "sometimes"},
+		"bad fsync interval":    {"-fsync-interval", "0s"},
+		"bad grace":             {"-shutdown-grace", "-1s"},
+		"bad shards":            {"-shards", "0"},
+		"bad shard timeout":     {"-shard-timeout", "-1s"},
+		"coordinator + shards":  {"-coordinator", "http://localhost:1", "-shards", "2"},
+		"coordinator + data":    {"-coordinator", "http://localhost:1", "-data", "/tmp/x"},
+		"shards + timeout":      {"-shards", "2", "-timeout", "2s"},
+		"coordinator + timeout": {"-coordinator", "http://localhost:1", "-timeout", "2s"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("%s (%v): expected an error", name, args)

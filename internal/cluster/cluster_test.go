@@ -263,45 +263,30 @@ func TestCoordinatorBoundPropagationReducesRefines(t *testing.T) {
 	}
 }
 
-// TestDisableBoundPropagationOption drives the same shards through two
-// coordinators — one propagating the shared cut, one with
-// DisableBoundPropagation — and checks the knob changes only the work
-// done, never the answer. (The strict fewer-refines guarantee is pinned
-// deterministically above; here the shards run concurrently, so the
-// disabled arm is only required not to do less work.)
-func TestDisableBoundPropagationOption(t *testing.T) {
-	co, servers := localCluster(t, 4, Options{})
-	ingest(t, co, 160, 48)
-	coNo := New(co.Shards(), Options{DisableBoundPropagation: true})
+// TestSharedBoundAnswersLikeSingleNode drives four shards through the
+// coordinator, which shares one pruning cut among them, and holds the answer
+// to a single node's over the same series: the cut prunes work, never
+// results. (That sharing it prunes strictly more than private cuts is pinned
+// deterministically above.)
+func TestSharedBoundAnswersLikeSingleNode(t *testing.T) {
+	const nSeries, length = 160, 48
+	co, _ := localCluster(t, 4, Options{})
+	ingest(t, co, nSeries, length)
+	single := singleNode(t, nSeries, length)
 
 	ctx := context.Background()
-	req := server.QueryRequest{Measure: "euclidean", Type: "topk", K: 5, Series: seriesPtr(48, 501)}
-	completed := func() int64 {
-		var n int64
-		for _, srv := range servers {
-			for _, ms := range srv.Stats().Measures {
-				n += ms.Completed
-			}
-		}
-		return n
-	}
-
-	prop, err := co.Query(ctx, req)
+	req := server.QueryRequest{Measure: "euclidean", Type: "topk", K: 5, Series: seriesPtr(length, 501)}
+	got, err := co.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterProp := completed()
-	noProp, err := coNo.Query(ctx, req)
+	want, err := single.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutProp := completed() - afterProp
-
-	if !reflect.DeepEqual(prop, noProp) {
-		t.Fatalf("DisableBoundPropagation changed the answer:\n with %+v\n without %+v", prop, noProp)
-	}
-	if withoutProp < afterProp {
-		t.Fatalf("private bounds completed %d refinements, shared bound %d — disabling propagation cannot prune more", withoutProp, afterProp)
+	got.Epoch, want.Epoch = 0, 0
+	if !reflect.DeepEqual(got.QueryResponse, *want) {
+		t.Fatalf("the shared cut changed the answer:\n cluster %+v\n single  %+v", got.QueryResponse, *want)
 	}
 }
 

@@ -22,14 +22,6 @@ type Options struct {
 	// response carries qerr.ErrShardTimeout in its per-shard detail.
 	ShardTimeout time.Duration
 
-	// DisableBoundPropagation gives every shard its own private pruning
-	// cut instead of the shared global one. Answers are identical either
-	// way (the cut only prunes work, never results); shards just complete
-	// more full refines. The knob exists so tests can A/B the propagation
-	// gain through the exact production code path — leave it off when
-	// serving.
-	DisableBoundPropagation bool
-
 	// Tracer receives the coordinator's finished query traces (nil = the
 	// process-wide telemetry.DefaultTracer).
 	Tracer *telemetry.Tracer
@@ -113,6 +105,9 @@ func (c *Coordinator) Query(ctx context.Context, req server.QueryRequest) (*Resp
 	if req.Offset < 0 || req.Limit < 0 {
 		return nil, qerr.BadRequestf("offset and limit must be non-negative")
 	}
+	if req.TimeoutMS < 0 {
+		return nil, qerr.BadRequestf("timeout_ms must be non-negative")
+	}
 
 	// Shards answer unwindowed (the offset/limit window is defined on the
 	// globally merged ordering) and without their own deadline (the
@@ -157,20 +152,11 @@ func (c *Coordinator) Query(ctx context.Context, req server.QueryRequest) (*Resp
 			if homeShard >= 0 && i != homeShard {
 				sreq = fwdReq
 			}
-			sbnd, spbnd := bnd, pbnd
-			if c.opts.DisableBoundPropagation {
-				if sbnd != nil {
-					sbnd = engine.NewBound()
-				}
-				if spbnd != nil {
-					spbnd = engine.NewProbBound()
-				}
-			}
 			sctx, cancel := c.shardContext(ctx)
 			defer cancel()
 			sp := tr.Start("scatter:" + sh.Name())
 			start := time.Now()
-			res, err := sh.Query(sctx, sreq, sbnd, spbnd)
+			res, err := sh.Query(sctx, sreq, bnd, pbnd)
 			scatterDuration.With(sh.Name()).Observe(time.Since(start).Seconds())
 			sp.EndErr(err)
 			if err != nil {

@@ -13,6 +13,68 @@ import (
 	"uncertts/internal/server"
 )
 
+// TestRoutesCheckMethods is the routing contract of both tiers, route by
+// route: the mux checks the method, so a request with another one answers
+// 405 with an Allow header naming the method that works, and a request with
+// that method reaches its handler.
+func TestRoutesCheckMethods(t *testing.T) {
+	co, servers := localCluster(t, 1, Options{})
+	handlers := map[string]http.Handler{"server": servers[0].Handler(), "coordinator": co.Handler()}
+	for _, tc := range []struct {
+		handler, method, path string
+	}{
+		{"server", "POST", "/query"},
+		{"server", "POST", "/query/stream"},
+		{"server", "POST", "/series"},
+		{"server", "GET", "/stats"},
+		{"server", "GET", "/healthz"},
+		{"server", "GET", "/metrics"},
+		{"server", "GET", "/debug/trace"},
+		{"server", "POST", "/admin/checkpoint"},
+		{"server", "POST", "/cluster/query"},
+		{"server", "POST", "/cluster/bound"},
+		{"server", "GET", "/cluster/series"},
+		{"server", "GET", "/cluster/info"},
+		{"coordinator", "POST", "/query"},
+		{"coordinator", "POST", "/series"},
+		{"coordinator", "GET", "/stats"},
+		{"coordinator", "GET", "/healthz"},
+		{"coordinator", "GET", "/metrics"},
+		{"coordinator", "GET", "/debug/trace"},
+	} {
+		wrong, allow := "GET", "POST"
+		if tc.method == "GET" {
+			wrong, allow = "POST", "GET, HEAD"
+		}
+		h := handlers[tc.handler]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(wrong, tc.path, strings.NewReader("{}")))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != allow {
+			t.Errorf("%s: %s %s answered %d, Allow %q; want 405, Allow %q", tc.handler, wrong, tc.path, rec.Code, rec.Header().Get("Allow"), allow)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}")))
+		if rec.Code == http.StatusMethodNotAllowed || rec.Code == http.StatusNotFound {
+			t.Errorf("%s: %s %s answered %d, want it routed to its handler", tc.handler, tc.method, tc.path, rec.Code)
+		}
+	}
+}
+
+// TestUnknownDeleteAnswers404: deleting an ID no series carries is 404 through
+// a single node's /series and through an in-process coordinator's, whose
+// shard reports the corpus' qerr.ErrNotFound with no HTTP status of its own.
+func TestUnknownDeleteAnswers404(t *testing.T) {
+	co, _ := localCluster(t, 2, Options{})
+	ingest(t, co, 4, 16)
+	for name, h := range map[string]http.Handler{"single node": singleNode(t, 4, 16).Handler(), "coordinator": co.Handler()} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/series", strings.NewReader(`{"delete":[99]}`)))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s: deleting an unknown ID answered %d (%s), want 404", name, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 // TestUnrepresentableAnswerIsATypedError is the coordinator's side of
 // internal/server's TestUnrepresentableAnswersAreTypedErrors: the
 // Euclidean distances between series of +-1e160 overflow to +Inf, the

@@ -283,7 +283,7 @@ func (h *HTTPShard) pushBound(ctx context.Context, rec server.ClusterBoundJSON) 
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if resp.StatusCode == http.StatusNoContent {
 		boundPushes.Inc()
 	}
 }

@@ -34,16 +34,62 @@ func sameAnswer(a, b server.QueryResponse) error {
 	return nil
 }
 
+// scanAnswer is the reference answer to req: the linear scan of an
+// engine.Options.NoIndex engine (no tier 0) over the corpus of srv, with
+// positions rendered as stable IDs.
+func scanAnswer(t *testing.T, srv *server.Server, req server.QueryRequest) server.QueryResponse {
+	t.Helper()
+	snap := srv.Corpus().Snapshot()
+	m, err := engine.ParseMeasure(req.Measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, err := engine.ParseKind(req.Type)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.NewFromSnapshot(snap, engine.Options{Measure: m, NoIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ereq := engine.Request{Measure: m, Kind: kind, K: req.K, Eps: req.Eps, Tau: req.Tau, Workers: req.Workers}
+	if req.ID != nil {
+		pos, ok := snap.PosOf(*req.ID)
+		if !ok {
+			t.Fatalf("no series with ID %d", *req.ID)
+		}
+		ereq.Index = &pos
+	} else {
+		ereq.AdHoc = &engine.Query{Values: req.Series.Values, Sigma: req.Series.Sigma, Samples: req.Series.Samples}
+	}
+	res, err := e.Run(context.Background(), ereq)
+	if err != nil {
+		t.Fatalf("%s/%s NoIndex scan: %v", req.Measure, req.Type, err)
+	}
+	out := server.QueryResponse{Total: res.Total}
+	for _, n := range res.Neighbors {
+		out.Neighbors = append(out.Neighbors, server.NeighborJSON{ID: snap.IDAt(n.ID), Distance: n.Distance})
+	}
+	for _, pm := range res.Matches {
+		out.Matches = append(out.Matches, server.MatchJSON{ID: snap.IDAt(pm.ID), Prob: pm.Prob})
+	}
+	for _, pos := range res.IDs {
+		out.IDs = append(out.IDs, snap.IDAt(pos))
+	}
+	return out
+}
+
 // TestTier0DifferentialParity runs every lock-step measure x kind, by
 // resident id and ad hoc, with one and four workers, through in-process
-// clusters of one and two shards — once with tier 0 live (every shard is
-// past the engine's default index threshold, which the server does not
-// expose) and once with NoIndex — over dense snapshots and again after
-// interior deletes left the shards reading their arenas through the row
-// index. Answers must agree bit
-// for bit, and the tier-0 side's accounting must stay coherent: every series
-// but the query itself is either a candidate or skipped by the index, and no
-// bucket of the tree is touched.
+// clusters of one and two shards with tier 0 live (every shard is past the
+// engine's default index threshold, which the server does not expose), and
+// holds each answer to the NoIndex scan of a single corpus that holds the
+// same series in the same order (so under the same stable IDs) — over dense
+// snapshots and again after interior deletes left the shards reading their
+// arenas through the row index. Answers must agree bit for bit, and the
+// tier-0 side's accounting must stay coherent: every series but the query
+// itself is either a candidate or skipped by the index, and no bucket of the
+// tree is touched.
 func TestTier0DifferentialParity(t *testing.T) {
 	const nSeries, length = 2400, 40 // ragged coarse spans: 40 = 16 x 2.5
 	ctx := context.Background()
@@ -59,19 +105,9 @@ func TestTier0DifferentialParity(t *testing.T) {
 	}
 	for _, nShards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
-			build := func(noIndex bool) (*Coordinator, []*server.Server) {
-				shards := make([]Shard, nShards)
-				servers := make([]*server.Server, nShards)
-				for i := range shards {
-					servers[i] = server.New(newShardServer(t).Corpus(), server.Options{NoIndex: noIndex})
-					shards[i] = NewLocal(shardName(i), servers[i])
-				}
-				co := New(shards, Options{})
-				ingest(t, co, nSeries, length)
-				return co, servers
-			}
-			on, onServers := build(false)
-			off, _ := build(true)
+			on, onServers := localCluster(t, nShards, Options{})
+			ingest(t, on, nSeries, length)
+			single := singleNode(t, nSeries, length)
 			for _, srv := range onServers {
 				if n := srv.Corpus().Len(); n < 1024 {
 					t.Fatalf("a shard holds %d series, under the index threshold: tier 0 would not engage", n)
@@ -81,10 +117,7 @@ func TestTier0DifferentialParity(t *testing.T) {
 			// eps: the 10th-nearest Euclidean distance of the probe query,
 			// so the range kinds return about ten series.
 			probe := 7
-			nn, err := off.Query(ctx, server.QueryRequest{Measure: "euclidean", Type: "topk", K: 10, ID: &probe})
-			if err != nil {
-				t.Fatal(err)
-			}
+			nn := scanAnswer(t, single, server.QueryRequest{Measure: "euclidean", Type: "topk", K: 10, ID: &probe})
 			eps := nn.Neighbors[len(nn.Neighbors)-1].Distance
 
 			stats := func(measure string) engine.Stats {
@@ -119,11 +152,7 @@ func TestTier0DifferentialParity(t *testing.T) {
 								t.Fatalf("%s: tier 0: %v", name, err)
 							}
 							after := stats(req.Measure)
-							want, err := off.Query(ctx, req)
-							if err != nil {
-								t.Fatalf("%s: NoIndex: %v", name, err)
-							}
-							if err := sameAnswer(got.QueryResponse, want.QueryResponse); err != nil {
+							if err := sameAnswer(got.QueryResponse, scanAnswer(t, single, req)); err != nil {
 								t.Errorf("%s: tier 0 answer differs from NoIndex: %v", name, err)
 							}
 							if seen := (after.Candidates - before.Candidates) + (after.SeriesSkippedByIndex - before.SeriesSkippedByIndex); seen != int64(resident-self) {
@@ -153,10 +182,11 @@ func TestTier0DifferentialParity(t *testing.T) {
 					del = append(del, id)
 				}
 			}
-			for _, co := range []*Coordinator{on, off} {
-				if _, err := co.Mutate(ctx, server.SeriesRequest{Delete: del}); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := on.Mutate(ctx, server.SeriesRequest{Delete: del}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := single.Mutate(server.SeriesRequest{Delete: del}); err != nil {
+				t.Fatal(err)
 			}
 			for i, srv := range onServers {
 				if _, dense := srv.Corpus().Snapshot().Columns(); dense {

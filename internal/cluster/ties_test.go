@@ -25,77 +25,95 @@ import (
 // tie can only be broken by ID, on the shard and again at the coordinator's
 // merge, and a cut that is a hair too tight drops the tied candidates it
 // should keep. Answers must be the lowest IDs of the group in ascending
-// order, with and without the shared Bound/ProbBound injected into the
-// shards, at shard counts 1 and 2.
+// order, from clusters of 1 and 2 shards sharing the Bound/ProbBound the
+// coordinator injects, and from a single node, the reference.
 func TestTiesAcrossKthPlaceComeBackInIDOrder(t *testing.T) {
 	const length, dups, k = 32, 6, 3
 	ctx := context.Background()
 	base := testSeries(length, 7)
-	for _, nShards := range []int{1, 2} {
-		for _, shared := range []bool{true, false} {
-			t.Run(fmt.Sprintf("shards=%d/shared-bound=%v", nShards, shared), func(t *testing.T) {
-				co, _ := localCluster(t, nShards, Options{DisableBoundPropagation: !shared})
-				req := server.SeriesRequest{}
-				for i := 0; i < dups; i++ {
-					req.Insert = append(req.Insert, base)
-				}
-				for i := 0; i < 10; i++ {
-					req.Insert = append(req.Insert, testSeries(length, int64(100+i)))
-				}
-				resp, err := co.Mutate(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				group := resp.IDs[:dups] // ascending: the allocator is monotone
+	ins := server.SeriesRequest{}
+	for i := 0; i < dups; i++ {
+		ins.Insert = append(ins.Insert, base)
+	}
+	for i := 0; i < 10; i++ {
+		ins.Insert = append(ins.Insert, testSeries(length, int64(100+i)))
+	}
 
-				for _, q := range []server.QueryRequest{
-					{Measure: "euclidean", Type: "topk", K: k},
-					{Measure: "dtw", Type: "topk", K: k},
-					{Measure: "dust", Type: "topk", K: k},
-					{Measure: "proud", Type: "probtopk", Eps: 2, K: k},
-					{Measure: "munich", Type: "probtopk", Eps: 1, K: k}, // identical sample sets: about 0.56
-				} {
-					for _, byID := range []bool{false, true} {
-						want := group[:k]
-						if byID {
-							q.ID, q.Series = &group[0], nil
-							want = group[1 : k+1] // the query series itself is excluded
-						} else {
-							q.ID, q.Series = nil, &base
-						}
-						name := fmt.Sprintf("%s/%s/by-id=%v", q.Measure, q.Type, byID)
-						got, err := co.Query(ctx, q)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						var ids []int
-						var keys []float64
-						for _, n := range got.Neighbors {
-							ids, keys = append(ids, n.ID), append(keys, n.Distance)
-						}
-						for _, m := range got.Matches {
-							ids, keys = append(ids, m.ID), append(keys, m.Prob)
-						}
-						if fmt.Sprint(ids) != fmt.Sprint(want) {
-							t.Errorf("%s: ids %v, want %v (keys %v)", name, ids, want, keys)
-							continue
-						}
-						for _, key := range keys {
-							if math.Float64bits(key) != math.Float64bits(keys[0]) {
-								t.Errorf("%s: the answer is not one tie group: keys %v", name, keys)
-							}
-						}
-						if q.Type == "topk" && keys[0] != 0 {
-							t.Errorf("%s: duplicates at distance %v, want 0", name, keys[0])
-						}
-						if q.Type == "probtopk" && (keys[0] <= 0 || keys[0] >= 1) {
-							t.Errorf("%s: tie probability %v is degenerate; the case proves nothing about ranking", name, keys[0])
-						}
+	// check poses every tie query to one arm, whose ingest of ins assigned
+	// ids.
+	check := func(t *testing.T, ids []int, query func(server.QueryRequest) (*server.QueryResponse, error)) {
+		group := ids[:dups] // ascending: the allocator is monotone
+		for _, q := range []server.QueryRequest{
+			{Measure: "euclidean", Type: "topk", K: k},
+			{Measure: "dtw", Type: "topk", K: k},
+			{Measure: "dust", Type: "topk", K: k},
+			{Measure: "proud", Type: "probtopk", Eps: 2, K: k},
+			{Measure: "munich", Type: "probtopk", Eps: 1, K: k}, // identical sample sets: about 0.56
+		} {
+			for _, byID := range []bool{false, true} {
+				want := group[:k]
+				if byID {
+					q.ID, q.Series = &group[0], nil
+					want = group[1 : k+1] // the query series itself is excluded
+				} else {
+					q.ID, q.Series = nil, &base
+				}
+				name := fmt.Sprintf("%s/%s/by-id=%v", q.Measure, q.Type, byID)
+				got, err := query(q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var ids []int
+				var keys []float64
+				for _, n := range got.Neighbors {
+					ids, keys = append(ids, n.ID), append(keys, n.Distance)
+				}
+				for _, m := range got.Matches {
+					ids, keys = append(ids, m.ID), append(keys, m.Prob)
+				}
+				if fmt.Sprint(ids) != fmt.Sprint(want) {
+					t.Errorf("%s: ids %v, want %v (keys %v)", name, ids, want, keys)
+					continue
+				}
+				for _, key := range keys {
+					if math.Float64bits(key) != math.Float64bits(keys[0]) {
+						t.Errorf("%s: the answer is not one tie group: keys %v", name, keys)
 					}
 				}
-			})
+				if q.Type == "topk" && keys[0] != 0 {
+					t.Errorf("%s: duplicates at distance %v, want 0", name, keys[0])
+				}
+				if q.Type == "probtopk" && (keys[0] <= 0 || keys[0] >= 1) {
+					t.Errorf("%s: tie probability %v is degenerate; the case proves nothing about ranking", name, keys[0])
+				}
+			}
 		}
 	}
+
+	for _, nShards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d/shared-bound=true", nShards), func(t *testing.T) {
+			co, _ := localCluster(t, nShards, Options{})
+			resp, err := co.Mutate(ctx, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, resp.IDs, func(q server.QueryRequest) (*server.QueryResponse, error) {
+				got, err := co.Query(ctx, q)
+				if err != nil {
+					return nil, err
+				}
+				return &got.QueryResponse, nil
+			})
+		})
+	}
+	t.Run("single-node", func(t *testing.T) {
+		srv := newShardServer(t)
+		resp, err := srv.Mutate(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, resp.IDs, func(q server.QueryRequest) (*server.QueryResponse, error) { return srv.Run(ctx, q) })
+	})
 }
 
 // TestClusterQueryBoundRecordsOnTheWire reads a shard's /cluster/query NDJSON

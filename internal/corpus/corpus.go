@@ -41,6 +41,7 @@ import (
 	"uncertts/internal/dust"
 	"uncertts/internal/munich"
 	"uncertts/internal/proud"
+	"uncertts/internal/qerr"
 	"uncertts/internal/sketch"
 	"uncertts/internal/stats"
 	"uncertts/internal/timeseries"
@@ -295,7 +296,8 @@ func (c *Corpus) Delete(ids ...int) error {
 // either the whole batch lands in a single published snapshot, or nothing
 // changes. It returns the IDs of the inserted series in input order.
 // Deleting an unknown ID (including an ID only just inserted by the same
-// call) is an error that aborts the entire mutation.
+// call) is an error wrapping qerr.ErrNotFound that aborts the entire
+// mutation.
 func (c *Corpus) Apply(insert []Series, deleteIDs []int) ([]int, error) {
 	if len(insert) == 0 && len(deleteIDs) == 0 {
 		return nil, nil
@@ -367,7 +369,7 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 	drop := make(map[int]bool, len(deleteIDs))
 	for _, id := range deleteIDs {
 		if _, ok := old.PosOf(id); !ok {
-			return nil, fmt.Errorf("corpus: no series with ID %d", id)
+			return nil, fmt.Errorf("corpus: %w %d", qerr.ErrNotFound, id)
 		}
 		drop[id] = true
 	}

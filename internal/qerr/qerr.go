@@ -2,13 +2,14 @@
 // Every error the declarative query API (engine.Run and the HTTP server
 // built on it) returns wraps exactly one of these sentinels, so callers
 // classify failures with errors.Is instead of matching message strings,
-// and the server maps them to HTTP status codes mechanically.
+// and the serving tier maps them to HTTP status codes mechanically (Status).
 package qerr
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 )
 
 var (
@@ -19,6 +20,10 @@ var (
 	// k < 1, tau outside the measure's domain, a query kind the measure
 	// does not serve, and so on. The wrapped message names the field.
 	ErrBadRequest = errors.New("bad request")
+	// ErrNotFound marks a stable series ID that no resident series carries:
+	// a query's target, a deletion, a shard's series fetch. Its text is the
+	// stem of the message; wrap it as fmt.Errorf("%w %d", ErrNotFound, id).
+	ErrNotFound = errors.New("no series with ID")
 	// ErrLengthMismatch marks an ad-hoc query series whose geometry does
 	// not match the corpus (values, error model or sample model length).
 	ErrLengthMismatch = errors.New("length mismatch")
@@ -71,6 +76,25 @@ func Cancelled(cause error) error {
 		cause = context.Canceled
 	}
 	return fmt.Errorf("%w: %w", ErrCancelled, cause)
+}
+
+// Status maps err to the HTTP status the serving tier answers it with: an
+// unknown ID 404, an expired deadline 504 (a slow shard's too), the client
+// gone 499 (the nginx convention: nobody reads the answer), an unreachable
+// shard 502, and everything else, validation, 400.
+func Status(err error) int {
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, ErrShardUnreachable):
+		return http.StatusBadGateway
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrShardTimeout):
+		return http.StatusGatewayTimeout
+	case IsCancellation(err):
+		return 499
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 // IsCancellation reports whether err stems from context cancellation or an

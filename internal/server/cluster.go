@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,7 +10,7 @@ import (
 	"time"
 
 	"uncertts/internal/engine"
-	"uncertts/internal/telemetry"
+	"uncertts/internal/qerr"
 )
 
 // The shard-side cluster surface. A server doubles as one shard of a
@@ -129,17 +128,14 @@ func (r *boundRegistry) lookup(token string) *boundPair {
 // coordinate through bnd/pbnd (when non-nil) instead of a private bound.
 // In-process cluster shards answer through it — every shard's engine
 // lowers and reads the same atomic, so propagation needs no transport.
-func (s *Server) RunBound(ctx context.Context, req QueryRequest, bnd *engine.Bound, pbnd *engine.ProbBound) (resp *QueryResponse, err error) {
-	done := track(req)
-	defer func() { done(err) }()
-	sp := telemetry.TraceFrom(ctx).Start("parse")
-	e, snap, ereq, err := s.plan(req)
-	sp.EndErr(err)
+func (s *Server) RunBound(ctx context.Context, req QueryRequest, bnd *engine.Bound, pbnd *engine.ProbBound) (*QueryResponse, error) {
+	e, snap, ereq, done, err := s.start(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	ereq.Bound, ereq.ProbBound = bnd, pbnd
 	res, err := e.Run(ctx, ereq)
+	done(err)
 	if err != nil {
 		return nil, err
 	}
@@ -155,39 +151,20 @@ const boundPollInterval = 2 * time.Millisecond
 // handleClusterQuery serves POST /cluster/query: the scatter leg of a
 // coordinator's query. The NDJSON response interleaves ClusterBoundJSON
 // records (whenever this shard's own cut tightens) with StreamItemJSON
-// records, then closes with a ClusterDoneJSON. Failures before the first
-// record are plain HTTP errors; mid-stream failures terminate the body
-// with an {"error": ...} record.
+// records, then closes with a ClusterDoneJSON; it ends as ndjson.fail says.
+// The leg adopts the coordinator's trace ID from the request header, so the
+// shard's own ring holds this query's spans under the ID the coordinator
+// (and the client) quote: one ID pulls the cross-shard picture from every
+// /debug/trace it touched.
 func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ClusterQueryRequest
-	if !DecodeBody(w, r, &req) {
+	ctx, end, ok := OpenQuery(w, r, &req, s.tracer, "cluster_query", s.opts.DefaultTimeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := s.queryContext(r.Context(), req.QueryRequest)
-	defer cancel()
-	// Adopt the coordinator's trace ID from the request header: the shard's
-	// own ring then holds this query's spans under the same ID the
-	// coordinator (and the client) quote, so one ID pulls the full
-	// cross-shard picture from every /debug/trace it touched.
-	tr := s.tracer.StartTrace(r.Header.Get(telemetry.TraceHeader), "cluster_query")
-	tr.SetQuery(queryLabels(req.QueryRequest))
-	w.Header().Set(telemetry.TraceHeader, tr.ID())
-	ctx = telemetry.WithTrace(ctx, tr)
-	done := track(req.QueryRequest)
-	finish := func(err error) {
-		done(err)
-		tr.Fail(err)
-		s.tracer.Finish(tr)
-	}
-	sp := telemetry.TraceFrom(ctx).Start("parse")
-	e, snap, ereq, err := s.plan(req.QueryRequest)
-	sp.EndErr(err)
+	e, snap, ereq, done, err := s.start(ctx, req.QueryRequest)
 	if err != nil {
-		finish(err)
+		end(err)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
@@ -206,22 +183,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		s.bounds.register(req.BoundToken, &boundPair{bnd: bnd, pbnd: pbnd})
 		defer s.bounds.unregister(req.BoundToken)
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var writeMu sync.Mutex
-	enc := json.NewEncoder(w)
-	write := func(v interface{}) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
+	out := newNDJSON(w, snap, ereq.Kind)
 
 	// Report this shard's cut as it tightens, so the coordinator can relay
 	// it to the other shards while this scan is still running.
@@ -243,49 +205,31 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 				if ereq.Kind == engine.KindTopK {
 					if v := bnd.Squared(); v < lastSq {
 						lastSq = v
-						_ = write(ClusterBoundJSON{BoundSq: &v})
+						_ = out.write(ClusterBoundJSON{BoundSq: &v})
 					}
 				} else {
 					if v := pbnd.Value(); v > lastP {
 						lastP = v
-						_ = write(ClusterBoundJSON{ProbBound: &v})
+						_ = out.write(ClusterBoundJSON{ProbBound: &v})
 					}
 				}
 			}
 		}()
 	}
 
-	streamed := 0
-	emit := func(it engine.Item) error {
-		rec := StreamItemJSON{ID: snap.IDAt(it.ID)}
-		switch ereq.Kind {
-		case engine.KindTopK, engine.KindRange:
-			d := it.Distance
-			rec.Distance = &d
-		case engine.KindProbTopK:
-			p := it.Prob
-			rec.Prob = &p
-		}
-		streamed++
-		return write(rec)
-	}
-	_, err = e.RunStream(ctx, ereq, emit)
+	_, err = e.RunStream(ctx, ereq, out.item)
 	close(pollDone)
 	pollWG.Wait()
-	finish(err)
-	if err != nil {
-		if streamed == 0 {
-			http.Error(w, err.Error(), statusFor(err))
-			return
-		}
-		_ = write(map[string]string{"error": err.Error()})
+	done(err)
+	end(err)
+	if out.fail(err) {
 		return
 	}
-	_ = write(ClusterDoneJSON{
+	_ = out.write(ClusterDoneJSON{
 		Done:  true,
 		Epoch: snap.Epoch(),
-		Total: streamed,
-		Stats: s.statsFor(ereq.Measure),
+		Total: out.items,
+		Stats: s.measureStats()[ereq.Measure.String()],
 	})
 }
 
@@ -294,10 +238,6 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 // no-op 204 — the query the bound was meant for has already drained, and
 // racing a retry against completion must not fail the coordinator.
 func (s *Server) handleClusterBound(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var rec ClusterBoundJSON
 	if !DecodeBody(w, r, &rec) {
 		return
@@ -326,7 +266,7 @@ func (s *Server) FetchSeries(id int) (*ClusterSeriesJSON, error) {
 	snap := s.c.Snapshot()
 	pos, ok := snap.PosOf(id)
 	if !ok {
-		return nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("no series with ID %d", id)}
+		return nil, fmt.Errorf("%w %d", qerr.ErrNotFound, id)
 	}
 	ent := snap.Entry(pos)
 	sj := SeriesJSON{Values: ent.PDF.Observations, Label: ent.PDF.Label}
@@ -350,10 +290,6 @@ func (s *Server) FetchSeries(id int) (*ClusterSeriesJSON, error) {
 
 // handleClusterSeries serves GET /cluster/series?id=N.
 func (s *Server) handleClusterSeries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	id, err := strconv.Atoi(r.URL.Query().Get("id"))
 	if err != nil {
 		http.Error(w, "id must be an integer", http.StatusBadRequest)
@@ -383,9 +319,5 @@ func (s *Server) Info() ClusterInfoJSON {
 
 // handleClusterInfo serves GET /cluster/info.
 func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	WriteJSON(w, s.Info())
 }

@@ -11,13 +11,17 @@
 //	POST /series        ingestion and deletion;
 //	GET  /stats         corpus and per-measure engine accounting.
 //
-// Every query parses straight into one declarative engine.Request and
-// executes through Engine.Run under the HTTP request's context: a client
-// that hangs up cancels its query (the executor drains promptly), and a
-// per-request timeout_ms field bounds the work server-side. Failures are
-// typed — the engine returns qerr sentinels, which map mechanically to
-// HTTP status codes (400 for validation, 404 for unknown IDs, 504 for
-// expired deadlines).
+// Routes are registered with their methods ("POST /query", "GET /stats"):
+// any other method gets the mux's 405, with an Allow header.
+//
+// Every query endpoint, the cluster coordinator's /query too, opens its query
+// through OpenQuery, under the HTTP request's context: a client that hangs up
+// cancels its query (the executor drains promptly), and timeout_ms, else
+// Options.DefaultTimeout, bounds the work server-side. Each query parses
+// straight into one declarative engine.Request and executes through
+// Engine.Run. Failures are typed — qerr sentinels, which map mechanically to
+// HTTP status codes (qerr.Status: 400 for validation, 404 for unknown IDs,
+// 504 for expired deadlines).
 //
 // Requests execute on the engine's work-stealing executor with a
 // per-request worker budget, against whatever corpus snapshot is current
@@ -44,7 +48,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -72,10 +75,6 @@ type Options struct {
 	// MUNICH sets the bin count of the convolution MUNICH engines refine
 	// with (uncertserve -munich-bins).
 	MUNICH munich.Options
-	// NoIndex forces every engine onto the linear scan path, without tier 0
-	// or DTW's sketch-row bound (engine.Options.NoIndex): the reference arm
-	// of the prefilter parity tests.
-	NoIndex bool
 	// Store optionally attaches the durability engine behind the corpus:
 	// /healthz then reports WAL and checkpoint state, and POST
 	// /admin/checkpoint triggers a checkpoint + WAL compaction on demand.
@@ -143,18 +142,18 @@ func (s *Server) Corpus() *corpus.Corpus { return s.c }
 // and /stats.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/query/stream", s.handleQueryStream)
-	mux.HandleFunc("/series", s.handleSeries)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/metrics", telemetry.Handler())
-	mux.HandleFunc("/debug/trace", s.tracer.HandleDebugTrace)
-	mux.HandleFunc("/admin/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("/cluster/query", s.handleClusterQuery)
-	mux.HandleFunc("/cluster/bound", s.handleClusterBound)
-	mux.HandleFunc("/cluster/series", s.handleClusterSeries)
-	mux.HandleFunc("/cluster/info", s.handleClusterInfo)
+	mux.HandleFunc("POST /query", s.handleQuery)
+	mux.HandleFunc("POST /query/stream", s.handleQueryStream)
+	mux.HandleFunc("POST /series", s.handleSeries)
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.Handle("GET /metrics", telemetry.Handler())
+	mux.HandleFunc("GET /debug/trace", s.tracer.HandleDebugTrace)
+	mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("POST /cluster/query", s.handleClusterQuery)
+	mux.HandleFunc("POST /cluster/bound", s.handleClusterBound)
+	mux.HandleFunc("GET /cluster/series", s.handleClusterSeries)
+	mux.HandleFunc("GET /cluster/info", s.handleClusterInfo)
 	return mux
 }
 
@@ -177,7 +176,6 @@ func (s *Server) engineFor(m engine.Measure) (*engine.Engine, error) {
 	e, err := engine.NewFromSnapshot(snap, engine.Options{
 		Measure: m,
 		MUNICH:  s.opts.MUNICH,
-		NoIndex: s.opts.NoIndex,
 	})
 	if err != nil {
 		return nil, err
@@ -204,7 +202,8 @@ func (me *measureEngines) cumulative() engine.Stats {
 	return st
 }
 
-// measureStats returns the cumulative counters for every measure.
+// measureStats returns the cumulative counters for every measure, keyed by
+// name: what /stats reports, and what a stream's done record quotes.
 func (s *Server) measureStats() map[string]engine.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,63 +315,46 @@ func badRequest(format string, args ...interface{}) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// statusFor maps an error from the query path to its HTTP status: the
-// qerr sentinels carry the classification (validation 400, expired
-// deadline 504, client-side cancellation 499 — the nginx convention, the
-// client is gone anyway), and explicit httpErrors (404 for unknown IDs)
-// pass through.
+// statusFor maps an error from the server to its HTTP status: explicit
+// httpErrors pass through, the qerr sentinels map by qerr.Status.
 func statusFor(err error) int {
 	var he *httpError
-	switch {
-	case errors.As(err, &he):
+	if errors.As(err, &he) {
 		return he.status
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case qerr.IsCancellation(err):
-		return 499
-	default:
-		return http.StatusBadRequest
 	}
+	return qerr.Status(err)
 }
 
-// StatusFor is the exported form of statusFor: the cluster coordinator
-// reuses the server's error-to-status mapping for its own handler, so a
-// shard-side 404 or 400 surfaces identically through either tier.
-func StatusFor(err error) int { return statusFor(err) }
+// query returns the query a body carries: the body itself, or the query a
+// /cluster/query leg wraps (ClusterQueryRequest promotes this method).
+func (req *QueryRequest) query() *QueryRequest { return req }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+// OpenQuery is the prelude of every query endpoint, the coordinator's too. It
+// decodes the body (false: it has answered 413 or 400) and returns the
+// query's context — the HTTP request's, bounded by the body's timeout_ms or
+// else timeout (0 = none) — carrying its trace: the caller's trace ID or a
+// fresh one, under op and the query's labels, named in the response header
+// and never in the body. end records the query's error on the trace, hands
+// the trace to tracer and releases the context.
+func OpenQuery(w http.ResponseWriter, r *http.Request, body interface{ query() *QueryRequest }, tracer *telemetry.Tracer, op string, timeout time.Duration) (ctx context.Context, end func(error), ok bool) {
+	if !DecodeBody(w, r, body) {
+		return nil, nil, false
 	}
-	var req QueryRequest
-	if !DecodeBody(w, r, &req) {
-		return
-	}
-	// r.Context() is cancelled when the client hangs up, so a dead
-	// connection stops its query; timeout_ms adds the server-side bound.
-	ctx, cancel := s.queryContext(r.Context(), req)
-	defer cancel()
-	// The trace ID travels in a response header, never the JSON body — the
-	// /query answer stays bit-identical whether or not anyone is tracing.
-	tr := s.tracer.StartTrace(r.Header.Get(telemetry.TraceHeader), "query")
-	tr.SetQuery(queryLabels(req))
+	req := body.query()
+	ctx, cancel := withTimeout(r.Context(), *req, timeout)
+	tr := tracer.StartTrace(r.Header.Get(telemetry.TraceHeader), op)
+	tr.SetQuery(queryLabels(*req))
 	w.Header().Set(telemetry.TraceHeader, tr.ID())
-	resp, err := s.Run(telemetry.WithTrace(ctx, tr), req)
-	tr.Fail(err)
-	s.tracer.Finish(tr)
-	if err != nil {
-		http.Error(w, err.Error(), statusFor(err))
-		return
-	}
-	WriteJSON(w, resp)
+	return telemetry.WithTrace(ctx, tr), func(err error) {
+		tr.Fail(err)
+		tracer.Finish(tr)
+		cancel()
+	}, true
 }
 
-// queryContext derives the execution context of one query from the
-// transport context: the request's own timeout_ms first, the server
-// default otherwise.
-func (s *Server) queryContext(parent context.Context, req QueryRequest) (context.Context, context.CancelFunc) {
-	timeout := s.opts.DefaultTimeout
+// withTimeout bounds a query's context by the request's own timeout_ms,
+// else by timeout (0 = no bound).
+func withTimeout(parent context.Context, req QueryRequest, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
@@ -380,6 +362,27 @@ func (s *Server) queryContext(parent context.Context, req QueryRequest) (context
 		return context.WithCancel(parent)
 	}
 	return context.WithTimeout(parent, timeout)
+}
+
+// queryContext is the context this server gives a query: withTimeout under
+// the server's DefaultTimeout.
+func (s *Server) queryContext(parent context.Context, req QueryRequest) (context.Context, context.CancelFunc) {
+	return withTimeout(parent, req, s.opts.DefaultTimeout)
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	ctx, end, ok := OpenQuery(w, r, &req, s.tracer, "query", s.opts.DefaultTimeout)
+	if !ok {
+		return
+	}
+	resp, err := s.Run(ctx, req)
+	end(err)
+	if err != nil {
+		http.Error(w, err.Error(), statusFor(err))
+		return
+	}
+	WriteJSON(w, resp)
 }
 
 // plan resolves a wire request into the engine serving its measure, the
@@ -418,7 +421,7 @@ func (s *Server) plan(req QueryRequest) (*engine.Engine, *corpus.Snapshot, engin
 	case req.ID != nil:
 		pos, ok := snap.PosOf(*req.ID)
 		if !ok {
-			return nil, nil, engine.Request{}, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("no series with ID %d", *req.ID)}
+			return nil, nil, engine.Request{}, fmt.Errorf("%w %d", qerr.ErrNotFound, *req.ID)
 		}
 		ereq.Index = &pos
 	case req.Series != nil:
@@ -439,6 +442,20 @@ func (s *Server) plan(req QueryRequest) (*engine.Engine, *corpus.Snapshot, engin
 // engine.Run.
 func (s *Server) Run(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	return s.RunBound(ctx, req, nil, nil)
+}
+
+// start opens a query's metric window (track) and plans it under its
+// trace's parse span. A query that does not plan closes the window itself;
+// otherwise the caller closes it with done once the query has run.
+func (s *Server) start(ctx context.Context, req QueryRequest) (e *engine.Engine, snap *corpus.Snapshot, ereq engine.Request, done func(error), err error) {
+	done = track(req)
+	sp := telemetry.TraceFrom(ctx).Start("parse")
+	e, snap, ereq, err = s.plan(req)
+	sp.EndErr(err)
+	if err != nil {
+		done(err)
+	}
+	return e, snap, ereq, done, err
 }
 
 // toResponse translates an engine result (snapshot positions) into the
@@ -492,101 +509,107 @@ type StreamDoneJSON struct {
 // confirmed at the merge), then one StreamDoneJSON. The offset/limit
 // window is a /query concern (it is defined on the final sorted answer,
 // which a mid-scan stream does not have yet), so stream requests carrying
-// one are rejected rather than silently unwindowed. Errors before the
-// first record are plain HTTP errors; a failure mid-stream terminates the
-// body with an {"error": ...} record instead of the final done record.
+// one are rejected rather than silently unwindowed. The stream ends as
+// ndjson.fail says.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req QueryRequest
-	if !DecodeBody(w, r, &req) {
+	ctx, end, ok := OpenQuery(w, r, &req, s.tracer, "query_stream", s.opts.DefaultTimeout)
+	if !ok {
 		return
 	}
 	if req.Offset != 0 || req.Limit != 0 {
-		http.Error(w, "offset/limit do not apply to /query/stream (the stream delivers every confirmed match; use /query for pagination)", http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.queryContext(r.Context(), req)
-	defer cancel()
-	tr := s.tracer.StartTrace(r.Header.Get(telemetry.TraceHeader), "query_stream")
-	tr.SetQuery(queryLabels(req))
-	w.Header().Set(telemetry.TraceHeader, tr.ID())
-	ctx = telemetry.WithTrace(ctx, tr)
-	done := track(req)
-	finish := func(err error) {
-		done(err)
-		tr.Fail(err)
-		s.tracer.Finish(tr)
-	}
-	sp := telemetry.TraceFrom(ctx).Start("parse")
-	e, snap, ereq, err := s.plan(req)
-	sp.EndErr(err)
-	if err != nil {
-		finish(err)
+		err := badRequest("offset/limit do not apply to /query/stream (the stream delivers every confirmed match; use /query for pagination)")
+		end(err)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	kind := ereq.Kind
-	streamed := 0
-	emit := func(it engine.Item) error {
-		rec := StreamItemJSON{ID: snap.IDAt(it.ID)}
-		switch kind {
-		case engine.KindTopK, engine.KindRange:
-			d := it.Distance
-			rec.Distance = &d
-		case engine.KindProbTopK:
-			p := it.Prob
-			rec.Prob = &p
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-		streamed++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	if _, err := e.RunStream(ctx, ereq, emit); err != nil {
-		finish(err)
-		if streamed == 0 {
-			http.Error(w, err.Error(), statusFor(err))
-			return
-		}
-		_ = enc.Encode(map[string]string{"error": err.Error()})
+	e, snap, ereq, done, err := s.start(ctx, req)
+	if err != nil {
+		end(err)
+		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	finish(nil)
-	_ = enc.Encode(StreamDoneJSON{
+	out := newNDJSON(w, snap, ereq.Kind)
+	_, err = e.RunStream(ctx, ereq, out.item)
+	done(err)
+	end(err)
+	if out.fail(err) {
+		return
+	}
+	_ = out.write(StreamDoneJSON{
 		Done:    true,
 		Measure: ereq.Measure.String(),
-		Type:    kind.String(),
+		Type:    ereq.Kind.String(),
 		Epoch:   snap.Epoch(),
-		Total:   streamed,
-		Stats:   s.statsFor(ereq.Measure).String(),
+		Total:   out.items,
+		Stats:   s.measureStats()[ereq.Measure.String()].String(),
 	})
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
-// statsFor returns one measure's cumulative counters — the same
-// aggregation /stats reports, so a stream's done record agrees with
-// /stats even across engine rebuilds.
-func (s *Server) statsFor(m engine.Measure) engine.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	me := s.engines[m]
-	if me == nil {
-		return engine.Stats{}
+// ndjson writes one query's NDJSON answer, a flushed record at a time: the one
+// place an engine.Item becomes a wire record, and the one way a stream ends
+// (fail). A /cluster/query leg's bound reports share it with the scan.
+type ndjson struct {
+	w    http.ResponseWriter
+	snap *corpus.Snapshot
+	kind engine.Kind
+
+	mu      sync.Mutex
+	enc     *json.Encoder
+	records int // every record written
+	items   int // of which StreamItemJSON records
+}
+
+func newNDJSON(w http.ResponseWriter, snap *corpus.Snapshot, kind engine.Kind) *ndjson {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	return &ndjson{w: w, snap: snap, kind: kind, enc: json.NewEncoder(w)}
+}
+
+// write encodes one record and flushes it to the client.
+func (n *ndjson) write(v interface{}) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.enc.Encode(v); err != nil {
+		return err
 	}
-	return me.cumulative()
+	n.records++
+	if f, ok := n.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
+}
+
+// item is the engine's emit callback (never called concurrently with
+// itself): one confirmed result as its StreamItemJSON record.
+func (n *ndjson) item(it engine.Item) error {
+	rec := StreamItemJSON{ID: n.snap.IDAt(it.ID)}
+	switch n.kind {
+	case engine.KindTopK, engine.KindRange:
+		rec.Distance = &it.Distance
+	case engine.KindProbTopK:
+		rec.Prob = &it.Prob
+	}
+	if err := n.write(rec); err != nil {
+		return err
+	}
+	n.items++
+	return nil
+}
+
+// fail ends a stream that failed with err, and reports whether it did:
+// before the first record the answer is a plain HTTP error, after it the
+// body ends with an {"error": ...} record in place of the done record. Call
+// it once no other goroutine writes.
+func (n *ndjson) fail(err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case n.records == 0:
+		http.Error(n.w, err.Error(), statusFor(err))
+	default:
+		_ = n.write(map[string]string{"error": err.Error()})
+	}
+	return true
 }
 
 func stableIDs(snap *corpus.Snapshot, positions []int) []int {
@@ -636,22 +659,13 @@ type SeriesResponse struct {
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req SeriesRequest
 	if !DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.Mutate(req)
 	if err != nil {
-		status := http.StatusBadRequest
-		var he *httpError
-		if errors.As(err, &he) {
-			status = he.status
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	WriteJSON(w, resp)
@@ -677,7 +691,7 @@ func (s *Server) Mutate(req SeriesRequest) (*SeriesResponse, error) {
 	}
 	ids, err := s.c.ApplyAt(batch, req.InsertIDs, req.Delete)
 	if err != nil {
-		return nil, &httpError{status: statusForApplyError(err), msg: err.Error()}
+		return nil, err
 	}
 	snap := s.c.Snapshot()
 	return &SeriesResponse{
@@ -686,15 +700,6 @@ func (s *Server) Mutate(req SeriesRequest) (*SeriesResponse, error) {
 		Epoch:   snap.Epoch(),
 		Series:  snap.Len(),
 	}, nil
-}
-
-// statusForApplyError maps a corpus mutation error to an HTTP status:
-// unknown-ID deletions are 404, everything else (validation) is 400.
-func statusForApplyError(err error) int {
-	if strings.Contains(err.Error(), "no series with ID") {
-		return http.StatusNotFound
-	}
-	return http.StatusBadRequest
 }
 
 // StatsResponse is the wire form of GET /stats.
@@ -719,10 +724,6 @@ type MeasureStatsJSON struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	WriteJSON(w, s.Stats())
 }
 
@@ -765,10 +766,6 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	WriteJSON(w, s.Health())
 }
 
@@ -797,10 +794,6 @@ func (s *Server) Health() *HealthResponse {
 // the current corpus state, compacts the WAL, and answers with the fresh
 // store status. 503 when the server runs without a store.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.opts.Store == nil {
 		http.Error(w, "this server runs without a durable store (start it with -data)", http.StatusServiceUnavailable)
 		return

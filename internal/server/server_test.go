@@ -264,15 +264,6 @@ func TestRequestValidation(t *testing.T) {
 	if r := postJSON(t, ts.URL+"/query", QueryRequest{Measure: "euclidean", Type: "topk", K: 3, ID: &missing}, nil); r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown ID: status %d, want 404", r.StatusCode)
 	}
-	// Method checks.
-	resp, err := http.Get(ts.URL + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query: status %d, want 405", resp.StatusCode)
-	}
 	if r := postJSON(t, ts.URL+"/series", SeriesRequest{}, nil); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty mutation: status %d, want 400", r.StatusCode)
 	}

@@ -82,7 +82,7 @@ func errorLabel(err error) string {
 		return "unknown_measure"
 	case errors.Is(err, qerr.ErrLengthMismatch):
 		return "length_mismatch"
-	case errors.As(err, &he) && he.status == 404:
+	case errors.Is(err, qerr.ErrNotFound):
 		return "not_found"
 	case errors.Is(err, qerr.ErrBadRequest):
 		return "bad_request"
