@@ -129,6 +129,15 @@ func (b *Builder) AppendZero() []float64 {
 	return row
 }
 
+// Row returns row i as a writable view: the writer's hold on a row it staged
+// with AppendZero and no Matrix has been captured over yet, to fill in place
+// later (several goroutines may fill distinct rows). Published rows are
+// immutable; read them through a Matrix.
+func (b *Builder) Row(i int) []float64 {
+	off := i * b.stride
+	return b.data[off : off+b.stride : off+b.stride]
+}
+
 // Truncate discards rows from the tail until exactly rows remain — the
 // rollback a corpus writer needs when a mutation aborts after staging rows
 // no snapshot has been captured over. Truncating below a published Matrix's

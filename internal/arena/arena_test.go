@@ -173,3 +173,24 @@ func TestGrowIsGeometric(t *testing.T) {
 		}
 	}
 }
+
+// TestRowFillsAStagedRow: a writer may stage rows first and fill them later
+// through Row; a Matrix captured afterwards reads what was filled, and a
+// row view is capped at its stride.
+func TestRowFillsAStagedRow(t *testing.T) {
+	b := NewBuilder(2, 0)
+	b.Append(row(1, 2))
+	b.AppendZero()
+	b.AppendZero()
+	copy(b.Row(2), row(5, 6))
+	copy(b.Row(1), row(3, 4))
+	if r := b.Row(1); cap(r) != 2 {
+		t.Fatalf("row view has capacity %d, want the stride 2", cap(r))
+	}
+	m := b.Matrix()
+	for i, want := range [][]float64{row(1, 2), row(3, 4), row(5, 6)} {
+		if r := m.Row(i); r[0] != want[0] || r[1] != want[1] {
+			t.Fatalf("row %d = %v, want %v", i, r, want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 // Package core holds the ground truth of the reproduction's common task —
 // the time-series similarity matching of Section 4.1.2, against a truth
-// derived from the exact (unperturbed) data — and the sharded executor the
-// query engine drains its scans with (RunShardedCtx).
+// derived from the exact (unperturbed) data.
 //
 // The methodology, exactly as in the paper:
 //

@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"uncertts/internal/arena"
-	"uncertts/internal/distance"
 	"uncertts/internal/sketch"
 )
 
@@ -29,7 +28,7 @@ type arenas struct {
 	// observation energy (stride 1) — tier 0 of the engine's lock-step
 	// scans, and the energy PROUD's unseen-gap bound reads. Derived like
 	// every other artifact, and like the sketch rows never persisted:
-	// recovery recomputes them through buildEntry.
+	// recovery recomputes them through build.
 	coarseV, coarseU, coarseE, energy *arena.Builder
 
 	// lay is the sketch-row geometry all sketch rows share; coarse is the
@@ -40,16 +39,8 @@ type arenas struct {
 	// copied is the running total of float64s growth has copied over the
 	// corpus' lifetime (compactions carry it forward): under Grow's doubling
 	// it stays below twice the resident arena size, whatever the batch size.
+	// uncertts_corpus_copied_bytes_total adds up the same copies in bytes.
 	copied int64
-
-	// envScratch is the deque storage LB_Keogh envelope builds reuse
-	// across inserts; buildEntry runs under the corpus writer lock, so
-	// one scratch per arena set suffices.
-	envScratch distance.EnvelopeScratch
-	// sigmas is the same kind of scratch for the per-timestamp error stddevs
-	// the UMA/UEMA filters read (length n): no query reads them, so no arena
-	// keeps them.
-	sigmas []float64
 }
 
 // newArenas allocates the builder set for series of length n, with capacity
@@ -72,7 +63,6 @@ func newArenas(n, capRows int) *arenas {
 
 		lay:    lay,
 		coarse: coarse,
-		sigmas: make([]float64, n),
 	}
 }
 
@@ -87,6 +77,7 @@ func (a *arenas) grow(extra int) bool {
 	for _, b := range a.all() {
 		a.copied += int64(b.Grow(extra))
 	}
+	copiedBytes.Add(8 * (a.copied - before))
 	return a.copied > before
 }
 
@@ -126,7 +117,6 @@ func (a *arenas) compact(keep []int) *arenas {
 		lay:    a.lay,
 		coarse: a.coarse,
 		copied: a.copied,
-		sigmas: a.sigmas,
 	}
 }
 

@@ -20,6 +20,14 @@
 //     from its total energy as it scans, and the sketch bucket tree is built
 //     on demand (Snapshot.Index).
 //
+//     Every ingest path (Apply and its forms, Replay, Restore) builds a
+//     batch in two steps: staging appends one row per arena for each series
+//     under the writer lock, in insertion order, and derivation computes
+//     each series' artifacts into its own rows, in fixed chunks on every
+//     core (parallel.RunShardedCtx). Derivation reads nothing another
+//     series writes, so a batch derives bit-identically to the same series
+//     inserted one at a time, and fails as that serial loop would.
+//
 //   - Snapshot isolation. The corpus publishes its state as an immutable
 //     Snapshot under an atomic pointer (copy-on-write: writers copy the
 //     entry slice, never an entry). Readers grab the pointer once and see a
@@ -31,6 +39,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -40,6 +49,7 @@ import (
 	"uncertts/internal/distance"
 	"uncertts/internal/dust"
 	"uncertts/internal/munich"
+	"uncertts/internal/parallel"
 	"uncertts/internal/proud"
 	"uncertts/internal/qerr"
 	"uncertts/internal/sketch"
@@ -420,17 +430,21 @@ func (c *Corpus) applyLocked(insert []Series, insertIDs []int, deleteIDs []int, 
 		}()
 	}
 	var ids []int
-	for i, s := range insert {
-		id := c.nextID + i
-		if len(insertIDs) > 0 {
-			id = insertIDs[i]
-		}
-		e, err := buildEntry(id, s, cfg, defErrs, c.ar)
+	if len(insert) > 0 {
+		built, err := c.ar.build(len(insert), func(i int) (int, Series, error) {
+			if len(insertIDs) > 0 {
+				return insertIDs[i], insert[i], nil
+			}
+			return c.nextID + i, insert[i], nil
+		}, cfg, defErrs)
 		if err != nil {
 			return nil, err
 		}
-		ids = append(ids, e.ID)
-		entries = append(entries, e)
+		ids = make([]int, len(built))
+		for i, e := range built {
+			ids[i] = e.ID
+		}
+		entries = append(entries, built...)
 	}
 	if logged && c.hook != nil {
 		m := Mutation{Insert: insert, IDs: insertIDs, Delete: deleteIDs, FirstID: c.nextID, Epoch: old.epoch + 1}
@@ -502,7 +516,7 @@ func rewire(e *Entry, cols *Columns, row int) *Entry {
 
 // RestoredSeries pairs an ingestion record with the stable ID it held — the
 // unit of a checkpoint, carrying exactly what re-ingestion through
-// buildEntry needs to reproduce the resident entry bit for bit.
+// build needs to reproduce the resident entry bit for bit.
 type RestoredSeries struct {
 	ID     int
 	Series Series
@@ -532,25 +546,26 @@ func Restore(cfg Config, series []RestoredSeries, nextID int, epoch uint64) (*Co
 		c.ar = newArenas(cfg.Length, len(series))
 		c.defErrs = defaultErrors(cfg)
 	}
-	entries := make([]*Entry, 0, len(series))
-	prev := -1
-	for _, rec := range series {
-		if rec.ID < 0 || rec.ID >= nextID {
-			return nil, fmt.Errorf("corpus: restore: series ID %d outside [0, %d)", rec.ID, nextID)
-		}
-		// Position order is ID order (Snapshot.PosOf searches on it).
-		if rec.ID == prev {
-			return nil, fmt.Errorf("corpus: restore: duplicate series ID %d", rec.ID)
-		}
-		if rec.ID < prev {
-			return nil, fmt.Errorf("corpus: restore: series ID %d follows %d; resident series must be in increasing ID order", rec.ID, prev)
-		}
-		prev = rec.ID
-		e, err := buildEntry(rec.ID, rec.Series, cfg, c.defErrs, c.ar)
+	var entries []*Entry
+	if len(series) > 0 {
+		var err error
+		entries, err = c.ar.build(len(series), func(i int) (int, Series, error) {
+			rec := series[i]
+			if rec.ID < 0 || rec.ID >= nextID {
+				return 0, Series{}, fmt.Errorf("corpus: restore: series ID %d outside [0, %d)", rec.ID, nextID)
+			}
+			// Position order is ID order (Snapshot.PosOf searches on it).
+			if i > 0 && rec.ID == series[i-1].ID {
+				return 0, Series{}, fmt.Errorf("corpus: restore: duplicate series ID %d", rec.ID)
+			}
+			if i > 0 && rec.ID < series[i-1].ID {
+				return 0, Series{}, fmt.Errorf("corpus: restore: series ID %d follows %d; resident series must be in increasing ID order", rec.ID, series[i-1].ID)
+			}
+			return rec.ID, rec.Series, nil
+		}, cfg, c.defErrs)
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, e)
 	}
 	c.cur.Store(c.newSnapshot(cfg, epoch, entries))
 	return c, nil
@@ -634,21 +649,78 @@ func defaultErrors(cfg Config) []stats.Dist {
 	return out
 }
 
-// buildEntry computes every derived artifact for one inserted series — the
-// whole cost of an insert, independent of the corpus size. The float64
-// artifacts are staged directly into the arenas (one new row each, computed
-// in place); on error the caller rolls the staged rows back, so a failed
-// build leaves no trace.
-func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) (*Entry, error) {
-	n := cfg.Length
-	if len(s.Values) != n {
-		return nil, fmt.Errorf("corpus: series has length %d, want %d (corpora require aligned series)", len(s.Values), n)
+// deriveChunk is how many series one claim of the ingest executor derives.
+// A write of up to 32 series is one chunk, derived inline on the writer's
+// goroutine; a 512-series batch is 16 chunks to share among the cores.
+// BenchmarkInsertBatch reads chunks of 8 to 128 alike on two cores.
+const deriveChunk = 32
+
+// build is an insert's whole cost, independent of the corpus size, in two
+// steps. Staging, under the writer lock and in insertion order, appends one
+// zero row per arena for each series; at(i) gives the i-th's stable ID and
+// record, or the error that stops the batch there, and a series of the
+// wrong length stops it too, before it is staged (copying it into a row
+// would truncate it silently). Derivation then computes every staged
+// series' artifacts into its own rows — a function of the series alone — in
+// fixed chunks on every core, each chunk with its own scratch. The error is
+// the lowest-index failing series', as a serial loop would report it; on
+// error the caller rolls the staged rows back, so a failed build leaves no
+// trace.
+func (a *arenas) build(count int, at func(i int) (int, Series, error), cfg Config, defErrs []stats.Dist) ([]*Entry, error) {
+	first := a.rows()
+	ids, recs := make([]int, 0, count), make([]Series, 0, count)
+	var stop error
+	for i := range count {
+		id, s, err := at(i)
+		if err == nil && len(s.Values) != cfg.Length {
+			err = fmt.Errorf("corpus: series has length %d, want %d (corpora require aligned series)", len(s.Values), cfg.Length)
+		}
+		if err != nil {
+			stop = err
+			break
+		}
+		for _, b := range a.all() {
+			b.AppendZero()
+		}
+		ids, recs = append(ids, id), append(recs, s)
 	}
+	entries := make([]*Entry, len(recs))
+	err := parallel.RunShardedCtx(context.TODO(), len(recs), deriveChunk, 0, func(lo, hi int) error {
+		sc := &deriveScratch{sigmas: make([]float64, cfg.Length)}
+		for i := lo; i < hi; i++ {
+			e, err := a.derive(ids[i], first+i, recs[i], cfg, defErrs, sc)
+			if err != nil {
+				return err
+			}
+			entries[i] = e
+		}
+		return nil
+	})
+	if err == nil {
+		err = stop
+	}
+	return entries, err
+}
+
+// deriveScratch is one derivation chunk's working storage: the deque storage
+// of the LB_Keogh envelope builds, and the per-timestamp error stddevs the
+// UMA/UEMA filters read (length n; no query reads them, so no arena keeps
+// them).
+type deriveScratch struct {
+	env    distance.EnvelopeScratch
+	sigmas []float64
+}
+
+// derive computes every derived artifact of one staged series into its
+// staged arena row `row`, which nothing else writes, and returns its entry.
+// It changes no builder, so the series of a batch derive concurrently.
+func (a *arenas) derive(id, row int, s Series, cfg Config, defErrs []stats.Dist, sc *deriveScratch) (*Entry, error) {
+	n := cfg.Length
 	if err := uncertain.CheckFinite(s.Values, s.Samples); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	row := ar.rows()
-	obs := ar.values.Append(s.Values)
+	obs := a.values.Row(row)
+	copy(obs, s.Values)
 
 	errs := s.Errors
 	if errs == nil {
@@ -676,28 +748,26 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 		OwnErrors: s.Errors != nil,
 		row:       row,
 	}
-	// The per-timestamp error stddevs are the UMA/UEMA filters' input and
-	// nothing else, so they live in the writer's scratch, not in an arena.
 	// Configured default sigmas go to the filters as they are, which
 	// validate them (a length mismatch aborts the insert).
 	sigmas := cfg.Sigmas
 	if s.Errors != nil || sigmas == nil {
-		sigmas = ar.sigmas
+		sigmas = sc.sigmas
 		for i := range sigmas {
 			sigmas[i] = math.Sqrt(errs[i].Variance())
 		}
 	}
 
-	uma := ar.uma.AppendZero()
+	uma := a.uma.Row(row)
 	if err := timeseries.UncertainMovingAverageInto(uma, obs, sigmas, cfg.W, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("corpus: UMA filter: %w", err)
 	}
-	uema := ar.uema.AppendZero()
+	uema := a.uema.Row(row)
 	if err := timeseries.UncertainExponentialMovingAverageInto(uema, obs, sigmas, cfg.W, cfg.Lambda, cfg.Mode); err != nil {
 		return nil, fmt.Errorf("corpus: UEMA filter: %w", err)
 	}
-	e.Upper, e.Lower = ar.upper.AppendZero(), ar.lower.AppendZero()
-	distance.EnvelopeIntoScratch(e.Upper, e.Lower, obs, cfg.Band, &ar.envScratch)
+	e.Upper, e.Lower = a.upper.Row(row), a.lower.Row(row)
+	distance.EnvelopeIntoScratch(e.Upper, e.Lower, obs, cfg.Band, &sc.env)
 
 	// Env and Intervals stay the zero value without samples (their absence
 	// is what gates MUNICH).
@@ -713,10 +783,10 @@ func buildEntry(id int, s Series, cfg Config, defErrs []stats.Dist, ar *arenas) 
 		e.Env = munich.BuildEnvelope(ss, cfg.Segments)
 		e.Intervals = munich.BoundingIntervals(ss)
 	}
-	ar.lay.FillRow(ar.sketch.AppendZero(), obs, e.Upper, e.Lower)
-	sketch.PAAInto(ar.coarseV.AppendZero(), obs, ar.coarse.Spans)
-	sketch.PAAInto(ar.coarseU.AppendZero(), uma, ar.coarse.Spans)
-	sketch.PAAInto(ar.coarseE.AppendZero(), uema, ar.coarse.Spans)
-	ar.energy.AppendZero()[0] = proud.Energy(obs)
+	a.lay.FillRow(a.sketch.Row(row), obs, e.Upper, e.Lower)
+	sketch.PAAInto(a.coarseV.Row(row), obs, a.coarse.Spans)
+	sketch.PAAInto(a.coarseU.Row(row), uma, a.coarse.Spans)
+	sketch.PAAInto(a.coarseE.Row(row), uema, a.coarse.Spans)
+	a.energy.Row(row)[0] = proud.Energy(obs)
 	return e, nil
 }

@@ -423,3 +423,23 @@ func TestRejectedFirstInsertLeavesNoGeometry(t *testing.T) {
 			s.SeriesLen(), s.Arena().Values.Stride(), len(s.DefaultErrors()))
 	}
 }
+
+// TestCopiedBytesCounter: an insert that crosses a doubling raises
+// uncertts_corpus_copied_bytes_total by the arena bytes its growth copied —
+// every resident row of every arena, 8 bytes a float64 — and an insert the
+// capacity holds leaves it where it was.
+func TestCopiedBytesCounter(t *testing.T) {
+	c := New(Config{Length: 32, ReportedSigma: 0.5})
+	if _, err := c.InsertBatch(batchOf(4, 32, 0, 0)); err != nil { // capacity: 4 rows
+		t.Fatal(err)
+	}
+	for i, want := range []int64{8 * arenaFloats(c.Snapshot()), 0} {
+		before, copied := copiedBytes.Value(), c.ar.copied
+		if _, err := c.Insert(testSeries(32, 0, float64(4+i))); err != nil {
+			t.Fatal(err)
+		}
+		if got := copiedBytes.Value() - before; got != want || got != 8*(c.ar.copied-copied) {
+			t.Errorf("insert %d raised the counter by %d bytes, want %d (%d float64s copied)", 5+i, got, want, c.ar.copied-copied)
+		}
+	}
+}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"uncertts/internal/core"
 	"uncertts/internal/distance"
+	"uncertts/internal/parallel"
 	"uncertts/internal/telemetry"
 )
 
@@ -142,7 +142,7 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 	}
 	size := e.opts.ShardSize
 	hits := make([][]int, (n+size-1)/size)
-	err := core.RunShardedCtx(ctx, n, size, e.workers(r.req), func(lo, hi int) error {
+	err := parallel.RunShardedCtx(ctx, n, size, e.workers(r.req), func(lo, hi int) error {
 		var t tally
 		scratch := e.newScratch()
 		if r.lbs != nil && r.req.Kind != KindTopK {

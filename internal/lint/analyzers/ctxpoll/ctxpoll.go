@@ -1,6 +1,6 @@
 // Package ctxpoll guards the cancellation contract of the kernel
 // packages (internal/distance, internal/munich, internal/proud,
-// internal/core): a long-running kernel that accepts a cancellation
+// internal/parallel): a long-running kernel that accepts a cancellation
 // handle — a context.Context or the lighter `done <-chan struct{}` the
 // kernels thread through their inner loops — must actually observe it,
 // and code outside those packages must not call a kernel's
@@ -44,7 +44,7 @@ var kernelPackages = map[string]bool{
 	"distance": true,
 	"munich":   true,
 	"proud":    true,
-	"core":     true,
+	"parallel": true,
 }
 
 func isKernelPkg(p *types.Package) bool {

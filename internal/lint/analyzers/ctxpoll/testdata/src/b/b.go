@@ -5,7 +5,7 @@ package b
 import (
 	"context"
 
-	"core" // the stand-in under testdata/src
+	"parallel" // the stand-in under testdata/src
 	"uncertts/internal/distance"
 	"uncertts/internal/munich"
 	"uncertts/internal/uncertain"
@@ -15,7 +15,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	if _, _, err := munich.ProbabilityCutoff(xs, ys, 0.5, 0.1, munich.Options{}); err != nil { // want `call to munich\.ProbabilityCutoff cannot be cancelled; use ProbabilityCutoffCancel`
 		return err
 	}
-	if err := core.Run(100, func(i int) error { return nil }); err != nil { // want `call to core\.Run cannot be cancelled; use RunCtx`
+	if err := parallel.Run(100, func(i int) error { return nil }); err != nil { // want `call to parallel\.Run cannot be cancelled; use RunCtx`
 		return err
 	}
 
@@ -23,7 +23,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	if _, _, err := distance.DTWBandEarlyAbandonCancel(q, c, 4, 1e9, ctx.Done()); err != nil {
 		return err
 	}
-	if err := core.RunCtx(ctx, 100, func(i int) error { return nil }); err != nil {
+	if err := parallel.RunCtx(ctx, 100, func(i int) error { return nil }); err != nil {
 		return err
 	}
 	// Kernels with no cancellable sibling carry no obligation.

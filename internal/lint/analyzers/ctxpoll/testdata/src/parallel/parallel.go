@@ -1,7 +1,7 @@
-// Package core stands in for a kernel package (ctxpoll matches kernel
+// Package parallel stands in for a kernel package (ctxpoll matches kernel
 // packages by import path base) whose function has a Ctx-suffixed
 // cancellable sibling: the subject of the call-site case in package b.
-package core
+package parallel
 
 import "context"
 

@@ -1,4 +1,8 @@
-package core
+// Package parallel is the module's one fan-out: a chunked work-stealing
+// executor over a flat index space. The query engine drains its scan batches
+// with it, and the corpus derives an ingest batch's rows with it. It is a
+// leaf (it imports only qerr), so any layer may use it.
+package parallel
 
 import (
 	"context"
@@ -20,8 +24,10 @@ import (
 // (good load balancing without contention on the cursor); workers <= 0 uses
 // GOMAXPROCS. fn is called as fn(lo, hi) for each chunk [lo, hi) and must
 // be safe for concurrent invocation on disjoint ranges. After the first
-// error, workers stop claiming new chunks; the error reported is the one
-// from the lowest-indexed failed chunk.
+// error, workers stop claiming new chunks; every chunk claimed before then
+// still runs, and chunks are claimed in index order, so the error reported
+// is the one from the lowest-indexed failed chunk of the whole space — what
+// a serial loop over the chunks would have returned.
 //
 // Workers poll ctx at every chunk boundary, stop claiming chunks once it is
 // cancelled, drain (the call does not return while any fn invocation is
@@ -83,8 +89,14 @@ func RunShardedCtx(ctx context.Context, n, chunk, workers int, fn func(lo, hi in
 					return
 				default:
 				}
+				// Check for a failure before claiming, never after: a chunk
+				// below the failed one that was claimed but then dropped could
+				// hide the lowest-indexed error.
+				if failed.Load() {
+					return
+				}
 				c := int(cursor.Add(1)) - 1
-				if c >= numChunks || failed.Load() {
+				if c >= numChunks {
 					return
 				}
 				lo := c * chunk

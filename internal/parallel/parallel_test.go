@@ -1,8 +1,9 @@
-package core
+package parallel
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,6 +49,22 @@ func TestRunShardedPropagatesError(t *testing.T) {
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: got %v, want boom", workers, err)
+		}
+	}
+}
+
+func TestRunShardedReportsTheLowestFailedChunk(t *testing.T) {
+	// Every chunk from the sixth on fails, on many workers racing to claim:
+	// the error must be the sixth chunk's, as a serial loop would report.
+	for round := 0; round < 2000; round++ {
+		err := RunShardedCtx(context.Background(), 64, 1, 8, func(lo, hi int) error {
+			if lo >= 5 {
+				return fmt.Errorf("chunk %d", lo)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "chunk 5" {
+			t.Fatalf("round %d: err = %v, want chunk 5", round, err)
 		}
 	}
 }

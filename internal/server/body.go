@@ -10,9 +10,12 @@ import (
 
 // A POST /series body is mostly numbers, which encoding/json spends its time
 // reflecting over rather than parsing. decodeSeries reads the plain shape in
-// one pass; anything else (an escape, another key spelling, an unknown or
-// repeated key, null, a number encoding/json rejects, trailing bytes) is off
-// it, and the same bytes go through json.Decoder as before.
+// one pass, converting each number as it checks its grammar (float says
+// which numbers convert there; the rest take strconv.ParseFloat over the
+// bytes already delimited). Anything else (an escape, another key spelling,
+// an unknown or repeated key, null, a number encoding/json rejects, trailing
+// bytes) is off the shape, and the same bytes go through json.Decoder as
+// before.
 
 // seriesKeys are the keys of the plain shape: a request's are bits 0-2 of a
 // key set, a series' bits 3-6.
@@ -172,20 +175,44 @@ func (p *seriesReader) expect(c byte) {
 	p.i++
 }
 
-// float and int parse a number with the strconv call encoding/json makes for
-// a float64 or an int field.
+// float reads a number as encoding/json does for a float64 field, converted
+// in the pass that checks its grammar where that is exact: a decimal with no
+// exponent whose digits, read as one integer m, stay below 2^52 and with at
+// most 22 of them after the point is m / 10^k with both operands exact in
+// float64, so one division rounds it correctly — strconv's own exact path,
+// so ParseFloat's bits, -0 included. Any other token (an exponent, more
+// digits) goes to strconv.ParseFloat.
 func (p *seriesReader) float() float64 {
-	return must(strconv.ParseFloat(string(p.number()), 64))
+	tok, m, k, exact := p.number()
+	if !exact {
+		return must(strconv.ParseFloat(string(tok), 64))
+	}
+	f := float64(m) / pow10[k]
+	if tok[0] == '-' {
+		f = -f
+	}
+	return f
 }
 
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// int parses a number with the strconv call encoding/json makes for an int
+// field.
 func (p *seriesReader) int() int {
-	return int(must(strconv.ParseInt(string(p.number()), 10, strconv.IntSize)))
+	tok, _, _, _ := p.number()
+	return int(must(strconv.ParseInt(string(tok), 10, strconv.IntSize)))
 }
 
 // number reads a number's bytes, checked against the JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, where strconv is laxer: a
-// leading '+', a leading zero, a '.' without a digit after it.
-func (p *seriesReader) number() []byte {
+// leading '+', a leading zero, a '.' without a digit after it. The exponent
+// is left to strconv. In the same pass it reads the digits as one integer m
+// (held at 2^53 once past it) and counts the k after the point; exact
+// reports a token with no exponent, m below 2^52 and k at most 22 — one whose
+// value is ±m / 10^k exactly.
+func (p *seriesReader) number() (tok []byte, m uint64, k int, exact bool) {
 	p.peek()
 	b, i := p.b, p.i
 	if b[i] == '-' {
@@ -194,14 +221,27 @@ func (p *seriesReader) number() []byte {
 	if i == len(b) || !digit(b[i]) || b[i] == '0' && i+1 < len(b) && digit(b[i+1]) {
 		panic(offShape{})
 	}
-	for ; i < len(b) && (digit(b[i]) || b[i] == '.' || b[i]|0x20 == 'e' || b[i] == '-' || b[i] == '+'); i++ {
-		if b[i] == '.' && (i+1 == len(b) || !digit(b[i+1])) {
-			panic(offShape{})
+	for ; i < len(b) && digit(b[i]); i++ {
+		m = min(10*m+uint64(b[i]-'0'), 1<<53)
+	}
+	if i < len(b) && b[i] == '.' {
+		point := i
+		for i++; i < len(b) && digit(b[i]); i++ {
+			m = min(10*m+uint64(b[i]-'0'), 1<<53)
+		}
+		if k = i - point - 1; k == 0 {
+			panic(offShape{}) // a '.' without a digit after it
 		}
 	}
-	tok := b[p.i:i]
+	exact = m < 1<<52 && k < len(pow10)
+	// An exponent, or a tail strconv refuses (another '.', a stray sign):
+	// its bytes are the token's too.
+	for ; i < len(b) && (digit(b[i]) || b[i] == '.' || b[i]|0x20 == 'e' || b[i] == '-' || b[i] == '+'); i++ {
+		exact = false
+	}
+	tok = b[p.i:i]
 	p.i = i
-	return tok
+	return tok, m, k, exact
 }
 
 func digit(c byte) bool { return '0' <= c && c <= '9' }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -234,6 +235,63 @@ func TestSeriesBodiesOffShapeFallBack(t *testing.T) {
 	}
 }
 
+// TestNumbersMatchStrconv: every number the one-pass reader accepts reads as
+// strconv.ParseFloat's bits, on both sides of where the in-pass conversion
+// stops (exact) and strconv takes over; numbers off the JSON grammar leave
+// the body to encoding/json.
+func TestNumbersMatchStrconv(t *testing.T) {
+	for _, tc := range []struct {
+		num   string
+		exact bool
+	}{
+		{"0.1234", true}, {"-12.3456", true}, {"-0.0001", true}, {"7", true},
+		{"-0", true}, {"0.0", true}, {"-0.0", true}, {"1.2500000", true}, {"100.000", true},
+		{"4503599627370495", true}, {"4503599627370496", false}, {"4503599627370497", false},
+		{"0.4503599627370495", true}, {"-450359962737049.6", false}, {"4503599627.370497", false},
+		{"0.123456789012345", true},      // 15 digits
+		{"-0.1234567890123456", true},    // 16
+		{"0.12345678901234567", false},   // 17
+		{"1234567890.123456789", false},  // 19
+		{"-12345678901234567890", false}, // 20
+		{"0.1000000000000000055511151231257827021181583404541015625", false},
+		{"0.0000000000000000000123", true},    // 22 after the point
+		{"-0.00000000000000000001234", false}, // 23
+		{"1e5", false}, {"1E-3", false}, {"1.5e+2", false}, {"-0e0", false},
+	} {
+		want, err := strconv.ParseFloat(tc.num, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &seriesReader{b: []byte(tc.num)}
+		if _, _, _, exact := p.number(); exact != tc.exact || p.i != len(tc.num) {
+			t.Errorf("%s: read %d bytes, exact %v, want all and %v", tc.num, p.i, exact, tc.exact)
+		}
+		body := fmt.Sprintf(`{"insert":[{"values":[%s,%[1]s],"samples":[[%[1]s],[1,%[1]s]],"sigma":%[1]s}]}`, tc.num)
+		req, fast := decodeSeries([]byte(body))
+		if !fast {
+			t.Fatalf("%s: the one-pass reader refused it", tc.num)
+		}
+		s := req.Insert[0]
+		for _, got := range []float64{s.Values[0], s.Values[1], s.Samples[0][0], s.Samples[1][1], s.Sigma} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: read %v (%#x), strconv %v (%#x)", tc.num, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	for _, num := range []string{".5", "1.", "01", "-", "+1", "1.e5", "--1"} {
+		body := fmt.Sprintf(`{"insert":[{"values":[%s]}]}`, num)
+		if _, fast := decodeSeries([]byte(body)); fast {
+			t.Errorf("%s: the one-pass reader took it", num)
+		}
+		var want SeriesRequest
+		werr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		_, rec, ok := decodeBody(strings.NewReader(body))
+		if werr == nil || ok || rec.Body.String() != "malformed JSON: "+werr.Error()+"\n" {
+			t.Errorf("%s: answered %d %q, encoding/json %v", num, rec.Code, rec.Body.String(), werr)
+		}
+	}
+}
+
 // TestSeriesBodyReadErrors: a body cut short by a read error answers as
 // json.Decoder did: with the error where the bytes end inside the object or
 // turn malformed first, and with the request where the object closes before.
@@ -284,9 +342,15 @@ func FuzzDecodeSeriesRequest(f *testing.F) {
 
 // seriesBody is a 512-series /series body as the repository benchmark sends
 // it: 128 values a series rounded to four decimals, and with samples three
-// observations per timestamp.
-func seriesBody(tb testing.TB, sampled bool) []byte {
-	round := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+// observations per timestamp. Unrounded, every number is a float64's
+// shortest representation, mostly 16-17 digits.
+func seriesBody(tb testing.TB, sampled, rounded bool) []byte {
+	round := func(v float64) float64 {
+		if !rounded {
+			return v
+		}
+		return math.Round(v*1e4) / 1e4
+	}
 	req := SeriesRequest{Insert: make([]SeriesJSON, 512)}
 	for i := range req.Insert {
 		s := testSeries(128, int64(i))
@@ -305,13 +369,36 @@ func seriesBody(tb testing.TB, sampled bool) []byte {
 	return mustJSON(tb, req)
 }
 
-// BenchmarkDecodeSeriesBody: a 512-series body, plain and sampled, through
-// DecodeBody (fast) and through json.Decoder as DecodeBody used to read it.
+// exactShare is the share of a body's numbers that the one-pass reader
+// converts in its own pass, without strconv.
+func exactShare(body []byte) float64 {
+	p := &seriesReader{b: body}
+	var n, exact int
+	for p.i < len(body) {
+		if c := body[p.i]; c != '-' && !digit(c) {
+			p.i++
+			continue
+		}
+		_, _, _, ok := p.number()
+		if n++; ok {
+			exact++
+		}
+	}
+	return float64(exact) / float64(n)
+}
+
+// BenchmarkDecodeSeriesBody: a 512-series body, plain, sampled and at full
+// precision, through DecodeBody (fast) and through json.Decoder as DecodeBody
+// used to read it. exact/number is the share of the body's numbers converted
+// without strconv.
 func BenchmarkDecodeSeriesBody(b *testing.B) {
-	for _, sampled := range []bool{false, true} {
-		body := seriesBody(b, sampled)
+	for _, kind := range []struct {
+		name             string
+		sampled, rounded bool
+	}{{"sampled=false", false, true}, {"sampled=true", true, true}, {"full_precision", false, false}} {
+		body := seriesBody(b, kind.sampled, kind.rounded)
 		for _, arm := range []string{"fast", "encoding_json"} {
-			b.Run(fmt.Sprintf("sampled=%v/%s", sampled, arm), func(b *testing.B) {
+			b.Run(kind.name+"/"+arm, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(body)))
 				r := httptest.NewRequest(http.MethodPost, "/series", nil)
@@ -331,6 +418,7 @@ func BenchmarkDecodeSeriesBody(b *testing.B) {
 						b.Fatalf("decoded %d series: %v", len(req.Insert), err)
 					}
 				}
+				b.ReportMetric(exactShare(body), "exact/number")
 			})
 		}
 	}
