@@ -16,7 +16,7 @@ import (
 // TestRoutesCheckMethods is the routing contract of both tiers, route by
 // route: the mux checks the method, so a request with another one answers
 // 405 with an Allow header naming the method that works, and a request with
-// that method reaches its handler.
+// that method (or HEAD, on a GET route) reaches its handler.
 func TestRoutesCheckMethods(t *testing.T) {
 	co, servers := localCluster(t, 1, Options{})
 	handlers := map[string]http.Handler{"server": servers[0].Handler(), "coordinator": co.Handler()}
@@ -52,10 +52,16 @@ func TestRoutesCheckMethods(t *testing.T) {
 		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != allow {
 			t.Errorf("%s: %s %s answered %d, Allow %q; want 405, Allow %q", tc.handler, wrong, tc.path, rec.Code, rec.Header().Get("Allow"), allow)
 		}
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}")))
-		if rec.Code == http.StatusMethodNotAllowed || rec.Code == http.StatusNotFound {
-			t.Errorf("%s: %s %s answered %d, want it routed to its handler", tc.handler, tc.method, tc.path, rec.Code)
+		methods := []string{tc.method}
+		if tc.method == "GET" {
+			methods = append(methods, "HEAD") // the mux serves HEAD wherever it serves GET
+		}
+		for _, method := range methods {
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, tc.path, strings.NewReader("{}")))
+			if rec.Code == http.StatusMethodNotAllowed || rec.Code == http.StatusNotFound {
+				t.Errorf("%s: %s %s answered %d, want it routed to its handler", tc.handler, method, tc.path, rec.Code)
+			}
 		}
 	}
 }

@@ -50,7 +50,8 @@
 // probBoundMargin on the probability side, the kernels' derived margins
 // inside them — so no stage drops a candidate the unpruned scan would keep.
 // Each batch counts its outcomes in its own tally and adds it to the
-// engine's counters once.
+// engine's counters and the query's once; the query's join the process
+// totals behind /metrics' pruning gauges when its scan ends.
 //
 // Collect. The range kinds gather their matches by position; the two top-k
 // kinds offer every resolved candidate to one query-wide collector whose
@@ -316,7 +317,7 @@ type Engine struct {
 	// exactly one, so Stats.Candidates is the sum of all but the prefilter's
 	// and the accounting identity holds by construction. Batches add their
 	// tallies here once each (scan).
-	outcomes [numOutcomes]atomic.Int64
+	outcomes counters
 }
 
 // outcome is how one series a query met was resolved: the last stage of its
@@ -334,17 +335,35 @@ const (
 )
 
 // tally is one batch's outcome counts: the steps count into it, and the
-// engine's shared counters take one add per outcome per batch rather than
-// one per candidate.
+// shared counters take one add per outcome per batch rather than one per
+// candidate.
 type tally [numOutcomes]int64
 
-// add folds one batch's tally into the engine's counters.
-func (e *Engine) add(t *tally) {
+// counters are outcome counts the batches of concurrent workers add to.
+type counters [numOutcomes]atomic.Int64
+
+// add folds one batch's tally into the counters.
+func (c *counters) add(t *tally) {
 	for o, n := range t {
 		if n != 0 {
-			e.outcomes[o].Add(n)
+			c[o].Add(n)
 		}
 	}
+}
+
+// stats reads the counters as Stats.
+func (c *counters) stats() Stats {
+	s := Stats{
+		Completed:        c[completed].Load(),
+		AbandonedEarly:   c[abandoned].Load(),
+		PrunedByEnvelope: c[lbPruned].Load(),
+		ResolvedByBounds: c[boundResolved].Load(),
+		ResolvedEarly:    c[prefixResolved].Load(),
+
+		SeriesSkippedByIndex: c[skipped].Load(),
+	}
+	s.Candidates = s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly
+	return s
 }
 
 // NewFromSnapshot builds an engine over a corpus snapshot by binding the
@@ -395,19 +414,7 @@ func (e *Engine) Snapshot() *corpus.Snapshot { return e.snap }
 
 // Stats returns a snapshot of the work counters. A running query moves them
 // a batch (ShardSize candidates) at a time, as each batch ends.
-func (e *Engine) Stats() Stats {
-	s := Stats{
-		Completed:        e.outcomes[completed].Load(),
-		AbandonedEarly:   e.outcomes[abandoned].Load(),
-		PrunedByEnvelope: e.outcomes[lbPruned].Load(),
-		ResolvedByBounds: e.outcomes[boundResolved].Load(),
-		ResolvedEarly:    e.outcomes[prefixResolved].Load(),
-
-		SeriesSkippedByIndex: e.outcomes[skipped].Load(),
-	}
-	s.Candidates = s.Completed + s.AbandonedEarly + s.PrunedByEnvelope + s.ResolvedByBounds + s.ResolvedEarly
-	return s
-}
+func (e *Engine) Stats() Stats { return e.outcomes.stats() }
 
 // ResetStats zeroes the work counters.
 func (e *Engine) ResetStats() {

@@ -1,14 +1,17 @@
 package engine
 
 import (
+	"math"
 	"strings"
+	"sync"
 
 	"uncertts/internal/telemetry"
 )
 
 // The engine's metric families: the pruning-cascade and index
-// effectiveness fractions, fed from the cumulative Stats counters after
-// every query so /metrics tracks what /stats already proves.
+// effectiveness fractions over every query the process has run, whichever
+// engine answered it — the server rebuilds its engines at every corpus
+// epoch, and each in-process shard holds its own.
 var (
 	prunedRatio = telemetry.NewGaugeVec(
 		"uncertts_engine_pruned_ratio",
@@ -20,18 +23,41 @@ var (
 		"measure")
 )
 
-// recordStatsMetrics publishes the measure's cumulative pruning picture.
-// Ratios (not raw counters) because the counters are already served
-// losslessly by /stats; the gauges answer the operator question — is the
-// cascade still earning its keep — at a glance.
-func recordStatsMetrics(m Measure, st Stats) {
-	// Lowercased to match the wire request spelling, like every other
-	// measure-labelled family.
-	label := strings.ToLower(m.String())
-	if st.Candidates > 0 {
-		prunedRatio.With(label).Set(float64(st.Pruned()) / float64(st.Candidates))
+// totals are the process's outcome counts by measure, each with its
+// measure's two gauges, resolved once at start-up rather than on the query
+// path. A gauge reads NaN until its measure has a denominator.
+var totals [MeasureMUNICH + 1]struct {
+	mu              sync.Mutex
+	st              Stats
+	pruned, skipped *telemetry.Gauge
+}
+
+func init() {
+	for _, m := range Measures() {
+		// Lowercased to match the wire request spelling, like every other
+		// measure-labelled family.
+		label := strings.ToLower(m.String())
+		t := &totals[m]
+		t.pruned, t.skipped = prunedRatio.With(label), indexSkippedRatio.With(label)
+		t.pruned.Set(math.NaN())
+		t.skipped.Set(math.NaN())
 	}
-	if seen := st.Candidates + st.SeriesSkippedByIndex; seen > 0 {
-		indexSkippedRatio.With(label).Set(float64(st.SeriesSkippedByIndex) / float64(seen))
+}
+
+// recordOutcomes adds one query's outcome counts to its measure's process
+// totals and publishes the totals' ratios. Ratios (not raw counters)
+// because each server's /stats already serves its counters losslessly; the
+// gauges answer the operator question — is the cascade still earning its
+// keep — at a glance.
+func recordOutcomes(m Measure, q Stats) {
+	t := &totals[m]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.st = t.st.Merge(q)
+	if t.st.Candidates > 0 {
+		t.pruned.Set(float64(t.st.Pruned()) / float64(t.st.Candidates))
+	}
+	if seen := t.st.Candidates + t.st.SeriesSkippedByIndex; seen > 0 {
+		t.skipped.Set(float64(t.st.SeriesSkippedByIndex) / float64(seen))
 	}
 }

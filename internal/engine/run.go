@@ -323,7 +323,6 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 		res.IDs = window(ids, req.Offset, req.Limit)
 	}
 	refineSpan.EndErr(err)
-	recordStatsMetrics(e.opts.Measure, e.Stats())
 	if err != nil {
 		// Normalise cancellations so the caller always sees both the
 		// qerr sentinel and the context's own error, wherever in the

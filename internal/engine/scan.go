@@ -29,8 +29,8 @@ func (s span) at(i int) int {
 func candErr(ci int, err error) error { return fmt.Errorf("engine: candidate %d: %w", ci, err) }
 
 // run is one request in flight: everything a step reads besides the
-// candidate. It is built once per request and shared, read-only, by the
-// request's workers.
+// candidate. It is built once per request and shared by the request's
+// workers, read-only but for outcomes, which each batch adds to once.
 type run struct {
 	e    *Engine
 	pq   *prepared
@@ -43,6 +43,7 @@ type run struct {
 	cutoff2  float64          // KindRange: ulpUp(Eps^2)
 	epsLimit float64          // KindProbRange on a PROUD engine
 	emit     func(Item) error // the range kinds' match callback (nil = none)
+	outcomes counters         // this query's own outcome counts (scan)
 }
 
 // prefilterStage is the prefilter stage of a request's cascade.
@@ -128,9 +129,10 @@ func (e *Engine) workers(req *Request) int {
 // has a prefilter and is not KindTopK (which bounded them all up front), so
 // the bound pass runs on the workers; then it goes through the kind's step
 // with its own DTW scratch and outcome tally, and its tally reaches the
-// engine's counters once, when the batch ends — whether it ran out or
-// failed: a candidate whose computation was cancelled or failed is in no
-// tally. scan keeps the
+// engine's counters and the query's once, when the batch ends — whether it
+// ran out or failed: a candidate whose computation was cancelled or failed
+// is in no tally. When every batch has ended the query's counts join the
+// process totals behind the pruning gauges (recordOutcomes). scan keeps the
 // query out of the spans and gathers the matches batch by batch, so the
 // returned positions are ascending (the range kinds scan in position order)
 // whatever order the batches ran in.
@@ -158,10 +160,12 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 			more, err = r.step(scratch, &t, span{cands, self + 1, hi})
 			ids = append(ids, more...)
 		}
-		e.add(&t)
+		e.outcomes.add(&t)
+		r.outcomes.add(&t)
 		hits[lo/size] = ids
 		return err
 	})
+	recordOutcomes(e.opts.Measure, r.outcomes.stats())
 	if err != nil {
 		return nil, err
 	}

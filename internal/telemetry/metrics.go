@@ -3,8 +3,9 @@
 // format, per-query traces with lifecycle spans, a structured slow-query
 // log, and the uptime/build identity served by /healthz.
 //
-// The registry holds counters, gauges and fixed-bucket histograms, plain
-// and labelled. Updates are atomic and allocation-free — Inc/Add/Set/
+// The registry holds counters, gauges and fixed-bucket histograms, each a
+// family of children keyed by label values; a plain metric is a family
+// with no labels and one child. Updates are atomic and allocation-free — Inc/Add/Set/
 // Observe never allocate — so instrumentation is safe on the query hot
 // path; the one allocating operation, resolving a labelled child with
 // With, is meant to run once per query (or be hoisted into a variable),
@@ -19,10 +20,11 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,13 +110,9 @@ func (r *Registry) Expose(w io.Writer) error {
 	return nil
 }
 
-// Handler serves the registry at GET /metrics.
+// Handler serves the registry; the mux mounting it checks the method.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.Expose(w)
 	})
@@ -135,41 +133,89 @@ func formatValue(v float64) string {
 	}
 }
 
-// escapeLabel escapes a label value for the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
-}
+// escapeLabel escapes a label value once, as the text format defines it:
+// backslash, double quote and line feed.
+var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
 
-// labelPairs renders {a="x",b="y"}; extra (used for histogram le) appends
-// one more pair. Empty sets render as the empty string.
-func labelPairs(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
+// braced wraps a rendered label set in braces; the empty set renders as
+// nothing.
+func braced(labels string) string {
+	if labels == "" {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s=%q`, n, escapeLabel(values[i]))
-	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, extraName, extraValue)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + labels + "}"
 }
 
-func writeHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// sample writes one `name{labels} value` line.
+func sample(w io.Writer, name, labels, value string) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, braced(labels), value)
 	return err
+}
+
+// child is what a family holds per label set: a value type that writes its
+// own samples under the family's name and the set's rendered labels.
+type child interface {
+	writeSamples(w io.Writer, name, labels string) error
+}
+
+// family is one registered metric family of any kind: its children keyed by
+// label values, created on first use by With. A plain metric is a family
+// with no label names whose one child With() creates at registration.
+type family[C child] struct {
+	name, help, typ string
+	labelNames      []string
+	newChild        func() C
+	mu              sync.Mutex
+	children        map[string]labelled[C]
+}
+
+// labelled is one child with its label set rendered for exposition.
+type labelled[C child] struct {
+	labels string
+	c      C
+}
+
+func newFamily[C child](r *Registry, typ, name, help string, labelNames []string, newChild func() C) *family[C] {
+	f := &family[C]{name: name, help: help, typ: typ, labelNames: labelNames, newChild: newChild, children: make(map[string]labelled[C])}
+	r.register(name, labelNames, f)
+	return f
+}
+
+// With returns the child for the label values, creating it on first use.
+// Hoist the result out of loops: With locks and may allocate.
+func (f *family[C]) With(values ...string) C {
+	if len(values) != len(f.labelNames) {
+		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", f.name, len(f.labelNames), len(values)))
+	}
+	key := strings.Join(values, "\x00")
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ch, ok := f.children[key]
+	if !ok {
+		pairs := make([]string, len(values))
+		for i, v := range values {
+			pairs[i] = f.labelNames[i] + `="` + escapeLabel(v) + `"`
+		}
+		ch = labelled[C]{labels: strings.Join(pairs, ","), c: f.newChild()}
+		f.children[key] = ch
+	}
+	return ch.c
+}
+
+// expose writes the family's # HELP/# TYPE header, then each child's
+// samples, children sorted by label values.
+func (f *family[C]) expose(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, k := range slices.Sorted(maps.Keys(f.children)) {
+		if err := f.children[k].c.writeSamples(w, f.name, f.children[k].labels); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // atomicFloat is a float64 updated with CAS on its bit pattern.
@@ -190,10 +236,7 @@ func (f *atomicFloat) Add(delta float64) {
 }
 
 // Counter is a monotonically increasing integer counter.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
+type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -209,26 +252,12 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) expose(w io.Writer) error {
-	if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", c.name, c.Value())
-	return err
-}
-
-// NewCounter registers a counter on the registry.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(name, nil, c)
-	return c
+func (c *Counter) writeSamples(w io.Writer, name, labels string) error {
+	return sample(w, name, labels, strconv.FormatInt(c.Value(), 10))
 }
 
 // Gauge is a float value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomicFloat
-}
+type Gauge struct{ v atomicFloat }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
@@ -239,64 +268,24 @@ func (g *Gauge) Add(delta float64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 
-func (g *Gauge) expose(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatValue(g.Value()))
-	return err
-}
-
-// NewGauge registers a gauge on the registry.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, nil, g)
-	return g
+func (g *Gauge) writeSamples(w io.Writer, name, labels string) error {
+	return sample(w, name, labels, formatValue(g.Value()))
 }
 
 // GaugeFunc is a gauge whose value is computed at scrape time.
-type GaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
+type GaugeFunc struct{ fn func() float64 }
 
-func (g *GaugeFunc) expose(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatValue(g.fn()))
-	return err
-}
-
-// NewGaugeFunc registers a scrape-time gauge on the registry.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	g := &GaugeFunc{name: name, help: help, fn: fn}
-	r.register(name, nil, g)
-	return g
+func (g *GaugeFunc) writeSamples(w io.Writer, name, labels string) error {
+	return sample(w, name, labels, formatValue(g.fn()))
 }
 
 // Histogram observes a distribution over fixed bucket bounds (upper
 // bounds, ascending; an implicit +Inf bucket closes the set). Observe is
 // atomic and allocation-free.
 type Histogram struct {
-	name, help string
-	bounds     []float64
-	counts     []atomic.Int64 // len(bounds)+1; last is +Inf
-	sum        atomicFloat
-}
-
-func newHistogram(name, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if !(bounds[i] > bounds[i-1]) {
-			panic(fmt.Sprintf("telemetry: histogram %q bucket bounds not ascending", name))
-		}
-	}
-	return &Histogram{
-		name:   name,
-		help:   help,
-		bounds: bounds,
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
+	bounds []float64
+	counts []atomic.Int64 // len(bounds)+1; last is +Inf
+	sum    atomicFloat
 }
 
 // Observe records one sample.
@@ -312,177 +301,59 @@ func (h *Histogram) Observe(v float64) {
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// writeSamples renders the _bucket/_sum/_count triplet under the given
-// label set (empty for a plain histogram).
-func (h *Histogram) writeSamples(w io.Writer, labelNames, labelValues []string) error {
+// writeSamples renders the _bucket/_sum/_count triplet, each bucket's le
+// pair after the child's own labels.
+func (h *Histogram) writeSamples(w io.Writer, name, labels string) error {
+	sep := ""
+	if labels != "" {
+		sep = ","
+	}
 	var cum int64
-	for i, b := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
-		pairs := labelPairs(labelNames, labelValues, "le", formatValue(b))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, pairs, cum); err != nil {
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatValue(h.bounds[i])
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, le, cum); err != nil {
 			return err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	pairs := labelPairs(labelNames, labelValues, "le", "+Inf")
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, pairs, cum); err != nil {
+	if err := sample(w, name+"_sum", labels, formatValue(h.Sum())); err != nil {
 		return err
 	}
-	base := labelPairs(labelNames, labelValues, "", "")
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", h.name, base, formatValue(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", h.name, base, cum)
-	return err
+	return sample(w, name+"_count", labels, strconv.FormatInt(cum, 10))
 }
 
-func (h *Histogram) expose(w io.Writer) error {
-	if err := writeHeader(w, h.name, h.help, "histogram"); err != nil {
-		return err
-	}
-	return h.writeSamples(w, nil, nil)
-}
+// CounterVec is a counter family partitioned by labels; With resolves a child.
+type CounterVec = family[*Counter]
 
-// NewHistogram registers a histogram on the registry. A nil bounds slice
-// uses DurationBuckets.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DurationBuckets()
-	}
-	h := newHistogram(name, help, bounds)
-	r.register(name, nil, h)
-	return h
-}
+// GaugeVec is a gauge family partitioned by labels; With resolves a child.
+type GaugeVec = family[*Gauge]
 
-// vec is the shared child management of the labelled families: children
-// are keyed by their joined label values and created on first use.
-type vec struct {
-	name       string
-	labelNames []string
-	mu         sync.Mutex
-	values     map[string][]string
-}
-
-func (v *vec) key(values []string) string {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", v.name, len(v.labelNames), len(values)))
-	}
-	return strings.Join(values, "\x00")
-}
-
-// sortedKeys returns the child keys sorted for deterministic exposition.
-// Callers hold v.mu.
-func (v *vec) sortedKeys() []string {
-	keys := make([]string, 0, len(v.values))
-	for k := range v.values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// CounterVec is a counter family partitioned by labels.
-type CounterVec struct {
-	vec
-	help     string
-	children map[string]*Counter
-}
+// HistogramVec is a histogram family partitioned by labels, every child on
+// the same bucket bounds; With resolves a child.
+type HistogramVec = family[*Histogram]
 
 // NewCounterVec registers a labelled counter family on the registry.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	cv := &CounterVec{
-		vec:      vec{name: name, labelNames: labelNames, values: make(map[string][]string)},
-		help:     help,
-		children: make(map[string]*Counter),
-	}
-	r.register(name, labelNames, cv)
-	return cv
+	return newFamily(r, "counter", name, help, labelNames, func() *Counter { return new(Counter) })
 }
 
-// With returns the child counter for the label values, creating it on
-// first use. Hoist the result out of loops: With locks and may allocate.
-func (cv *CounterVec) With(values ...string) *Counter {
-	key := cv.key(values)
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	c := cv.children[key]
-	if c == nil {
-		c = &Counter{name: cv.name}
-		cv.children[key] = c
-		cv.values[key] = append([]string(nil), values...)
-	}
-	return c
-}
-
-func (cv *CounterVec) expose(w io.Writer) error {
-	if err := writeHeader(w, cv.name, cv.help, "counter"); err != nil {
-		return err
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	for _, k := range cv.sortedKeys() {
-		pairs := labelPairs(cv.labelNames, cv.values[k], "", "")
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", cv.name, pairs, cv.children[k].Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct {
-	vec
-	help     string
-	children map[string]*Gauge
-}
+// NewCounter registers a counter on the registry.
+func (r *Registry) NewCounter(name, help string) *Counter { return r.NewCounterVec(name, help).With() }
 
 // NewGaugeVec registers a labelled gauge family on the registry.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	gv := &GaugeVec{
-		vec:      vec{name: name, labelNames: labelNames, values: make(map[string][]string)},
-		help:     help,
-		children: make(map[string]*Gauge),
-	}
-	r.register(name, labelNames, gv)
-	return gv
+	return newFamily(r, "gauge", name, help, labelNames, func() *Gauge { return new(Gauge) })
 }
 
-// With returns the child gauge for the label values.
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	key := gv.key(values)
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	g := gv.children[key]
-	if g == nil {
-		g = &Gauge{name: gv.name}
-		gv.children[key] = g
-		gv.values[key] = append([]string(nil), values...)
-	}
-	return g
-}
+// NewGauge registers a gauge on the registry.
+func (r *Registry) NewGauge(name, help string) *Gauge { return r.NewGaugeVec(name, help).With() }
 
-func (gv *GaugeVec) expose(w io.Writer) error {
-	if err := writeHeader(w, gv.name, gv.help, "gauge"); err != nil {
-		return err
-	}
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	for _, k := range gv.sortedKeys() {
-		pairs := labelPairs(gv.labelNames, gv.values[k], "", "")
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", gv.name, pairs, formatValue(gv.children[k].Value())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HistogramVec is a histogram family partitioned by labels; every child
-// shares the bucket bounds.
-type HistogramVec struct {
-	vec
-	help     string
-	bounds   []float64
-	children map[string]*Histogram
+// NewGaugeFunc registers a scrape-time gauge on the registry.
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
+	return newFamily(r, "gauge", name, help, nil, func() *GaugeFunc { return &GaugeFunc{fn: fn} }).With()
 }
 
 // NewHistogramVec registers a labelled histogram family on the registry.
@@ -491,42 +362,20 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelNam
 	if bounds == nil {
 		bounds = DurationBuckets()
 	}
-	hv := &HistogramVec{
-		vec:      vec{name: name, labelNames: labelNames, values: make(map[string][]string)},
-		help:     help,
-		bounds:   bounds,
-		children: make(map[string]*Histogram),
-	}
-	r.register(name, labelNames, hv)
-	return hv
-}
-
-// With returns the child histogram for the label values.
-func (hv *HistogramVec) With(values ...string) *Histogram {
-	key := hv.key(values)
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	h := hv.children[key]
-	if h == nil {
-		h = newHistogram(hv.name, hv.help, hv.bounds)
-		hv.children[key] = h
-		hv.values[key] = append([]string(nil), values...)
-	}
-	return h
-}
-
-func (hv *HistogramVec) expose(w io.Writer) error {
-	if err := writeHeader(w, hv.name, hv.help, "histogram"); err != nil {
-		return err
-	}
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	for _, k := range hv.sortedKeys() {
-		if err := hv.children[k].writeSamples(w, hv.labelNames, hv.values[k]); err != nil {
-			return err
+	for i := 1; i < len(bounds); i++ {
+		if !(bounds[i] > bounds[i-1]) {
+			panic(fmt.Sprintf("telemetry: histogram %q bucket bounds not ascending", name))
 		}
 	}
-	return nil
+	return newFamily(r, "histogram", name, help, labelNames, func() *Histogram {
+		return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	})
+}
+
+// NewHistogram registers a histogram on the registry. A nil bounds slice
+// uses DurationBuckets.
+func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+	return r.NewHistogramVec(name, help, bounds).With()
 }
 
 // The default-registry constructors: what almost every call site uses, and

@@ -300,10 +300,6 @@ func (tc *Tracer) Recent(n int) []TraceJSON {
 // HandleDebugTrace serves GET /debug/trace?n=N: the last N finished
 // traces (default: the whole ring), newest first.
 func (tc *Tracer) HandleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	n := 0
 	if s := r.URL.Query().Get("n"); s != "" {
 		v, err := strconv.Atoi(s)

@@ -144,9 +144,4 @@ func TestDebugTraceHandler(t *testing.T) {
 	if w.Code != 400 {
 		t.Fatalf("bogus n answered %d, want 400", w.Code)
 	}
-	w = httptest.NewRecorder()
-	tc.HandleDebugTrace(w, httptest.NewRequest("POST", "/debug/trace", nil))
-	if w.Code != 405 {
-		t.Fatalf("POST answered %d, want 405", w.Code)
-	}
 }
