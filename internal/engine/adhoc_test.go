@@ -48,9 +48,10 @@ func corpusSeries(length int, seed int64) corpus.Series {
 
 // allMeasureOptions enumerates one engine configuration per measure, with
 // the cheap estimator settings the MUNICH tests use. Geometry is the
-// corpus', so with IndexThreshold -1 a prefilter engages wherever one
-// exists: tier 0 for the lock-step measures and PROUD, the sketch rows for
-// DTW (DUST and MUNICH have neither).
+// corpus', so a prefilter engages wherever one exists once the snapshot
+// reaches the threshold (tests on small corpora lower it to -1): tier 0 for
+// the lock-step measures and PROUD, the sketch rows for DTW (DUST and MUNICH
+// have neither).
 func allMeasureOptions() []Options {
 	return []Options{
 		{Measure: MeasureEuclidean, ShardSize: 5},
@@ -124,7 +125,6 @@ func TestAdHocValidation(t *testing.T) {
 	}{
 		{"wrong-length query", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 9)}}, qerr.ErrLengthMismatch},
 		{"negative sigma", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 16), Sigma: -1}}, qerr.ErrBadRequest},
-		{"wrong-length error model", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 16), Errors: make([]stats.Dist, 3)}}, qerr.ErrLengthMismatch},
 		{"MUNICH without samples", me, Request{Measure: MeasureMUNICH, Kind: KindProbTopK, K: 3, Eps: 1, AdHoc: &Query{Values: make([]float64, 16)}}, qerr.ErrBadRequest},
 	} {
 		if _, err := tc.e.Run(context.Background(), tc.req); !errors.Is(err, tc.want) {

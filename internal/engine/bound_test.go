@@ -72,8 +72,8 @@ func TestHugeKAllocatesByCandidates(t *testing.T) {
 		opts Options
 		req  Request
 	}{
-		{Options{Measure: MeasureEuclidean, IndexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
-		{Options{Measure: MeasureDTW, IndexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
+		{Options{Measure: MeasureEuclidean, indexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
+		{Options{Measure: MeasureDTW, indexThreshold: -1}, Request{Kind: KindTopK, Index: &qi}},
 		{Options{Measure: MeasurePROUD}, Request{Kind: KindProbTopK, Index: &qi, Eps: 2.5}},
 	} {
 		e := newEngine(t, snap, tc.opts)

@@ -46,7 +46,7 @@ func TestCascadeOutcomesPerMeasure(t *testing.T) {
 		reached := map[string]bool{}
 		for _, noIndex := range []bool{false, true} {
 			opts := base
-			opts.IndexThreshold, opts.NoIndex = -1, noIndex
+			opts.indexThreshold, opts.NoIndex = -1, noIndex
 			e := newEngine(t, snap, opts)
 			for _, kr := range kindRequests() {
 				if kr.Kind.Probabilistic() != m.Probabilistic() {
@@ -108,7 +108,7 @@ func TestBatchTalliesAddUpToTheScan(t *testing.T) {
 		for i, shard := range []int{snap.Len(), 1, 3, 7} {
 			for _, workers := range []int{1, 3} {
 				opts := base
-				opts.IndexThreshold, opts.ShardSize = -1, shard
+				opts.indexThreshold, opts.ShardSize = -1, shard
 				e := newEngine(t, snap, opts)
 				for qi := 0; qi < 8; qi++ {
 					r := req

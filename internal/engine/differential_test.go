@@ -274,7 +274,7 @@ func TestDifferentialEveryMeasureKindSourceAndWorkers(t *testing.T) {
 					want := wants[sc.ref]
 					for _, noIndex := range []bool{false, true} {
 						opts := base
-						opts.IndexThreshold, opts.NoIndex = -1, noIndex
+						opts.indexThreshold, opts.NoIndex = -1, noIndex
 						e := newEngine(t, sc.snap, opts)
 						if want := !noIndex && prefiltered(m); engaged(e) != want {
 							t.Fatalf("%v/%s/noindex=%v: engaged = %v, want %v", m, sc.name, noIndex, engaged(e), want)

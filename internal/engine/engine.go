@@ -62,16 +62,18 @@
 // belong to the answer: results are bit-identical to the unpruned scan
 // (Options.NoPrune) for every worker count, which the tests assert.
 //
-// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot)
-// and owns no data and no geometry. The per-candidate artifacts every device
-// needs — LB_Keogh envelopes, filtered vectors, filter columns, energies,
-// sketch rows — are columns of the corpus arenas, maintained
-// incrementally by the corpus; the engine reads them in place, one layout
-// for every snapshot: row i of a column on a dense snapshot, row Rows[i]
-// through the snapshot's position -> row index while deleted rows await
-// compaction (corpus.Snapshot.Arena). The band, filter window, decay, weight
-// mode and DUST tables are the snapshot's corpus.Config and
-// nothing else — a caller wanting another window builds another corpus. So
+// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot),
+// whose one switch is each measure's plan: the column it scans, and the
+// column and stage of its prefilter. It owns no data and no geometry. The
+// per-candidate artifacts every device needs — LB_Keogh envelopes, filtered
+// vectors, filter columns, energies, sketch rows — are columns of the corpus
+// arenas, maintained incrementally by the corpus; the engine reads them in
+// place, one layout for every snapshot: row i of a column on a dense
+// snapshot, row Rows[i] through the snapshot's position -> row index while
+// deleted rows await compaction (corpus.Snapshot.Arena). The band, filter
+// window, decay, weight mode and DUST tables are the snapshot's
+// corpus.Config and nothing else — a caller wanting another window builds
+// another corpus. So
 // constructing an engine is O(1) in the corpus size for every measure on
 // every snapshot, and writers never invalidate a running query (snapshot
 // isolation).
@@ -150,26 +152,15 @@ func Measures() []Measure {
 	return []Measure{MeasureEuclidean, MeasureUMA, MeasureUEMA, MeasureDTW, MeasureDUST, MeasurePROUD, MeasureMUNICH}
 }
 
+// measureNames are the measures' names, by Measure.
+var measureNames = [...]string{"Euclidean", "UMA", "UEMA", "DTW", "DUST", "PROUD", "MUNICH"}
+
 // String names the measure.
 func (m Measure) String() string {
-	switch m {
-	case MeasureEuclidean:
-		return "Euclidean"
-	case MeasureUMA:
-		return "UMA"
-	case MeasureUEMA:
-		return "UEMA"
-	case MeasureDTW:
-		return "DTW"
-	case MeasureDUST:
-		return "DUST"
-	case MeasurePROUD:
-		return "PROUD"
-	case MeasureMUNICH:
-		return "MUNICH"
-	default:
+	if m < 0 || int(m) >= len(measureNames) {
 		return fmt.Sprintf("Measure(%d)", int(m))
 	}
+	return measureNames[m]
 }
 
 // Probabilistic reports whether the measure answers probabilistic threshold
@@ -212,14 +203,15 @@ type Options struct {
 	// prefilters, so results are bit-identical either way; this is the
 	// parity oracle and the benchmarks' scan arm.
 	NoIndex bool
-	// IndexThreshold is the minimum snapshot size at which a prefilter
-	// engages (0 = 1024; negative = always, which the parity tests use).
-	// Below it the plain scan wins.
-	IndexThreshold int
 	// MUNICH sets the bin count of the convolution MeasureMUNICH refines
 	// with when a pair is too large to count exactly; it must match the
 	// options of any naive scan being compared against.
 	MUNICH munich.Options
+
+	// indexThreshold is the minimum snapshot size at which a prefilter
+	// engages (0 = defaultIndexThreshold; negative = always, which the
+	// parity tests set). Below it the plain scan wins.
+	indexThreshold int
 }
 
 // Stats counts the engine's work since construction (or the last
@@ -306,10 +298,10 @@ type Engine struct {
 	cfg  corpus.Config // snap's geometry: the engine's only one
 	opts Options
 
-	vecs         rows    // scanned vectors (observations or filtered)
-	upper, lower rows    // per-series LB_Keogh envelopes (DTW only)
-	energy       rows    // per-series observation energy, stride 1 (PROUD only)
-	varD         float64 // per-timestamp D_i variance sum (PROUD only)
+	vecs         rows    // scanned vectors (observations, or UMA/UEMA-filtered)
+	upper, lower rows    // per-series LB_Keogh envelopes (read by DTW)
+	energy       rows    // per-series observation energy, stride 1 (read by PROUD)
+	varD         float64 // per-timestamp D_i variance sum (read by PROUD)
 
 	pre *prefilter // the measure's prefilter; nil when queries run the plain scan
 
@@ -380,32 +372,40 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	cols := snap.Arena()
 	idx := cols.Rows
 
+	// The measure's plan, decided here and nowhere else: the column it
+	// scans, and the column and stage of its prefilter (none for DUST, which
+	// reads the entries' error models through the evaluator and phi tables
+	// the snapshot shares, and MUNICH, which reads their samples).
+	e.vecs = column(cols.Values, idx)
+	pre := prefilter{stage: distPrefilter}
 	switch opts.Measure {
 	case MeasureEuclidean:
-		e.vecs = column(cols.Values, idx)
+		pre.rows = column(cols.CoarseV, idx)
 	case MeasureUMA:
-		e.vecs = column(cols.UMA, idx)
+		e.vecs, pre.rows = column(cols.UMA, idx), column(cols.CoarseU, idx)
 	case MeasureUEMA:
-		e.vecs = column(cols.UEMA, idx)
+		e.vecs, pre.rows = column(cols.UEMA, idx), column(cols.CoarseE, idx)
 	case MeasureDTW:
-		e.vecs, e.upper, e.lower = column(cols.Values, idx), column(cols.Upper, idx), column(cols.Lower, idx)
-	case MeasureDUST:
-		// No column: DUST reads the entries' error models, through the
-		// evaluator (and its phi tables) the snapshot shares.
+		pre.rows, pre.dtw = column(cols.Sketch, idx), true
 	case MeasurePROUD:
-		e.vecs, e.energy = column(cols.Values, idx), column(cols.Energy, idx)
-		// The same arithmetic a naive scan feeds proud.Distance with
-		// (QuerySigma and CandSigma both the snapshot's reported sigma).
-		sigma := snap.ReportedSigma()
-		e.varD = sigma*sigma + sigma*sigma
+		pre.rows, pre.stage = column(cols.CoarseV, idx), proudPrefilter
+	case MeasureDUST:
+		pre.stage = noPrefilter
 	case MeasureMUNICH:
 		if !snap.HasSamples() {
 			return nil, errors.New("engine: MeasureMUNICH requires every resident series to carry a sample model (SamplesPerTS > 0)")
 		}
+		pre.stage = noPrefilter
 	default:
 		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, opts.Measure)
 	}
-	e.resolvePrefilter(cols)
+	// Every other column is bound whatever the measure: binding one reads
+	// nothing. varD is the arithmetic a naive scan feeds proud.Distance with
+	// (QuerySigma and CandSigma both the snapshot's reported sigma).
+	e.upper, e.lower, e.energy = column(cols.Upper, idx), column(cols.Lower, idx), column(cols.Energy, idx)
+	sigma := snap.ReportedSigma()
+	e.varD = sigma*sigma + sigma*sigma
+	e.resolvePrefilter(pre)
 	return e, nil
 }
 

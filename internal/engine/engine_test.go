@@ -228,10 +228,9 @@ func TestResetStats(t *testing.T) {
 // an engine must cost the same few allocations and the same few hundred
 // bytes at 256 and at 4096 series, for every measure with its prefilter
 // engaged: the engine binds arena columns and the snapshot's row index, and
-// gathers, derives or walks nothing. (The bucket list DTW's tree walk reads
-// belongs to the tree version, which collects it once, whoever asks first —
-// AllocsPerRun's warm-up call here, the epoch's first DTW engine in a
-// server.)
+// gathers, derives or walks nothing. What it does allocate is the engine and
+// the prefilter's per-layout state (tier 0's segments, or DTW's sketch
+// layout and its span widths), whose size depends on the series length only.
 func TestConstructionCostIsConstantInCorpusSize(t *testing.T) {
 	afterDelete := func(n int) *corpus.Snapshot {
 		c := testCorpus(t, n+1, 16)
@@ -262,7 +261,7 @@ func TestConstructionCostIsConstantInCorpusSize(t *testing.T) {
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
 	for _, opts := range allMeasureOptions() {
-		opts.IndexThreshold = -1
+		opts.indexThreshold = -1
 		sa, sb := cost(small, opts)
 		la, lb := cost(large, opts)
 		if sa != la || sb != lb {

@@ -64,7 +64,7 @@ func TestIndexedStatsIdentity(t *testing.T) {
 	n := snap.Len()
 	for _, base := range allMeasureOptions() {
 		opts := base
-		opts.IndexThreshold = -1
+		opts.indexThreshold = -1
 		e := newEngine(t, snap, opts)
 		for qi := 0; qi < queries; qi++ {
 			req := Request{Kind: KindTopK, Index: &qi, K: 3}
@@ -108,8 +108,8 @@ func TestStatsStringNamesThePrefilter(t *testing.T) {
 		opts    Options
 		skipped bool // "N series skipped" is printed
 	}{
-		{"tier 0", Options{Measure: MeasureEuclidean, IndexThreshold: -1}, true},
-		{"DTW sketch rows", Options{Measure: MeasureDTW, IndexThreshold: -1}, true},
+		{"tier 0", Options{Measure: MeasureEuclidean, indexThreshold: -1}, true},
+		{"DTW sketch rows", Options{Measure: MeasureDTW, indexThreshold: -1}, true},
 		{"plain scan", Options{Measure: MeasureEuclidean, NoIndex: true}, false},
 	} {
 		e := newEngine(t, snap, tc.opts)
@@ -188,7 +188,7 @@ func TestIndexChurnParity(t *testing.T) {
 
 		for _, base := range allMeasureOptions() {
 			opts := base
-			opts.IndexThreshold = -1
+			opts.indexThreshold = -1
 			linOpts := opts
 			linOpts.NoIndex = true
 			inc, err := NewFromSnapshot(snap, opts)
@@ -231,10 +231,10 @@ func TestIndexFallbacks(t *testing.T) {
 		opts Options
 	}{
 		{"below default threshold", Options{Measure: MeasureEuclidean}},
-		{"NoIndex", Options{Measure: MeasureEuclidean, NoIndex: true, IndexThreshold: -1}},
-		{"NoPrune", Options{Measure: MeasureEuclidean, NoPrune: true, IndexThreshold: -1}},
-		{"DUST has no prefilter", Options{Measure: MeasureDUST, IndexThreshold: -1}},
-		{"MUNICH has no prefilter", Options{Measure: MeasureMUNICH, IndexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
+		{"NoIndex", Options{Measure: MeasureEuclidean, NoIndex: true, indexThreshold: -1}},
+		{"NoPrune", Options{Measure: MeasureEuclidean, NoPrune: true, indexThreshold: -1}},
+		{"DUST has no prefilter", Options{Measure: MeasureDUST, indexThreshold: -1}},
+		{"MUNICH has no prefilter", Options{Measure: MeasureMUNICH, indexThreshold: -1, MUNICH: munich.Options{Bins: 256}}},
 	}
 	for _, tc := range cases {
 		e, err := NewFromSnapshot(snap, tc.opts)
@@ -245,12 +245,12 @@ func TestIndexFallbacks(t *testing.T) {
 			t.Errorf("%s: engine unexpectedly indexed", tc.name)
 		}
 	}
-	e, err := NewFromSnapshot(snap, Options{Measure: MeasureEuclidean, IndexThreshold: -1})
+	e, err := NewFromSnapshot(snap, Options{Measure: MeasureEuclidean, indexThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !engaged(e) {
-		t.Error("negative IndexThreshold did not engage the index")
+		t.Error("negative indexThreshold did not engage the index")
 	}
 	// Results through a fallback engine still match: the sanity anchor for
 	// every case above.

@@ -1,11 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
-	"uncertts/internal/arena"
-	"uncertts/internal/corpus"
 	"uncertts/internal/distance"
 	"uncertts/internal/sketch"
 )
@@ -55,53 +54,40 @@ import (
 // (Options.NoIndex), and Candidates + SeriesSkippedByIndex = queries * (N-1).
 
 // defaultIndexThreshold is the snapshot size below which no prefilter is
-// engaged (Options.IndexThreshold zero value): under ~a thousand resident
+// engaged (Options.indexThreshold zero value): under ~a thousand resident
 // series the plain scan wins.
 const defaultIndexThreshold = 1024
 
-// prefilter is the engine's one prefilter: its bound and the column it reads.
+// prefilter is the engine's one prefilter: its bound, the column it reads and
+// the stage the steps test it in.
 type prefilter struct {
-	dtw    bool          // the sketch-row bound; false: tier 0's
-	coarse sketch.Coarse // tier 0's segments
-	lay    sketch.Layout // the sketch row layout (DTW)
-	widths []float64     // the widths of lay's interior spans (DTW)
-	rows   rows          // the coarse means or the sketch rows, by position
+	stage  prefilterStage // distPrefilter or proudPrefilter
+	dtw    bool           // the sketch-row bound; false: tier 0's
+	coarse sketch.Coarse  // tier 0's segments
+	lay    sketch.Layout  // the sketch row layout (DTW)
+	widths []float64      // the widths of lay's interior spans (DTW)
+	rows   rows           // the coarse means or the sketch rows, by position
 }
 
-// resolvePrefilter engages the measure's prefilter, if it has one and the
-// engine is configured and large enough for it.
-func (e *Engine) resolvePrefilter(cols *corpus.Columns) {
-	if e.opts.NoPrune || e.opts.NoIndex {
-		return
-	}
-	threshold := e.opts.IndexThreshold
-	if threshold == 0 {
-		threshold = defaultIndexThreshold
-	}
-	if threshold > 0 && e.snap.Len() < threshold {
+// resolvePrefilter engages the prefilter the measure's plan named (its stage,
+// column and bound), if it named one and the engine is configured and large
+// enough for it.
+func (e *Engine) resolvePrefilter(p prefilter) {
+	threshold := cmp.Or(e.opts.indexThreshold, defaultIndexThreshold)
+	if p.stage == noPrefilter || e.opts.NoPrune || e.opts.NoIndex || threshold > 0 && e.snap.Len() < threshold {
 		return
 	}
 	n := e.snap.SeriesLen()
-	var means arena.Matrix
-	switch e.opts.Measure {
-	case MeasureEuclidean, MeasurePROUD:
-		means = cols.CoarseV
-	case MeasureUMA:
-		means = cols.CoarseU
-	case MeasureUEMA:
-		means = cols.CoarseE
-	case MeasureDTW:
-		e.pre = dtwPrefilter(sketch.NewLayout(n, sketch.DefaultSegments), column(cols.Sketch, cols.Rows))
-		return
-	default:
+	if p.dtw {
+		e.pre = dtwPrefilter(sketch.NewLayout(n, sketch.DefaultSegments), p.rows)
 		return
 	}
-	e.pre = &prefilter{coarse: sketch.NewCoarse(n), rows: column(means, cols.Rows)}
+	e.pre = &prefilter{stage: p.stage, coarse: sketch.NewCoarse(n), rows: p.rows}
 }
 
 // dtwPrefilter is the sketch-row prefilter over rows of layout lay.
 func dtwPrefilter(lay sketch.Layout, r rows) *prefilter {
-	p := &prefilter{dtw: true, lay: lay, rows: r}
+	p := &prefilter{stage: distPrefilter, dtw: true, lay: lay, rows: r}
 	for _, sp := range lay.Interior() {
 		p.widths = append(p.widths, float64(sp[1]-sp[0]))
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -18,17 +19,13 @@ import (
 //
 //   - Euclidean, UMA, UEMA, DTW, PROUD, DUST need Values;
 //   - MUNICH needs Samples;
-//   - Errors refines DUST's query-side error model and the UMA/UEMA filter
-//     weights (nil adopts the snapshot's reported error model);
-//   - Sigma overrides the constant error stddev PROUD assumes for the
-//     query side and, when Errors is nil, the filter weights (0 adopts the
-//     snapshot's reported sigma).
+//   - Sigma sets the query's constant error stddev: the one PROUD assumes
+//     for the query side, the UMA/UEMA filter weights and DUST's Normal(0,
+//     Sigma) error model (0 adopts the snapshot's reported error model).
 type Query struct {
 	// Values holds one observed value per timestamp.
 	Values []float64
-	// Errors optionally attaches per-timestamp error distributions.
-	Errors []stats.Dist
-	// Sigma optionally overrides the constant error stddev of the query.
+	// Sigma optionally sets the constant error stddev of the query.
 	Sigma float64
 	// Samples optionally attaches the repeated-observation model
 	// (required for MeasureMUNICH).
@@ -59,25 +56,16 @@ type prepared struct {
 }
 
 // prepareIndex binds the resident series at snapshot position qi as a
-// query. All derived state aliases the engine's precomputed artifacts; the
-// series itself is excluded from the answer.
+// query. All derived state aliases the entry's row of every column the
+// engine bound; the series itself is excluded from the answer.
 func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 	if err := e.checkIndex(qi); err != nil {
 		return nil, err
 	}
-	pq := &prepared{self: qi}
 	ent := e.snap.Entry(qi)
-	switch e.opts.Measure {
-	case MeasureEuclidean, MeasureUMA, MeasureUEMA, MeasureDTW:
-		pq.vec = e.vecs.at(qi)
-	case MeasureDUST:
-		pq.pdf = ent.PDF
-	case MeasurePROUD:
-		pq.vec = e.vecs.at(qi)
-		pq.energy = e.energy.at(qi)[0]
-		pq.varD = e.varD
-	case MeasureMUNICH:
-		pq.sample, pq.iv = *ent.Samples, ent.Intervals
+	pq := &prepared{self: qi, vec: e.vecs.at(qi), pdf: ent.PDF, energy: e.energy.at(qi)[0], varD: e.varD, iv: ent.Intervals}
+	if ent.Samples != nil {
+		pq.sample = *ent.Samples
 	}
 	return pq, nil
 }
@@ -91,9 +79,6 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 	needValues := e.opts.Measure != MeasureMUNICH
 	if needValues && len(q.Values) != n {
 		return nil, fmt.Errorf("engine: %w", qerr.LengthMismatchf("query has %d values, snapshot series have %d", len(q.Values), n))
-	}
-	if q.Errors != nil && len(q.Errors) != n {
-		return nil, fmt.Errorf("engine: %w", qerr.LengthMismatchf("query has %d error distributions, want %d", len(q.Errors), n))
 	}
 	if q.Sigma < 0 || math.IsNaN(q.Sigma) {
 		return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("query sigma %v must be non-negative", q.Sigma))
@@ -119,8 +104,8 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 		}
 		pq.vec = f
 	case MeasureDUST:
-		errs := q.Errors
-		if errs == nil && q.Sigma > 0 {
+		errs := e.snap.DefaultErrors()
+		if q.Sigma > 0 {
 			// A constant sigma is a full error model for DUST: Normal(0,
 			// sigma) per timestamp, matching what ingesting the series with
 			// that sigma would have attached. The cluster coordinator leans
@@ -131,9 +116,6 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 			for i := range errs {
 				errs[i] = d
 			}
-		}
-		if errs == nil {
-			errs = e.snap.DefaultErrors()
 		}
 		pq.pdf = uncertain.PDFSeries{Observations: append([]float64(nil), q.Values...), Errors: errs, ID: -1}
 		if err := pq.pdf.Validate(); err != nil {
@@ -160,35 +142,22 @@ func (e *Engine) prepare(q Query) (*prepared, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		pq.iv = munich.BoundingIntervals(pq.sample)
-	default:
-		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, e.opts.Measure)
 	}
 	return pq, nil
 }
 
 // querySigmas resolves the per-timestamp error stddevs of an ad-hoc query
-// for the filter measures: its own error model first, then a constant
-// override, then the snapshot's reported sigmas.
+// for the filter measures: its constant sigma, else the snapshot's reported
+// sigmas.
 func (e *Engine) querySigmas(q Query) []float64 {
-	n := e.snap.SeriesLen()
-	out := make([]float64, n)
-	switch {
-	case q.Errors != nil:
-		for i := range out {
-			out[i] = math.Sqrt(q.Errors[i].Variance())
-		}
-	case q.Sigma > 0:
-		for i := range out {
-			out[i] = q.Sigma
-		}
-	default:
-		if e.cfg.Sigmas != nil {
-			copy(out, e.cfg.Sigmas)
-		} else {
-			for i := range out {
-				out[i] = e.snap.ReportedSigma()
-			}
-		}
+	out := make([]float64, e.snap.SeriesLen())
+	if q.Sigma == 0 && e.cfg.Sigmas != nil {
+		copy(out, e.cfg.Sigmas)
+		return out
+	}
+	sigma := cmp.Or(q.Sigma, e.snap.ReportedSigma())
+	for i := range out {
+		out[i] = sigma
 	}
 	return out
 }

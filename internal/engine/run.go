@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -177,13 +178,7 @@ func (e *Engine) validate(req Request) error {
 	if req.Measure != e.opts.Measure {
 		return fmt.Errorf("engine: %w", qerr.BadRequestf("request measure %v but this engine serves %v", req.Measure, e.opts.Measure))
 	}
-	kindKnown := false
-	for _, k := range Kinds() {
-		if req.Kind == k {
-			kindKnown = true
-		}
-	}
-	if !kindKnown {
+	if !slices.Contains(Kinds(), req.Kind) {
 		return fmt.Errorf("engine: %w", qerr.BadRequestf("unknown query kind %v", int(req.Kind)))
 	}
 	if req.Kind.Probabilistic() != e.opts.Measure.Probabilistic() {

@@ -87,10 +87,7 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 	if e.pre != nil {
 		sp := telemetry.TraceFrom(ctx).Start("index_descent")
 		e.pre.summarise(pq, e.cfg.Band)
-		r.pre, r.lbs = distPrefilter, make([]float64, e.snap.Len())
-		if e.opts.Measure == MeasurePROUD {
-			r.pre = proudPrefilter
-		}
+		r.pre, r.lbs = e.pre.stage, make([]float64, e.snap.Len())
 		if req.Kind == KindTopK { // the other kinds bound batch by batch (scan)
 			e.pre.bounds(pq, r.lbs, 0)
 			if e.pre.dtw {

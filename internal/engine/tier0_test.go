@@ -137,7 +137,7 @@ func TestTier0Soundness(t *testing.T) {
 		snap := sc.corpus(t).Snapshot()
 		checkDTWRowBound(t, sc.name, snap)
 		for _, m := range []Measure{MeasureEuclidean, MeasureUMA, MeasureUEMA, MeasurePROUD} {
-			e, err := NewFromSnapshot(snap, Options{Measure: m, IndexThreshold: -1})
+			e, err := NewFromSnapshot(snap, Options{Measure: m, indexThreshold: -1})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sc.name, m, err)
 			}
@@ -213,7 +213,7 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 	}
 	for _, sc := range soundnessCases() {
 		snap := sc.corpus(t).Snapshot()
-		e := newEngine(t, snap, Options{Measure: MeasurePROUD, IndexThreshold: -1})
+		e := newEngine(t, snap, Options{Measure: MeasurePROUD, indexThreshold: -1})
 		n := snap.SeriesLen()
 		checks := 0
 		for qi := 0; qi < snap.Len(); qi++ {
@@ -267,7 +267,7 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 // distance; top-k at and around the tie groups equals the plain scan's.
 func checkDTWRowBound(t *testing.T, name string, snap *corpus.Snapshot) {
 	t.Helper()
-	e := newEngine(t, snap, Options{Measure: MeasureDTW, IndexThreshold: -1})
+	e := newEngine(t, snap, Options{Measure: MeasureDTW, indexThreshold: -1})
 	if e.pre == nil || !e.pre.dtw {
 		t.Fatalf("%s/DTW: the sketch rows are not engaged", name)
 	}

@@ -238,8 +238,8 @@ func NewCorpus(cfg CorpusConfig) *Corpus { return corpus.New(cfg) }
 type QueryEngine = engine.Engine
 
 // QueryEngineOptions configures a QueryEngine: the measure, the executor
-// (Workers, ShardSize), the reference and scan arms (NoPrune, NoIndex,
-// IndexThreshold) and the bin count of MUNICH's convolution. It carries no
+// (Workers, ShardSize), the reference and scan arms (NoPrune, NoIndex) and
+// the bin count of MUNICH's convolution. It carries no
 // geometry: the DTW band, the UMA/UEMA window, decay and weight mode, the
 // DUST tables and the MUNICH segment count are the CorpusConfig of the
 // corpus the snapshot came from (WorkloadConfig.Band for a Workload's), and
