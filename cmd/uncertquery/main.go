@@ -26,9 +26,11 @@
 //
 //	uncertquery -mode probrange -technique proud -tau 0.05 -query 3
 //
-// Both engine modes execute through the declarative QueryRequest API
-// (engine.Run) and accept -timeout, a deadline the whole execution stack
-// honours — the scan stops promptly when it expires:
+// Both modes build one server.QueryRequest from the flags, whatever the
+// source: a generated workload or a -data corpus answers it with an
+// in-process server.Server (Run), and -server posts it to /query. One report
+// prints every answer. Both accept -timeout, a deadline the whole execution
+// stack honours — the scan stops promptly when it expires:
 //
 //	uncertquery -mode topk -technique dtw -topk 5 -timeout 500ms
 //
@@ -53,6 +55,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -60,6 +63,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -136,26 +140,20 @@ func validate(cfg config) error {
 	if cfg.topk < 1 {
 		return fmt.Errorf("-topk = %d must be at least 1", cfg.topk)
 	}
-	if cfg.serverURL != "" {
-		if cfg.csvPath != "" || cfg.dataDir != "" {
-			return fmt.Errorf("-server is mutually exclusive with -csv and -data")
+	if cfg.serverURL != "" || cfg.dataDir != "" {
+		// Not a generated workload: no ground truth, nothing to calibrate.
+		src := "-data"
+		if cfg.serverURL != "" {
+			src = "-server"
+		}
+		if cfg.csvPath != "" || (cfg.serverURL != "" && cfg.dataDir != "") {
+			return fmt.Errorf("-server, -data and -csv are mutually exclusive")
 		}
 		if mode == "match" {
-			return fmt.Errorf("mode match needs a local generated workload with ground truth (use -mode topk or -mode probrange with -server)")
+			return fmt.Errorf("mode match needs a generated workload with ground truth (use -mode topk or -mode probrange with %s)", src)
 		}
 		if mode == "probrange" && (cfg.eps == 0 || cfg.tau == 0) {
-			return fmt.Errorf("probrange against -server needs explicit -eps and -tau (calibration needs a generated workload)")
-		}
-	}
-	if cfg.dataDir != "" {
-		if cfg.csvPath != "" {
-			return fmt.Errorf("-data and -csv are mutually exclusive")
-		}
-		if mode == "match" {
-			return fmt.Errorf("mode match needs a generated workload with ground truth (use -mode topk or -mode probrange with -data)")
-		}
-		if mode == "probrange" && (cfg.eps == 0 || cfg.tau == 0) {
-			return fmt.Errorf("probrange against -data needs explicit -eps and -tau (calibration needs a generated workload)")
+			return fmt.Errorf("probrange against %s needs explicit -eps and -tau (calibration needs a generated workload)", src)
 		}
 	}
 	if cfg.csvPath == "" && cfg.dataDir == "" {
@@ -187,6 +185,9 @@ func validate(cfg config) error {
 			return fmt.Errorf("-tau = %v outside the valid range (0 = calibrate; proud needs (0, 1), munich (0, 1])", cfg.tau)
 		}
 	}
+	if cfg.workers < 0 {
+		return fmt.Errorf("-workers = %d must be non-negative (0 = GOMAXPROCS)", cfg.workers)
+	}
 	if cfg.timeout < 0 {
 		return fmt.Errorf("-timeout = %v must be non-negative (0 = no deadline)", cfg.timeout)
 	}
@@ -204,8 +205,8 @@ func checkBand(band, persisted int) error {
 	return nil
 }
 
-// queryContext derives the engine-query context from the -timeout flag
-// (0 = no deadline).
+// queryContext derives the query context from the -timeout flag (0 = no
+// deadline).
 func queryContext(cfg config) (context.Context, context.CancelFunc) {
 	if cfg.timeout > 0 {
 		return context.WithTimeout(context.Background(), cfg.timeout)
@@ -214,50 +215,223 @@ func queryContext(cfg config) (context.Context, context.CancelFunc) {
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.dataset, "dataset", "CBF", "synthetic dataset to generate (ignored with -csv)")
-	flag.StringVar(&cfg.csvPath, "csv", "", "load the dataset from this CSV file instead of generating")
-	flag.StringVar(&cfg.dataDir, "data", "", "query a persisted corpus directory (read-only recovery; -query addresses a stable corpus ID)")
-	flag.StringVar(&cfg.serverURL, "server", "", "query a running uncertserve or cluster coordinator at this base URL (-query addresses a stable corpus ID)")
-	flag.IntVar(&cfg.series, "series", 40, "number of series when generating")
-	flag.IntVar(&cfg.length, "length", 96, "series length when generating")
-	flag.Int64Var(&cfg.seed, "seed", 1, "seed for generation and perturbation")
-	flag.StringVar(&cfg.technique, "technique", "uema", "euclidean, proud, dust, munich, uma, uema or dtw")
-	flag.Float64Var(&cfg.sigma, "sigma", 0.6, "error standard deviation (normal error)")
-	flag.IntVar(&cfg.queryIdx, "query", 0, "query series index")
-	flag.IntVar(&cfg.k, "k", 10, "ground-truth neighbourhood size")
-	flag.Float64Var(&cfg.tau, "tau", 0, "probability threshold for proud/munich (0 = calibrate)")
-	flag.Float64Var(&cfg.eps, "eps", 0, "distance threshold in probrange mode (0 = the calibrated ground-truth eps)")
-	flag.StringVar(&cfg.mode, "mode", "match", "match (range query vs ground truth), topk (pruned k-NN) or probrange (pruned probabilistic range query)")
-	flag.IntVar(&cfg.topk, "topk", 5, "neighbours to return in topk mode")
-	flag.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width of the generated corpus, for dtw in match and topk mode (0 = length/10, negative = unconstrained; with -data it must match the persisted band)")
-	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers in topk/probrange mode (0 = GOMAXPROCS)")
-	flag.DurationVar(&cfg.timeout, "timeout", 0, "deadline for topk/probrange queries, e.g. 500ms (0 = none)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "uncertquery:", err)
+		os.Exit(1)
+	}
+}
 
+// run is main with its environment injected, so tests can drive the
+// command end to end.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("uncertquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg config
+	fs.StringVar(&cfg.dataset, "dataset", "CBF", "synthetic dataset to generate (ignored with -csv)")
+	fs.StringVar(&cfg.csvPath, "csv", "", "load the dataset from this CSV file instead of generating")
+	fs.StringVar(&cfg.dataDir, "data", "", "query a persisted corpus directory (read-only recovery; -query addresses a stable corpus ID)")
+	fs.StringVar(&cfg.serverURL, "server", "", "query a running uncertserve or cluster coordinator at this base URL (-query addresses a stable corpus ID)")
+	fs.IntVar(&cfg.series, "series", 40, "number of series when generating")
+	fs.IntVar(&cfg.length, "length", 96, "series length when generating")
+	fs.Int64Var(&cfg.seed, "seed", 1, "seed for generation and perturbation")
+	fs.StringVar(&cfg.technique, "technique", "uema", "euclidean, proud, dust, munich, uma, uema or dtw")
+	fs.Float64Var(&cfg.sigma, "sigma", 0.6, "error standard deviation (normal error)")
+	fs.IntVar(&cfg.queryIdx, "query", 0, "query series index")
+	fs.IntVar(&cfg.k, "k", 10, "ground-truth neighbourhood size")
+	fs.Float64Var(&cfg.tau, "tau", 0, "probability threshold for proud/munich (0 = calibrate)")
+	fs.Float64Var(&cfg.eps, "eps", 0, "distance threshold in probrange mode (0 = the calibrated ground-truth eps)")
+	fs.StringVar(&cfg.mode, "mode", "match", "match (range query vs ground truth), topk (pruned k-NN) or probrange (pruned probabilistic range query)")
+	fs.IntVar(&cfg.topk, "topk", 5, "neighbours to return in topk mode")
+	fs.IntVar(&cfg.band, "band", 0, "Sakoe-Chiba half-width of the generated corpus, for dtw in match and topk mode (0 = length/10, negative = unconstrained; with -data it must match the persisted band)")
+	fs.IntVar(&cfg.workers, "workers", 0, "parallel workers in topk/probrange mode (0 = GOMAXPROCS)")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "deadline for topk/probrange queries, e.g. 500ms (0 = none)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if err := validate(cfg); err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.mode = strings.ToLower(cfg.mode)
 	cfg.technique = strings.ToLower(cfg.technique)
 
+	req := queryRequest(cfg)
 	if cfg.serverURL != "" {
-		runFromServer(cfg)
-		return
-	}
-	if cfg.dataDir != "" {
-		runFromStore(cfg)
-		return
+		a, err := post(cfg.serverURL, req, stderr)
+		if err != nil {
+			return err
+		}
+		report(stdout, cfg, req, a)
+		return nil
 	}
 
+	var c *corpus.Corpus
+	var a answer
+	if cfg.dataDir != "" {
+		st, err := store.Open(cfg.dataDir, corpus.Config{}, store.Options{ReadOnly: true})
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		c, a.snap = st.Corpus(), st.Corpus().Snapshot()
+		if err := checkBand(cfg.band, a.snap.Config().Band); err != nil {
+			return err
+		}
+		a.header = fmt.Sprintf("corpus     : %s (%d series x %d points, epoch %d)", cfg.dataDir, a.snap.Len(), a.snap.SeriesLen(), a.snap.Epoch())
+	} else {
+		w, name, err := generate(cfg)
+		if err != nil {
+			return err
+		}
+		if cfg.mode == "match" {
+			return runMatch(stdout, stderr, w, name, cfg)
+		}
+		if req.Type == "probrange" && req.Tau == 0 {
+			if req.Tau, err = calibrateTau(w, measureFor(cfg.technique), stderr); err != nil {
+				return err
+			}
+		}
+		if req.Type == "probrange" && req.Eps == 0 {
+			req.Eps = w.EpsEucl(cfg.queryIdx)
+		}
+		c, a.snap, a.w = w.Corpus(), w.Snapshot(), w
+		a.header = fmt.Sprintf("dataset    : %s (%d series x %d points)", name, w.Len(), w.SeriesLen())
+	}
+
+	// -workers is the query's budget as given: 0 is every core, and the
+	// server clamps no request below the flag.
+	workers := cmp.Or(cfg.workers, runtime.GOMAXPROCS(0))
+	srv := server.New(c, server.Options{DefaultWorkers: workers, MaxWorkers: workers})
+	ctx, cancel := queryContext(cfg)
+	defer cancel()
+	resp, err := srv.Run(ctx, req)
+	if err != nil {
+		return err
+	}
+	a.resp = &cluster.Response{QueryResponse: *resp}
+	a.scan = srv.Stats().Measures[resp.Measure].Summary
+	report(stdout, cfg, req, a)
+	return nil
+}
+
+// queryRequest is the one query the topk and probrange modes ask, built
+// from the flags: a local server runs it, a remote one is posted it. A
+// generated workload fills in the calibrated eps and tau the flags leave 0.
+func queryRequest(cfg config) server.QueryRequest {
+	req := server.QueryRequest{
+		Measure: cfg.technique,
+		ID:      &cfg.queryIdx,
+		Workers: cfg.workers,
+		// Rounded up: timeout_ms 0 means no deadline, which a -timeout
+		// under a millisecond is not.
+		TimeoutMS: (cfg.timeout + time.Millisecond - 1).Milliseconds(),
+	}
+	if cfg.mode == "topk" {
+		req.Type, req.K = "topk", cfg.topk
+	} else {
+		req.Type, req.Eps, req.Tau = "probrange", cfg.eps, cfg.tau
+	}
+	return req
+}
+
+// answer is one query's answer and what its source knows around it.
+type answer struct {
+	header string            // the report's first line, naming the source
+	resp   *cluster.Response // the answer, in stable corpus IDs
+	w      *core.Workload    // ground truth: a generated workload only
+	snap   *corpus.Snapshot  // labels: a local corpus only
+	// scan is a local server's engine accounting for the measure.
+	scan string
+	// traceID is the ID a remote server gave the query.
+	traceID string
+}
+
+// report prints one topk or probrange answer, whatever its source.
+func report(out io.Writer, cfg config, req server.QueryRequest, a answer) {
+	label := func(id int) int {
+		pos, _ := a.snap.PosOf(id)
+		return a.snap.Entry(pos).PDF.Label
+	}
+	fmt.Fprintln(out, a.header)
+	if req.Type == "topk" {
+		fmt.Fprintf(out, "measure    : %s (pruned top-%d)\n", a.resp.Measure, req.K)
+	} else {
+		fmt.Fprintf(out, "measure    : %s (pruned probabilistic range, eps=%.4f, tau=%g)\n", a.resp.Measure, req.Eps, req.Tau)
+	}
+	if a.w != nil {
+		fmt.Fprintf(out, "perturbation: normal error, sigma=%.2f\n", cfg.sigma)
+	}
+	if a.snap != nil {
+		fmt.Fprintf(out, "query      : series %d (label %d)\n", *req.ID, label(*req.ID))
+	} else {
+		fmt.Fprintf(out, "query      : series %d\n", *req.ID)
+	}
+	for rank, n := range a.resp.Neighbors {
+		if a.snap != nil {
+			fmt.Fprintf(out, "  #%-2d series %-4d label %-3d distance %.4f\n", rank+1, n.ID, label(n.ID), n.Distance)
+		} else {
+			fmt.Fprintf(out, "  #%-2d series %-4d distance %.4f\n", rank+1, n.ID, n.Distance)
+		}
+	}
+	if req.Type == "probrange" {
+		fmt.Fprintf(out, "matches    : %v\n", a.resp.IDs)
+		if a.w != nil {
+			fmt.Fprintf(out, "ground truth: %v\n", a.w.Truth(*req.ID))
+		}
+	}
+	if a.resp.Degraded {
+		fmt.Fprintf(out, "DEGRADED   : partial answer, %d shard(s) missing\n", len(a.resp.ShardErrors))
+		for _, se := range a.resp.ShardErrors {
+			fmt.Fprintf(out, "  shard %-10s %-12s %s\n", se.Shard, se.Kind, se.Error)
+		}
+		if a.traceID != "" {
+			fmt.Fprintf(out, "trace id   : %s\n", a.traceID)
+		}
+	}
+	if a.scan != "" {
+		fmt.Fprintf(out, "scan       : %s\n", a.scan)
+	}
+}
+
+// post sends the query to a running uncertserve, or a cluster coordinator
+// (the wire shape is the same), and returns its answer.
+func post(url string, req server.QueryRequest, stderr io.Writer) (answer, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return answer{}, err
+	}
+	httpResp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return answer{}, err
+	}
+	defer httpResp.Body.Close()
+	// The server minted (or adopted) a trace ID for this query and put it
+	// in the response header; surface it whenever the answer needs a
+	// follow-up look in the slow-query log or /debug/trace.
+	a := answer{traceID: httpResp.Header.Get(telemetry.TraceHeader), resp: &cluster.Response{}}
+	if httpResp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
+		if a.traceID != "" {
+			fmt.Fprintf(stderr, "trace id   : %s\n", a.traceID)
+		}
+		return answer{}, fmt.Errorf("%s/query answered %d: %s", url, httpResp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	if err := json.NewDecoder(httpResp.Body).Decode(a.resp); err != nil {
+		return answer{}, err
+	}
+	a.header = fmt.Sprintf("server     : %s (epoch %d)", url, a.resp.Epoch)
+	return a, nil
+}
+
+// generate builds the perturbed workload of a generated or CSV dataset,
+// with the ground truth every report of it quotes.
+func generate(cfg config) (*core.Workload, string, error) {
 	ds, err := loadDataset(cfg.csvPath, cfg.dataset, cfg.series, cfg.length, cfg.seed)
 	if err != nil {
-		fatal(err)
+		return nil, "", err
 	}
-	n := ds.Series[0].Len()
-	pert, err := uncertain.NewConstantPerturber(uncertain.Normal, cfg.sigma, n, cfg.seed)
+	pert, err := uncertain.NewConstantPerturber(uncertain.Normal, cfg.sigma, ds.Series[0].Len(), cfg.seed)
 	if err != nil {
-		fatal(err)
+		return nil, "", err
 	}
 	samplesPerTS := 0
 	if cfg.technique == "munich" {
@@ -265,30 +439,22 @@ func main() {
 	}
 	w, err := core.NewWorkload(ds, pert, core.WorkloadConfig{K: cfg.k, SamplesPerTS: samplesPerTS, Band: cfg.band})
 	if err != nil {
-		fatal(err)
+		return nil, "", err
 	}
 	if cfg.queryIdx >= w.Len() {
-		fatal(fmt.Errorf("query index %d outside [0, %d)", cfg.queryIdx, w.Len()))
+		return nil, "", fmt.Errorf("query index %d outside [0, %d)", cfg.queryIdx, w.Len())
 	}
-
-	switch cfg.mode {
-	case "topk":
-		runTopK(w, ds.Name, cfg)
-	case "probrange":
-		runProbRange(w, ds.Name, cfg)
-	default:
-		runMatch(w, ds.Name, cfg)
-	}
+	return w, ds.Name, nil
 }
 
 // runMatch answers the paper's similarity-matching task (Section 4.1.2) for
 // the query and scores the answer against the ground truth.
-func runMatch(w *core.Workload, dsName string, cfg config) {
+func runMatch(out, stderr io.Writer, w *core.Workload, dsName string, cfg config) error {
 	t := experiments.Technique{Measure: measureFor(cfg.technique), Tau: cfg.tau}
 	if t.Measure.Probabilistic() && t.Tau == 0 {
-		best, err := calibrateTau(w, t.Measure)
+		best, err := calibrateTau(w, t.Measure, stderr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		t.Tau = best
 	}
@@ -308,230 +474,25 @@ func runMatch(w *core.Workload, dsName string, cfg config) {
 	}
 	got, err := experiments.Match(w, t, cfg.queryIdx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	metrics := experiments.Score(got, w.Truth(cfg.queryIdx))
 
-	fmt.Printf("dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
-	fmt.Printf("technique  : %s\n", name)
-	fmt.Printf("perturbation: normal error, sigma=%.2f\n", cfg.sigma)
-	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
-	fmt.Printf("matches    : %v\n", got)
-	fmt.Printf("ground truth: %v\n", w.Truth(cfg.queryIdx))
-	fmt.Printf("precision=%.3f recall=%.3f F1=%.3f\n", metrics.Precision, metrics.Recall, metrics.F1)
+	fmt.Fprintf(out, "dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
+	fmt.Fprintf(out, "technique  : %s\n", name)
+	fmt.Fprintf(out, "perturbation: normal error, sigma=%.2f\n", cfg.sigma)
+	fmt.Fprintf(out, "query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
+	fmt.Fprintf(out, "matches    : %v\n", got)
+	fmt.Fprintf(out, "ground truth: %v\n", w.Truth(cfg.queryIdx))
+	fmt.Fprintf(out, "precision=%.3f recall=%.3f F1=%.3f\n", metrics.Precision, metrics.Recall, metrics.F1)
+	return nil
 }
 
 // measureFor maps a validated technique name to its engine measure: the
 // technique names are the engine's measure names.
 func measureFor(technique string) engine.Measure {
-	m, err := engine.ParseMeasure(technique)
-	if err != nil {
-		fatal(err)
-	}
+	m, _ := engine.ParseMeasure(technique) // validate accepted the name
 	return m
-}
-
-// runFromStore answers the query against a persisted corpus: read-only
-// recovery (the exact state uncertserve would serve), engines over the
-// recovered snapshot, -query resolved as a stable corpus ID.
-func runFromStore(cfg config) {
-	st, err := store.Open(cfg.dataDir, corpus.Config{}, store.Options{ReadOnly: true})
-	if err != nil {
-		fatal(err)
-	}
-	snap := st.Corpus().Snapshot()
-	if snap.Len() == 0 {
-		fatal(fmt.Errorf("persisted corpus %s holds no series", cfg.dataDir))
-	}
-	if err := checkBand(cfg.band, snap.Config().Band); err != nil {
-		fatal(err)
-	}
-	pos, ok := snap.PosOf(cfg.queryIdx)
-	if !ok {
-		fatal(fmt.Errorf("no series with stable ID %d in %s (IDs are assigned at ingest and never reused)", cfg.queryIdx, cfg.dataDir))
-	}
-	measure := measureFor(cfg.technique)
-	e, err := engine.NewFromSnapshot(snap, engine.Options{Measure: measure, Workers: cfg.workers})
-	if err != nil {
-		fatal(err)
-	}
-	ctx, cancel := queryContext(cfg)
-	defer cancel()
-	req := engine.Request{Measure: measure, Index: &pos, Workers: cfg.workers}
-	if cfg.mode == "topk" {
-		req.Kind, req.K = engine.KindTopK, cfg.topk
-	} else {
-		req.Kind, req.Eps, req.Tau = engine.KindProbRange, cfg.eps, cfg.tau
-	}
-	res, err := e.Run(ctx, req)
-	if err != nil {
-		fatal(err)
-	}
-	stats := e.Stats()
-
-	fmt.Printf("corpus     : %s (%d series x %d points, epoch %d)\n", cfg.dataDir, snap.Len(), snap.SeriesLen(), snap.Epoch())
-	if cfg.mode == "topk" {
-		fmt.Printf("measure    : %s (pruned top-%d)\n", measure, cfg.topk)
-	} else {
-		fmt.Printf("measure    : %s (pruned probabilistic range, eps=%.4f, tau=%g)\n", measure, cfg.eps, cfg.tau)
-	}
-	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, snap.Entry(pos).PDF.Label)
-	for rank, n := range res.Neighbors {
-		fmt.Printf("  #%-2d series %-4d label %-3d distance %.4f\n",
-			rank+1, snap.IDAt(n.ID), snap.Entry(n.ID).PDF.Label, n.Distance)
-	}
-	if res.IDs != nil {
-		ids := make([]int, len(res.IDs))
-		for i, p := range res.IDs {
-			ids[i] = snap.IDAt(p)
-		}
-		fmt.Printf("matches    : %v\n", ids)
-	}
-	fmt.Printf("scan       : %s\n", stats)
-}
-
-// runFromServer sends the query to a running uncertserve (or cluster
-// coordinator — the wire shape is the same) and renders the answer. A
-// degraded cluster response is reported shard by shard next to the
-// partial result.
-func runFromServer(cfg config) {
-	req := server.QueryRequest{
-		Measure: cfg.technique,
-		ID:      &cfg.queryIdx,
-		Workers: cfg.workers,
-	}
-	if cfg.timeout > 0 {
-		req.TimeoutMS = cfg.timeout.Milliseconds()
-	}
-	if cfg.mode == "topk" {
-		req.Type, req.K = "topk", cfg.topk
-	} else {
-		req.Type, req.Eps, req.Tau = "probrange", cfg.eps, cfg.tau
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		fatal(err)
-	}
-	httpResp, err := http.Post(cfg.serverURL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		fatal(err)
-	}
-	defer httpResp.Body.Close()
-	// The server minted (or adopted) a trace ID for this query and put it
-	// in the response header; surface it whenever the answer needs a
-	// follow-up look in the slow-query log or /debug/trace.
-	traceID := httpResp.Header.Get(telemetry.TraceHeader)
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		if traceID != "" {
-			fmt.Fprintf(os.Stderr, "trace id   : %s\n", traceID)
-		}
-		fatal(fmt.Errorf("%s/query answered %d: %s", cfg.serverURL, httpResp.StatusCode, strings.TrimSpace(string(msg))))
-	}
-	var resp cluster.Response
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("server     : %s (epoch %d)\n", cfg.serverURL, resp.Epoch)
-	if cfg.mode == "topk" {
-		fmt.Printf("measure    : %s (pruned top-%d)\n", resp.Measure, cfg.topk)
-	} else {
-		fmt.Printf("measure    : %s (pruned probabilistic range, eps=%.4f, tau=%g)\n", resp.Measure, cfg.eps, cfg.tau)
-	}
-	fmt.Printf("query      : series %d\n", cfg.queryIdx)
-	for rank, n := range resp.Neighbors {
-		fmt.Printf("  #%-2d series %-4d distance %.4f\n", rank+1, n.ID, n.Distance)
-	}
-	if resp.IDs != nil {
-		fmt.Printf("matches    : %v\n", resp.IDs)
-	}
-	if resp.Degraded {
-		fmt.Printf("DEGRADED   : partial answer, %d shard(s) missing\n", len(resp.ShardErrors))
-		for _, se := range resp.ShardErrors {
-			fmt.Printf("  shard %-10s %-12s %s\n", se.Shard, se.Kind, se.Error)
-		}
-		if traceID != "" {
-			fmt.Printf("trace id   : %s\n", traceID)
-		}
-	}
-}
-
-// runTopK answers the k-NN query through the pruned engine and reports the
-// scan statistics next to a naive full-scan baseline.
-func runTopK(w *core.Workload, dsName string, cfg config) {
-	measure := measureFor(cfg.technique)
-	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Workers: cfg.workers})
-	if err != nil {
-		fatal(err)
-	}
-	ctx, cancel := queryContext(cfg)
-	defer cancel()
-	res, err := e.Run(ctx, engine.Request{
-		Measure: measure,
-		Kind:    engine.KindTopK,
-		Index:   &cfg.queryIdx,
-		K:       cfg.topk,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	nn := res.Neighbors
-	stats := e.Stats()
-
-	fmt.Printf("dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
-	fmt.Printf("measure    : %s (pruned top-%d)\n", measure, cfg.topk)
-	fmt.Printf("perturbation: normal error, sigma=%.2f\n", cfg.sigma)
-	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
-	for rank, n := range nn {
-		fmt.Printf("  #%-2d series %-4d label %-3d distance %.4f\n",
-			rank+1, n.ID, w.Exact[n.ID].Label, n.Distance)
-	}
-	fmt.Printf("scan       : %s\n", stats)
-}
-
-// runProbRange answers the probabilistic range query through the pruned
-// engine and reports which bound resolved how much of the scan.
-func runProbRange(w *core.Workload, dsName string, cfg config) {
-	measure := measureFor(cfg.technique)
-	tau := cfg.tau
-	if tau == 0 {
-		best, err := calibrateTau(w, measure)
-		if err != nil {
-			fatal(err)
-		}
-		tau = best
-	}
-	eps := cfg.eps
-	if eps == 0 {
-		eps = w.EpsEucl(cfg.queryIdx)
-	}
-	e, err := engine.NewFromSnapshot(w.Snapshot(), engine.Options{Measure: measure, Workers: cfg.workers})
-	if err != nil {
-		fatal(err)
-	}
-	ctx, cancel := queryContext(cfg)
-	defer cancel()
-	res, err := e.Run(ctx, engine.Request{
-		Measure: measure,
-		Kind:    engine.KindProbRange,
-		Index:   &cfg.queryIdx,
-		Eps:     eps,
-		Tau:     tau,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	got := res.IDs
-	stats := e.Stats()
-
-	fmt.Printf("dataset    : %s (%d series x %d points)\n", dsName, w.Len(), w.SeriesLen())
-	fmt.Printf("measure    : %s (pruned probabilistic range, eps=%.4f, tau=%g)\n", measure, eps, tau)
-	fmt.Printf("perturbation: normal error, sigma=%.2f\n", cfg.sigma)
-	fmt.Printf("query      : series %d (label %d)\n", cfg.queryIdx, w.Exact[cfg.queryIdx].Label)
-	fmt.Printf("matches    : %v\n", got)
-	fmt.Printf("ground truth: %v\n", w.Truth(cfg.queryIdx))
-	fmt.Printf("scan       : %s\n", stats)
 }
 
 func loadDataset(csvPath, name string, series, length int, seed int64) (timeseries.Dataset, error) {
@@ -549,16 +510,11 @@ func loadDataset(csvPath, name string, series, length int, seed int64) (timeseri
 // calibrateTau reproduces the paper's "optimal tau" procedure for the
 // probabilistic techniques over a fixed query sample, reporting the result
 // on stderr. Both the match and probrange paths share it.
-func calibrateTau(w *core.Workload, measure engine.Measure) (float64, error) {
+func calibrateTau(w *core.Workload, measure engine.Measure, stderr io.Writer) (float64, error) {
 	best, _, err := experiments.CalibrateTau(w, experiments.Technique{Measure: measure}, []int{0, 1, 2}, nil)
 	if err != nil {
 		return 0, err
 	}
-	fmt.Fprintf(os.Stderr, "calibrated tau = %g\n", best)
+	fmt.Fprintf(stderr, "calibrated tau = %g\n", best)
 	return best, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uncertquery:", err)
-	os.Exit(1)
 }

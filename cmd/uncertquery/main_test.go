@@ -1,9 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"uncertts/internal/corpus"
+	"uncertts/internal/server"
+	"uncertts/internal/store"
 )
 
 // goodConfig is a baseline that must validate; each case mutates one flag.
@@ -55,6 +67,7 @@ func TestValidate(t *testing.T) {
 		{"tau one for proud", func(c *config) { c.mode = "probrange"; c.technique = "proud"; c.tau = 1 }, "-tau"},
 		{"tau above one", func(c *config) { c.mode = "probrange"; c.technique = "munich"; c.tau = 1.5 }, "-tau"},
 		{"negative timeout", func(c *config) { c.timeout = -time.Second }, "-timeout"},
+		{"negative workers", func(c *config) { c.workers = -1 }, "-workers"},
 
 		{"generated band", func(c *config) { c.mode = "topk"; c.technique = "dtw"; c.band = 4 }, ""},
 		{"generated band unconstrained", func(c *config) { c.mode = "topk"; c.technique = "dtw"; c.band = -1 }, ""},
@@ -70,6 +83,9 @@ func TestValidate(t *testing.T) {
 		{"data match mode", func(c *config) { c.dataDir = "d" }, "ground truth"},
 		{"data probrange without eps", func(c *config) { c.dataDir = "d"; c.mode = "probrange"; c.technique = "proud"; c.tau = 0.1 }, "explicit -eps"},
 		{"data probrange without tau", func(c *config) { c.dataDir = "d"; c.mode = "probrange"; c.technique = "proud"; c.eps = 3 }, "explicit -eps"},
+		{"server with data", func(c *config) { c.serverURL = "http://x"; c.dataDir = "d"; c.mode = "topk" }, "mutually exclusive"},
+		{"server match mode", func(c *config) { c.serverURL = "http://x" }, "ground truth"},
+		{"server probrange without eps", func(c *config) { c.serverURL = "http://x"; c.mode = "probrange"; c.technique = "proud"; c.tau = 0.1 }, "explicit -eps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +108,19 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestQueryRequestTimeout: timeout_ms 0 is no deadline, so a -timeout
+// under a millisecond rounds up to 1 rather than down to none.
+func TestQueryRequestTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    int64
+	}{{0, 0}, {500 * time.Microsecond, 1}, {time.Millisecond, 1}, {1500 * time.Microsecond, 2}, {2 * time.Second, 2000}} {
+		if got := queryRequest(config{mode: "topk", timeout: tc.timeout}).TimeoutMS; got != tc.want {
+			t.Errorf("-timeout %v: timeout_ms %d, want %d", tc.timeout, got, tc.want)
+		}
+	}
+}
+
 // TestCheckBand: -band is the generated corpus' geometry; against a
 // persisted corpus (-data) it may only agree with the band the corpus was
 // built under, and the refusal names that band.
@@ -111,6 +140,85 @@ func TestCheckBand(t *testing.T) {
 		err := checkBand(tc.band, tc.persisted)
 		if (err == nil) != (tc.wantErr == "") || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
 			t.Errorf("%s: checkBand(%d, %d) = %v, want error containing %q", tc.name, tc.band, tc.persisted, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRunSourcesAgree asks one topk and one PROUD probrange query of the
+// three sources over one corpus: a generated workload, the directory
+// `uncertgen -out` writes for the same flags (-data), and a server over
+// that directory (-server). The neighbours and matches must agree, and each
+// local scan line must read what the server's /stats summary reads for the
+// measure after the same query (one worker: the counts do not depend on
+// thread timing).
+func TestRunSourcesAgree(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain to run uncertgen:", err)
+	}
+	gen := []string{"-dataset", "CBF", "-series", "24", "-length", "32", "-seed", "1", "-sigma", "0.6"}
+	dir := filepath.Join(t.TempDir(), "corpus")
+	if out, err := exec.Command(goBin, append([]string{"run", "../uncertgen", "-out", dir}, gen...)...).CombinedOutput(); err != nil {
+		t.Fatalf("uncertgen -out: %v\n%s", err, out)
+	}
+	st, err := store.Open(dir, corpus.Config{}, store.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	hs := httptest.NewServer(server.New(st.Corpus(), server.Options{}).Handler())
+	defer hs.Close()
+
+	answer := regexp.MustCompile(`^  #\d+ +series (\d+) .*distance (\S+)$`)
+	for _, q := range [][]string{
+		{"-mode", "topk", "-technique", "euclidean", "-topk", "5", "-query", "3", "-workers", "1"},
+		{"-mode", "probrange", "-technique", "proud", "-eps", "6.5", "-tau", "0.1", "-query", "3", "-workers", "1"},
+	} {
+		var answers []string
+		scans := map[string]string{}
+		for _, src := range []struct {
+			name string
+			args []string
+		}{
+			{"generated", gen},
+			{"-data", []string{"-data", dir}},
+			{"-server", []string{"-server", hs.URL}},
+		} {
+			var out bytes.Buffer
+			if err := run(append(append([]string{}, src.args...), q...), &out, io.Discard); err != nil {
+				t.Fatalf("%s %v: %v", src.name, q, err)
+			}
+			var got []string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if m := answer.FindStringSubmatch(line); m != nil {
+					got = append(got, m[1]+" "+m[2])
+				}
+				if strings.HasPrefix(line, "matches") {
+					got = append(got, line)
+				}
+				if s, ok := strings.CutPrefix(line, "scan       : "); ok {
+					scans[src.name] = s
+				}
+			}
+			answers = append(answers, strings.Join(got, "\n"))
+			if answers[0] == "" || answers[len(answers)-1] != answers[0] {
+				t.Fatalf("%v: %s answered\n%s\nthe generated workload\n%s", q, src.name, answers[len(answers)-1], answers[0])
+			}
+		}
+
+		resp, err := http.Get(hs.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats server.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stats.Measures[measureFor(q[3]).String()].Summary
+		if want == "" || scans["generated"] != want || scans["-data"] != want || scans["-server"] != "" {
+			t.Errorf("%v: scan lines %q, want the server's summary %q on both local sources and none remotely", q, scans, want)
 		}
 	}
 }

@@ -219,67 +219,78 @@ func openCorpus(cfg config) (*corpus.Corpus, *store.Store, error) {
 	return st.Corpus(), st, nil
 }
 
-// preload seeds the corpus with the perturbed synthetic dataset, but only
-// a pristine one: a recovered store keeps exactly its acknowledged state,
-// including "operator deleted everything" (epoch > 0 with zero series),
-// which must not be papered over with fresh synthetic data.
-func preload(c *corpus.Corpus, cfg config, pristine bool) error {
-	if cfg.dataset == "" || !pristine {
-		return nil
-	}
+// preload is the perturbed synthetic dataset the flags describe, as one
+// /series mutation: buildServer applies it with Server.Mutate, buildCluster
+// with Coordinator.Mutate, which routes each series to its home shard under
+// the global ID a single node gives it, so every query answer matches a
+// single node preloaded with the same flags.
+func preload(cfg config) (server.SeriesRequest, error) {
 	ds, err := ucr.Generate(cfg.dataset, ucr.Options{MaxSeries: cfg.series, Length: cfg.length, Seed: cfg.seed})
 	if err != nil {
-		return err
+		return server.SeriesRequest{}, err
 	}
 	pert, err := uncertain.NewConstantPerturber(uncertain.Normal, cfg.sigma, cfg.length, cfg.seed)
 	if err != nil {
-		return err
+		return server.SeriesRequest{}, err
 	}
-	batch := make([]corpus.Series, len(ds.Series))
+	req := server.SeriesRequest{Insert: make([]server.SeriesJSON, len(ds.Series))}
 	for i, s := range ds.Series {
 		ps := pert.PerturbPDF(s)
-		batch[i] = corpus.Series{Values: ps.Observations, Errors: ps.Errors, Label: s.Label}
+		req.Insert[i] = server.SeriesJSON{Values: ps.Observations, Sigma: cfg.sigma, Label: s.Label}
 		if cfg.samples > 0 {
 			ss, err := pert.PerturbSamples(s, cfg.samples)
 			if err != nil {
-				return err
+				return server.SeriesRequest{}, err
 			}
-			batch[i].Samples = ss.Samples
+			req.Insert[i].Samples = ss.Samples
 		}
 	}
-	_, err = c.InsertBatch(batch)
-	return err
+	return req, nil
 }
 
-// buildServer assembles the corpus (durable when -data is set, optionally
-// preloaded) and the server around it.
-func buildServer(cfg config) (*server.Server, *store.Store, error) {
-	c, st, err := openCorpus(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	pristine := st == nil || c.Snapshot().Epoch() == 0
-	if err := preload(c, cfg, pristine); err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return nil, nil, err
-	}
-	return server.New(c, server.Options{
+// serverOptions configures every server this process runs, a single node's
+// or an in-process shard's (parseFlags refuses -timeout with -shards).
+func serverOptions(cfg config, st *store.Store) server.Options {
+	return server.Options{
 		DefaultWorkers: cfg.defWorkers,
 		MaxWorkers:     cfg.maxWorkers,
 		DefaultTimeout: cfg.timeout,
 		MUNICH:         munich.Options{Bins: cfg.munichBins},
 		Store:          st,
-	}), st, nil
+	}
+}
+
+// buildServer assembles the corpus (durable when -data is set) and the
+// server around it. The preload seeds only a pristine corpus: a recovered
+// store keeps exactly its acknowledged state, including "operator deleted
+// everything" (epoch > 0 with zero series), which must not be papered over
+// with fresh synthetic data.
+func buildServer(cfg config) (*server.Server, *store.Store, error) {
+	c, st, err := openCorpus(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := server.New(c, serverOptions(cfg, st))
+	if cfg.dataset != "" && c.Snapshot().Epoch() == 0 {
+		req, err := preload(cfg)
+		if err == nil {
+			_, err = srv.Mutate(req)
+		}
+		if err != nil {
+			if st != nil {
+				st.Close()
+			}
+			return nil, nil, err
+		}
+	}
+	return srv, st, nil
 }
 
 // buildCluster assembles the single-binary multi-shard deployment: N
 // in-process shards (each a full corpus + optional store + engine stack,
 // persisting under <data>/shard-<i>) behind one scatter-gather
-// coordinator. The preload dataset is routed through the coordinator so
-// every series lands on its ShardFor home under its global ID — and only
-// into a fully pristine cluster, mirroring the single-node rule.
+// coordinator. The preload goes through the coordinator, and only into a
+// fully pristine cluster, mirroring the single-node rule.
 func buildCluster(cfg config) (*cluster.Coordinator, []*store.Store, error) {
 	shards := make([]cluster.Shard, cfg.shards)
 	var stores []*store.Store
@@ -305,51 +316,20 @@ func buildCluster(cfg config) (*cluster.Coordinator, []*store.Store, error) {
 		if c.Snapshot().Epoch() != 0 {
 			pristine = false
 		}
-		shards[i] = cluster.NewLocal(fmt.Sprintf("shard-%d", i), server.New(c, server.Options{
-			DefaultWorkers: cfg.defWorkers,
-			MaxWorkers:     cfg.maxWorkers,
-			MUNICH:         munich.Options{Bins: cfg.munichBins},
-			Store:          st,
-		}))
+		shards[i] = cluster.NewLocal(fmt.Sprintf("shard-%d", i), server.New(c, serverOptions(cfg, st)))
 	}
 	co := cluster.New(shards, cluster.Options{ShardTimeout: cfg.shardTimeout})
 	if pristine && cfg.dataset != "" {
-		if err := preloadCluster(co, cfg); err != nil {
+		req, err := preload(cfg)
+		if err == nil {
+			_, err = co.Mutate(context.Background(), req)
+		}
+		if err != nil {
 			closeAll()
 			return nil, nil, err
 		}
 	}
 	return co, stores, nil
-}
-
-// preloadCluster seeds a pristine cluster with the same perturbed
-// synthetic dataset the single-node preload uses, ingested through the
-// coordinator in the same order — so the global IDs (and therefore every
-// query answer) match a single node preloaded with the same flags.
-func preloadCluster(co *cluster.Coordinator, cfg config) error {
-	ds, err := ucr.Generate(cfg.dataset, ucr.Options{MaxSeries: cfg.series, Length: cfg.length, Seed: cfg.seed})
-	if err != nil {
-		return err
-	}
-	pert, err := uncertain.NewConstantPerturber(uncertain.Normal, cfg.sigma, cfg.length, cfg.seed)
-	if err != nil {
-		return err
-	}
-	req := server.SeriesRequest{Insert: make([]server.SeriesJSON, len(ds.Series))}
-	for i, s := range ds.Series {
-		ps := pert.PerturbPDF(s)
-		sj := server.SeriesJSON{Values: ps.Observations, Sigma: cfg.sigma, Label: s.Label}
-		if cfg.samples > 0 {
-			ss, err := pert.PerturbSamples(s, cfg.samples)
-			if err != nil {
-				return err
-			}
-			sj.Samples = ss.Samples
-		}
-		req.Insert[i] = sj
-	}
-	_, err = co.Mutate(context.Background(), req)
-	return err
 }
 
 // buildHandler assembles the HTTP surface for whichever deployment the

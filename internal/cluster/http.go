@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -95,6 +94,8 @@ type wireRecord struct {
 	Prob     *float64 `json:"prob"`
 }
 
+// Query collects the shard's /cluster/query stream in arrival order (range
+// items come in confirmation order); Coordinator.merge sorts the union.
 func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *engine.Bound, pbnd *engine.ProbBound) (*server.QueryResponse, error) {
 	m, err := engine.ParseMeasure(req.Measure)
 	if err != nil {
@@ -210,7 +211,6 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 			stopPush()
 			out.Epoch = rec.Epoch
 			out.Total = rec.Total
-			h.sortResult(out, kind)
 			return out, nil
 		case rec.ID != nil:
 			switch kind {
@@ -236,31 +236,6 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 		case rec.ProbBound != nil && pbnd != nil:
 			pbnd.Raise(*rec.ProbBound)
 		}
-	}
-}
-
-// sortResult restores the deterministic single-shard ordering the stream
-// does not guarantee (range items stream mid-scan in confirmation order).
-func (h *HTTPShard) sortResult(out *server.QueryResponse, kind engine.Kind) {
-	switch kind {
-	case engine.KindTopK:
-		sort.Slice(out.Neighbors, func(i, j int) bool {
-			a, b := out.Neighbors[i], out.Neighbors[j]
-			if a.Distance != b.Distance {
-				return a.Distance < b.Distance
-			}
-			return a.ID < b.ID
-		})
-	case engine.KindProbTopK:
-		sort.Slice(out.Matches, func(i, j int) bool {
-			a, b := out.Matches[i], out.Matches[j]
-			if a.Prob != b.Prob {
-				return a.Prob > b.Prob
-			}
-			return a.ID < b.ID
-		})
-	default:
-		sort.Ints(out.IDs)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"uncertts/internal/corpus"
-	"uncertts/internal/engine"
 	"uncertts/internal/munich"
 	"uncertts/internal/server"
 )
@@ -214,11 +213,10 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 			}
 			last = *b.BoundSq
 		}
-		// The wire value after the scan is exactly what ObserveKth publishes.
-		ref := engine.NewBound()
-		ref.ObserveKth(keys[k-1])
-		if final := bounds[len(bounds)-1]; *final.BoundSq < ref.Squared() {
-			t.Errorf("final bound_sq %v is tighter than the k-th best allows (%v)", *final.BoundSq, ref.Squared())
+		// The shard's cut carries the engine's ulpUp margin (one part in
+		// 1e15) above the k-th squared distance, so exact ties survive.
+		if final, floor := bounds[len(bounds)-1], kth2+kth2*1e-15; *final.BoundSq < floor {
+			t.Errorf("final bound_sq %v is tighter than the k-th best allows (%v)", *final.BoundSq, floor)
 		}
 	})
 

@@ -107,15 +107,12 @@ const MaxDust = 1e6
 // Dust evaluates DUST distances. It is safe for concurrent use: the last
 // resolved (error model pair, table) is an immutable value behind an atomic
 // pointer, which each call copies on entry and replaces on exit if it ended
-// on another pair; the mutex guards only the string-keyed map of lazily
-// built tables behind it.
+// on another pair; the tables behind it are the process-wide memo's
+// (globalTables).
 type Dust struct {
 	opts Options
 
 	last atomic.Pointer[resolved]
-
-	mu     sync.Mutex
-	tables map[tableKey]*phiTable
 }
 
 // leaf identifies an error model of one of the comparable leaf families by
@@ -164,14 +161,9 @@ func (d *Dust) remember(r resolved) {
 	}
 }
 
-// tableKey identifies a phi table by the pair of error distributions. The
-// string forms include the parameters, so equal-parameter distributions
-// share a table.
-type tableKey struct{ x, y string }
-
 // New returns a Dust evaluator with the given options.
 func New(opts Options) *Dust {
-	return &Dust{opts: opts.withDefaults(), tables: make(map[tableKey]*phiTable)}
+	return &Dust{opts: opts.withDefaults()}
 }
 
 // phiTable tabulates dust^2(delta) = -log phi(delta) + log phi(0) on a
@@ -220,13 +212,22 @@ func phi(errX, errY stats.Dist, delta, tol float64) float64 {
 // globalTables shares phi tables across Dust evaluators: experiments create
 // a fresh evaluator per run, but tables depend only on (options, error
 // distribution pair) and are expensive to build, so they are memoised
-// process-wide.
+// process-wide — up to maxTables of them, since each new ad-hoc query sigma
+// is a new pair. Past the cap a table is built for the call that needs it
+// (which carries it in its resolved pair) and not kept.
 var (
 	globalTableMu sync.Mutex
-	globalTables  = map[globalTableKey]*phiTable{}
+	globalTables  = map[tableKey]*phiTable{}
 )
 
-type globalTableKey struct {
+// maxTables caps globalTables: 128 tables of the default 2048 points are
+// ~2 MB, and the paper's figures memoise at most 20 pairs.
+const maxTables = 128
+
+// tableKey identifies a phi table by the string forms of its pair of error
+// distributions (which include the parameters, so equal-parameter
+// distributions share a table) and the options it was built under.
+type tableKey struct {
 	x, y       string
 	tableSize  int
 	maxDelta   float64
@@ -250,32 +251,23 @@ func (d *Dust) table(r *resolved, errX, errY stats.Dist) *phiTable {
 }
 
 func (d *Dust) tableByString(errX, errY stats.Dist) *phiTable {
-	key := tableKey{errX.String(), errY.String()}
-	d.mu.Lock()
-	if t, ok := d.tables[key]; ok {
-		d.mu.Unlock()
-		return t
-	}
-	d.mu.Unlock()
-
-	gkey := globalTableKey{
-		x: key.x, y: key.y,
+	key := tableKey{
+		x: errX.String(), y: errY.String(),
 		tableSize:  d.opts.TableSize,
 		maxDelta:   d.opts.MaxDelta,
 		tailWeight: d.opts.TailWeight,
 		tailSpread: d.opts.TailSpread,
 	}
 	globalTableMu.Lock()
-	t, ok := globalTables[gkey]
-	if !ok {
+	t, ok := globalTables[key]
+	if !ok && len(globalTables) < maxTables {
 		t = d.buildTable(errX, errY)
-		globalTables[gkey] = t
+		globalTables[key] = t
 	}
 	globalTableMu.Unlock()
-
-	d.mu.Lock()
-	d.tables[key] = t
-	d.mu.Unlock()
+	if t == nil {
+		t = d.buildTable(errX, errY) // past the cap: this call's own
+	}
 	return t
 }
 

@@ -185,6 +185,7 @@ func TestLookupBeyondTableDomain(t *testing.T) {
 }
 
 func TestTablesAreReused(t *testing.T) {
+	freshMemo(t)
 	d := New(Options{})
 	errDist := stats.NewNormal(0, 0.5)
 	for i := 0; i < 10; i++ {
@@ -192,23 +193,23 @@ func TestTablesAreReused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tableCount(d) != 1 {
-		t.Errorf("same distribution pair should share one table, got %d", tableCount(d))
+	if tableCount() != 1 {
+		t.Errorf("same distribution pair should share one table, got %d", tableCount())
 	}
 	other := stats.NewNormal(0, 1.5)
 	if _, err := d.Value(0, 1, other, other); err != nil {
 		t.Fatal(err)
 	}
-	if tableCount(d) != 2 {
-		t.Errorf("distinct parameters should get a second table, got %d", tableCount(d))
+	if tableCount() != 2 {
+		t.Errorf("distinct parameters should get a second table, got %d", tableCount())
 	}
 	// Equal parameters in a fresh value share the existing table.
 	same := stats.NewNormal(0, 0.5)
 	if _, err := d.Value(0, 1, same, same); err != nil {
 		t.Fatal(err)
 	}
-	if tableCount(d) != 2 {
-		t.Errorf("equal-parameter distributions must share tables, got %d", tableCount(d))
+	if tableCount() != 2 {
+		t.Errorf("equal-parameter distributions must share tables, got %d", tableCount())
 	}
 }
 
@@ -372,9 +373,58 @@ func TestDistanceEarlyAbandon(t *testing.T) {
 	}
 }
 
-// tableCount reports how many phi tables d has built.
-func tableCount(d *Dust) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.tables)
+// TestMemoIsCapped poses 2000 ad-hoc query sigmas against one corpus error
+// model, as 2000 served DUST queries would: the memo stops at maxTables, and
+// a sigma past the cap, whose table is built for its call alone, gets the
+// same distance as when the memo holds its table.
+func TestMemoIsCapped(t *testing.T) {
+	const n = 2000
+	opts := Options{TableSize: 64} // the cap counts tables, not points
+	c := constSeries(1, []float64{0.3, -1.2, 2.5, 0.8}, stats.NewNormal(0, 0.6))
+	distances := func(order func(i int) int) []float64 {
+		freshMemo(t)
+		d := New(opts)
+		out := make([]float64, n)
+		for k := 0; k < n; k++ {
+			i := order(k)
+			q := constSeries(0, []float64{0, 0.4, 1.1, -0.7}, stats.NewNormal(0, 0.1+float64(i)/1000))
+			v, err := d.Distance(q, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = v
+		}
+		if got := tableCount(); got != maxTables {
+			t.Errorf("%d distinct sigmas left %d tables in the memo, want the cap %d", n, got, maxTables)
+		}
+		return out
+	}
+	forward := distances(func(k int) int { return k })
+	backward := distances(func(k int) int { return n - 1 - k }) // memoizes the other end
+	for i := range forward {
+		if math.Float64bits(forward[i]) != math.Float64bits(backward[i]) {
+			t.Fatalf("sigma #%d: distance %v with its table built for the call, %v with it memoized", i, forward[i], backward[i])
+		}
+	}
+}
+
+// freshMemo empties the process-wide table memo for one test and puts the
+// old one back when the test ends.
+func freshMemo(t *testing.T) {
+	globalTableMu.Lock()
+	saved := globalTables
+	globalTables = map[tableKey]*phiTable{}
+	globalTableMu.Unlock()
+	t.Cleanup(func() {
+		globalTableMu.Lock()
+		globalTables = saved
+		globalTableMu.Unlock()
+	})
+}
+
+// tableCount reports how many phi tables the memo holds.
+func tableCount() int {
+	globalTableMu.Lock()
+	defer globalTableMu.Unlock()
+	return len(globalTables)
 }

@@ -74,14 +74,8 @@ func (b *Bound) Squared() float64 { return b.c.get() }
 // LowerSquared publishes a squared-space bound if it improves
 // (decreases) the current one — the ingest side of the wire exchange.
 // The value must already carry its ulpUp safety margin, i.e. come from
-// Squared() of another Bound (or ObserveKth).
+// Squared() of another Bound.
 func (b *Bound) LowerSquared(v float64) { b.c.lower(v) }
-
-// ObserveKth lowers the bound from a proven k-th best distance d (linear
-// space): the merge side calls it whenever its global result heap fills
-// or tightens. The published square is ulpUp-inflated so exact ties at d
-// survive on every shard.
-func (b *Bound) ObserveKth(d float64) { b.c.lower(ulpUp(d * d)) }
 
 // ProbBound is Bound for KindProbTopK: a monotonically rising lower bound
 // on the k-th best match probability, kept as the falling cut on its

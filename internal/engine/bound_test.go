@@ -264,10 +264,6 @@ func TestBoundWireValues(t *testing.T) {
 	if b.Squared() != 9 {
 		t.Errorf("LowerSquared is not monotone: %v", b.Squared())
 	}
-	b.ObserveKth(2)
-	if b.Squared() != ulpUp(4) {
-		t.Errorf("ObserveKth(2) published %v, want the ulpUp-inflated square %v", b.Squared(), ulpUp(4))
-	}
 
 	pb := NewProbBound()
 	if !math.IsInf(pb.Value(), -1) {

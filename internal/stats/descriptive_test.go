@@ -29,30 +29,9 @@ func TestEmptyInputs(t *testing.T) {
 	if !math.IsNaN(SampleVariance([]float64{1})) {
 		t.Error("SampleVariance of a single point should be NaN")
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty input should be NaN")
-	}
 	min, max := MinMax(nil)
 	if !math.IsInf(min, 1) || !math.IsInf(max, -1) {
 		t.Error("MinMax of empty input should be (+Inf, -Inf)")
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1.0 / 3, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	orig := []float64{3, 1, 2}
-	Quantile(orig, 0.5)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Error("Quantile mutated its input")
 	}
 }
 

@@ -57,34 +57,3 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 	return adaptiveSimpson(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
-
-// IntegratePanels integrates f over [a, b] with fixed-width composite Simpson
-// using the given number of panels (rounded up to even). It is cheaper and
-// fully predictable, used where the integrand is known to be smooth and the
-// caller controls resolution (DUST lookup-table construction).
-func IntegratePanels(f func(float64) float64, a, b float64, panels int) float64 {
-	//lint:allow floatcmp an exactly empty interval integrates to exactly zero; near-empty ones go through Simpson
-	if a == b {
-		return 0
-	}
-	if a > b {
-		return -IntegratePanels(f, b, a, panels)
-	}
-	if panels < 2 {
-		panels = 2
-	}
-	if panels%2 == 1 {
-		panels++
-	}
-	h := (b - a) / float64(panels)
-	sum := f(a) + f(b)
-	for i := 1; i < panels; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}

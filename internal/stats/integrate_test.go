@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestIntegratePolynomial(t *testing.T) {
 	// Simpson is exact for cubics.
@@ -43,24 +40,6 @@ func TestIntegrateSharpPeak(t *testing.T) {
 	got := Integrate(n.PDF, -10, 10, 1e-12)
 	if !almostEqual(got, 1, 1e-6) {
 		t.Errorf("sharp peak integral = %v, want 1", got)
-	}
-}
-
-func TestIntegratePanels(t *testing.T) {
-	got := IntegratePanels(math.Sin, 0, math.Pi, 1000)
-	if !almostEqual(got, 2, 1e-9) {
-		t.Errorf("integral of sin over [0, pi] = %v, want 2", got)
-	}
-	rev := IntegratePanels(math.Sin, math.Pi, 0, 1000)
-	if !almostEqual(rev, -2, 1e-9) {
-		t.Errorf("reversed integral = %v, want -2", rev)
-	}
-	if IntegratePanels(math.Sin, 1, 1, 10) != 0 {
-		t.Error("zero-width integral should be 0")
-	}
-	// Odd panel counts are rounded up, tiny counts clamped: just check sanity.
-	if got := IntegratePanels(func(x float64) float64 { return 1 }, 0, 1, 1); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("constant integral with tiny panel count = %v, want 1", got)
 	}
 }
 

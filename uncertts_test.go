@@ -154,14 +154,6 @@ func TestPublicExtensions(t *testing.T) {
 			t.Fatalf("%s: %d rows", tech.Measure, len(ms))
 		}
 	}
-	// Empirical distribution from data.
-	e, err := stats.NewEmpirical([]float64{0.1, -0.2, 0.3, 0, -0.1, 0.2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != 6 {
-		t.Errorf("N = %d", e.N())
-	}
 }
 
 func TestPublicSeriesHelpers(t *testing.T) {
