@@ -1,11 +1,25 @@
 // Package distance implements the distance functions underlying the
 // similarity techniques: Euclidean distance (the basis of MUNICH and
 // PROUD) and Dynamic Time Warping (Section 3.2 of the paper). All DTW runs
-// one banded DP, DTWBandEarlyAbandonScratch: two rows a sweep, the second a
-// cell behind, neighbours in registers, a branch-free exact builtin min.
+// one banded DP, DTWBandEarlyAbandonScratch: four rows a sweep, each a cell
+// behind the one above, neighbours in registers, a branch-free exact min.
 // After its scratch's LBKeoghSquared it also abandons once a row's minimum
 // plus the LB_Keogh terms still ahead pass the cutoff (the UCR suite's
 // suffix bound).
+//
+// The two loops that run once per cell or timestamp, the DP's sweep and
+// LB_Keogh's terms, are SSE2 assembly on amd64 (kernels_amd64.s; baseline
+// amd64 always has SSE2, so nothing tests the CPU). The row bookkeeping,
+// the abandon tests and the cancellation poll stay in Go around them. The
+// Go loops they are held to bit for bit (kernels.go: sweep4Go, lbKeoghGo)
+// are compiled everywhere, run on every other architecture
+// (kernels_other.go) and are called directly by the tests and fuzz targets.
+// MINSD and MAXPD differ from the builtin min and max only on a NaN operand
+// or on operands that compare equal (they return the second one, so +0
+// against -0 gives either): the DP's inputs are finite, so its cells are
+// never NaN or -0 and MINSD picks the builtin's bits; LB_Keogh puts 0 as
+// MAXPD's second operand, which makes it d > 0 ? d : 0, the Go loop's test,
+// for every d.
 package distance
 
 import (

@@ -45,16 +45,8 @@ func Envelope(y []float64, r int) (upper, lower []float64) {
 	n := len(y)
 	upper = make([]float64, n)
 	lower = make([]float64, n)
-	EnvelopeInto(upper, lower, y, r)
-	return upper, lower
-}
-
-// EnvelopeInto computes Envelope into caller-provided upper and lower
-// slices (both must have len(y)). It allocates transient deque storage;
-// per-series loops (corpus ingest, batch envelope builds) should hold an
-// EnvelopeScratch and call EnvelopeIntoScratch instead.
-func EnvelopeInto(upper, lower, y []float64, r int) {
 	EnvelopeIntoScratch(upper, lower, y, r, &EnvelopeScratch{})
+	return upper, lower
 }
 
 // EnvelopeScratch carries the monotonic-deque storage EnvelopeIntoScratch
@@ -64,7 +56,8 @@ type EnvelopeScratch struct {
 	maxDQ, minDQ []int
 }
 
-// EnvelopeIntoScratch is EnvelopeInto with caller-owned scratch — the
+// EnvelopeIntoScratch is Envelope into caller-provided upper and lower
+// slices (both must have len(y)) with caller-owned scratch — the
 // allocation-free form (after the scratch warms up to the series length)
 // that arena-backed corpora use to build envelopes in place on the ingest
 // path.
@@ -152,28 +145,16 @@ func LBKeoghSquared(q, upper, lower []float64, cutoff float64) (float64, error) 
 }
 
 // lbKeogh is LBKeoghSquared that also stores each timestamp's term into
-// terms, when not nil. A term of +0 leaves the sum's bits as they are.
+// terms, when not nil (lbKeoghTerms). A term of +0 leaves the sum's bits as
+// they are.
 func lbKeogh(q, upper, lower []float64, cutoff float64, terms []float64) (float64, error) {
 	if len(q) != len(upper) || len(q) != len(lower) {
 		return 0, fmt.Errorf("%w: series %d vs envelope %d/%d", ErrLengthMismatch, len(q), len(upper), len(lower))
 	}
-	var acc float64
-	for i := range q {
-		var t float64
-		if d := q[i] - upper[i]; d > 0 {
-			t = d * d
-		} else if d := lower[i] - q[i]; d > 0 {
-			t = d * d
-		}
-		acc += t
-		if terms != nil {
-			terms[i] = t
-		}
-		if acc > cutoff {
-			return acc, nil
-		}
+	if terms != nil {
+		terms = terms[:len(q)]
 	}
-	return acc, nil
+	return lbKeoghTerms(q, upper, lower, terms, cutoff), nil
 }
 
 // dtwCancelStride is the number of DP rows computed between cancellation
@@ -199,9 +180,11 @@ func DTWBandEarlyAbandonCancel(x, y []float64, band int, cutoff float64, done <-
 // reuses its buffers. The zero value is ready to use; it grows on demand and
 // is not safe for concurrent use (give each worker its own).
 type DTWScratch struct {
-	row    []float64
-	suffix []float64 // suffix[i] = sum of the LB_Keogh terms of q[i:]; suffix[n] = 0
-	armed  bool      // suffix belongs to the next DP
+	row      []float64
+	suffix   []float64 // suffix[i] = sum of the LB_Keogh terms of q[i:]; suffix[n] = 0
+	armed    bool      // suffix belongs to the next DP
+	masks    []float64 // bandMasks(maskBand)
+	maskBand int
 }
 
 // LBKeoghSquared is the package's LBKeoghSquared, bit for bit. When the
@@ -232,9 +215,10 @@ func (s *DTWScratch) LBKeoghSquared(q, upper, lower []float64, cutoff float64) (
 	return lb, nil
 }
 
-// dp returns the scratch's DP row for a series of length m and the suffix
-// sums armed for a query of length n (nil when none are), disarming them.
-func (s *DTWScratch) dp(n, m int) (row, suffix []float64) {
+// dp returns the scratch's DP row for a series of length m, the suffix sums
+// armed for a query of length n (nil when none are), disarming them, and the
+// masks of band (band >= 0).
+func (s *DTWScratch) dp(n, m, band int) (row, suffix, masks []float64) {
 	if cap(s.row) < m+1 {
 		s.row = make([]float64, m+1)
 	}
@@ -242,7 +226,26 @@ func (s *DTWScratch) dp(n, m int) (row, suffix []float64) {
 		suffix = s.suffix
 	}
 	s.armed = false
-	return s.row[:m+1], suffix
+	if band >= 0 && (s.masks == nil || s.maskBand != band) {
+		s.masks, s.maskBand = bandMasks(band), band
+	}
+	return s.row[:m+1], suffix, s.masks
+}
+
+// bandMasks are the masks a sweep of rows i to i+3 under a band adds to the
+// costs of a column j that not all four rows hold: masks[4t+r], t = j - i +
+// band (0 <= t <= 2band+3), is +0 where row i+r holds column j, |j - (i+r)|
+// <= band, and +Inf where it does not.
+func bandMasks(band int) []float64 {
+	masks := make([]float64, 4*(2*band+4))
+	for t := range len(masks) / 4 {
+		for r := range 4 {
+			if t < r || t > r+2*band {
+				masks[4*t+r] = math.Inf(1)
+			}
+		}
+	}
+	return masks
 }
 
 // suffixCut is the cutoff the suffix bound fl(rowMin_i + S_i) is held to,
@@ -271,11 +274,14 @@ func suffixCut(cutoff float64, n, m int) float64 {
 // inflated cutoff, returning the root of that bound: the call completes
 // exactly when the unarmed one does, with the same value.
 //
-// Rows i and i+1 run in one sweep, row i+1 a cell behind, reading row i's
-// cells from registers: the two left-neighbour chains interleave and only
-// row i+1 is written. Every cell keeps its operands and its one rounded sum,
-// so the values are the single-row loop's bit for bit. An odd n runs its
-// last row beside a phantom row that nothing reads.
+// Rows i to i+3 run in one sweep over the columns any of them holds (sweep4),
+// each row a cell behind the one above it, reading that row's cells from
+// registers: the four left-neighbour chains interleave and only row i+3 is
+// written. A column some of the four rows do not hold adds +Inf to those
+// rows' costs (bandMasks), which makes their cells the +Inf the band puts
+// there. Every cell keeps its operands and its one rounded sum, so the values
+// are the single-row loop's bit for bit. The last sweep runs the rows past n
+// beside the last ones, as rows nothing reads.
 //
 // x and y must be finite (the corpus refuses anything else at insert, the
 // engine at prepare): the DP then only ever holds finite squares, their sums
@@ -283,6 +289,12 @@ func suffixCut(cutoff float64, n, m int) float64 {
 // picks exactly the value a compare-and-branch chain would, without a
 // data-dependent branch.
 func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *DTWScratch) (float64, bool, error) {
+	return dtwBand(x, y, band, cutoff, done, scratch, false)
+}
+
+// dtwBand is DTWBandEarlyAbandonScratch over sweep4, or over the Go loop it
+// is held to (sweep4Go) when goSweep is set.
+func dtwBand(x, y []float64, band int, cutoff float64, done <-chan struct{}, scratch *DTWScratch, goSweep bool) (float64, bool, error) {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {
 		return 0, false, fmt.Errorf("distance: DTW over empty series")
@@ -290,12 +302,13 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 	if band >= 0 && abs(n-m) > band {
 		return 0, false, fmt.Errorf("distance: DTW band %d narrower than length difference %d", band, abs(n-m))
 	}
-	var row, suffix []float64
-	if scratch != nil {
-		row, suffix = scratch.dp(n, m)
-	} else {
-		row = make([]float64, m+1)
+	if band >= max(n, m) {
+		band = -1 // every row holds every column either way
 	}
+	if scratch == nil {
+		scratch = new(DTWScratch)
+	}
+	row, suffix, masks := scratch.dp(n, m, band)
 	cut := cutoff
 	if suffix != nil {
 		cut = suffixCut(cutoff, n, m)
@@ -312,82 +325,56 @@ func DTWBandEarlyAbandonScratch(x, y []float64, band int, cutoff float64, done <
 		row[j] = inf
 	}
 	row[0] = 0
-	var a float64 // row i's left neighbour; after the last sweep, row n's last cell when n is odd
-	for i := 1; i <= n; i += 2 {
-		// row holds row i-1 on [loA-1, hiA] and receives row i+1, edge cells
-		// unreachable, on [loB-1, hiB+1]; loB-loA and hiB-hiA are 0 or 1.
+	var c sweep4Cells
+	for i := 1; i <= n; i += 4 {
+		// row holds row i-1 on [loA-1, hiA] and receives row i+3 on [loA-1,
+		// hiD+1], edge cells unreachable. The columns [mid0, mid1] are those
+		// all four rows hold; the masks cover the others.
 		loA, hiA := span(i)
-		loB, hiB := span(i + 1)
-		xa, xb := x[i-1], x[i-1]
-		if i < n {
-			xb = x[i]
+		loD, hiD := span(i + 3)
+		xs := [4]float64{x[i-1], x[min(i, n-1)], x[min(i+1, n-1)], x[min(i+2, n-1)]}
+		var pre, post []float64
+		if band >= 0 {
+			mid0, mid1 := loD, hiA
+			if mid0 > mid1 {
+				mid0, mid1 = hiD+1, hiD
+			}
+			t := loA - i + band
+			pre = masks[4*t : 4*(t+mid0-loA)]
+			t = mid1 + 1 - i + band
+			post = masks[4*t : 4*(t+hiD-mid1)]
 		}
-		diag := row[loA-1]
-		var b float64
-		a, b = inf, inf
-		minA, minB := inf, inf
-		j := loA
-		if loB > loA {
-			// Row i's first cell has no row i+1 cell below it.
-			up := row[j]
-			d := xa - y[j-1]
-			a = d*d + min(up, diag, a)
-			minA, diag = a, up
-			j++
+		c.diag = row[loA-1]
+		if goSweep {
+			sweep4Go(&xs, y[loA-1:hiD], row[loA:hiD+1], pre, post, &c)
+		} else {
+			sweep4(&xs, y[loA-1:hiD], row[loA:hiD+1], pre, post, &c)
 		}
-		row[loB-1] = inf // read above, as row i's diagonal or up
-		ys, rs := y[j-1:hiA], row[j:hiA+1]
-		rs = rs[:len(ys)]
-		for k, yj := range ys {
-			up := rs[k]
-			d := xa - yj
-			an := d*d + min(up, diag, a)
-			e := xb - yj
-			b = e*e + min(an, a, b)
-			rs[k] = b
-			diag, a = up, an
-			minA, minB = min(minA, an), min(minB, b)
-		}
-		if hiB > hiA {
-			// Row i+1's last cell: row i's cell above it is unreachable.
-			e := xb - y[hiA]
-			b = e*e + min(inf, a, b)
-			row[hiB] = b
-			minB = min(minB, b)
-		}
-		if hiB < m {
-			row[hiB+1] = inf
+		row[loA-1] = inf
+		if hiD < m {
+			row[hiD+1] = inf
 		}
 		// Path costs are non-decreasing along any warping path, so once the
 		// cheapest cell of a row — plus, when armed, the least the rows
 		// still ahead must add — exceeds the cutoff, the final cost must too.
-		if suffix != nil {
-			minA += suffix[i]
-		}
-		if minA > cut {
-			return math.Sqrt(minA), false, nil
-		}
-		if i == n {
-			break
-		}
-		if done != nil && (i+1)%dtwCancelStride == 0 {
-			select {
-			case <-done:
-				return 0, false, qerr.Cancelled(nil)
-			default:
+		for r := 0; r < 4 && i+r <= n; r++ {
+			if r == 3 && done != nil && (i+r)%dtwCancelStride == 0 {
+				select {
+				case <-done:
+					return 0, false, qerr.Cancelled(nil)
+				default:
+				}
+			}
+			rowMin := c.mins[r]
+			if suffix != nil {
+				rowMin += suffix[i+r]
+			}
+			if rowMin > cut {
+				return math.Sqrt(rowMin), false, nil
 			}
 		}
-		if suffix != nil {
-			minB += suffix[i+1]
-		}
-		if minB > cut {
-			return math.Sqrt(minB), false, nil
-		}
 	}
-	final := row[m]
-	if n%2 == 1 {
-		final = a
-	}
+	final := c.cells[(n-1)%4] // row n's cell at column m, the sweep's last
 	if final > cutoff {
 		return math.Sqrt(final), false, nil
 	}

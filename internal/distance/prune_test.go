@@ -241,7 +241,8 @@ func dtwBandRef(x, y []float64, band int, cutoff float64, done <-chan struct{}, 
 // band shape (narrower than the length difference, 0, narrow, wide,
 // unconstrained) and cutoffs on both sides of the path cost and exactly on
 // it. Value bits, completion and error must agree, and DTWBand (the kernel at
-// +Inf, on fresh rows) must return the reference's completed value. The
+// +Inf, on fresh rows) and the kernel over the Go sweep (sweep4Go) must
+// return the reference's completed value. The
 // kernel's scratch carries over between calls of any length, as a scan
 // worker's does.
 func TestDTWKernelMatchesReference(t *testing.T) {
@@ -265,7 +266,7 @@ func TestDTWKernelMatchesReference(t *testing.T) {
 		return s
 	}
 	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
-	var scratch DTWScratch
+	var scratch, goScratch DTWScratch
 	var refScratch dtwRefScratch
 	var completed, abandoned, failed int
 	for p := 0; p < pairs; p++ {
@@ -280,6 +281,9 @@ func TestDTWKernelMatchesReference(t *testing.T) {
 			got, gotErr := DTWBand(x, y, band)
 			if math.Float64bits(got) != math.Float64bits(full) || !sameErr(gotErr, fullErr) {
 				t.Fatalf("x=%v y=%v band=%d: DTWBand (%v, %v), reference (%v, %v)", x, y, band, got, gotErr, full, fullErr)
+			}
+			if got, _, gotErr := dtwBand(x, y, band, math.Inf(1), nil, &goScratch, true); math.Float64bits(got) != math.Float64bits(full) || !sameErr(gotErr, fullErr) {
+				t.Fatalf("x=%v y=%v band=%d: the Go sweep (%v, %v), reference (%v, %v)", x, y, band, got, gotErr, full, fullErr)
 			}
 			d2 := full * full
 			for _, cutoff := range []float64{math.Inf(1), d2, math.Nextafter(d2, 0), rng.Float64() * d2, 1.5 * d2} {

@@ -153,11 +153,12 @@ func TestDTWSuffixAbandonIsSound(t *testing.T) {
 // FuzzDTWKernel draws x, y, a band, a scale and a cutoff. Values are int8s
 // times the scale (a scale that is not finite or above 1e154 reads as 1), so
 // ties, duplicates and overflowing squares all come up. With no suffix the
-// kernel must be the frozen reference bit for bit, and armed by LB_Keogh it
-// must never abandon a pair within the cutoff, at the drawn cutoff and at the
-// pair's own squared distance.
+// kernel must be the frozen reference bit for bit, over the assembly sweep
+// and over the Go one alike, and armed by LB_Keogh it must never abandon a
+// pair within the cutoff, at the drawn cutoff and at the pair's own squared
+// distance.
 func FuzzDTWKernel(f *testing.F) {
-	var scratch DTWScratch
+	var scratch, goScratch DTWScratch
 	var ref dtwRefScratch
 	f.Fuzz(func(t *testing.T, xs, ys []byte, scale float64, band int, cutoff float64) {
 		if len(xs) > 64 || len(ys) > 64 || band > 70 || band < -1 {
@@ -179,11 +180,74 @@ func FuzzDTWKernel(f *testing.F) {
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || done != wantDone || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("x=%v y=%v band=%d cutoff=%v: kernel (%v, %v, %v), reference (%v, %v, %v)", x, y, band, cutoff, got, done, err, want, wantDone, wantErr)
 		}
+		got, done, err = dtwBand(x, y, band, cutoff, nil, &goScratch, true)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || done != wantDone || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("x=%v y=%v band=%d cutoff=%v: Go sweep (%v, %v, %v), reference (%v, %v, %v)", x, y, band, cutoff, got, done, err, want, wantDone, wantErr)
+		}
 		if len(x) == 0 || len(x) != len(y) {
 			return
 		}
 		full, _, _ := dtwBandRef(x, y, band, math.Inf(1), nil, &ref)
 		checkSuffix(t, x, y, band, cutoff, &scratch, &ref)
 		checkSuffix(t, x, y, band, full*full, &scratch, &ref)
+	})
+}
+
+// FuzzLBKeogh holds lbKeoghTerms, LB_Keogh's assembly loop, to its Go loop
+// (lbKeoghGo) bit for bit: the returned sum, every term stored, and how many
+// were stored before the sum passed the cutoff, with terms and without. The
+// values are int8s times the scale (one that is not finite reads as 1), and
+// the int8s -128 and 127 are -1e200 and 1e200, whose squared gaps overflow.
+// The envelopes are y's under the band, and also y itself against y
+// shifted, which puts lower above upper at some timestamps.
+func FuzzLBKeogh(f *testing.F) {
+	f.Add([]byte{0, 5, 250, 127, 3}, []byte{1, 2, 3, 4, 5, 6}, 1.0, 1, 4.0)
+	f.Add([]byte{128, 127, 0, 0}, []byte{0, 127, 128, 9, 9}, 1e100, 0, math.Inf(1))
+	f.Add([]byte{9, 9, 9}, []byte{9, 9, 9, 9}, 0.5, 2, 0.0)
+	f.Add([]byte{1, 200, 3, 90, 7, 60, 20}, []byte{30, 40, 50, 60, 70, 80, 90, 100}, 3.0, 3, math.NaN())
+	f.Fuzz(func(t *testing.T, qs, ys []byte, scale float64, band int, cutoff float64) {
+		n := len(qs)
+		if n > 256 || len(ys) < n+1 || band < -1 || band > n {
+			return
+		}
+		if math.IsInf(scale, 0) || math.IsNaN(scale) {
+			scale = 1
+		}
+		values := func(b []byte) []float64 {
+			v := make([]float64, len(b))
+			for i, c := range b {
+				switch int8(c) {
+				case -128:
+					v[i] = -1e200
+				case 127:
+					v[i] = 1e200
+				default:
+					v[i] = float64(int8(c)) * scale
+				}
+			}
+			return v
+		}
+		q, y := values(qs), values(ys)
+		upper, lower := Envelope(y[:n], band)
+		for _, env := range [][2][]float64{{upper, lower}, {y[:n], y[1 : n+1]}} {
+			u, l := env[0], env[1]
+			want := lbKeoghGo(q, u, l, nil, cutoff)
+			if got := lbKeoghTerms(q, u, l, nil, cutoff); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("q=%v upper=%v lower=%v cutoff=%v: sum %v without terms, Go loop %v", q, u, l, cutoff, got, want)
+			}
+			gotTerms, wantTerms := make([]float64, n), make([]float64, n)
+			for i := range gotTerms {
+				gotTerms[i], wantTerms[i] = math.NaN(), math.NaN() // unstored
+			}
+			got, want := lbKeoghTerms(q, u, l, gotTerms, cutoff), lbKeoghGo(q, u, l, wantTerms, cutoff)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("q=%v upper=%v lower=%v cutoff=%v: sum %v, Go loop %v", q, u, l, cutoff, got, want)
+			}
+			for i := range gotTerms {
+				if math.Float64bits(gotTerms[i]) != math.Float64bits(wantTerms[i]) {
+					t.Fatalf("q=%v upper=%v lower=%v cutoff=%v: term %d is %v, Go loop's %v", q, u, l, cutoff, i, gotTerms[i], wantTerms[i])
+				}
+			}
+		}
 	})
 }

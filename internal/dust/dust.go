@@ -213,11 +213,12 @@ func phi(errX, errY stats.Dist, delta, tol float64) float64 {
 // a fresh evaluator per run, but tables depend only on (options, error
 // distribution pair) and are expensive to build, so they are memoised
 // process-wide — up to maxTables of them, since each new ad-hoc query sigma
-// is a new pair. Past the cap a table is built for the call that needs it
-// (which carries it in its resolved pair) and not kept.
+// is a new pair. At the cap a new table evicts the oldest (globalOrder holds
+// the keys in the order they were built), so pairs used in turn keep theirs.
 var (
 	globalTableMu sync.Mutex
 	globalTables  = map[tableKey]*phiTable{}
+	globalOrder   []tableKey
 )
 
 // maxTables caps globalTables: 128 tables of the default 2048 points are
@@ -259,14 +260,16 @@ func (d *Dust) tableByString(errX, errY stats.Dist) *phiTable {
 		tailSpread: d.opts.TailSpread,
 	}
 	globalTableMu.Lock()
+	defer globalTableMu.Unlock()
 	t, ok := globalTables[key]
-	if !ok && len(globalTables) < maxTables {
+	if !ok {
+		if len(globalOrder) == maxTables {
+			delete(globalTables, globalOrder[0])
+			globalOrder = append(globalOrder[:0], globalOrder[1:]...)
+		}
 		t = d.buildTable(errX, errY)
 		globalTables[key] = t
-	}
-	globalTableMu.Unlock()
-	if t == nil {
-		t = d.buildTable(errX, errY) // past the cap: this call's own
+		globalOrder = append(globalOrder, key)
 	}
 	return t
 }

@@ -375,8 +375,8 @@ func TestDistanceEarlyAbandon(t *testing.T) {
 
 // TestMemoIsCapped poses 2000 ad-hoc query sigmas against one corpus error
 // model, as 2000 served DUST queries would: the memo stops at maxTables, and
-// a sigma past the cap, whose table is built for its call alone, gets the
-// same distance as when the memo holds its table.
+// a sigma whose table was evicted gets the same distance as one whose table
+// the memo still holds.
 func TestMemoIsCapped(t *testing.T) {
 	const n = 2000
 	opts := Options{TableSize: 64} // the cap counts tables, not points
@@ -400,11 +400,38 @@ func TestMemoIsCapped(t *testing.T) {
 		return out
 	}
 	forward := distances(func(k int) int { return k })
-	backward := distances(func(k int) int { return n - 1 - k }) // memoizes the other end
+	backward := distances(func(k int) int { return n - 1 - k }) // keeps the other end
 	for i := range forward {
 		if math.Float64bits(forward[i]) != math.Float64bits(backward[i]) {
-			t.Fatalf("sigma #%d: distance %v with its table built for the call, %v with it memoized", i, forward[i], backward[i])
+			t.Fatalf("sigma #%d: distance %v with its table evicted, %v with it memoized", i, forward[i], backward[i])
 		}
+	}
+}
+
+// TestMemoEvictsTheOldest fills the memo to its cap, then alternates two new
+// query sigmas, as two ad-hoc DUST queries on one corpus do: each new pair's
+// table is built once (every later call gets the same table back) and the
+// two oldest tables make room for them.
+func TestMemoEvictsTheOldest(t *testing.T) {
+	freshMemo(t)
+	d := New(Options{TableSize: 64})
+	corpusErr := stats.NewNormal(0, 0.6)
+	table := func(i int) *phiTable { return d.tableByString(stats.NewNormal(0, 0.1+float64(i)/1000), corpusErr) }
+	oldest := table(0)
+	for i := 1; i < maxTables; i++ {
+		table(i)
+	}
+	a, b := table(maxTables), table(maxTables+1)
+	for k := 0; k < 50; k++ {
+		if table(maxTables) != a || table(maxTables+1) != b {
+			t.Fatalf("call %d: a table of the two alternating pairs was built again", k)
+		}
+	}
+	if got := tableCount(); got != maxTables {
+		t.Fatalf("the memo holds %d tables, want the cap %d", got, maxTables)
+	}
+	if table(0) == oldest {
+		t.Fatal("the oldest table was kept past the cap")
 	}
 }
 
@@ -412,12 +439,12 @@ func TestMemoIsCapped(t *testing.T) {
 // old one back when the test ends.
 func freshMemo(t *testing.T) {
 	globalTableMu.Lock()
-	saved := globalTables
-	globalTables = map[tableKey]*phiTable{}
+	saved, savedOrder := globalTables, globalOrder
+	globalTables, globalOrder = map[tableKey]*phiTable{}, nil
 	globalTableMu.Unlock()
 	t.Cleanup(func() {
 		globalTableMu.Lock()
-		globalTables = saved
+		globalTables, globalOrder = saved, savedOrder
 		globalTableMu.Unlock()
 	})
 }

@@ -84,6 +84,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"uncertts/internal/arena"
@@ -304,6 +305,10 @@ type Engine struct {
 	varD         float64 // per-timestamp D_i variance sum (read by PROUD)
 
 	pre *prefilter // the measure's prefilter; nil when queries run the plain scan
+
+	// Pooled storage: a query's per-position scratch (execute), and a
+	// batch's DTW scratch (newScratch), so a warm query allocates neither.
+	queries, dtw sync.Pool
 
 	// Work counters, one per outcome. Every series a query meets lands in
 	// exactly one, so Stats.Candidates is the sum of all but the prefilter's

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -281,6 +283,18 @@ func dtwLB2Ref(p *prefilter, pq *prepared, row []float64) float64 {
 	return kim + math.Max(fwd, rev)
 }
 
+// dtwLB2Go is dtwLB2 over the Go loop (envelopeGapsGo) in place of
+// envelopeGaps: the assembly pass must match it bit for bit.
+func dtwLB2Go(p *prefilter, pq *prepared, row []float64) float64 {
+	kim := p.kim(pq, row)
+	k, w := len(p.widths), p.lay.W
+	if k == 0 {
+		return kim
+	}
+	fwd, rev := envelopeGapsGo(p.widths, pq.qpaa[1:k+1], pq.qenvLo[1:k+1], pq.qenvHi[1:k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
+	return kim + math.Max(fwd, rev)
+}
+
 // orderRef is DTW top-k's scan order as an indirect sort of positions by
 // their bounds, ties by position: the reference order must match.
 func orderRef(lbs []float64, self int) []int {
@@ -374,6 +388,9 @@ func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("n=%d W=%d band=%d query %d: fused bound %v, definition %v", shape.n, w, shape.band, qi, got, want)
 				}
+				if goLB := dtwLB2Go(p, pq, row); math.Float64bits(got) != math.Float64bits(goLB) {
+					t.Fatalf("n=%d W=%d band=%d query %d: fused bound %v, its Go loop %v", shape.n, w, shape.band, qi, got, goLB)
+				}
 				compared++
 			}
 		}
@@ -384,13 +401,19 @@ func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
 	}
 }
 
-// TestOrderMatchesComparator holds order to orderRef over bounds with many
-// ties, zeros of both signs, infinities and NaNs, with self inside, outside
-// and absent.
+// TestOrderMatchesComparator holds order, a radix sort, to orderRef, a
+// comparator sort, over bounds with many ties, zeros of both signs,
+// infinities and NaNs, and over bounds of every magnitude and both signs,
+// whose keys differ in every byte; with self inside, outside and absent.
+// One scratch serves every trial, as an engine's pool does.
 func TestOrderMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	for trial := 0; trial < 500; trial++ {
+	s := new(scratch)
+	for trial := 0; trial < 1000; trial++ {
 		n := rng.Intn(300)
+		if trial%10 == 0 {
+			n = 1000 + rng.Intn(2000)
+		}
 		lbs := make([]float64, n)
 		for i := range lbs {
 			switch rng.Intn(12) {
@@ -400,13 +423,168 @@ func TestOrderMatchesComparator(t *testing.T) {
 				lbs[i] = math.Copysign(0, -1)
 			case 2:
 				lbs[i] = math.NaN()
+			case 3:
+				lbs[i] = math.Inf(-1)
 			default:
-				lbs[i] = float64(rng.Intn(25)) * 0.125
+				if trial%2 == 1 {
+					lbs[i] = math.Float64frombits(rng.Uint64()) // any magnitude, some NaN
+				} else {
+					lbs[i] = float64(rng.Intn(25)) * 0.125
+				}
 			}
 		}
 		self := rng.Intn(n+2) - 1
-		if got, want := order(lbs, self), orderRef(lbs, self); !slices.Equal(got, want) {
+		if got, want := order(lbs, self, s), orderRef(lbs, self); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d self=%d): order %v, comparator %v", trial, n, self, got, want)
 		}
 	}
+}
+
+// FuzzSketchBound holds dtwLB2 to its Go loop (dtwLB2Go) bit for bit on a
+// fuzzed query and series: int8s scaled to at most |scale| (a scale that is
+// not finite reads as 1), so near math.MaxFloat64 a segment's sum overflows
+// and the bound is NaN. The rows are the series', its negation's and the
+// query's own; over their bounds order must match the comparator and put
+// every NaN bound first.
+func FuzzSketchBound(f *testing.F) {
+	f.Add([]byte{0, 10, 20, 30, 40, 50, 60, 70}, []byte{7, 7, 7, 200, 200, 7, 7, 7}, 1.0, 2, uint8(4))
+	f.Add([]byte{127, 127, 127, 127, 1, 2, 3, 4, 5}, []byte{129, 129, 129, 129, 0, 0, 0, 0, 0}, 1.7e308, 1, uint8(3))
+	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1}, 1e300, 0, uint8(64))
+	f.Fuzz(func(t *testing.T, qs, cs []byte, scale float64, band int, segs uint8) {
+		n := len(qs)
+		if n == 0 || n > 256 || len(cs) < n || band < 0 || band > n {
+			return
+		}
+		if math.IsInf(scale, 0) || math.IsNaN(scale) {
+			scale = 1
+		}
+		values := func(b []byte, sign float64) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = sign * float64(int8(b[i])) / 128 * scale
+			}
+			return v
+		}
+		lay := sketch.NewLayout(n, max(int(segs)%65, 1))
+		p := dtwPrefilter(lay, rows{})
+		q := values(qs, 1)
+		pq := &prepared{self: -1, vec: q}
+		p.summarise(pq, band)
+		var lbs []float64
+		for _, c := range [][]float64{values(cs, 1), values(cs, -1), q} {
+			row := make([]float64, lay.Stride())
+			up, lo := distance.Envelope(c, band)
+			lay.FillRow(row, c, up, lo)
+			got, want := p.dtwLB2(pq, row), dtwLB2Go(p, pq, row)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("q=%v c=%v band=%d W=%d: bound %v, Go loop %v", q, c, band, lay.W, got, want)
+			}
+			lbs = append(lbs, got)
+		}
+		got := order(lbs, -1, new(scratch))
+		if want := orderRef(lbs, -1); !slices.Equal(got, want) {
+			t.Fatalf("bounds %v: order %v, comparator %v", lbs, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if math.IsNaN(lbs[got[i]]) && !math.IsNaN(lbs[got[i-1]]) {
+				t.Fatalf("bounds %v: order %v puts a NaN bound after a number", lbs, got)
+			}
+		}
+	})
+}
+
+// TestWarmQueryAllocations holds a warm engine's queries to the few objects
+// they allocate beside the storage the engine pools (the prefilter's bounds,
+// DTW top-k's order, a batch's DTW scratch): each kind of query below
+// allocates under one float64 per resident series, and no more objects than
+// counted when the pools went in (a bound array per query, or order's two
+// slices, would add to both).
+func TestWarmQueryAllocations(t *testing.T) {
+	snap := testCorpus(t, 1100, 64).Snapshot() // past the prefilter's threshold
+	qi := 5
+	for _, tc := range []struct {
+		req    Request
+		allocs float64
+	}{
+		{Request{Measure: MeasureEuclidean, Kind: KindTopK, Index: &qi, K: 10}, 22},
+		{Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 10}, 28},
+		{Request{Measure: MeasurePROUD, Kind: KindProbRange, Index: &qi, Eps: 2.5, Tau: 0.5}, 7},
+	} {
+		e := newEngine(t, snap, Options{Measure: tc.req.Measure, Workers: 1})
+		run := func() {
+			if _, err := e.Run(context.Background(), tc.req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs > tc.allocs {
+			t.Errorf("%v %v: %v objects a warm query, want at most %v", tc.req.Measure, tc.req.Kind, allocs, tc.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= uint64(8*snap.Len()) {
+			t.Errorf("%v %v: %d bytes a warm query, not under one float64 for each of %d series", tc.req.Measure, tc.req.Kind, b, snap.Len())
+		}
+	}
+}
+
+// BenchmarkSketchBound times the sketch-row bound over 1024 rows at the
+// served shape (128 points, 64 segments, band 12): dtwLB2 (asm on amd64)
+// beside its Go loop (go), and DTW top-k's order over those bounds beside the
+// comparator sort it replaced (sortfunc).
+func BenchmarkSketchBound(b *testing.B) {
+	rng := rand.New(rand.NewSource(45))
+	const n, band = 128, 12
+	lay := sketch.NewLayout(n, sketch.DefaultSegments)
+	p := dtwPrefilter(lay, rows{})
+	series := func() []float64 {
+		v := make([]float64, n)
+		for i := 1; i < n; i++ {
+			v[i] = v[i-1] + rng.NormFloat64()
+		}
+		timeseries.NormalizeInPlace(v)
+		return v
+	}
+	sketchRows := make([][]float64, 1024)
+	for i := range sketchRows {
+		v := series()
+		up, lo := distance.Envelope(v, band)
+		sketchRows[i] = make([]float64, lay.Stride())
+		lay.FillRow(sketchRows[i], v, up, lo)
+	}
+	pq := &prepared{self: -1, vec: series()}
+	p.summarise(pq, band)
+	lbs := make([]float64, len(sketchRows))
+	for i, row := range sketchRows {
+		lbs[i] = p.dtwLB2(pq, row)
+	}
+	b.Run("dtwLB2", func(b *testing.B) {
+		for range b.N {
+			for i, row := range sketchRows {
+				lbs[i] = p.dtwLB2(pq, row)
+			}
+		}
+	})
+	b.Run("dtwLB2/go", func(b *testing.B) {
+		for range b.N {
+			for i, row := range sketchRows {
+				lbs[i] = dtwLB2Go(p, pq, row)
+			}
+		}
+	})
+	s := new(scratch)
+	b.Run("order", func(b *testing.B) {
+		for range b.N {
+			order(lbs, 3, s)
+		}
+	})
+	b.Run("order/sortfunc", func(b *testing.B) {
+		for range b.N {
+			orderRef(lbs, 3)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"math"
-	"slices"
 
 	"uncertts/internal/distance"
 	"uncertts/internal/sketch"
@@ -37,9 +36,9 @@ import (
 //     means (the reverse bound); both chain under DTW^2. One branch-free
 //     pass over the row's three interior blocks sums both (dtwLB2), bit for
 //     bit the two sketch.MinDistSquared sums that define them, over span
-//     widths the prefilter converts once; over 1024 rows at the served shape
-//     (128 points, 64 segments) it ran ~1.4x faster than the two passes on
-//     a 2-vCPU Xeon.
+//     widths the prefilter converts once, the two sums as the two lanes of
+//     one SSE2 register on amd64 (gaps_amd64.s; envelopeGapsGo elsewhere):
+//     ~2x the Go loop over 1024 rows at the served shape.
 //
 // DUST and MUNICH have none. Every kind tests the bound against its own cut
 // (PROUD's kinds through the prefix decision, as a prefix of zero
@@ -203,59 +202,86 @@ func (p *prefilter) kim(pq *prepared, row []float64) float64 {
 // +0, which leaves the non-negative sum as the switch's skip does. That holds
 // for finite means; a segment sum that overflows (values beyond ~1e306) can
 // make a gap Inf - Inf, a NaN bound that skips nothing (order places it).
+// envelopeGaps runs the pass, each sum in segment order.
 func (p *prefilter) dtwLB2(pq *prepared, row []float64) float64 {
 	kim := p.kim(pq, row)
 	k, w := len(p.widths), p.lay.W
 	if k == 0 {
 		return kim
 	}
-	qpaa, qlo, qhi := pq.qpaa[1:k+1], pq.qenvLo[1:k+1], pq.qenvHi[1:k+1]
-	paa, klo, khi := row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1]
-	var fwd, rev float64
-	for j, width := range p.widths {
+	fwd, rev := envelopeGaps(p.widths, pq.qpaa[1:k+1], pq.qenvLo[1:k+1], pq.qenvHi[1:k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
+	return kim + math.Max(fwd, rev)
+}
+
+// envelopeGapsGo is dtwLB2's pass over the interior segments, which all
+// seven slices hold: the Go loop envelopeGaps runs in SSE2 on amd64.
+func envelopeGapsGo(widths, qpaa, qlo, qhi, paa, klo, khi []float64) (fwd, rev float64) {
+	for j, width := range widths {
 		v, c := qpaa[j], paa[j]
 		d := max(klo[j]-v, 0) + max(v-khi[j], 0)
 		fwd += width * d * d
 		e := max(qlo[j]-c, 0) + max(c-qhi[j], 0)
 		rev += width * e * e
 	}
-	return kim + math.Max(fwd, rev)
+	return fwd, rev
 }
 
 // order returns the candidates — every position but self — in ascending
 // order of their bounds, ties by position: DTW top-k's scan order, the order
-// cmp.Compare gives (bound, position). It sorts the pairs themselves, so a
-// comparison reads no other slice, and compares with < and >: a NaN bound
-// (the fused pass gives one only to a segment mean that overflowed) enters as
-// -Inf, where cmp.Compare puts it, below every bound, which is never negative.
-func order(lbs []float64, self int) []int {
-	type cand struct {
-		lb float64
-		ci int
+// cmp.Compare gives (bound, position). It is a stable LSD radix sort of the
+// bounds' bits, a byte a pass, in s's buffers: flipping the sign bit of a
+// non-negative bound and every bit of a negative one makes the keys order as
+// the values do, -0 enters as its equal +0, and a NaN bound (the fused pass
+// gives one only to a segment mean that overflowed) as key 0, below every
+// number, where cmp.Compare puts it. A byte every key shares takes no pass.
+func order(lbs []float64, self int, s *scratch) []int {
+	n := len(lbs)
+	if 0 <= self && self < n {
+		n--
 	}
-	cs := make([]cand, 0, len(lbs))
+	if cap(s.keys[0]) < n {
+		s.keys = [2][]uint64{make([]uint64, n), make([]uint64, n)}
+		s.cis = [2][]int{make([]int, n), make([]int, n)}
+	}
+	keys, cis, tmpK, tmpC := s.keys[0][:n], s.cis[0][:n], s.keys[1][:n], s.cis[1][:n]
+	all, any := ^uint64(0), uint64(0) // the bits every key has, and any key
+	i := 0
 	for ci, lb := range lbs {
-		if ci != self {
-			if lb != lb {
-				lb = math.Inf(-1)
-			}
-			cs = append(cs, cand{lb, ci})
+		if ci == self {
+			continue
 		}
-	}
-	slices.SortFunc(cs, func(a, b cand) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
+		if lb == 0 {
+			lb = 0
 		}
-		return a.ci - b.ci
-	})
-	out := make([]int, len(cs))
-	for i, c := range cs {
-		out[i] = c.ci
+		k := math.Float64bits(lb)
+		k ^= uint64(int64(k)>>63) | 1<<63
+		if lb != lb {
+			k = 0
+		}
+		keys[i], cis[i] = k, ci
+		all, any = all&k, any|k
+		i++
 	}
-	return out
+	for shift := 0; shift < 64; shift += 8 {
+		if byte((all^any)>>shift) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			b := byte(k >> shift)
+			tmpK[at[b]], tmpC[at[b]] = k, cis[i]
+			at[b]++
+		}
+		keys, tmpK, cis, tmpC = tmpK, keys, tmpC, cis
+	}
+	return cis
 }
 
 // seedCut uses tier 0's bounds to tighten a lock-step top-k query's cut

@@ -87,11 +87,16 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 	if e.pre != nil {
 		sp := telemetry.TraceFrom(ctx).Start("index_descent")
 		e.pre.summarise(pq, e.cfg.Band)
-		r.pre, r.lbs = e.pre.stage, make([]float64, e.snap.Len())
+		s, _ := e.queries.Get().(*scratch)
+		if s == nil {
+			s = &scratch{lbs: make([]float64, e.snap.Len())}
+		}
+		defer e.queries.Put(s)
+		r.pre, r.lbs = e.pre.stage, s.lbs
 		if req.Kind == KindTopK { // the other kinds bound batch by batch (scan)
 			e.pre.bounds(pq, r.lbs, 0)
 			if e.pre.dtw {
-				cands = order(r.lbs, pq.self)
+				cands = order(r.lbs, pq.self, s)
 			} else {
 				err = e.seedCut(pq, req.K, r.lbs, r.coll.cut)
 			}
@@ -106,6 +111,16 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 		return nil, hits, err
 	}
 	return r.coll.best(), nil, nil
+}
+
+// scratch is one query's storage by position: the prefilter's bounds, and
+// DTW top-k's sort keys and order. It is pooled and never cleared: every
+// batch bounds its own positions before reading them, and a top-k query
+// bounds them all first.
+type scratch struct {
+	lbs  []float64
+	keys [2][]uint64
+	cis  [2][]int
 }
 
 // workers resolves the executor parallelism of one request: its own budget,
@@ -157,6 +172,9 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 			more, err = r.step(scratch, &t, span{cands, self + 1, hi})
 			ids = append(ids, more...)
 		}
+		if scratch != nil {
+			e.dtw.Put(scratch)
+		}
 		e.outcomes.add(&t)
 		r.outcomes.add(&t)
 		hits[lo/size] = ids
@@ -179,6 +197,9 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 func (e *Engine) newScratch() *distance.DTWScratch {
 	if e.opts.Measure != MeasureDTW {
 		return nil
+	}
+	if s, ok := e.dtw.Get().(*distance.DTWScratch); ok {
+		return s
 	}
 	return new(distance.DTWScratch)
 }
