@@ -205,6 +205,7 @@ func FuzzLBKeogh(f *testing.F) {
 	f.Add([]byte{128, 127, 0, 0}, []byte{0, 127, 128, 9, 9}, 1e100, 0, math.Inf(1))
 	f.Add([]byte{9, 9, 9}, []byte{9, 9, 9, 9}, 0.5, 2, 0.0)
 	f.Add([]byte{1, 200, 3, 90, 7, 60, 20}, []byte{30, 40, 50, 60, 70, 80, 90, 100}, 3.0, 3, math.NaN())
+	f.Add([]byte{12, 21}, []byte{10, 20, 30}, 1.0, 0, math.Inf(1)) // q above upper and below lower at once
 	f.Fuzz(func(t *testing.T, qs, ys []byte, scale float64, band int, cutoff float64) {
 		n := len(qs)
 		if n > 256 || len(ys) < n+1 || band < -1 || band > n {

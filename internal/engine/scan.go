@@ -192,8 +192,8 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 }
 
 // newScratch returns the DP row and LB_Keogh suffix sums one batch of a DTW
-// engine shares — per batch, not per candidate, so the hot path allocates
-// nothing — and nil for every other measure.
+// engine shares, from the engine's pool (the batch puts it back), and nil
+// for every other measure.
 func (e *Engine) newScratch() *distance.DTWScratch {
 	if e.opts.Measure != MeasureDTW {
 		return nil
