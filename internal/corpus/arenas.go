@@ -89,6 +89,15 @@ func (a *arenas) truncate(rows int) {
 	}
 }
 
+// width returns the float64s a row takes across every arena.
+func (a *arenas) width() int {
+	w := 0
+	for _, b := range a.all() {
+		w += b.Stride()
+	}
+	return w
+}
+
 func (a *arenas) all() []*arena.Builder {
 	return []*arena.Builder{
 		a.values, a.uma, a.uema, a.upper, a.lower, a.sketch,

@@ -443,3 +443,41 @@ func TestCopiedBytesCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeMoveCollects holds the collection after a move: a regrowth or a
+// compaction that moves more than collectAfter bytes of arena storage runs
+// one once the mutation returns, so the next heap goal is set from what is
+// live and not from a cycle that overlapped the copy; a smaller move runs
+// none.
+func TestLargeMoveCollects(t *testing.T) {
+	const n = 32
+	forced := func(mutate func() error) uint32 {
+		t.Helper()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.NumForcedGC
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.NumForcedGC - before
+	}
+	probe := New(Config{Length: n, ReportedSigma: 0.5})
+	k := collectAfter/(8*probe.ar.width()) + 1 // rows whose move passes the cut
+	for _, tc := range []struct {
+		rows int
+		want uint32
+	}{{k, 1}, {k / 4, 0}} {
+		c := New(Config{ReportedSigma: 0.5})
+		ids, err := c.InsertBatch(batchOf(tc.rows, n, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := forced(func() error { _, err := c.Insert(testSeries(n, 0, -1)); return err }); got != tc.want {
+			t.Errorf("regrowth of %d rows ran %d collections, want %d", tc.rows, got, tc.want)
+		}
+		if got := forced(func() error { return c.Delete(ids[:tc.rows/2]...) }); got != tc.want {
+			t.Errorf("compaction of %d rows ran %d collections, want %d", tc.rows+1, got, tc.want)
+		}
+	}
+}
