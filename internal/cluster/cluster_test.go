@@ -38,9 +38,10 @@ func TestShardForGolden(t *testing.T) {
 			}
 		}
 	}
-	big := map[int]int{1 << 40: 0, 123456789: 0, 987654321: 0, 55555: 6, 31337: 4}
+	// int64 keys: 1 << 40 is no int constant where int has 32 bits.
+	big := map[int64]int{1 << 40: 0, 123456789: 0, 987654321: 0, 55555: 6, 31337: 4}
 	for id, w := range big {
-		if got := ShardFor(id, 8); got != w {
+		if got := ShardFor(int(id), 8); got != w {
 			t.Errorf("ShardFor(%d, 8) = %d, golden %d", id, got, w)
 		}
 	}

@@ -52,3 +52,21 @@ done:
 	UNPCKHPD X7, X7
 	MOVSD    X7, rev+176(FP)
 	RET
+
+// func prefetch(x []float64)
+//
+// PREFETCHT0 of the eight cache lines from x's first element on: half of a
+// 128-point row, after which the hardware's own stream prefetch has caught
+// up (the whole row measured no better, one or four lines worse). A prefetch
+// never faults, so lines past the end of x, or an empty x, are harmless.
+TEXT ·prefetch(SB), NOSPLIT, $0-24
+	MOVQ       x_base+0(FP), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	PREFETCHT0 128(AX)
+	PREFETCHT0 192(AX)
+	PREFETCHT0 256(AX)
+	PREFETCHT0 320(AX)
+	PREFETCHT0 384(AX)
+	PREFETCHT0 448(AX)
+	RET

@@ -126,9 +126,7 @@ func (p *prefilter) bounds(pq *prepared, lbs []float64, lo int) {
 		}
 		return
 	}
-	for i := range lbs {
-		lbs[i] = p.coarse.GapSquared(pq.qc, p.rows.at(lo+i))
-	}
+	p.coarse.Gaps(pq.qc, p.rows.data, p.rows.stride, p.rows.idx, lo, lbs)
 }
 
 // indexBoundMargin deflates every raw prefilter bound before it is compared

@@ -38,6 +38,7 @@ type run struct {
 	done <-chan struct{}
 
 	pre      prefilterStage   // how the steps test lbs
+	ahead    bool             // tier 0 engaged: fetch each refine's row ahead
 	lbs      []float64        // the prefilter's raw bound by position (nil: none engaged)
 	coll     *collector       // the top-k kinds' collector and live cut (nil: a range kind)
 	cutoff2  float64          // KindRange: ulpUp(Eps^2)
@@ -92,7 +93,7 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 			s = &scratch{lbs: make([]float64, e.snap.Len())}
 		}
 		defer e.queries.Put(s)
-		r.pre, r.lbs = e.pre.stage, s.lbs
+		r.pre, r.lbs, r.ahead = e.pre.stage, s.lbs, !e.pre.dtw
 		if req.Kind == KindTopK { // the other kinds bound batch by batch (scan)
 			e.pre.bounds(pq, r.lbs, 0)
 			if e.pre.dtw {
@@ -223,15 +224,16 @@ func (r *run) step(scratch *distance.DTWScratch, t *tally, s span) ([]int, error
 
 // topKStep is the step of the ranking kinds: each candidate meets the cut as
 // it stands when its turn comes, and every one its cascade resolves is
-// offered to the collector, whose k-th best tightens the cut.
+// offered to the collector, whose k-th best tightens the cut. While one is
+// resolved, the next the prefilter passes under the same cut has its row
+// fetched; the cut only falls, so those between, which it dropped, fall
+// under their own turn's cut too, and the next meets the new cut again.
 func (r *run) topKStep(scratch *distance.DTWScratch, t *tally, s span) error {
-	for i := s.lo; i < s.hi; i++ {
+	cut := r.coll.cut.get()
+	for i := r.next(t, s, s.lo, cut); i < s.hi; {
 		ci := s.at(i)
-		cut := r.coll.cut.get()
-		if r.skip(ci, cut) || r.pre == proudPrefilter && r.proudSkip(ci, cut) {
-			t[skipped]++
-			continue
-		}
+		ahead := r.next(t, s, i+1, cut)
+		r.fetch(s, ahead)
 		key, in, o, err := r.resolve(scratch, ci, cut)
 		if err != nil {
 			return candErr(ci, err)
@@ -240,6 +242,8 @@ func (r *run) topKStep(scratch *distance.DTWScratch, t *tally, s span) error {
 		if in {
 			r.coll.offer(ci, key)
 		}
+		cut = r.coll.cut.get()
+		i = r.next(t, s, ahead, cut)
 	}
 	return nil
 }
@@ -250,12 +254,10 @@ func (r *run) topKStep(scratch *distance.DTWScratch, t *tally, s span) error {
 // sound bound without ever computing the probability.
 func (r *run) rangeStep(scratch *distance.DTWScratch, t *tally, s span) (hits []int, _ error) {
 	cut := r.cutoff2 // KindProbRange's cascades decide against Tau instead
-	for i := s.lo; i < s.hi; i++ {
+	for i := r.next(t, s, s.lo, cut); i < s.hi; {
 		ci := s.at(i)
-		if r.skip(ci, cut) || r.pre == proudPrefilter && r.proudSkip(ci, cut) {
-			t[skipped]++
-			continue
-		}
+		i = r.next(t, s, i+1, cut)
+		r.fetch(s, i)
 		key, in, o, err := r.resolve(scratch, ci, cut)
 		if err != nil {
 			return nil, candErr(ci, err)
@@ -274,12 +276,28 @@ func (r *run) rangeStep(scratch *distance.DTWScratch, t *tally, s span) (hits []
 	return hits, nil
 }
 
-// skip is the prefilter stage of the distance measures' cascades: whether
-// candidate ci's bound proves it beyond the squared cut. Most of the light
-// measures' candidates end here, so it inlines into the steps, which test
-// PROUD's own (proudSkip) beside it as one direct call.
-func (r *run) skip(ci int, cut2 float64) bool {
-	return r.pre == distPrefilter && r.pq.skips(r.lbs[ci], cut2)
+// next is the prefilter stage of every cascade: the first index from i on of
+// a span whose candidate the prefilter does not drop under cut (s.hi if
+// none), counting those it drops. Most of the light measures' candidates end
+// here, so the distance measures' test (skips) inlines into the loop and
+// PROUD's (proudSkip) is one direct call beside it.
+func (r *run) next(t *tally, s span, i int, cut float64) int {
+	for ; i < s.hi; i++ {
+		if ci := s.at(i); !(r.pre == distPrefilter && r.pq.skips(r.lbs[ci], cut) || r.pre == proudPrefilter && r.proudSkip(ci, cut)) {
+			return i
+		}
+		t[skipped]++
+	}
+	return i
+}
+
+// fetch asks for the row of the span's i-th candidate, the next to be
+// refined, under tier 0 alone: a lock-step refine is short next to the wait
+// on a row the prefilter kept out of the cache. It is a hint only.
+func (r *run) fetch(s span, i int) {
+	if r.ahead && i < s.hi {
+		prefetch(r.e.vecs.at(s.at(i)))
+	}
 }
 
 // resolve walks candidate ci through the rest of its measure's cascade

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -134,6 +136,51 @@ func TestQueryByIDExcludesSelfAndUsesStableIDs(t *testing.T) {
 	}
 	if len(resp.Neighbors) != snap.Len()-1 {
 		t.Errorf("topk(k=20) returned %d of %d candidates", len(resp.Neighbors), snap.Len()-1)
+	}
+}
+
+// TestQueryResponsesAreCompact: a /query answer is one line of compact JSON
+// (no indentation newline inside it), byte for byte the encoding of the
+// answer the server computes in process, and it decodes to that answer.
+func TestQueryResponsesAreCompact(t *testing.T) {
+	srv, ts := testServer(t, 16, 24)
+	id := 2
+	for _, req := range []QueryRequest{
+		{Measure: "euclidean", Type: "topk", K: 5, ID: &id},
+		{Measure: "uema", Type: "range", Eps: 3, ID: &id},
+		{Measure: "proud", Type: "probrange", Eps: 2, Tau: 0.1, ID: &id},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil || r.StatusCode != http.StatusOK {
+			t.Fatalf("%s/%s: status %d, %v", req.Measure, req.Type, r.StatusCode, err)
+		}
+		if i := bytes.IndexByte(got, '\n'); i != len(got)-1 {
+			t.Errorf("%s/%s: a newline at byte %d of %d: %q", req.Measure, req.Type, i, len(got), got)
+		}
+		want, err := srv.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(enc, '\n')) {
+			t.Errorf("%s/%s: answered %s, want %s", req.Measure, req.Type, got, enc)
+		}
+		var dec QueryResponse
+		if err := json.Unmarshal(got, &dec); err != nil || !reflect.DeepEqual(&dec, want) {
+			t.Errorf("%s/%s: decodes to %+v (%v), want %+v", req.Measure, req.Type, dec, err, *want)
+		}
 	}
 }
 

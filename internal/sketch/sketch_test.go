@@ -76,7 +76,7 @@ func TestPAAInto(t *testing.T) {
 }
 
 // TestCoarseGeometry pins the filter-column layout for the lengths the
-// segment count does not divide or exceed, and GapSquared against its
+// segment count does not divide or exceed, and Gaps against its
 // definition: the span-weighted squared gap of the segment means, which
 // equals the squared distance when every segment is one timestamp wide.
 func TestCoarseGeometry(t *testing.T) {
@@ -101,12 +101,14 @@ func TestCoarseGeometry(t *testing.T) {
 		for i := range q {
 			exact += (q[i] - x[i]) * (q[i] - x[i])
 		}
-		got := c.GapSquared(qc, xc)
+		out := []float64{0}
+		c.Gaps(qc, xc, len(xc), nil, 0, out)
+		got := out[0]
 		if math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("n=%d: GapSquared = %g, want %g", tc.n, got, want)
+			t.Fatalf("n=%d: Gaps = %g, want %g", tc.n, got, want)
 		}
 		if got > exact*(1+1e-12) || (tc.w == tc.n && math.Abs(got-exact) > 1e-12*exact) {
-			t.Fatalf("n=%d: GapSquared = %g against the squared distance %g", tc.n, got, exact)
+			t.Fatalf("n=%d: Gaps = %g against the squared distance %g", tc.n, got, exact)
 		}
 	}
 }

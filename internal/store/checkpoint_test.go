@@ -30,7 +30,8 @@ func wrappingCheckpointBody(t testing.TB, epoch uint64) []byte {
 	var e enc
 	e.u64(epoch)
 	e.i64(4)
-	if err := e.config(corpus.Config{Length: 1 << 62}); err != nil {
+	length := int64(1) << 62 // a variable: no int constant where int has 32 bits
+	if err := e.config(corpus.Config{Length: int(length)}); err != nil {
 		t.Fatal(err)
 	}
 	e.u32(4)
