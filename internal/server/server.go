@@ -838,11 +838,11 @@ func answerDecode(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// WriteJSON answers with v as one line of compact JSON (indenting it cost a
-// third more bytes on the wire and a pass of its own), encoded before the
-// status line goes out: a value with no JSON form (a non-finite number, e.g.
-// an overflowed distance) is a 500 with a typed error body, never a 200 with
-// no bytes.
+// WriteJSON answers with v as one line of compact JSON (indented, a top-k
+// answer is ~1.6x the bytes and the indenting a pass of its own), encoded
+// before the status line goes out: a value with no JSON form (a non-finite
+// number, e.g. an overflowed distance) is a 500 with a typed error body,
+// never a 200 with no bytes.
 func WriteJSON(w http.ResponseWriter, v interface{}) {
 	var buf bytes.Buffer
 	w.Header().Set("Content-Type", "application/json")
