@@ -333,43 +333,59 @@ func TestRunCancelInsideABatch(t *testing.T) {
 // can stop it short; the timer cancels after about three measured DPs,
 // leaving a wide margin on either side. Stats must then hold some but not
 // all of the candidates: the batch's tally reaches them when it fails too.
+// Under -race the run's first DP can outlast three timed outside it, and the
+// cancel then lands before any candidate: such an attempt runs again on a
+// fresh engine with the delay doubled, up to five attempts.
 func TestRunCancellationInterruptsLongKernels(t *testing.T) {
 	w := testWorkload(t, 32, 1024, -1) // unconstrained: n^2 DP per pair
-	e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW})
 	qi := 0
-	began := time.Now()
-	if _, err := e.Distance(qi, 1); err != nil {
-		t.Fatal(err)
-	}
-	oneDP := time.Since(began)
-	ctx, cancel := context.WithCancel(context.Background())
-	var watcherDone atomic.Bool
-	go func() {
-		defer watcherDone.Store(true)
-		time.Sleep(3 * oneDP)
+	var delay time.Duration
+	for attempt := 0; attempt < 5; attempt++ {
+		e := newEngine(t, w.Snapshot(), Options{Measure: MeasureDTW})
+		if attempt == 0 {
+			began := time.Now()
+			if _, err := e.Distance(qi, 1); err != nil {
+				t.Fatal(err)
+			}
+			delay = 3 * time.Since(began)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var watcherDone atomic.Bool
+		go func() {
+			defer watcherDone.Store(true)
+			time.Sleep(delay)
+			cancel()
+		}()
+		start := time.Now()
+		_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindRange, Index: &qi, Eps: math.MaxFloat64, Workers: 1})
+		elapsed := time.Since(start)
 		cancel()
-	}()
-	start := time.Now()
-	_, err := e.Run(ctx, Request{Measure: MeasureDTW, Kind: KindRange, Index: &qi, Eps: math.MaxFloat64, Workers: 1})
-	elapsed := time.Since(start)
-	cancel()
-	if !errors.Is(err, qerr.ErrCancelled) {
-		t.Fatalf("err = %v, want cancellation (elapsed %v)", err, elapsed)
+		for !watcherDone.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		if !errors.Is(err, qerr.ErrCancelled) {
+			t.Fatalf("attempt %d: err = %v, want cancellation (elapsed %v)", attempt, err, elapsed)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("attempt %d: cancellation took %v to take effect", attempt, elapsed)
+		}
+		// The accounting identity must survive cancellation: the interrupted
+		// candidate is retracted, not left dangling in Candidates.
+		st := e.Stats()
+		if st.Candidates != st.Completed+st.AbandonedEarly+st.PrunedByEnvelope+st.ResolvedByBounds+st.ResolvedEarly {
+			t.Errorf("attempt %d: stats identity broken after cancellation: %+v", attempt, st)
+		}
+		total := int64(w.Len() - 1)
+		if st.Candidates > 0 && st.Candidates < total {
+			return
+		}
+		if st.Candidates != 0 {
+			t.Fatalf("attempt %d: %d of %d candidates in Stats after the cancel at %v, want some but not all", attempt, st.Candidates, total, delay)
+		}
+		t.Logf("attempt %d: the cancel at %v came before the first candidate; doubling the delay", attempt, delay)
+		delay *= 2
 	}
-	if got, total := e.Stats().Candidates, int64(w.Len()-1); got == 0 || got >= total {
-		t.Errorf("%d of %d candidates in Stats after the cancel, want some but not all", got, total)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("cancellation took %v to take effect", elapsed)
-	}
-	// The accounting identity must survive cancellation: the interrupted
-	// candidate is retracted, not left dangling in Candidates.
-	if st := e.Stats(); st.Candidates != st.Completed+st.AbandonedEarly+st.PrunedByEnvelope+st.ResolvedByBounds+st.ResolvedEarly {
-		t.Errorf("stats identity broken after cancellation: %+v", st)
-	}
-	for !watcherDone.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	t.Errorf("no attempt cancelled mid-scan: every cancel, the last at %v, came before the first candidate", delay/2)
 }
 
 // TestRunDeadlineExceeded asserts an expired deadline surfaces as both

@@ -179,8 +179,8 @@ type convCase struct {
 }
 
 // tapShapes are the samples per timestamp (x by y) of the fixed-shape rows
-// of convCases: 1, 2, 3, 4, 5, 8, 9 and 16 taps a step, so convolveShifted
-// runs every group size of up to four, alone and after full groups.
+// of convCases: 1, 2, 3, 4, 5, 8, 9 and 16 taps a step, so addTaps runs
+// every tap count the served shapes reach, and past them.
 var tapShapes = [][2]int{{1, 1}, {1, 2}, {1, 3}, {2, 2}, {1, 5}, {2, 4}, {3, 3}, {4, 4}}
 
 // convCases is the seeded table TestConvolutionMatchesReference and
@@ -315,23 +315,14 @@ func TestConvolutionMatchesReference(t *testing.T) {
 		}
 	}
 	ran := convTally()
-	fast, scalar := ran.fast-ran0.fast, ran.scalar-ran0.scalar
-	var groups [5]int64
-	for g := range groups {
-		groups[g] = ran.group[g] - ran0.group[g]
-	}
-	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; %d steps as shifted adds (tap groups of 1-4 with an interior: %v, without one: %d), %d scalar",
-		pairs, completed, abandoned, refAbandoned, unreachable, clamped, fast, groups[1:], groups[0], scalar)
-	for g, runs := range groups {
-		if runs == 0 {
-			t.Fatalf("no tap group of size %d ran (size 0: a group with no interior bin): %v", g, groups)
-		}
-	}
+	interior, edgesOnly, scalar := ran.interior-ran0.interior, ran.edgesOnly-ran0.edgesOnly, ran.scalar-ran0.scalar
+	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; steps as shifted adds: %d with an interior, %d without one; %d scalar",
+		pairs, completed, abandoned, refAbandoned, unreachable, clamped, interior, edgesOnly, scalar)
 	if abandoned == 0 || unreachable == 0 || clamped == 0 {
 		t.Fatalf("the table does not exercise the abandon paths or the clamp: %d abandoned (reference %d), %d unreachable, %d clamped", abandoned, refAbandoned, unreachable, clamped)
 	}
-	if fast == 0 || scalar == 0 {
-		t.Fatalf("the table does not exercise both forms: %d steps as shifted adds, %d scalar", fast, scalar)
+	if interior == 0 || edgesOnly == 0 || scalar == 0 {
+		t.Fatalf("the table does not exercise every form: %d steps as shifted adds with an interior, %d without one, %d scalar", interior, edgesOnly, scalar)
 	}
 }
 
@@ -603,19 +594,25 @@ func TestConvolutionConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConvolutionServedShape gates the refine uncertserve runs (128
-// timestamps x 3 samples a side, convolved over the default 4096 bins) on its
-// allocations with a warm pool: a handful per call, none per timestamp.
-func TestConvolutionServedShape(t *testing.T) {
-	x, y := convPair(rand.New(rand.NewSource(24)), 128, 3, 0.3)
+// servedPair is the shape of the refine uncertserve runs: 128 timestamps x 3
+// samples a side (convolved over the default 4096 bins), at an eps 0.4 of the
+// way across the bounding-interval bracket.
+func servedPair(tb testing.TB) (x, y uncertain.SampleSeries, eps float64) {
+	x, y = convPair(rand.New(rand.NewSource(24)), 128, 3, 0.3)
 	for i := range x.Samples {
 		x.Samples[i], y.Samples[i] = append(x.Samples[i], 0, 0)[:3], append(y.Samples[i], 0, 0)[:3]
 	}
 	lo, hi, err := BoundingIntervals(x).Bounds(BoundingIntervals(y))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	eps := lo + 0.4*(hi-lo)
+	return x, y, lo + 0.4*(hi-lo)
+}
+
+// TestConvolutionServedShape gates the served refine (servedPair) on its
+// allocations with a warm pool: a handful per call, none per timestamp.
+func TestConvolutionServedShape(t *testing.T) {
+	x, y, eps := servedPair(t)
 	for _, cutoff := range []float64{math.Inf(-1), 0.1} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, _, err := ProbabilityCutoff(x, y, eps, cutoff, Options{}); err != nil {
@@ -644,4 +641,88 @@ func TestConvolutionRejectsOverflowingDomain(t *testing.T) {
 	if _, _, err := convolutionProbability(tinySeries(3, []float64{0}, []float64{0}), z, 1, 0.1, 16, nil); !errors.Is(err, qerr.ErrBadRequest) {
 		t.Errorf("subnormal width: err = %v, want ErrBadRequest", err)
 	}
+}
+
+// BenchmarkServedShape times the three MUNICH layers a served probrange query
+// may run per candidate, on servedPair: the uncut convolution refine, the
+// moment bracket and the interval prune (at this eps it neither rejects early
+// nor accepts, so it runs both sums whole). One pair pruned over and over
+// repeats its branches, which a predictor learns; a served query's
+// candidates do not, so a profile of the served mix judges the prune.
+func BenchmarkServedShape(b *testing.B) {
+	x, y, eps := servedPair(b)
+	xi, yi := BoundingIntervals(x), BoundingIntervals(y)
+	b.Run("refine", func(b *testing.B) {
+		for range b.N {
+			if _, _, err := ProbabilityCutoff(x, y, eps, math.Inf(-1), Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bracket", func(b *testing.B) {
+		for range b.N {
+			Options{}.MomentBracket(x, y, eps)
+		}
+	})
+	b.Run("prune", func(b *testing.B) {
+		for range b.N {
+			if d, err := xi.Prune(yi, eps); err != nil || d != PruneUnknown {
+				b.Fatal(d, err)
+			}
+		}
+	})
+}
+
+// FuzzAddTaps holds addTaps to addTapsGo, and scale to scaleGo (src weighted
+// by 1/taps, as a step of that many squared differences weights its window),
+// bit for bit. n%41 is the bin count, 0 to 40: two whole blocks of 16 and
+// every tail. The first tap sits at offset 0 and each byte of gaps (at most
+// 11) adds one gaps[t]%16 past the one before, so 1 to 12 taps run, ties
+// included, the last at the largest offset. Each byte of vals in turn fills
+// dst and then src: below len(addends) it picks one of them (+0, -0,
+// subnormals, +Inf, NaN, the largest float), above it a value of its own. No
+// addend is below -0, as in a convolution, so no sum makes a NaN of its own
+// whose payload would depend on the order of an addition's operands.
+func FuzzAddTaps(f *testing.F) {
+	addends := []float64{0, math.Copysign(0, -1), 0x1p-1074, 0x1p-1030, math.Inf(1), math.NaN(), math.MaxFloat64, 1}
+	f.Fuzz(func(t *testing.T, n uint8, gaps, vals []byte) {
+		offs := []int{0}
+		for _, g := range gaps[:min(len(gaps), 11)] {
+			offs = append(offs, offs[len(offs)-1]+int(g%16))
+		}
+		bins := int(n % 41)
+		next := 0
+		fill := func(v []float64) []float64 {
+			for i := range v {
+				if len(vals) > 0 {
+					b := vals[next%len(vals)]
+					next++
+					v[i] = float64(b) / 3
+					if int(b) < len(addends) {
+						v[i] = addends[b]
+					}
+				}
+			}
+			return v
+		}
+		dst := fill(make([]float64, bins))
+		src := fill(make([]float64, offs[len(offs)-1]+bins))
+		want := slices.Clone(dst)
+		addTaps(dst, src, offs)
+		addTapsGo(want, src, offs)
+		w := 1 / float64(len(offs))
+		scaled, wantScaled := make([]float64, len(src)), make([]float64, len(src))
+		scale(scaled, src, w)
+		scaleGo(wantScaled, src, w)
+		for _, c := range []struct {
+			kernel    string
+			got, want []float64
+		}{{"addTaps", dst, want}, {"scale", scaled, wantScaled}} {
+			for i := range c.got {
+				if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+					t.Fatalf("%s, bins=%d offs=%v: bin %d is %v (%#x), the Go loop's %v (%#x)", c.kernel, bins, offs, i, c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+				}
+			}
+		}
+	})
 }

@@ -18,14 +18,15 @@
 //     with resolution controlled by the bin count. This is where a served
 //     refine spends its time (128 timestamps x 9 sample pairs over 4096
 //     bins), so each step carries only the bins that hold mass and can still
-//     arrive at or below eps^2, and runs as a few passes of shifted adds: a
-//     squared difference moves every bin by the same number of bins unless
-//     it sits within a few ulps (convShiftSlack) of a bin edge, and adding
-//     the scaled window at each difference's shift, largest shift first and
-//     up to four shifts a pass, hands each bin its addends in the order of
-//     the bin-by-bin definition — the scalar loop kept beside it, which the
-//     rare edge case still runs — so the estimate is that loop's bit for
-//     bit. Scratch comes from a pool.
+//     arrive at or below eps^2, and runs as shifted adds: a squared
+//     difference moves every bin by the same number of bins unless it sits
+//     within a few ulps (convShiftSlack) of a bin edge, and adding the scaled
+//     window at each difference's shift, largest shift first — every shift in
+//     one pass over the bins they all reach (addTaps, SSE2 on amd64), one
+//     shift at a time at the edges — hands each bin its addends in the order
+//     of the bin-by-bin definition: the scalar loop kept beside it, which the
+//     rare edge case still runs, so the estimate is that loop's bit for bit.
+//     Scratch comes from a pool.
 //
 // A pair is counted exactly when both halves of the split enumerate within a
 // fixed cap (ExactFeasible), and convolved otherwise.
@@ -333,7 +334,11 @@ func (x Intervals) Prune(y Intervals, eps float64) (PruneDecision, error) {
 	xhi, ylo, yhi := x.Hi[:n], y.Lo[:n], y.Hi[:n]
 	var lo2 float64
 	for i, xlo := range x.Lo {
-		dmin := minGap(xlo, xhi[i], ylo[i], yhi[i])
+		// minGap without its branches, for intervals in order (lo <= hi, as
+		// every series' are): at most one difference is above 0 (+Inf where
+		// it overflows, never NaN), and as int64s the bits of floats above +0
+		// order as the floats do, above 0, and the others' lie at or below 0.
+		dmin := math.Float64frombits(uint64(max(int64(math.Float64bits(xlo-yhi[i])), int64(math.Float64bits(ylo[i]-xhi[i])), 0)))
 		lo2 += float64(dmin * dmin)
 		if i%pruneStride == pruneStride-1 && math.Sqrt(lo2) > eps {
 			return PruneReject, nil
@@ -610,13 +615,15 @@ func (o Options) bracketSides(x, y uncertain.SampleSeries, eps float64) (sides [
 	pairs := 0
 	for i := 0; i < n; i++ {
 		xs, ys := x.Samples[i], y.Samples[i]
-		sum, low, top := 0.0, math.Inf(1), 0.0
+		// v is +0 or above (NaN and -0 are no squares of a finite difference or
+		// of its overflow), where a float's bits order as it does.
+		sum, low, top := 0.0, math.Float64bits(math.Inf(1)), uint64(0)
 		for _, a := range xs {
 			for _, b := range ys {
 				d := a - b
 				v := float64(d * d) // the convolution's squared difference
 				sum += v
-				low, top = min(low, v), max(top, v)
+				low, top = min(low, math.Float64bits(v)), max(top, math.Float64bits(v))
 			}
 		}
 		k := len(xs) * len(ys)
@@ -635,8 +642,8 @@ func (o Options) bracketSides(x, y uncertain.SampleSeries, eps float64) (sides [
 		mu += mean
 		s2 += dev / float64(k)
 		rho += cube / float64(k)
-		below, above = max(below, mean-low+tol), max(above, top-mean+tol)
-		maxSum += top // in the convolution's order: the same width, bit for bit
+		below, above = max(below, mean-math.Float64frombits(low)+tol), max(above, math.Float64frombits(top)-mean+tol)
+		maxSum += math.Float64frombits(top) // in the convolution's order: the same width, bit for bit
 		pairs = max(pairs, k)
 	}
 	bins, eps2 := float64(o.bins()), eps*eps
@@ -720,21 +727,18 @@ func binShifts(taps []int, m []float64, width float64, bins int) (_ []int, ok bo
 // largest squared difference and three histograms (current, next, current
 // scaled by a timestamp's pair weight), pairs every timestamp's squared
 // differences back to back, last the reachable-bin table, taps one
-// timestamp's bin shifts.
+// timestamp's bin shifts and offs their offsets from the first.
 type convScratch struct {
-	f, pairs   []float64
-	last, taps []int
+	f, pairs         []float64
+	last, taps, offs []int
 }
 
 var convPool = sync.Pool{New: func() any { return new(convScratch) }}
 
-// convCount tallies one convolution's steps as shifted adds and as the
-// scalar loop, and convolveShifted's tap groups by size (group[0]: no
-// interior bin). Each call adds it into convRan, which the tests read.
-type convCount struct {
-	fast, scalar int64
-	group        [5]int64
-}
+// convCount tallies one convolution's steps as shifted adds, with an
+// interior (a bin every tap lands on) or without one, and as the scalar loop.
+// Each call adds it into convRan, which the tests read.
+type convCount struct{ interior, edgesOnly, scalar int64 }
 
 var convRan struct {
 	sync.Mutex
@@ -744,11 +748,9 @@ var convRan struct {
 func (c *convCount) flush() {
 	convRan.Lock()
 	defer convRan.Unlock()
-	convRan.fast += c.fast
+	convRan.interior += c.interior
+	convRan.edgesOnly += c.edgesOnly
 	convRan.scalar += c.scalar
-	for g, v := range c.group {
-		convRan.group[g] += v
-	}
 }
 
 // convolutionProbability approximates the distribution of the total squared
@@ -763,11 +765,12 @@ func (c *convCount) flush() {
 // probs[j]*w into bin int(((j+0.5)*width + v)/width). Where that index is
 // provably j + k_v for every j (binShifts), the step runs as shifted adds:
 // the window is scaled once and added into next at offset k_v, in descending
-// k_v, up to four offsets a pass (convolveShifted). A destination bin then
-// meets its sources in ascending order, as in the scalar loop, and sources
-// that tie (equal k_v) bring the same addend, so their order is immaterial:
-// same addends, same order, same bits. A step that may clamp into the top
-// bin (keep == bins-1) or holds an unprovable shift runs the scalar loop.
+// k_v, every offset in one pass where all of them land (convolveShifted). A
+// destination bin then meets its sources in ascending order, as in the
+// scalar loop, and sources that tie (equal k_v) bring the same addend, so
+// their order is immaterial: same addends, same order, same bits. A step that
+// may clamp into the top bin (keep == bins-1) or holds an unprovable shift
+// runs the scalar loop.
 //
 // Because every squared difference is non-negative, convolving in another
 // timestamp only moves mass towards higher bins, so the final CDF at eps^2
@@ -828,10 +831,10 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 			uniform := false
 			if keep != bins-1 {
 				sc.taps, uniform = binShifts(sc.taps[:0], m, width, bins)
+				sc.offs = slices.Grow(sc.offs[:0], len(m))
 			}
 			if uniform {
-				ran.fast++
-				convolveShifted(probs, next, scaled, lo, hi, keep, sc.taps, w, &ran)
+				convolveShifted(probs, next, scaled, lo, hi, keep, sc.taps, sc.offs[:len(m)], w, &ran)
 			} else {
 				ran.scalar++
 				convolveScalar(probs, next, lo, hi, keep, m, w, width, bins)
@@ -851,90 +854,68 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 }
 
 // convolveShifted is convolveScalar for a step whose squared differences
-// shift every source bin alike, by taps (descending): the window scaled
-// once, then the taps in groups of up to four. Tap k lands on [lo+k,
-// min(hi+k, keep)], every tap of a group on its interior [lo+k_first,
-// min(hi+k_last, keep)]. There one pass adds next[b] + src[b-k_first] + ...
-// + src[b-k_last], left to right; around it each tap adds alone, in order.
-// Either way, and group after group, a bin meets its sources in ascending
-// order, as in convolveScalar: same addends, same order, same bits. The
-// conversion keeps p*w a rounded product on platforms that would fuse it.
-func convolveShifted(probs, next, scaled []float64, lo, hi, keep int, taps []int, w float64, ran *convCount) {
+// shift every source bin alike, by taps (descending): the window scaled once,
+// then every tap in one pass. Tap k lands on [lo+k, min(hi+k, keep)], every
+// tap on the interior [lo+k_first, min(hi+k_last, keep)]. There addTaps adds
+// next[b] + src[b-k_first] + ... + src[b-k_last], left to right; around it
+// each tap adds alone, in order. Either way a bin meets its sources in
+// ascending order, as in convolveScalar: same addends, same order, same bits.
+func convolveShifted(probs, next, scaled []float64, lo, hi, keep int, taps, offs []int, w float64, ran *convCount) {
 	src := scaled[:hi+1] // src[j] is source bin j's addend
-	for j, p := range probs[lo : hi+1] {
-		src[lo+j] = float64(p * w)
-	}
+	scale(src[lo:], probs[lo:hi+1], w)
 	clear(probs[lo : hi+1]) // leaves the buffer clean for the step after next
-	for len(taps) > 0 {
-		g := taps[:min(4, len(taps))]
-		taps = taps[len(g):]
-		from, to := lo+g[0], min(hi+g[len(g)-1], keep)
-		if from > to {
-			// No bin hears every tap of the group (a window narrower than the
-			// group's spread, or one keep cuts short).
-			ran.group[0]++
-			for _, k := range g {
-				addShifted(next, src, k, lo+k, min(hi+k, keep))
-			}
-			continue
+	first, last := taps[0], taps[len(taps)-1]
+	from, to := lo+first, min(hi+last, keep)
+	if from > to {
+		// No bin hears every tap (a window narrower than the taps' spread,
+		// or one keep cuts short).
+		ran.edgesOnly++
+		for _, k := range taps {
+			addShifted(next, src, k, lo+k, min(hi+k, keep))
 		}
-		ran.group[len(g)]++
-		for _, k := range g {
-			addShifted(next, src, k, lo+k, from-1)
-		}
-		dst := next[from : to+1]
-		tap := func(i int) []float64 { return src[from-g[i] : to-g[i]+1] }
-		switch len(g) {
-		case 4:
-			add4(dst, tap(0), tap(1), tap(2), tap(3))
-		case 3:
-			add3(dst, tap(0), tap(1), tap(2))
-		case 2:
-			add2(dst, tap(0), tap(1))
-		default:
-			add1(dst, tap(0))
-		}
-		for _, k := range g {
-			addShifted(next, src, k, to+1, min(hi+k, keep))
-		}
+		return
+	}
+	ran.interior++
+	for i, k := range taps {
+		addShifted(next, src, k, lo+k, from-1)
+		offs[i] = first - k
+	}
+	addTaps(next[from:to+1], src[from-first:to-last+1], offs)
+	for _, k := range taps {
+		addShifted(next, src, k, to+1, min(hi+k, keep))
 	}
 }
 
 // addShifted adds src[b-k] into next[b] for every bin b in [from, to].
 func addShifted(next, src []float64, k, from, to int) {
 	if from <= to {
-		add1(next[from:to+1], src[from-k:to-k+1])
+		dst := next[from : to+1]
+		s := src[from-k:][:len(dst)]
+		for i := range dst {
+			dst[i] += s[i]
+		}
 	}
 }
 
-// add1 to add4 add one to four source runs into dst, element by element,
-// left to right. Each is its own loop over fixed operands: a loop over a
-// variable number of runs per bin pays a bounds check per addend.
-func add1(dst, s0 []float64) {
-	s0 = s0[:len(dst)]
-	for i := range dst {
-		dst[i] += s0[i]
+// scaleGo sets dst[j] to src[j]*w for every j of src: the weighting of
+// convolveShifted's window (scale, in SSE2 on amd64). The conversion keeps
+// each product rounded on platforms that would fuse it.
+func scaleGo(dst, src []float64, w float64) {
+	dst = dst[:len(src)]
+	for j, p := range src {
+		dst[j] = float64(p * w)
 	}
 }
 
-func add2(dst, s0, s1 []float64) {
-	s0, s1 = s0[:len(dst)], s1[:len(dst)]
-	for i := range dst {
-		dst[i] = dst[i] + s0[i] + s1[i]
-	}
-}
-
-func add3(dst, s0, s1, s2 []float64) {
-	s0, s1, s2 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)]
-	for i := range dst {
-		dst[i] = dst[i] + s0[i] + s1[i] + s2[i]
-	}
-}
-
-func add4(dst, s0, s1, s2, s3 []float64) {
-	s0, s1, s2, s3 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)], s3[:len(dst)]
-	for i := range dst {
-		dst[i] = dst[i] + s0[i] + s1[i] + s2[i] + s3[i]
+// addTapsGo adds into every bin dst[i] the addends src[o+i], for each offset
+// o of offs in turn, left to right: the interior pass of convolveShifted
+// (addTaps, in SSE2 on amd64).
+func addTapsGo(dst, src []float64, offs []int) {
+	for i, a := range dst {
+		for _, o := range offs {
+			a += src[o+i]
+		}
+		dst[i] = a
 	}
 }
 

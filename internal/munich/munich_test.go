@@ -336,7 +336,8 @@ func TestPrune(t *testing.T) {
 // TestIntervalPruneMatchesBounds holds the abandoning Prune to the decision
 // of Bounds' two whole sums — accept when hi <= eps, reject when lo > eps —
 // over the convCases pairs at their own eps, and over pairs of 1, 15, 16, 17
-// and 128 timestamps and constant series at eps on and one ulp either side
+// and 128 timestamps, constant series and series whose differences overflow
+// to +-Inf at eps on and one ulp either side
 // of lo, hi and the root of the lower sum over the first stride (where an
 // early reject is decided), plus 0, -1, +Inf and NaN.
 func TestIntervalPruneMatchesBounds(t *testing.T) {
@@ -363,6 +364,14 @@ func TestIntervalPruneMatchesBounds(t *testing.T) {
 		}
 		pairs = append(pairs, pair{fmt.Sprintf("constant n=%d", n), tinySeries(0, xs...), tinySeries(1, ys...), nil})
 		pairs = append(pairs, pair{fmt.Sprintf("identical constant n=%d", n), tinySeries(0, xs...), tinySeries(1, xs...), nil})
+		// Finite samples whose differences overflow: x far below y, far
+		// above it, and a wide interval across a narrow one, in turn.
+		for i := range xs {
+			big := math.MaxFloat64 / float64(1+i%5)
+			lo, hi := []float64{-big, -0.9 * big}, []float64{0.9 * big, big}
+			xs[i], ys[i] = [][]float64{lo, hi, {-big, big}}[i%3], [][]float64{hi, lo, {1, 2}}[i%3]
+		}
+		pairs = append(pairs, pair{fmt.Sprintf("overflowing n=%d", n), tinySeries(0, xs...), tinySeries(1, ys...), nil})
 	}
 	around := func(v float64) []float64 {
 		return []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))}
