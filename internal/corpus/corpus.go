@@ -26,7 +26,10 @@
 //     each series' artifacts into its own rows, in fixed chunks on every
 //     core (parallel.RunShardedCtx). Derivation reads nothing another
 //     series writes, so a batch derives bit-identically to the same series
-//     inserted one at a time, and fails as that serial loop would.
+//     inserted one at a time, and fails as that serial loop would. An
+//     ad-hoc query derives through it too (Snapshot.Derive, into a one-row
+//     arena set of its own), so the engine reads a query's artifacts as an
+//     insert would have made them, not a second copy of this code.
 //
 //   - Snapshot isolation. The corpus publishes its state as an immutable
 //     Snapshot under an atomic pointer (copy-on-write: writers copy the
@@ -694,7 +697,7 @@ func (a *arenas) build(count int, at func(i int) (int, Series, error), cfg Confi
 	for i := range count {
 		id, s, err := at(i)
 		if err == nil && len(s.Values) != cfg.Length {
-			err = fmt.Errorf("corpus: series has length %d, want %d (corpora require aligned series)", len(s.Values), cfg.Length)
+			err = fmt.Errorf("corpus: %w", qerr.LengthMismatchf("series has length %d, want %d (corpora require aligned series)", len(s.Values), cfg.Length))
 		}
 		if err != nil {
 			stop = err
@@ -794,7 +797,7 @@ func (a *arenas) derive(id, row int, s Series, cfg Config, defErrs []stats.Dist,
 	// is what gates MUNICH).
 	if s.Samples != nil {
 		if len(s.Samples) != n {
-			return nil, fmt.Errorf("corpus: sample model has %d timestamps, want %d", len(s.Samples), n)
+			return nil, fmt.Errorf("corpus: %w", qerr.LengthMismatchf("sample model has %d timestamps, want %d", len(s.Samples), n))
 		}
 		ss := uncertain.SampleSeries{Samples: s.Samples, Label: s.Label, ID: id}
 		if err := ss.Validate(); err != nil {

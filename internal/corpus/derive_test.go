@@ -1,12 +1,14 @@
 package corpus
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
 )
 
@@ -222,6 +224,77 @@ func BenchmarkInsertBatch(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
 				if _, err := New(Config{ReportedSigma: 0.25}).InsertBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestDeriveMatchesTheInsert: a series derived against a snapshot carries,
+// bit for bit, the artifacts its insert gave it — its row of every arena
+// column and every entry field but the ID and the row — under each way the
+// corpus sets a default error model, and fails where the insert fails, with
+// the insert's typed error.
+func TestDeriveMatchesTheInsert(t *testing.T) {
+	sigmas, errs := make([]float64, 16), make([]stats.Dist, 16)
+	for i := range sigmas {
+		sigmas[i] = 0.1 + 0.07*float64(i%5)
+		errs[i] = stats.NewNormal(0, sigmas[i])
+	}
+	batch := batchOf(6, 16, 3, 0)
+	batch[2].Errors = errs // a series with its own model
+	for _, cfg := range []Config{{ReportedSigma: 0.25}, {ReportedSigma: 0.25, Sigmas: sigmas}, {Errors: errs}} {
+		c := New(cfg)
+		if _, err := c.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		resident := matrices(s.Arena())
+		for i, rec := range batch {
+			e, cols, err := s.Derive(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, m := range matrices(cols) {
+				if m.Rows() != 1 || !sameBits(reflect.ValueOf(m.Row(0)), reflect.ValueOf(resident[k].Row(i))) {
+					t.Fatalf("%+v: series %d: derived column %d differs from the inserted row", cfg, i, k)
+				}
+			}
+			want := *s.Entry(i)
+			want.ID, want.PDF.ID, want.row = -1, -1, 0
+			samples := *want.Samples
+			samples.ID, want.Samples = -1, &samples
+			if !sameBits(reflect.ValueOf(e), reflect.ValueOf(&want)) {
+				t.Fatalf("%+v: series %d: derived entry %+v, inserted %+v", cfg, i, *e, want)
+			}
+		}
+		short, badSamples := batch[0], batch[0]
+		short.Values = short.Values[:9]
+		badSamples.Samples = badSamples.Samples[:9]
+		for _, bad := range []Series{short, badSamples} {
+			_, insErr := c.Insert(bad)
+			if _, _, err := s.Derive(bad); !errors.Is(err, qerr.ErrLengthMismatch) || err.Error() != insErr.Error() {
+				t.Errorf("%+v: derive error %v, insert error %v; want the insert's, a length mismatch", cfg, err, insErr)
+			}
+		}
+	}
+}
+
+// BenchmarkDerive times what an ad-hoc query pays before its scan: one
+// length-128 series derived against a resident corpus (Snapshot.Derive),
+// plain and with 3 samples a timestamp, allocations included.
+func BenchmarkDerive(b *testing.B) {
+	for _, samples := range []int{0, 3} {
+		c := New(Config{ReportedSigma: 0.25})
+		if _, err := c.InsertBatch(batchOf(64, 128, samples, 0)); err != nil {
+			b.Fatal(err)
+		}
+		s, q := c.Snapshot(), testSeries(128, samples, 999)
+		b.Run(fmt.Sprintf("128/samples=%d", samples), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, _, err := s.Derive(q); err != nil {
 					b.Fatal(err)
 				}
 			}

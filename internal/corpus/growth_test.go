@@ -328,7 +328,7 @@ func TestRestoreRequiresIncreasingIDs(t *testing.T) {
 
 // TestDefaultErrorsAreShared is step 3 of the write path: series inserted
 // without Errors all carry the corpus' one default model — the slice
-// Snapshot.DefaultErrors returns, across growth, compaction and restore —
+// Snapshot.defErrs holds, across growth, compaction and restore —
 // while a series with its own Errors keeps its own.
 func TestDefaultErrorsAreShared(t *testing.T) {
 	own := testSeries(16, 0, 99)
@@ -338,7 +338,7 @@ func TestDefaultErrorsAreShared(t *testing.T) {
 	}
 	check := func(when string, s *Snapshot, ownID int) {
 		t.Helper()
-		def := s.DefaultErrors()
+		def := s.defErrs
 		if len(def) != 16 {
 			t.Fatalf("%s: %d default error distributions, want 16", when, len(def))
 		}
@@ -362,13 +362,13 @@ func TestDefaultErrorsAreShared(t *testing.T) {
 		"configured errors": {ReportedSigma: 0.5, Errors: configured},
 	} {
 		c := New(cfg)
-		if d := c.Snapshot().DefaultErrors(); len(d) != 0 {
+		if d := c.Snapshot().defErrs; len(d) != 0 {
 			t.Errorf("%s: %d default errors before the series length is known", name, len(d))
 		}
 		if _, err := c.InsertBatch(batchOf(5, 16, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
-		first := c.Snapshot().DefaultErrors()
+		first := c.Snapshot().defErrs
 		ownID, err := c.Insert(own)
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +385,7 @@ func TestDefaultErrorsAreShared(t *testing.T) {
 			t.Fatalf("%s: the corpus did not compact", name)
 		}
 		check(name+": after compaction", s, ownID)
-		if &s.DefaultErrors()[0] != &first[0] {
+		if &s.defErrs[0] != &first[0] {
 			t.Errorf("%s: the default model was rebuilt between snapshots", name)
 		}
 
@@ -418,9 +418,9 @@ func TestRejectedFirstInsertLeavesNoGeometry(t *testing.T) {
 	if _, err := c.Insert(testSeries(16, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.SeriesLen() != 16 || s.Arena().Values.Stride() != 16 || len(s.DefaultErrors()) != 16 {
+	if s := c.Snapshot(); s.SeriesLen() != 16 || s.Arena().Values.Stride() != 16 || len(s.defErrs) != 16 {
 		t.Errorf("series length %d, arena stride %d, %d default errors; want 16 throughout",
-			s.SeriesLen(), s.Arena().Values.Stride(), len(s.DefaultErrors()))
+			s.SeriesLen(), s.Arena().Values.Stride(), len(s.defErrs))
 	}
 }
 

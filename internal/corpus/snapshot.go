@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 
 	"uncertts/internal/dust"
@@ -25,7 +26,7 @@ type Snapshot struct {
 	cols *Columns // the arena capture; nil until the series length is resolved
 
 	unsampled int          // resident series without a sample model
-	defErrs   []stats.Dist // the corpus' shared default error model
+	defErrs   []stats.Dist // the error model of a series without one, inserted or derived
 }
 
 // Epoch returns the snapshot's version number; it increases by one with
@@ -125,12 +126,23 @@ func (s *Snapshot) Index() *sketch.Tree {
 	return sketch.Build(sketch.NewLayout(s.cfg.Length, sketch.DefaultSegments), sketch.DefaultLeafCap, members, s.cols.Sketch)
 }
 
-// DefaultErrors returns the per-timestamp error distributions attached to
-// series inserted without their own — the model ad-hoc queries adopt when
-// they carry no error information. It is the very slice those entries
-// share, not a copy: read-only, like everything else a snapshot hands out.
-// Nil while the series length or the reported sigma is still unresolved.
-func (s *Snapshot) DefaultErrors() []stats.Dist { return s.defErrs }
+// Derive computes every artifact of a series that is not resident — an
+// ad-hoc query — exactly as an insert into this snapshot's corpus would: the
+// same build, under the snapshot's resolved Config and default error model,
+// into a fresh one-row arena set. It returns the series' entry (ID -1) and the
+// capture of that arena set, whose row 0 holds its artifacts; the corpus is
+// not touched. It fails wherever the insert would, with the same error.
+func (s *Snapshot) Derive(x Series) (*Entry, *Columns, error) {
+	if s.cfg.Length == 0 {
+		return nil, nil, errors.New("corpus: no series length resolved to derive a series for")
+	}
+	a := newArenas(s.cfg.Length, 1)
+	built, err := a.build(1, func(int) (int, Series, error) { return -1, x, nil }, s.cfg, s.defErrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return built[0], a.capture(), nil
+}
 
 // HasSamples reports whether every resident series carries the
 // repeated-observation model (the precondition for serving MUNICH).

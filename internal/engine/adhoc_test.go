@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -91,22 +92,74 @@ func answers(t testing.TB, e *Engine, target Request, eps float64) interface{} {
 	}
 }
 
-// TestAdHocQueryOfResidentSeriesSeesItself: an ad-hoc query that happens
-// to equal a resident series must find that series at distance 0 (ad-hoc
-// queries exclude nothing), while the index query for the same position
-// excludes it.
-func TestAdHocQueryOfResidentSeriesSeesItself(t *testing.T) {
-	c := testCorpus(t, 12, 24)
-	snap := c.Snapshot()
-	e := newEngine(t, snap, Options{Measure: MeasureEuclidean})
-	qi := 3
-	nn := mustRun(t, e, Request{Kind: KindTopK, AdHoc: &Query{Values: snap.Entry(qi).PDF.Observations}, K: 3}).Neighbors
-	if len(nn) == 0 || nn[0].ID != qi || nn[0].Distance != 0 {
-		t.Fatalf("ad-hoc self query: nn[0] = %+v, want position 3 at distance 0", nn[0])
+// errorModelConfigs are the three ways a corpus sets the error model of a
+// series inserted without one: the reported sigma alone; per-timestamp Sigmas
+// for the UMA/UEMA filters; per-timestamp Errors, whose stddevs the filters
+// then read, and no Sigmas. The stddevs vary by timestamp and differ from the
+// reported sigma, so a query filtered under any other model is not the series.
+func errorModelConfigs(length int) []struct {
+	name string
+	cfg  corpus.Config
+} {
+	sigmas, errs := make([]float64, length), make([]stats.Dist, length)
+	for i := range sigmas {
+		sigmas[i] = 0.1 + 0.07*float64(i%5)
+		errs[i] = stats.NewNormal(0, sigmas[i])
 	}
-	for _, n := range mustRun(t, e, Request{Kind: KindTopK, Index: &qi, K: 3}).Neighbors {
-		if n.ID == qi {
-			t.Error("resident query did not exclude itself")
+	return []struct {
+		name string
+		cfg  corpus.Config
+	}{
+		{"default", corpus.Config{ReportedSigma: 0.3, Segments: 4}},
+		{"sigmas", corpus.Config{ReportedSigma: 0.3, Segments: 4, Sigmas: sigmas}},
+		{"errors", corpus.Config{ReportedSigma: 0.3, Segments: 4, Errors: errs}},
+	}
+}
+
+// TestAdHocQueryOfResidentSeriesSeesItself: an ad-hoc query carrying a
+// resident series' values (and samples) is that series to every measure,
+// whatever the corpus' default error model, with the prefilters engaged or
+// not. A top-1 query finds it at distance exactly 0 (ad-hoc queries exclude
+// nothing), and a range query answers what the resident query answers, plus
+// the series itself where it matches (the resident query excludes it).
+func TestAdHocQueryOfResidentSeriesSeesItself(t *testing.T) {
+	const length = 24
+	qi := 3
+	for _, cc := range errorModelConfigs(length) {
+		c := corpus.New(cc.cfg)
+		for s := range 12 {
+			if _, err := c.Insert(corpusSeries(length, int64(s))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := c.Snapshot()
+		ent := snap.Entry(qi)
+		self := &Query{Values: ent.PDF.Observations, Samples: ent.Samples.Samples}
+		// eps reaches the fourth nearest neighbour under Euclidean distance.
+		near := mustRun(t, newEngine(t, snap, Options{}), Request{Kind: KindTopK, Index: &qi, K: 4}).Neighbors
+		eps := near[3].Distance
+		for _, opts := range allMeasureOptions() {
+			for _, threshold := range []int{0, -1} {
+				opts.indexThreshold = threshold
+				e := newEngine(t, snap, opts)
+				name := fmt.Sprintf("%s/%v/threshold=%d", cc.name, opts.Measure, threshold)
+				kind, rangeReq := KindRange, Request{Kind: KindRange, Eps: 2 * eps}
+				if opts.Measure.Probabilistic() {
+					kind, rangeReq = KindProbRange, Request{Kind: KindProbRange, Eps: 2 * eps, Tau: 0.1}
+				} else if nn := mustRun(t, e, Request{Kind: KindTopK, AdHoc: self, K: 1}).Neighbors; len(nn) != 1 || nn[0].ID != qi || nn[0].Distance != 0 {
+					t.Errorf("%s: ad-hoc self query: top-1 %+v, want position %d at distance 0", name, nn, qi)
+				}
+				rangeReq.Index = &qi
+				resident := mustRun(t, e, rangeReq).IDs
+				if slices.Contains(resident, qi) {
+					t.Errorf("%s %v: the resident query did not exclude itself", name, kind)
+				}
+				rangeReq.Index, rangeReq.AdHoc = nil, self
+				adhoc := slices.DeleteFunc(mustRun(t, e, rangeReq).IDs, func(id int) bool { return id == qi })
+				if len(resident) == 0 || !slices.Equal(adhoc, resident) {
+					t.Errorf("%s %v: ad-hoc answer without the series %v, resident answer %v (want equal, not empty)", name, kind, adhoc, resident)
+				}
+			}
 		}
 	}
 }
@@ -126,10 +179,21 @@ func TestAdHocValidation(t *testing.T) {
 		{"wrong-length query", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 9)}}, qerr.ErrLengthMismatch},
 		{"negative sigma", e, Request{Kind: KindTopK, K: 3, AdHoc: &Query{Values: make([]float64, 16), Sigma: -1}}, qerr.ErrBadRequest},
 		{"MUNICH without samples", me, Request{Measure: MeasureMUNICH, Kind: KindProbTopK, K: 3, Eps: 1, AdHoc: &Query{Values: make([]float64, 16)}}, qerr.ErrBadRequest},
+		{"MUNICH sample model of the wrong length", me, Request{Measure: MeasureMUNICH, Kind: KindProbTopK, K: 3, Eps: 1, AdHoc: &Query{Samples: make([][]float64, 9)}}, qerr.ErrLengthMismatch},
 	} {
 		if _, err := tc.e.Run(context.Background(), tc.req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	// MUNICH reads the sample model alone: a query without values answers
+	// as the same query with them.
+	q := adhocQueryFor(16)
+	with := answers(t, me, Request{AdHoc: &q}, 2)
+	if without := answers(t, me, Request{AdHoc: &Query{Samples: q.Samples}}, 2); !reflect.DeepEqual(without, with) {
+		t.Errorf("MUNICH query without values answered %v, with them %v", without, with)
+	}
+	if fmt.Sprint(with) == "[[] []]" {
+		t.Error("the MUNICH query matched nothing: the comparison proves nothing")
 	}
 }
 

@@ -62,9 +62,12 @@
 // belong to the answer: results are bit-identical to the unpruned scan
 // (Options.NoPrune) for every worker count, which the tests assert.
 //
-// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot),
-// whose one switch is each measure's plan: the column it scans, and the
-// column and stage of its prefilter. It owns no data and no geometry. The
+// The engine is built over an immutable corpus.Snapshot (NewFromSnapshot).
+// One switch (plan) is each measure's plan: the column it scans, and the
+// column and stage of its prefilter — over the snapshot's columns for the
+// candidates, and over the query's own rows for the query, which the corpus
+// derived for an ad-hoc query as it would for an insert (bind). It owns no
+// data and no geometry. The
 // per-candidate artifacts every device needs — LB_Keogh envelopes, filtered
 // vectors, filter columns, energies, sketch rows — are columns of the corpus
 // arenas, maintained incrementally by the corpus; the engine reads them in
@@ -299,10 +302,9 @@ type Engine struct {
 	cfg  corpus.Config // snap's geometry: the engine's only one
 	opts Options
 
-	vecs         rows    // scanned vectors (observations, or UMA/UEMA-filtered)
-	upper, lower rows    // per-series LB_Keogh envelopes (read by DTW)
-	energy       rows    // per-series observation energy, stride 1 (read by PROUD)
-	varD         float64 // per-timestamp D_i variance sum (read by PROUD)
+	vecs         rows // scanned vectors (observations, or UMA/UEMA-filtered)
+	upper, lower rows // per-series LB_Keogh envelopes (read by DTW)
+	energy       rows // per-series observation energy, stride 1 (read by PROUD)
 
 	pre *prefilter // the measure's prefilter; nil when queries run the plain scan
 
@@ -373,45 +375,47 @@ func NewFromSnapshot(snap *corpus.Snapshot, opts Options) (*Engine, error) {
 	if opts.ShardSize <= 0 {
 		opts.ShardSize = 64
 	}
-	e := &Engine{snap: snap, cfg: snap.Config(), opts: opts}
+	if opts.Measure == MeasureMUNICH && !snap.HasSamples() {
+		return nil, errors.New("engine: MeasureMUNICH requires every resident series to carry a sample model (SamplesPerTS > 0)")
+	}
 	cols := snap.Arena()
-	idx := cols.Rows
+	vecs, pre, err := plan(opts.Measure, cols)
+	if err != nil {
+		return nil, err
+	}
+	// Every other column is bound whatever the measure: binding one reads
+	// nothing.
+	e := &Engine{snap: snap, cfg: snap.Config(), opts: opts, vecs: vecs,
+		upper: column(cols.Upper, cols.Rows), lower: column(cols.Lower, cols.Rows), energy: column(cols.Energy, cols.Rows)}
+	e.resolvePrefilter(pre)
+	return e, nil
+}
 
-	// The measure's plan, decided here and nowhere else: the column it
-	// scans, and the column and stage of its prefilter (none for DUST, which
-	// reads the entries' error models through the evaluator and phi tables
-	// the snapshot shares, and MUNICH, which reads their samples).
-	e.vecs = column(cols.Values, idx)
-	pre := prefilter{stage: distPrefilter}
-	switch opts.Measure {
+// plan is each measure's plan, decided here and nowhere else, over one set
+// of corpus columns — a snapshot's, or the one row an ad-hoc query derived:
+// the column it scans, and the column and stage of its prefilter (none for
+// DUST, which reads the entries' error models through the evaluator and phi
+// tables the snapshot shares, and MUNICH, which reads their samples).
+func plan(m Measure, cols *corpus.Columns) (vecs rows, pre prefilter, err error) {
+	idx := cols.Rows
+	vecs, pre = column(cols.Values, idx), prefilter{stage: distPrefilter}
+	switch m {
 	case MeasureEuclidean:
 		pre.rows = column(cols.CoarseV, idx)
 	case MeasureUMA:
-		e.vecs, pre.rows = column(cols.UMA, idx), column(cols.CoarseU, idx)
+		vecs, pre.rows = column(cols.UMA, idx), column(cols.CoarseU, idx)
 	case MeasureUEMA:
-		e.vecs, pre.rows = column(cols.UEMA, idx), column(cols.CoarseE, idx)
+		vecs, pre.rows = column(cols.UEMA, idx), column(cols.CoarseE, idx)
 	case MeasureDTW:
 		pre.rows, pre.dtw = column(cols.Sketch, idx), true
 	case MeasurePROUD:
 		pre.rows, pre.stage = column(cols.CoarseV, idx), proudPrefilter
-	case MeasureDUST:
-		pre.stage = noPrefilter
-	case MeasureMUNICH:
-		if !snap.HasSamples() {
-			return nil, errors.New("engine: MeasureMUNICH requires every resident series to carry a sample model (SamplesPerTS > 0)")
-		}
+	case MeasureDUST, MeasureMUNICH:
 		pre.stage = noPrefilter
 	default:
-		return nil, fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, opts.Measure)
+		err = fmt.Errorf("engine: %w: %v", qerr.ErrUnknownMeasure, m)
 	}
-	// Every other column is bound whatever the measure: binding one reads
-	// nothing. varD is the arithmetic a naive scan feeds proud.Distance with
-	// (QuerySigma and CandSigma both the snapshot's reported sigma).
-	e.upper, e.lower, e.energy = column(cols.Upper, idx), column(cols.Lower, idx), column(cols.Energy, idx)
-	sigma := snap.ReportedSigma()
-	e.varD = sigma*sigma + sigma*sigma
-	e.resolvePrefilter(pre)
-	return e, nil
+	return vecs, pre, err
 }
 
 // Snapshot returns the corpus snapshot the engine serves.

@@ -278,8 +278,9 @@ func dtwLB2Ref(p *prefilter, pq *prepared, row []float64) float64 {
 	if interior == nil {
 		return kim
 	}
-	fwd := sketch.MinDistSquared(pq.qpaa[1:w-1], row[lay.OffKLo()+1:lay.OffKLo()+w-1], row[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
-	rev := sketch.MinDistSquared(row[1:w-1], pq.qenvLo[1:w-1], pq.qenvHi[1:w-1], interior)
+	q := pq.qrow
+	fwd := sketch.MinDistSquared(q[1:w-1], row[lay.OffKLo()+1:lay.OffKLo()+w-1], row[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
+	rev := sketch.MinDistSquared(row[1:w-1], q[lay.OffKLo()+1:lay.OffKLo()+w-1], q[lay.OffKHi()+1:lay.OffKHi()+w-1], interior)
 	return kim + math.Max(fwd, rev)
 }
 
@@ -291,7 +292,8 @@ func dtwLB2Go(p *prefilter, pq *prepared, row []float64) float64 {
 	if k == 0 {
 		return kim
 	}
-	fwd, rev := envelopeGapsGo(p.widths, pq.qpaa[1:k+1], pq.qenvLo[1:k+1], pq.qenvHi[1:k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
+	q := pq.qrow
+	fwd, rev := envelopeGapsGo(p.widths, q[1:k+1], q[w+1:w+k+1], q[2*w+1:2*w+k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
 	return kim + math.Max(fwd, rev)
 }
 
@@ -350,23 +352,23 @@ func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
 		}
 		w := lay.W
 		for qi, q := range series {
-			pq := &prepared{self: qi, vec: q}
-			p.summarise(pq, shape.band)
+			pq := &prepared{self: qi, vec: q, qrow: rowsOf[qi]}
+			qlo, qhi := pq.qrow[lay.OffKLo():], pq.qrow[lay.OffKHi():]
 			cands := append([][]float64(nil), rowsOf...)
 			for _, row := range rowsOf {
 				// Bend a copy onto the edges, alternating sides by segment.
 				bent := slices.Clone(row)
 				for j := 1; j < w-1; j++ {
-					v, klo, khi := pq.qpaa[j], &bent[lay.OffKLo()+j], &bent[lay.OffKHi()+j]
+					v, klo, khi := pq.qrow[j], &bent[lay.OffKLo()+j], &bent[lay.OffKHi()+j]
 					if j%2 == 0 && v <= *khi || v < *klo {
 						*klo = v
 					} else {
 						*khi = v
 					}
 					if j%2 == 0 {
-						bent[j] = pq.qenvLo[j]
+						bent[j] = qlo[j]
 					} else {
-						bent[j] = pq.qenvHi[j]
+						bent[j] = qhi[j]
 					}
 				}
 				cands = append(cands, bent)
@@ -374,10 +376,10 @@ func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
 			for _, row := range cands {
 				for j := 1; j < w-1; j++ {
 					klo, khi := row[lay.OffKLo()+j], row[lay.OffKHi()+j]
-					if klo > khi || pq.qenvLo[j] > pq.qenvHi[j] {
+					if klo > khi || qlo[j] > qhi[j] {
 						t.Fatalf("n=%d W=%d segment %d: an envelope with lo > hi", shape.n, w, j)
 					}
-					if v := pq.qpaa[j]; v == klo || v == khi || row[j] == pq.qenvLo[j] || row[j] == pq.qenvHi[j] {
+					if v := pq.qrow[j]; v == klo || v == khi || row[j] == qlo[j] || row[j] == qhi[j] {
 						edges++
 					}
 					if klo == khi {
@@ -468,14 +470,17 @@ func FuzzSketchBound(f *testing.F) {
 		}
 		lay := sketch.NewLayout(n, max(int(segs)%65, 1))
 		p := dtwPrefilter(lay, rows{})
-		q := values(qs, 1)
-		pq := &prepared{self: -1, vec: q}
-		p.summarise(pq, band)
-		var lbs []float64
-		for _, c := range [][]float64{values(cs, 1), values(cs, -1), q} {
+		sketchRow := func(c []float64) []float64 {
 			row := make([]float64, lay.Stride())
 			up, lo := distance.Envelope(c, band)
 			lay.FillRow(row, c, up, lo)
+			return row
+		}
+		q := values(qs, 1)
+		pq := &prepared{self: -1, vec: q, qrow: sketchRow(q)}
+		var lbs []float64
+		for _, c := range [][]float64{values(cs, 1), values(cs, -1), q} {
+			row := sketchRow(c)
 			got, want := p.dtwLB2(pq, row), dtwLB2Go(p, pq, row)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("q=%v c=%v band=%d W=%d: bound %v, Go loop %v", q, c, band, lay.W, got, want)
@@ -503,19 +508,46 @@ var racePoolDrops bool
 // DTW top-k's order, a batch's DTW scratch): each kind of query below
 // allocates under one float64 per resident series, and no more objects than
 // counted when the pools went in (a bound array per query, or order's two
-// slices, would add to both).
+// slices, would add to both). A resident DTW query reads its own sketch row
+// rather than rebuilding its envelope and PAAs; an ad-hoc query pays for its
+// derivation (corpus.Snapshot.Derive: a one-row arena set, its entry and its
+// filter input), 36 objects over the resident query's, and its sigma two
+// more: the error model's slice and the one distribution every timestamp
+// shares (one boxed per timestamp would add 64).
 func TestWarmQueryAllocations(t *testing.T) {
 	if racePoolDrops {
 		t.Skip("under the race detector sync.Pool drops put-back objects at random, so a warm query's allocations vary")
 	}
 	snap := testCorpus(t, 1100, 64).Snapshot() // past the prefilter's threshold
 	qi := 5
+	adhoc := adhocQueryFor(64)
+	adhoc.Samples = nil
+	withSigma := adhoc
+	withSigma.Sigma = 0.3
+	bytesPerRun := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	// An ad-hoc query's derivation allocates by the series length, not by
+	// the corpus size: its bytes come on top of the budget.
+	derived := bytesPerRun(func() {
+		if _, _, err := snap.Derive(corpus.Series{Values: adhoc.Values}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	for _, tc := range []struct {
 		req    Request
 		allocs float64
 	}{
 		{Request{Measure: MeasureEuclidean, Kind: KindTopK, Index: &qi, K: 10}, 22},
-		{Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 10}, 28},
+		{Request{Measure: MeasureEuclidean, Kind: KindTopK, AdHoc: &adhoc, K: 10}, 58},
+		{Request{Measure: MeasureEuclidean, Kind: KindTopK, AdHoc: &withSigma, K: 10}, 60},
+		{Request{Measure: MeasureDTW, Kind: KindTopK, Index: &qi, K: 10}, 21},
 		{Request{Measure: MeasurePROUD, Kind: KindProbRange, Index: &qi, Eps: 2.5, Tau: 0.5}, 7},
 	} {
 		e := newEngine(t, snap, Options{Measure: tc.req.Measure, Workers: 1})
@@ -528,14 +560,12 @@ func TestWarmQueryAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, run); allocs > tc.allocs {
 			t.Errorf("%v %v: %v objects a warm query, want at most %v", tc.req.Measure, tc.req.Kind, allocs, tc.allocs)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range 20 {
-			run()
+		budget := uint64(8 * snap.Len())
+		if tc.req.AdHoc != nil {
+			budget += derived
 		}
-		runtime.ReadMemStats(&after)
-		if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= uint64(8*snap.Len()) {
-			t.Errorf("%v %v: %d bytes a warm query, not under one float64 for each of %d series", tc.req.Measure, tc.req.Kind, b, snap.Len())
+		if b := bytesPerRun(run); b >= budget {
+			t.Errorf("%v %v: %d bytes a warm query, not under one float64 for each of %d series (plus %d derived)", tc.req.Measure, tc.req.Kind, b, snap.Len(), budget-uint64(8*snap.Len()))
 		}
 	}
 }
@@ -564,8 +594,10 @@ func BenchmarkSketchBound(b *testing.B) {
 		sketchRows[i] = make([]float64, lay.Stride())
 		lay.FillRow(sketchRows[i], v, up, lo)
 	}
-	pq := &prepared{self: -1, vec: series()}
-	p.summarise(pq, band)
+	q := series()
+	up, lo := distance.Envelope(q, band)
+	pq := &prepared{self: -1, vec: q, qrow: make([]float64, lay.Stride())}
+	lay.FillRow(pq.qrow, q, up, lo)
 	lbs := make([]float64, len(sketchRows))
 	for i, row := range sketchRows {
 		lbs[i] = p.dtwLB2(pq, row)

@@ -93,30 +93,6 @@ func dtwPrefilter(lay sketch.Layout, r rows) *prefilter {
 	return p
 }
 
-// summarise attaches the query-side summaries the bound reads: the coarse
-// segment means and the rounding slack for tier 0 (a resident query aliases
-// its own filter-column row), the PAA of the query and of its warping
-// envelope for the sketch rows.
-func (p *prefilter) summarise(pq *prepared, band int) {
-	if p.dtw {
-		pq.qpaa = sketch.PAA(pq.vec, p.lay.Spans)
-		up, lo := distance.Envelope(pq.vec, band)
-		pq.qenvHi = sketch.PAA(up, p.lay.Spans)
-		pq.qenvLo = sketch.PAA(lo, p.lay.Spans)
-		return
-	}
-	if pq.self >= 0 {
-		pq.qc = p.rows.at(pq.self)
-	} else {
-		pq.qc = sketch.PAA(pq.vec, p.coarse.Spans)
-	}
-	var energy float64
-	for _, v := range pq.vec {
-		energy += v * v
-	}
-	pq.slack = p.slack(energy)
-}
-
 // bounds writes the raw bound of positions lo, lo+1, ... into lbs (the
 // query's own included; no step reads it).
 func (p *prefilter) bounds(pq *prepared, lbs []float64, lo int) {
@@ -126,7 +102,7 @@ func (p *prefilter) bounds(pq *prepared, lbs []float64, lo int) {
 		}
 		return
 	}
-	p.coarse.Gaps(pq.qc, p.rows.data, p.rows.stride, p.rows.idx, lo, lbs)
+	p.coarse.Gaps(pq.qrow, p.rows.data, p.rows.stride, p.rows.idx, lo, lbs)
 }
 
 // indexBoundMargin deflates every raw prefilter bound before it is compared
@@ -171,8 +147,15 @@ func (pq *prepared) lb2(raw float64) float64 { return math.Max(0, deflate(raw)-p
 // on the relative margin alone (its slack is 0).
 const unitRoundoff = 1.0 / (1 << 53)
 
-func (p *prefilter) slack(queryEnergy float64) float64 {
-	eta2 := 9 * p.coarse.MaxSpan * p.coarse.MaxSpan * unitRoundoff * unitRoundoff * queryEnergy
+func (p *prefilter) slack(vec []float64) float64 {
+	if p.dtw {
+		return 0
+	}
+	var energy float64
+	for _, v := range vec {
+		energy += v * v
+	}
+	eta2 := 9 * p.coarse.MaxSpan * p.coarse.MaxSpan * unitRoundoff * unitRoundoff * energy
 	return 3 * eta2 / indexBoundMargin
 }
 
@@ -207,7 +190,8 @@ func (p *prefilter) dtwLB2(pq *prepared, row []float64) float64 {
 	if k == 0 {
 		return kim
 	}
-	fwd, rev := envelopeGaps(p.widths, pq.qpaa[1:k+1], pq.qenvLo[1:k+1], pq.qenvHi[1:k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
+	q := pq.qrow
+	fwd, rev := envelopeGaps(p.widths, q[1:k+1], q[w+1:w+k+1], q[2*w+1:2*w+k+1], row[1:k+1], row[w+1:w+k+1], row[2*w+1:2*w+k+1])
 	return kim + math.Max(fwd, rev)
 }
 

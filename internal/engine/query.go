@@ -5,27 +5,29 @@ import (
 	"fmt"
 	"math"
 
+	"uncertts/internal/corpus"
 	"uncertts/internal/munich"
-	"uncertts/internal/proud"
 	"uncertts/internal/qerr"
 	"uncertts/internal/stats"
-	"uncertts/internal/timeseries"
 	"uncertts/internal/uncertain"
 )
 
 // Query is an ad-hoc query series: an arbitrary uncertain series, not
 // necessarily resident in any corpus, posed against the engine's snapshot.
-// Which fields are required depends on the engine's measure:
-//
-//   - Euclidean, UMA, UEMA, DTW, PROUD, DUST need Values;
-//   - MUNICH needs Samples;
-//   - Sigma sets the query's constant error stddev: the one PROUD assumes
-//     for the query side, the UMA/UEMA filter weights and DUST's Normal(0,
-//     Sigma) error model (0 adopts the snapshot's reported error model).
+// It is derived as an insert into the snapshot's corpus would derive it
+// (corpus.Snapshot.Derive), so a query carrying a resident series' values
+// and error model is that series to every measure. Every measure but MUNICH
+// needs Values; MUNICH needs Samples and reads nothing else, so its Values
+// may be left out.
 type Query struct {
 	// Values holds one observed value per timestamp.
 	Values []float64
-	// Sigma optionally sets the constant error stddev of the query.
+	// Sigma optionally sets the query's error model, Normal(0, Sigma) at
+	// every timestamp, as /series attaches it to an inserted series: the
+	// UMA/UEMA filter weights, DUST's model and the stddev PROUD assumes for
+	// the query side. 0 adopts the snapshot's default error model. The
+	// cluster coordinator relies on it to forward a resident series to the
+	// other shards as its values and sigma without losing its error model.
 	Sigma float64
 	// Samples optionally attaches the repeated-observation model
 	// (required for MeasureMUNICH).
@@ -33,131 +35,81 @@ type Query struct {
 }
 
 // prepared is the per-request state of one query: the request's target bound
-// to the engine with everything the scan derives from it computed once — the
-// measure-specific scan vector (filtered series for UMA/UEMA), the query-side
-// error model for DUST, the observation energy and the moment variance for
-// PROUD, the sample model and its per-timestamp bounding intervals for
-// MUNICH, and the summaries the engaged prefilter reads. It is immutable once
-// built; the workers of the request share it.
+// to the engine, the same way for a resident query and an ad-hoc one (bind).
+// Every field aliases the query's own derived state: its row of the column
+// the measure scans (filtered for UMA/UEMA) and of its prefilter's column,
+// its error model (DUST), energy (PROUD), sample model and bounding
+// intervals (MUNICH). It is immutable once built; the workers of the
+// request share it.
 type prepared struct {
 	self int // snapshot position to exclude (-1 for ad-hoc queries)
 
 	vec    []float64              // scan vector (lock-step measures, DTW, PROUD)
-	qc     []float64              // coarse segment means of vec (tier 0 engines)
+	qrow   []float64              // the query's row of the engaged prefilter's column
 	slack  float64                // tier 0's absolute rounding allowance for this query
-	qpaa   []float64              // PAA of vec over the sketch layout (indexed DTW)
-	qenvLo []float64              // PAA of the query's lower DTW envelope (indexed DTW)
-	qenvHi []float64              // PAA of the query's upper DTW envelope (indexed DTW)
-	pdf    uncertain.PDFSeries    // query-side error model (DUST)
-	energy float64                // proud.Energy of the query's observations (PROUD)
+	pdf    uncertain.PDFSeries    // error model (DUST)
+	energy float64                // proud.Energy of the observations (PROUD)
 	varD   float64                // per-timestamp D_i variance sum (PROUD)
 	sample uncertain.SampleSeries // repeated-observation model (MUNICH)
-	iv     munich.Intervals       // query per-timestamp bounding intervals (MUNICH)
+	iv     munich.Intervals       // per-timestamp bounding intervals (MUNICH)
 }
 
 // prepareIndex binds the resident series at snapshot position qi as a
-// query. All derived state aliases the entry's row of every column the
-// engine bound; the series itself is excluded from the answer.
+// query; the series itself is excluded from the answer.
 func (e *Engine) prepareIndex(qi int) (*prepared, error) {
 	if err := e.checkIndex(qi); err != nil {
 		return nil, err
 	}
-	ent := e.snap.Entry(qi)
-	pq := &prepared{self: qi, vec: e.vecs.at(qi), pdf: ent.PDF, energy: e.energy.at(qi)[0], varD: e.varD, iv: ent.Intervals}
-	if ent.Samples != nil {
-		pq.sample = *ent.Samples
-	}
-	return pq, nil
+	return e.bind(qi, e.snap.Entry(qi), e.snap.Arena(), qi, e.snap.ReportedSigma()), nil
 }
 
-// prepare binds an ad-hoc series as a query against the engine's snapshot,
-// computing the measure-specific derived state once. The query never
-// excludes a candidate (it is not resident).
+// prepare derives an ad-hoc series through the snapshot's corpus and binds
+// row 0 of what it derived as a query. The query never excludes a
+// candidate (it is not resident).
 func (e *Engine) prepare(q Query) (*prepared, error) {
-	n := e.snap.SeriesLen()
-	pq := &prepared{self: -1}
-	needValues := e.opts.Measure != MeasureMUNICH
-	if needValues && len(q.Values) != n {
-		return nil, fmt.Errorf("engine: %w", qerr.LengthMismatchf("query has %d values, snapshot series have %d", len(q.Values), n))
-	}
 	if q.Sigma < 0 || math.IsNaN(q.Sigma) {
 		return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("query sigma %v must be non-negative", q.Sigma))
 	}
-	if err := uncertain.CheckFinite(q.Values, q.Samples); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-
-	switch e.opts.Measure {
-	case MeasureEuclidean, MeasureDTW:
-		pq.vec = append([]float64(nil), q.Values...)
-	case MeasureUMA, MeasureUEMA:
-		sigmas := e.querySigmas(q)
-		var f []float64
-		var err error
-		if e.opts.Measure == MeasureUMA {
-			f, err = timeseries.UncertainMovingAverage(q.Values, sigmas, e.cfg.W, e.cfg.Mode)
-		} else {
-			f, err = timeseries.UncertainExponentialMovingAverage(q.Values, sigmas, e.cfg.W, e.cfg.Lambda, e.cfg.Mode)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("engine: filtering query: %w", err)
-		}
-		pq.vec = f
-	case MeasureDUST:
-		errs := e.snap.DefaultErrors()
-		if q.Sigma > 0 {
-			// A constant sigma is a full error model for DUST: Normal(0,
-			// sigma) per timestamp, matching what ingesting the series with
-			// that sigma would have attached. The cluster coordinator leans
-			// on this to forward a resident query series to remote shards
-			// as values+sigma without losing the error model.
-			d := stats.NewNormal(0, q.Sigma)
-			errs = make([]stats.Dist, n)
-			for i := range errs {
-				errs[i] = d
-			}
-		}
-		pq.pdf = uncertain.PDFSeries{Observations: append([]float64(nil), q.Values...), Errors: errs, ID: -1}
-		if err := pq.pdf.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-	case MeasurePROUD:
-		pq.vec = append([]float64(nil), q.Values...)
-		pq.energy = proud.Energy(pq.vec)
-		qSigma := q.Sigma
-		if qSigma == 0 {
-			qSigma = e.snap.ReportedSigma()
-		}
-		cSigma := e.snap.ReportedSigma()
-		pq.varD = qSigma*qSigma + cSigma*cSigma
-	case MeasureMUNICH:
+	s := corpus.Series{Values: q.Values, Samples: q.Samples}
+	if e.opts.Measure == MeasureMUNICH {
 		if q.Samples == nil {
 			return nil, fmt.Errorf("engine: %w", qerr.BadRequestf("MeasureMUNICH queries need a sample model (Query.Samples)"))
 		}
-		if len(q.Samples) != n {
-			return nil, fmt.Errorf("engine: %w", qerr.LengthMismatchf("query sample model has %d timestamps, want %d", len(q.Samples), n))
+		if q.Values == nil {
+			s.Values = make([]float64, e.snap.SeriesLen()) // read by no MUNICH stage
 		}
-		pq.sample = uncertain.SampleSeries{Samples: q.Samples, ID: -1}
-		if err := pq.sample.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		pq.iv = munich.BoundingIntervals(pq.sample)
 	}
-	return pq, nil
+	if q.Sigma > 0 {
+		var d stats.Dist = stats.NewNormal(0, q.Sigma) // boxed once: no allocation per timestamp
+		s.Errors = make([]stats.Dist, len(s.Values))
+		for i := range s.Errors {
+			s.Errors[i] = d
+		}
+	}
+	ent, cols, err := e.snap.Derive(s)
+	if err != nil {
+		return nil, fmt.Errorf("engine: query: %w", err)
+	}
+	return e.bind(-1, ent, cols, 0, cmp.Or(q.Sigma, e.snap.ReportedSigma())), nil
 }
 
-// querySigmas resolves the per-timestamp error stddevs of an ad-hoc query
-// for the filter measures: its constant sigma, else the snapshot's reported
-// sigmas.
-func (e *Engine) querySigmas(q Query) []float64 {
-	out := make([]float64, e.snap.SeriesLen())
-	if q.Sigma == 0 && e.cfg.Sigmas != nil {
-		copy(out, e.cfg.Sigmas)
-		return out
+// bind binds a series as a query excluding position self: ent is its entry
+// and position i of cols holds its artifacts — the snapshot's own columns
+// for a resident query, the one row an ad-hoc query derived for another.
+// The measure's plan picks the rows it reads from either, so both read what
+// an insert derived, in place. sigma is the query side's constant error
+// stddev PROUD assumes (the reported one for a resident query, as a naive
+// scan feeds proud.Distance; an ad-hoc query's own, if it has one), every
+// candidate's being the reported one.
+func (e *Engine) bind(self int, ent *corpus.Entry, cols *corpus.Columns, i int, sigma float64) *prepared {
+	vecs, pre, _ := plan(e.opts.Measure, cols) // NewFromSnapshot refused a measure without one
+	energy, cs := column(cols.Energy, cols.Rows), e.snap.ReportedSigma()
+	pq := &prepared{self: self, vec: vecs.at(i), pdf: ent.PDF, energy: energy.at(i)[0], varD: sigma*sigma + cs*cs, iv: ent.Intervals}
+	if ent.Samples != nil {
+		pq.sample = *ent.Samples
 	}
-	sigma := cmp.Or(q.Sigma, e.snap.ReportedSigma())
-	for i := range out {
-		out[i] = sigma
+	if e.pre != nil {
+		pq.qrow, pq.slack = pre.rows.at(i), e.pre.slack(pq.vec)
 	}
-	return out
+	return pq
 }

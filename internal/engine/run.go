@@ -285,8 +285,8 @@ func (e *Engine) RunStream(ctx context.Context, req Request, emit func(Item) err
 		}
 	}
 	// The refine span covers the whole execution — the prefilter's
-	// index_descent span (the query's summaries and, for KindTopK, the bound
-	// pass over every position) nests inside it.
+	// index_descent span (for KindTopK, the bound pass over every position)
+	// nests inside it.
 	refineSpan := telemetry.TraceFrom(ctx).Start("refine")
 	top, ids, err := e.execute(ctx, pq, &req, locked)
 	switch req.Kind {

@@ -56,14 +56,13 @@ const (
 	proudPrefilter                // tier 0's bracket through PROUD's decision (proudSkip)
 )
 
-// execute answers one validated request: it binds the kind's cut, attaches
-// the query's summaries the prefilter reads (for KindTopK it also bounds
-// every position and takes the start they give: tier 0's seeded cut, or
-// DTW's best-first order), and scans. The ranking kinds return their
-// collector's list, ranked by (key, position) and at most K long; the range
-// kinds their matches in ascending position. emit (nil = none) sees each
-// range match as its shard confirms it; its error aborts the scan and is
-// returned verbatim.
+// execute answers one validated request: it binds the kind's cut and the
+// prefilter's bound storage (for KindTopK it also bounds every position and
+// takes the start they give: tier 0's seeded cut, or DTW's best-first
+// order), and scans. The ranking kinds return their collector's list,
+// ranked by (key, position) and at most K long; the range kinds their
+// matches in ascending position. emit (nil = none) sees each range match as
+// its shard confirms it; its error aborts the scan and is returned verbatim.
 func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit func(Item) error) ([]ranked, []int, error) {
 	r := &run{e: e, pq: pq, req: req, done: ctx.Done(), emit: emit}
 	var err error
@@ -87,7 +86,6 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 	var cands []int // nil: position order
 	if e.pre != nil {
 		sp := telemetry.TraceFrom(ctx).Start("index_descent")
-		e.pre.summarise(pq, e.cfg.Band)
 		s, _ := e.queries.Get().(*scratch)
 		if s == nil {
 			s = &scratch{lbs: make([]float64, e.snap.Len())}

@@ -165,7 +165,6 @@ func TestTier0Soundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.pre.summarise(pq, e.cfg.Band)
 				lbs := make([]float64, snap.Len())
 				e.pre.bounds(pq, lbs, 0)
 				for ci := 0; ci < snap.Len(); ci++ {
@@ -221,7 +220,6 @@ func TestProudUnseenGapSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.pre.summarise(pq, e.cfg.Band)
 			lbs := make([]float64, snap.Len())
 			e.pre.bounds(pq, lbs, 0)
 			adhoc, err := e.prepare(Query{Values: pq.vec})
@@ -282,7 +280,6 @@ func checkDTWRowBound(t *testing.T, name string, snap *corpus.Snapshot) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.pre.summarise(pq, e.cfg.Band)
 		lbs := make([]float64, snap.Len())
 		e.pre.bounds(pq, lbs, 0)
 		for ci := 0; ci < snap.Len(); ci++ {
