@@ -255,7 +255,8 @@ func BenchmarkDTWBandServedShape(b *testing.B) {
 			}
 		})
 	}
-	upper, lower := distance.Envelope(y, 12)
+	upper, lower := make([]float64, len(y)), make([]float64, len(y))
+	distance.EnvelopeIntoScratch(upper, lower, y, 12, &distance.EnvelopeScratch{})
 	cutoff := full * full / 2
 	b.Run(fmt.Sprintf("cutoff=%.3g/suffix", cutoff), func(b *testing.B) {
 		b.ReportAllocs()
@@ -273,10 +274,11 @@ func BenchmarkDTWBandServedShape(b *testing.B) {
 func BenchmarkUEMAFilter(b *testing.B) {
 	q, _ := benchSeriesPair(290)
 	sig := q.Sigmas()
+	out := make([]float64, len(q.Observations))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timeseries.UncertainExponentialMovingAverage(q.Observations, sig, 2, 1, WeightModeNormalized); err != nil {
+		if err := timeseries.UncertainExponentialMovingAverageInto(out, q.Observations, sig, 2, 1, WeightModeNormalized); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -665,7 +665,7 @@ func defaultErrors(cfg Config) []stats.Dist {
 	if cfg.ReportedSigma <= 0 {
 		return nil
 	}
-	d := stats.NewNormal(0, cfg.ReportedSigma)
+	var d stats.Dist = stats.NewNormal(0, cfg.ReportedSigma) // boxed once: no allocation per timestamp
 	out := make([]stats.Dist, cfg.Length)
 	for i := range out {
 		out[i] = d

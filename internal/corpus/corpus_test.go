@@ -132,7 +132,8 @@ func TestEntryArtifactsMatchDirectComputation(t *testing.T) {
 	}
 	e := snap.Entry(pos)
 
-	up, lo := distance.Envelope(s.Values, 3)
+	up, lo := make([]float64, len(s.Values)), make([]float64, len(s.Values))
+	distance.EnvelopeIntoScratch(up, lo, s.Values, 3, &distance.EnvelopeScratch{})
 	if !reflect.DeepEqual(e.Upper, up) || !reflect.DeepEqual(e.Lower, lo) {
 		t.Error("LB_Keogh envelopes differ from direct computation")
 	}
@@ -151,8 +152,8 @@ func TestEntryArtifactsMatchDirectComputation(t *testing.T) {
 	if !reflect.DeepEqual(cols.UMA.Row(pos), uma) {
 		t.Error("UMA vector differs from direct computation")
 	}
-	uema, err := timeseries.UncertainExponentialMovingAverage(s.Values, sigmas, 2, 0.9, 0)
-	if err != nil {
+	uema := make([]float64, len(s.Values))
+	if err := timeseries.UncertainExponentialMovingAverageInto(uema, s.Values, sigmas, 2, 0.9, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cols.UEMA.Row(pos), uema) {

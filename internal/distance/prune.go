@@ -34,21 +34,6 @@ func SquaredEuclideanEarlyAbandon(x, y []float64, cutoff float64) (float64, bool
 	return acc, true, nil
 }
 
-// Envelope returns the upper and lower running-extremum envelopes of y
-// within a Sakoe-Chiba band of half-width r:
-//
-//	upper[i] = max(y[i-r .. i+r])    lower[i] = min(y[i-r .. i+r])
-//
-// computed in O(n) with monotonic deques. r < 0 (unconstrained DTW) uses
-// the whole series as the window. The envelopes feed LBKeoghSquared.
-func Envelope(y []float64, r int) (upper, lower []float64) {
-	n := len(y)
-	upper = make([]float64, n)
-	lower = make([]float64, n)
-	EnvelopeIntoScratch(upper, lower, y, r, &EnvelopeScratch{})
-	return upper, lower
-}
-
 // EnvelopeScratch carries the monotonic-deque storage EnvelopeIntoScratch
 // reuses across calls. The zero value is ready to use; the first call
 // sizes it to the series length. Not safe for concurrent use.
@@ -56,11 +41,16 @@ type EnvelopeScratch struct {
 	maxDQ, minDQ []int
 }
 
-// EnvelopeIntoScratch is Envelope into caller-provided upper and lower
-// slices (both must have len(y)) with caller-owned scratch — the
-// allocation-free form (after the scratch warms up to the series length)
-// that arena-backed corpora use to build envelopes in place on the ingest
-// path.
+// EnvelopeIntoScratch writes the upper and lower running-extremum
+// envelopes of y within a Sakoe-Chiba band of half-width r into upper and
+// lower (both must have len(y)):
+//
+//	upper[i] = max(y[i-r .. i+r])    lower[i] = min(y[i-r .. i+r])
+//
+// computed in O(n) with monotonic deques. r < 0 (unconstrained DTW) uses
+// the whole series as the window. The envelopes feed LBKeoghSquared. It
+// allocates nothing once the scratch has warmed up to the series length:
+// arena-backed corpora build envelopes in place with it on the ingest path.
 func EnvelopeIntoScratch(upper, lower, y []float64, r int, s *EnvelopeScratch) {
 	n := len(y)
 	if n == 0 {
@@ -162,19 +152,6 @@ func lbKeogh(q, upper, lower []float64, cutoff float64, terms []float64) (float6
 // of its runtime, sparse enough that the poll is noise next to a row.
 const dtwCancelStride = 32
 
-// DTWBandEarlyAbandonCancel is DTWBand with a cutoff on the squared path
-// cost: once every reachable cell of a DP row exceeds cutoff, no completion
-// can come in under it and the scan abandons. It returns the distance (the
-// square root of the path cost, identical to DTWBand when complete) and
-// whether the computation completed. Completion implies dist^2 <= cutoff up
-// to the final-cell check; cutoff = +Inf never abandons (DTWBand is exactly
-// that call). Every dtwCancelStride DP rows it polls done and, once done is
-// closed, returns an error wrapping qerr.ErrCancelled; a nil done never
-// cancels.
-func DTWBandEarlyAbandonCancel(x, y []float64, band int, cutoff float64, done <-chan struct{}) (float64, bool, error) {
-	return DTWBandEarlyAbandonScratch(x, y, band, cutoff, done, nil)
-}
-
 // DTWScratch holds the DP row of a banded-DTW evaluation and the LB_Keogh
 // suffix sums its LBKeoghSquared method arms the next one with, so a scan
 // reuses its buffers. The zero value is ready to use; it grows on demand and
@@ -264,10 +241,17 @@ func suffixCut(cutoff float64, n, m int) float64 {
 	return cutoff * (1 + float64(4*(n+m+2))*0x1p-53)
 }
 
-// DTWBandEarlyAbandonScratch is DTWBandEarlyAbandonCancel with caller-owned
-// DP scratch. A nil scratch allocates a fresh row, computing exactly
-// DTWBandEarlyAbandonCancel; the arithmetic is identical either way, so the
-// results are bit-for-bit the same.
+// DTWBandEarlyAbandonScratch is DTWBand with a cutoff on the squared path
+// cost: once every reachable cell of a DP row exceeds cutoff, no completion
+// can come in under it and the scan abandons. It returns the distance (the
+// square root of the path cost, identical to DTWBand when complete) and
+// whether the computation completed. Completion implies dist^2 <= cutoff up
+// to the final-cell check; cutoff = +Inf never abandons (DTWBand is exactly
+// that call). Every dtwCancelStride DP rows it polls done and, once done is
+// closed, returns an error wrapping qerr.ErrCancelled; a nil done never
+// cancels. scratch is the caller's DP storage; a nil scratch allocates a
+// fresh row, with the same arithmetic, so the results are bit-for-bit the
+// same.
 //
 // A scratch armed by its LBKeoghSquared also abandons at row i once
 // rowMin_i + suffix_i, a lower bound on the final cost, exceeds suffixCut's

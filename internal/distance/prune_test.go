@@ -18,6 +18,13 @@ func randSeries(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
+// envelope returns y's LB_Keogh envelopes under half-width r in fresh slices.
+func envelope(y []float64, r int) (upper, lower []float64) {
+	upper, lower = make([]float64, len(y)), make([]float64, len(y))
+	EnvelopeIntoScratch(upper, lower, y, r, &EnvelopeScratch{})
+	return upper, lower
+}
+
 func TestSquaredEuclideanEarlyAbandonMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -56,7 +63,7 @@ func TestEnvelopeBruteForce(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33} {
 		for _, r := range []int{-1, 0, 1, 3, 100} {
 			y := randSeries(rng, n)
-			upper, lower := Envelope(y, r)
+			upper, lower := envelope(y, r)
 			for i := 0; i < n; i++ {
 				lo, hi := i-r, i+r
 				if r < 0 || r >= n {
@@ -88,7 +95,7 @@ func TestLBKeoghLowerBoundsBandedDTW(t *testing.T) {
 		n := 48
 		q, y := randSeries(rng, n), randSeries(rng, n)
 		for _, band := range []int{0, 2, 5, n} {
-			upper, lower := Envelope(y, band)
+			upper, lower := envelope(y, band)
 			lb, err := LBKeoghSquared(q, upper, lower, math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +114,7 @@ func TestLBKeoghLowerBoundsBandedDTW(t *testing.T) {
 func TestLBKeoghEnvelopeSelfIsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	y := randSeries(rng, 32)
-	upper, lower := Envelope(y, 3)
+	upper, lower := envelope(y, 3)
 	lb, err := LBKeoghSquared(y, upper, lower, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -126,14 +133,14 @@ func TestDTWBandEarlyAbandonMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, complete, err := DTWBandEarlyAbandonCancel(q, y, band, math.Inf(1), nil)
+			got, complete, err := DTWBandEarlyAbandonScratch(q, y, band, math.Inf(1), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !complete || got != want {
 				t.Fatalf("band=%d: got (%v, %v), want (%v, true)", band, got, complete, want)
 			}
-			if got, complete, _ := DTWBandEarlyAbandonCancel(q, y, band, want*want/4, nil); complete {
+			if got, complete, _ := DTWBandEarlyAbandonScratch(q, y, band, want*want/4, nil, nil); complete {
 				t.Fatalf("band=%d: cutoff below cost should abandon", band)
 			} else if got*got <= want*want/4*(1-1e-12) {
 				t.Fatalf("band=%d: abandoned partial %v should exceed cutoff", band, got)
@@ -143,10 +150,10 @@ func TestDTWBandEarlyAbandonMatchesFull(t *testing.T) {
 }
 
 func TestDTWBandEarlyAbandonErrors(t *testing.T) {
-	if _, _, err := DTWBandEarlyAbandonCancel(nil, []float64{1}, -1, 1, nil); err == nil {
+	if _, _, err := DTWBandEarlyAbandonScratch(nil, []float64{1}, -1, 1, nil, nil); err == nil {
 		t.Fatal("want empty-series error")
 	}
-	if _, _, err := DTWBandEarlyAbandonCancel([]float64{1, 2, 3}, []float64{1}, 1, 1, nil); err == nil {
+	if _, _, err := DTWBandEarlyAbandonScratch([]float64{1, 2, 3}, []float64{1}, 1, 1, nil, nil); err == nil {
 		t.Fatal("want band-too-narrow error")
 	}
 }
@@ -322,7 +329,7 @@ func TestDTWBandEarlyAbandonCancel(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	close(closed)
-	_, complete, err := DTWBandEarlyAbandonCancel(x, y, -1, math.Inf(1), closed)
+	_, complete, err := DTWBandEarlyAbandonScratch(x, y, -1, math.Inf(1), closed, nil)
 	if !errors.Is(err, qerr.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -335,7 +342,7 @@ func TestDTWBandEarlyAbandonCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference failed: %v", err)
 	}
-	got, complete, err := DTWBandEarlyAbandonCancel(x, y, -1, math.Inf(1), nil)
+	got, complete, err := DTWBandEarlyAbandonScratch(x, y, -1, math.Inf(1), nil, nil)
 	if err != nil || !complete || got != want {
 		t.Fatalf("nil done gave %v (complete=%v, err=%v), want %v", got, complete, err, want)
 	}

@@ -23,7 +23,7 @@ const (
 // bit, abandoned value included. x and y have the same length.
 func checkSuffix(t *testing.T, x, y []float64, band int, cutoff float64, scratch *DTWScratch, ref *dtwRefScratch) suffixOutcome {
 	t.Helper()
-	upper, lower := Envelope(y, band)
+	upper, lower := envelope(y, band)
 	want, wantDone, wantErr := dtwBandRef(x, y, band, cutoff, nil, ref)
 	lb, err := scratch.LBKeoghSquared(x, upper, lower, cutoff)
 	if err != nil {
@@ -229,7 +229,7 @@ func FuzzLBKeogh(f *testing.F) {
 			return v
 		}
 		q, y := values(qs), values(ys)
-		upper, lower := Envelope(y[:n], band)
+		upper, lower := envelope(y[:n], band)
 		for _, env := range [][2][]float64{{upper, lower}, {y[:n], y[1 : n+1]}} {
 			u, l := env[0], env[1]
 			want := lbKeoghGo(q, u, l, nil, cutoff)

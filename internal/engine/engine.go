@@ -50,8 +50,7 @@
 // probBoundMargin on the probability side, the kernels' derived margins
 // inside them — so no stage drops a candidate the unpruned scan would keep.
 // Each batch counts its outcomes in its own tally and adds it to the
-// engine's counters and the query's once; the query's join the process
-// totals behind /metrics' pruning gauges when its scan ends.
+// engine's counters once, when it ends.
 //
 // Collect. The range kinds gather their matches by position; the two top-k
 // kinds offer every resolved candidate to one query-wide collector whose
@@ -87,7 +86,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"uncertts/internal/arena"
@@ -258,7 +256,7 @@ type Stats struct {
 }
 
 // Merge returns the field-wise sum of two stats — the aggregation the
-// server uses to keep cumulative accounting across engine rebuilds.
+// server folds each finished query's work into.
 func (s Stats) Merge(o Stats) Stats {
 	return Stats{
 		Candidates:       s.Candidates + o.Candidates,
@@ -307,10 +305,6 @@ type Engine struct {
 	energy       rows // per-series observation energy, stride 1 (read by PROUD)
 
 	pre *prefilter // the measure's prefilter; nil when queries run the plain scan
-
-	// Pooled storage: a query's per-position scratch (execute), and a
-	// batch's DTW scratch (newScratch), so a warm query allocates neither.
-	queries, dtw sync.Pool
 
 	// Work counters, one per outcome. Every series a query meets lands in
 	// exactly one, so Stats.Candidates is the sum of all but the prefilter's

@@ -271,6 +271,13 @@ func TestIndexFallbacks(t *testing.T) {
 // dtwLB2Ref is the sketch-row bound as its definition states it, two
 // sketch.MinDistSquared passes: the reference dtwLB2's one fused pass must
 // match bit for bit.
+// envelope returns v's LB_Keogh envelopes under the band in fresh slices.
+func envelope(v []float64, band int) (upper, lower []float64) {
+	upper, lower = make([]float64, len(v)), make([]float64, len(v))
+	distance.EnvelopeIntoScratch(upper, lower, v, band, &distance.EnvelopeScratch{})
+	return upper, lower
+}
+
 func dtwLB2Ref(p *prefilter, pq *prepared, row []float64) float64 {
 	lay, w := p.lay, p.lay.W
 	kim := p.kim(pq, row)
@@ -342,7 +349,7 @@ func TestFusedSketchBoundMatchesDefinition(t *testing.T) {
 		series = append(series, flat(shape.n, 0.3), flat(shape.n, -1.25), flat(shape.n, 0.3))
 		sketchRow := func(v []float64) []float64 {
 			row := make([]float64, lay.Stride())
-			up, lo := distance.Envelope(v, shape.band)
+			up, lo := envelope(v, shape.band)
 			lay.FillRow(row, v, up, lo)
 			return row
 		}
@@ -472,7 +479,7 @@ func FuzzSketchBound(f *testing.F) {
 		p := dtwPrefilter(lay, rows{})
 		sketchRow := func(c []float64) []float64 {
 			row := make([]float64, lay.Stride())
-			up, lo := distance.Envelope(c, band)
+			up, lo := envelope(c, band)
 			lay.FillRow(row, c, up, lo)
 			return row
 		}
@@ -590,12 +597,12 @@ func BenchmarkSketchBound(b *testing.B) {
 	sketchRows := make([][]float64, 1024)
 	for i := range sketchRows {
 		v := series()
-		up, lo := distance.Envelope(v, band)
+		up, lo := envelope(v, band)
 		sketchRows[i] = make([]float64, lay.Stride())
 		lay.FillRow(sketchRows[i], v, up, lo)
 	}
 	q := series()
-	up, lo := distance.Envelope(q, band)
+	up, lo := envelope(q, band)
 	pq := &prepared{self: -1, vec: q, qrow: make([]float64, lay.Stride())}
 	lay.FillRow(pq.qrow, q, up, lo)
 	lbs := make([]float64, len(sketchRows))

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"uncertts/internal/distance"
 	"uncertts/internal/parallel"
@@ -29,8 +30,8 @@ func (s span) at(i int) int {
 func candErr(ci int, err error) error { return fmt.Errorf("engine: candidate %d: %w", ci, err) }
 
 // run is one request in flight: everything a step reads besides the
-// candidate. It is built once per request and shared by the request's
-// workers, read-only but for outcomes, which each batch adds to once.
+// candidate. It is built once per request and shared, read-only, by the
+// request's workers.
 type run struct {
 	e    *Engine
 	pq   *prepared
@@ -44,7 +45,6 @@ type run struct {
 	cutoff2  float64          // KindRange: ulpUp(Eps^2)
 	epsLimit float64          // KindProbRange on a PROUD engine
 	emit     func(Item) error // the range kinds' match callback (nil = none)
-	outcomes counters         // this query's own outcome counts (scan)
 }
 
 // prefilterStage is the prefilter stage of a request's cascade.
@@ -86,12 +86,12 @@ func (e *Engine) execute(ctx context.Context, pq *prepared, req *Request, emit f
 	var cands []int // nil: position order
 	if e.pre != nil {
 		sp := telemetry.TraceFrom(ctx).Start("index_descent")
-		s, _ := e.queries.Get().(*scratch)
-		if s == nil {
-			s = &scratch{lbs: make([]float64, e.snap.Len())}
+		s, n := scratchPool.Get().(*scratch), e.snap.Len()
+		if cap(s.lbs) < n {
+			s.lbs = make([]float64, n)
 		}
-		defer e.queries.Put(s)
-		r.pre, r.lbs, r.ahead = e.pre.stage, s.lbs, !e.pre.dtw
+		defer scratchPool.Put(s)
+		r.pre, r.lbs, r.ahead = e.pre.stage, s.lbs[:n], !e.pre.dtw
 		if req.Kind == KindTopK { // the other kinds bound batch by batch (scan)
 			e.pre.bounds(pq, r.lbs, 0)
 			if e.pre.dtw {
@@ -122,6 +122,14 @@ type scratch struct {
 	cis  [2][]int
 }
 
+// The pools every engine draws from: a query's scratch (execute) and a
+// batch's DTW scratch (newScratch), so a warm query allocates neither,
+// whichever engine runs it. Both grow to whatever a caller needs.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	dtwPool     = sync.Pool{New: func() any { return new(distance.DTWScratch) }}
+)
+
 // workers resolves the executor parallelism of one request: its own budget,
 // falling back to the engine default (0 = GOMAXPROCS).
 func (e *Engine) workers(req *Request) int {
@@ -140,13 +148,11 @@ func (e *Engine) workers(req *Request) int {
 // has a prefilter and is not KindTopK (which bounded them all up front), so
 // the bound pass runs on the workers; then it goes through the kind's step
 // with its own DTW scratch and outcome tally, and its tally reaches the
-// engine's counters and the query's once, when the batch ends — whether it
-// ran out or failed: a candidate whose computation was cancelled or failed
-// is in no tally. When every batch has ended the query's counts join the
-// process totals behind the pruning gauges (recordOutcomes). scan keeps the
-// query out of the spans and gathers the matches batch by batch, so the
-// returned positions are ascending (the range kinds scan in position order)
-// whatever order the batches ran in.
+// engine's counters once, when the batch ends — whether it ran out or
+// failed: a candidate whose computation was cancelled or failed is in no
+// tally. scan keeps the query out of the spans and gathers the matches batch
+// by batch, so the returned positions are ascending (the range kinds scan in
+// position order) whatever order the batches ran in.
 func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 	e := r.e
 	n, self := e.snap.Len(), r.pq.self
@@ -172,14 +178,12 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 			ids = append(ids, more...)
 		}
 		if scratch != nil {
-			e.dtw.Put(scratch)
+			dtwPool.Put(scratch)
 		}
 		e.outcomes.add(&t)
-		r.outcomes.add(&t)
 		hits[lo/size] = ids
 		return err
 	})
-	recordOutcomes(e.opts.Measure, r.outcomes.stats())
 	if err != nil {
 		return nil, err
 	}
@@ -191,16 +195,13 @@ func (r *run) scan(ctx context.Context, cands []int) ([]int, error) {
 }
 
 // newScratch returns the DP row and LB_Keogh suffix sums one batch of a DTW
-// engine shares, from the engine's pool (the batch puts it back), and nil
-// for every other measure.
+// engine shares, from the pool (the batch puts it back), and nil for every
+// other measure.
 func (e *Engine) newScratch() *distance.DTWScratch {
 	if e.opts.Measure != MeasureDTW {
 		return nil
 	}
-	if s, ok := e.dtw.Get().(*distance.DTWScratch); ok {
-		return s
-	}
-	return new(distance.DTWScratch)
+	return dtwPool.Get().(*distance.DTWScratch)
 }
 
 // step puts a span through the kind's step. There are two, and they differ

@@ -210,10 +210,12 @@ func TestFilterGeometryMatchesDefinition(t *testing.T) {
 			return timeseries.UncertainMovingAverage(obs, w.Sigmas, 2, timeseries.WeightModeStrict)
 		}},
 		{"UEMA(3,0.5)", UEMA(3, 0.5), func(obs []float64) ([]float64, error) {
-			return timeseries.UncertainExponentialMovingAverage(obs, w.Sigmas, 3, 0.5, timeseries.WeightModeNormalized)
+			out := make([]float64, len(obs))
+			return out, timeseries.UncertainExponentialMovingAverageInto(out, obs, w.Sigmas, 3, 0.5, timeseries.WeightModeNormalized)
 		}},
 		{"UEMA(3,0)", UEMA(3, 0), func(obs []float64) ([]float64, error) {
-			return timeseries.UncertainExponentialMovingAverage(obs, w.Sigmas, 3, 0, timeseries.WeightModeNormalized)
+			out := make([]float64, len(obs))
+			return out, timeseries.UncertainExponentialMovingAverageInto(out, obs, w.Sigmas, 3, 0, timeseries.WeightModeNormalized)
 		}},
 	} {
 		filtered := make([][]float64, w.Len())

@@ -20,7 +20,7 @@ func scan(ctx context.Context, q, c []float64, xs, ys uncertain.SampleSeries) er
 	}
 
 	// The cancellable spellings are the sanctioned ones.
-	if _, _, err := distance.DTWBandEarlyAbandonCancel(q, c, 4, 1e9, ctx.Done()); err != nil {
+	if _, _, err := distance.DTWBandEarlyAbandonScratch(q, c, 4, 1e9, ctx.Done(), nil); err != nil {
 		return err
 	}
 	if err := parallel.RunCtx(ctx, 100, func(i int) error { return nil }); err != nil {

@@ -89,11 +89,11 @@ func convolutionProbabilityRef(x, y uncertain.SampleSeries, eps, cutoff float64,
 	return binnedCDFRef(probs, width, eps2), true, nil
 }
 
-// convTally reads the tally every convolution adds its own into.
-func convTally() convCount {
-	convRan.Lock()
-	defer convRan.Unlock()
-	return convRan.convCount
+// add sums another convolution's tally into c.
+func (c *convCount) add(o convCount) {
+	c.interior += o.interior
+	c.edgesOnly += o.edgesOnly
+	c.scalar += o.scalar
 }
 
 // convPair draws a seeded pair the way the benchmark's sampled corpus is
@@ -251,7 +251,7 @@ func TestConvolutionMatchesReference(t *testing.T) {
 	if testing.Short() {
 		pairs = 400
 	}
-	ran0 := convTally()
+	var ran convCount // every call's steps
 	for _, tc := range convCases(t, pairs) {
 		x, y, eps, bins := tc.x, tc.y, tc.eps, tc.bins
 		want, complete, err := convolutionProbabilityRef(x, y, eps, math.Inf(-1), bins, nil)
@@ -263,11 +263,12 @@ func TestConvolutionMatchesReference(t *testing.T) {
 		if last != nil && last[x.Len()] == bins-1 {
 			clamped++
 		} else if tc.edge {
-			before := convTally().scalar
-			if _, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil); err != nil {
+			_, _, steps, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if fell := convTally().scalar != before; fell != tc.wantScalar {
+			ran.add(steps)
+			if fell := steps.scalar > 0; fell != tc.wantScalar {
 				t.Fatalf("%s: a step ran the scalar loop: %v, want %v", tc.name, fell, tc.wantScalar)
 			}
 		}
@@ -279,10 +280,11 @@ func TestConvolutionMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			p, ok, err := convolutionProbability(x, y, eps, cutoff, bins, nil)
+			p, ok, steps, err := convolutionProbability(x, y, eps, cutoff, bins, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ran.add(steps)
 			switch {
 			case ok:
 				// The kernel reads its CDF every convReadStride steps, the
@@ -314,8 +316,7 @@ func TestConvolutionMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	ran := convTally()
-	interior, edgesOnly, scalar := ran.interior-ran0.interior, ran.edgesOnly-ran0.edgesOnly, ran.scalar-ran0.scalar
+	interior, edgesOnly, scalar := ran.interior, ran.edgesOnly, ran.scalar
 	t.Logf("%d pairs: %d completed, %d abandoned (reference %d), %d with no reachable bin, %d read in the clamping bin; steps as shifted adds: %d with an interior, %d without one; %d scalar",
 		pairs, completed, abandoned, refAbandoned, unreachable, clamped, interior, edgesOnly, scalar)
 	if abandoned == 0 || unreachable == 0 || clamped == 0 {
@@ -571,7 +572,7 @@ func TestConvolutionConcurrent(t *testing.T) {
 		var out []answer
 		for _, tc := range cases {
 			for _, cutoff := range tc.cutoffs {
-				p, ok, err := convolutionProbability(tc.x, tc.y, tc.eps, cutoff, tc.bins, nil)
+				p, ok, _, err := convolutionProbability(tc.x, tc.y, tc.eps, cutoff, tc.bins, nil)
 				if err != nil {
 					t.Error(err)
 				}
@@ -632,13 +633,13 @@ func TestConvolutionRejectsOverflowingDomain(t *testing.T) {
 	row := [][]float64{{-1e154, 0, 1e154}}
 	x, y := tinySeries(0, row[0], row[0]), tinySeries(1, row[0], row[0])
 	for _, bins := range []int{16, 4096} {
-		if _, _, err := convolutionProbability(x, y, 1e154, 0.1, bins, nil); !errors.Is(err, qerr.ErrBadRequest) {
+		if _, _, _, err := convolutionProbability(x, y, 1e154, 0.1, bins, nil); !errors.Is(err, qerr.ErrBadRequest) {
 			t.Errorf("bins=%d: err = %v, want ErrBadRequest", bins, err)
 		}
 	}
 	// Squares that vanish into the subnormals have no usable width either.
 	z := tinySeries(2, []float64{1e-160}, []float64{0})
-	if _, _, err := convolutionProbability(tinySeries(3, []float64{0}, []float64{0}), z, 1, 0.1, 16, nil); !errors.Is(err, qerr.ErrBadRequest) {
+	if _, _, _, err := convolutionProbability(tinySeries(3, []float64{0}, []float64{0}), z, 1, 0.1, 16, nil); !errors.Is(err, qerr.ErrBadRequest) {
 		t.Errorf("subnormal width: err = %v, want ErrBadRequest", err)
 	}
 }

@@ -121,7 +121,8 @@ func ProbabilityCutoffCancel(x, y uncertain.SampleSeries, eps, cutoff float64, o
 		return 0, true, nil
 	}
 	if !exactFits(x, y) {
-		return convolutionProbability(x, y, eps, cutoff, opts.bins(), done)
+		p, complete, _, err := convolutionProbability(x, y, eps, cutoff, opts.bins(), done)
+		return p, complete, err
 	}
 	p, err := exactProbability(x, y, eps, done)
 	return p, err == nil, err
@@ -736,22 +737,9 @@ type convScratch struct {
 var convPool = sync.Pool{New: func() any { return new(convScratch) }}
 
 // convCount tallies one convolution's steps as shifted adds, with an
-// interior (a bin every tap lands on) or without one, and as the scalar loop.
-// Each call adds it into convRan, which the tests read.
+// interior (a bin every tap lands on) or without one, and as the scalar loop,
+// for the tests.
 type convCount struct{ interior, edgesOnly, scalar int64 }
-
-var convRan struct {
-	sync.Mutex
-	convCount
-}
-
-func (c *convCount) flush() {
-	convRan.Lock()
-	defer convRan.Unlock()
-	convRan.interior += c.interior
-	convRan.edgesOnly += c.edgesOnly
-	convRan.scalar += c.scalar
-}
 
 // convolutionProbability approximates the distribution of the total squared
 // distance by repeated histogram convolution and reads off the CDF at
@@ -777,8 +765,8 @@ func (c *convCount) flush() {
 // cannot exceed the mass still within reach: once that falls below the
 // cutoff the final estimate must too, and the scan abandons (complete =
 // false). The mass is read every convReadStride steps, never at cutoff =
-// -Inf.
-func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bins int, done <-chan struct{}) (float64, bool, error) {
+// -Inf. ran tallies how the steps ran.
+func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bins int, done <-chan struct{}) (p float64, complete bool, ran convCount, err error) {
 	n := x.Len()
 	sc := convPool.Get().(*convScratch)
 	defer convPool.Put(sc)
@@ -797,14 +785,14 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 	sc.pairs = pairs
 	if maxSum == 0 {
 		// All materialisations coincide: distance 0 with probability 1.
-		return 1, true, nil
+		return 1, true, ran, nil
 	}
 	eps2 := eps * eps
 	width := maxSum / float64(bins)
 	if !(width >= 0x1p-1022 && width <= math.MaxFloat64) {
 		// Squared differences that overflow (or vanish into the subnormals)
 		// leave no bin width to divide by.
-		return 0, false, qerr.BadRequestf("munich: squared distances up to %v do not fit a %d-bin histogram", maxSum, bins)
+		return 0, false, ran, qerr.BadRequestf("munich: squared distances up to %v do not fit a %d-bin histogram", maxSum, bins)
 	}
 	reachableBins(last, mins, width, eps2, bins)
 	probs, next, scaled := hist[:bins], hist[bins:2*bins], hist[2*bins:]
@@ -817,11 +805,9 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 		probs[0] = 1
 	}
 	readout := !math.IsInf(cutoff, -1)
-	var ran convCount
-	defer ran.flush()
 	for step := 0; step < n; step++ {
 		if cancelled(done) {
-			return 0, false, qerr.Cancelled(nil)
+			return 0, false, ran, qerr.Cancelled(nil)
 		}
 		m := pairs[:len(x.Samples[step])*len(y.Samples[step])]
 		pairs = pairs[len(m):]
@@ -847,10 +833,10 @@ func convolutionProbability(x, y uncertain.SampleSeries, eps, cutoff float64, bi
 		// still the bin eps^2 falls in.
 		if readout && step%convReadStride == convReadStride-1 && step < n-1 &&
 			binnedCDF(probs, lo, hi, width, eps2) < cutoff-convCutoffMargin {
-			return 0, false, nil
+			return 0, false, ran, nil
 		}
 	}
-	return binnedCDF(probs, lo, hi, width, eps2), true, nil
+	return binnedCDF(probs, lo, hi, width, eps2), true, ran, nil
 }
 
 // convolveShifted is convolveScalar for a step whose squared differences

@@ -66,7 +66,7 @@ func exact(x, y uncertain.SampleSeries, eps float64) (float64, error) {
 }
 
 func convolve(x, y uncertain.SampleSeries, eps float64, bins int) (float64, error) {
-	p, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil)
+	p, _, _, err := convolutionProbability(x, y, eps, math.Inf(-1), bins, nil)
 	return p, err
 }
 
@@ -518,7 +518,8 @@ func TestProbabilityCutoffAgreesWithProbability(t *testing.T) {
 			return ProbabilityCutoff(x, y, eps, cutoff, Options{})
 		},
 		"convolution": func(x, y uncertain.SampleSeries, eps, cutoff float64) (float64, bool, error) {
-			return convolutionProbability(x, y, eps, cutoff, 256, nil)
+			p, complete, _, err := convolutionProbability(x, y, eps, cutoff, 256, nil)
+			return p, complete, err
 		},
 	}
 	for trial := 0; trial < 20; trial++ {
@@ -556,7 +557,7 @@ func TestProbabilityCutoffNeverAbandonsAtMinusInf(t *testing.T) {
 	rng := stats.NewRand(31)
 	x := randomSampleSeries(rng, 0, 6, 3, 0.3, 0)
 	y := randomSampleSeries(rng, 1, 6, 3, 0.3, 4)
-	p, complete, err := convolutionProbability(x, y, 0.1, math.Inf(-1), 128, nil)
+	p, complete, _, err := convolutionProbability(x, y, 0.1, math.Inf(-1), 128, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

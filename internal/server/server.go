@@ -30,14 +30,15 @@
 // in-flight queries are never perturbed by concurrent ingestion, and
 // writers never wait for readers.
 //
-// Engines are cached per measure and rebuilt only when the corpus epoch
-// moves on — and rebuilding costs the same few allocations whatever the
-// corpus size, because the per-series artifacts (envelopes, filtered
-// vectors, filter columns, energies, phi tables) and the geometry
-// they were built under (band, filter window, segment count: the corpus'
-// corpus.Config, which the server does not second-guess) live in the corpus
-// arenas, which snapshots share. Work counters survive rebuilds:
-// /stats reports the cumulative accounting since the server started.
+// Every query runs on its own engine, built from the snapshot current when
+// it arrives: building one binds the corpus arena columns, the same few
+// allocations whatever the corpus size, because the per-series artifacts
+// (envelopes, filtered vectors, filter columns, energies, phi tables) and
+// the geometry they were built under (band, filter window, segment count:
+// the corpus' corpus.Config, which the server does not second-guess) live in
+// the corpus arenas, which snapshots share. /stats and the pruning gauges
+// count finished queries: each query's work is added to both once it has
+// run.
 package server
 
 import (
@@ -91,8 +92,8 @@ type Server struct {
 	c    *corpus.Corpus
 	opts Options
 
-	mu      sync.Mutex
-	engines map[engine.Measure]*measureEngines
+	mu   sync.Mutex
+	work map[engine.Measure]engine.Stats // every finished query's, by measure (/stats)
 
 	// bounds tracks the shared pruning cuts of running cluster queries,
 	// keyed by the coordinator's bound token (see cluster.go).
@@ -101,18 +102,6 @@ type Server struct {
 	// tracer collects finished query traces for /debug/trace and the
 	// slow-query log.
 	tracer *telemetry.Tracer
-}
-
-// measureEngines tracks one measure's engine across corpus epochs. The
-// previous engine is kept alive (not just its counters) until the next
-// rebuild so that requests still running on it when it was retired keep
-// accruing into /stats; only the engine before that is folded into the
-// frozen baseline.
-type measureEngines struct {
-	epoch    uint64
-	cur      *engine.Engine
-	prev     *engine.Engine
-	baseline engine.Stats
 }
 
 // New returns a server over the corpus.
@@ -128,10 +117,10 @@ func New(c *corpus.Corpus, opts Options) *Server {
 		tracer = telemetry.DefaultTracer()
 	}
 	return &Server{
-		c:       c,
-		opts:    opts,
-		engines: make(map[engine.Measure]*measureEngines),
-		tracer:  tracer,
+		c:      c,
+		opts:   opts,
+		work:   make(map[engine.Measure]engine.Stats),
+		tracer: tracer,
 	}
 }
 
@@ -157,59 +146,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// engineFor returns an engine serving the measure over the current corpus
-// snapshot, rebuilding the cached one only when the corpus moved past its
-// epoch. The snapshot is loaded under the lock so a request that read an
-// older snapshot before blocking can never evict a fresher engine.
-func (s *Server) engineFor(m engine.Measure) (*engine.Engine, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := s.c.Snapshot()
-	me := s.engines[m]
-	if me == nil {
-		me = &measureEngines{}
-		s.engines[m] = me
-	}
-	if me.cur != nil && me.epoch >= snap.Epoch() {
-		return me.cur, nil
-	}
-	e, err := engine.NewFromSnapshot(snap, engine.Options{
-		Measure: m,
-		MUNICH:  s.opts.MUNICH,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if me.prev != nil {
-		me.baseline = me.baseline.Merge(me.prev.Stats())
-	}
-	me.prev = me.cur
-	me.cur = e
-	me.epoch = snap.Epoch()
-	return e, nil
-}
-
-// cumulative folds one measure's accounting: the frozen baseline plus the
-// live counters of the current and most recently retired engines.
-func (me *measureEngines) cumulative() engine.Stats {
-	st := me.baseline
-	if me.prev != nil {
-		st = st.Merge(me.prev.Stats())
-	}
-	if me.cur != nil {
-		st = st.Merge(me.cur.Stats())
-	}
-	return st
-}
-
-// measureStats returns the cumulative counters for every measure, keyed by
-// name: what /stats reports, and what a stream's done record quotes.
+// measureStats returns the work of every measure's finished queries, keyed
+// by name: what /stats reports, and what a stream's done record quotes.
 func (s *Server) measureStats() map[string]engine.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]engine.Stats)
-	for m, me := range s.engines {
-		out[m.String()] = me.cumulative()
+	out := make(map[string]engine.Stats, len(s.work))
+	for m, st := range s.work {
+		out[m.String()] = st
 	}
 	return out
 }
@@ -234,7 +178,7 @@ func (sj SeriesJSON) toCorpus() (corpus.Series, error) {
 	}
 	cs := corpus.Series{Values: sj.Values, Samples: sj.Samples, Label: sj.Label}
 	if sj.Sigma > 0 {
-		d := stats.NewNormal(0, sj.Sigma)
+		var d stats.Dist = stats.NewNormal(0, sj.Sigma) // boxed once: no allocation per timestamp
 		cs.Errors = make([]stats.Dist, len(sj.Values))
 		for i := range cs.Errors {
 			cs.Errors[i] = d
@@ -385,9 +329,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, resp)
 }
 
-// plan resolves a wire request into the engine serving its measure, the
-// snapshot the answer is against, and the declarative engine request
-// (stable IDs translated to snapshot positions).
+// plan resolves a wire request into its own engine over the current
+// snapshot, that snapshot, and the declarative engine request (stable IDs
+// translated to snapshot positions).
 func (s *Server) plan(req QueryRequest) (*engine.Engine, *corpus.Snapshot, engine.Request, error) {
 	if req.TimeoutMS < 0 {
 		return nil, nil, engine.Request{}, badRequest("timeout_ms = %d must be non-negative (0 = the server default)", req.TimeoutMS)
@@ -400,11 +344,11 @@ func (s *Server) plan(req QueryRequest) (*engine.Engine, *corpus.Snapshot, engin
 	if err != nil {
 		return nil, nil, engine.Request{}, err
 	}
-	e, err := s.engineFor(m)
+	snap := s.c.Snapshot()
+	e, err := engine.NewFromSnapshot(snap, engine.Options{Measure: m, MUNICH: s.opts.MUNICH})
 	if err != nil {
 		return nil, nil, engine.Request{}, fmt.Errorf("building %s engine: %w", m, err)
 	}
-	snap := e.Snapshot()
 	ereq := engine.Request{
 		Measure: m,
 		Kind:    kind,
@@ -446,16 +390,23 @@ func (s *Server) Run(ctx context.Context, req QueryRequest) (*QueryResponse, err
 
 // start opens a query's metric window (track) and plans it under its
 // trace's parse span. A query that does not plan closes the window itself;
-// otherwise the caller closes it with done once the query has run.
-func (s *Server) start(ctx context.Context, req QueryRequest) (e *engine.Engine, snap *corpus.Snapshot, ereq engine.Request, done func(error), err error) {
-	done = track(req)
+// otherwise the caller calls done once the query has run, which adds the
+// query's work (its engine's Stats) to /stats and the pruning gauges, and
+// closes the window.
+func (s *Server) start(ctx context.Context, req QueryRequest) (*engine.Engine, *corpus.Snapshot, engine.Request, func(error), error) {
+	closeWindow := track(req)
 	sp := telemetry.TraceFrom(ctx).Start("parse")
-	e, snap, ereq, err = s.plan(req)
+	e, snap, ereq, err := s.plan(req)
 	sp.EndErr(err)
 	if err != nil {
-		done(err)
+		closeWindow(err)
+		return nil, nil, engine.Request{}, nil, err
 	}
-	return e, snap, ereq, done, err
+	m := ereq.Measure
+	return e, snap, ereq, func(err error) {
+		s.record(m, e.Stats())
+		closeWindow(err)
+	}, nil
 }
 
 // toResponse translates an engine result (snapshot positions) into the
@@ -489,7 +440,8 @@ type StreamItemJSON struct {
 }
 
 // StreamDoneJSON is the final /query/stream record: a summary of the
-// completed query plus the measure's cumulative engine stats.
+// completed query plus the measure's cumulative engine stats, this query's
+// included.
 type StreamDoneJSON struct {
 	Done    bool   `json:"done"`
 	Measure string `json:"measure"`
@@ -714,7 +666,7 @@ type StatsResponse struct {
 	Measures map[string]MeasureStatsJSON `json:"measures,omitempty"`
 }
 
-// MeasureStatsJSON is the cumulative accounting of one measure's engines:
+// MeasureStatsJSON is the cumulative accounting of one measure's queries:
 // the full wire-stable engine.Stats counter set (inlined) plus a rendered
 // summary line. Carrying engine.Stats itself is what lets a cluster
 // coordinator merge shard /stats responses without drift.

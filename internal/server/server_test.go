@@ -186,13 +186,14 @@ func TestQueryResponsesAreCompact(t *testing.T) {
 
 // TestHugeKAnswersEveryNeighbour: a k far past the corpus size is the k = N
 // query, not an allocation of k slots (which used to kill the process with a
-// fatal out-of-memory error net/http cannot recover).
+// fatal out-of-memory error net/http cannot recover). k is the largest int,
+// so the request decodes on 32-bit platforms too.
 func TestHugeKAnswersEveryNeighbour(t *testing.T) {
 	srv, ts := testServer(t, 10, 16)
 	id := srv.Corpus().Snapshot().IDAt(3)
 	for _, body := range []string{
-		fmt.Sprintf(`{"measure":"euclidean","type":"topk","k":10000000000,"id":%d}`, id),
-		fmt.Sprintf(`{"measure":"proud","type":"probtopk","eps":2,"k":10000000000,"id":%d}`, id),
+		fmt.Sprintf(`{"measure":"euclidean","type":"topk","k":%d,"id":%d}`, math.MaxInt, id),
+		fmt.Sprintf(`{"measure":"proud","type":"probtopk","eps":2,"k":%d,"id":%d}`, math.MaxInt, id),
 	} {
 		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -243,6 +244,21 @@ func TestSeriesEndpointInsertDelete(t *testing.T) {
 	}
 	if after := srv.Corpus().Snapshot(); after.Epoch() != before.Epoch() || after.Len() != before.Len() {
 		t.Error("failed mixed mutation changed the corpus")
+	}
+}
+
+// TestSigmaSeriesBoxesItsErrorModelOnce: a series posted with a sigma
+// carries one boxed error distribution at every timestamp, so converting it
+// allocates the slice and the box, not one box per timestamp.
+func TestSigmaSeriesBoxesItsErrorModelOnce(t *testing.T) {
+	sj := SeriesJSON{Values: make([]float64, 128), Sigma: 0.3}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sj.toCorpus(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("converting a 128-point sigma series allocates %v objects, want at most 2", allocs)
 	}
 }
 

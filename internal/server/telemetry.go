@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"uncertts/internal/engine"
@@ -30,7 +32,55 @@ var (
 	queriesInFlight = telemetry.NewGauge(
 		"uncertts_server_queries_in_flight_total",
 		"Queries currently executing.")
+	prunedRatio = telemetry.NewGaugeVec(
+		"uncertts_engine_pruned_ratio",
+		"Fraction of considered candidates the pruning cascade resolved without a full refine, by measure (cumulative).",
+		"measure")
+	indexSkippedRatio = telemetry.NewGaugeVec(
+		"uncertts_engine_index_skipped_ratio",
+		"Fraction of series a prefilter (tier 0's coarse bound for the lock-step measures and PROUD, the sketch-row bound for DTW) skipped before they became kernel candidates, by measure (cumulative).",
+		"measure")
 )
+
+// process is the work of every query any Server in the process finished, by
+// measure, with each measure's two pruning gauges resolved once at start-up
+// rather than on the query path. A gauge reads NaN until its measure has a
+// denominator. Ratios (not raw counters) because each server's /stats
+// already serves its counters losslessly; the gauges answer the operator
+// question — is the cascade still earning its keep — at a glance.
+var process struct {
+	sync.Mutex
+	work            [engine.MeasureMUNICH + 1]engine.Stats
+	pruned, skipped [engine.MeasureMUNICH + 1]*telemetry.Gauge
+}
+
+func init() {
+	for _, m := range engine.Measures() {
+		label := strings.ToLower(m.String())
+		process.pruned[m], process.skipped[m] = prunedRatio.With(label), indexSkippedRatio.With(label)
+		process.pruned[m].Set(math.NaN())
+		process.skipped[m].Set(math.NaN())
+	}
+}
+
+// record adds one finished query's work to the server's totals behind
+// /stats and to the process totals behind the pruning gauges.
+func (s *Server) record(m engine.Measure, q engine.Stats) {
+	s.mu.Lock()
+	s.work[m] = s.work[m].Merge(q)
+	s.mu.Unlock()
+
+	process.Lock()
+	defer process.Unlock()
+	t := process.work[m].Merge(q)
+	process.work[m] = t
+	if t.Candidates > 0 {
+		process.pruned[m].Set(float64(t.Pruned()) / float64(t.Candidates))
+	}
+	if seen := t.Candidates + t.SeriesSkippedByIndex; seen > 0 {
+		process.skipped[m].Set(float64(t.SeriesSkippedByIndex) / float64(seen))
+	}
+}
 
 // queryLabels resolves a request's metric labels without trusting raw
 // client strings (unbounded label cardinality); anything unparseable is

@@ -111,13 +111,6 @@ func PAAInto(dst, xs []float64, spans [][2]int) {
 	}
 }
 
-// PAA returns the segment means of xs over the given spans.
-func PAA(xs []float64, spans [][2]int) []float64 {
-	out := make([]float64, len(spans))
-	PAAInto(out, xs, spans)
-	return out
-}
-
 // FillRow computes one series' sketch row into dst (length Stride) from the
 // artifacts the corpus already maintains: the observation vector and its
 // LB_Keogh envelopes (summarised as segment means — LB_PAA). It never

@@ -10,6 +10,21 @@ import (
 	"uncertts/internal/stats"
 )
 
+// envelope returns vals' LB_Keogh envelopes under half-width r in fresh
+// slices.
+func envelope(vals []float64, r int) (upper, lower []float64) {
+	upper, lower = make([]float64, len(vals)), make([]float64, len(vals))
+	distance.EnvelopeIntoScratch(upper, lower, vals, r, &distance.EnvelopeScratch{})
+	return upper, lower
+}
+
+// paa returns the segment means of xs over the spans in a fresh slice.
+func paa(xs []float64, spans [][2]int) []float64 {
+	out := make([]float64, len(spans))
+	PAAInto(out, xs, spans)
+	return out
+}
+
 // genRow builds one synthetic series' sketch row plus the raw artifacts the
 // bounds are checked against.
 type genSeries struct {
@@ -25,7 +40,7 @@ func genRows(t *testing.T, lay Layout, b *arena.Builder, count int, seed int64) 
 		for t := range vals {
 			vals[t] = math.Sin(float64(t)*(0.05+0.3*rng.Float64())) + 0.5*rng.NormFloat64()
 		}
-		upper, lower := distance.Envelope(vals, 3)
+		upper, lower := envelope(vals, 3)
 		lay.FillRow(b.AppendZero(), vals, upper, lower)
 		out[i] = genSeries{values: vals, upper: upper, lower: lower}
 	}
@@ -93,7 +108,7 @@ func TestCoarseGeometry(t *testing.T) {
 		for i := range q {
 			q[i], x[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
-		qc, xc := PAA(q, c.Spans), PAA(x, c.Spans)
+		qc, xc := paa(q, c.Spans), paa(x, c.Spans)
 		var want, exact float64
 		for j := range qc {
 			want += c.Weights[j] * (qc[j] - xc[j]) * (qc[j] - xc[j])
@@ -136,9 +151,9 @@ func TestMinDistSoundness(t *testing.T) {
 	var scratch distance.DTWScratch
 	for qi := 0; qi < 10; qi++ {
 		q := series[qi].values
-		qpaa := PAA(q, lay.Spans)
-		qu, ql := distance.Envelope(q, 3)
-		quSeg, qlSeg := PAA(qu, lay.Spans), PAA(ql, lay.Spans)
+		qpaa := paa(q, lay.Spans)
+		qu, ql := envelope(q, 3)
+		quSeg, qlSeg := paa(qu, lay.Spans), paa(ql, lay.Spans)
 		for _, bk := range buckets {
 			eucl := MinDistSquared(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
 			for _, m := range bk.Members {
@@ -188,7 +203,7 @@ func TestBoundedVariants(t *testing.T) {
 	tree := Build(lay, 8, members, mat)
 	w := lay.W
 	for qi := 0; qi < 5; qi++ {
-		qpaa := PAA(series[qi].values, lay.Spans)
+		qpaa := paa(series[qi].values, lay.Spans)
 		for _, bk := range tree.Buckets() {
 			full := MinDistSquared(qpaa, bk.Lo[:w], bk.Hi[:w], lay.Spans)
 			for _, limit := range []float64{0, full / 2, full, full * 2, math.Inf(1)} {

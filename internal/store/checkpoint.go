@@ -125,34 +125,6 @@ func encodeCheckpoint(snap *corpus.Snapshot) ([]byte, error) {
 	return e.b, nil
 }
 
-// encodeCheckpointV1 renders the legacy interleaved body. The writer no
-// longer emits it; it exists so the tests can fabricate pre-arena
-// checkpoint files and prove the V1 reader keeps working.
-func encodeCheckpointV1(snap *corpus.Snapshot) ([]byte, error) {
-	var e enc
-	e.u64(snap.Epoch())
-	e.i64(int64(snap.NextID()))
-	if err := e.config(snap.Config()); err != nil {
-		return nil, err
-	}
-	e.u32(uint32(snap.Len()))
-	for i := 0; i < snap.Len(); i++ {
-		ent := snap.Entry(i)
-		e.i64(int64(ent.ID))
-		s := corpus.Series{Values: ent.PDF.Observations, Label: ent.PDF.Label}
-		if ent.OwnErrors {
-			s.Errors = ent.PDF.Errors
-		}
-		if ent.Samples != nil {
-			s.Samples = ent.Samples.Samples
-		}
-		if err := e.series(s); err != nil {
-			return nil, err
-		}
-	}
-	return e.b, nil
-}
-
 // decodeCheckpoint parses a V2 (columnar) checkpoint body: the values
 // block is decoded once and each restored series receives a subslice view
 // into it, so the only per-series allocations are for optional error and
@@ -163,7 +135,7 @@ func decodeCheckpoint(body []byte) (checkpointState, error) {
 	st.epoch = d.u64()
 	st.nextID = int(d.i64())
 	st.cfg = d.config()
-	if n, ok := d.sliceLen(8); ok {
+	if n, ok := d.seriesCount(st.cfg); ok {
 		block := d.f64Block()
 		length := st.cfg.Length
 		if d.err == nil && !holdsRows(len(block), n, length) {
@@ -189,6 +161,18 @@ func decodeCheckpoint(body []byte) (checkpointState, error) {
 	return st, nil
 }
 
+// seriesCount reads a checkpoint's series count. A corpus resolves its
+// length with its first series, so series under length 0 are a damaged body:
+// it fails to decode, and recovery falls back to an older checkpoint.
+func (d *dec) seriesCount(cfg corpus.Config) (int, bool) {
+	n, ok := d.sliceLen(8)
+	if ok && n > 0 && cfg.Length == 0 {
+		d.fail("%d series under no series length", n)
+		return 0, false
+	}
+	return n, ok
+}
+
 // holdsRows reports whether a block of size floats is exactly n rows of
 // length, by division, so that the product n*length of a damaged body
 // cannot wrap.
@@ -206,7 +190,7 @@ func decodeCheckpointV1(body []byte) (checkpointState, error) {
 	st.epoch = d.u64()
 	st.nextID = int(d.i64())
 	st.cfg = d.config()
-	if n, ok := d.sliceLen(8); ok {
+	if n, ok := d.seriesCount(st.cfg); ok {
 		st.series = make([]corpus.RestoredSeries, 0, n)
 		for i := 0; i < n; i++ {
 			id := int(d.i64())

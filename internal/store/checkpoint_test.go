@@ -45,12 +45,46 @@ func wrappingCheckpointBody(t testing.TB, epoch uint64) []byte {
 	return e.b
 }
 
+// zeroLengthCheckpointBody is a V2 body, or a V1 body, declaring two series
+// of no values under series length 0: what no corpus can hold, since it
+// resolves its length with its first series.
+func zeroLengthCheckpointBody(t testing.TB, epoch uint64, v1 bool) []byte {
+	var e enc
+	e.u64(epoch)
+	e.i64(2)
+	if err := e.config(corpus.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	e.u32(2)
+	if !v1 {
+		e.u64(0)
+	}
+	for id := 0; id < 2; id++ {
+		e.i64(int64(id))
+		encode := e.seriesTail
+		if v1 {
+			encode = e.series
+		}
+		if err := encode(corpus.Series{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e.b
+}
+
 // TestDamagedCheckpointFallsBack: a checkpoint whose checksum validates but
-// whose values block is too short for its series must fail to decode, not
-// panic, so recovery falls back to the older checkpoint before it.
+// whose values block is too short for its series, or whose series have no
+// length, must fail to decode, not panic, so recovery falls back to the older
+// checkpoint before it.
 func TestDamagedCheckpointFallsBack(t *testing.T) {
 	if _, err := decodeCheckpoint(wrappingCheckpointBody(t, 1)); err == nil {
 		t.Fatal("a values block too short for its series decoded")
+	}
+	if _, err := decodeCheckpoint(zeroLengthCheckpointBody(t, 1, false)); err == nil {
+		t.Fatal("a V2 body of series under length 0 decoded")
+	}
+	if _, err := decodeCheckpointV1(zeroLengthCheckpointBody(t, 1, true)); err == nil {
+		t.Fatal("a V1 body of series under length 0 decoded")
 	}
 	var negative enc
 	negative.u64(1)
@@ -81,12 +115,26 @@ func TestDamagedCheckpointFallsBack(t *testing.T) {
 	if st.epoch != snap.Epoch() {
 		t.Fatalf("recovered epoch %d, want the intact checkpoint's %d", st.epoch, snap.Epoch())
 	}
+
+	// Through Open: newer V2 and V1 checkpoints of series under length 0 are
+	// passed over for the intact one.
+	writeCheckpointFile(t, dir, ckptMagic, snap.Epoch()+2, zeroLengthCheckpointBody(t, snap.Epoch()+2, false))
+	writeCheckpointFile(t, dir, ckptMagicV1, snap.Epoch()+3, zeroLengthCheckpointBody(t, snap.Epoch()+3, true))
+	s, err := Open(dir, corpus.Config{}, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Corpus().Snapshot(); got.Epoch() != snap.Epoch() || got.Len() != 1 || got.SeriesLen() != 16 {
+		t.Fatalf("Open recovered epoch %d, %d series of length %d, want the intact checkpoint's %d, 1, 16", got.Epoch(), got.Len(), got.SeriesLen(), snap.Epoch())
+	}
 }
 
 // FuzzDecodeCheckpoint feeds both checkpoint decoders arbitrary bodies, from
-// seeds that are real V1 and V2 bodies of a small sampled corpus and the
-// wrapping-block body (testdata/fuzz): no input may panic, and every series
-// a decoder accepts must hold the config's length of values.
+// seeds that are real V1 and V2 bodies of a small sampled corpus, the
+// wrapping-block body and the zero-length bodies (testdata/fuzz): no input
+// may panic, and every series a decoder accepts must hold the config's
+// length of values, which is positive.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, v1 bool, body []byte) {
 		decode := decodeCheckpoint
@@ -98,7 +146,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			return
 		}
 		for _, rs := range st.series {
-			if len(rs.Series.Values) != st.cfg.Length {
+			if len(rs.Series.Values) != st.cfg.Length || st.cfg.Length <= 0 {
 				t.Fatalf("series %d holds %d values, config length %d", rs.ID, len(rs.Series.Values), st.cfg.Length)
 			}
 		}

@@ -424,9 +424,9 @@ func (d *dec) seriesTail() corpus.Series {
 
 func (d *dec) config() corpus.Config {
 	var cfg corpus.Config
-	cfg.Length = int(d.i64())
-	if cfg.Length < 0 {
-		d.fail("negative series length %d", cfg.Length)
+	length := d.i64()
+	if cfg.Length = int(length); length < 0 || int64(cfg.Length) != length {
+		d.fail("series length %d out of range", length)
 	}
 	cfg.ReportedSigma = d.f64()
 	if d.bool() {

@@ -366,6 +366,34 @@ func TestRecoveryIgnoresCheckpointTempFiles(t *testing.T) {
 	}
 }
 
+// encodeCheckpointV1 renders the legacy interleaved body, which the writer
+// no longer emits: the tests fabricate pre-arena checkpoint files with it to
+// prove the V1 reader keeps working.
+func encodeCheckpointV1(snap *corpus.Snapshot) ([]byte, error) {
+	var e enc
+	e.u64(snap.Epoch())
+	e.i64(int64(snap.NextID()))
+	if err := e.config(snap.Config()); err != nil {
+		return nil, err
+	}
+	e.u32(uint32(snap.Len()))
+	for i := 0; i < snap.Len(); i++ {
+		ent := snap.Entry(i)
+		e.i64(int64(ent.ID))
+		s := corpus.Series{Values: ent.PDF.Observations, Label: ent.PDF.Label}
+		if ent.OwnErrors {
+			s.Errors = ent.PDF.Errors
+		}
+		if ent.Samples != nil {
+			s.Samples = ent.Samples.Samples
+		}
+		if err := e.series(s); err != nil {
+			return nil, err
+		}
+	}
+	return e.b, nil
+}
+
 // TestReadsPreArenaV1Checkpoint proves backward compatibility of the
 // checkpoint reader: a file in the legacy interleaved V1 format (magic
 // UCKPT001, written before the columnar arena fast path existed) must

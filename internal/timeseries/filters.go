@@ -184,19 +184,9 @@ func UncertainMovingAverageInto(dst, values, sigmas []float64, w int, mode Weigh
 	return nil
 }
 
-// UncertainExponentialMovingAverage computes the paper's UEMA filter
-// (Eq. 18): exponential decay around the current point combined with the
-// 1/sigma uncertainty weights.
-func UncertainExponentialMovingAverage(values, sigmas []float64, w int, lambda float64, mode WeightMode) ([]float64, error) {
-	out := make([]float64, len(values))
-	if err := UncertainExponentialMovingAverageInto(out, values, sigmas, w, lambda, mode); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// UncertainExponentialMovingAverageInto computes the UEMA filter into dst
-// (len(dst) must equal len(values)).
+// UncertainExponentialMovingAverageInto computes the paper's UEMA filter
+// (Eq. 18) into dst (len(dst) must equal len(values)): exponential decay
+// around the current point combined with the 1/sigma uncertainty weights.
 func UncertainExponentialMovingAverageInto(dst, values, sigmas []float64, w int, lambda float64, mode WeightMode) error {
 	if len(values) != len(sigmas) {
 		return fmt.Errorf("timeseries: UncertainExponentialMovingAverage: %w (%d values, %d sigmas)", ErrLengthMismatch, len(values), len(sigmas))

@@ -172,20 +172,26 @@ func TestUMADownweightsNoisyPoint(t *testing.T) {
 	}
 }
 
+// uema returns the UEMA filter of values in a fresh slice.
+func uema(values, sigmas []float64, w int, lambda float64, mode WeightMode) ([]float64, error) {
+	out := make([]float64, len(values))
+	return out, UncertainExponentialMovingAverageInto(out, values, sigmas, w, lambda, mode)
+}
+
 func TestUEMAConstantSigmaEqualsEMA(t *testing.T) {
 	in := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	sig := make([]float64, len(in))
 	for i := range sig {
 		sig[i] = 1.3
 	}
-	uema, err := UncertainExponentialMovingAverage(in, sig, 2, 0.5, WeightModeNormalized)
+	got, err := uema(in, sig, 2, 0.5, WeightModeNormalized)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ema := ExponentialMovingAverage(in, 2, 0.5)
 	for i := range in {
-		if !almostEqual(uema[i], ema[i], 1e-12) {
-			t.Errorf("constant-sigma UEMA[%d] = %v, EMA = %v", i, uema[i], ema[i])
+		if !almostEqual(got[i], ema[i], 1e-12) {
+			t.Errorf("constant-sigma UEMA[%d] = %v, EMA = %v", i, got[i], ema[i])
 		}
 	}
 }
@@ -193,7 +199,7 @@ func TestUEMAConstantSigmaEqualsEMA(t *testing.T) {
 func TestUEMALambdaZeroEqualsUMA(t *testing.T) {
 	in := []float64{3, 1, 4, 1, 5, 9}
 	sig := []float64{1, 2, 1, 0.5, 1, 2}
-	uema, err := UncertainExponentialMovingAverage(in, sig, 2, 0, WeightModeNormalized)
+	got, err := uema(in, sig, 2, 0, WeightModeNormalized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +208,8 @@ func TestUEMALambdaZeroEqualsUMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range in {
-		if !almostEqual(uema[i], uma[i], 1e-12) {
-			t.Errorf("lambda=0 UEMA[%d] = %v, UMA = %v", i, uema[i], uma[i])
+		if !almostEqual(got[i], uma[i], 1e-12) {
+			t.Errorf("lambda=0 UEMA[%d] = %v, UMA = %v", i, got[i], uma[i])
 		}
 	}
 }
@@ -216,10 +222,10 @@ func TestUncertainFilterErrors(t *testing.T) {
 	if _, err := UncertainMovingAverage(in, []float64{1, 0, 1}, 1, WeightModeNormalized); err == nil {
 		t.Error("zero sigma should error")
 	}
-	if _, err := UncertainExponentialMovingAverage(in, []float64{1, -1, 1}, 1, 1, WeightModeNormalized); err == nil {
+	if _, err := uema(in, []float64{1, -1, 1}, 1, 1, WeightModeNormalized); err == nil {
 		t.Error("negative sigma should error")
 	}
-	if _, err := UncertainExponentialMovingAverage(in, []float64{1}, 1, 1, WeightModeNormalized); err == nil {
+	if _, err := uema(in, []float64{1}, 1, 1, WeightModeNormalized); err == nil {
 		t.Error("length mismatch should error")
 	}
 }

@@ -67,7 +67,7 @@ func TestPublicFiltersAndDistances(t *testing.T) {
 			t.Fatal("constant-sigma UMA must equal MA")
 		}
 	}
-	if _, err := timeseries.UncertainExponentialMovingAverage(vals, sig, 2, 0.5, WeightModeNormalized); err != nil {
+	if err := timeseries.UncertainExponentialMovingAverageInto(make([]float64, len(vals)), vals, sig, 2, 0.5, WeightModeNormalized); err != nil {
 		t.Fatal(err)
 	}
 	ema := timeseries.ExponentialMovingAverage(vals, 2, 0.5)
