@@ -2,7 +2,7 @@
 // a mutable corpus of uncertain series behind /query (topk, range,
 // probtopk, probrange across all seven measures), /query/stream
 // (incremental NDJSON results), /series (ingest and delete), /stats
-// (corpus and per-measure engine accounting), /healthz (liveness plus
+// (corpus geometry and per-measure engine accounting), /healthz (liveness plus
 // durability state) and /admin/checkpoint (checkpoint + WAL compaction on
 // demand).
 //
@@ -45,9 +45,11 @@
 //	uncertserve -addr :8090 -shards 4 -data /var/lib/uncertcluster
 //
 // Or run one plain uncertserve per shard and a separate coordinator-only
-// process pointed at them — shard processes serve the /cluster endpoints
-// the coordinator scatters over, exchanging the tightening top-k bound
-// mid-query:
+// process pointed at them. A shard speaks the node's own API: each leg of a
+// query is a /query/stream that carries the tightening top-k bound out, the
+// coordinator pushes it back in over POST /cluster/bound, and reads the
+// shard's geometry from /stats; GET /cluster/series forwards an ID-targeted
+// query:
 //
 //	uncertserve -addr :8081 -dataset "" -data /var/lib/shard-0 &
 //	uncertserve -addr :8082 -dataset "" -data /var/lib/shard-1 &

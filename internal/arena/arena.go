@@ -105,17 +105,6 @@ func (b *Builder) Grow(extra int) (copied int) {
 	return len(grown)
 }
 
-// Append copies row into the arena and returns the resident view. row must
-// have exactly the builder's stride.
-func (b *Builder) Append(row []float64) []float64 {
-	if len(row) != b.stride {
-		panic(fmt.Sprintf("arena: appending a %d-wide row to a stride-%d arena", len(row), b.stride))
-	}
-	v := b.AppendZero()
-	copy(v, row)
-	return v
-}
-
 // AppendZero extends the arena by one zero row and returns its view, for
 // callers that compute the row in place (filters, envelopes) without a
 // temporary.

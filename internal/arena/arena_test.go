@@ -6,10 +6,18 @@ import (
 
 func row(vals ...float64) []float64 { return vals }
 
+// appendRow appends a zero row and copies vals into it, the way the corpus
+// fills a row it derives.
+func appendRow(b *Builder, vals []float64) []float64 {
+	v := b.AppendZero()
+	copy(v, vals)
+	return v
+}
+
 func TestAppendAndRowViews(t *testing.T) {
 	b := NewBuilder(3, 0)
-	v0 := b.Append(row(1, 2, 3))
-	v1 := b.Append(row(4, 5, 6))
+	v0 := appendRow(b, row(1, 2, 3))
+	v1 := appendRow(b, row(4, 5, 6))
 	if b.Rows() != 2 {
 		t.Fatalf("rows = %d, want 2", b.Rows())
 	}
@@ -37,9 +45,9 @@ func TestAppendAndRowViews(t *testing.T) {
 // spare capacity of the same backing array or force a reallocation.
 func TestMatrixIsImmuneToLaterAppends(t *testing.T) {
 	b := NewBuilder(2, 8) // room for in-place appends
-	b.Append(row(1, 2))
+	appendRow(b, row(1, 2))
 	m := b.Matrix()
-	v := b.Append(row(3, 4)) // fits in capacity: same backing array
+	v := appendRow(b, row(3, 4)) // fits in capacity: same backing array
 	if m.Rows() != 1 {
 		t.Fatalf("snapshot rows grew to %d", m.Rows())
 	}
@@ -55,7 +63,7 @@ func TestMatrixIsImmuneToLaterAppends(t *testing.T) {
 		t.Fatalf("append through a capped view overwrote the next row: %v", v)
 	}
 	for i := 0; i < 100; i++ { // force several reallocations
-		b.Append(row(float64(i), float64(-i)))
+		appendRow(b, row(float64(i), float64(-i)))
 	}
 	if r := m.Row(0); r[0] != 1 || r[1] != 2 {
 		t.Fatalf("snapshot row changed after reallocation: %v", r)
@@ -64,10 +72,10 @@ func TestMatrixIsImmuneToLaterAppends(t *testing.T) {
 
 func TestTruncateRollsBackStagedRows(t *testing.T) {
 	b := NewBuilder(2, 4)
-	b.Append(row(1, 2))
+	appendRow(b, row(1, 2))
 	m := b.Matrix()
-	b.Append(row(3, 4))
-	b.Append(row(5, 6))
+	appendRow(b, row(3, 4))
+	appendRow(b, row(5, 6))
 	b.Truncate(1)
 	if b.Rows() != 1 {
 		t.Fatalf("rows = %d after truncate, want 1", b.Rows())
@@ -87,7 +95,7 @@ func TestTruncateRollsBackStagedRows(t *testing.T) {
 func TestCompactLeavesOldStorageIntact(t *testing.T) {
 	b := NewBuilder(2, 0)
 	for i := 0; i < 5; i++ {
-		b.Append(row(float64(i), float64(10*i)))
+		appendRow(b, row(float64(i), float64(10*i)))
 	}
 	old := b.Matrix()
 	nb := b.Compact([]int{0, 2, 4})
@@ -114,14 +122,14 @@ func TestCompactLeavesOldStorageIntact(t *testing.T) {
 
 func TestGrowPreservesRowsAndAvoidsRealloc(t *testing.T) {
 	b := NewBuilder(4, 0)
-	b.Append(row(1, 2, 3, 4))
+	appendRow(b, row(1, 2, 3, 4))
 	b.Grow(1000)
 	if b.Rows() != 1 || b.Matrix().Row(0)[3] != 4 {
 		t.Fatalf("grow disturbed existing rows")
 	}
 	v := b.Matrix().Row(0)
 	for i := 0; i < 1000; i++ {
-		b.Append(row(5, 6, 7, 8))
+		appendRow(b, row(5, 6, 7, 8))
 	}
 	if v[0] != 1 {
 		t.Fatalf("row view invalidated by appends within reserved capacity")
@@ -147,7 +155,7 @@ func TestGrowIsGeometric(t *testing.T) {
 			}
 			for i := 0; i < k; i++ {
 				r := float64(b.Rows())
-				b.Append(row(r, r, r, r))
+				appendRow(b, row(r, r, r, r))
 			}
 		}
 		// Doubling from k rows reaches total in log2(total/k) steps, plus the
@@ -179,7 +187,7 @@ func TestGrowIsGeometric(t *testing.T) {
 // row view is capped at its stride.
 func TestRowFillsAStagedRow(t *testing.T) {
 	b := NewBuilder(2, 0)
-	b.Append(row(1, 2))
+	appendRow(b, row(1, 2))
 	b.AppendZero()
 	b.AppendZero()
 	copy(b.Row(2), row(5, 6))

@@ -301,7 +301,7 @@ func TestDegradedShardTimeout(t *testing.T) {
 	var hangAll, hangOne hangFlag
 	co, _, _ := httpCluster(t, 3, Options{ShardTimeout: 150 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/cluster/query" && (hangAll.Load() || (hangOne.Load() && i == 1)) {
+			if r.URL.Path == "/query/stream" && (hangAll.Load() || (hangOne.Load() && i == 1)) {
 				// Drain the body first: the server only watches for client
 				// disconnect (which cancels r.Context()) once the request
 				// body has been consumed.
@@ -376,7 +376,7 @@ func TestDegradedMidStreamDeath(t *testing.T) {
 	var die hangFlag
 	co, _, _ := httpCluster(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/cluster/query" && die.Load() && i == 0 {
+			if r.URL.Path == "/query/stream" && die.Load() && i == 0 {
 				// A plausible item record, then the connection dies with no
 				// done record — as if the process was SIGKILLed mid-query.
 				w.Header().Set("Content-Type", "application/x-ndjson")
@@ -489,6 +489,11 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	}
 	if st.Series != 12 {
 		t.Fatalf("merged stats should count 12 resident series, got %d", st.Series)
+	}
+	// The shards' /stats carry next_id over the wire; the merge is the max,
+	// where a recovered allocator continues.
+	if st.NextID != 12 {
+		t.Fatalf("merged stats should put the next unassigned ID at 12, got %d", st.NextID)
 	}
 	ms, ok := st.Measures["Euclidean"]
 	if !ok || ms.Candidates == 0 {

@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,7 +45,7 @@ type Coordinator struct {
 
 	// mu serializes mutations and guards the global ID allocator.
 	mu     sync.Mutex
-	nextID int // -1 until recovered from shard Info
+	nextID int // -1 until recovered from the shards' Stats
 }
 
 // New builds a coordinator over the shards. The shard order is part of
@@ -217,78 +218,58 @@ func (c *Coordinator) Query(ctx context.Context, req server.QueryRequest) (*Resp
 	return out, nil
 }
 
-// merge folds the per-shard answers into the global one: sort the union
-// by the kind's deterministic order, truncate top-k kinds to k, record
-// the pre-window total, and apply the offset/limit window.
+// merge folds the per-shard answers into the global one. Every kind ranks
+// by (key, ID): the distance for topk, the negated probability for probtopk
+// (as the engine's collector ranks it: negation is exact, so -p orders and
+// ties exactly as p descending), none for the range kinds, whose answer is
+// in ID order and never cut to k.
 func (c *Coordinator) merge(out *Response, results []*server.QueryResponse, kind engine.Kind, req server.QueryRequest) {
 	switch kind {
 	case engine.KindTopK:
-		var all []server.NeighborJSON
-		for _, r := range results {
-			if r != nil {
-				all = append(all, r.Neighbors...)
-			}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			a, b := all[i], all[j]
-			if a.Distance != b.Distance {
-				return a.Distance < b.Distance
-			}
-			return a.ID < b.ID
-		})
-		if req.K > 0 && len(all) > req.K {
-			all = all[:req.K]
-		}
-		out.Total = len(all)
-		out.Neighbors = window(all, req.Offset, req.Limit)
+		out.Neighbors, out.Total = rank(results, req,
+			func(r *server.QueryResponse) []server.NeighborJSON { return r.Neighbors },
+			func(n server.NeighborJSON) (float64, int) { return n.Distance, n.ID })
 	case engine.KindProbTopK:
-		var all []server.MatchJSON
-		for _, r := range results {
-			if r != nil {
-				all = append(all, r.Matches...)
-			}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			a, b := all[i], all[j]
-			if a.Prob != b.Prob {
-				return a.Prob > b.Prob
-			}
-			return a.ID < b.ID
-		})
-		if req.K > 0 && len(all) > req.K {
-			all = all[:req.K]
-		}
-		out.Total = len(all)
-		out.Matches = window(all, req.Offset, req.Limit)
+		out.Matches, out.Total = rank(results, req,
+			func(r *server.QueryResponse) []server.MatchJSON { return r.Matches },
+			func(m server.MatchJSON) (float64, int) { return -m.Prob, m.ID })
 	default:
-		var ids []int
-		for _, r := range results {
-			if r != nil {
-				ids = append(ids, r.IDs...)
-			}
-		}
-		sort.Ints(ids)
-		out.Total = len(ids)
-		out.IDs = window(ids, req.Offset, req.Limit)
+		req.K = 0 // a range answer is never cut
+		out.IDs, out.Total = rank(results, req,
+			func(r *server.QueryResponse) []int { return r.IDs },
+			func(id int) (float64, int) { return 0, id })
 	}
 }
 
-// window applies the /query offset/limit semantics to the final merged
-// ordering: drop the first offset entries, then truncate to limit
-// (0 = all). An empty window stays nil so the JSON field is omitted,
-// exactly like a single-node empty answer.
-func window[T any](s []T, offset, limit int) []T {
-	if offset >= len(s) {
-		return nil
+// rank is the one merge: the union of the shards' entries (entries picks
+// them out of an answer) sorted by key, cut to the first req.K (0 = all),
+// and the pre-window total beside the /query offset/limit window of it. An
+// empty window stays nil so the JSON field is omitted, exactly like a
+// single-node empty answer.
+func rank[T any](results []*server.QueryResponse, req server.QueryRequest, entries func(*server.QueryResponse) []T, key func(T) (float64, int)) ([]T, int) {
+	var all []T
+	for _, r := range results {
+		if r != nil {
+			all = append(all, entries(r)...)
+		}
 	}
-	s = s[offset:]
-	if limit > 0 && len(s) > limit {
-		s = s[:limit]
+	slices.SortFunc(all, func(a, b T) int {
+		ka, ia := key(a)
+		kb, ib := key(b)
+		return cmp.Or(cmp.Compare(ka, kb), cmp.Compare(ia, ib))
+	})
+	if req.K > 0 && len(all) > req.K {
+		all = all[:req.K]
 	}
-	if len(s) == 0 {
-		return nil
+	total := len(all)
+	if req.Offset >= total {
+		return nil, total
 	}
-	return s
+	all = all[req.Offset:]
+	if req.Limit > 0 && len(all) > req.Limit {
+		all = all[:req.Limit]
+	}
+	return all, total
 }
 
 // forwardSeries turns a fetched resident series into the ad-hoc query the
@@ -347,7 +328,7 @@ func degradable(err error) bool {
 
 // Mutate applies one ingestion/deletion request across the cluster. The
 // coordinator allocates the global IDs (recovering its allocator from
-// shard Info on first use), routes every series and deletion to its
+// the shards' Stats on first use), routes every series and deletion to its
 // ShardFor home, and applies the per-shard sub-mutations in shard order.
 // Mutations are serialized coordinator-side and atomic per shard but NOT
 // atomic across shards: a mid-sequence shard failure leaves earlier
@@ -407,12 +388,12 @@ func (c *Coordinator) Mutate(ctx context.Context, req server.SeriesRequest) (*se
 	var epoch uint64
 	series := 0
 	for _, sh := range c.shards {
-		info, err := sh.Info(ctx)
+		st, err := sh.Stats(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("mutation applied, but reading geometry from shard %s: %w", sh.Name(), err)
 		}
-		epoch += info.Epoch
-		series += info.Series
+		epoch += st.Epoch
+		series += st.Series
 	}
 	return &server.SeriesResponse{IDs: ids, Deleted: len(req.Delete), Epoch: epoch, Series: series}, nil
 }
@@ -426,21 +407,20 @@ func (c *Coordinator) recoverNextID(ctx context.Context) error {
 	}
 	next := 0
 	for _, sh := range c.shards {
-		info, err := sh.Info(ctx)
+		st, err := sh.Stats(ctx)
 		if err != nil {
 			return fmt.Errorf("recovering the ID allocator from shard %s: %w", sh.Name(), err)
 		}
-		if info.NextID > next {
-			next = info.NextID
-		}
+		next = max(next, st.NextID)
 	}
 	c.nextID = next
 	return nil
 }
 
 // Stats merges the shards' /stats payloads: resident counts and epochs
-// sum, per-measure engine counters merge field-wise (the wire-stable
-// engine.Stats shape is what makes this drift-free).
+// sum, the next unassigned ID is the max over shards, per-measure engine
+// counters merge field-wise (the wire-stable engine.Stats shape is what
+// makes this drift-free).
 func (c *Coordinator) Stats(ctx context.Context) (*server.StatsResponse, error) {
 	out := &server.StatsResponse{Measures: make(map[string]server.MeasureStatsJSON)}
 	merged := make(map[string]engine.Stats)
@@ -451,9 +431,8 @@ func (c *Coordinator) Stats(ctx context.Context) (*server.StatsResponse, error) 
 		}
 		out.Epoch += st.Epoch
 		out.Series += st.Series
-		if st.SeriesLen > out.SeriesLen {
-			out.SeriesLen = st.SeriesLen
-		}
+		out.SeriesLen = max(out.SeriesLen, st.SeriesLen)
+		out.NextID = max(out.NextID, st.NextID)
 		for name, ms := range st.Measures {
 			merged[name] = merged[name].Merge(ms.Stats)
 		}

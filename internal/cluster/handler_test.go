@@ -31,10 +31,8 @@ func TestRoutesCheckMethods(t *testing.T) {
 		{"server", "GET", "/metrics"},
 		{"server", "GET", "/debug/trace"},
 		{"server", "POST", "/admin/checkpoint"},
-		{"server", "POST", "/cluster/query"},
 		{"server", "POST", "/cluster/bound"},
 		{"server", "GET", "/cluster/series"},
-		{"server", "GET", "/cluster/info"},
 		{"coordinator", "POST", "/query"},
 		{"coordinator", "POST", "/series"},
 		{"coordinator", "GET", "/stats"},

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -40,11 +41,11 @@ func (e *ShardStatusError) Error() string {
 // mirrors the shard's own report cadence (server.boundPollInterval).
 const boundPushInterval = 2 * time.Millisecond
 
-// HTTPShard drives one remote shard process over its /cluster endpoints.
-// Queries stream back over NDJSON; bound propagation runs both ways while
-// the stream is open — shard-side improvements arrive as bound records in
-// the stream, coordinator-side improvements are POSTed to /cluster/bound
-// keyed by a per-query token.
+// HTTPShard drives one remote shard process over its public API plus the
+// two private /cluster endpoints. A query leg is a /query/stream; bound
+// propagation runs both ways while the stream is open — shard-side
+// improvements arrive as bound records in the stream, coordinator-side
+// improvements are POSTed to /cluster/bound keyed by a per-query token.
 type HTTPShard struct {
 	name   string
 	base   string
@@ -74,15 +75,14 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// wireRecord is the union of every record kind a /cluster/query NDJSON
-// stream interleaves: bound records (bound_sq / prob_bound, no id), item
+// wireRecord is the union of every record kind a /query/stream NDJSON
+// answer interleaves: bound records (bound_sq / prob_bound, no id), item
 // records (id plus distance or prob), the final done record, and the
 // mid-stream error record.
 type wireRecord struct {
-	Done  bool         `json:"done"`
-	Epoch uint64       `json:"epoch"`
-	Total int          `json:"total"`
-	Stats engine.Stats `json:"stats"`
+	Done  bool   `json:"done"`
+	Epoch uint64 `json:"epoch"`
+	Total int    `json:"total"`
 
 	Error string `json:"error"`
 
@@ -94,8 +94,10 @@ type wireRecord struct {
 	Prob     *float64 `json:"prob"`
 }
 
-// Query collects the shard's /cluster/query stream in arrival order (range
-// items come in confirmation order); Coordinator.merge sorts the union.
+// Query runs the leg as a /query/stream on the shard, the request carrying
+// the shared cut's seed and a push token, and collects the stream in
+// arrival order (range items come in confirmation order);
+// Coordinator.merge sorts the union.
 func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *engine.Bound, pbnd *engine.ProbBound) (*server.QueryResponse, error) {
 	m, err := engine.ParseMeasure(req.Measure)
 	if err != nil {
@@ -106,27 +108,27 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 		return nil, err
 	}
 
-	creq := server.ClusterQueryRequest{QueryRequest: req}
+	sreq := server.StreamRequest{QueryRequest: req}
 	token := ""
 	if bnd != nil || pbnd != nil {
 		token = newToken()
-		creq.BoundToken = token
+		sreq.BoundToken = token
 	}
 	if bnd != nil {
 		if v := bnd.Squared(); !math.IsInf(v, 1) {
-			creq.BoundSq = &v
+			sreq.BoundSq = &v
 		}
 	}
 	if pbnd != nil {
 		if v := pbnd.Value(); !math.IsInf(v, -1) {
-			creq.ProbBound = &v
+			sreq.ProbBound = &v
 		}
 	}
-	body, err := json.Marshal(creq)
+	body, err := json.Marshal(sreq)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/cluster/query", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/query/stream", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -184,48 +186,52 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 			}
 		}()
 	}
-	stopPush := func() {
-		close(pushDone)
-		pushWG.Wait()
-	}
 
-	out := &server.QueryResponse{Measure: m.String(), Type: kind.String()}
-	dec := json.NewDecoder(resp.Body)
+	out, err := readStream(resp.Body, kind, bnd, pbnd)
+	close(pushDone)
+	pushWG.Wait()
+	switch {
+	case err == nil:
+		out.Measure = m.String()
+		return out, nil
+	case ctx.Err() != nil:
+		return nil, fmt.Errorf("shard %s: %w", h.name, ctx.Err())
+	default:
+		return nil, qerr.ShardUnreachablef("shard %s: %v", h.name, err)
+	}
+}
+
+// readStream reads one /query/stream answer of the given kind up to its done
+// record, folding the shard's bound records into bnd/pbnd (nil = dropped) as
+// they arrive. A stream that fails, ends before its done record, or carries a
+// top-k item without its key (a distance for topk, a probability for
+// probtopk) is an error: such an item would enter the merge at key 0 and rank
+// first.
+func readStream(r io.Reader, kind engine.Kind, bnd *engine.Bound, pbnd *engine.ProbBound) (*server.QueryResponse, error) {
+	out := &server.QueryResponse{Type: kind.String()}
+	dec := json.NewDecoder(r)
 	for {
 		var rec wireRecord
-		if err := dec.Decode(&rec); err != nil {
-			stopPush()
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("shard %s: %w", h.name, ctx.Err())
-			}
-			if err == io.EOF {
-				return nil, qerr.ShardUnreachablef("shard %s: stream ended without a done record", h.name)
-			}
-			return nil, qerr.ShardUnreachablef("shard %s: reading stream: %v", h.name, err)
+		if err := dec.Decode(&rec); err == io.EOF {
+			return nil, errors.New("stream ended without a done record")
+		} else if err != nil {
+			return nil, fmt.Errorf("reading stream: %w", err)
 		}
 		switch {
 		case rec.Error != "":
-			stopPush()
-			return nil, qerr.ShardUnreachablef("shard %s failed mid-stream: %s", h.name, rec.Error)
+			return nil, fmt.Errorf("failed mid-stream: %s", rec.Error)
 		case rec.Done:
-			stopPush()
 			out.Epoch = rec.Epoch
 			out.Total = rec.Total
 			return out, nil
 		case rec.ID != nil:
-			switch kind {
-			case engine.KindTopK:
-				d := 0.0
-				if rec.Distance != nil {
-					d = *rec.Distance
-				}
-				out.Neighbors = append(out.Neighbors, server.NeighborJSON{ID: *rec.ID, Distance: d})
-			case engine.KindProbTopK:
-				p := 0.0
-				if rec.Prob != nil {
-					p = *rec.Prob
-				}
-				out.Matches = append(out.Matches, server.MatchJSON{ID: *rec.ID, Prob: p})
+			switch {
+			case kind == engine.KindTopK && rec.Distance != nil:
+				out.Neighbors = append(out.Neighbors, server.NeighborJSON{ID: *rec.ID, Distance: *rec.Distance})
+			case kind == engine.KindProbTopK && rec.Prob != nil:
+				out.Matches = append(out.Matches, server.MatchJSON{ID: *rec.ID, Prob: *rec.Prob})
+			case kind == engine.KindTopK || kind == engine.KindProbTopK:
+				return nil, fmt.Errorf("%s item %d carries no key", kind, *rec.ID)
 			default:
 				out.IDs = append(out.IDs, *rec.ID)
 			}
@@ -277,14 +283,6 @@ func (h *HTTPShard) FetchSeries(ctx context.Context, id int) (*server.ClusterSer
 		return nil, err
 	}
 	return &out, nil
-}
-
-func (h *HTTPShard) Info(ctx context.Context) (server.ClusterInfoJSON, error) {
-	var out server.ClusterInfoJSON
-	if err := h.get(ctx, "/cluster/info", &out); err != nil {
-		return server.ClusterInfoJSON{}, err
-	}
-	return out, nil
 }
 
 func (h *HTTPShard) Stats(ctx context.Context) (*server.StatsResponse, error) {

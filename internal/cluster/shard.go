@@ -23,9 +23,8 @@ type Shard interface {
 	// FetchSeries returns a resident series in its wire ingestion shape,
 	// so an ID-targeted query can be forwarded to the other shards.
 	FetchSeries(ctx context.Context, id int) (*server.ClusterSeriesJSON, error)
-	// Info reports the shard's geometry (epoch, counts, next ID).
-	Info(ctx context.Context) (server.ClusterInfoJSON, error)
-	// Stats returns the shard's cumulative engine accounting.
+	// Stats returns the shard's geometry (epoch, counts, next ID) and
+	// cumulative engine accounting.
 	Stats(ctx context.Context) (*server.StatsResponse, error)
 	// Health returns the shard's liveness and durability picture.
 	Health(ctx context.Context) (*server.HealthResponse, error)
@@ -62,10 +61,6 @@ func (l *LocalShard) Mutate(_ context.Context, req server.SeriesRequest) (*serve
 
 func (l *LocalShard) FetchSeries(_ context.Context, id int) (*server.ClusterSeriesJSON, error) {
 	return l.srv.FetchSeries(id)
-}
-
-func (l *LocalShard) Info(_ context.Context) (server.ClusterInfoJSON, error) {
-	return l.srv.Info(), nil
 }
 
 func (l *LocalShard) Stats(_ context.Context) (*server.StatsResponse, error) {

@@ -1,7 +1,8 @@
 // Package cluster scales the single-process serving tier out to a
 // partitioned corpus: a deterministic shard map assigns every series to
 // one shard by its stable global ID, each shard is a full corpus + store
-// + engine stack behind the existing server API, and a scatter-gather
+// + engine stack behind the existing server API (a query leg is its
+// /query/stream, its geometry its /stats), and a scatter-gather
 // coordinator broadcasts each query to all shards, merges the per-shard
 // answers deterministically, and propagates the tightening global top-k
 // bound back into still-running shards mid-flight.

@@ -29,12 +29,12 @@ func newShardServerWithTracer(t testing.TB, tr *telemetry.Tracer) *server.Server
 // cross-process propagation contract is asserted on the actual wire.
 type traceRecorder struct {
 	mu   sync.Mutex
-	seen map[int]string // shard index -> trace header on /cluster/query
+	seen map[int]string // shard index -> trace header on /query/stream
 }
 
 func (tr *traceRecorder) middleware(i int, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cluster/query" {
+		if r.URL.Path == "/query/stream" {
 			tr.mu.Lock()
 			tr.seen[i] = r.Header.Get(telemetry.TraceHeader)
 			tr.mu.Unlock()
@@ -162,7 +162,7 @@ func spanNames(spans []telemetry.SpanJSON) []string {
 }
 
 // TestShardAdoptsCoordinatorTraceID asserts the shard side of the
-// contract: a /cluster/query leg carrying a trace header finishes a shard
+// contract: a /query/stream leg carrying a trace header finishes a shard
 // trace under that exact ID, so one grep correlates the coordinator's
 // trace with every shard's.
 func TestShardAdoptsCoordinatorTraceID(t *testing.T) {
@@ -198,7 +198,7 @@ func TestShardAdoptsCoordinatorTraceID(t *testing.T) {
 	if recent[0].ID != traceID {
 		t.Fatalf("shard finished trace %q, want the coordinator's %q", recent[0].ID, traceID)
 	}
-	if recent[0].Op != "cluster_query" {
-		t.Fatalf("shard trace op = %q, want cluster_query", recent[0].Op)
+	if recent[0].Op != "query_stream" {
+		t.Fatalf("shard trace op = %q, want query_stream", recent[0].Op)
 	}
 }

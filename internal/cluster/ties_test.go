@@ -115,8 +115,8 @@ func TestTiesAcrossKthPlaceComeBackInIDOrder(t *testing.T) {
 	})
 }
 
-// TestClusterQueryBoundRecordsOnTheWire reads a shard's /cluster/query NDJSON
-// stream and holds the bound records in it to their wire contract, which the
+// TestClusterQueryBoundRecordsOnTheWire reads a shard's top-k /query/stream
+// answer and holds the bound records in it to their wire contract, which the
 // engine's cut must honour whatever it stores internally: bound_sq is a
 // non-increasing upper bound on the k-th best squared distance, prob_bound a
 // non-decreasing lower bound on the k-th best probability (a probability, in
@@ -149,21 +149,21 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	dtwURL, dtwQ := shard(768)
 	url, q := shard(256)
 
-	// stream posts one cluster query to the shard at url and returns the
+	// stream posts one scatter leg to the shard at url and returns the
 	// bound records and the answer's keys, both in arrival order.
-	stream := func(url string, req server.ClusterQueryRequest) (bounds []server.ClusterBoundJSON, keys []float64) {
+	stream := func(url string, req server.StreamRequest) (bounds []server.ClusterBoundJSON, keys []float64) {
 		t.Helper()
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(url+"/cluster/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/query/stream", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/cluster/query: status %d", resp.StatusCode)
+			t.Fatalf("/query/stream: status %d", resp.StatusCode)
 		}
 		sc := bufio.NewScanner(resp.Body)
 		done := false
@@ -198,7 +198,7 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	}
 
 	t.Run("topk", func(t *testing.T) {
-		bounds, keys := stream(dtwURL, server.ClusterQueryRequest{QueryRequest: server.QueryRequest{Measure: "dtw", Type: "topk", K: k, Series: &dtwQ}})
+		bounds, keys := stream(dtwURL, server.StreamRequest{QueryRequest: server.QueryRequest{Measure: "dtw", Type: "topk", K: k, Series: &dtwQ}})
 		if len(keys) != k || len(bounds) == 0 {
 			t.Fatalf("%d answers, %d bound records; want %d and at least one", len(keys), len(bounds), k)
 		}
@@ -224,7 +224,7 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 	// records to the contract: prob_bound only, strictly rising, from the
 	// seed at the lowest to the final k-th probability at the highest.
 	probtopk := func(t *testing.T, seed float64) (bounds []server.ClusterBoundJSON, keys []float64) {
-		bounds, keys = stream(url, server.ClusterQueryRequest{
+		bounds, keys = stream(url, server.StreamRequest{
 			QueryRequest: server.QueryRequest{Measure: "munich", Type: "probtopk", Eps: 6, K: k, Series: &q},
 			ProbBound:    &seed,
 		})

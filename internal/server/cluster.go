@@ -14,33 +14,29 @@ import (
 )
 
 // The shard-side cluster surface. A server doubles as one shard of a
-// scatter-gather cluster (see internal/cluster): the coordinator
-// broadcasts a query to every shard's /cluster/query, streams candidates
-// back over NDJSON, and exchanges the tightening global top-k bound both
-// ways mid-flight —
+// scatter-gather cluster (see internal/cluster): the coordinator posts a
+// query to every shard's /query/stream as a StreamRequest, reads the
+// candidates back over NDJSON, and exchanges the tightening global top-k
+// cut both ways mid-flight — the stream's bound records carry the shard's
+// cut out, and two private endpoints carry the rest:
 //
-//	POST /cluster/query  one QueryRequest plus a bound token; the NDJSON
-//	                     response interleaves bound records (the shard's
-//	                     own cut improving) with item records, then a
-//	                     final done record carrying the shard's epoch and
-//	                     wire-stable engine stats;
 //	POST /cluster/bound  pushes the coordinator's tighter global bound
-//	                     into a running query, keyed by the bound token;
+//	                     into a running stream, keyed by its bound token;
 //	GET  /cluster/series fetches a resident series in its wire form, so
 //	                     the coordinator can forward an ID-targeted query
-//	                     to the shards that do not hold the series;
-//	GET  /cluster/info   shard geometry: epoch, series count, length and
-//	                     the next unassigned ID (coordinator recovery).
+//	                     to the shards that do not hold the series.
 //
-// In-process shards skip HTTP entirely: cluster.LocalShard calls RunBound
-// with a shared engine.Bound, and propagation is the atomic itself.
+// A shard's geometry (epoch, series, length, next unassigned ID) is its
+// /stats. In-process shards skip HTTP entirely: cluster.LocalShard calls
+// RunBound with a shared engine.Bound, and propagation is the atomic itself.
 
-// ClusterQueryRequest is the wire form of POST /cluster/query: a plain
-// query plus the mid-flight bound plumbing.
-type ClusterQueryRequest struct {
+// StreamRequest is the wire form of POST /query/stream: a plain query plus
+// the seed and push token of a top-k stream's cut. A coordinator's scatter
+// leg fills them in; a client leaves them out.
+type StreamRequest struct {
 	QueryRequest
-	// BoundToken keys this execution in the shard's bound registry so the
-	// coordinator can push a tighter global bound mid-flight (empty =
+	// BoundToken keys the stream's cut in the shard's bound registry so
+	// the coordinator can push a tighter global bound mid-flight (empty =
 	// no push channel; the stream's own bound records still flow).
 	BoundToken string `json:"bound_token,omitempty"`
 	// BoundSq seeds the top-k cut (squared-distance space, already
@@ -51,7 +47,7 @@ type ClusterQueryRequest struct {
 }
 
 // ClusterBoundJSON is both the wire form of POST /cluster/bound and the
-// bound record interleaved into a /cluster/query NDJSON stream.
+// bound record a top-k /query/stream interleaves with its items.
 type ClusterBoundJSON struct {
 	// Token keys the running execution (POST /cluster/bound only).
 	Token string `json:"token,omitempty"`
@@ -63,17 +59,6 @@ type ClusterBoundJSON struct {
 	ProbBound *float64 `json:"prob_bound,omitempty"`
 }
 
-// ClusterDoneJSON is the final /cluster/query stream record.
-type ClusterDoneJSON struct {
-	Done  bool   `json:"done"`
-	Epoch uint64 `json:"epoch"`
-	// Total is the number of item records streamed before this one.
-	Total int `json:"total"`
-	// Stats is the shard's cumulative engine accounting for the query's
-	// measure, in the wire-stable engine.Stats shape.
-	Stats engine.Stats `json:"stats"`
-}
-
 // ClusterSeriesJSON is the wire form of GET /cluster/series: a resident
 // series rendered back into its ingestion shape, faithful for every
 // series that entered through the JSON surface (values + constant sigma +
@@ -83,16 +68,8 @@ type ClusterSeriesJSON struct {
 	Series SeriesJSON `json:"series"`
 }
 
-// ClusterInfoJSON is the wire form of GET /cluster/info.
-type ClusterInfoJSON struct {
-	Epoch     uint64 `json:"epoch"`
-	Series    int    `json:"series"`
-	SeriesLen int    `json:"series_len"`
-	NextID    int    `json:"next_id"`
-}
-
-// boundRegistry tracks the shared cuts of running cluster queries so
-// /cluster/bound pushes can reach them by token.
+// boundRegistry tracks the cuts of running top-k streams so /cluster/bound
+// pushes can reach them by token.
 type boundRegistry struct {
 	mu sync.Mutex
 	m  map[string]*boundPair
@@ -142,35 +119,23 @@ func (s *Server) RunBound(ctx context.Context, req QueryRequest, bnd *engine.Bou
 	return toResponse(snap, ereq.Measure, res), nil
 }
 
-// boundPollInterval is how often a /cluster/query stream samples its
-// shard-local cut for improvements to report. Cheap (one atomic load) and
-// far below any realistic shard scan time, yet coarse enough that bound
-// records stay a rounding error next to item payloads.
+// boundPollInterval is how often a top-k stream samples its cut for
+// improvements to report. Cheap (one atomic load) and far below any
+// realistic shard scan time, yet coarse enough that bound records stay a
+// rounding error next to item payloads.
 const boundPollInterval = 2 * time.Millisecond
 
-// handleClusterQuery serves POST /cluster/query: the scatter leg of a
-// coordinator's query. The NDJSON response interleaves ClusterBoundJSON
-// records (whenever this shard's own cut tightens) with StreamItemJSON
-// records, then closes with a ClusterDoneJSON; it ends as ndjson.fail says.
-// The leg adopts the coordinator's trace ID from the request header, so the
-// shard's own ring holds this query's spans under the ID the coordinator
-// (and the client) quote: one ID pulls the cross-shard picture from every
-// /debug/trace it touched.
-func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
-	var req ClusterQueryRequest
-	ctx, end, ok := OpenQuery(w, r, &req, s.tracer, "cluster_query", s.opts.DefaultTimeout)
-	if !ok {
-		return
+// shareCut gives a top-k stream a cut of its own: seeded from the body,
+// registered under its bound token, and reported on the stream as a
+// ClusterBoundJSON record whenever it tightens, so a coordinator can relay
+// it to the other shards while this scan still runs. It returns what stops
+// the reports and unregisters the cut; call it once the scan has returned.
+// The range kinds have no cut: for them it does nothing.
+func (s *Server) shareCut(req *StreamRequest, ereq *engine.Request, out *ndjson) (stop func()) {
+	kind := ereq.Kind
+	if kind != engine.KindTopK && kind != engine.KindProbTopK {
+		return func() {}
 	}
-	e, snap, ereq, done, err := s.start(ctx, req.QueryRequest)
-	if err != nil {
-		end(err)
-		http.Error(w, err.Error(), statusFor(err))
-		return
-	}
-
-	// The shared cut: seeded from the coordinator's current knowledge,
-	// registered for mid-flight pushes, sampled for mid-flight reports.
 	bnd, pbnd := engine.NewBound(), engine.NewProbBound()
 	if req.BoundSq != nil {
 		bnd.LowerSquared(*req.BoundSq)
@@ -181,56 +146,40 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	ereq.Bound, ereq.ProbBound = bnd, pbnd
 	if req.BoundToken != "" {
 		s.bounds.register(req.BoundToken, &boundPair{bnd: bnd, pbnd: pbnd})
-		defer s.bounds.unregister(req.BoundToken)
 	}
-	out := newNDJSON(w, snap, ereq.Kind)
 
-	// Report this shard's cut as it tightens, so the coordinator can relay
-	// it to the other shards while this scan is still running.
-	pollDone := make(chan struct{})
-	var pollWG sync.WaitGroup
-	if ereq.Kind == engine.KindTopK || ereq.Kind == engine.KindProbTopK {
-		pollWG.Add(1)
-		go func() {
-			defer pollWG.Done()
-			t := time.NewTicker(boundPollInterval)
-			defer t.Stop()
-			lastSq, lastP := math.Inf(1), math.Inf(-1)
-			for {
-				select {
-				case <-pollDone:
-					return
-				case <-t.C:
-				}
-				if ereq.Kind == engine.KindTopK {
-					if v := bnd.Squared(); v < lastSq {
-						lastSq = v
-						_ = out.write(ClusterBoundJSON{BoundSq: &v})
-					}
-				} else {
-					if v := pbnd.Value(); v > lastP {
-						lastP = v
-						_ = out.write(ClusterBoundJSON{ProbBound: &v})
-					}
-				}
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(boundPollInterval)
+		defer t.Stop()
+		lastSq, lastP := math.Inf(1), math.Inf(-1)
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
 			}
-		}()
+			if kind == engine.KindTopK {
+				if v := bnd.Squared(); v < lastSq {
+					lastSq = v
+					_ = out.write(ClusterBoundJSON{BoundSq: &v})
+				}
+			} else if v := pbnd.Value(); v > lastP {
+				lastP = v
+				_ = out.write(ClusterBoundJSON{ProbBound: &v})
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		wg.Wait()
+		if req.BoundToken != "" {
+			s.bounds.unregister(req.BoundToken)
+		}
 	}
-
-	_, err = e.RunStream(ctx, ereq, out.item)
-	close(pollDone)
-	pollWG.Wait()
-	done(err)
-	end(err)
-	if out.fail(err) {
-		return
-	}
-	_ = out.write(ClusterDoneJSON{
-		Done:  true,
-		Epoch: snap.Epoch(),
-		Total: out.items,
-		Stats: s.measureStats()[ereq.Measure.String()],
-	})
 }
 
 // handleClusterBound serves POST /cluster/bound: the gather-to-scatter leg
@@ -301,23 +250,4 @@ func (s *Server) handleClusterSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, rec)
-}
-
-// Info reports the shard geometry the coordinator needs: the corpus
-// epoch, resident count, series length, and the next unassigned stable ID
-// (the coordinator recovers its global ID allocator as the max over
-// shards).
-func (s *Server) Info() ClusterInfoJSON {
-	snap := s.c.Snapshot()
-	return ClusterInfoJSON{
-		Epoch:     snap.Epoch(),
-		Series:    snap.Len(),
-		SeriesLen: snap.SeriesLen(),
-		NextID:    snap.NextID(),
-	}
-}
-
-// handleClusterInfo serves GET /cluster/info.
-func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, s.Info())
 }

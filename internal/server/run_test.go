@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"uncertts/internal/corpus"
-	"uncertts/internal/qerr"
 )
 
 // slowServer builds a corpus whose DTW queries take long enough (hundreds
@@ -70,15 +68,18 @@ func TestQueryTimeoutAnswers504(t *testing.T) {
 	}
 }
 
+// TestServerDefaultTimeout: a query without timeout_ms runs under the
+// server's DefaultTimeout, applied by OpenQuery on both query endpoints: each
+// answers 504, the stream before its first record (after one, its status
+// would be 200).
 func TestServerDefaultTimeout(t *testing.T) {
 	srv, _, _ := slowServer(t, 12, 1024)
-	srv.opts.DefaultTimeout = time.Millisecond
-	// queryContext applies the server default when the request carries no
-	// timeout_ms of its own; the derived deadline must stop the query.
-	ctx, cancel := srv.queryContext(context.Background(), slowQuery())
-	defer cancel()
-	if _, err := srv.Run(ctx, slowQuery()); !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, qerr.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled wrapping context.DeadlineExceeded", err)
+	ts := httptest.NewServer(New(srv.Corpus(), Options{DefaultTimeout: time.Millisecond}).Handler())
+	defer ts.Close()
+	for _, path := range []string{"/query", "/query/stream"} {
+		if resp := postJSON(t, ts.URL+path, slowQuery(), nil); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d, want 504", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -206,7 +207,8 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Errorf("streamed IDs %v != /query answer %v", ids, ref.IDs)
 	}
 
-	// Top-k streams its ranked answer in order.
+	// Top-k streams its ranked answer in order, between the bound records
+	// of its cut, which a client skips.
 	res2, err := http.Post(ts.URL+"/query/stream", "application/json",
 		bytes.NewReader(mustJSON(t, QueryRequest{Measure: "euclidean", Type: "topk", K: 3, ID: &id})))
 	if err != nil {
@@ -221,7 +223,7 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	sc = bufio.NewScanner(res2.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || bytes.Contains(line, []byte(`"done"`)) {
+		if len(line) == 0 || bytes.Contains(line, []byte(`"done"`)) || bytes.Contains(line, []byte(`"bound_sq"`)) {
 			continue
 		}
 		var it StreamItemJSON

@@ -7,9 +7,12 @@
 //	                    shipped in the request;
 //	POST /query/stream  the same queries with incremental NDJSON results:
 //	                    one record per confirmed neighbour, then a final
-//	                    stats record;
+//	                    stats record (a top-k stream interleaves its cut's
+//	                    bound records; a cluster shard answers its scatter
+//	                    leg here, see cluster.go);
 //	POST /series        ingestion and deletion;
-//	GET  /stats         corpus and per-measure engine accounting.
+//	GET  /stats         corpus geometry (epoch, series, length, next
+//	                    unassigned ID) and per-measure engine accounting.
 //
 // Routes are registered with their methods ("POST /query", "GET /stats"):
 // any other method gets the mux's 405, with an Allow header.
@@ -95,8 +98,8 @@ type Server struct {
 	mu   sync.Mutex
 	work map[engine.Measure]engine.Stats // every finished query's, by measure (/stats)
 
-	// bounds tracks the shared pruning cuts of running cluster queries,
-	// keyed by the coordinator's bound token (see cluster.go).
+	// bounds tracks the cuts of running top-k streams, keyed by the
+	// coordinator's bound token (see cluster.go).
 	bounds boundRegistry
 
 	// tracer collects finished query traces for /debug/trace and the
@@ -139,10 +142,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", telemetry.Handler())
 	mux.HandleFunc("GET /debug/trace", s.tracer.HandleDebugTrace)
 	mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("POST /cluster/query", s.handleClusterQuery)
 	mux.HandleFunc("POST /cluster/bound", s.handleClusterBound)
 	mux.HandleFunc("GET /cluster/series", s.handleClusterSeries)
-	mux.HandleFunc("GET /cluster/info", s.handleClusterInfo)
 	return mux
 }
 
@@ -270,7 +271,7 @@ func statusFor(err error) int {
 }
 
 // query returns the query a body carries: the body itself, or the query a
-// /cluster/query leg wraps (ClusterQueryRequest promotes this method).
+// StreamRequest wraps (it promotes this method).
 func (req *QueryRequest) query() *QueryRequest { return req }
 
 // OpenQuery is the prelude of every query endpoint, the coordinator's too. It
@@ -306,12 +307,6 @@ func withTimeout(parent context.Context, req QueryRequest, timeout time.Duration
 		return context.WithCancel(parent)
 	}
 	return context.WithTimeout(parent, timeout)
-}
-
-// queryContext is the context this server gives a query: withTimeout under
-// the server's DefaultTimeout.
-func (s *Server) queryContext(parent context.Context, req QueryRequest) (context.Context, context.CancelFunc) {
-	return withTimeout(parent, req, s.opts.DefaultTimeout)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -454,17 +449,20 @@ type StreamDoneJSON struct {
 	Stats string `json:"stats"`
 }
 
-// handleQueryStream serves POST /query/stream: the same request shape as
-// /query, answered as NDJSON — one StreamItemJSON per confirmed result
-// (range kinds stream mid-scan as shards confirm matches, in
-// nondeterministic order; top-k kinds stream the ranked answer as it is
-// confirmed at the merge), then one StreamDoneJSON. The offset/limit
-// window is a /query concern (it is defined on the final sorted answer,
-// which a mid-scan stream does not have yet), so stream requests carrying
-// one are rejected rather than silently unwindowed. The stream ends as
-// ndjson.fail says.
+// handleQueryStream serves POST /query/stream: a StreamRequest, answered as
+// NDJSON — one StreamItemJSON per confirmed result (range kinds stream
+// mid-scan as shards confirm matches, in nondeterministic order; top-k
+// kinds stream the ranked answer as it is confirmed at the merge, with
+// their cut's ClusterBoundJSON records interleaved: shareCut), then one
+// StreamDoneJSON. The offset/limit window is a /query concern (it is
+// defined on the final sorted answer, which a mid-scan stream does not have
+// yet), so stream requests carrying one are rejected rather than silently
+// unwindowed. The stream ends as ndjson.fail says. A coordinator's scatter
+// leg is such a stream, under the coordinator's trace ID (OpenQuery adopts
+// the request header's), so one ID pulls the cross-shard picture from every
+// /debug/trace it touched.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req StreamRequest
 	ctx, end, ok := OpenQuery(w, r, &req, s.tracer, "query_stream", s.opts.DefaultTimeout)
 	if !ok {
 		return
@@ -475,14 +473,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	e, snap, ereq, done, err := s.start(ctx, req)
+	e, snap, ereq, done, err := s.start(ctx, req.QueryRequest)
 	if err != nil {
 		end(err)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	out := newNDJSON(w, snap, ereq.Kind)
+	stop := s.shareCut(&req, &ereq, out)
 	_, err = e.RunStream(ctx, ereq, out.item)
+	stop()
 	done(err)
 	end(err)
 	if out.fail(err) {
@@ -500,7 +500,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 // ndjson writes one query's NDJSON answer, a flushed record at a time: the one
 // place an engine.Item becomes a wire record, and the one way a stream ends
-// (fail). A /cluster/query leg's bound reports share it with the scan.
+// (fail). A top-k stream's bound reports share it with the scan.
 type ndjson struct {
 	w    http.ResponseWriter
 	snap *corpus.Snapshot
@@ -662,6 +662,9 @@ type StatsResponse struct {
 	SeriesLen int `json:"series_len"`
 	// Epoch is the current corpus epoch.
 	Epoch uint64 `json:"epoch"`
+	// NextID is the next unassigned stable ID: a cluster coordinator
+	// recovers its ID allocator as the max over its shards.
+	NextID int `json:"next_id"`
 	// Measures maps measure name to its cumulative engine counters.
 	Measures map[string]MeasureStatsJSON `json:"measures,omitempty"`
 }
@@ -686,6 +689,7 @@ func (s *Server) Stats() *StatsResponse {
 		Series:    snap.Len(),
 		SeriesLen: snap.SeriesLen(),
 		Epoch:     snap.Epoch(),
+		NextID:    snap.NextID(),
 		Measures:  make(map[string]MeasureStatsJSON),
 	}
 	for name, st := range s.measureStats() {

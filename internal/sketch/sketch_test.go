@@ -372,7 +372,7 @@ func TestTreeDegenerateSplit(t *testing.T) {
 		row[i] = 1.5
 	}
 	for i := 0; i < 20; i++ {
-		b.Append(row)
+		copy(b.AppendZero(), row)
 	}
 	mat := b.Matrix()
 	members := make([]Member, 20)

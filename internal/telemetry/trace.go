@@ -14,7 +14,7 @@ import (
 )
 
 // TraceHeader carries a query's trace ID: set on every /query response so
-// clients can quote it, and on the coordinator's /cluster/query requests
+// clients can quote it, and on the coordinator's scatter legs (/query/stream)
 // so every shard a query touches records its spans under the same ID.
 const TraceHeader = "X-Uncertts-Trace-Id"
 

@@ -227,17 +227,3 @@ func shapeFamily(name string) func(class, n int, rng *rand.Rand) []float64 {
 func smoothSeries(xs []float64) []float64 {
 	return timeseries.MovingAverage(xs, 1)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
