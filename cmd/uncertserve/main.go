@@ -46,10 +46,9 @@
 //
 // Or run one plain uncertserve per shard and a separate coordinator-only
 // process pointed at them. A shard speaks the node's own API: each leg of a
-// query is a /query/stream that carries the tightening top-k bound out, the
-// coordinator pushes it back in over POST /cluster/bound, and reads the
-// shard's geometry from /stats; GET /cluster/series forwards an ID-targeted
-// query:
+// query is a /query/stream, which prunes against the shard's own top-k cut;
+// the coordinator reads the shard's geometry from /stats, and GET
+// /cluster/series forwards an ID-targeted query:
 //
 //	uncertserve -addr :8081 -dataset "" -data /var/lib/shard-0 &
 //	uncertserve -addr :8082 -dataset "" -data /var/lib/shard-1 &

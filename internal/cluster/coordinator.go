@@ -84,13 +84,15 @@ type Response struct {
 
 // Query scatters one query to every shard and merges the answers.
 //
-// Top-k kinds share one pruning cut across all shards: each shard's
-// engine lowers it as its local top-k fills, and still-running shards
-// read the tightened global value mid-scan (in-process via the shared
-// atomic, remotely via the NDJSON bound records and /cluster/bound
-// pushes). ID-targeted queries run as an ID query on the series' home
-// shard (which excludes the series itself, exactly like single-node) and
-// as the equivalent ad-hoc query everywhere else.
+// Top-k kinds share one pruning cut across all shards. In-process shards
+// share it mid-scan: each shard's engine lowers the one atomic as its local
+// top-k fills, and still-running shards read the tightened global value.
+// A remote shard prunes against its own cut: the cut starts unbounded and
+// every leg starts at once, so there is nothing yet to seed its
+// /query/stream body with, and nothing crosses the wire after (HTTPShard).
+// ID-targeted queries run as an ID query on the series' home shard (which
+// excludes the series itself, exactly like single-node) and as the
+// equivalent ad-hoc query everywhere else.
 func (c *Coordinator) Query(ctx context.Context, req server.QueryRequest) (*Response, error) {
 	if len(c.shards) == 0 {
 		return nil, qerr.BadRequestf("the coordinator has no shards")

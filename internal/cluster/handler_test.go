@@ -31,7 +31,6 @@ func TestRoutesCheckMethods(t *testing.T) {
 		{"server", "GET", "/metrics"},
 		{"server", "GET", "/debug/trace"},
 		{"server", "POST", "/admin/checkpoint"},
-		{"server", "POST", "/cluster/bound"},
 		{"server", "GET", "/cluster/series"},
 		{"coordinator", "POST", "/query"},
 		{"coordinator", "POST", "/series"},

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,8 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
-	"time"
 
 	"uncertts/internal/engine"
 	"uncertts/internal/qerr"
@@ -36,16 +32,14 @@ func (e *ShardStatusError) Error() string {
 	return fmt.Sprintf("shard %s answered %d: %s", e.Shard, e.Status, e.Msg)
 }
 
-// boundPushInterval is how often an HTTPShard samples the coordinator's
-// shared cut for improvements to push into its running shard query. It
-// mirrors the shard's own report cadence (server.boundPollInterval).
-const boundPushInterval = 2 * time.Millisecond
-
 // HTTPShard drives one remote shard process over its public API plus the
-// two private /cluster endpoints. A query leg is a /query/stream; bound
-// propagation runs both ways while the stream is open — shard-side
-// improvements arrive as bound records in the stream, coordinator-side
-// improvements are POSTed to /cluster/bound keyed by a per-query token.
+// private GET /cluster/series. A query leg is a /query/stream that prunes
+// against the shard's own cut: nothing crosses the wire about the cut while
+// the stream is open. The body seeds that cut with the shared one only when
+// the shared cut is already finite as the leg starts. Coordinator.Query
+// never is: every query's cut starts unbounded and every leg starts at once,
+// so today no leg is seeded; a coordinator that lowers the cut before it
+// scatters (a two-phase seed) would be.
 type HTTPShard struct {
 	name   string
 	base   string
@@ -63,22 +57,10 @@ func NewHTTP(name, baseURL string, client *http.Client) *HTTPShard {
 
 func (h *HTTPShard) Name() string { return h.name }
 
-// newToken mints the per-query bound token. Collisions across concurrent
-// queries to the same shard must be negligible; 16 random bytes are.
-func newToken() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is a broken platform; fall back to a token
-		// that disables mid-flight pushes rather than failing the query.
-		return ""
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // wireRecord is the union of every record kind a /query/stream NDJSON
-// answer interleaves: bound records (bound_sq / prob_bound, no id), item
-// records (id plus distance or prob), the final done record, and the
-// mid-stream error record.
+// answer carries: item records (id plus distance or prob), the final done
+// record, and the mid-stream error record. Any other record (an older
+// shard's bound_sq/prob_bound report) is skipped.
 type wireRecord struct {
 	Done  bool   `json:"done"`
 	Epoch uint64 `json:"epoch"`
@@ -86,18 +68,15 @@ type wireRecord struct {
 
 	Error string `json:"error"`
 
-	BoundSq   *float64 `json:"bound_sq"`
-	ProbBound *float64 `json:"prob_bound"`
-
 	ID       *int     `json:"id"`
 	Distance *float64 `json:"distance"`
 	Prob     *float64 `json:"prob"`
 }
 
 // Query runs the leg as a /query/stream on the shard, the request carrying
-// the shared cut's seed and a push token, and collects the stream in
-// arrival order (range items come in confirmation order);
-// Coordinator.merge sorts the union.
+// the shared cut as its seed when the cut is finite (see HTTPShard), and
+// collects the stream in arrival order (range items come in confirmation
+// order); Coordinator.merge sorts the union.
 func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *engine.Bound, pbnd *engine.ProbBound) (*server.QueryResponse, error) {
 	m, err := engine.ParseMeasure(req.Measure)
 	if err != nil {
@@ -109,11 +88,6 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 	}
 
 	sreq := server.StreamRequest{QueryRequest: req}
-	token := ""
-	if bnd != nil || pbnd != nil {
-		token = newToken()
-		sreq.BoundToken = token
-	}
 	if bnd != nil {
 		if v := bnd.Squared(); !math.IsInf(v, 1) {
 			sreq.BoundSq = &v
@@ -148,48 +122,7 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 		return nil, h.statusError(resp)
 	}
 
-	// Push the coordinator's cut into the running shard query whenever it
-	// tightens past what we last pushed. Echoes are harmless: LowerSquared
-	// and Raise are idempotent min/max updates.
-	pushDone := make(chan struct{})
-	var pushWG sync.WaitGroup
-	if token != "" {
-		pushWG.Add(1)
-		go func() {
-			defer pushWG.Done()
-			t := time.NewTicker(boundPushInterval)
-			defer t.Stop()
-			lastSq, lastP := math.Inf(1), math.Inf(-1)
-			for {
-				select {
-				case <-pushDone:
-					return
-				case <-t.C:
-				}
-				rec := server.ClusterBoundJSON{Token: token}
-				if bnd != nil {
-					if v := bnd.Squared(); v < lastSq {
-						lastSq = v
-						rec.BoundSq = &v
-					}
-				}
-				if pbnd != nil {
-					if v := pbnd.Value(); v > lastP {
-						lastP = v
-						rec.ProbBound = &v
-					}
-				}
-				if rec.BoundSq == nil && rec.ProbBound == nil {
-					continue
-				}
-				h.pushBound(ctx, rec)
-			}
-		}()
-	}
-
-	out, err := readStream(resp.Body, kind, bnd, pbnd)
-	close(pushDone)
-	pushWG.Wait()
+	out, err := readStream(resp.Body, kind)
 	switch {
 	case err == nil:
 		out.Measure = m.String()
@@ -202,12 +135,11 @@ func (h *HTTPShard) Query(ctx context.Context, req server.QueryRequest, bnd *eng
 }
 
 // readStream reads one /query/stream answer of the given kind up to its done
-// record, folding the shard's bound records into bnd/pbnd (nil = dropped) as
-// they arrive. A stream that fails, ends before its done record, or carries a
+// record. A stream that fails, ends before its done record, or carries a
 // top-k item without its key (a distance for topk, a probability for
 // probtopk) is an error: such an item would enter the merge at key 0 and rank
 // first.
-func readStream(r io.Reader, kind engine.Kind, bnd *engine.Bound, pbnd *engine.ProbBound) (*server.QueryResponse, error) {
+func readStream(r io.Reader, kind engine.Kind) (*server.QueryResponse, error) {
 	out := &server.QueryResponse{Type: kind.String()}
 	dec := json.NewDecoder(r)
 	for {
@@ -235,37 +167,7 @@ func readStream(r io.Reader, kind engine.Kind, bnd *engine.Bound, pbnd *engine.P
 			default:
 				out.IDs = append(out.IDs, *rec.ID)
 			}
-		case rec.BoundSq != nil && bnd != nil:
-			// The shard's own cut tightening: already squared and
-			// ulpUp-inflated, so it folds straight into the shared bound.
-			bnd.LowerSquared(*rec.BoundSq)
-		case rec.ProbBound != nil && pbnd != nil:
-			pbnd.Raise(*rec.ProbBound)
 		}
-	}
-}
-
-// pushBound POSTs one bound improvement into the running shard query.
-// Failures are ignored: the push is an optimisation, the stream's own
-// records keep the answer correct without it.
-func (h *HTTPShard) pushBound(ctx context.Context, rec server.ClusterBoundJSON) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/cluster/bound", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		boundPushes.Inc()
 	}
 }
 

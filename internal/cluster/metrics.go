@@ -4,8 +4,7 @@ import "uncertts/internal/telemetry"
 
 // The coordinator's metric families: the scatter-gather picture a single
 // shard cannot see — per-shard leg latency, how often answers degrade,
-// which shards fail and how, and how much mid-flight bound propagation
-// actually flows.
+// and which shards fail and how.
 var (
 	scatterDuration = telemetry.NewHistogramVec(
 		"uncertts_cluster_scatter_duration_seconds",
@@ -18,7 +17,4 @@ var (
 		"uncertts_cluster_shard_errors_total",
 		"Failed shard legs, by shard and failure kind (timeout or unreachable).",
 		"shard", "kind")
-	boundPushes = telemetry.NewCounter(
-		"uncertts_cluster_bound_pushes_total",
-		"Mid-flight bound improvements pushed into running shard queries over /cluster/bound.")
 )

@@ -8,10 +8,11 @@ import (
 )
 
 // Shard is one partition of the cluster behind the serving API the
-// coordinator scatters over. Implementations must inject the shared cuts
-// into the query execution (and, for remote shards, ferry improvements
-// both ways while the query runs): bnd for topk, pbnd for probtopk; both
-// may be nil for the range kinds.
+// coordinator scatters over. Implementations prune against the shared cuts,
+// bnd for topk and pbnd for probtopk (both nil for the range kinds): an
+// in-process shard injects them into its execution; a remote one can only
+// send them as its query's seed, and only when they are finite as its leg
+// starts.
 type Shard interface {
 	// Name identifies the shard in degraded responses and health reports.
 	Name() string
@@ -31,10 +32,10 @@ type Shard interface {
 }
 
 // LocalShard serves a shard in-process: a plain *server.Server (corpus +
-// optional store + engine cache) called directly. Bound propagation is
-// free — every shard's engine lowers and reads the same injected atomic,
-// which is exactly the within-process sharing the engine already does
-// across workers.
+// optional store) called directly. Bound propagation is free — every
+// shard's engine lowers and reads the same injected atomic, which is
+// exactly the within-process sharing the engine already does across
+// workers.
 type LocalShard struct {
 	name string
 	srv  *server.Server

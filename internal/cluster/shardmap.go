@@ -3,9 +3,10 @@
 // one shard by its stable global ID, each shard is a full corpus + store
 // + engine stack behind the existing server API (a query leg is its
 // /query/stream, its geometry its /stats), and a scatter-gather
-// coordinator broadcasts each query to all shards, merges the per-shard
-// answers deterministically, and propagates the tightening global top-k
-// bound back into still-running shards mid-flight.
+// coordinator broadcasts each query to all shards and merges the per-shard
+// answers deterministically. In-process shards of one top-k query prune
+// against one global cut, shared as it tightens; a remote shard prunes
+// against its own (see HTTPShard).
 //
 // Two invariants make the merged answers bit-identical to a single-node
 // corpus holding the same series:

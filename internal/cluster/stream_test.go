@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"uncertts/internal/engine"
@@ -54,12 +57,93 @@ func TestKeylessShardItemDegrades(t *testing.T) {
 	}
 }
 
+// TestReadStreamSkipsBoundRecords: a shard of an older build interleaves its
+// cut's {"bound_sq": ...} or {"prob_bound": ...} reports with the items of a
+// top-k stream. The leg reads past them to the same answer as the stream
+// without them.
+func TestReadStreamSkipsBoundRecords(t *testing.T) {
+	for _, tc := range []struct {
+		kind          engine.Kind
+		bound, items  string
+		wantNeighbors []server.NeighborJSON
+		wantMatches   []server.MatchJSON
+	}{
+		{
+			kind:          engine.KindTopK,
+			bound:         `{"bound_sq":2.25}`,
+			items:         `{"id":3,"distance":0.75}` + "\n" + `{"id":8,"distance":1.2}`,
+			wantNeighbors: []server.NeighborJSON{{ID: 3, Distance: 0.75}, {ID: 8, Distance: 1.2}},
+		},
+		{
+			kind:        engine.KindProbTopK,
+			bound:       `{"prob_bound":0.25}`,
+			items:       `{"id":2,"prob":0.9}` + "\n" + `{"id":11,"prob":0.5}`,
+			wantMatches: []server.MatchJSON{{ID: 2, Prob: 0.9}, {ID: 11, Prob: 0.5}},
+		},
+	} {
+		done := `{"done":true,"epoch":3,"total":2}`
+		want := &server.QueryResponse{Type: tc.kind.String(), Epoch: 3, Total: 2, Neighbors: tc.wantNeighbors, Matches: tc.wantMatches}
+		for _, stream := range []string{
+			tc.items + "\n" + done + "\n",
+			tc.bound + "\n" + tc.items + "\n" + tc.bound + "\n" + done + "\n",
+		} {
+			got, err := readStream(strings.NewReader(stream), tc.kind)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.kind, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s stream %q read as %+v, want %+v", tc.kind, stream, got, want)
+			}
+		}
+	}
+}
+
+// TestHTTPLegSeedsAFiniteCut: an HTTP leg puts the shared cut in its
+// /query/stream body when the cut is finite as the leg starts, and leaves
+// the body's seed out while the cut is still unbounded.
+func TestHTTPLegSeedsAFiniteCut(t *testing.T) {
+	var got server.StreamRequest
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = server.StreamRequest{}
+		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+			t.Error(err)
+		}
+		_, _ = w.Write([]byte("{\"done\":true}\n"))
+	}))
+	defer hs.Close()
+	h := NewHTTP(shardName(0), hs.URL, nil)
+	leg := func(typ string, bnd *engine.Bound, pbnd *engine.ProbBound) server.StreamRequest {
+		t.Helper()
+		if _, err := h.Query(context.Background(), server.QueryRequest{Measure: "euclidean", Type: typ, K: 3}, bnd, pbnd); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	bnd, pbnd := engine.NewBound(), engine.NewProbBound()
+	if req := leg("topk", bnd, nil); req.BoundSq != nil {
+		t.Errorf("an unbounded cut went out as bound_sq %v", *req.BoundSq)
+	}
+	if req := leg("probtopk", nil, pbnd); req.ProbBound != nil {
+		t.Errorf("an unbounded cut went out as prob_bound %v", *req.ProbBound)
+	}
+	bnd.LowerSquared(2.25)
+	pbnd.Raise(0.4)
+	if req := leg("topk", bnd, nil); req.BoundSq == nil || *req.BoundSq != bnd.Squared() || req.ProbBound != nil {
+		t.Errorf("topk leg sent bound_sq %v prob_bound %v, want the cut %v alone", req.BoundSq, req.ProbBound, bnd.Squared())
+	}
+	if req := leg("probtopk", nil, pbnd); req.ProbBound == nil || *req.ProbBound != 0.4 || req.BoundSq != nil {
+		t.Errorf("probtopk leg sent prob_bound %v bound_sq %v, want the cut 0.4 alone", req.ProbBound, req.BoundSq)
+	}
+}
+
 // FuzzShardStream feeds readStream arbitrary shard answers, the kind chosen
 // by the first argument (mod 4, engine.Kinds order). Whatever the bytes, it
 // must not panic, and an answer it returns without error may hold only
 // entries that came from complete item records carrying their key. Seeds in
 // testdata/fuzz/FuzzShardStream: well-formed topk, probtopk, range and
-// probrange streams, a record cut mid-line, an {"error": ...} record, and
+// probrange streams (the top-k two with an older shard's bound records
+// interleaved), a record cut mid-line, an {"error": ...} record, and
 // key-less top-k items.
 func FuzzShardStream(f *testing.F) {
 	type entry struct {
@@ -68,7 +152,7 @@ func FuzzShardStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, k uint8, stream []byte) {
 		kind := engine.Kinds()[int(k)%len(engine.Kinds())]
-		out, err := readStream(bytes.NewReader(stream), kind, engine.NewBound(), engine.NewProbBound())
+		out, err := readStream(bytes.NewReader(stream), kind)
 		if err != nil {
 			return
 		}

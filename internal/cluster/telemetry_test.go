@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -136,20 +135,6 @@ func TestDegradedQueryTelemetry(t *testing.T) {
 		if sp := spans[name]; sp.Error != "" {
 			t.Errorf("span %q records error %q, want none", name, sp.Error)
 		}
-	}
-}
-
-// TestBoundPushesAreCounted: a shard acknowledges a /cluster/bound push with
-// 204 No Content, and uncertts_cluster_bound_pushes_total counts each one.
-func TestBoundPushesAreCounted(t *testing.T) {
-	hs := httptest.NewServer(newShardServer(t).Handler())
-	defer hs.Close()
-	h := NewHTTP(shardName(0), hs.URL, nil)
-	before := boundPushes.Value()
-	sq := 2.5
-	h.pushBound(context.Background(), server.ClusterBoundJSON{Token: "no-such-query", BoundSq: &sq})
-	if got := boundPushes.Value() - before; got != 1 {
-		t.Errorf("a push moved uncertts_cluster_bound_pushes_total by %d, want 1", got)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"reflect"
 	"testing"
 
-	"uncertts/internal/corpus"
-	"uncertts/internal/munich"
 	"uncertts/internal/server"
 )
 
@@ -115,49 +113,42 @@ func TestTiesAcrossKthPlaceComeBackInIDOrder(t *testing.T) {
 	})
 }
 
-// TestClusterQueryBoundRecordsOnTheWire reads a shard's top-k /query/stream
-// answer and holds the bound records in it to their wire contract, which the
-// engine's cut must honour whatever it stores internally: bound_sq is a
-// non-increasing upper bound on the k-th best squared distance, prob_bound a
-// non-decreasing lower bound on the k-th best probability (a probability, in
-// its natural sign), both reaching — never passing — the final answer's k-th
-// entry, and a bound seeded by the coordinator is reported back unchanged
-// until the shard improves on it.
+// TestClusterQueryBoundRecordsOnTheWire posts one shard's top-k /query/stream
+// at one worker, once unseeded and once seeded through the body, and holds
+// the wire to its contract: either stream carries only its item records and
+// its done record, never a bound record, and a seed changes how much the
+// shard refines but not what it answers. Seeded at the k-th key of the
+// unseeded answer — the tightest cut a coordinator could send, since the
+// k-th best of any subset bounds the global k-th — the shard must fully
+// refine strictly fewer candidates. A body that still carries an older
+// coordinator's "bound_token" is answered as if it did not.
 func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
-	const nSeries, k = 48, 3
-	// Unconstrained DTW over long series and a fine-grained MUNICH estimator
-	// make one query last tens of bound-poll intervals, so records do get
-	// interleaved. DTW's banded kernel is fast enough that at 256 points its
-	// query could end before the first tick; it gets series three times as
-	// long, and a shard of its own so MUNICH's refines do not grow with them.
-	// MUNICH's estimator runs at 32768 bins: at 16384 the grouped shifted adds
-	// finished a probtopk before the first tick in 1 of 200 runs.
-	shard := func(length int) (url string, q server.SeriesJSON) {
-		srv := server.New(corpus.New(corpus.Config{ReportedSigma: 0.3, Segments: 4, Band: -1}),
-			server.Options{MUNICH: munich.Options{Bins: 32768}})
-		ins := server.SeriesRequest{}
-		for i := 0; i < nSeries; i++ {
-			ins.Insert = append(ins.Insert, testSeries(length, int64(i)))
-		}
-		if _, err := srv.Mutate(ins); err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv.Handler())
-		t.Cleanup(hs.Close)
-		return hs.URL, testSeries(length, 99)
+	const nSeries, length, k = 48, 256, 3
+	srv := newShardServer(t)
+	ins := server.SeriesRequest{}
+	for i := 0; i < nSeries; i++ {
+		ins.Insert = append(ins.Insert, testSeries(length, int64(i)))
 	}
-	dtwURL, dtwQ := shard(768)
-	url, q := shard(256)
+	if _, err := srv.Mutate(ins); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	q := testSeries(length, 99)
 
-	// stream posts one scatter leg to the shard at url and returns the
-	// bound records and the answer's keys, both in arrival order.
-	stream := func(url string, req server.StreamRequest) (bounds []server.ClusterBoundJSON, keys []float64) {
-		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	// completed sums the shard's fully refined candidates over its measures.
+	completed := func() (n int64) {
+		for _, st := range srv.Stats().Measures {
+			n += st.Completed
 		}
-		resp, err := http.Post(url+"/query/stream", "application/json", bytes.NewReader(body))
+		return n
+	}
+	// stream posts body to the shard and returns the answer's IDs and keys
+	// in arrival order, and the candidates the stream fully refined.
+	stream := func(t *testing.T, body []byte) (ids []int, keys []float64, refined int64) {
+		t.Helper()
+		before := completed()
+		resp, err := http.Post(hs.URL+"/query/stream", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,103 +159,90 @@ func TestClusterQueryBoundRecordsOnTheWire(t *testing.T) {
 		sc := bufio.NewScanner(resp.Body)
 		done := false
 		for sc.Scan() {
-			var rec struct {
-				server.ClusterBoundJSON
-				Distance *float64 `json:"distance"`
-				Prob     *float64 `json:"prob"`
-				Done     bool     `json:"done"`
-				Error    string   `json:"error"`
-			}
+			var rec map[string]json.RawMessage
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				t.Fatalf("bad NDJSON record %q: %v", sc.Text(), err)
 			}
+			var item server.StreamItemJSON
 			switch {
-			case rec.Error != "":
-				t.Fatalf("stream failed: %s", rec.Error)
-			case rec.Done:
+			case done:
+				t.Fatalf("record %s after the done record", sc.Text())
+			case rec["done"] != nil:
 				done = true
-			case rec.BoundSq != nil || rec.ProbBound != nil:
-				bounds = append(bounds, rec.ClusterBoundJSON)
-			case rec.Distance != nil:
-				keys = append(keys, *rec.Distance)
-			case rec.Prob != nil:
-				keys = append(keys, *rec.Prob)
+			case rec["id"] != nil && len(rec) == 2 && json.Unmarshal(sc.Bytes(), &item) == nil:
+				ids = append(ids, item.ID)
+				if item.Distance != nil {
+					keys = append(keys, *item.Distance)
+				} else if item.Prob != nil {
+					keys = append(keys, *item.Prob)
+				}
+			default:
+				t.Fatalf("record %s is neither an item nor the done record", sc.Text())
 			}
 		}
 		if err := sc.Err(); err != nil || !done {
 			t.Fatalf("stream ended without a done record (err %v)", err)
 		}
-		return bounds, keys
+		if len(keys) != k {
+			t.Fatalf("%d keyed items, want %d", len(keys), k)
+		}
+		return ids, keys, completed() - before
+	}
+	marshal := func(t *testing.T, req interface{}) []byte {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// check streams qr unseeded, then seeded by seed from the unseeded k-th
+	// key, then with a stale bound_token, and wants one answer from all
+	// three; prunes says whether the seed must save full refines.
+	check := func(t *testing.T, qr server.QueryRequest, seed func(req *server.StreamRequest, kth float64), prunes bool) {
+		req := server.StreamRequest{QueryRequest: qr}
+		req.Series, req.Workers = &q, 1
+		wantIDs, wantKeys, open := stream(t, marshal(t, req))
+		seeded := req
+		seed(&seeded, wantKeys[k-1])
+		ids, keys, refined := stream(t, marshal(t, seeded))
+		if !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(keys, wantKeys) {
+			t.Errorf("seeded answer %v %v, want %v %v", ids, keys, wantIDs, wantKeys)
+		}
+		if refined > open || prunes && refined == open {
+			t.Errorf("seeded: %d completed, want fewer than the unseeded %d", refined, open)
+		}
+
+		ids, keys, refined = stream(t, marshal(t, struct {
+			server.QueryRequest
+			Token string `json:"bound_token"`
+		}{req.QueryRequest, "0123456789abcdef"}))
+		if !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(keys, wantKeys) || refined != open {
+			t.Errorf("a body with a bound_token answered %v %v (%d completed), want %v %v (%d)", ids, keys, refined, wantIDs, wantKeys, open)
+		}
 	}
 
 	t.Run("topk", func(t *testing.T) {
-		bounds, keys := stream(dtwURL, server.StreamRequest{QueryRequest: server.QueryRequest{Measure: "dtw", Type: "topk", K: k, Series: &dtwQ}})
-		if len(keys) != k || len(bounds) == 0 {
-			t.Fatalf("%d answers, %d bound records; want %d and at least one", len(keys), len(bounds), k)
-		}
-		kth2 := keys[k-1] * keys[k-1]
-		last := math.Inf(1)
-		for _, b := range bounds {
-			if b.BoundSq == nil || b.ProbBound != nil {
-				t.Fatalf("a topk stream carries bound_sq records only: %+v", b)
-			}
-			if *b.BoundSq >= last || *b.BoundSq < kth2 {
-				t.Errorf("bound_sq %v after %v: want strictly tightening, never under the final k-th squared %v", *b.BoundSq, last, kth2)
-			}
-			last = *b.BoundSq
-		}
-		// The shard's cut carries the engine's ulpUp margin (one part in
-		// 1e15) above the k-th squared distance, so exact ties survive.
-		if final, floor := bounds[len(bounds)-1], kth2+kth2*1e-15; *final.BoundSq < floor {
-			t.Errorf("final bound_sq %v is tighter than the k-th best allows (%v)", *final.BoundSq, floor)
-		}
+		// The engine's own cut sits one part in 1e15 above the k-th squared
+		// distance, so exact ties survive; so does the seed.
+		check(t, server.QueryRequest{Measure: "dtw", Type: "topk", K: k}, func(req *server.StreamRequest, kth float64) {
+			v := kth * kth
+			v += v * 1e-15
+			req.BoundSq = &v
+		}, true)
 	})
 
-	// probtopk posts the MUNICH query under a seeded bound and holds the
-	// records to the contract: prob_bound only, strictly rising, from the
-	// seed at the lowest to the final k-th probability at the highest.
-	probtopk := func(t *testing.T, seed float64) (bounds []server.ClusterBoundJSON, keys []float64) {
-		bounds, keys = stream(url, server.StreamRequest{
-			QueryRequest: server.QueryRequest{Measure: "munich", Type: "probtopk", Eps: 6, K: k, Series: &q},
-			ProbBound:    &seed,
-		})
-		if len(keys) != k || len(bounds) == 0 {
-			t.Fatalf("%d answers, %d bound records; want %d and at least one", len(keys), len(bounds), k)
-		}
-		last := math.Inf(-1)
-		for _, b := range bounds {
-			if b.ProbBound == nil || b.BoundSq != nil {
-				t.Fatalf("a probtopk stream carries prob_bound records only: %+v", b)
-			}
-			if p := *b.ProbBound; p <= last || p < seed || p > keys[k-1] || math.Signbit(p) {
-				t.Errorf("prob_bound %v after %v: want strictly rising within [seed %v, final k-th probability %v]", p, last, seed, keys[k-1])
-			}
-			last = *b.ProbBound
-		}
-		return bounds, keys
-	}
-
+	munichTopK := server.QueryRequest{Measure: "munich", Type: "probtopk", Eps: 6, K: k}
 	t.Run("probtopk", func(t *testing.T) {
-		// Seeded at 0 — a proven but useless floor. Whether 0 itself is
-		// reported depends on the first k refines outlasting the first poll
-		// tick; that every record is a probability at or above it does not.
-		probtopk(t, 0)
+		// Seeded at 0: a proven but useless floor, which must leave the
+		// answer as it was and can save no refine.
+		zero := 0.0
+		check(t, munichTopK, func(req *server.StreamRequest, _ float64) { req.ProbBound = &zero }, false)
 	})
 
 	t.Run("probtopk_seed_echo", func(t *testing.T) {
 		// Seeded at the final k-th probability itself, the bound no resident
-		// candidate can beat: the shard has nothing to improve on, so every
-		// record it sends is the coordinator's seed, echoed unchanged — and
-		// the answer is the one the useless seed gave.
-		_, want := probtopk(t, 0)
-		bounds, keys := probtopk(t, want[k-1])
-		for _, b := range bounds {
-			if *b.ProbBound != want[k-1] {
-				t.Errorf("prob_bound %v, want the coordinator's seed %v echoed", *b.ProbBound, want[k-1])
-			}
-		}
-		if !reflect.DeepEqual(keys, want) {
-			t.Errorf("answer under the tight seed %v, want %v", keys, want)
-		}
+		// candidate can beat: the answer is the unseeded one, reached with
+		// fewer refines, and the seed is not sent back on the wire.
+		check(t, munichTopK, func(req *server.StreamRequest, kth float64) { req.ProbBound = &kth }, true)
 	})
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 
 	"uncertts/internal/engine"
 	"uncertts/internal/qerr"
@@ -15,13 +13,9 @@ import (
 
 // The shard-side cluster surface. A server doubles as one shard of a
 // scatter-gather cluster (see internal/cluster): the coordinator posts a
-// query to every shard's /query/stream as a StreamRequest, reads the
-// candidates back over NDJSON, and exchanges the tightening global top-k
-// cut both ways mid-flight — the stream's bound records carry the shard's
-// cut out, and two private endpoints carry the rest:
+// query to every shard's /query/stream as a StreamRequest and reads the
+// candidates back over NDJSON. One private endpoint carries the rest:
 //
-//	POST /cluster/bound  pushes the coordinator's tighter global bound
-//	                     into a running stream, keyed by its bound token;
 //	GET  /cluster/series fetches a resident series in its wire form, so
 //	                     the coordinator can forward an ID-targeted query
 //	                     to the shards that do not hold the series.
@@ -31,32 +25,34 @@ import (
 // RunBound with a shared engine.Bound, and propagation is the atomic itself.
 
 // StreamRequest is the wire form of POST /query/stream: a plain query plus
-// the seed and push token of a top-k stream's cut. A coordinator's scatter
-// leg fills them in; a client leaves them out.
+// an optional seed for a top-k stream's cut. A seed must be a proven bound
+// on the k-th key of the answer it is meant for: a tighter one prunes true
+// neighbours from this stream's answer. A client leaves it out, and so, in
+// practice, does a coordinator's scatter leg (cluster.HTTPShard says when
+// it would not).
 type StreamRequest struct {
 	QueryRequest
-	// BoundToken keys the stream's cut in the shard's bound registry so
-	// the coordinator can push a tighter global bound mid-flight (empty =
-	// no push channel; the stream's own bound records still flow).
-	BoundToken string `json:"bound_token,omitempty"`
 	// BoundSq seeds the top-k cut (squared-distance space, already
-	// ulpUp-inflated) before the scan starts.
+	// ulpUp-inflated) before the scan starts: a proven upper bound on the
+	// global k-th best squared distance.
 	BoundSq *float64 `json:"bound_sq,omitempty"`
-	// ProbBound seeds the probtopk cut (k-th best probability space).
+	// ProbBound seeds the probtopk cut: a proven lower bound on the global
+	// k-th best match probability.
 	ProbBound *float64 `json:"prob_bound,omitempty"`
 }
 
-// ClusterBoundJSON is both the wire form of POST /cluster/bound and the
-// bound record a top-k /query/stream interleaves with its items.
-type ClusterBoundJSON struct {
-	// Token keys the running execution (POST /cluster/bound only).
-	Token string `json:"token,omitempty"`
-	// BoundSq is the tightest proven upper bound on the global k-th best
-	// squared distance (topk).
-	BoundSq *float64 `json:"bound_sq,omitempty"`
-	// ProbBound is the best proven lower bound on the global k-th best
-	// match probability (probtopk).
-	ProbBound *float64 `json:"prob_bound,omitempty"`
+// seed hands the body's seed to the stream's engine request as the cut it
+// starts from. A range kind, or a top-k body without a seed, keeps the
+// engine's own cut.
+func (r *StreamRequest) seed(ereq *engine.Request) {
+	switch {
+	case ereq.Kind == engine.KindTopK && r.BoundSq != nil:
+		ereq.Bound = engine.NewBound()
+		ereq.Bound.LowerSquared(*r.BoundSq)
+	case ereq.Kind == engine.KindProbTopK && r.ProbBound != nil:
+		ereq.ProbBound = engine.NewProbBound()
+		ereq.ProbBound.Raise(*r.ProbBound)
+	}
 }
 
 // ClusterSeriesJSON is the wire form of GET /cluster/series: a resident
@@ -66,39 +62,6 @@ type ClusterBoundJSON struct {
 type ClusterSeriesJSON struct {
 	ID     int        `json:"id"`
 	Series SeriesJSON `json:"series"`
-}
-
-// boundRegistry tracks the cuts of running top-k streams so /cluster/bound
-// pushes can reach them by token.
-type boundRegistry struct {
-	mu sync.Mutex
-	m  map[string]*boundPair
-}
-
-type boundPair struct {
-	bnd  *engine.Bound
-	pbnd *engine.ProbBound
-}
-
-func (r *boundRegistry) register(token string, p *boundPair) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]*boundPair)
-	}
-	r.m[token] = p
-}
-
-func (r *boundRegistry) unregister(token string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.m, token)
-}
-
-func (r *boundRegistry) lookup(token string) *boundPair {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m[token]
 }
 
 // RunBound is Run with an externally shared pruning cut: the top-k kinds
@@ -117,93 +80,6 @@ func (s *Server) RunBound(ctx context.Context, req QueryRequest, bnd *engine.Bou
 		return nil, err
 	}
 	return toResponse(snap, ereq.Measure, res), nil
-}
-
-// boundPollInterval is how often a top-k stream samples its cut for
-// improvements to report. Cheap (one atomic load) and far below any
-// realistic shard scan time, yet coarse enough that bound records stay a
-// rounding error next to item payloads.
-const boundPollInterval = 2 * time.Millisecond
-
-// shareCut gives a top-k stream a cut of its own: seeded from the body,
-// registered under its bound token, and reported on the stream as a
-// ClusterBoundJSON record whenever it tightens, so a coordinator can relay
-// it to the other shards while this scan still runs. It returns what stops
-// the reports and unregisters the cut; call it once the scan has returned.
-// The range kinds have no cut: for them it does nothing.
-func (s *Server) shareCut(req *StreamRequest, ereq *engine.Request, out *ndjson) (stop func()) {
-	kind := ereq.Kind
-	if kind != engine.KindTopK && kind != engine.KindProbTopK {
-		return func() {}
-	}
-	bnd, pbnd := engine.NewBound(), engine.NewProbBound()
-	if req.BoundSq != nil {
-		bnd.LowerSquared(*req.BoundSq)
-	}
-	if req.ProbBound != nil {
-		pbnd.Raise(*req.ProbBound)
-	}
-	ereq.Bound, ereq.ProbBound = bnd, pbnd
-	if req.BoundToken != "" {
-		s.bounds.register(req.BoundToken, &boundPair{bnd: bnd, pbnd: pbnd})
-	}
-
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(boundPollInterval)
-		defer t.Stop()
-		lastSq, lastP := math.Inf(1), math.Inf(-1)
-		for {
-			select {
-			case <-quit:
-				return
-			case <-t.C:
-			}
-			if kind == engine.KindTopK {
-				if v := bnd.Squared(); v < lastSq {
-					lastSq = v
-					_ = out.write(ClusterBoundJSON{BoundSq: &v})
-				}
-			} else if v := pbnd.Value(); v > lastP {
-				lastP = v
-				_ = out.write(ClusterBoundJSON{ProbBound: &v})
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		wg.Wait()
-		if req.BoundToken != "" {
-			s.bounds.unregister(req.BoundToken)
-		}
-	}
-}
-
-// handleClusterBound serves POST /cluster/bound: the gather-to-scatter leg
-// of bound propagation. Pushing into a finished (or unknown) token is a
-// no-op 204 — the query the bound was meant for has already drained, and
-// racing a retry against completion must not fail the coordinator.
-func (s *Server) handleClusterBound(w http.ResponseWriter, r *http.Request) {
-	var rec ClusterBoundJSON
-	if !DecodeBody(w, r, &rec) {
-		return
-	}
-	if rec.Token == "" {
-		http.Error(w, "a bound push needs a token", http.StatusBadRequest)
-		return
-	}
-	if p := s.bounds.lookup(rec.Token); p != nil {
-		if rec.BoundSq != nil {
-			p.bnd.LowerSquared(*rec.BoundSq)
-		}
-		if rec.ProbBound != nil {
-			p.pbnd.Raise(*rec.ProbBound)
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // FetchSeries renders the resident series with the given stable ID back

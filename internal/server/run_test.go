@@ -207,8 +207,8 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Errorf("streamed IDs %v != /query answer %v", ids, ref.IDs)
 	}
 
-	// Top-k streams its ranked answer in order, between the bound records
-	// of its cut, which a client skips.
+	// Top-k streams its ranked answer in order: its item records, then the
+	// done record, and nothing else.
 	res2, err := http.Post(ts.URL+"/query/stream", "application/json",
 		bytes.NewReader(mustJSON(t, QueryRequest{Measure: "euclidean", Type: "topk", K: 3, ID: &id})))
 	if err != nil {
@@ -223,12 +223,14 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	sc = bufio.NewScanner(res2.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || bytes.Contains(line, []byte(`"done"`)) || bytes.Contains(line, []byte(`"bound_sq"`)) {
+		if len(line) == 0 || bytes.Contains(line, []byte(`"done"`)) {
 			continue
 		}
 		var it StreamItemJSON
-		if err := json.Unmarshal(line, &it); err != nil {
-			t.Fatal(err)
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&it); err != nil || it.Distance == nil {
+			t.Fatalf("record %s is neither a topk item nor the done record (%v)", line, err)
 		}
 		rank = append(rank, it.ID)
 	}

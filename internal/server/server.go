@@ -7,8 +7,7 @@
 //	                    shipped in the request;
 //	POST /query/stream  the same queries with incremental NDJSON results:
 //	                    one record per confirmed neighbour, then a final
-//	                    stats record (a top-k stream interleaves its cut's
-//	                    bound records; a cluster shard answers its scatter
+//	                    stats record (a cluster shard answers its scatter
 //	                    leg here, see cluster.go);
 //	POST /series        ingestion and deletion;
 //	GET  /stats         corpus geometry (epoch, series, length, next
@@ -98,10 +97,6 @@ type Server struct {
 	mu   sync.Mutex
 	work map[engine.Measure]engine.Stats // every finished query's, by measure (/stats)
 
-	// bounds tracks the cuts of running top-k streams, keyed by the
-	// coordinator's bound token (see cluster.go).
-	bounds boundRegistry
-
 	// tracer collects finished query traces for /debug/trace and the
 	// slow-query log.
 	tracer *telemetry.Tracer
@@ -142,7 +137,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", telemetry.Handler())
 	mux.HandleFunc("GET /debug/trace", s.tracer.HandleDebugTrace)
 	mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("POST /cluster/bound", s.handleClusterBound)
 	mux.HandleFunc("GET /cluster/series", s.handleClusterSeries)
 	return mux
 }
@@ -452,14 +446,14 @@ type StreamDoneJSON struct {
 // handleQueryStream serves POST /query/stream: a StreamRequest, answered as
 // NDJSON — one StreamItemJSON per confirmed result (range kinds stream
 // mid-scan as shards confirm matches, in nondeterministic order; top-k
-// kinds stream the ranked answer as it is confirmed at the merge, with
-// their cut's ClusterBoundJSON records interleaved: shareCut), then one
-// StreamDoneJSON. The offset/limit window is a /query concern (it is
-// defined on the final sorted answer, which a mid-scan stream does not have
-// yet), so stream requests carrying one are rejected rather than silently
-// unwindowed. The stream ends as ndjson.fail says. A coordinator's scatter
-// leg is such a stream, under the coordinator's trace ID (OpenQuery adopts
-// the request header's), so one ID pulls the cross-shard picture from every
+// kinds stream the ranked answer as it is confirmed at the merge, from the
+// cut the body seeds: StreamRequest.seed), then one StreamDoneJSON. The
+// offset/limit window is a /query concern (it is defined on the final
+// sorted answer, which a mid-scan stream does not have yet), so stream
+// requests carrying one are rejected rather than silently unwindowed. The
+// stream ends as ndjson.fail says. A coordinator's scatter leg is such a
+// stream, under the coordinator's trace ID (OpenQuery adopts the request
+// header's), so one ID pulls the cross-shard picture from every
 // /debug/trace it touched.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req StreamRequest
@@ -479,10 +473,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
+	req.seed(&ereq)
 	out := newNDJSON(w, snap, ereq.Kind)
-	stop := s.shareCut(&req, &ereq, out)
 	_, err = e.RunStream(ctx, ereq, out.item)
-	stop()
 	done(err)
 	end(err)
 	if out.fail(err) {
@@ -500,16 +493,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 // ndjson writes one query's NDJSON answer, a flushed record at a time: the one
 // place an engine.Item becomes a wire record, and the one way a stream ends
-// (fail). A top-k stream's bound reports share it with the scan.
+// (fail).
 type ndjson struct {
-	w    http.ResponseWriter
-	snap *corpus.Snapshot
-	kind engine.Kind
-
-	mu      sync.Mutex
-	enc     *json.Encoder
-	records int // every record written
-	items   int // of which StreamItemJSON records
+	w     http.ResponseWriter
+	snap  *corpus.Snapshot
+	kind  engine.Kind
+	enc   *json.Encoder
+	items int // StreamItemJSON records written
 }
 
 func newNDJSON(w http.ResponseWriter, snap *corpus.Snapshot, kind engine.Kind) *ndjson {
@@ -519,12 +509,9 @@ func newNDJSON(w http.ResponseWriter, snap *corpus.Snapshot, kind engine.Kind) *
 
 // write encodes one record and flushes it to the client.
 func (n *ndjson) write(v interface{}) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if err := n.enc.Encode(v); err != nil {
 		return err
 	}
-	n.records++
 	if f, ok := n.w.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -550,13 +537,12 @@ func (n *ndjson) item(it engine.Item) error {
 
 // fail ends a stream that failed with err, and reports whether it did:
 // before the first record the answer is a plain HTTP error, after it the
-// body ends with an {"error": ...} record in place of the done record. Call
-// it once no other goroutine writes.
+// body ends with an {"error": ...} record in place of the done record.
 func (n *ndjson) fail(err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case n.records == 0:
+	case n.items == 0:
 		http.Error(n.w, err.Error(), statusFor(err))
 	default:
 		_ = n.write(map[string]string{"error": err.Error()})
